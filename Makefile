@@ -10,9 +10,9 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke bench-trace smoke-trace smoke-health
+.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race flake chaos chaos-fuzz bench-check tree-clean bench-metrics bench-ring bench-kernels bench-smoke bench-trace smoke-trace smoke-health
 
-check: build vet lint race chaos
+check: build vet lint race bench-check chaos
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,27 @@ test:
 race:
 	$(GO) test -race ./...
 
+# flake reruns the concurrency-heavy packages twenty times under the race
+# detector: a teardown race that loses one run in ten (the stale EOF that
+# TestReplaceHostOverTCP used to trip over) passes `race` most of the time
+# and fails here almost surely. Not part of `check` or CI yet: CHANGES.md
+# (PR 15) lists the rare timing-dependent test failures it still finds.
+flake:
+	$(GO) test -race -count=20 ./internal/ring ./internal/core ./internal/rdma/... ./internal/ringq
+
+# bench-check vets and tests the benchmark, which is its own module
+# (bench/go.mod), so the root `go build ./...` and `go test ./...` skip it:
+# without this a product refactor can break the benchmark's imports and
+# nobody notices until the pipeline runs it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+
+# tree-clean fails when building and testing left the checkout modified or
+# littered: an artifact missing from .gitignore, or a fixture a test needs
+# that was never committed (CI runs it right after `make check`).
+tree-clean:
+	@st="$$(git status --porcelain)"; [ -z "$$st" ] || { echo "working tree not clean:"; echo "$$st"; exit 1; }
+
 # chaos is the fault-injection e2e tier: the seeded cyclobench scenario
 # suite (drop, flap, corrupt doorbell, jitter+reorder, slow node,
 # partition) against live mem and tcp rings, race-enabled. The unit- and
@@ -136,6 +157,25 @@ bench-ring:
 	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkViewBind' -benchtime 2s ./internal/relation/ >> /tmp/bench_ring.$$$$.txt && \
 	$(GO) run ./cmd/benchring -o BENCH_ring.json < /tmp/bench_ring.$$$$.txt; \
 	rm -f /tmp/bench_ring.$$$$.txt
+
+# Join-kernel and end-to-end benchmarks → BENCH_kernels.json, five samples
+# each, recorded as median with min/max spread. The file keeps its baseline
+# (the parent of the last kernel change); BASE=<rev> measures that revision
+# from a `git archive` first and records it as the new baseline, so a
+# before/after row is one command: `make bench-kernels BASE=HEAD~1`.
+# benchring refuses to label a row from a dirty tree.
+KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|HashJoinSetup|HashJoinProbe|CycloJoinEndToEnd)$$'
+KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
+	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples) and a whole 4-node cyclo-join. Medians of -count 5; baseline is the parent of the last kernel change.'
+bench-kernels:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	if [ -n "$(BASE)" ]; then \
+		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
+		(cd "$$tmp/base" && $(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 .) > "$$tmp/base.txt"; \
+		$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -rebaseline -label "$$(git rev-parse --short $(BASE))" < "$$tmp/base.txt"; \
+	fi; \
+	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 . > "$$tmp/cur.txt"; \
+	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) $(if $(LABEL),-label '$(LABEL)') < "$$tmp/cur.txt"
 
 # Short-form zero-alloc gate for CI: one quick pass over the guarded
 # hot-path benchmarks, failing on any allocs/op > 0. The full sweep that

@@ -1,10 +1,12 @@
 // Package sortmerge implements the sort-merge join of §IV-C.2.
 //
-// Setup phase: sort the fragment by join key (the paper uses the C library
-// qsort; we use the standard library's introsort via sort.Sort, swapping key
-// and payload columns in place). Join phase: merge the sorted rotating
-// fragment against the sorted stationary fragment with a strictly
-// sequential, cache-friendly access pattern.
+// Setup phase: sort the fragment by join key. The paper calls the C
+// library's qsort and names that call as its own room for improvement; we
+// substitute a stable LSD radix sort over (key, row number) pairs that
+// gathers the payload column once at the end (radix.go). Join phase: merge
+// the sorted rotating fragment against the sorted stationary fragment with
+// a strictly sequential, cache-friendly access pattern. The two-phase
+// shape — sort once per fragment, merge once per hop — is the paper's.
 //
 // Like the paper's implementation, the merge supports band joins
 // (|rKey − sKey| ≤ w) as well as plain equi-joins, and the join phase is
@@ -55,7 +57,7 @@ func bandWidth(p join.Predicate) (uint64, error) {
 }
 
 // SetupStationary implements join.Algorithm: sort a copy of s, using the
-// configured parallelism (sorted runs + k-way merge).
+// configured parallelism.
 func (Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Options) (join.Stationary, error) {
 	w, err := bandWidth(p)
 	if err != nil {
@@ -65,7 +67,11 @@ func (Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Op
 	ss := fl.Shard(opts.TraceNode, "join/sort")
 	spd := ss.Begin(trace.PhaseSort)
 	spd.Arg = int64(s.Len())
-	sorted := ParallelSortedCopy(s, opts.Workers())
+	sorted, err := ParallelSortedCopy(s, opts.Workers())
+	if err != nil {
+		ss.End(spd)
+		return nil, err
+	}
 	st := &stationary{rel: sorted, width: w, opts: opts}
 	// One merge track per worker: Join runs the merge phase concurrently
 	// and shards are single-producer.
@@ -84,18 +90,7 @@ func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Opti
 	if _, err := bandWidth(p); err != nil {
 		return nil, err
 	}
-	return ParallelSortedCopy(r, opts.Workers()), nil
-}
-
-// SortedCopy returns a copy of r sorted by join key. If r is already
-// sorted, it is returned unchanged (no copy).
-func SortedCopy(r *relation.Relation) *relation.Relation {
-	if IsSorted(r) {
-		return r
-	}
-	cp := r.Clone()
-	sort.Sort(&sorter{rel: cp, tmp: make([]byte, cp.Schema().PayloadWidth)})
-	return cp
+	return ParallelSortedCopy(r, opts.Workers())
 }
 
 // IsSorted reports whether r's keys are non-decreasing.
@@ -107,31 +102,6 @@ func IsSorted(r *relation.Relation) bool {
 		}
 	}
 	return true
-}
-
-// sorter sorts a relation in place, moving keys and payload blocks together.
-type sorter struct {
-	rel *relation.Relation
-	tmp []byte
-}
-
-var _ sort.Interface = (*sorter)(nil)
-
-func (s *sorter) Len() int           { return s.rel.Len() }
-func (s *sorter) Less(i, j int) bool { return s.rel.Key(i) < s.rel.Key(j) }
-
-func (s *sorter) Swap(i, j int) {
-	keys := s.rel.Keys()
-	keys[i], keys[j] = keys[j], keys[i]
-	w := s.rel.Schema().PayloadWidth
-	if w == 0 {
-		return
-	}
-	pay := s.rel.PayloadColumn()
-	a, b := pay[i*w:(i+1)*w], pay[j*w:(j+1)*w]
-	copy(s.tmp, a)
-	copy(a, b)
-	copy(b, s.tmp)
 }
 
 // stationary is the sorted stationary fragment.
@@ -151,7 +121,10 @@ func (st *stationary) Bytes() int { return st.rel.Bytes() }
 // Join implements join.Stationary: merge r (sorted, or sorted on the fly if
 // a caller skipped SetupRotating) against the sorted stationary run.
 func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
-	r = SortedCopy(r)
+	r, err := SortedCopy(r)
+	if err != nil {
+		return err
+	}
 	workers := st.opts.Workers()
 	n := r.Len()
 	if n == 0 || st.rel.Len() == 0 {

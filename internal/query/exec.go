@@ -59,8 +59,11 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		case wantAgg:
 			res.AggValue = aggregateKeys(out, st.Agg)
 		case !st.CountOnly:
-			res.Rows = shapeOutput(out, st)
-			res.Count = int64(res.Rows.Len())
+			rows, err := shapeOutput(out, st)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows, res.Count = rows, int64(rows.Len())
 		}
 		return res, nil
 	}
@@ -88,14 +91,20 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		}
 		cur = next
 	}
-	cur = shapeOutput(cur, st)
+	cur, err = shapeOutput(cur, st)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{Count: int64(cur.Len()), Rows: cur}, nil
 }
 
 // shapeOutput applies ORDER BY and LIMIT to a materialized result.
-func shapeOutput(out *relation.Relation, st *Statement) *relation.Relation {
+func shapeOutput(out *relation.Relation, st *Statement) (*relation.Relation, error) {
 	if st.OrderByTable != "" {
-		out = sortmerge.SortedCopy(out)
+		var err error
+		if out, err = sortmerge.SortedCopy(out); err != nil {
+			return nil, fmt.Errorf("query: ORDER BY: %w", err)
+		}
 		if st.OrderDesc {
 			out = reverseRelation(out)
 		}
@@ -108,7 +117,7 @@ func shapeOutput(out *relation.Relation, st *Statement) *relation.Relation {
 		}
 		out = view
 	}
-	return out
+	return out, nil
 }
 
 // reverseRelation returns a copy with tuples in reverse order.

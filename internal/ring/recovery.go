@@ -172,7 +172,8 @@ func (r *Ring) recoverable() bool {
 }
 
 // stale reports whether f describes an endpoint the ring no longer uses —
-// the echo of an already-recovered failure.
+// the echo of an already-recovered failure, or of a node ReplaceNode tore
+// down.
 func (r *Ring) stale(f *linkFailure) bool {
 	if f.sender {
 		return r.nodes[f.le.From].out != f.qp

@@ -387,14 +387,17 @@ func (r *Ring) Run(perNode [][]*relation.Fragment) error {
 			return ErrClosed
 		case err := <-r.errc:
 			var lf *linkFailure
-			if !errors.As(err, &lf) || !r.recoverable() {
+			isLink := errors.As(err, &lf)
+			if isLink && r.stale(lf) {
+				// An echo from an endpoint the ring has since replaced:
+				// an already-recovered failure (the second endpoint
+				// reporting, or a queued duplicate) or a node torn down
+				// by ReplaceNode. It says nothing about this Run.
+				continue
+			}
+			if !isLink || !r.recoverable() {
 				_ = r.Close()
 				return fmt.Errorf("ring: run aborted: %w", err)
-			}
-			if r.stale(lf) {
-				// An echo of an already-recovered failure (the second
-				// endpoint reporting, or a queued duplicate).
-				continue
 			}
 			mLinkFailures.Inc()
 			if retries == nil {
@@ -507,7 +510,38 @@ func (r *Ring) ReplaceNode(i int, proc Processor) error {
 	if err := r.nodes[next].beginRecv(dstNext); err != nil {
 		return err
 	}
+	r.dropStaleFailures()
 	return nil
+}
+
+// dropStaleFailures empties errc of link failures observed on endpoints
+// the ring no longer uses. ReplaceNode calls it once the new endpoints are
+// installed: the old node's loops see their neighbours' endpoints close
+// before their own stop channel does and report that as a link failure,
+// and every such loop has exited by then, so no echo of the teardown is
+// left for the next Run. Anything else goes back on the queue.
+func (r *Ring) dropStaleFailures() {
+	var keep []error
+	for {
+		select {
+		case err := <-r.errc:
+			var lf *linkFailure
+			if !errors.As(err, &lf) || !r.stale(lf) {
+				keep = append(keep, err)
+			}
+			continue
+		default:
+		}
+		break
+	}
+	for _, err := range keep {
+		select {
+		case r.errc <- err:
+		default:
+			// A surviving node refilled the queue meanwhile; like
+			// node.report, the errors already pending win.
+		}
+	}
 }
 
 // Close stops all nodes. It is idempotent.

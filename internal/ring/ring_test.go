@@ -3,6 +3,7 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,31 @@ func TestReplaceNode(t *testing.T) {
 				t.Errorf("node %d fragment %d seen %d times, want 2", n, idx, times)
 			}
 		}
+	}
+}
+
+// TestReplaceNodeOverTCPLeavesNoStaleFailure: over real sockets the old
+// node's receiver sees its upstream neighbour close as EOF before its own
+// stop channel closes. That report must neither survive ReplaceNode nor,
+// should one arrive late, abort a later Run on a ring without recovery.
+func TestReplaceNodeOverTCPLeavesNoStaleFailure(t *testing.T) {
+	const nodes = 3
+	r, _ := newRecorderRing(t, nodes, Config{}, TCPLinks())
+	frags := buildFrags(t, nodes, 300)
+	if err := r.Run(perNode(frags)); err != nil {
+		t.Fatal(err)
+	}
+	oldIn := r.nodes[1].in
+	if err := r.ReplaceNode(1, newRecorder()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.errc); n != 0 {
+		t.Errorf("%d errors queued after ReplaceNode, want 0", n)
+	}
+	// A late echo from the replaced endpoint.
+	r.errc <- &linkFailure{le: &LinkError{From: 0, To: 1, Err: io.EOF}, qp: oldIn}
+	if err := r.Run(perNode(frags)); err != nil {
+		t.Errorf("Run after ReplaceNode: %v", err)
 	}
 }
 
