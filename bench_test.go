@@ -317,8 +317,9 @@ func BenchmarkAblationFragmentSize(b *testing.B) {
 }
 
 // BenchmarkAblationRadixBits sweeps the radix fan-out of the real hash
-// join: too few partitions overflow the cache, too many thrash during
-// clustering.
+// join through the knob that sets it, the cache-size target: too few
+// clusters and a cluster's window of S overflows the cache, too many and
+// the clustering scatter thrashes.
 func BenchmarkAblationRadixBits(b *testing.B) {
 	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: 1_000_000, KeyDomain: 1_000_000, Seed: 5, PayloadWidth: 4})
 	if err != nil {
@@ -328,17 +329,21 @@ func BenchmarkAblationRadixBits(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bits := range []int{0, 4, 8, 12} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			opts := join.Options{RadixBits: bits}
+	for _, l2 := range []int{64 << 10, 1 << 20, 4 << 20, 64 << 20} {
+		opts := join.Options{L2CacheBytes: l2}
+		b.Run(fmt.Sprintf("l2=%dKiB/bits=%d", l2>>10, hashjoin.RadixBits(r.Bytes(), opts)), func(b *testing.B) {
 			st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
 				var c join.Counter
-				if err := st.Join(r, &c); err != nil {
+				if err := st.Join(rot, &c); err != nil {
 					b.Fatal(err)
 				}
 			}

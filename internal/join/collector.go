@@ -1,6 +1,8 @@
 package join
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -18,15 +20,29 @@ type Collector interface {
 	Emit(rKey, sKey uint64, rPay, sPay []byte)
 }
 
+// MatchCounter is implemented by collectors that need only the number of
+// matches, not the tuples. A kernel that finds one behind its Collector
+// may count a fragment's matches itself and report them with AddMatches
+// in place of one Emit per match.
+type MatchCounter interface {
+	Collector
+	// AddMatches records n matches at once. Like Emit it must be safe for
+	// concurrent use.
+	AddMatches(n int64)
+}
+
 // Counter counts matches. The zero value is ready to use.
 type Counter struct {
 	n atomic.Int64
 }
 
-var _ Collector = (*Counter)(nil)
+var _ MatchCounter = (*Counter)(nil)
 
 // Emit implements Collector.
 func (c *Counter) Emit(rKey, sKey uint64, rPay, sPay []byte) { c.n.Add(1) }
+
+// AddMatches implements MatchCounter.
+func (c *Counter) AddMatches(n int64) { c.n.Add(n) }
 
 // Count returns the number of matches emitted so far.
 func (c *Counter) Count() int64 { return c.n.Load() }
@@ -37,10 +53,13 @@ func (c *Counter) Reset() { c.n.Store(0) }
 // Discard drops all matches; useful for benchmarking the pure join cost.
 type Discard struct{}
 
-var _ Collector = Discard{}
+var _ MatchCounter = Discard{}
 
 // Emit implements Collector.
 func (Discard) Emit(rKey, sKey uint64, rPay, sPay []byte) {}
+
+// AddMatches implements MatchCounter.
+func (Discard) AddMatches(n int64) {}
 
 // Materializer builds the join result as a relation. The output schema is
 //
@@ -51,8 +70,10 @@ func (Discard) Emit(rKey, sKey uint64, rPay, sPay []byte) {}
 // the R side (the ternary-join composition of §IV-A). Use Rekeyed to key the
 // output on the S side instead.
 type Materializer struct {
-	mu  sync.Mutex
-	out *relation.Relation
+	mu     sync.Mutex
+	schema relation.Schema
+	keys   []uint64
+	pay    []byte
 	// rekey selects sKey as the output key when true.
 	rekey bool
 }
@@ -62,12 +83,10 @@ var _ Collector = (*Materializer)(nil)
 // NewMaterializer builds a collector producing tuples keyed on rKey.
 // rPayWidth and sPayWidth are the payload widths of the two inputs.
 func NewMaterializer(name string, rPayWidth, sPayWidth int) *Materializer {
-	return &Materializer{
-		out: relation.New(relation.Schema{
-			Name:         name,
-			PayloadWidth: rPayWidth + relation.KeyWidth + sPayWidth,
-		}, 0),
-	}
+	return &Materializer{schema: relation.Schema{
+		Name:         name,
+		PayloadWidth: rPayWidth + relation.KeyWidth + sPayWidth,
+	}}
 }
 
 // NewRekeyedMaterializer builds a collector producing tuples keyed on sKey,
@@ -78,44 +97,47 @@ func NewRekeyedMaterializer(name string, rPayWidth, sPayWidth int) *Materializer
 	return m
 }
 
-// Emit implements Collector.
+// Emit implements Collector: the output tuple is appended to the columns in
+// place, so a match costs no allocation beyond their amortised growth.
 func (m *Materializer) Emit(rKey, sKey uint64, rPay, sPay []byte) {
-	pay := make([]byte, 0, len(rPay)+8+len(sPay))
-	outKey := rKey
-	otherKey := sKey
-	if m.rekey {
-		outKey, otherKey = sKey, rKey
-	}
-	if m.rekey {
-		pay = appendKeyLE(pay, otherKey)
-		pay = append(pay, rPay...)
-		pay = append(pay, sPay...)
-	} else {
-		pay = append(pay, rPay...)
-		pay = appendKeyLE(pay, otherKey)
-		pay = append(pay, sPay...)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.out.Append(outKey, pay); err != nil {
-		// Width is fixed by construction; a mismatch is a programming
-		// error in this package, not a runtime condition.
-		panic(err)
+	if len(m.keys) == cap(m.keys) {
+		// Double: append's 1.25× steps would allocate five times the
+		// final columns on the way up.
+		n := max(2*len(m.keys), 1024)
+		m.keys = append(make([]uint64, 0, n), m.keys...)
+		m.pay = append(make([]byte, 0, n*m.schema.PayloadWidth), m.pay...)
+	}
+	before := len(m.pay)
+	if m.rekey {
+		m.keys = append(m.keys, sKey)
+		m.pay = binary.LittleEndian.AppendUint64(m.pay, rKey)
+		m.pay = append(append(m.pay, rPay...), sPay...)
+	} else {
+		m.keys = append(m.keys, rKey)
+		m.pay = append(m.pay, rPay...)
+		m.pay = binary.LittleEndian.AppendUint64(m.pay, sKey)
+		m.pay = append(m.pay, sPay...)
+	}
+	if len(m.pay)-before != m.schema.PayloadWidth {
+		// The widths are fixed at construction; a kernel emitting other
+		// ones is a programming error, not a runtime condition.
+		panic(fmt.Sprintf("join: materializer %q: emitted payload of %d bytes, want %d",
+			m.schema.Name, len(m.pay)-before, m.schema.PayloadWidth))
 	}
 }
 
-func appendKeyLE(dst []byte, k uint64) []byte {
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(k>>(8*i)))
-	}
-	return dst
-}
-
-// Result returns the materialized output relation.
+// Result returns the materialized output relation. It aliases the
+// collector's columns: call it once the join has finished emitting.
 func (m *Materializer) Result() *relation.Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.out
+	out, err := relation.Wrap(m.schema, m.keys, m.pay)
+	if err != nil {
+		panic(err) // unreachable: Emit keeps the columns in step
+	}
+	return out
 }
 
 // PairSet records matches as (rKey, sKey) multiset counts — the

@@ -1,23 +1,42 @@
-// Package hashjoin implements the radix-partitioned hash join of Manegold,
-// Boncz and Kersten [22] that the paper ports from MonetDB (§IV-C.1).
+// Package hashjoin implements the radix hash join of Manegold, Boncz and
+// Kersten [22] that the paper ports from MonetDB (§IV-C.1): cluster so
+// finely that a probe touches one small, contiguous, cache-resident piece
+// of S, and ship R already clustered so that every hop reuses that work
+// (§IV-D).
 //
-// The algorithm runs in the two phases cyclo-join expects:
+// There is one layout. The setup phase orders the stationary fragment's
+// key and payload columns by the top B bits of relation.HashKey — the
+// tuple's bucket id, with B chosen for about four tuples a bucket — and
+// records where each bucket starts in a directory of 2^B+1 offsets. A probe
+// is then one hash, two adjacent directory loads and a scan of the few
+// contiguous keys between them: no chain to follow, no per-partition
+// header.
 //
-//   - setup: radix-cluster the stationary fragment S_i into 2^bits
-//     partitions by a hash of the join key, sized so that one partition
-//     plus its hash table fits into the L2 cache, then build a
-//     bucket-chained hash table per partition;
-//   - join: for each tuple of the rotating fragment R_j, locate its
-//     partition and probe that partition's hash table. Because the
-//     partition fits in L2, all probes for a partition are cache-resident.
+// The rotating fragment is clustered once, before it enters the ring, on
+// the top RadixBits bits of the same hash. A cluster's id is therefore a
+// prefix of the bucket ids of everything it can match, so the probes of one
+// cluster all land in one contiguous window of S's columns and directory,
+// 2^-RadixBits of the whole, which RadixBits sizes to stay cache-resident
+// for the cluster's whole run. Nothing in the probe depends on that order —
+// an unclustered or differently clustered fragment joins correctly, only
+// slower.
 //
-// The join phase is embarrassingly parallel across disjoint partitions; we
-// run it on Options.Parallelism goroutines exactly as the paper runs it on
-// the four cores of its Xeons.
+// Both setups are the counting-sort shape sortmerge's radix sort has:
+// per-worker histogram, one prefix sum over (bucket, worker), and a scatter
+// in which every worker owns disjoint destination ranges, moving (key, row
+// number) pairs and gathering the payload column once at the end. They are
+// stable, so their output is the same for every worker count.
+//
+// The join phase splits the rotating fragment across Options.Parallelism
+// goroutines, as the paper runs it on the four cores of its Xeons. For a
+// collector that is a join.MatchCounter each worker counts its matches in a
+// register and reports them once per fragment; any other collector gets one
+// Emit per match.
 package hashjoin
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -27,7 +46,7 @@ import (
 	"cyclojoin/internal/trace"
 )
 
-// Join implements join.Algorithm with a radix-partitioned hash join.
+// Join implements join.Algorithm with a radix hash join.
 // The zero value is ready to use.
 type Join struct{}
 
@@ -43,22 +62,20 @@ func (Join) Supports(p join.Predicate) bool {
 	return ok
 }
 
-// SetupStationary implements join.Algorithm: radix-cluster s and build the
-// per-partition hash tables.
+// SetupStationary implements join.Algorithm: order s by bucket id and build
+// the bucket directory. A relation of 2³² rows or more is an error.
 func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Options) (join.Stationary, error) {
 	if !j.Supports(p) {
 		return nil, fmt.Errorf("%w: hash join cannot evaluate %s", join.ErrUnsupportedPredicate, p)
+	}
+	if err := checkRows(s.Len()); err != nil {
+		return nil, err
 	}
 	fl := opts.FlightRecorder()
 	bs := fl.Shard(opts.TraceNode, "join/build")
 	bpd := bs.Begin(trace.PhaseBuild)
 	bpd.Arg = int64(s.Len())
-	b := RadixBits(s.Bytes(), opts)
-	st := &stationary{bits: b, opts: opts, payWidth: s.Schema().PayloadWidth}
-	st.parts = parallelCluster(s, b, opts.Workers())
-	for i := range st.parts {
-		st.parts[i].buildTable(b)
-	}
+	st := build(s, clampWorkers(opts.Workers(), s.Len()))
 	// One probe track per worker: Join runs the probe phase concurrently
 	// and shards are single-producer.
 	st.probeShards = make([]*trace.Shard, opts.Workers())
@@ -69,11 +86,11 @@ func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.
 	return st, nil
 }
 
-// SetupRotating implements join.Algorithm: radix-cluster the rotating
-// fragment so that the join phase scans it partition-by-partition with
-// cache-friendly locality. The clustering is purely an optimization — the
-// probe is order-independent — which is why a fragment clustered with a
-// different fan-out than the stationary side still joins correctly.
+// SetupRotating implements join.Algorithm: cluster the rotating fragment on
+// the top RadixBits bits of the key hash, so that each cluster probes one
+// cache-resident window of any stationary fragment. The clustering is purely
+// an optimization — the probe is order-independent — which is why a fragment
+// clustered with a different fan-out still joins correctly.
 func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Options) (*relation.Relation, error) {
 	if _, ok := p.(join.Equi); !ok {
 		return nil, fmt.Errorf("%w: hash join cannot evaluate %s", join.ErrUnsupportedPredicate, p)
@@ -82,22 +99,16 @@ func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Opti
 	if b == 0 {
 		return r, nil
 	}
-	parts := parallelCluster(r, b, opts.Workers())
-	out := relation.New(r.Schema(), r.Len())
-	for i := range parts {
-		pt := &parts[i]
-		for t := range pt.keys {
-			if err := out.Append(pt.keys[t], pt.payload(t)); err != nil {
-				return nil, err
-			}
-		}
+	if err := checkRows(r.Len()); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return clustered(r, b, clampWorkers(opts.Workers(), r.Len()))
 }
 
-// RadixBits derives the radix fan-out: enough partitions that one stationary
-// partition plus its hash table (≈ 2× the partition's data volume) fits in a
-// quarter of the L2 cache, following the sizing rule of [22].
+// RadixBits derives the radix fan-out of the rotating side: enough clusters
+// that the window of an equally large stationary fragment one cluster probes,
+// with its share of the access structure (≈ 2× the window's data volume),
+// fits in a quarter of the L2 cache, following the sizing rule of [22].
 func RadixBits(dataBytes int, opts join.Options) int {
 	target := opts.L2Bytes() / 4
 	if target <= 0 {
@@ -115,189 +126,286 @@ func RadixBits(dataBytes int, opts join.Options) int {
 	return b
 }
 
-// partition is one radix-clustered piece of the stationary fragment plus its
-// bucket-chained hash table.
-type partition struct {
-	keys []uint64
-	pay  []byte
-	payW int
-	// head/next/mask are written once by buildTable during
-	// SetupStationary and read-only by the probe workers Join launches
-	// later; the setup-then-join contract is the happens-before edge.
-
-	// head holds, per hash bucket, 1+index of the chain head (0 = empty).
-	//
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	head []int32
-	// next holds, per tuple, 1+index of the next tuple in its chain.
-	//
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	next []int32
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	mask uint64
-}
-
-func (pt *partition) payload(i int) []byte {
-	if pt.payW == 0 {
-		return nil
+// checkRows rejects relations whose row numbers do not fit the 32-bit row
+// index and directory offsets.
+func checkRows(n int) error {
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("hashjoin: cannot index %d rows: row numbers are 32 bits wide", n)
 	}
-	return pt.pay[i*pt.payW : (i+1)*pt.payW]
+	return nil
 }
 
-// bucketOf selects a radix partition from the *low* bits of the key hash.
-func bucketOf(key uint64, radixBits int) uint64 {
-	if radixBits == 0 {
+// minPerWorker keeps a setup worker's chunk large enough to pay for its
+// goroutine and its histogram.
+const minPerWorker = 8192
+
+func clampWorkers(workers, n int) int {
+	return max(min(workers, n/minPerWorker), 1)
+}
+
+// dirBits is B, the width of a bucket id, for n tuples: ⌈log₂ n⌉ − 2, which
+// puts between two and four tuples in the average bucket.
+func dirBits(n int) uint {
+	if n <= 4 {
 		return 0
 	}
-	return relation.HashKey(key) & ((1 << radixBits) - 1)
+	return uint(bits.Len(uint(n-1)) - 2) // ⌈log₂ n⌉ = Len(n-1)
 }
 
-// cluster distributes r's tuples into 2^radixBits partitions via a counting
-// sort (two scans, no per-tuple allocation).
-func cluster(r *relation.Relation, radixBits int) []partition {
-	n := 1 << radixBits
-	payW := r.Schema().PayloadWidth
-	counts := make([]int, n)
-	for i := 0; i < r.Len(); i++ {
-		counts[bucketOf(r.Key(i), radixBits)]++
+// topBits is the widest first-pass digit of the build: the high part of the
+// bucket id, narrow enough that the scatter's write streams stay in the TLB
+// and the blocks it leaves fit the cache for the second pass.
+const topBits = 8
+
+// scratch is the working set of one setup besides its output.
+type scratch struct {
+	// keys and rows[0] receive the build's first pass; rows holds, per
+	// output position, the input row the tuple came from.
+	keys []uint64
+	rows [2][]uint32
+	// hist is one histogram of the clustering digit per worker, turned
+	// into scatter offsets in place; starts is where each cluster begins.
+	hist   []uint32
+	starts []uint32
+	// cursors is one block of second-pass scatter offsets per worker.
+	cursors []uint32
+}
+
+// scratchPool recycles scratch across setups, so a setup allocates nothing
+// but its output once the pool is warm.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	parts := make([]partition, n)
-	for p := range parts {
-		parts[p] = partition{
-			keys: make([]uint64, 0, counts[p]),
-			pay:  make([]byte, 0, counts[p]*payW),
-			payW: payW,
+	return s[:n]
+}
+
+// cluster writes the keys of in to dstKeys ordered by the top `width` bits
+// of their hash and, beside each, the input row it came from to dstRows.
+// Keys of one cluster keep their input order. sc.starts[c] is left holding
+// the offset of cluster c, and sc.starts[2^width] the key count.
+func (sc *scratch) cluster(dstKeys []uint64, dstRows []uint32, in []uint64, width uint, workers int) {
+	fan := 1 << width
+	shift := 64 - width
+	sc.hist = grown(sc.hist, workers*fan)
+	sc.starts = grown(sc.starts, fan+1)
+	join.Chunks(len(in), workers, func(w, lo, hi int) {
+		h := sc.hist[w*fan : (w+1)*fan]
+		clear(h)
+		count(h, in[lo:hi], shift)
+	})
+	// Exclusive prefix sum in (cluster, worker) order: worker w's run of a
+	// cluster follows worker w-1's, which keeps input order within it.
+	var at uint32
+	for c := 0; c < fan; c++ {
+		sc.starts[c] = at
+		for w := 0; w < workers; w++ {
+			n := sc.hist[w*fan+c]
+			sc.hist[w*fan+c] = at
+			at += n
 		}
 	}
-	for i := 0; i < r.Len(); i++ {
-		p := &parts[bucketOf(r.Key(i), radixBits)]
-		p.keys = append(p.keys, r.Key(i))
-		p.pay = append(p.pay, r.Payload(i)...)
-	}
-	return parts
+	sc.starts[fan] = at
+	join.Chunks(len(in), workers, func(w, lo, hi int) {
+		scatter(dstKeys, dstRows, in[lo:hi], uint32(lo), sc.hist[w*fan:(w+1)*fan], shift)
+	})
 }
 
-// buildTable constructs the bucket-chained hash table over the partition.
-// The in-partition hash uses the bits *above* the radix bits so that the
-// radix split and the table lookup draw on independent parts of the hash.
-func (pt *partition) buildTable(radixBits int) {
-	n := len(pt.keys)
-	if n == 0 {
-		return
-	}
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	pt.mask = uint64(size - 1)
-	pt.head = make([]int32, size)
-	pt.next = make([]int32, n)
-	for i := 0; i < n; i++ {
-		b := (relation.HashKey(pt.keys[i]) >> radixBits) & pt.mask
-		pt.next[i] = pt.head[b]
-		pt.head[b] = int32(i + 1)
+// count adds the cluster of every key to h.
+//
+//cyclolint:hotpath
+func count(h []uint32, keys []uint64, shift uint) {
+	for _, k := range keys {
+		h[relation.HashKey(k)>>shift]++
 	}
 }
 
-// probe emits all matches of key/pay against the partition's table.
-func (pt *partition) probe(key uint64, rPay []byte, radixBits int, c join.Collector) {
-	if len(pt.keys) == 0 {
-		return
+// scatter moves each key, with its row number, to the next free slot of its
+// cluster; off holds the caller's next slot per cluster and key i is row
+// first+i.
+//
+//cyclolint:hotpath
+func scatter(dstKeys []uint64, dstRows []uint32, keys []uint64, first uint32, off []uint32, shift uint) {
+	for i, k := range keys {
+		c := relation.HashKey(k) >> shift
+		at := off[c]
+		off[c] = at + 1
+		dstKeys[at] = k
+		dstRows[at] = first + uint32(i)
 	}
-	b := (relation.HashKey(key) >> radixBits) & pt.mask
-	for e := pt.head[b]; e != 0; e = pt.next[e-1] {
-		i := int(e - 1)
-		if pt.keys[i] == key {
-			c.Emit(key, key, rPay, pt.payload(i))
+}
+
+// sortBlock is the build's second pass over one first-pass block: a
+// counting sort of its (key, row) pairs by the low bits of the bucket id,
+// written to the output at base, where the block starts. dir is the block's
+// slice of the directory and receives the start of each of its buckets; cur
+// is scratch of the same length.
+//
+//cyclolint:hotpath
+func sortBlock(dstKeys []uint64, dstRows, dir []uint32, keys []uint64, rows, cur []uint32, base uint32, shift uint) {
+	mask := uint64(len(cur) - 1)
+	clear(cur)
+	for _, k := range keys {
+		cur[relation.HashKey(k)>>shift&mask]++
+	}
+	at := base
+	for b, n := range cur {
+		dir[b], cur[b] = at, at
+		at += n
+	}
+	rows = rows[:len(keys)]
+	for i, k := range keys {
+		b := relation.HashKey(k) >> shift & mask
+		at := cur[b]
+		cur[b] = at + 1
+		dstKeys[at] = k
+		dstRows[at] = rows[i]
+	}
+}
+
+// gathered returns the payload column of src reordered so that payload i is
+// src's payload rows[i].
+func gathered(src *relation.Relation, rows []uint32, workers int) []byte {
+	payW := src.Schema().PayloadWidth
+	pay := make([]byte, len(rows)*payW)
+	srcPay := src.PayloadColumn()
+	join.Chunks(len(rows), workers, func(_, lo, hi int) {
+		join.GatherPayload(pay[lo*payW:hi*payW], srcPay, rows[lo:hi], payW)
+	})
+	return pay
+}
+
+// clustered returns a copy of r ordered by the top `width` bits of the key
+// hash, using exactly `workers` chunks.
+func clustered(r *relation.Relation, width, workers int) (*relation.Relation, error) {
+	n := r.Len()
+	keys := make([]uint64, n)
+	sc := scratchPool.Get().(*scratch)
+	sc.rows[0] = grown(sc.rows[0], n)
+	sc.cluster(keys, sc.rows[0], r.Keys(), uint(width), workers)
+	pay := gathered(r, sc.rows[0], workers)
+	scratchPool.Put(sc)
+	return relation.Wrap(r.Schema(), keys, pay)
+}
+
+// build orders s by bucket id and fills the directory, using exactly
+// `workers` chunks: one clustering pass on the top digit of the bucket id
+// into scratch, then a counting sort of each of its blocks by the rest of
+// the id straight into the output.
+func build(s *relation.Relation, workers int) *stationary {
+	n := s.Len()
+	b := dirBits(n)
+	top := min(b, topBits)
+	sub := 1 << (b - top) // buckets per first-pass block
+	st := &stationary{
+		shift: 64 - b,
+		dir:   make([]uint32, 1<<b+1),
+		keys:  make([]uint64, n),
+		payW:  s.Schema().PayloadWidth,
+	}
+
+	sc := scratchPool.Get().(*scratch)
+	sc.keys = grown(sc.keys, n)
+	sc.rows[0], sc.rows[1] = grown(sc.rows[0], n), grown(sc.rows[1], n)
+	sc.cursors = grown(sc.cursors, workers*sub)
+	sc.cluster(sc.keys, sc.rows[0], s.Keys(), top, workers)
+	join.Chunks(1<<top, workers, func(w, lo, hi int) {
+		cur := sc.cursors[w*sub : (w+1)*sub]
+		for blk := lo; blk < hi; blk++ {
+			from, to := sc.starts[blk], sc.starts[blk+1]
+			sortBlock(st.keys, sc.rows[1], st.dir[blk*sub:(blk+1)*sub],
+				sc.keys[from:to], sc.rows[0][from:to], cur, from, st.shift)
 		}
-	}
+	})
+	st.dir[1<<b] = uint32(n)
+	st.pay = gathered(s, sc.rows[1], workers)
+	scratchPool.Put(sc)
+	return st
 }
 
-// stationary is the prepared stationary fragment.
+// stationary is the prepared stationary fragment: its tuples ordered by
+// bucket id, and the bucket directory. SetupStationary writes the columns
+// and the directory; the probe workers Join launches later only read them,
+// and the setup-then-join contract is the happens-before edge.
 type stationary struct {
-	bits     int
-	parts    []partition
-	opts     join.Options
-	payWidth int
+	// shift turns a key's hash into its bucket id, the hash's top
+	// 64-shift bits.
+	shift uint
+	// dir[b] is the offset of bucket b's first tuple; dir[b+1] ends it.
+	//
+	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
+	dir []uint32
+	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
+	keys []uint64
+	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
+	pay  []byte
+	payW int
 	// probeShards records per-worker probe spans (index = worker).
 	probeShards []*trace.Shard
 }
 
 var _ join.Stationary = (*stationary)(nil)
 
-// Bytes implements join.Stationary: the clustered copy plus table arrays.
+// Bytes implements join.Stationary: the ordered copy plus the directory.
 func (st *stationary) Bytes() int {
-	total := 0
-	for i := range st.parts {
-		pt := &st.parts[i]
-		total += len(pt.keys)*8 + len(pt.pay) + len(pt.head)*4 + len(pt.next)*4
-	}
-	return total
+	return len(st.keys)*8 + len(st.pay) + len(st.dir)*4
 }
 
 // Join implements join.Stationary: probe every tuple of r against its
-// partition's hash table, splitting r across Options.Parallelism workers.
+// bucket, splitting r across Options.Parallelism workers.
 func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
-	workers := st.opts.Workers()
 	n := r.Len()
 	if n == 0 {
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		st.joinRange(r, 0, n, 0, c)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st.joinRange(r, lo, hi, w, c)
-		}(w)
-	}
-	wg.Wait()
+	counter, _ := c.(join.MatchCounter)
+	join.Chunks(n, min(len(st.probeShards), n), func(w, lo, hi int) {
+		ps := st.probeShards[w]
+		pd := ps.Begin(trace.PhaseProbe)
+		pd.Arg = int64(hi - lo)
+		if counter != nil {
+			counter.AddMatches(st.count(r.Keys()[lo:hi]))
+		} else {
+			st.emit(r, lo, hi, c)
+		}
+		ps.End(pd)
+	})
 	return nil
 }
 
-func (st *stationary) joinRange(r *relation.Relation, lo, hi, worker int, c join.Collector) {
-	ps := st.probeShard(worker)
-	pd := ps.Begin(trace.PhaseProbe)
-	pd.Arg = int64(hi - lo)
-	for i := lo; i < hi; i++ {
-		k := r.Key(i)
-		pt := &st.parts[bucketOf(k, st.bits)]
-		pt.probe(k, r.Payload(i), st.bits, c)
-	}
-	ps.End(pd)
-}
-
-// probeShard returns the worker's probe track, tolerating a stationary
-// built outside SetupStationary (tests construct the struct directly).
-func (st *stationary) probeShard(worker int) *trace.Shard {
-	if worker < len(st.probeShards) && st.probeShards[worker] != nil {
-		return st.probeShards[worker]
-	}
-	return trace.NopShard()
-}
-
-// Partitions exposes the number of radix partitions, for tests and the
-// ablation benchmarks.
-func (st *stationary) Partitions() int { return len(st.parts) }
-
-// MaxPartitionBytes returns the data volume of the largest partition —
-// the quantity that must stay under the L2 budget for the cache-resident
-// probe argument of §V-D to hold.
-func (st *stationary) MaxPartitionBytes() int {
-	maxB := 0
-	for i := range st.parts {
-		b := len(st.parts[i].keys)*8 + len(st.parts[i].pay)
-		if b > maxB {
-			maxB = b
+// count returns the number of matches of rKeys against the stationary
+// fragment.
+//
+//cyclolint:hotpath
+func (st *stationary) count(rKeys []uint64) int64 {
+	keys, dir, shift := st.keys, st.dir, st.shift
+	var n int64
+	for _, k := range rKeys {
+		b := relation.HashKey(k) >> shift
+		for _, sk := range keys[dir[b]:dir[b+1]] {
+			if sk == k {
+				n++
+			}
 		}
 	}
-	return maxB
+	return n
+}
+
+// emit hands every match of tuples [lo, hi) of r to c.
+//
+//cyclolint:hotpath
+func (st *stationary) emit(r *relation.Relation, lo, hi int, c join.Collector) {
+	keys, dir, shift, pay, payW := st.keys, st.dir, st.shift, st.pay, st.payW
+	rKeys, rPay, rPayW := r.Keys(), r.PayloadColumn(), r.Schema().PayloadWidth
+	for i := lo; i < hi; i++ {
+		k := rKeys[i]
+		b := relation.HashKey(k) >> shift
+		for at := int(dir[b]); at < int(dir[b+1]); at++ {
+			if keys[at] == k {
+				c.Emit(k, k, rPay[i*rPayW:(i+1)*rPayW:(i+1)*rPayW], pay[at*payW:(at+1)*payW:(at+1)*payW])
+			}
+		}
+	}
 }

@@ -89,12 +89,10 @@ type Options struct {
 	// means 1.
 	Parallelism int
 	// L2CacheBytes is the target cache residency for radix partitions
-	// (4 MB unified L2 on the paper's testbed). Zero means DefaultL2Bytes.
+	// (4 MB unified L2 on the paper's testbed): the radix fan-out is
+	// derived from it so that what one cluster probes fits in (a quarter
+	// of) L2, as in [22]. Zero means DefaultL2Bytes.
 	L2CacheBytes int
-	// RadixBits forces the radix-partition fan-out to 2^RadixBits.
-	// Zero means: derive from L2CacheBytes so that one S partition plus
-	// its hash table fits in (a quarter of) L2, as in [22].
-	RadixBits int
 	// Flight is the span recorder algorithm-internal phases (build, probe,
 	// sort, merge) report to. Nil means the process-wide trace.Flight()
 	// (which records nothing unless enabled).

@@ -2,6 +2,7 @@ package join
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,11 +98,12 @@ func TestCounterConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Emit(1, 1, nil, nil)
 			}
+			c.AddMatches(per)
 		}()
 	}
 	wg.Wait()
-	if c.Count() != workers*per {
-		t.Errorf("Count = %d, want %d", c.Count(), workers*per)
+	if c.Count() != 2*workers*per {
+		t.Errorf("Count = %d, want %d", c.Count(), 2*workers*per)
 	}
 	c.Reset()
 	if c.Count() != 0 {
@@ -157,6 +159,28 @@ func TestMaterializerCopiesPayload(t *testing.T) {
 	buf[0] = 0 // caller reuses its buffer
 	if got := m.Result().Payload(0)[0]; got != 42 {
 		t.Errorf("payload[0] = %d, want 42: materializer aliased caller's buffer", got)
+	}
+}
+
+// TestMaterializerAllocatesOnlyGrowth: a match is appended to the columns in
+// place, so the materializer allocates the doubling steps of its columns —
+// under four times the result — and nothing per match.
+func TestMaterializerAllocatesOnlyGrowth(t *testing.T) {
+	const matches = 100_000
+	pay := make([]byte, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMaterializer("out", len(pay), len(pay))
+	for i := uint64(0); i < matches; i++ {
+		m.Emit(i, i, pay, pay)
+	}
+	runtime.ReadMemStats(&after)
+	out := m.Result()
+	if out.Len() != matches {
+		t.Fatalf("Len = %d, want %d", out.Len(), matches)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*out.Bytes()); got > limit {
+		t.Errorf("materializing %d matches allocated %d B, want ≤ %d B (4 × the result)", matches, got, limit)
 	}
 }
 

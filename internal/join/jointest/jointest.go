@@ -5,6 +5,7 @@
 package jointest
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -36,6 +37,27 @@ func RandomRelation(rng *rand.Rand, name string, n, domain, payloadWidth int) *r
 		if err := rel.Append(uint64(rng.Intn(domain)), pay); err != nil {
 			panic(err)
 		}
+	}
+	return rel
+}
+
+// Numbered builds a relation over keys whose payloads carry the row number
+// (as far as payloadWidth bytes hold it), so that tuples with equal keys
+// stay distinguishable and a setup that loses, repeats or reorders one is
+// caught.
+func Numbered(keys []uint64, payloadWidth int) *relation.Relation {
+	pay := make([]byte, len(keys)*payloadWidth)
+	var row [8]byte
+	for i := range keys {
+		binary.LittleEndian.PutUint64(row[:], uint64(i))
+		p := pay[i*payloadWidth : (i+1)*payloadWidth]
+		for j := range p {
+			p[j] = row[j%8] + byte(j/8)
+		}
+	}
+	rel, err := relation.Wrap(relation.Schema{Name: "R", PayloadWidth: payloadWidth}, keys, pay)
+	if err != nil {
+		panic(err)
 	}
 	return rel
 }

@@ -1,11 +1,11 @@
 package sortmerge
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
 
+	"cyclojoin/internal/join"
 	"cyclojoin/internal/relation"
 )
 
@@ -77,7 +77,7 @@ func SortedCopy(r *relation.Relation) (*relation.Relation, error) {
 // over contiguous chunks, one per worker: per-worker histograms, one
 // prefix sum over (bucket, worker), and a scatter in which each worker
 // owns disjoint destination ranges — the same contention-free shape as
-// hashjoin's partition phase.
+// hashjoin's clustering passes.
 //
 // This is the improvement the paper points at for its setup phase
 // (§IV-C.2: "our implementation bears some potential for improvement, such
@@ -106,8 +106,8 @@ func sortedCopy(r *relation.Relation, workers int) (*relation.Relation, error) {
 	sc.grow(n, workers)
 	rows := sc.sort(r.Keys(), keys, workers)
 	srcPay := r.PayloadColumn()
-	chunks(n, workers, func(_, lo, hi int) {
-		gather(pay[lo*payW:hi*payW], srcPay, rows[lo:hi], payW)
+	join.Chunks(n, workers, func(_, lo, hi int) {
+		join.GatherPayload(pay[lo*payW:hi*payW], srcPay, rows[lo:hi], payW)
 	})
 	scratchPool.Put(sc)
 	return relation.Wrap(r.Schema(), keys, pay)
@@ -118,7 +118,7 @@ func sortedCopy(r *relation.Relation, workers int) (*relation.Relation, error) {
 // slice is one of sc's index buffers. The keys must not all be equal.
 func (sc *scratch) sort(in, out []uint64, workers int) []uint32 {
 	n := len(in)
-	chunks(n, workers, func(w, lo, hi int) {
+	join.Chunks(n, workers, func(w, lo, hi int) {
 		sc.hist[w] = digitCounts{}
 		countDigits(&sc.hist[w], in[lo:hi])
 	})
@@ -149,7 +149,7 @@ func (sc *scratch) sort(in, out []uint64, workers int) []uint32 {
 		}
 		if p > 0 && workers > 1 {
 			// The previous pass moved keys between chunks.
-			chunks(n, workers, func(w, lo, hi int) {
+			join.Chunks(n, workers, func(w, lo, hi int) {
 				sc.hist[w][d] = [buckets]uint32{}
 				countDigit(&sc.hist[w][d], srcKeys[lo:hi], shift)
 			})
@@ -164,7 +164,7 @@ func (sc *scratch) sort(in, out []uint64, workers int) []uint32 {
 				at += c
 			}
 		}
-		chunks(n, workers, func(w, lo, hi int) {
+		join.Chunks(n, workers, func(w, lo, hi int) {
 			if srcRows == nil {
 				scatterFirst(dstKeys, dstRows, srcKeys[lo:hi], uint32(lo), &sc.hist[w][d], shift)
 			} else {
@@ -174,24 +174,6 @@ func (sc *scratch) sort(in, out []uint64, workers int) []uint32 {
 		srcKeys, srcRows = dstKeys, dstRows
 	}
 	return srcRows
-}
-
-// chunks calls fn(w, lo, hi) for each of `workers` contiguous chunks of
-// [0, n), concurrently when there is more than one, and waits for them.
-func chunks(n, workers int, fn func(w, lo, hi int)) {
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w, n*w/workers, n*(w+1)/workers)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // countDigits adds every digit of every key to h.
@@ -245,27 +227,5 @@ func scatterFirst(dstKeys []uint64, dstRows []uint32, keys []uint64, first uint3
 		off[b] = at + 1
 		dstKeys[at] = k
 		dstRows[at] = first + uint32(i)
-	}
-}
-
-// gather copies payload rows[i] of src to payload i of dst, for payloads
-// of w bytes. The two widths the workloads use most move as one word.
-//
-//cyclolint:hotpath
-func gather(dst, src []byte, rows []uint32, w int) {
-	switch w {
-	case 0:
-	case 4:
-		for i, row := range rows {
-			binary.LittleEndian.PutUint32(dst[i*4:], binary.LittleEndian.Uint32(src[int(row)*4:]))
-		}
-	case 8:
-		for i, row := range rows {
-			binary.LittleEndian.PutUint64(dst[i*8:], binary.LittleEndian.Uint64(src[int(row)*8:]))
-		}
-	default:
-		for i, row := range rows {
-			copy(dst[i*w:(i+1)*w], src[int(row)*w:])
-		}
 	}
 }

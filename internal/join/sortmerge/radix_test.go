@@ -12,29 +12,10 @@ import (
 	"testing/quick"
 
 	"cyclojoin/internal/join"
+	"cyclojoin/internal/join/jointest"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
 )
-
-// numbered builds a relation over keys whose payloads carry the row number
-// (as far as payW bytes hold it), so that tuples with equal keys stay
-// distinguishable and a sort that reorders them is caught.
-func numbered(keys []uint64, payW int) *relation.Relation {
-	pay := make([]byte, len(keys)*payW)
-	var row [8]byte
-	for i := range keys {
-		binary.LittleEndian.PutUint64(row[:], uint64(i))
-		p := pay[i*payW : (i+1)*payW]
-		for j := range p {
-			p[j] = row[j%8] + byte(j/8)
-		}
-	}
-	rel, err := relation.Wrap(relation.Schema{Name: "R", PayloadWidth: payW}, keys, pay)
-	if err != nil {
-		panic(err)
-	}
-	return rel
-}
 
 // stableOracle sorts r with the standard library's stable sort; it shares
 // no code with the radix sort.
@@ -84,7 +65,7 @@ func TestSortedCopyMatchesStableOracle(t *testing.T) {
 				for i := range keys {
 					keys[i] = shape.key(rng, i, n)
 				}
-				r := numbered(keys, payW)
+				r := jointest.Numbered(keys, payW)
 				snapshot := r.Clone()
 				want := stableOracle(r)
 				for _, workers := range []int{1, 2, 4, 7} {
@@ -152,7 +133,7 @@ func TestSortProperty(t *testing.T) {
 		for i := range keys {
 			keys[i] &= mask
 		}
-		r := numbered(keys, int(payW%17))
+		r := jointest.Numbered(keys, int(payW%17))
 		got, err := sortedCopy(r, int(workers%8)+1)
 		return err == nil && got.Equal(stableOracle(r))
 	}
@@ -173,7 +154,7 @@ func FuzzRadixSortedCopy(f *testing.F) {
 		for i := range keys {
 			keys[i] = binary.LittleEndian.Uint64(data[i*8:]) & mask
 		}
-		r := numbered(keys, int(payW))
+		r := jointest.Numbered(keys, int(payW))
 		snapshot := r.Clone()
 		got, err := sortedCopy(r, int(workers%8)+1)
 		if err != nil {

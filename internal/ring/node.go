@@ -877,21 +877,18 @@ func (n *node) procLoop() {
 				})
 			}
 			n.releaseRecvDeferred(inf.buf)
-			select {
-			case n.retired <- ret:
-			default:
-				// Run's drain is briefly behind: flush deferred credits
-				// before blocking on it.
-				n.flushCredits()
-				select {
-				case n.retired <- ret:
-				case <-n.quit:
-					n.fjoin.End(spd)
-					return
-				}
-			}
+			// Publishing the retirement is the hop's last act: Run returns
+			// once it has drained them all, and its caller may then read
+			// the spans, the stats and the credit pools. The flush also
+			// keeps a blocked send from sitting on a deferred credit.
 			n.fjoin.End(spd)
 			n.finishHop(procStart, procEnd)
+			n.flushCredits()
+			select {
+			case n.retired <- ret:
+			case <-n.quit:
+				return
+			}
 			continue
 		}
 
