@@ -93,8 +93,20 @@ flake:
 # (bench/go.mod), so the root `go build ./...` and `go test ./...` skip it:
 # without this a product refactor can break the benchmark's imports and
 # nobody notices until the pipeline runs it.
+#
+# TestSmoke/sql_3way runs untraced (-short): its traced half rejects any
+# per-layer reading below zero, and bench/layers.go defines
+# query.cold_ring_overhead_ms as op_ms_p50 minus the same two steps
+# replayed on a warm cluster. The SQL engine now keeps one warm ring, so
+# that difference is truly zero and its sign is noise (-0.7 to -5.8 ms in
+# three smoke runs). bench/ is off limits to product PRs; CHANGES.md (PR 17)
+# names the benchmark issue that clamps the metric and restores the full
+# test. The other three workloads keep their traced smoke test, and
+# sql_3way keeps its oracle-checked ops.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+	cd bench && $(GO) vet ./... && \
+	$(GO) test -race -skip 'TestSmoke/sql_3way' ./... && \
+	$(GO) test -race -short -run 'TestSmoke/sql_3way' ./...
 
 # tree-clean fails when building and testing left the checkout modified or
 # littered: an artifact missing from .gitignore, or a fixture a test needs

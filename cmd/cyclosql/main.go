@@ -79,6 +79,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cyclosql:", err)
 		return 1
 	}
+	// The engine builds its ring on the first join and keeps it warm for
+	// every later line of the session.
+	defer func() {
+		_ = engine.Close()
+	}()
 	fmt.Printf("tables: %s\n", strings.Join(catalog.Tables(), ", "))
 
 	if *q != "" {

@@ -121,7 +121,8 @@ type (
 	// Catalog maps table names to relations for the SQL engine.
 	Catalog = query.Catalog
 	// QueryEngine executes SQL join queries as chains of cyclo-join
-	// revolutions.
+	// revolutions on one ring, built by the first join and released by
+	// Close.
 	QueryEngine = query.Engine
 	// QueryResult is a SQL query's outcome.
 	QueryResult = query.Result
@@ -209,7 +210,9 @@ func NewHotSetStore(budgetBytes int64, dir string) (*HotSetStore, error) {
 func NewCatalog() *Catalog { return query.NewCatalog() }
 
 // NewQueryEngine builds a SQL engine that runs every join on a cyclo-join
-// ring of the given size.
+// ring of the given size. The engine builds the ring on its first join and
+// keeps it for later queries: Close it when done, or the ring's registered
+// buffers and parked goroutines stay pinned.
 func NewQueryEngine(catalog *Catalog, nodes int, opts JoinOptions) (*QueryEngine, error) {
 	return query.NewEngine(catalog, nodes, opts)
 }

@@ -130,6 +130,9 @@ func ExampleNewQueryEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		_ = engine.Close()
+	}()
 	res, err := engine.Execute(
 		"SELECT COUNT(*) FROM events JOIN users ON events.user_id = users.id WHERE users.id < 50")
 	if err != nil {

@@ -54,6 +54,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// All the joins below share the engine's one ring; Close releases it.
+	defer func() {
+		_ = engine.Close()
+	}()
 
 	queries := []string{
 		"SELECT COUNT(*) FROM orders",

@@ -47,7 +47,8 @@ type Config struct {
 	// Links selects the transport; nil means in-process links.
 	Links ring.LinkFactory
 	// Collectors builds the per-host result collector for each Rotate
-	// call; nil means one join.Counter per host.
+	// call; nil means one join.Counter per host. RotateInto takes the
+	// collectors per revolution instead.
 	Collectors func(node int) join.Collector
 	// SkipRotatingSetup disables the reorganization of rotating fragments
 	// (for the setup-reuse ablation); the join output is unchanged, only
@@ -231,6 +232,15 @@ func (r *Result) Matches() int64 {
 // returns the per-host results. It may be called repeatedly; each call
 // reuses the setup-phase investment.
 func (c *Cluster) Rotate() (*Result, error) {
+	return c.RotateInto(c.cfg.Collectors)
+}
+
+// RotateInto is Rotate with this revolution's collectors: collect builds
+// each host's collector, nil meaning one join.Counter per host. A caller
+// that runs different joins on one cluster — a count, then a materialized
+// intermediate — chooses per revolution what Config.Collectors fixes for
+// the cluster's lifetime.
+func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
 	c.mu.Lock()
 	rotating := c.rotating
 	setup := c.setupDur
@@ -240,8 +250,8 @@ func (c *Cluster) Rotate() (*Result, error) {
 	}
 	collectors := make([]join.Collector, c.cfg.Nodes)
 	for i := range collectors {
-		if c.cfg.Collectors != nil {
-			collectors[i] = c.cfg.Collectors(i)
+		if collect != nil {
+			collectors[i] = collect(i)
 		} else {
 			collectors[i] = &join.Counter{}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -157,6 +158,84 @@ func TestSetupReuse(t *testing.T) {
 		if got := res.Matches(); got != 300 {
 			t.Errorf("rotate %d: matches = %d, want 300", round, got)
 		}
+	}
+}
+
+// TestRotateIntoPerRevolutionCollectors runs three revolutions on one
+// stationed cluster, each into a different kind of collector: what
+// Config.Collectors freezes for a cluster's lifetime, RotateInto chooses
+// per revolution, and Rotate keeps meaning "the configured ones".
+func TestRotateIntoPerRevolutionCollectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	r := jointest.RandomRelation(rng, "R", 500, 60, 4)
+	s := jointest.RandomRelation(rng, "S", 400, 60, 6)
+	ref, err := nested.Join{}.SetupStationary(s, join.Equi{}, join.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := join.NewMaterializer("want", 4, 6)
+	if err := ref.Join(r, want); err != nil {
+		t.Fatal(err)
+	}
+
+	const nodes = 3
+	c, err := NewCluster(Config{
+		Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{},
+		Collectors: pairSetCollectors,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = c.Close()
+	}()
+	sFrags, err := relation.Partition(s, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rParts, err := relation.Partition(r, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rFrags := make([][]*relation.Fragment, nodes)
+	for i, f := range rParts {
+		rFrags[i] = []*relation.Fragment{f}
+	}
+	if err := c.Station(sFrags, rFrags); err != nil {
+		t.Fatal(err)
+	}
+
+	counted, err := c.RotateInto(func(int) join.Collector { return &join.Counter{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.Matches(); got != int64(want.Result().Len()) {
+		t.Errorf("Counter revolution: %d matches, nested finds %d", got, want.Result().Len())
+	}
+
+	materialized, err := c.RotateInto(func(int) join.Collector { return join.NewMaterializer("got", 4, 6) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := materialized.Matches(); got != -1 {
+		t.Errorf("Matches() over Materializers = %d, want -1", got)
+	}
+	got := map[string]int{}
+	for _, col := range materialized.Collectors {
+		for row, n := range jointest.RowCounts(col.(*join.Materializer).Result()) {
+			got[row] += n
+		}
+	}
+	if wantRows := jointest.RowCounts(want.Result()); !maps.Equal(got, wantRows) {
+		t.Errorf("Materializer revolution: %d distinct rows, nested finds %d", len(got), len(wantRows))
+	}
+
+	configured, err := c.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mergedPairs(t, configured); !equalPairs(got, oraclePairs(r, s, join.Equi{})) {
+		t.Error("Rotate() did not collect into Config.Collectors' PairSets")
 	}
 }
 

@@ -6,6 +6,7 @@ package jointest
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,16 @@ func Numbered(keys []uint64, payloadWidth int) *relation.Relation {
 		panic(err)
 	}
 	return rel
+}
+
+// RowCounts is a relation as a multiset of (key, payload) rows, for
+// comparing materialized join results whose row order is unspecified.
+func RowCounts(rel *relation.Relation) map[string]int {
+	out := map[string]int{}
+	for i := 0; i < rel.Len(); i++ {
+		out[fmt.Sprintf("%d|%x", rel.Key(i), rel.Payload(i))]++
+	}
+	return out
 }
 
 // CheckAgainstOracle runs alg end-to-end (SetupRotating + SetupStationary +

@@ -1,25 +1,57 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cyclojoin/internal/core"
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/sortmerge"
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/relation"
+	"cyclojoin/internal/ring"
 )
 
-// Engine executes parsed queries on a cyclo-join ring.
+// ErrClosed is returned by Execute on an engine that has been closed.
+var ErrClosed = errors.New("query: engine closed")
+
+// Builds against steps answers "is the ring warm?": a healthy engine builds
+// once however many steps it runs; every further build is a ring lost to a
+// failed step.
+var (
+	mRingBuilds = metrics.Default().Counter("query_ring_builds_total", "Data Roundabout rings built by SQL engines")
+	mJoinSteps  = metrics.Default().Counter("query_join_steps_total", "cyclo-join steps run by SQL engines")
+)
+
+// Engine executes parsed queries on a cyclo-join ring. It is safe for
+// concurrent use; join steps of concurrent queries take turns on the ring.
 type Engine struct {
 	catalog *Catalog
 	nodes   int
 	opts    join.Options
+
+	// mu serializes join steps — a ring runs one revolution at a time —
+	// and guards cluster.
+	mu sync.Mutex
+	// cluster is the engine's one ring: nil until the first join step, and
+	// again after a step that failed, because a ring closes itself when a
+	// revolution aborts.
+	cluster *core.Cluster
+	// closed is set under mu, so a step that holds mu and reads false may
+	// build; Execute reads it without queueing behind a revolution.
+	closed atomic.Bool
 }
 
-// NewEngine builds an engine that runs every join on a ring of the given
-// size.
+// NewEngine builds an engine that runs every join on one ring of the given
+// size. The ring — its registered buffers (160 MB at 4 nodes) and its
+// nodes' goroutines — is built by the first join step and kept for every
+// later step and query until Close; single-table queries and Explain never
+// build it. An engine dropped without Close pins its ring: the goroutines
+// stay parked (no CPU) and the buffers, like whatever the last step
+// stationed, are never collected.
 func NewEngine(catalog *Catalog, nodes int, opts join.Options) (*Engine, error) {
 	if catalog == nil {
 		return nil, fmt.Errorf("query: nil catalog")
@@ -30,8 +62,34 @@ func NewEngine(catalog *Catalog, nodes int, opts join.Options) (*Engine, error) 
 	return &Engine{catalog: catalog, nodes: nodes, opts: opts}, nil
 }
 
+// Close releases the engine's ring, if one was built. It waits for a join
+// step in progress; later Execute calls return ErrClosed. Close is
+// idempotent.
+func (e *Engine) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Swap(true) {
+		return nil
+	}
+	return e.dropCluster()
+}
+
+// dropCluster closes and forgets the ring; the next join step builds a
+// fresh one. The caller holds e.mu.
+func (e *Engine) dropCluster() error {
+	if e.cluster == nil {
+		return nil
+	}
+	err := e.cluster.Close()
+	e.cluster = nil
+	return err
+}
+
 // Execute parses, validates and runs one query.
 func (e *Engine) Execute(sql string) (*Result, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
@@ -70,16 +128,31 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 
 	// Left-deep chain of cyclo-join runs (§IV-A's ternary-join
 	// composition, generalized): the running intermediate rotates, the
-	// next base table is stationed.
-	cur := filtered[0]
+	// next base table is stationed. The intermediate is the paper's
+	// distributed table: what a host's join entity produced in one step is
+	// what that host injects in the next.
+	cur, err := distribute(filtered[0], e.nodes)
+	if err != nil {
+		return nil, err
+	}
 	for step := 1; step < len(filtered); step++ {
 		last := step == len(filtered)-1
-		var agg *aggregator
-		if last && wantAgg {
-			agg = &aggregator{kind: st.Agg}
-		}
+		stationary := filtered[step]
 		countOnly := last && st.CountOnly
-		next, count, err := e.joinStep(cur, filtered[step], countOnly, agg, step)
+		var agg *aggregator
+		var collect func(node int) join.Collector
+		switch {
+		case countOnly:
+			// nil: one join.Counter per host.
+		case last && wantAgg:
+			agg = &aggregator{kind: st.Agg}
+			collect = func(int) join.Collector { return agg }
+		default:
+			name := fmt.Sprintf("join-%d", step)
+			rWidth, sWidth := cur[0].Schema().PayloadWidth, stationary.Schema().PayloadWidth
+			collect = func(int) join.Collector { return join.NewMaterializer(name, rWidth, sWidth) }
+		}
+		res, err := e.joinStep(cur, stationary, collect)
 		if err != nil {
 			return nil, fmt.Errorf("query: join step %d (%s): %w", step, st.Tables[step], err)
 		}
@@ -87,15 +160,24 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 			return &Result{Count: agg.rows(), AggValue: agg.value()}, nil
 		}
 		if countOnly {
-			return &Result{Count: count}, nil
+			return &Result{Count: res.Matches()}, nil
 		}
-		cur = next
+		for i, c := range res.Collectors {
+			m, ok := c.(*join.Materializer)
+			if !ok {
+				return nil, fmt.Errorf("query: unexpected collector %T", c)
+			}
+			cur[i] = m.Result()
+		}
 	}
-	cur, err = shapeOutput(cur, st)
+	out, err := cur.concat()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Count: int64(cur.Len()), Rows: cur}, nil
+	if out, err = shapeOutput(out, st); err != nil {
+		return nil, err
+	}
+	return &Result{Count: int64(out.Len()), Rows: out}, nil
 }
 
 // shapeOutput applies ORDER BY and LIMIT to a materialized result.
@@ -328,72 +410,100 @@ func applyFilters(rel *relation.Relation, filters []Filter) *relation.Relation {
 	return out
 }
 
-// joinStep runs one cyclo-join: `rotating` circulates against the
-// stationed `stationary`. With countOnly it returns only the match count;
-// with agg set, matches fold into the shared aggregator; otherwise the
-// concatenated materialized result is returned.
-func (e *Engine) joinStep(rotating, stationary *relation.Relation, countOnly bool, agg *aggregator, step int) (*relation.Relation, int64, error) {
-	outName := fmt.Sprintf("join-%d", step)
-	rWidth := rotating.Schema().PayloadWidth
-	sWidth := stationary.Schema().PayloadWidth
+// distributed is a table spread over the ring: element i is the part held by
+// host i. All parts share one schema.
+type distributed []*relation.Relation
 
-	cfg := core.Config{
-		Nodes:     e.nodes,
-		Algorithm: hashjoin.Join{},
-		Predicate: join.Equi{},
-		Opts:      e.opts,
+// distribute spreads a base table evenly over the hosts, in input order.
+func distribute(rel *relation.Relation, nodes int) (distributed, error) {
+	frags, err := relation.Partition(rel, nodes)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case agg != nil:
-		cfg.Collectors = func(node int) join.Collector { return agg }
-	case !countOnly:
-		cfg.Collectors = func(node int) join.Collector {
-			return join.NewMaterializer(outName, rWidth, sWidth)
+	d := make(distributed, nodes)
+	for i, f := range frags {
+		d[i] = f.Rel
+	}
+	return d, nil
+}
+
+// fragments cuts every host's part into the rotating fragments that host
+// injects: as few as keep each encoded frame within a ring buffer, so one
+// per host whenever the part fits, more when a large table or a fat
+// intermediate does not.
+func (d distributed) fragments() ([][]*relation.Fragment, error) {
+	perHost := make([][]*relation.Fragment, len(d))
+	total := 0
+	for i, part := range d {
+		frags, err := relation.PartitionByBytes(part, ring.DefaultBufferBytes)
+		if err != nil {
+			return nil, err
+		}
+		perHost[i] = frags
+		total += len(frags)
+	}
+	// Number the fragments across the hosts: the ring, its traces and its
+	// error messages identify a fragment by Index.
+	index := 0
+	for _, frags := range perHost {
+		for _, f := range frags {
+			f.Index, f.Of = index, total
+			index++
 		}
 	}
-	cluster, err := core.NewCluster(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer func() {
-		_ = cluster.Close()
-	}()
+	return perHost, nil
+}
 
+// concat gathers the distributed table into one relation, in host order.
+func (d distributed) concat() (*relation.Relation, error) {
+	frags := make([]*relation.Fragment, len(d))
+	for i, part := range d {
+		frags[i] = &relation.Fragment{Rel: part, Index: i, Of: len(d)}
+	}
+	return relation.Concat(d[0].Schema(), frags)
+}
+
+// joinStep runs one cyclo-join on the engine's ring: `rotating` circulates
+// from where it lies against the stationed `stationary`, and collect builds
+// each host's collector for the revolution (nil: a join.Counter per host).
+// The first step builds the ring. A step that fails drops it — ring.Run
+// closes a ring whose revolution aborted — so the failure ends with the
+// query that caused it and the next step starts on a fresh ring.
+func (e *Engine) joinStep(rotating distributed, stationary *relation.Relation, collect func(node int) join.Collector) (*core.Result, error) {
 	sFrags, err := relation.Partition(stationary, e.nodes)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	rParts, err := relation.Partition(rotating, e.nodes)
+	rFrags, err := rotating.fragments()
 	if err != nil {
-		return nil, 0, err
-	}
-	rFrags := make([][]*relation.Fragment, e.nodes)
-	for i, f := range rParts {
-		rFrags[i] = []*relation.Fragment{f}
-	}
-	res, err := cluster.Join(sFrags, rFrags)
-	if err != nil {
-		return nil, 0, err
-	}
-	if agg != nil {
-		return nil, agg.rows(), nil
-	}
-	if countOnly {
-		return nil, res.Matches(), nil
+		return nil, err
 	}
 
-	frags := make([]*relation.Fragment, len(res.Collectors))
-	outSchema := relation.Schema{Name: outName, PayloadWidth: rWidth + relation.KeyWidth + sWidth}
-	for i, c := range res.Collectors {
-		m, ok := c.(*join.Materializer)
-		if !ok {
-			return nil, 0, fmt.Errorf("query: unexpected collector %T", c)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	if e.cluster == nil {
+		e.cluster, err = core.NewCluster(core.Config{
+			Nodes:     e.nodes,
+			Algorithm: hashjoin.Join{},
+			Predicate: join.Equi{},
+			Opts:      e.opts,
+		})
+		if err != nil {
+			return nil, err
 		}
-		frags[i] = &relation.Fragment{Rel: m.Result(), Index: i, Of: len(res.Collectors)}
+		mRingBuilds.Inc()
 	}
-	out, err := relation.Concat(outSchema, frags)
+	mJoinSteps.Inc()
+	var res *core.Result
+	if err = e.cluster.Station(sFrags, rFrags); err == nil {
+		res, err = e.cluster.RotateInto(collect)
+	}
 	if err != nil {
-		return nil, 0, err
+		_ = e.dropCluster() // the step's error is the one to report
+		return nil, err
 	}
-	return out, int64(out.Len()), nil
+	return res, nil
 }

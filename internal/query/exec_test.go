@@ -51,6 +51,11 @@ func newEngine(t *testing.T, cat *Catalog) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := e.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 	return e
 }
 

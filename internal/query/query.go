@@ -15,8 +15,8 @@
 // predicates refer to that column; the parser resolves names against the
 // catalog and rejects anything else. Multi-way joins execute as the paper
 // sketches for ternary joins (§IV-A): a left-deep chain of cyclo-join
-// runs, each materializing its distributed result as the rotating input of
-// the next.
+// runs on the engine's one ring, each leaving its result distributed over
+// the hosts — a host's share is what that host rotates in the next run.
 package query
 
 import (
@@ -77,7 +77,9 @@ type Result struct {
 	// Count is the row count (always populated).
 	Count int64
 	// Rows is the materialized output for SELECT *; nil for COUNT(*) and
-	// aggregates.
+	// aggregates. Without ORDER BY the row order is unspecified: a join's
+	// rows are gathered host by host, and which host produces a row
+	// depends on where the ring placed the inputs.
 	Rows *relation.Relation
 	// AggValue holds the SUM/MIN/MAX result over the selected key column;
 	// nil when no aggregate was selected or no rows qualified (SQL NULL).
