@@ -160,14 +160,17 @@ smoke-health:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	cat health_snapshot.json; exit $$st
 
-# Ring hot-path benchmarks → BENCH_ring.json (preserves the recorded
-# pre-zero-copy baseline; compare with the printed summary). The forward
+# Ring hot-path benchmarks → BENCH_ring.json, five samples each, recorded
+# as median with min/max spread. The file keeps its baseline (the parent of
+# the last change to the ring's loops; `benchring -rebaseline` on that
+# revision's output replaces it). benchring refuses to label a row from a
+# dirty tree: commit first, or name the run with LABEL=. The forward
 # staging benchmark fails outright if the little-endian fast path ever
 # allocates.
 bench-ring:
-	$(GO) test -run NONE -bench 'BenchmarkRingHop|BenchmarkForwardStage' -benchtime 2s ./internal/ring/ > /tmp/bench_ring.$$$$.txt && \
-	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkViewBind' -benchtime 2s ./internal/relation/ >> /tmp/bench_ring.$$$$.txt && \
-	$(GO) run ./cmd/benchring -o BENCH_ring.json < /tmp/bench_ring.$$$$.txt; \
+	$(GO) test -run NONE -bench 'BenchmarkRingHop|BenchmarkForwardStage' -benchtime 2s -count 5 ./internal/ring/ > /tmp/bench_ring.$$$$.txt && \
+	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkViewBind' -benchtime 2s -count 5 ./internal/relation/ >> /tmp/bench_ring.$$$$.txt && \
+	$(GO) run ./cmd/benchring -o BENCH_ring.json $(if $(LABEL),-label '$(LABEL)') < /tmp/bench_ring.$$$$.txt; \
 	rm -f /tmp/bench_ring.$$$$.txt
 
 # Join-kernel and end-to-end benchmarks → BENCH_kernels.json, five samples

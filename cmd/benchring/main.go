@@ -218,7 +218,7 @@ func runGuard(names string) int {
 func main() {
 	outPath := flag.String("o", "BENCH_ring.json", "output file")
 	desc := flag.String("desc", "Ring hot-path benchmarks: per-hop forwarding cost and codec cost. "+
-		"baseline is the recorded pre-zero-copy run; current is the latest `make bench-ring`.", "the file's description field")
+		"Medians of -count 5; baseline is the parent of the last change to the ring's loops, current is the latest `make bench-ring`.", "the file's description field")
 	command := flag.String("cmd", "make bench-ring", "the file's command field: what regenerates it")
 	label := flag.String("label", "", "label for this run (default: git describe --always --dirty)")
 	date := flag.String("date", "", "date for this run, YYYY-MM-DD (default: today, UTC)")

@@ -55,7 +55,6 @@ func run() int {
 		slots     = flag.Int("slots", 4, "ring buffer elements per host")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		oneSided  = flag.Bool("write", false, "use one-sided RDMA writes instead of send/recv")
-		traced    = flag.Bool("trace", false, "print a runtime event summary after the join")
 		metricsAt = flag.String("metrics", "", "serve Prometheus metrics at http://ADDR/metrics while running (e.g. 127.0.0.1:9090); empty disables")
 		flightrec = flag.String("flightrec", "", "record cross-layer spans and write a Perfetto trace-event JSON FILE (view at ui.perfetto.dev or with cyclotrace)")
 		rotations = flag.Int("rotations", 1, "full revolutions to run (reusing the setup phase); >1 keeps the ring spinning for live observation with cyclotop")
@@ -122,18 +121,12 @@ func run() int {
 		return 2
 	}
 
-	var buf *trace.Buffer
-	rcfg := cyclojoin.RingConfig{BufferSlots: *slots, OneSidedWrites: *oneSided}
-	if *traced {
-		buf = &trace.Buffer{}
-		rcfg.Tracer = buf
-	}
 	cluster, err := cyclojoin.NewCluster(cyclojoin.Config{
 		Nodes:     *nodes,
 		Algorithm: alg,
 		Predicate: pred,
 		Opts:      cyclojoin.JoinOptions{Parallelism: *threads},
-		Ring:      rcfg,
+		Ring:      cyclojoin.RingConfig{BufferSlots: *slots, OneSidedWrites: *oneSided},
 		Links:     links,
 	})
 	if err != nil {
@@ -197,11 +190,6 @@ func run() int {
 	for i, ns := range res.Nodes {
 		fmt.Printf("  host %d: processed %2d fragments, in %8d B, out %8d B, compute %v, wait %v\n",
 			i, ns.Processed, ns.BytesIn, ns.BytesOut, ns.ProcessTime.Round(1e5), ns.WaitTime.Round(1e5))
-	}
-	if buf != nil {
-		fmt.Printf("trace: %d events (%d received, %d processed, %d sent, %d retired)\n",
-			buf.Len(), buf.Count(trace.FragmentReceived), buf.Count(trace.ProcessEnd),
-			buf.Count(trace.FragmentSent), buf.Count(trace.FragmentRetired))
 	}
 	if *flightrec != "" {
 		if err := writeFlightRecording(*flightrec); err != nil {

@@ -166,36 +166,45 @@ func (l *link) sendLoop() {
 			// place each buffer in order. A shutdown mid-run flushes the
 			// unplaced remainder here — flush() cannot see a dequeued WR.
 			total := 0
-			aborted := false
 			for i := 0; i < wr.batchLen; i++ {
-				n, ok := l.placeSend(wr.batchArr[i])
+				// The run's last buffer carries the wr-send span, so it
+				// ends before the run's last send completion is raised.
+				var pend *trace.Pending
+				if i == wr.batchLen-1 {
+					pend = &wr.pend
+				}
+				n, ok := l.placeSend(wr.batchArr[i], pend, total)
 				if !ok {
+					if pend == nil {
+						l.endSend(&wr.pend, total)
+					}
 					for _, rest := range wr.batchArr[i+1 : wr.batchLen] {
 						l.complete(rdma.Completion{Op: rdma.OpSend, Buf: rest, Err: rdma.ErrFlushed})
 					}
-					aborted = true
-					break
+					return
 				}
 				total += n
 			}
-			wr.pend.Arg = int64(total)
-			wr.pend.Aux = int64(len(l.cq))
-			l.shard.End(wr.pend)
-			if aborted {
-				return
-			}
 			continue
 		}
-		n, ok := l.placeSend(wr.buf)
-		if !ok {
+		if _, ok := l.placeSend(wr.buf, &wr.pend, 0); !ok {
 			return
 		}
-		if n > 0 {
-			wr.pend.Arg = int64(n)
-			wr.pend.Aux = int64(len(l.cq))
-			l.shard.End(wr.pend)
-		}
 	}
+}
+
+// endSend closes a work request's wr-send span over the placed bytes it
+// moved; a nil pend (not the request's last buffer) is a no-op. Every
+// caller does so before raising the request's last send completion:
+// publishing the completion is the request's last act, so a caller that
+// has read it finds the span in any later snapshot.
+func (l *link) endSend(pend *trace.Pending, placed int) {
+	if pend == nil {
+		return
+	}
+	pend.Arg = int64(placed)
+	pend.Aux = int64(len(l.cq))
+	l.shard.End(*pend)
 }
 
 // placeSend waits for the peer's next posted receive buffer and performs
@@ -204,8 +213,10 @@ func (l *link) sendLoop() {
 // wait; sb's terminal completion has been delivered either way, so a
 // false return only tells the DMA loop to exit. n is the payload size
 // placed (0 when the message was rejected as too large — the link stays
-// up, matching per-WR error semantics).
-func (l *link) placeSend(sb *rdma.Buffer) (n int, ok bool) {
+// up, matching per-WR error semantics). A non-nil pend says sb is the last
+// buffer of its work request: its wr-send span, which has placed bytes
+// behind it already, ends before sb's send completion is raised.
+func (l *link) placeSend(sb *rdma.Buffer, pend *trace.Pending, placed int) (n int, ok bool) {
 	payload := sb.Bytes()
 	var rb *rdma.Buffer
 	// Receiver-not-ready: waiting for the peer to post a buffer is the
@@ -223,10 +234,12 @@ func (l *link) placeSend(sb *rdma.Buffer) (n int, ok bool) {
 			// dequeued, so flush() cannot see it — hand its buffer back
 			// here or it would never return through the CQ.
 			l.shard.End(cs)
+			l.endSend(pend, placed)
 			l.complete(rdma.Completion{Op: rdma.OpSend, Buf: sb, Err: rdma.ErrFlushed})
 			return 0, false
 		case <-l.peer.done:
 			l.shard.End(cs)
+			l.endSend(pend, placed)
 			l.complete(rdma.Completion{Op: rdma.OpSend, Buf: sb, Err: rdma.ErrClosed})
 			return 0, false
 		case rb = <-l.peer.recvQ:
@@ -235,6 +248,7 @@ func (l *link) placeSend(sb *rdma.Buffer) (n int, ok bool) {
 	}
 	if len(payload) > rb.Cap() {
 		err := fmt.Errorf("%w: message %d B, buffer %d B", rdma.ErrBufferTooSmall, len(payload), rb.Cap())
+		l.endSend(pend, placed)
 		l.complete(rdma.Completion{Op: rdma.OpSend, Buf: sb, Err: err})
 		l.peer.complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: err})
 		return 0, true
@@ -250,6 +264,7 @@ func (l *link) placeSend(sb *rdma.Buffer) (n int, ok bool) {
 	mSendTransfers.Inc()
 	mBytes.Add(int64(len(payload)))
 	l.peer.finishRecv(rb, len(payload))
+	l.endSend(pend, placed+len(payload))
 	l.complete(rdma.Completion{Op: rdma.OpSend, Buf: sb})
 	l.peer.complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})
 	return len(payload), true

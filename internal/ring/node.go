@@ -176,10 +176,6 @@ type node struct {
 	// proc is the join entity.
 	proc Processor
 	dev  *rdma.Device
-	tr   trace.Tracer
-	// trOn gates the Event call sites: with the Nop tracer the hot paths
-	// skip both the time.Now() and the interface call entirely.
-	trOn bool
 
 	in, out rdma.QueuePair
 
@@ -255,7 +251,7 @@ type node struct {
 	// repost out underneath running pipeline goroutines.
 	recvMu sync.Mutex
 	// pinned marks receive buffers whose frames are still referenced by
-	// the pipeline; startRecv must not post them.
+	// the pipeline; beginRecv must not post them.
 	pinned map[*rdma.Buffer]bool
 	// repost returns a released buffer's credit to the transport: PostRecv
 	// in send/recv mode, an upstream credit message in write mode. Nil
@@ -301,11 +297,7 @@ type node struct {
 
 	// bindTick/stageTick drive the timerSample decimation. Single-writer:
 	// bindTick belongs to the receiver goroutine, stageTick to the join
-	// loop. A node runs either the read-mode or the write-mode receive
-	// pump, never both, so the two launch sites shareguard sees are
-	// mutually exclusive.
-	//
-	//cyclolint:sharesafe single writer: the one receive pump this node runs (read- or write-mode)
+	// loop.
 	bindTick, stageTick uint
 
 	m nodeMetrics
@@ -323,14 +315,10 @@ type node struct {
 func newNode(id int, cfg Config, proc Processor, retired chan<- retirement, errc chan<- error) *node {
 	slots := cfg.slots()
 	fl := cfg.flightRecorder()
-	tr := cfg.tracer()
-	_, isNop := tr.(trace.Nop)
 	return &node{
 		id:           id,
 		cfg:          cfg,
 		proc:         proc,
-		tr:           tr,
-		trOn:         !isNop,
 		dev:          rdma.OpenDevice(fmt.Sprintf("rnic-%d", id)),
 		procQ:        ringq.NewSPSC[inflight](slots),
 		injectQ:      ringq.NewSPSC[inflight](slots),
@@ -415,28 +403,41 @@ func (n *node) start() error {
 	return n.beginSend(n.out)
 }
 
-// beginRecv starts the receiver in the configured transport mode.
-func (n *node) beginRecv(qp rdma.QueuePair) error {
-	if n.cfg.OneSidedWrites {
-		return n.startRecvWrites(qp)
-	}
-	return n.startRecv(qp)
-}
+// ---- receiver ----
 
-// beginSend starts the transmitter in the configured transport mode.
-func (n *node) beginSend(qp rdma.QueuePair) error {
+// beginRecv (re)starts the receiver on qp. The transport mode is chosen
+// here, once, and it chooses how a released buffer's credit returns
+// upstream (n.repost and n.repostBatch, installed by postRecvPool or
+// exposeRecvPool) and which frame-of-completion rule the one receive pump
+// applies. Everything else — the pump, its drain, the pinning and the
+// hand-off to the join entity — is shared.
+func (n *node) beginRecv(qp rdma.QueuePair) error {
+	n.in = qp
+	n.recvStop = make(chan struct{})
+	stop := n.recvStop
+	offer := n.postRecvPool
 	if n.cfg.OneSidedWrites {
-		return n.startSendWrites(qp)
+		offer = n.exposeRecvPool
 	}
-	n.startSend(qp)
+	accept, err := offer(qp, stop)
+	if err != nil {
+		return err
+	}
+	dead := make(chan struct{})
+	n.recvDead = dead
+	n.recvWG.Add(1)
+	go func() {
+		defer n.recvWG.Done()
+		n.labelEntity("recv")
+		n.recvLoop(qp, stop, dead, accept)
+	}()
 	return nil
 }
 
-// ---- receiver ----
-
-func (n *node) startRecv(qp rdma.QueuePair) error {
-	n.in = qp
-	n.recvStop = make(chan struct{})
+// postRecvPool is the send/recv way to offer the receive pool upstream:
+// post every free buffer, and repost a released one. It returns the
+// send/recv frame-of-completion rule for the receive pump.
+func (n *node) postRecvPool(qp rdma.QueuePair, _ chan struct{}) (func(rdma.Completion) error, error) {
 	// Install the repost path and collect the postable buffers under one
 	// lock: buffers pinned by frames still in the pipeline (a replacement
 	// can restart the receiver while the join entity holds views) must
@@ -453,22 +454,13 @@ func (n *node) startRecv(qp rdma.QueuePair) error {
 	}
 	n.recvMu.Unlock()
 	if err := rdma.PostRecvBatch(qp, post); err != nil {
-		return fmt.Errorf("ring: node %d: post receive: %w", n.id, err)
+		return nil, fmt.Errorf("ring: node %d: post receive: %w", n.id, err)
 	}
-	stop := n.recvStop
-	dead := make(chan struct{})
-	n.recvDead = dead
-	n.recvWG.Add(1)
-	go func() {
-		defer n.recvWG.Done()
-		n.labelEntity("recv")
-		n.recvLoop(qp, stop, dead)
-	}()
-	return nil
+	return n.acceptRecv, nil
 }
 
 // stopRecv quiesces the receiver and closes the inbound queue pair. The
-// receive buffer pool is retained for a later startRecv; buffers released
+// receive buffer pool is retained for a later beginRecv; buffers released
 // while stopped are parked until then.
 func (n *node) stopRecv() {
 	if n.recvStop == nil {
@@ -489,8 +481,7 @@ func (n *node) stopRecv() {
 // releaseRecv returns a receive buffer's credit to the transport once the
 // pipeline is done with the frame it holds. With the receiver stopped
 // (node replacement in progress) the buffer is parked unpinned; the next
-// startRecv posts it.
-// releaseRecv returns buf's receive credit to the transport.
+// beginRecv posts it.
 //
 //cyclolint:hotpath
 func (n *node) releaseRecv(buf *rdma.Buffer) {
@@ -577,7 +568,11 @@ func (n *node) flushCredits() {
 	}
 }
 
-func (n *node) recvLoop(qp rdma.QueuePair, stop chan struct{}, dead chan struct{}) {
+// recvLoop is the receive pump: it reaps the inbound completion queue and
+// applies accept, the transport mode's frame-of-completion rule, to every
+// entry. A fault ends the pump; so does stop or quit, and every way out
+// drains the queue first.
+func (n *node) recvLoop(qp rdma.QueuePair, stop, dead chan struct{}, accept func(rdma.Completion) error) {
 	var batch [reapBatch]rdma.Completion
 	for {
 		var c rdma.Completion
@@ -590,10 +585,10 @@ func (n *node) recvLoop(qp rdma.QueuePair, stop chan struct{}, dead chan struct{
 		default:
 			select {
 			case <-stop:
-				n.drainRecv(qp)
+				drainRecv(qp, accept, nil)
 				return
 			case <-n.quit:
-				n.drainRecv(qp)
+				drainRecv(qp, accept, nil)
 				return
 			case c, ok = <-qp.Completions():
 			}
@@ -607,62 +602,59 @@ func (n *node) recvLoop(qp rdma.QueuePair, stop chan struct{}, dead chan struct{
 		batch[0] = c
 		m := 1 + rdma.PollCQ(qp, batch[1:])
 		for i := 0; i < m; i++ {
-			c := batch[i]
-			if c.Err != nil {
-				n.failLink(stop, false, qp, fmt.Errorf("ring: node %d: receive: %w", n.id, c.Err))
+			if err := accept(batch[i]); err != nil {
+				n.failLink(stop, false, qp, fmt.Errorf("ring: node %d: receive: %w", n.id, err))
 				// Signal the terminal event BEFORE the drain: drainRecv
 				// blocks until recovery closes the endpoint, and recovery
 				// may be waiting on this signal to know the wire is dry.
 				close(dead)
-				n.deliverTail(batch[i+1 : m])
-				n.drainRecv(qp)
+				drainRecv(qp, accept, batch[i+1:m])
 				return
 			}
-			if c.Op != rdma.OpRecv {
-				continue
-			}
-			n.deliver(c.Buf, c.Buf.Bytes())
 		}
 	}
 }
 
-// deliverTail applies drainRecv's delivery rule to completions already
-// moved out of the completion queue when an error entry cut a reaped
-// batch short: frames that landed before the fault must still reach the
-// pipeline.
-func (n *node) deliverTail(tail []rdma.Completion) {
-	for _, c := range tail {
-		if c.Err != nil || c.Op != rdma.OpRecv {
-			continue
-		}
-		n.deliver(c.Buf, c.Buf.Bytes())
+// drainRecv settles what the stopped pump still owes the pipeline: first
+// the completions already moved out of the queue when a fault cut a reaped
+// batch short (reaped), then the queue itself, to channel close. Both get
+// the pump's own rule, so every frame the transport already placed is
+// delivered: frames that arrived before a fault (or a deliberate endpoint
+// stop) must reach the pipeline — dropping them here would lose them for
+// good, since the upstream sender has already been told they were
+// delivered. A fault among them changes nothing (the failure that stopped
+// the pump is already on its way to Run), so accept's error is dropped.
+// The queue pair is closed by the same stop/recovery path that lands here,
+// so the loop is bounded.
+func drainRecv(qp rdma.QueuePair, accept func(rdma.Completion) error, reaped []rdma.Completion) {
+	for _, c := range reaped {
+		_ = accept(c)
 	}
-}
-
-// drainRecv consumes the inbound completion queue to channel close,
-// delivering every frame the transport already placed. Frames that
-// arrived before a fault (or a deliberate endpoint stop) must reach the
-// pipeline — dropping them here would lose them for good, since the
-// upstream sender has already been told they were delivered. The queue
-// pair is closed by the same stop/recovery path that lands here, so the
-// loop is bounded.
-func (n *node) drainRecv(qp rdma.QueuePair) {
 	for c := range qp.Completions() {
-		if c.Err != nil || c.Op != rdma.OpRecv {
-			// Flushed (undelivered) buffers are parked by the transport
-			// handing them back; the next receiver start reposts them.
-			continue
-		}
+		_ = accept(c)
+	}
+}
+
+// acceptRecv is the send/recv frame-of-completion rule: an OpRecv
+// completion is a frame in the buffer this node posted, and any error is a
+// link fault. Flushed (undelivered) buffers come back as error
+// completions: the transport handing them back parks them, and the next
+// receiver start reposts them.
+func (n *node) acceptRecv(c rdma.Completion) error {
+	if c.Err != nil {
+		return c.Err
+	}
+	if c.Op == rdma.OpRecv {
 		n.deliver(c.Buf, c.Buf.Bytes())
 	}
+	return nil
 }
 
 // deliver binds a received frame in place as a view and hands it to the
 // join entity. The receive credit stays withheld until the pipeline
 // releases the buffer — after the frame is staged into a send buffer, or
 // at retirement — so a full procQ still translates into ring backpressure,
-// now without a decode-materialize cycle on the way in. Returns false when
-// the node is quitting or the frame is fatally malformed.
+// now without a decode-materialize cycle on the way in.
 //
 // A receiver stop (node replacement, link recovery) deliberately does NOT
 // abandon the handoff: the frame was delivered and acknowledged at the
@@ -670,7 +662,7 @@ func (n *node) drainRecv(qp rdma.QueuePair) {
 // entity keeps running throughout and drains procQ.
 //
 //cyclolint:hotpath
-func (n *node) deliver(buf *rdma.Buffer, frame []byte) bool {
+func (n *node) deliver(buf *rdma.Buffer, frame []byte) {
 	rspan := n.frecv.Begin(trace.PhaseReceive)
 	v := n.views[buf]
 	n.bindTick++
@@ -684,7 +676,7 @@ func (n *node) deliver(buf *rdma.Buffer, frame []byte) bool {
 		// The receive still happened; record its span before bailing so
 		// the trace shows the malformed delivery instead of a gap.
 		n.frecv.End(rspan)
-		return false
+		return
 	}
 	if !bindStart.IsZero() {
 		n.m.bindNs.Observe(time.Since(bindStart).Nanoseconds())
@@ -697,27 +689,18 @@ func (n *node) deliver(buf *rdma.Buffer, frame []byte) bool {
 	n.recvMu.Unlock()
 	n.stats.bytesIn.Add(int64(len(frame)))
 	n.m.bytesIn.Add(int64(len(frame)))
-	if n.trOn {
-		n.tr.Record(trace.Event{
-			Time: time.Now(), Node: n.id, Kind: trace.FragmentReceived,
-			Fragment: frag.Index, Hops: frag.Hops, Bytes: len(frame),
-		})
-	}
 	// The view rides the queue bound to live receive memory, and that is
 	// the point: the buffer credit travels with it (buf stays pinned), and
 	// the join loop releases the credit only after staging or Materialize.
 	//cyclolint:viewsafe credit travels with the view; procLoop releases it after staging or Materialize
-	if n.pushInput(n.procQ, n.procSpace, inflight{frag: frag, view: v, buf: buf}) { //cyclolint:role recvLoop and recvLoopWrites are alternative transports; exactly one receive entity runs per node
-		n.frecv.End(rspan)
-		return true
+	if !n.pushInput(n.procQ, n.procSpace, inflight{frag: frag, view: v, buf: buf}) {
+		// Quitting with the frame undelivered: unpin so a later receiver
+		// start reposts the buffer instead of leaking the credit.
+		n.recvMu.Lock()
+		delete(n.pinned, buf)
+		n.recvMu.Unlock()
 	}
-	// Quitting with the frame undelivered: unpin so a later receiver
-	// start reposts the buffer instead of leaking the credit.
-	n.recvMu.Lock()
-	delete(n.pinned, buf)
-	n.recvMu.Unlock()
 	n.frecv.End(rspan)
-	return false
 }
 
 // pushInput enqueues one fragment for the join entity, parking on space
@@ -825,24 +808,12 @@ func (n *node) procLoop() {
 		n.fjoin.End(wpd)
 		jpd := n.fjoin.Begin(trace.PhaseJoin)
 		jpd.Frag, jpd.Hop, jpd.Arg = int32(frag.Index), int32(frag.Hops), int64(frag.Rel.Len())
-		if n.trOn {
-			n.tr.Record(trace.Event{
-				Time: procStart, Node: n.id, Kind: trace.ProcessStart,
-				Fragment: frag.Index, Hops: frag.Hops,
-			})
-		}
 		err := n.proc.Process(frag)
 		procEnd := time.Now()
 		procTime := procEnd.Sub(procStart)
 		n.fjoin.End(jpd)
 		spd := n.fjoin.Begin(trace.PhaseStage)
 		spd.Frag, spd.Hop = int32(frag.Index), int32(frag.Hops)
-		if n.trOn {
-			n.tr.Record(trace.Event{
-				Time: procEnd, Node: n.id, Kind: trace.ProcessEnd,
-				Fragment: frag.Index, Hops: frag.Hops,
-			})
-		}
 
 		// The wait before a fragment that did arrive is "sync" time in
 		// the paper's sense: the join entity starving on the transport.
@@ -870,12 +841,6 @@ func (n *node) procLoop() {
 			n.stats.retired.Add(1)
 			n.m.retired.Inc()
 			n.fjoin.Point(trace.PhaseRetire, int32(ret.index), int32(ret.hops), 0)
-			if n.trOn {
-				n.tr.Record(trace.Event{
-					Time: time.Now(), Node: n.id, Kind: trace.FragmentRetired,
-					Fragment: ret.index, Hops: ret.hops,
-				})
-			}
 			n.releaseRecvDeferred(inf.buf)
 			// Publishing the retirement is the hop's last act: Run returns
 			// once it has drained them all, and its caller may then read
@@ -1063,21 +1028,34 @@ func (n *node) tryInject(frag *relation.Fragment) bool {
 
 // ---- transmitter ----
 
-func (n *node) startSend(qp rdma.QueuePair) {
+// beginSend (re)starts the transmitter on qp. The transport mode is chosen
+// here, once, and it chooses one function: how a burst of staged frames is
+// posted (sendPoster, or writePoster with the credits its reaper collects).
+// The transmit loop, the reaper and their drain are shared.
+func (n *node) beginSend(qp rdma.QueuePair) error {
 	n.out = qp
 	n.sendStop = make(chan struct{})
 	stop := n.sendStop
+	arm := n.sendPoster
+	if n.cfg.OneSidedWrites {
+		arm = n.writePoster
+	}
+	post, credits, err := arm(qp, stop)
+	if err != nil {
+		return err
+	}
 	n.sendWG.Add(2)
 	go func() {
 		defer n.sendWG.Done()
 		n.labelEntity("send")
-		n.sendLoop(qp, stop)
+		n.sendLoop(qp, stop, post)
 	}()
 	go func() {
 		defer n.sendWG.Done()
 		n.labelEntity("send")
-		n.sendReaper(qp, stop)
+		n.sendReaper(qp, stop, credits)
 	}()
+	return nil
 }
 
 // stopSend quiesces the transmitter and closes the outbound queue pair.
@@ -1159,10 +1137,10 @@ func (n *node) stageEncode(frag *relation.Fragment, buf *rdma.Buffer) (int, bool
 //
 //cyclolint:hotpath
 func (n *node) popOutbound() (outbound, bool) {
-	if ob, ok := n.requeueQ.TryPop(); ok { //cyclolint:role sendLoop and sendLoopWrites are alternative transports; exactly one transmit entity runs per node
+	if ob, ok := n.requeueQ.TryPop(); ok {
 		return ob, true
 	}
-	if ob, ok := n.sendQ.TryPop(); ok { //cyclolint:role sendLoop and sendLoopWrites are alternative transports; exactly one transmit entity runs per node
+	if ob, ok := n.sendQ.TryPop(); ok {
 		n.sendSpace.Signal()
 		return ob, true
 	}
@@ -1196,18 +1174,19 @@ func (n *node) nextOutbound(stop chan struct{}) (outbound, bool) {
 	}
 }
 
-func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}) {
-	// The batch arrays live for the loop's lifetime: the doorbell batch
+// sendLoop is the transmit loop: dequeue, coalesce, track, account, post.
+// post is the transport mode's way of putting a burst on the wire.
+func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}, post func([]outbound) error) {
+	// The batch array lives for the loop's lifetime: the doorbell batch
 	// costs no per-frame allocation.
 	var batch [txBatch]outbound
-	var bufs [txBatch]*rdma.Buffer
 	for {
 		ob, ok := n.nextOutbound(stop)
 		if !ok {
 			return
 		}
-		// Coalesce everything already staged behind it — one batched post
-		// (a single doorbell at the transport) for the whole burst.
+		// Coalesce everything already staged behind it — one post (a single
+		// doorbell at the transport, in send/recv mode) for the whole burst.
 		batch[0] = ob
 		m := 1
 		for m < txBatch {
@@ -1219,52 +1198,55 @@ func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}) {
 			m++
 		}
 		total := 0
-		for i := 0; i < m; i++ {
-			ob := batch[i]
+		for _, ob := range batch[:m] {
 			// Track the frame as undelivered from the moment it leaves
-			// the queue: whatever fails from here on — the post below, or
-			// the completion later — leaves the entry for recovery to
-			// re-route (batched posts are prefix-atomic, so an unposted
-			// suffix simply stays tracked with no completion to come).
+			// the queue: whatever fails from here on — a credit wait cut
+			// short by a stop, the post below, or the completion later —
+			// leaves the entry for recovery to re-route (posts are
+			// prefix-atomic, so an unposted suffix simply stays tracked
+			// with no completion to come).
 			n.trackInflight(ob.staged, ob)
-			// The send span runs from post to completion (closed by the
-			// reaper), covering the transport's whole handling of the
-			// frame.
-			spd := n.fsend.Begin(trace.PhaseSend)
-			spd.Frag, spd.Hop, spd.Arg = int32(ob.index), int32(ob.hops), int64(ob.sz)
-			if spd.Active() {
-				n.pendMu.Lock()
-				n.sendPend[ob.staged] = spd
-				n.pendMu.Unlock()
-			}
-			bufs[i] = ob.staged
 			total += ob.sz
 		}
-		if err := rdma.PostSendBatch(qp, bufs[:m]); err != nil {
-			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post send: %w", n.id, err))
-			return
-		}
+		// Account the burst before it is posted, not after: the post is
+		// what lets the downstream hops — and with the last of them Run —
+		// complete, and whoever reads the stats after Run must find this
+		// burst in them.
 		n.stats.bytesOut.Add(int64(total))
 		n.m.bytesOut.Add(int64(total))
-		if n.trOn {
-			now := time.Now()
-			for i := 0; i < m; i++ {
-				n.tr.Record(trace.Event{
-					Time: now, Node: n.id, Kind: trace.FragmentSent,
-					Fragment: batch[i].index, Hops: batch[i].hops, Bytes: batch[i].sz,
-				})
-			}
+		if err := post(batch[:m]); err != nil {
+			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post send: %w", n.id, err))
+			return
 		}
 	}
 }
 
-// sendReaper returns completed send buffers to the free pool and confirms
-// frame deliveries (untracking them from the recovery retention map). It
-// reaps in bulk: one blocking receive per burst, then a PollCQ drain.
+// sendPoster is the send/recv way to post a burst of staged frames: open
+// their send spans, then one batched post — a single doorbell at the
+// transport — for all of them. No credits flow back in this mode.
+func (n *node) sendPoster(qp rdma.QueuePair, _ chan struct{}) (func([]outbound) error, chan rdma.RemoteKey, error) {
+	var bufs [txBatch]*rdma.Buffer
+	return func(batch []outbound) error {
+		for i, ob := range batch {
+			n.beginSendSpan(ob)
+			bufs[i] = ob.staged
+		}
+		return rdma.PostSendBatch(qp, bufs[:len(batch)])
+	}, nil, nil
+}
+
+// sendReaper consumes the outbound endpoint's completion queue. A send or
+// write completion confirms a frame's delivery (settleSend); a receive
+// completion there can only be a credit message from the downstream
+// neighbor (write mode), whose key goes to the poster through credits and
+// whose buffer is reposted. It reaps in bulk — one blocking receive per
+// burst, then a PollCQ drain — and reposts every credit receive buffer of
+// the burst with a single batched post.
 //
 //cyclolint:hotpath
-func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}) {
+func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}, credits chan<- rdma.RemoteKey) {
 	var batch [reapBatch]rdma.Completion
+	var creditBufs [reapBatch]*rdma.Buffer
 	var lastBurst time.Time // autotuner baseline; zero until the first burst
 	for {
 		var c rdma.Completion
@@ -1276,10 +1258,10 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}) {
 		default:
 			select {
 			case <-stop:
-				n.drainSendCQ(qp)
+				n.drainSendCQ(qp, nil)
 				return
 			case <-n.quit:
-				n.drainSendCQ(qp)
+				n.drainSendCQ(qp, nil)
 				return
 			case c, ok = <-qp.Completions():
 			}
@@ -1289,24 +1271,38 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}) {
 		}
 		batch[0] = c
 		m := 1 + rdma.PollCQ(qp, batch[1:])
+		nCredits := 0
 		burstBytes := 0
 		for i := 0; i < m; i++ {
 			c := batch[i]
-			if c.Err != nil {
+			var fault error
+			switch {
+			case c.Err != nil:
+				fault = c.Err
+			case c.Op == rdma.OpSend || c.Op == rdma.OpWrite:
+				burstBytes += c.Buf.Len()
+				n.settleSend(c)
+			case c.Op == rdma.OpRecv:
+				if fault = n.collectCredit(c.Buf.Bytes(), credits); fault == nil {
+					creditBufs[nCredits] = c.Buf
+					nCredits++
+				}
+			}
+			if fault != nil {
 				//cyclolint:coldpath transport fault: recovery or abort follows
-				n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: send: %w", n.id, c.Err))
-				n.reapSendTail(batch[i+1 : m])
-				n.drainSendCQ(qp)
+				n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: send: %w", n.id, fault))
+				n.drainSendCQ(qp, batch[i+1:m])
 				return
 			}
-			if c.Op != rdma.OpSend {
-				continue
+		}
+		if nCredits > 0 {
+			// One batched repost covers every credit consumed this burst.
+			if err := rdma.PostRecvBatch(qp, creditBufs[:nCredits]); err != nil {
+				//cyclolint:coldpath transport fault: recovery or abort follows
+				n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: repost credit receive: %w", n.id, err))
+				n.drainSendCQ(qp, nil)
+				return
 			}
-			burstBytes += c.Buf.Len()
-			n.endSendSpan(c.Buf)
-			n.untrackInflight(c.Buf)
-			n.freeSend.TryPush(c.Buf)
-			n.poolWake.Signal()
 		}
 		lastBurst = n.observeBurst(lastBurst, burstBytes)
 	}
@@ -1330,46 +1326,57 @@ func (n *node) observeBurst(last time.Time, bytes int) time.Time {
 	return now
 }
 
-// reapSendTail applies drainSendCQ's confirmation rules to completions
-// already moved out of the completion queue when an error entry cut a
-// reaped batch short: successes behind the failure are confirmed
-// deliveries that must not be re-sent.
-func (n *node) reapSendTail(tail []rdma.Completion) {
-	for _, c := range tail {
-		if c.Err != nil {
-			n.endSendSpan(c.Buf)
-			continue
-		}
-		switch c.Op {
-		case rdma.OpSend, rdma.OpWrite:
-			n.endSendSpan(c.Buf)
-			n.untrackInflight(c.Buf)
-			n.freeSend.TryPush(c.Buf)
-			n.poolWake.Signal()
-		}
+// drainSendCQ settles what the stopped reaper still owes recovery: first
+// the completions already moved out of the queue when a fault cut a reaped
+// batch short (reaped), then the queue itself, to channel close. This is
+// what makes the recovery snapshot exact: success completions queued
+// behind a failure (or still unread when a stop lands) are confirmed
+// deliveries whose frames must NOT be re-sent, and error/flush completions
+// leave their frames tracked for re-routing. The queue pair is closed by
+// the same stop/recovery path that lands here, so the loop is bounded.
+func (n *node) drainSendCQ(qp rdma.QueuePair, reaped []rdma.Completion) {
+	for _, c := range reaped {
+		n.settleSend(c)
+	}
+	for c := range qp.Completions() {
+		n.settleSend(c)
 	}
 }
 
-// drainSendCQ consumes the outbound completion queue to channel close.
-// This is what makes the recovery snapshot exact: success completions
-// queued behind a failure (or still unread when a stop lands) are
-// confirmed deliveries whose frames must NOT be re-sent, and error/flush
-// completions leave their frames tracked for re-routing. The queue pair
-// is closed by the same stop/recovery path that lands here, so the loop
-// is bounded; freeSend's push never fails (its capacity covers the pool).
-func (n *node) drainSendCQ(qp rdma.QueuePair) {
-	for c := range qp.Completions() {
-		if c.Err != nil {
-			n.endSendSpan(c.Buf)
-			continue
-		}
-		switch c.Op {
-		case rdma.OpSend, rdma.OpWrite:
-			n.endSendSpan(c.Buf)
-			n.untrackInflight(c.Buf)
-			n.freeSend.TryPush(c.Buf)
-			n.poolWake.Signal()
-		}
+// settleSend applies one outbound completion to the send pipeline's
+// books. A successful send or write confirms its frame's delivery: the
+// frame is untracked from the recovery retention map and its buffer
+// returns to the free pool (freeSend's push never fails — its capacity
+// covers the pool). A failed one only closes its send span; the frame
+// stays tracked for re-routing.
+//
+//cyclolint:hotpath
+func (n *node) settleSend(c rdma.Completion) {
+	if c.Err != nil {
+		n.endSendSpan(c.Buf)
+		return
+	}
+	switch c.Op {
+	case rdma.OpSend, rdma.OpWrite:
+		n.endSendSpan(c.Buf)
+		n.untrackInflight(c.Buf)
+		n.freeSend.TryPush(c.Buf)
+		n.poolWake.Signal()
+	}
+}
+
+// beginSendSpan opens ob's PhaseSend span as its frame is posted. The
+// span runs from post to completion (closed by the reaper), covering the
+// transport's whole handling of the frame.
+//
+//cyclolint:hotpath
+func (n *node) beginSendSpan(ob outbound) {
+	spd := n.fsend.Begin(trace.PhaseSend)
+	spd.Frag, spd.Hop, spd.Arg = int32(ob.index), int32(ob.hops), int64(ob.sz)
+	if spd.Active() {
+		n.pendMu.Lock()
+		n.sendPend[ob.staged] = spd
+		n.pendMu.Unlock()
 	}
 }
 

@@ -6,10 +6,11 @@
 // Each node runs the paper's three asynchronous entities as goroutines:
 //
 //   - the *receiver* keeps receive buffers posted on the inbound queue
-//     pair and decodes arriving fragments;
-//   - the *join entity* (Processor) consumes one fragment at a time;
-//   - the *transmitter* encodes processed fragments into free send buffers
-//     and posts them to the outbound queue pair.
+//     pair and binds arriving frames in place as views;
+//   - the *join entity* (Processor) consumes one fragment at a time and
+//     stages it onward into a free send buffer (a frame copy plus a hops
+//     patch; a full encode only on a locally injected fragment's first hop);
+//   - the *transmitter* posts staged buffers to the outbound queue pair.
 //
 // Communication fully overlaps with processing: while the join entity works
 // on one fragment, the receiver is already placing the next one and the
@@ -109,8 +110,6 @@ type Config struct {
 	// BufferBytes is the registered size of each buffer element and thus
 	// the maximum encoded fragment size. Zero means DefaultBufferBytes.
 	BufferBytes int
-	// Tracer receives runtime events (nil disables tracing).
-	Tracer trace.Tracer
 	// Flight is the span recorder for the flight recorder. Nil means the
 	// process-wide trace.Flight() (which records nothing unless enabled).
 	// Recording must be enabled before New: nodes take their shards at
@@ -143,14 +142,6 @@ type Config struct {
 	// (relation.PartitionByBytes) and is surfaced via the
 	// ring_autotune_chunk_bytes gauge and PhaseAutotune trace points.
 	Autotune *Autotuner
-}
-
-// tracer returns the effective tracer.
-func (c Config) tracer() trace.Tracer {
-	if c.Tracer == nil {
-		return trace.Nop{}
-	}
-	return c.Tracer
 }
 
 // flightRecorder returns the effective span recorder.

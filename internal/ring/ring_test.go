@@ -280,56 +280,87 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestReplaceNode(t *testing.T) {
-	const nodes = 3
-	r, recs := newRecorderRing(t, nodes, Config{}, nil)
-	frags := buildFrags(t, nodes, 300)
-	if err := r.Run(perNode(frags)); err != nil {
-		t.Fatal(err)
-	}
-	// Node 1 "fails"; a fresh machine takes over its position.
-	replacement := newRecorder()
-	if err := r.ReplaceNode(1, replacement); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run(perNode(frags)); err != nil {
-		t.Fatal(err)
-	}
-	if got := replacement.counts(); len(got) != nodes {
-		t.Errorf("replacement saw %d fragments, want %d", len(got), nodes)
-	}
-	// The untouched nodes saw both runs.
-	for _, n := range []int{0, 2} {
-		for idx, times := range recs[n].counts() {
-			if times != 2 {
-				t.Errorf("node %d fragment %d seen %d times, want 2", n, idx, times)
-			}
+// TestStatsExactAfterRun: the moment Run returns, the counters are final —
+// every hop's frame is in BytesOut and BytesIn, not just eventually. A
+// counter bumped after the post that lets the revolution finish would show
+// up here as a missing last frame.
+func TestStatsExactAfterRun(t *testing.T) {
+	const nodes = 4
+	for _, tr := range chaosTransports {
+		for _, writes := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/writes=%v", tr.name, writes), func(t *testing.T) {
+				r, _ := newRecorderRing(t, nodes, Config{OneSidedWrites: writes}, tr.links())
+				frags := buildFrags(t, nodes, 400)
+				var wire int64
+				for _, f := range frags {
+					wire += int64(relation.EncodedSize(f)) * (nodes - 1)
+				}
+				if err := r.Run(perNode(frags)); err != nil {
+					t.Fatal(err)
+				}
+				var in, out int64
+				processed, retired := 0, 0
+				for _, st := range r.Stats() {
+					in += st.BytesIn
+					out += st.BytesOut
+					processed += st.Processed
+					retired += st.Retired
+				}
+				if out != wire || in != wire {
+					t.Errorf("BytesOut = %d, BytesIn = %d, want both %d", out, in, wire)
+				}
+				if processed != len(frags)*nodes || retired != len(frags) {
+					t.Errorf("Processed = %d, Retired = %d, want %d and %d", processed, retired, len(frags)*nodes, len(frags))
+				}
+			})
 		}
 	}
 }
 
-// TestReplaceNodeOverTCPLeavesNoStaleFailure: over real sockets the old
-// node's receiver sees its upstream neighbour close as EOF before its own
-// stop channel closes. That report must neither survive ReplaceNode nor,
-// should one arrive late, abort a later Run on a ring without recovery.
-func TestReplaceNodeOverTCPLeavesNoStaleFailure(t *testing.T) {
+// TestReplaceNode swaps a fresh machine into position 1 between two runs,
+// on both transports and in both transport modes: the replacement sees the
+// whole second revolution, the untouched nodes see both, and the fresh
+// links re-establish the receive credits (write mode: re-expose and
+// re-advertise). The old node's loops see their neighbours' endpoints
+// close before their own stop channel does (over real sockets, as EOF) and
+// report it; that report must neither survive ReplaceNode nor, should one
+// arrive late, abort a later Run on a ring without recovery.
+func TestReplaceNode(t *testing.T) {
 	const nodes = 3
-	r, _ := newRecorderRing(t, nodes, Config{}, TCPLinks())
-	frags := buildFrags(t, nodes, 300)
-	if err := r.Run(perNode(frags)); err != nil {
-		t.Fatal(err)
-	}
-	oldIn := r.nodes[1].in
-	if err := r.ReplaceNode(1, newRecorder()); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.errc); n != 0 {
-		t.Errorf("%d errors queued after ReplaceNode, want 0", n)
-	}
-	// A late echo from the replaced endpoint.
-	r.errc <- &linkFailure{le: &LinkError{From: 0, To: 1, Err: io.EOF}, qp: oldIn}
-	if err := r.Run(perNode(frags)); err != nil {
-		t.Errorf("Run after ReplaceNode: %v", err)
+	for _, tr := range chaosTransports {
+		for _, writes := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/writes=%v", tr.name, writes), func(t *testing.T) {
+				r, recs := newRecorderRing(t, nodes, Config{OneSidedWrites: writes}, tr.links())
+				frags := buildFrags(t, nodes, 300)
+				if err := r.Run(perNode(frags)); err != nil {
+					t.Fatal(err)
+				}
+				oldIn := r.nodes[1].in
+				replacement := newRecorder()
+				if err := r.ReplaceNode(1, replacement); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(r.errc); n != 0 {
+					t.Errorf("%d errors queued after ReplaceNode, want 0", n)
+				}
+				// A late echo from the replaced endpoint.
+				r.errc <- &linkFailure{le: &LinkError{From: 0, To: 1, Err: io.EOF}, qp: oldIn}
+				if err := r.Run(perNode(frags)); err != nil {
+					t.Fatalf("Run after ReplaceNode: %v", err)
+				}
+				if got := replacement.counts(); len(got) != nodes {
+					t.Errorf("replacement saw %d fragments, want %d", len(got), nodes)
+				}
+				// The untouched nodes saw both runs.
+				for _, n := range []int{0, 2} {
+					for idx, times := range recs[n].counts() {
+						if times != 2 {
+							t.Errorf("node %d fragment %d seen %d times, want 2", n, idx, times)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,18 +1,10 @@
-package trace
-
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// The flight recorder is the span-level layer of the trace package: where
-// Buffer keeps a handful of coarse ring events, the Recorder captures
-// begin/end span pairs from every layer of the stack — ring entities
-// (receive/wait/join/stage/send), the transports (work-request post →
-// completion, credit stalls) and the local join algorithms (build/probe,
-// sort/merge) — cheaply enough to stay on in production.
+// Package trace is the flight recorder of the Data Roundabout runtime: the
+// Recorder captures begin/end span pairs from every layer of the stack —
+// ring entities (receive/wait/join/stage/send), the transports
+// (work-request post → completion, credit stalls) and the local join
+// algorithms (build/probe, sort/merge) — cheaply enough to stay on in
+// production. Analyze and Attribute turn a recording into per-node phase
+// breakdowns and revolution latencies; WritePerfetto exports it.
 //
 // Design constraints, in order:
 //
@@ -32,6 +24,14 @@ import (
 // components to be recorded: while disabled, Shard returns a shared inert
 // shard, so tests and untraced runs pay nothing — in allocations or in
 // registry growth.
+package trace
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // DefaultShardCap is the per-producer span capacity used when Enable is
 // given a non-positive cap (4096 spans ≈ 300 KB per shard).
