@@ -10,7 +10,7 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race flake chaos chaos-fuzz bench-check tree-clean bench-metrics bench-ring bench-kernels bench-smoke bench-trace smoke-trace smoke-health
+.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race flake chaos chaos-fuzz bench-check tree-clean bench-metrics bench-ring bench-kernels bench-pairs bench-smoke bench-trace smoke-trace smoke-health
 
 check: build vet lint race bench-check chaos
 
@@ -191,6 +191,18 @@ bench-kernels:
 	fi; \
 	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 . > "$$tmp/cur.txt"; \
 	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) $(if $(LABEL),-label '$(LABEL)') < "$$tmp/cur.txt"
+
+# Paired end-to-end runs, the measurement a performance claim rests on:
+# `make bench-pairs W=rotate_wide_tcp BASE=HEAD~1 [N=10] [SEED=1] [TRACE=0]`
+# extracts BASE with `git archive` (as bench-kernels does) and runs
+# bench/run.sh on it and on the working tree N times each, alternating who
+# goes first; cmd/benchpairs prints every run and, per metric, both medians,
+# quartiles, the pairs the working tree won and the failed operations.
+bench-pairs:
+	@[ -n "$(W)" ] && [ -n "$(BASE)" ] || { echo "usage: make bench-pairs W=<workload> BASE=<rev> [N=10] [SEED=1] [TRACE=0]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	$(GO) run ./cmd/benchpairs -base "$$tmp/base" -workload $(W) $(if $(N),-n $(N)) $(if $(SEED),-seed $(SEED)) $(if $(TRACE),-trace $(TRACE))
 
 # Short-form zero-alloc gate for CI: one quick pass over the guarded
 # hot-path benchmarks, failing on any allocs/op > 0. The full sweep that

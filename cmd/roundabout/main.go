@@ -10,6 +10,11 @@
 //	roundabout -nodes 6 -zipf 0.9 -algo hash
 //	roundabout -transport tcp -metrics 127.0.0.1:9090
 //
+// The run counts its matches (one join.Counter per host), and a revolution
+// ships only what its collectors read: the rotating fragments travel as key
+// columns, 8 B per tuple, which is what the per-host "in … B, out … B"
+// line at the end reports.
+//
 // With -transport tcp the ring links are real TCP sockets on the loopback
 // interface; the default is the in-process zero-copy transport. With
 // -metrics ADDR the process serves its runtime counters (frames, bytes,

@@ -71,7 +71,8 @@ type (
 	// Collector receives join matches; it must be safe for concurrent
 	// use.
 	Collector = join.Collector
-	// Counter counts matches.
+	// Counter counts matches. A revolution whose collectors all only count
+	// ships the rotating side's key column, not its payloads.
 	Counter = join.Counter
 	// Materializer builds the join result as a Relation.
 	Materializer = join.Materializer

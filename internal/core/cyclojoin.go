@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"cyclojoin/internal/join"
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/ring"
 )
@@ -84,6 +85,25 @@ func (h *hostState) current() (join.Stationary, join.Collector) {
 	return h.stationary, h.collector
 }
 
+// process is the host's join entity: it joins a fragment flowing by against
+// the stationed state into this revolution's collector. The fragment may be
+// key-only — RotateInto ships no payloads to collectors that only count.
+func (h *hostState) process(frag *relation.Fragment) error {
+	st, col := h.current()
+	if st == nil {
+		return errors.New("cyclojoin: fragment arrived before Station")
+	}
+	return st.Join(frag.Rel, col)
+}
+
+// What a revolution ships answers "where did the bytes go" before the ring's
+// byte counters are read: keys when every collector only counts, whole
+// tuples otherwise.
+var (
+	mKeyRevolutions   = metrics.Default().Counter("core_revolutions_total", "cyclo-join revolutions by what the rotating fragments carried", "ships", "keys")
+	mTupleRevolutions = metrics.Default().Counter("core_revolutions_total", "cyclo-join revolutions by what the rotating fragments carried", "ships", "tuples")
+)
+
 // Cluster is a running cyclo-join deployment: a Data Roundabout ring whose
 // join entities probe incoming fragments against stationed local state.
 type Cluster struct {
@@ -93,8 +113,12 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	rotating [][]*relation.Fragment // reorganized fragments, by home node
-	setupDur time.Duration
-	closed   bool
+	// rotatingKeys are the same fragments projected onto their key column
+	// (relation.KeysOnly: aliases, no tuple copied), each its own Fragment
+	// because the ring counts hops in the struct.
+	rotatingKeys [][]*relation.Fragment
+	setupDur     time.Duration
+	closed       bool
 }
 
 // Ring exposes the cluster's transport ring as a live-telemetry source:
@@ -124,13 +148,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := range procs {
 		h := &hostState{}
 		c.hosts[i] = h
-		procs[i] = ring.ProcessorFunc(func(frag *relation.Fragment) error {
-			st, col := h.current()
-			if st == nil {
-				return errors.New("cyclojoin: fragment arrived before Station")
-			}
-			return st.Join(frag.Rel, col)
-		})
+		procs[i] = ring.ProcessorFunc(h.process)
 	}
 	rcfg := cfg.Ring
 	rcfg.Nodes = cfg.Nodes
@@ -152,6 +170,7 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 	}
 	start := time.Now()
 	rotated := make([][]*relation.Fragment, c.cfg.Nodes)
+	keyed := make([][]*relation.Fragment, c.cfg.Nodes)
 	errs := make([]error, c.cfg.Nodes)
 	var wg sync.WaitGroup
 	for i := 0; i < c.cfg.Nodes; i++ {
@@ -169,6 +188,7 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 			c.hosts[i].mu.Unlock()
 
 			rotated[i] = make([]*relation.Fragment, len(rFrags[i]))
+			keyed[i] = make([]*relation.Fragment, len(rFrags[i]))
 			for j, f := range rFrags[i] {
 				rel := f.Rel
 				if !c.cfg.SkipRotatingSetup {
@@ -179,6 +199,7 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 					}
 				}
 				rotated[i][j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
+				keyed[i][j] = &relation.Fragment{Rel: rel.KeysOnly(), Index: f.Index, Of: f.Of}
 			}
 		}(i)
 	}
@@ -189,7 +210,7 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 		}
 	}
 	c.mu.Lock()
-	c.rotating = rotated
+	c.rotating, c.rotatingKeys = rotated, keyed
 	c.setupDur = time.Since(start)
 	c.mu.Unlock()
 	return nil
@@ -240,24 +261,41 @@ func (c *Cluster) Rotate() (*Result, error) {
 // that runs different joins on one cluster — a count, then a materialized
 // intermediate — chooses per revolution what Config.Collectors fixes for
 // the cluster's lifetime.
+//
+// What rotates follows from the collectors: when every one is a
+// join.MatchCounter — it needs the number of matches, not the tuples — the
+// revolution ships the rotating fragments' key column alone; any other
+// collector gets whole tuples. The stationed state serves both, so a count,
+// a materialization and another count on one Station each ship what they
+// read.
 func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
 	c.mu.Lock()
-	rotating := c.rotating
+	rotating, rotatingKeys := c.rotating, c.rotatingKeys
 	setup := c.setupDur
 	c.mu.Unlock()
 	if rotating == nil {
 		return nil, errors.New("cyclojoin: Rotate before Station")
 	}
 	collectors := make([]join.Collector, c.cfg.Nodes)
+	countOnly := true
 	for i := range collectors {
 		if collect != nil {
 			collectors[i] = collect(i)
 		} else {
 			collectors[i] = &join.Counter{}
 		}
+		if _, ok := collectors[i].(join.MatchCounter); !ok {
+			countOnly = false
+		}
 		c.hosts[i].mu.Lock()
 		c.hosts[i].collector = collectors[i]
 		c.hosts[i].mu.Unlock()
+	}
+	if countOnly {
+		rotating = rotatingKeys
+		mKeyRevolutions.Inc()
+	} else {
+		mTupleRevolutions.Inc()
 	}
 	start := time.Now()
 	if err := c.ring.Run(rotating); err != nil {
@@ -325,19 +363,12 @@ func (c *Cluster) ReplaceHost(i int) error {
 	}
 	h := &hostState{}
 	c.hosts[i] = h
-	proc := ring.ProcessorFunc(func(frag *relation.Fragment) error {
-		st, col := h.current()
-		if st == nil {
-			return errors.New("cyclojoin: fragment arrived before Station")
-		}
-		return st.Join(frag.Rel, col)
-	})
-	if err := c.ring.ReplaceNode(i, proc); err != nil {
+	if err := c.ring.ReplaceNode(i, ring.ProcessorFunc(h.process)); err != nil {
 		return fmt.Errorf("cyclojoin: replace host %d: %w", i, err)
 	}
 	// Stationed state died with the host; require a fresh Station.
 	c.mu.Lock()
-	c.rotating = nil
+	c.rotating, c.rotatingKeys = nil, nil
 	c.mu.Unlock()
 	return nil
 }

@@ -14,20 +14,23 @@ import (
 )
 
 // TestDistributedJoinProperty drives random ring sizes, cardinalities, key
-// domains and transport modes through the full stack and compares against
-// the oracle — the repository's broadest property test.
+// domains, payload widths and transport modes through the full stack and
+// compares against the oracle — the repository's broadest property test.
+// Each case runs a whole-tuple revolution (PairSets) and then a key-only one
+// (Counters) on the same stationed state.
 func TestDistributedJoinProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is slow")
 	}
-	f := func(seed int64, nodesRaw, rRaw, sRaw, domRaw uint16, oneSided bool) bool {
+	widths := [...]int{0, 4, 13, 248}
+	f := func(seed int64, nodesRaw, rRaw, sRaw, domRaw uint16, rWidth, sWidth uint8, oneSided bool) bool {
 		nodes := int(nodesRaw%5) + 1
 		rN := int(rRaw % 800)
 		sN := int(sRaw % 800)
 		domain := int(domRaw%200) + 1
 		rng := rand.New(rand.NewSource(seed))
-		r := jointest.RandomRelation(rng, "R", rN, domain, 4)
-		s := jointest.RandomRelation(rng, "S", sN, domain, 4)
+		r := jointest.RandomRelation(rng, "R", rN, domain, widths[int(rWidth)%len(widths)])
+		s := jointest.RandomRelation(rng, "S", sN, domain, widths[int(sWidth)%len(widths)])
 
 		c, err := NewCluster(Config{
 			Nodes:      nodes,
@@ -58,12 +61,15 @@ func TestDistributedJoinProperty(t *testing.T) {
 		if len(got) != len(wantPairs) {
 			return false
 		}
+		var matches int64
 		for k, v := range wantPairs {
 			if got[k] != v {
 				return false
 			}
+			matches += int64(v)
 		}
-		return true
+		counted, err := c.RotateInto(nil)
+		return err == nil && counted.Matches() == matches
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -23,7 +23,9 @@ type Collector interface {
 // MatchCounter is implemented by collectors that need only the number of
 // matches, not the tuples. A kernel that finds one behind its Collector
 // may count a fragment's matches itself and report them with AddMatches
-// in place of one Emit per match.
+// in place of one Emit per match, and cyclo-join rotates only the key column
+// when every collector of a revolution is one: a MatchCounter's Emit must
+// not depend on rPay.
 type MatchCounter interface {
 	Collector
 	// AddMatches records n matches at once. Like Emit it must be safe for

@@ -155,6 +155,11 @@ type Stationary interface {
 	// prepared stationary fragment, emitting every match to c exactly
 	// once. Implementations may emit concurrently from several
 	// goroutines; c must be safe for concurrent use.
+	//
+	// When c is a MatchCounter, r may arrive without its payloads (cyclo-join
+	// rotates the key column alone to collectors that only count), so an
+	// implementation takes r's payload width from r on every call, never
+	// from an earlier fragment or from SetupRotating's input.
 	Join(r *relation.Relation, c Collector) error
 	// Bytes estimates the in-memory size of the access structure, used to
 	// account for the cost of shipping it over the ring in setup-reuse

@@ -71,7 +71,9 @@ func TestRingBuiltOnceAcrossQueries(t *testing.T) {
 // TestEngineRecoversFromDeadRing makes a revolution abort inside ring.Run —
 // a tuple wider than a ring buffer cannot be forwarded — which closes the
 // ring. The failure must stay with that query: the next one gets a fresh
-// ring.
+// ring. Only SELECT * ships that tuple: a COUNT(*) over the same table reads
+// its key column alone, so it runs on the warm ring and never sees the
+// payload.
 func TestEngineRecoversFromDeadRing(t *testing.T) {
 	cat := fixture(t)
 	wide := relation.New(relation.Schema{Name: "wide", PayloadWidth: ring.DefaultBufferBytes}, 1)
@@ -84,7 +86,7 @@ func TestEngineRecoversFromDeadRing(t *testing.T) {
 	e := newEngine(t, cat)
 	builds := mRingBuilds.Value()
 
-	_, err := e.Execute("SELECT COUNT(*) FROM wide JOIN nums ON wide.id = nums.id")
+	_, err := e.Execute("SELECT * FROM wide JOIN nums ON wide.id = nums.id")
 	if err == nil || !strings.Contains(err.Error(), "ring: run aborted") {
 		t.Fatalf("oversize tuple: err = %v, want an aborted revolution", err)
 	}
@@ -101,6 +103,17 @@ func TestEngineRecoversFromDeadRing(t *testing.T) {
 	}
 	if got := mRingBuilds.Value() - builds; got != 2 {
 		t.Errorf("builds after recovery = %d, want 2", got)
+	}
+
+	res, err = e.Execute("SELECT COUNT(*) FROM wide JOIN nums ON wide.id = nums.id")
+	if err != nil {
+		t.Fatalf("COUNT(*) over the oversize table: %v", err)
+	}
+	if res.Count != 1 {
+		t.Errorf("count = %d, want 1 (key 4 is in nums once)", res.Count)
+	}
+	if got := mRingBuilds.Value() - builds; got != 2 {
+		t.Errorf("builds after the key-only count = %d, want 2: it must run on the warm ring", got)
 	}
 }
 
@@ -284,10 +297,11 @@ func moduloTable(t *testing.T, name string, n int, mul, domain uint64) (*relatio
 }
 
 // TestLargeTablesRotateInSeveralFragments is the regression test for tables
-// whose per-host share does not fit one ring buffer: 1.6 M × 12 B on 4
-// nodes is 4.8 MB per host against 4 MiB buffers.
+// whose per-host share does not fit one ring buffer: COUNT(*) rotates the
+// 8 B key column, and 2.4 M × 8 B on 4 nodes is 4.8 MB per host against
+// 4 MiB buffers.
 func TestLargeTablesRotateInSeveralFragments(t *testing.T) {
-	const n, domain = 1_600_000, 1 << 20
+	const n, domain = 2_400_000, 1 << 20
 	a, ha := moduloTable(t, "a", n, 7, domain)
 	b, hb := moduloTable(t, "b", n, 3, domain/2)
 	var want int64
@@ -314,5 +328,121 @@ func TestLargeTablesRotateInSeveralFragments(t *testing.T) {
 	}
 	if res.Count != want {
 		t.Errorf("count = %d, key histograms give %d", res.Count, want)
+	}
+}
+
+// TestAggregatesOverWideTables: COUNT(*), SUM, MIN and MAX bind the key
+// columns alone, so over 256 B-wide tables they must still answer what
+// SELECT * over the same FROM and WHERE gives, and what join/nested gives on
+// the whole tuples.
+func TestAggregatesOverWideTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tables := map[string]*relation.Relation{
+		"a": jointest.RandomRelation(rng, "a", 300, 40, 248),
+		"b": jointest.RandomRelation(rng, "b", 200, 40, 248),
+		"c": jointest.RandomRelation(rng, "c", 150, 40, 248),
+	}
+	cat := NewCatalog()
+	for name, rel := range tables {
+		if err := cat.Register(name, "k", rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := newEngine(t, cat)
+
+	// where keeps the tuples of rel whose key passes keep (nil: all of
+	// them), payloads included.
+	where := func(rel *relation.Relation, keep func(k uint64) bool) *relation.Relation {
+		out := relation.New(rel.Schema(), rel.Len())
+		for i := 0; i < rel.Len(); i++ {
+			if keep == nil || keep(rel.Key(i)) {
+				if err := out.AppendFrom(rel, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out
+	}
+	froms := []struct {
+		sql    string
+		tables []string
+	}{
+		{"a JOIN b ON a.k = b.k", []string{"a", "b"}},
+		{"a JOIN b ON a.k = b.k JOIN c ON b.k = c.k", []string{"a", "b", "c"}},
+	}
+	wheres := []struct {
+		sql  string
+		keep map[string]func(k uint64) bool
+	}{
+		{"", nil},
+		{" WHERE a.k < 25 AND b.k >= 3", map[string]func(k uint64) bool{
+			"a": func(k uint64) bool { return k < 25 },
+			"b": func(k uint64) bool { return k >= 3 },
+		}},
+	}
+	// fold answers all four selects from a result's key column.
+	type answers struct {
+		count         int64
+		sum, min, max uint64
+	}
+	fold := func(rows *relation.Relation) answers {
+		a := answers{count: int64(rows.Len()), min: ^uint64(0)}
+		for _, k := range rows.Keys() {
+			a.sum += k
+			a.min = min(a.min, k)
+			a.max = max(a.max, k)
+		}
+		return a
+	}
+
+	for _, from := range froms {
+		for _, wh := range wheres {
+			tail := " FROM " + from.sql + wh.sql
+			var ref *relation.Relation
+			for _, name := range from.tables {
+				if in := where(tables[name], wh.keep[name]); ref == nil {
+					ref = in
+				} else {
+					ref = nestedJoin(t, ref, in)
+				}
+			}
+			want := fold(ref)
+			if want.count == 0 {
+				t.Fatalf("%s: fixture drifted, the join is empty", tail)
+			}
+			star, err := e.Execute("SELECT *" + tail)
+			if err != nil {
+				t.Fatalf("SELECT *%s: %v", tail, err)
+			}
+			if got := fold(star.Rows); got != want {
+				t.Errorf("SELECT *%s folds to %+v, join/nested to %+v", tail, got, want)
+			}
+			last := from.tables[len(from.tables)-1]
+			for _, sel := range []struct {
+				sql  string
+				want uint64
+			}{
+				{"COUNT(*)", 0},
+				{"SUM(a.k)", want.sum},
+				{"MIN(b.k)", want.min},
+				{"MAX(" + last + ".k)", want.max},
+			} {
+				sql := "SELECT " + sel.sql + tail
+				res, err := e.Execute(sql)
+				if err != nil {
+					t.Errorf("%s: %v", sql, err)
+					continue
+				}
+				if res.Count != want.count {
+					t.Errorf("%s: count = %d, want %d", sql, res.Count, want.count)
+				}
+				if sel.sql != "COUNT(*)" && (res.AggValue == nil || *res.AggValue != sel.want) {
+					t.Errorf("%s: aggregate = %v, want %d", sql, res.AggValue, sel.want)
+				}
+				if res.Rows != nil {
+					t.Errorf("%s: materialized rows", sql)
+				}
+			}
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		filtered[i] = applyFilters(in.rel, filtersFor(st, st.Tables[i]))
 	}
 
-	wantAgg := st.Agg == AggSum || st.Agg == AggMin || st.Agg == AggMax
+	wantAgg := st.keyAggregate()
 	if (st.OrderByTable != "" || st.Limit >= 0) && (wantAgg || st.CountOnly) {
 		return nil, fmt.Errorf("query: ORDER BY / LIMIT apply to SELECT *, not aggregates")
 	}
@@ -295,8 +295,12 @@ func aggregateKeys(rel *relation.Relation, kind AggKind) *uint64 {
 // bound is one FROM-clause table resolved against the catalog.
 type bound struct {
 	name string
-	rel  *relation.Relation
-	key  string
+	// rel holds the columns the statement reads. SQL names key columns only
+	// (payloads are opaque to it), so anything but SELECT * binds the key
+	// column alone; its filters, Station, the ring and the intermediates
+	// then handle 8 bytes per tuple and source table, whatever the widths.
+	rel *relation.Relation
+	key string
 }
 
 // bind resolves and semantically validates the statement.
@@ -312,7 +316,11 @@ func (e *Engine) bind(st *Statement) ([]bound, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs[i] = bound{name: name, rel: entry.rel, key: entry.key}
+		rel := entry.rel
+		if st.keysOnly() {
+			rel = rel.KeysOnly()
+		}
+		inputs[i] = bound{name: name, rel: rel, key: entry.key}
 	}
 
 	keyOf := map[string]string{}
@@ -354,7 +362,7 @@ func (e *Engine) bind(st *Statement) ([]bound, error) {
 			return nil, err
 		}
 	}
-	if st.Agg == AggSum || st.Agg == AggMin || st.Agg == AggMax {
+	if st.keyAggregate() {
 		if err := checkCol(st.AggTable, st.AggCol); err != nil {
 			return nil, err
 		}

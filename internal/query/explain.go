@@ -44,20 +44,36 @@ func (e *Engine) Explain(sql string) (string, error) {
 	const estimationRate = 16
 	curRows := float64(filtered[0].Len())
 	cur := filtered[0]
+	// curWidth is the rotating side's tuple width: a base table's columns
+	// as bound, then the intermediate's — both sides' keys and payloads.
+	curWidth := cur.Schema().TupleWidth()
 	for step := 1; step < len(filtered); step++ {
 		est := EstimateJoinSizeFloat(cur, filtered[step], estimationRate)
+		// The final COUNT(*) step collects into join.Counters, to which the
+		// ring rotates the key column alone; every other step's collector
+		// reads the rotating tuples, so they ship whole.
+		ships := curWidth
+		if st.CountOnly && step == len(filtered)-1 {
+			ships = relation.KeyWidth
+		}
 		plan, err := planner.Choose(cal, planner.Workload{
-			RTuples: int(curRows),
-			STuples: filtered[step].Len(),
-			Nodes:   e.nodes,
-			Threads: e.opts.Workers(),
+			RTuples:    int(curRows),
+			STuples:    filtered[step].Len(),
+			TupleBytes: ships,
+			Nodes:      e.nodes,
+			Threads:    e.opts.Workers(),
 		})
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "cyclo-join %d: rotate %.0f rows against %s (%d rows) — plan %s, est. output %.0f rows\n",
-			step, curRows, st.Tables[step], filtered[step].Len(), plan, est)
+		what := "tuples"
+		if ships == relation.KeyWidth {
+			what = "keys"
+		}
+		fmt.Fprintf(&b, "cyclo-join %d: rotate %.0f rows against %s (%d rows), ships %s (%d B/tuple) — plan %s, est. output %.0f rows\n",
+			step, curRows, st.Tables[step], filtered[step].Len(), what, ships, plan, est)
 		curRows = est
+		curWidth += filtered[step].Schema().TupleWidth()
 		// EXPLAIN does not execute, so the true intermediate is not
 		// available for the next step's estimate. Because every join in
 		// the chain shares the key column, the just-joined stationary
@@ -68,7 +84,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 
 	switch {
-	case st.Agg == AggSum || st.Agg == AggMin || st.Agg == AggMax:
+	case st.keyAggregate():
 		fmt.Fprintf(&b, "aggregate: %s(%s.%s)\n", strings.ToUpper(string(st.Agg)), st.AggTable, st.AggCol)
 	case st.CountOnly:
 		fmt.Fprintf(&b, "aggregate: COUNT(*)\n")

@@ -38,6 +38,16 @@ type Statement struct {
 	Limit int
 }
 
+// keyAggregate reports whether the statement selects SUM, MIN or MAX of a
+// key column.
+func (st *Statement) keyAggregate() bool {
+	return st.Agg == AggSum || st.Agg == AggMin || st.Agg == AggMax
+}
+
+// keysOnly reports whether the answer depends on the tables' key columns
+// alone: COUNT(*) and the key aggregates do, SELECT * returns payloads too.
+func (st *Statement) keysOnly() bool { return st.CountOnly || st.keyAggregate() }
+
 // JoinCond is one ON table.col = table.col condition.
 type JoinCond struct {
 	LeftTable, LeftCol   string

@@ -26,6 +26,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:10])
+	f.Add(keysOnlyFrame(f, seedFrag))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
@@ -47,6 +48,18 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("decode/encode/decode not idempotent")
 		}
 	})
+}
+
+// keysOnlyFrame encodes frag's key column alone: the width-0 frame a
+// counting revolution puts on the wire.
+func keysOnlyFrame(f *testing.F, frag *Fragment) []byte {
+	projected := *frag
+	projected.Rel = frag.Rel.KeysOnly()
+	frame, err := EncodeAppend(&projected, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return frame
 }
 
 // referenceDecode is the original per-tuple wire decoder, kept verbatim as
@@ -104,12 +117,14 @@ func FuzzView(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	seed, err := EncodeAppend(&Fragment{Rel: valid, Index: 2, Of: 5, Hops: 1, Epoch: 3}, nil)
+	seedFrag := &Fragment{Rel: valid, Index: 2, Of: 5, Hops: 1, Epoch: 3}
+	seed, err := EncodeAppend(seedFrag, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
 	f.Add(seed[:20])
+	f.Add(keysOnlyFrame(f, seedFrag))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 80))
 

@@ -174,6 +174,17 @@ func (r *Relation) Slice(lo, hi int) (*Relation, error) {
 	}, nil
 }
 
+// KeysOnly returns r projected onto its key column: the same tuples, in the
+// same order, with no payloads. The view aliases r's keys, so it costs no
+// copy; r is unchanged.
+func (r *Relation) KeysOnly() *Relation {
+	n := len(r.keys)
+	return &Relation{
+		schema: Schema{Name: r.schema.Name},
+		keys:   r.keys[:n:n],
+	}
+}
+
 // Reset truncates the relation to zero tuples, keeping capacity.
 func (r *Relation) Reset() {
 	r.keys = r.keys[:0]

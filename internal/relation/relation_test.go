@@ -144,6 +144,57 @@ func TestSliceBounds(t *testing.T) {
 	}
 }
 
+func TestKeysOnly(t *testing.T) {
+	r := New(Schema{Name: "R", PayloadWidth: 3}, 4)
+	for _, k := range []uint64{7, 7, 1, 9} {
+		mustAppend(t, r, k, []byte{byte(k), 2, 3})
+	}
+	before := r.Clone()
+
+	k := r.KeysOnly()
+	if &k.Keys()[0] != &r.Keys()[0] {
+		t.Error("KeysOnly copied the key column")
+	}
+	if k.Len() != r.Len() || k.Bytes() != KeyWidth*r.Len() {
+		t.Errorf("Len = %d, Bytes = %d, want %d and %d", k.Len(), k.Bytes(), r.Len(), KeyWidth*r.Len())
+	}
+	if got := k.Schema(); got != (Schema{Name: "R"}) {
+		t.Errorf("schema = %+v, want R with no payload", got)
+	}
+	if k.Payload(1) != nil || len(k.PayloadColumn()) != 0 {
+		t.Error("key-only view has payload bytes")
+	}
+
+	// The width-0 frame is ordinary wire format: it binds as a view.
+	frame, err := EncodeAppend(&Fragment{Rel: k, Index: 1, Of: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != EncodedSize(&Fragment{Rel: k, Of: 1}) {
+		t.Errorf("encoded %d B, EncodedSize says %d", len(frame), EncodedSize(&Fragment{Rel: k, Of: 1}))
+	}
+	var v View
+	if err := v.Bind(frame, "R"); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Frag(); !got.Rel.Equal(k) || got.Index != 1 || got.Of != 2 {
+		t.Errorf("bound %v, want the key column as fragment 1/2", got)
+	}
+
+	// Appending to the view must not reach into the source's spare capacity.
+	k.AppendKey(42)
+	mustAppend(t, r, 5, []byte{5, 2, 3})
+	mustAppend(t, before, 5, []byte{5, 2, 3})
+	if !r.Equal(before) {
+		t.Error("KeysOnly, or an append to its result, changed the source relation")
+	}
+
+	empty := New(Schema{Name: "E", PayloadWidth: 8}, 0).KeysOnly()
+	if empty.Len() != 0 || empty.Bytes() != 0 || empty.Schema().PayloadWidth != 0 {
+		t.Errorf("KeysOnly of an empty relation = %v", empty)
+	}
+}
+
 func TestAppendFromSchemaMismatch(t *testing.T) {
 	a := FromKeys(Schema{Name: "A", PayloadWidth: 0}, []uint64{1})
 	b := New(Schema{Name: "B", PayloadWidth: 2}, 0)
