@@ -173,23 +173,25 @@ bench-ring:
 	$(GO) run ./cmd/benchring -o BENCH_ring.json $(if $(LABEL),-label '$(LABEL)') < /tmp/bench_ring.$$$$.txt; \
 	rm -f /tmp/bench_ring.$$$$.txt
 
-# Join-kernel and end-to-end benchmarks → BENCH_kernels.json, five samples
-# each, recorded as median with min/max spread. The file keeps its baseline
-# (the parent of the last kernel change); BASE=<rev> measures that revision
-# from a `git archive` first and records it as the new baseline, so a
-# before/after row is one command: `make bench-kernels BASE=HEAD~1`.
+# Join-kernel, placement and end-to-end benchmarks → BENCH_kernels.json, five
+# samples each, recorded as median with min/max spread. The file keeps its
+# baseline (the parent of the last change to any of them); BASE=<rev>
+# measures that revision from a `git archive` first and records it as the
+# new baseline — benchmarks BASE does not have yet get no baseline row — so
+# a before/after row is one command: `make bench-kernels BASE=HEAD~1`.
 # benchring refuses to label a row from a dirty tree.
-KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|HashJoinSetup|HashJoinProbe|CycloJoinEndToEnd)$$'
+KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|HashJoinSetup|HashJoinProbe|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way)$$'
+KERNEL_PKGS = . ./internal/relation
 KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
-	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples) and a whole 4-node cyclo-join. Medians of -count 5; baseline is the parent of the last kernel change.'
+	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) and a three-way SQL count in the three shapes that rule tells apart. Medians of -count 5; baseline is the parent of the last change to any of them.'
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	if [ -n "$(BASE)" ]; then \
 		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
-		(cd "$$tmp/base" && $(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 .) > "$$tmp/base.txt"; \
+		(cd "$$tmp/base" && $(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS)) > "$$tmp/base.txt"; \
 		$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -rebaseline -label "$$(git rev-parse --short $(BASE))" < "$$tmp/base.txt"; \
 	fi; \
-	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 . > "$$tmp/cur.txt"; \
+	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS) > "$$tmp/cur.txt"; \
 	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) $(if $(LABEL),-label '$(LABEL)') < "$$tmp/cur.txt"
 
 # Paired end-to-end runs, the measurement a performance claim rests on:

@@ -510,6 +510,126 @@ func BenchmarkCycloJoinEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkSQL3Way measures SELECT COUNT(*) over a three-way join through the
+// SQL engine on a warm 4-node ring, in the three shapes the engine's placement
+// rule tells apart: even tables and a large rotating table run as one
+// revolution against key-placed b and c; a tiny rotating table keeps the
+// left-deep sequence, because placing a million stationary tuples by key
+// would cost more than the 6 000 probes it saves (BenchmarkPlacement has
+// both sides of that choice).
+func BenchmarkSQL3Way(b *testing.B) {
+	const sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k"
+	for _, shape := range []struct {
+		name    string
+		a, b, c int
+	}{
+		{"even_200k", 200_000, 200_000, 200_000},
+		{"tiny_rotating_2k_x_1M", 2_000, 1_000_000, 200_000},
+		{"big_rotating_1M", 1_000_000, 200_000, 200_000},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			domain := max(shape.a, shape.b, shape.c)
+			cat := cyclojoin.NewCatalog()
+			for i, t := range []struct {
+				name   string
+				tuples int
+			}{{"a", shape.a}, {"b", shape.b}, {"c", shape.c}} {
+				rel, err := workload.Generate(workload.Spec{Name: t.name, Tuples: t.tuples, KeyDomain: domain, Seed: int64(7 + i), PayloadWidth: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cat.Register(t.name, "k", rel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			engine, err := cyclojoin.NewQueryEngine(cat, 4, cyclojoin.JoinOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				_ = engine.Close()
+			}()
+			if _, err := engine.Execute(sql); err != nil { // builds the ring
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Execute(sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlacement is the evidence for the engine's placement rule
+// (query's chooseShape: place by key when (nodes−1)·|rotating| ≥ |stationary|):
+// the same two-way count through core, stationed where the data lies and
+// stationed by key hash, on one shape from either side of the inequality.
+func BenchmarkPlacement(b *testing.B) {
+	const nodes = 4
+	for _, shape := range []struct {
+		name string
+		r, s int
+	}{
+		{"even_200k", 200_000, 200_000},
+		{"tiny_rotating_2k_x_1M", 2_000, 1_000_000},
+	} {
+		domain := max(shape.r, shape.s)
+		r, err := workload.Generate(workload.Spec{Name: "R", Tuples: shape.r, KeyDomain: domain, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := workload.Generate(workload.Spec{Name: "S", Tuples: shape.s, KeyDomain: domain, Seed: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rParts, err := relation.Partition(r, nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rFrags := make([][]*relation.Fragment, nodes)
+		for i, f := range rParts {
+			rFrags[i] = []*relation.Fragment{f}
+		}
+		for _, placement := range []struct {
+			name    string
+			station func(c *core.Cluster) error
+		}{
+			{"position", func(c *core.Cluster) error {
+				sFrags, err := relation.Partition(s, nodes)
+				if err != nil {
+					return err
+				}
+				return c.Station(sFrags, rFrags)
+			}},
+			{"key", func(c *core.Cluster) error {
+				return c.StationByKey([]*relation.Relation{s}, rFrags)
+			}},
+		} {
+			b.Run(shape.name+"/"+placement.name, func(b *testing.B) {
+				c, err := core.NewCluster(core.Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() {
+					_ = c.Close()
+				}()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := placement.station(c); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Rotate(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func byteLabel(n int) string {
 	switch {
 	case n >= 1<<20:

@@ -2,9 +2,14 @@
 // "The ternary join (R ⋈ S) ⋈ T could, for example, be evaluated by using
 // two runs of cyclo-join").
 //
-// The first run materializes R ⋈ S per host, keyed on S's join key; the
-// per-host outputs are already a distributed table, so the second run
-// stations T and rotates those outputs without any repartitioning step.
+// This is the two-round composition through the public facade: the first
+// run materializes R ⋈ S per host, keyed on S's join key; the per-host
+// outputs are already a distributed table, so the second run stations T and
+// rotates those outputs without any repartitioning step. It is what a join
+// on two different attributes needs. When both joins are on the same key, as
+// in every statement the SQL engine accepts, core.Cluster.StationByKey places
+// S and T by key hash and one revolution computes the whole join with no
+// intermediate (see examples/sqljoin and DESIGN.md §7).
 //
 //	go run ./examples/ternary
 package main

@@ -18,11 +18,17 @@
 //     state — that is the setup-reuse trade at the heart of §V-E.
 //
 // Join combines both for the common case.
+//
+// Station takes the data where it lies, as the paper does (§II-C). For
+// equi-joins StationByKey is the other setup phase: it places any number of
+// stationary relations by key hash, so that one revolution joins the rotating
+// relation with all of them and each rotating tuple probes one host only.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -72,28 +78,75 @@ func (c Config) validate() error {
 	return nil
 }
 
-// hostState is the mutable per-node state the ring processor reads.
-type hostState struct {
-	mu         sync.Mutex
-	stationary join.Stationary
-	collector  join.Collector
+// stationed is what one Station call left on a host. Station swaps it in
+// whole, so a revolution never joins with the sides of one Station under the
+// placement of another.
+type stationed struct {
+	// sides are the host's prepared stationary pieces in chain order: Station
+	// sets up one, StationByKey one per stationary relation. A fragment
+	// flowing by probes sides[0]; its matches probe sides[1], and so on.
+	sides []join.Stationary
+	// byKey marks key placement: every side holds exactly the keys
+	// relation.Owner gives this host, and the rotating fragments are ordered
+	// by owner, so the host joins only its own contiguous slice of each.
+	byKey bool
 }
 
-func (h *hostState) current() (join.Stationary, join.Collector) {
+// hostState is the mutable per-node state the ring processor reads.
+type hostState struct {
+	node, nodes int
+
+	mu sync.Mutex
+	st *stationed
+	// head is what sides[0] emits into this revolution: the revolution's
+	// collector on this host or, in front of further sides, the first link
+	// of links, the chain that leads there.
+	head  join.Collector
+	links []*link
+}
+
+func (h *hostState) current() (*stationed, join.Collector, []*link) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.stationary, h.collector
+	return h.st, h.head, h.links
 }
 
 // process is the host's join entity: it joins a fragment flowing by against
 // the stationed state into this revolution's collector. The fragment may be
 // key-only — RotateInto ships no payloads to collectors that only count.
 func (h *hostState) process(frag *relation.Fragment) error {
-	st, col := h.current()
+	st, head, links := h.current()
 	if st == nil {
 		return errors.New("cyclojoin: fragment arrived before Station")
 	}
-	return st.Join(frag.Rel, col)
+	rel := frag.Rel
+	if st.byKey {
+		var err error
+		if rel, err = ownerSlice(rel, h.node, h.nodes); err != nil {
+			return err
+		}
+	}
+	if err := st.sides[0].Join(rel, head); err != nil {
+		return err
+	}
+	// Whatever this fragment left in the chain's batches joins now, front to
+	// back, so a hop's matches — and its errors — are complete when it ends.
+	for _, l := range links {
+		if err := l.flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ownerSlice returns the tuples of rel that relation.Owner gives host `node`
+// of `nodes`: rel is ordered by owner (StationByKey does that), so they are
+// one contiguous range, found by two binary searches and aliased.
+func ownerSlice(rel *relation.Relation, node, nodes int) (*relation.Relation, error) {
+	keys := rel.Keys()
+	lo := sort.Search(len(keys), func(i int) bool { return relation.Owner(keys[i], nodes) >= node })
+	hi := lo + sort.Search(len(keys)-lo, func(i int) bool { return relation.Owner(keys[lo+i], nodes) > node })
+	return rel.Slice(lo, hi)
 }
 
 // What a revolution ships answers "where did the bytes go" before the ring's
@@ -102,6 +155,13 @@ func (h *hostState) process(frag *relation.Fragment) error {
 var (
 	mKeyRevolutions   = metrics.Default().Counter("core_revolutions_total", "cyclo-join revolutions by what the rotating fragments carried", "ships", "keys")
 	mTupleRevolutions = metrics.Default().Counter("core_revolutions_total", "cyclo-join revolutions by what the rotating fragments carried", "ships", "tuples")
+)
+
+// How the stationary side was placed answers "one revolution or one per
+// side": key placement joins any number of sides in one.
+var (
+	mPositionStations = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "position")
+	mKeyStations      = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "key")
 )
 
 // Cluster is a running cyclo-join deployment: a Data Roundabout ring whose
@@ -146,7 +206,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, hosts: make([]*hostState, cfg.Nodes)}
 	procs := make([]ring.Processor, cfg.Nodes)
 	for i := range procs {
-		h := &hostState{}
+		h := &hostState{node: i, nodes: cfg.Nodes}
 		c.hosts[i] = h
 		procs[i] = ring.ProcessorFunc(h.process)
 	}
@@ -163,12 +223,70 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // Station runs the setup phase. sFrags[i] is the stationary piece S_i held
 // by host i; rFrags[i] are the rotating fragments initially homed at host
 // i. Hosts run their setup concurrently, as the cluster's machines would.
+// The data joins where it lies: every fragment probes every host.
 func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Fragment) error {
 	if len(sFrags) != c.cfg.Nodes || len(rFrags) != c.cfg.Nodes {
 		return fmt.Errorf("cyclojoin: Station with %d stationary and %d rotating slots for %d nodes",
 			len(sFrags), len(rFrags), c.cfg.Nodes)
 	}
+	if err := c.station([][]*relation.Fragment{sFrags}, rFrags, false); err != nil {
+		return err
+	}
+	mPositionStations.Inc()
+	return nil
+}
+
+// StationByKey runs the setup phase for an equi-join of the rotating
+// fragments with every relation of sides at once: R ⋈ sides[0] ⋈ sides[1] ⋈ …
+// on the one join key, in a single revolution. It places each side by key
+// hash (relation.PartitionByHash), so host i holds, of every side, exactly
+// the keys relation.Owner gives it, and sets up one join.Stationary per
+// side there. RotateInto then chains them on each host: a fragment's matches
+// with sides[0] probe sides[1] in small batches, and so on; the collectors
+// receive the matches of the last side, laid out as a left-deep sequence of
+// join.Materializer steps would lay them out (rKey, and rPay ‖ key ‖ pay₀ ‖
+// key ‖ pay₁ … as rPay). No intermediate result exists at any point.
+//
+// Because a key's matches live on one host only, the rotating fragments are
+// additionally ordered by owner and a host probes just its own slice of each:
+// a revolution probes |R| tuples against sides[0], not nodes·|R|. The price
+// is that placement follows the keys: a key that makes up half of a side
+// puts half of that side's probe work on one host.
+func (c *Cluster) StationByKey(sides []*relation.Relation, rFrags [][]*relation.Fragment) error {
+	if _, ok := c.cfg.Predicate.(join.Equi); !ok {
+		return fmt.Errorf("cyclojoin: StationByKey needs an equi-join, not %s: only equal keys share a host", c.cfg.Predicate)
+	}
+	if len(sides) == 0 || len(rFrags) != c.cfg.Nodes {
+		return fmt.Errorf("cyclojoin: StationByKey with %d stationary sides and %d rotating slots for %d nodes",
+			len(sides), len(rFrags), c.cfg.Nodes)
+	}
+	placed := make([][]*relation.Fragment, len(sides))
+	errs := make([]error, len(sides))
+	var wg sync.WaitGroup
+	for j, side := range sides {
+		wg.Add(1)
+		go func(j int, side *relation.Relation) {
+			defer wg.Done()
+			placed[j], errs[j] = relation.PartitionByHash(side, c.cfg.Nodes)
+		}(j, side)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("cyclojoin: place by key: %w", err)
+	}
+	if err := c.station(placed, rFrags, true); err != nil {
+		return err
+	}
+	mKeyStations.Inc()
+	return nil
+}
+
+// station is the setup phase proper: host i sets up sides[j][i] for every j
+// and reorganizes rFrags[i]. The stationed state replaces the previous
+// Station's, on every host, only once every host has succeeded.
+func (c *Cluster) station(sides [][]*relation.Fragment, rFrags [][]*relation.Fragment, byKey bool) error {
 	start := time.Now()
+	stations := make([]*stationed, c.cfg.Nodes)
 	rotated := make([][]*relation.Fragment, c.cfg.Nodes)
 	keyed := make([][]*relation.Fragment, c.cfg.Nodes)
 	errs := make([]error, c.cfg.Nodes)
@@ -178,25 +296,34 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 		go func(i int) {
 			defer wg.Done()
 			opts := c.joinOpts(i)
-			st, err := c.cfg.Algorithm.SetupStationary(sFrags[i].Rel, c.cfg.Predicate, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
-				return
+			st := &stationed{sides: make([]join.Stationary, len(sides)), byKey: byKey}
+			for j, side := range sides {
+				var err error
+				st.sides[j], err = c.cfg.Algorithm.SetupStationary(side[i].Rel, c.cfg.Predicate, opts)
+				if err != nil {
+					errs[i] = fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
+					return
+				}
 			}
-			c.hosts[i].mu.Lock()
-			c.hosts[i].stationary = st
-			c.hosts[i].mu.Unlock()
+			stations[i] = st
 
 			rotated[i] = make([]*relation.Fragment, len(rFrags[i]))
 			keyed[i] = make([]*relation.Fragment, len(rFrags[i]))
 			for j, f := range rFrags[i] {
 				rel := f.Rel
 				if !c.cfg.SkipRotatingSetup {
+					var err error
 					rel, err = c.cfg.Algorithm.SetupRotating(f.Rel, c.cfg.Predicate, opts)
 					if err != nil {
 						errs[i] = fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
 						return
 					}
+				}
+				if byKey {
+					// Not an optimization, unlike SetupRotating: a host joins
+					// only its owner's range of a fragment. Stable, so the
+					// kernel's order survives inside each range.
+					rel = relation.OrderByOwner(rel, c.cfg.Nodes)
 				}
 				rotated[i][j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
 				keyed[i][j] = &relation.Fragment{Rel: rel.KeysOnly(), Index: f.Index, Of: f.Of}
@@ -208,6 +335,11 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 		if err != nil {
 			return err
 		}
+	}
+	for i, h := range c.hosts {
+		h.mu.Lock()
+		h.st = stations[i]
+		h.mu.Unlock()
 	}
 	c.mu.Lock()
 	c.rotating, c.rotatingKeys = rotated, keyed
@@ -268,6 +400,9 @@ func (c *Cluster) Rotate() (*Result, error) {
 // collector gets whole tuples. The stationed state serves both, so a count,
 // a materialization and another count on one Station each ship what they
 // read.
+//
+// After StationByKey the collectors stand at the end of each host's probe
+// chain: they receive the matches with the last side.
 func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
 	c.mu.Lock()
 	rotating, rotatingKeys := c.rotating, c.rotatingKeys
@@ -287,9 +422,13 @@ func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, er
 		if _, ok := collectors[i].(join.MatchCounter); !ok {
 			countOnly = false
 		}
-		c.hosts[i].mu.Lock()
-		c.hosts[i].collector = collectors[i]
-		c.hosts[i].mu.Unlock()
+	}
+	for i, h := range c.hosts {
+		h.mu.Lock()
+		if h.st != nil {
+			h.head, h.links = chain(h.st.sides, collectors[i], countOnly)
+		}
+		h.mu.Unlock()
 	}
 	if countOnly {
 		rotating = rotatingKeys
@@ -361,7 +500,7 @@ func (c *Cluster) ReplaceHost(i int) error {
 	if i < 0 || i >= c.cfg.Nodes {
 		return fmt.Errorf("cyclojoin: replace host %d of %d", i, c.cfg.Nodes)
 	}
-	h := &hostState{}
+	h := &hostState{node: i, nodes: c.cfg.Nodes}
 	c.hosts[i] = h
 	if err := c.ring.ReplaceNode(i, ring.ProcessorFunc(h.process)); err != nil {
 		return fmt.Errorf("cyclojoin: replace host %d: %w", i, err)

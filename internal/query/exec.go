@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -126,51 +127,133 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		return res, nil
 	}
 
-	// Left-deep chain of cyclo-join runs (§IV-A's ternary-join
-	// composition, generalized): the running intermediate rotates, the
-	// next base table is stationed. The intermediate is the paper's
-	// distributed table: what a host's join entity produced in one step is
-	// what that host injects in the next.
-	cur, err := distribute(filtered[0], e.nodes)
+	rotating, err := distribute(filtered[0], e.nodes)
 	if err != nil {
 		return nil, err
 	}
-	for step := 1; step < len(filtered); step++ {
-		last := step == len(filtered)-1
-		stationary := filtered[step]
-		countOnly := last && st.CountOnly
-		var agg *aggregator
-		var collect func(node int) join.Collector
-		switch {
-		case countOnly:
-			// nil: one join.Counter per host.
-		case last && wantAgg:
-			agg = &aggregator{kind: st.Agg}
-			collect = func(int) join.Collector { return agg }
-		default:
-			name := fmt.Sprintf("join-%d", step)
-			rWidth, sWidth := cur[0].Schema().PayloadWidth, stationary.Schema().PayloadWidth
-			collect = func(int) join.Collector { return join.NewMaterializer(name, rWidth, sWidth) }
-		}
-		res, err := e.joinStep(cur, stationary, collect)
+	sides := filtered[1:]
+	lastSide := sides[len(sides)-1]
+	lastWidth := lastSide.Schema().PayloadWidth
+	if chooseShape(e.nodes, filtered).byKey {
+		// One revolution: every stationary table is placed by key hash, so
+		// each host joins a fragment flowing by against its share of all of
+		// them, one after the other, and no intermediate exists.
+		last := newSink(st, chainedWidth(rotating[0], sides[:len(sides)-1]), lastWidth)
+		res, err := e.onRing(rotating, last.collect, func(c *core.Cluster, rFrags [][]*relation.Fragment) error {
+			return c.StationByKey(sides, rFrags)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("query: join step %d (%s): %w", step, st.Tables[step], err)
+			return nil, fmt.Errorf("query: join %s: %w", strings.Join(st.Tables, ", "), err)
 		}
-		if agg != nil {
-			return &Result{Count: agg.rows(), AggValue: agg.value()}, nil
-		}
-		if countOnly {
-			return &Result{Count: res.Matches()}, nil
-		}
-		for i, c := range res.Collectors {
-			m, ok := c.(*join.Materializer)
-			if !ok {
-				return nil, fmt.Errorf("query: unexpected collector %T", c)
+		return last.result(res, st)
+	}
+
+	// Left-deep chain of cyclo-join runs (§IV-A's ternary-join
+	// composition, generalized): the running intermediate rotates, the
+	// next base table is stationed where it lies. The intermediate is the
+	// paper's distributed table: what a host's join entity produced in one
+	// step is what that host injects in the next.
+	byPosition := func(stationary *relation.Relation) func(*core.Cluster, [][]*relation.Fragment) error {
+		return func(c *core.Cluster, rFrags [][]*relation.Fragment) error {
+			sFrags, err := relation.Partition(stationary, e.nodes)
+			if err != nil {
+				return err
 			}
-			cur[i] = m.Result()
+			return c.Station(sFrags, rFrags)
 		}
 	}
-	out, err := cur.concat()
+	for i, stationary := range sides[:len(sides)-1] {
+		name := fmt.Sprintf("join-%d", i+1)
+		rWidth, sWidth := rotating[0].Schema().PayloadWidth, stationary.Schema().PayloadWidth
+		res, err := e.onRing(rotating, func(int) join.Collector { return join.NewMaterializer(name, rWidth, sWidth) }, byPosition(stationary))
+		if err != nil {
+			return nil, fmt.Errorf("query: join step %d (%s): %w", i+1, st.Tables[i+1], err)
+		}
+		if rotating, err = materialized(res); err != nil {
+			return nil, err
+		}
+	}
+	last := newSink(st, rotating[0].Schema().PayloadWidth, lastWidth)
+	res, err := e.onRing(rotating, last.collect, byPosition(lastSide))
+	if err != nil {
+		return nil, fmt.Errorf("query: join step %d (%s): %w", len(sides), st.Tables[len(sides)], err)
+	}
+	return last.result(res, st)
+}
+
+// shape is how a multi-table statement runs: as one revolution against
+// stationary tables placed by key hash, or as a left-deep sequence of
+// revolutions against tables stationed where they lie.
+type shape struct {
+	byKey bool
+	// saves is the probes key placement spares: placed by position, every
+	// rotating tuple probes every host; placed by key, only its owner.
+	saves int
+	// moves is the tuples key placement copies to their owner: every
+	// stationary table, once.
+	moves int
+}
+
+// chooseShape decides from the exact row counts after filters: key placement
+// pays when the probes it saves outnumber the tuples it moves. A small table
+// rotating against a large one — the paper's "rotate the smaller input" —
+// stays position-placed, where the large table is built where it lies.
+func chooseShape(nodes int, filtered []*relation.Relation) shape {
+	sh := shape{saves: (nodes - 1) * filtered[0].Len()}
+	for _, side := range filtered[1:] {
+		sh.moves += side.Len()
+	}
+	sh.byKey = sh.saves >= sh.moves
+	return sh
+}
+
+// chainedWidth is the payload width of rotating ⋈ sides[0] ⋈ sides[1] … in
+// the join.Materializer layout: each join appends the stationary tuple, key
+// and payload, to the rotating payload.
+func chainedWidth(rotating *relation.Relation, sides []*relation.Relation) int {
+	w := rotating.Schema().PayloadWidth
+	for _, side := range sides {
+		w += side.Schema().TupleWidth()
+	}
+	return w
+}
+
+// sink is where a revolution's matches go: collect builds each host's
+// collector (nil: one join.Counter per host).
+type sink struct {
+	collect func(node int) join.Collector
+	agg     *aggregator
+}
+
+// newSink returns the sink of a statement's last join, of rotating tuples
+// with rWidth payload bytes against stationary ones with sWidth: counters for
+// COUNT(*), the aggregator for SUM/MIN/MAX, a join.Materializer per host for
+// SELECT *.
+func newSink(st *Statement, rWidth, sWidth int) *sink {
+	switch {
+	case st.CountOnly:
+		return &sink{}
+	case st.keyAggregate():
+		agg := &aggregator{kind: st.Agg}
+		return &sink{agg: agg, collect: func(int) join.Collector { return agg }}
+	default:
+		return &sink{collect: func(int) join.Collector { return join.NewMaterializer("join", rWidth, sWidth) }}
+	}
+}
+
+// result turns the last revolution into the statement's answer.
+func (to *sink) result(res *core.Result, st *Statement) (*Result, error) {
+	switch {
+	case to.agg != nil:
+		return &Result{Count: to.agg.rows(), AggValue: to.agg.value()}, nil
+	case to.collect == nil:
+		return &Result{Count: res.Matches()}, nil
+	}
+	rows, err := materialized(res)
+	if err != nil {
+		return nil, err
+	}
+	out, err := rows.concat()
 	if err != nil {
 		return nil, err
 	}
@@ -178,6 +261,20 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Count: int64(out.Len()), Rows: out}, nil
+}
+
+// materialized is the distributed table a revolution into join.Materializers
+// produced: host i's part is what host i's join entity emitted.
+func materialized(res *core.Result) (distributed, error) {
+	d := make(distributed, len(res.Collectors))
+	for i, c := range res.Collectors {
+		m, ok := c.(*join.Materializer)
+		if !ok {
+			return nil, fmt.Errorf("query: unexpected collector %T", c)
+		}
+		d[i] = m.Result()
+	}
+	return d, nil
 }
 
 // shapeOutput applies ORDER BY and LIMIT to a materialized result.
@@ -471,17 +568,14 @@ func (d distributed) concat() (*relation.Relation, error) {
 	return relation.Concat(d[0].Schema(), frags)
 }
 
-// joinStep runs one cyclo-join on the engine's ring: `rotating` circulates
-// from where it lies against the stationed `stationary`, and collect builds
-// each host's collector for the revolution (nil: a join.Counter per host).
-// The first step builds the ring. A step that fails drops it — ring.Run
-// closes a ring whose revolution aborted — so the failure ends with the
-// query that caused it and the next step starts on a fresh ring.
-func (e *Engine) joinStep(rotating distributed, stationary *relation.Relation, collect func(node int) join.Collector) (*core.Result, error) {
-	sFrags, err := relation.Partition(stationary, e.nodes)
-	if err != nil {
-		return nil, err
-	}
+// onRing runs one cyclo-join on the engine's ring: station — Station or
+// StationByKey, with rotating cut into ring-sized fragments — then one
+// revolution into collect's collectors (nil: a join.Counter per host). The
+// first call builds the ring. A call that fails drops it — ring.Run closes a
+// ring whose revolution aborted — so the failure ends with the query that
+// caused it and the next call starts on a fresh ring.
+func (e *Engine) onRing(rotating distributed, collect func(node int) join.Collector,
+	station func(c *core.Cluster, rFrags [][]*relation.Fragment) error) (*core.Result, error) {
 	rFrags, err := rotating.fragments()
 	if err != nil {
 		return nil, err
@@ -506,7 +600,7 @@ func (e *Engine) joinStep(rotating distributed, stationary *relation.Relation, c
 	}
 	mJoinSteps.Inc()
 	var res *core.Result
-	if err = e.cluster.Station(sFrags, rFrags); err == nil {
+	if err = station(e.cluster, rFrags); err == nil {
 		res, err = e.cluster.RotateInto(collect)
 	}
 	if err != nil {

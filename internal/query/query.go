@@ -13,10 +13,15 @@
 // Every registered relation exposes exactly one join-key column (the
 // paper's workloads are key + opaque payload), so all join and filter
 // predicates refer to that column; the parser resolves names against the
-// catalog and rejects anything else. Multi-way joins execute as the paper
-// sketches for ternary joins (§IV-A): a left-deep chain of cyclo-join
-// runs on the engine's one ring, each leaving its result distributed over
-// the hosts — a host's share is what that host rotates in the next run.
+// catalog and rejects anything else. Every join is therefore on the one
+// shared key, and a multi-table statement runs in one of two shapes, chosen
+// from the row counts after WHERE (chooseShape): one revolution of the first
+// table against all the others placed by key hash, each host chaining its
+// share of them (core.Cluster.StationByKey); or, when the other tables are
+// too large to be worth moving, as the paper sketches for ternary joins
+// (§IV-A): a left-deep sequence of cyclo-join runs on the engine's one
+// ring, each leaving its result distributed over the hosts — a host's share
+// is what that host rotates in the next run.
 package query
 
 import (

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Fragment is one piece of a partitioned relation together with the ring
@@ -90,30 +91,121 @@ func PartitionByBytes(r *Relation, chunkBytes int) ([]*Fragment, error) {
 	return Partition(r, n)
 }
 
-// PartitionByHash splits r into n fragments by a multiplicative hash of the
-// join key. Unlike Partition, co-partitioning both join inputs this way
-// would make the join embarrassingly local; cyclo-join deliberately does NOT
-// rely on it (ad-hoc queries, §II-C), but the generator is useful as a
-// baseline and for tests.
+// PartitionByHash splits r into n fragments by key hash: fragment i holds,
+// in input order, exactly the tuples whose key Owner assigns to i. Relations
+// placed this way are co-partitioned — all tuples of one key, of every
+// relation, share a fragment index — which is what core.Cluster.StationByKey
+// builds on: it places every stationary side with this function, so one
+// revolution joins the rotating side against all of them locally. Plain
+// cyclo-join (core.Cluster.Station, JoinRelations) still does not rely on
+// it: there the data lies wherever it lies (ad-hoc queries, §II-C).
+//
+// The fragments alias one fresh, exactly-sized copy of r ordered by owner
+// (r itself when n is 1). The copy is a stable counting sort cut into one
+// chunk per fragment that run concurrently; its output does not depend on
+// the chunk count.
 func PartitionByHash(r *Relation, n int) ([]*Fragment, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("relation: hash-partition %q into %d fragments", r.schema.Name, n)
 	}
-	parts := make([]*Relation, n)
-	for i := range parts {
-		parts[i] = New(r.schema, r.Len()/n+1)
-	}
-	for i := 0; i < r.Len(); i++ {
-		h := HashKey(r.Key(i)) % uint64(n)
-		if err := parts[h].AppendFrom(r, i); err != nil {
-			return nil, err
-		}
-	}
+	ordered, starts := orderByOwner(r, n, max(min(n, r.Len()/minChunkTuples), 1))
 	frags := make([]*Fragment, n)
-	for i, p := range parts {
-		frags[i] = &Fragment{Rel: p, Index: i, Of: n}
+	for i := range frags {
+		view, err := ordered.Slice(starts[i], starts[i+1])
+		if err != nil {
+			return nil, fmt.Errorf("relation: hash-partition %q: %w", r.schema.Name, err)
+		}
+		frags[i] = &Fragment{Rel: view, Index: i, Of: n}
 	}
 	return frags, nil
+}
+
+// OrderByOwner returns r's tuples stably ordered by Owner(key, n): owner 0's
+// tuples first, each owner's in input order — r itself when n is 1, a fresh
+// copy otherwise. A host of a key-placed cluster finds its share of such a
+// relation as one contiguous range.
+func OrderByOwner(r *Relation, n int) *Relation {
+	ordered, _ := orderByOwner(r, n, 1)
+	return ordered
+}
+
+// Owner is the placement function of PartitionByHash: which of n hosts holds
+// key k. It scales the low 32 bits of HashKey to [0, n) with a multiply and
+// a shift. Both join kernels index by the top bits of the same hash (the
+// hash join's bucket directory and radix clusters), so an owner's share
+// still spreads over all of their buckets; owning by the top bits would
+// leave each host's directory 1/n populated with n× longer buckets.
+func Owner(k uint64, n int) int {
+	return int(uint64(uint32(HashKey(k))) * uint64(n) >> 32)
+}
+
+// minChunkTuples keeps a chunk of orderByOwner large enough to pay for its
+// goroutine and its histogram.
+const minChunkTuples = 8192
+
+// orderByOwner is the counting sort behind PartitionByHash and OrderByOwner:
+// a histogram of owners per chunk, one prefix sum in (owner, chunk) order —
+// chunk c's run of an owner follows chunk c-1's, which keeps input order
+// within it — and a scatter in which every chunk owns disjoint destination
+// ranges. starts[i] is where owner i's tuples begin in the result, starts[n]
+// the tuple count.
+func orderByOwner(r *Relation, n, chunks int) (ordered *Relation, starts []int) {
+	total := r.Len()
+	if n == 1 {
+		return r, []int{0, total}
+	}
+	next := make([]int, chunks*n) // per chunk: tuples per owner, then the next free slot per owner
+	inChunks(total, chunks, func(c, lo, hi int) {
+		h := next[c*n : (c+1)*n]
+		for _, k := range r.keys[lo:hi] {
+			h[Owner(k, n)]++
+		}
+	})
+	starts = make([]int, n+1)
+	at := 0
+	for o := 0; o < n; o++ {
+		starts[o] = at
+		for c := 0; c < chunks; c++ {
+			count := next[c*n+o]
+			next[c*n+o] = at
+			at += count
+		}
+	}
+	starts[n] = at
+
+	w := r.schema.PayloadWidth
+	keys, pay := make([]uint64, total), make([]byte, total*w)
+	inChunks(total, chunks, func(c, lo, hi int) {
+		h := next[c*n : (c+1)*n]
+		for i, k := range r.keys[lo:hi] {
+			o := Owner(k, n)
+			at := h[o]
+			h[o] = at + 1
+			keys[at] = k
+			if w > 0 {
+				copy(pay[at*w:(at+1)*w], r.pay[(lo+i)*w:])
+			}
+		}
+	})
+	return &Relation{schema: r.schema, keys: keys, pay: pay}, starts
+}
+
+// inChunks calls fn(c, lo, hi) for each of `chunks` contiguous pieces of
+// [0, n), concurrently when there is more than one, and waits for them.
+func inChunks(n, chunks int, fn func(c, lo, hi int)) {
+	if chunks == 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < chunks; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			fn(c, n*c/chunks, n*(c+1)/chunks)
+		}(c)
+	}
+	wg.Wait()
 }
 
 // HashKey is the multiplicative (Fibonacci) hash used for all key hashing in
