@@ -180,10 +180,10 @@ bench-ring:
 # new baseline — benchmarks BASE does not have yet get no baseline row — so
 # a before/after row is one command: `make bench-kernels BASE=HEAD~1`.
 # benchring refuses to label a row from a dirty tree.
-KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|HashJoinSetup|HashJoinProbe|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way)$$'
+KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|HashJoinSetup|HashJoinSetupRotating|HashJoinProbe|HashJoinProbeOrdered|HashJoinProbeZipf|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way)$$'
 KERNEL_PKGS = . ./internal/relation
 KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
-	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) and a three-way SQL count in the three shapes that rule tells apart. Medians of -count 5; baseline is the parent of the last change to any of them.'
+	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), the hash probe as a ring host runs it (one host-share of S against a fragment ordered by SetupRotating, counted and emitted; the price of that order; and the same probe against Zipf-skewed S), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) and a three-way SQL count in the three shapes that rule tells apart. Medians of -count 5; baseline is the parent of the last change to any of them.'
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	if [ -n "$(BASE)" ]; then \

@@ -316,37 +316,50 @@ func BenchmarkAblationFragmentSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRadixBits sweeps the radix fan-out of the real hash
-// join through the knob that sets it, the cache-size target: too few
-// clusters and a cluster's window of S overflows the cache, too many and
-// the clustering scatter thrashes.
-func BenchmarkAblationRadixBits(b *testing.B) {
-	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: 1_000_000, KeyDomain: 1_000_000, Seed: 5, PayloadWidth: 4})
+// BenchmarkAblationRotatingOrder is §IV-D's "invest once, reuse on every
+// hop" in situ: a 4-node cluster stations once and the timed loop is whole
+// revolutions, with the rotating fragments ordered by SetupRotating and left
+// as they lie. station-ms is the one-off price of each.
+func BenchmarkAblationRotatingOrder(b *testing.B) {
+	const nodes = 4
+	r, s := benchRelations(b, 1_000_000)
+	rFrags, err := relation.Partition(r, nodes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := workload.Generate(workload.Spec{Name: "S", Tuples: 1_000_000, KeyDomain: 1_000_000, Seed: 6, PayloadWidth: 4})
+	sFrags, err := relation.Partition(s, nodes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, l2 := range []int{64 << 10, 1 << 20, 4 << 20, 64 << 20} {
-		opts := join.Options{L2CacheBytes: l2}
-		b.Run(fmt.Sprintf("l2=%dKiB/bits=%d", l2>>10, hashjoin.RadixBits(r.Bytes(), opts)), func(b *testing.B) {
-			st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, opts)
+	perHost := make([][]*relation.Fragment, nodes)
+	for i, f := range rFrags {
+		perHost[i] = []*relation.Fragment{f}
+	}
+	for _, skip := range []bool{false, true} {
+		name := "ordered"
+		if skip {
+			name = "asItLies"
+		}
+		b.Run(name, func(b *testing.B) {
+			c, err := core.NewCluster(core.Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}, SkipRotatingSetup: skip})
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer func() {
+				_ = c.Close()
+			}()
+			start := time.Now()
+			if err := c.Station(sFrags, perHost); err != nil {
+				b.Fatal(err)
+			}
+			station := time.Since(start)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var c join.Counter
-				if err := st.Join(rot, &c); err != nil {
+				if _, err := c.Rotate(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(station.Microseconds())/1e3, "station-ms")
 		})
 	}
 }
@@ -389,6 +402,92 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		if err := st.Join(r, join.Discard{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// emitOnly is a collector that is not a join.MatchCounter, so a kernel hands
+// it every match.
+type emitOnly struct{}
+
+func (emitOnly) Emit(rKey, sKey uint64, rPay, sPay []byte) {}
+
+// BenchmarkHashJoinProbeOrdered is the probe as a ring host runs it: one
+// host's share of S (hash_mem's 250 k, rotate_wide_tcp's 50 k) against a
+// rotating fragment that went through SetupRotating, counted and emitted.
+func BenchmarkHashJoinProbeOrdered(b *testing.B) {
+	for _, size := range []struct {
+		name   string
+		tuples int
+	}{{"50k", 50_000}, {"250k", 250_000}} {
+		r, s := benchRelations(b, size.tuples)
+		st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, join.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, path := range []struct {
+			name string
+			c    join.Collector
+		}{{"count", join.Discard{}}, {"emit", emitOnly{}}} {
+			b.Run(size.name+"/"+path.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := st.Join(rot, path.c); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rot.Len()), "ns/probe")
+			})
+		}
+	}
+}
+
+// BenchmarkHashJoinSetupRotating is the price of a rotating fragment's order,
+// paid once at Station: hash_mem's fragment.
+func BenchmarkHashJoinSetupRotating(b *testing.B) {
+	r, _ := benchRelations(b, 250_000)
+	b.SetBytes(int64(r.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashJoinProbeZipf is the probe's skew guard: S is Zipf-distributed,
+// so its buckets get long; R stays uniform, so the match count does not go
+// quadratic and ns/probe stays comparable across z.
+func BenchmarkHashJoinProbeZipf(b *testing.B) {
+	const tuples = 250_000
+	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: tuples, KeyDomain: tuples, Seed: 7, PayloadWidth: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, z := range []float64{0, 0.5, 0.9, 1.2} {
+		b.Run(fmt.Sprintf("z=%g", z), func(b *testing.B) {
+			s, err := workload.Generate(workload.Spec{Name: "S", Tuples: tuples, KeyDomain: tuples, Zipf: z, Seed: 8, PayloadWidth: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, join.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Join(rot, join.Discard{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rot.Len()), "ns/probe")
+		})
 	}
 }
 

@@ -4,28 +4,38 @@
 // of S, and ship R already clustered so that every hop reuses that work
 // (§IV-D).
 //
-// There is one layout. The setup phase orders the stationary fragment's
-// key and payload columns by the top B bits of relation.HashKey — the
-// tuple's bucket id, with B chosen for about four tuples a bucket — and
-// records where each bucket starts in a directory of 2^B+1 offsets. A probe
-// is then one hash, two adjacent directory loads and a scan of the few
-// contiguous keys between them: no chain to follow, no per-partition
-// header.
+// There is one layout and one routine that produces it. The setup phase
+// orders the stationary fragment's key and payload columns by the top B bits
+// of relation.HashKey — the tuple's bucket id, with B chosen for one to two
+// tuples a bucket — and records where each bucket starts in a directory of
+// 2^B+1 offsets. A probe is then one hash, two adjacent directory loads and
+// a comparison of the window keys that start where the bucket does: a fixed
+// number of them, so no branch depends on how full the bucket is. A key of
+// the window that lies past the bucket's end belongs to another bucket, so
+// its hash — hence the key — differs from the probe's and it cannot count;
+// only a bucket longer than the window (a few probes in a hundred on uniform
+// keys) is followed by a loop.
 //
-// The rotating fragment is clustered once, before it enters the ring, on
-// the top RadixBits bits of the same hash. A cluster's id is therefore a
-// prefix of the bucket ids of everything it can match, so the probes of one
-// cluster all land in one contiguous window of S's columns and directory,
-// 2^-RadixBits of the whole, which RadixBits sizes to stay cache-resident
-// for the cluster's whole run. Nothing in the probe depends on that order —
-// an unclustered or differently clustered fragment joins correctly, only
-// slower.
+// The rotating fragment is ordered once, before it enters the ring, by the
+// same routine and the same hash, to as many bits as its own size would give
+// it as a stationary fragment. Its order is therefore a prefix order of the
+// bucket order of every stationary fragment, whatever that fragment's size:
+// the probes of one fragment walk S's directory and key column front to
+// back, and the hardware prefetcher does what a cache no host has to itself
+// cannot. A fragment small enough to stay cache-resident anyway
+// (Options.L2CacheBytes) is left as it lies. Nothing in the probe depends on
+// the order — an unordered or differently ordered fragment joins correctly,
+// only slower.
 //
-// Both setups are the counting-sort shape sortmerge's radix sort has:
-// per-worker histogram, one prefix sum over (bucket, worker), and a scatter
-// in which every worker owns disjoint destination ranges, moving (key, row
-// number) pairs and gathering the payload column once at the end. They are
-// stable, so their output is the same for every worker count.
+// The ordering is two counting-sort passes of the shape sortmerge's radix
+// sort has: the top digit of the bucket id with a per-worker histogram, one
+// prefix sum over (bucket, worker) and a scatter in which every worker owns
+// disjoint destination ranges; then, per block the first pass left, the rest
+// of the id straight into the output. Both move (key, uint32) pairs. The
+// uint32 is the payload itself when that is at most four bytes wide, and the
+// tuple's row number otherwise, by which the payloads are gathered block by
+// block after the second pass. Both passes are stable, so the output is the
+// same for every worker count.
 //
 // The join phase splits the rotating fragment across Options.Parallelism
 // goroutines, as the paper runs it on the four cores of its Xeons. For a
@@ -35,6 +45,7 @@
 package hashjoin
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -42,8 +53,16 @@ import (
 	"sync"
 
 	"cyclojoin/internal/join"
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/trace"
+)
+
+// Their ratio answers "is a hot key hurting the probe": 0.02 to 0.08 on
+// uniform keys, and the share of probes that hit a heavy bucket under skew.
+var (
+	mProbes   = metrics.Default().Counter("hashjoin_probes_total", "rotating tuples probed against a stationary fragment")
+	mOverflow = metrics.Default().Counter("hashjoin_window_overflow_total", "probes whose bucket ran past the fixed comparison window")
 )
 
 // Join implements join.Algorithm with a radix hash join.
@@ -86,44 +105,32 @@ func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.
 	return st, nil
 }
 
-// SetupRotating implements join.Algorithm: cluster the rotating fragment on
-// the top RadixBits bits of the key hash, so that each cluster probes one
-// cache-resident window of any stationary fragment. The clustering is purely
-// an optimization — the probe is order-independent — which is why a fragment
-// clustered with a different fan-out still joins correctly.
+// SetupRotating implements join.Algorithm: order the rotating fragment as a
+// stationary fragment of its size would be ordered, so that its probes walk
+// any stationary fragment front to back. The order is purely an optimization
+// — the probe is order-independent — which is why a fragment left as it lies,
+// or ordered for another size, still joins correctly.
 func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Options) (*relation.Relation, error) {
 	if _, ok := p.(join.Equi); !ok {
 		return nil, fmt.Errorf("%w: hash join cannot evaluate %s", join.ErrUnsupportedPredicate, p)
 	}
-	b := RadixBits(r.Bytes(), opts)
-	if b == 0 {
+	if staysCached(r.Bytes(), opts) {
 		return r, nil
 	}
 	if err := checkRows(r.Len()); err != nil {
 		return nil, err
 	}
-	return clustered(r, b, clampWorkers(opts.Workers(), r.Len()))
+	keys, pay := order(r, dirBits(r.Len()), nil, clampWorkers(opts.Workers(), r.Len()))
+	return relation.Wrap(r.Schema(), keys, pay)
 }
 
-// RadixBits derives the radix fan-out of the rotating side: enough clusters
-// that the window of an equally large stationary fragment one cluster probes,
-// with its share of the access structure (≈ 2× the window's data volume),
-// fits in a quarter of the L2 cache, following the sizing rule of [22].
-func RadixBits(dataBytes int, opts join.Options) int {
-	target := opts.L2Bytes() / 4
-	if target <= 0 {
-		target = 1
-	}
-	need := (2*dataBytes + target - 1) / target
-	if need <= 1 {
-		return 0
-	}
-	b := bits.Len(uint(need - 1)) // ceil(log2(need))
-	const maxBits = 14
-	if b > maxBits {
-		b = maxBits
-	}
-	return b
+// staysCached reports whether a rotating fragment of dataBytes is left as it
+// lies: it and the equally large piece of a stationary fragment it probes,
+// with that piece's share of the directory (≈ 2× the data volume together),
+// fit in a quarter of the L2 cache, the sizing rule of [22], so ordering it
+// would only copy it.
+func staysCached(dataBytes int, opts join.Options) bool {
+	return 2*dataBytes <= max(opts.L2Bytes()/4, 1)
 }
 
 // checkRows rejects relations whose row numbers do not fit the 32-bit row
@@ -143,32 +150,40 @@ func clampWorkers(workers, n int) int {
 	return max(min(workers, n/minPerWorker), 1)
 }
 
-// dirBits is B, the width of a bucket id, for n tuples: ⌈log₂ n⌉ − 2, which
-// puts between two and four tuples in the average bucket.
+// window is W, the number of consecutive keys a probe compares without
+// looking at where its bucket ends.
+const window = 4
+
+// dirBits is B, the width of a bucket id, for n tuples: ⌈log₂ n⌉ − 1, which
+// puts between one and two tuples in the average bucket, so that a bucket
+// longer than the window is rare.
 func dirBits(n int) uint {
-	if n <= 4 {
+	if n <= 2 {
 		return 0
 	}
-	return uint(bits.Len(uint(n-1)) - 2) // ⌈log₂ n⌉ = Len(n-1)
+	return uint(bits.Len(uint(n-1)) - 1) // ⌈log₂ n⌉ = Len(n-1)
 }
 
-// topBits is the widest first-pass digit of the build: the high part of the
-// bucket id, narrow enough that the scatter's write streams stay in the TLB
-// and the blocks it leaves fit the cache for the second pass.
+// topBits is the widest first-pass digit of the ordering: the high part of
+// the bucket id, narrow enough that the scatter's write streams stay in the
+// TLB and the blocks it leaves fit the cache for the second pass.
 const topBits = 8
 
-// scratch is the working set of one setup besides its output.
+// scratch is the working set of one ordering besides its output.
 type scratch struct {
-	// keys and rows[0] receive the build's first pass; rows holds, per
-	// output position, the input row the tuple came from.
+	// keys and vals[0] receive the first pass, vals[1] the second. A val is
+	// what travels beside a key: the tuple's payload when that fits, else
+	// the input row it came from.
 	keys []uint64
-	rows [2][]uint32
-	// hist is one histogram of the clustering digit per worker, turned
-	// into scatter offsets in place; starts is where each cluster begins.
+	vals [2][]uint32
+	// hist is one histogram of the first-pass digit per worker, turned into
+	// scatter offsets in place; starts is where each first-pass block begins.
 	hist   []uint32
 	starts []uint32
 	// cursors is one block of second-pass scatter offsets per worker.
 	cursors []uint32
+	// dir is the directory of an ordering whose caller keeps none.
+	dir []uint32
 }
 
 // scratchPool recycles scratch across setups, so a setup allocates nothing
@@ -182,22 +197,47 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// cluster writes the keys of in to dstKeys ordered by the top `width` bits
-// of their hash and, beside each, the input row it came from to dstRows.
-// Keys of one cluster keep their input order. sc.starts[c] is left holding
-// the offset of cluster c, and sc.starts[2^width] the key count.
-func (sc *scratch) cluster(dstKeys []uint64, dstRows []uint32, in []uint64, width uint, workers int) {
-	fan := 1 << width
-	shift := 64 - width
+// order returns the key and payload columns of rel ordered by the top b bits
+// of the key hash, the tuples of one bucket in input order, using exactly
+// `workers` chunks: one pass on the top digit of the bucket id into scratch,
+// then a counting sort of each of its blocks by the rest of the id straight
+// into the output. dir, of 2^b+1 entries, receives the offset of every
+// bucket; nil stands for a directory nobody keeps.
+func order(rel *relation.Relation, b uint, dir []uint32, workers int) ([]uint64, []byte) {
+	n, payW := rel.Len(), rel.Schema().PayloadWidth
+	in, inPay := rel.Keys(), rel.PayloadColumn()
+	top := min(b, topBits)
+	fan, sub := 1<<top, 1<<(b-top) // first-pass blocks, and buckets in each
+	shift := 64 - b
+	keys := make([]uint64, n)
+
+	sc := scratchPool.Get().(*scratch)
+	sc.keys = grown(sc.keys, n)
+	sc.vals[0], sc.vals[1] = grown(sc.vals[0], n), grown(sc.vals[1], n)
 	sc.hist = grown(sc.hist, workers*fan)
 	sc.starts = grown(sc.starts, fan+1)
-	join.Chunks(len(in), workers, func(w, lo, hi int) {
+	sc.cursors = grown(sc.cursors, workers*sub)
+	if dir == nil {
+		sc.dir = grown(sc.dir, 1<<b+1)
+		dir = sc.dir
+	}
+	// A payload of at most four bytes rides through both passes in the
+	// row-number slot: vals[1] is free until the second pass writes it.
+	var packed []uint32
+	if 0 < payW && payW <= 4 {
+		packed = sc.vals[1]
+	}
+
+	join.Chunks(n, workers, func(w, lo, hi int) {
 		h := sc.hist[w*fan : (w+1)*fan]
 		clear(h)
-		count(h, in[lo:hi], shift)
+		count(h, in[lo:hi], 64-top)
+		if packed != nil {
+			pack(packed[lo:hi], inPay[lo*payW:hi*payW], payW)
+		}
 	})
-	// Exclusive prefix sum in (cluster, worker) order: worker w's run of a
-	// cluster follows worker w-1's, which keeps input order within it.
+	// Exclusive prefix sum in (block, worker) order: worker w's run of a
+	// block follows worker w-1's, which keeps input order within it.
 	var at uint32
 	for c := 0; c < fan; c++ {
 		sc.starts[c] = at
@@ -208,12 +248,35 @@ func (sc *scratch) cluster(dstKeys []uint64, dstRows []uint32, in []uint64, widt
 		}
 	}
 	sc.starts[fan] = at
-	join.Chunks(len(in), workers, func(w, lo, hi int) {
-		scatter(dstKeys, dstRows, in[lo:hi], uint32(lo), sc.hist[w*fan:(w+1)*fan], shift)
+	join.Chunks(n, workers, func(w, lo, hi int) {
+		var vals []uint32
+		if packed != nil {
+			vals = packed[lo:hi]
+		}
+		scatter(sc.keys, sc.vals[0], in[lo:hi], vals, uint32(lo), sc.hist[w*fan:(w+1)*fan], 64-top)
 	})
+	pay := make([]byte, n*payW)
+	join.Chunks(fan, workers, func(w, lo, hi int) {
+		cur := sc.cursors[w*sub : (w+1)*sub]
+		for blk := lo; blk < hi; blk++ {
+			from, to := int(sc.starts[blk]), int(sc.starts[blk+1])
+			vals := sc.vals[1][from:to]
+			sortBlock(keys[from:to], vals, dir[blk*sub:(blk+1)*sub],
+				sc.keys[from:to], sc.vals[0][from:to], cur, uint32(from), shift)
+			// While the block's vals are still in the cache.
+			if packed != nil {
+				unpack(pay[from*payW:to*payW], vals, payW)
+			} else {
+				join.GatherPayload(pay[from*payW:to*payW], inPay, vals, payW)
+			}
+		}
+	})
+	dir[1<<b] = uint32(n)
+	scratchPool.Put(sc)
+	return keys, pay
 }
 
-// count adds the cluster of every key to h.
+// count adds the first-pass block of every key to h.
 //
 //cyclolint:hotpath
 func count(h []uint32, keys []uint64, shift uint) {
@@ -222,106 +285,107 @@ func count(h []uint32, keys []uint64, shift uint) {
 	}
 }
 
-// scatter moves each key, with its row number, to the next free slot of its
-// cluster; off holds the caller's next slot per cluster and key i is row
-// first+i.
+// pack writes payload i of pay, w ≤ 4 bytes wide, to vals[i], little-endian.
 //
 //cyclolint:hotpath
-func scatter(dstKeys []uint64, dstRows []uint32, keys []uint64, first uint32, off []uint32, shift uint) {
+func pack(vals []uint32, pay []byte, w int) {
+	if w == 4 {
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint32(pay[i*4:])
+		}
+		return
+	}
+	for i := range vals {
+		var v uint32
+		for j, c := range pay[i*w : (i+1)*w] {
+			v |= uint32(c) << (8 * j)
+		}
+		vals[i] = v
+	}
+}
+
+// unpack is pack's inverse: payload i of pay becomes the low w bytes of
+// vals[i].
+//
+//cyclolint:hotpath
+func unpack(pay []byte, vals []uint32, w int) {
+	if w == 4 {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(pay[i*4:], v)
+		}
+		return
+	}
+	for i, v := range vals {
+		for j := range pay[i*w : (i+1)*w] {
+			pay[i*w+j] = byte(v >> (8 * j))
+		}
+	}
+}
+
+// scatter moves each key, with its val, to the next free slot of its
+// first-pass block; off holds the caller's next slot per block. Key i's val
+// is vals[i], or its row number first+i when vals is nil.
+//
+//cyclolint:hotpath
+func scatter(dstKeys []uint64, dstVals []uint32, keys []uint64, vals []uint32, first uint32, off []uint32, shift uint) {
+	if vals == nil {
+		for i, k := range keys {
+			c := relation.HashKey(k) >> shift
+			at := off[c]
+			off[c] = at + 1
+			dstKeys[at] = k
+			dstVals[at] = first + uint32(i)
+		}
+		return
+	}
+	vals = vals[:len(keys)]
 	for i, k := range keys {
 		c := relation.HashKey(k) >> shift
 		at := off[c]
 		off[c] = at + 1
 		dstKeys[at] = k
-		dstRows[at] = first + uint32(i)
+		dstVals[at] = vals[i]
 	}
 }
 
-// sortBlock is the build's second pass over one first-pass block: a
-// counting sort of its (key, row) pairs by the low bits of the bucket id,
-// written to the output at base, where the block starts. dir is the block's
-// slice of the directory and receives the start of each of its buckets; cur
-// is scratch of the same length.
+// sortBlock is the second pass over one first-pass block: a counting sort of
+// its (key, val) pairs by the low bits of the bucket id into dstKeys and
+// dstVals, the block's stretch of the output, which starts at offset base.
+// dir is the block's slice of the directory and receives the start of each
+// of its buckets; cur is scratch of the same length.
 //
 //cyclolint:hotpath
-func sortBlock(dstKeys []uint64, dstRows, dir []uint32, keys []uint64, rows, cur []uint32, base uint32, shift uint) {
+func sortBlock(dstKeys []uint64, dstVals, dir []uint32, keys []uint64, vals, cur []uint32, base uint32, shift uint) {
 	mask := uint64(len(cur) - 1)
 	clear(cur)
 	for _, k := range keys {
 		cur[relation.HashKey(k)>>shift&mask]++
 	}
-	at := base
+	var at uint32
 	for b, n := range cur {
-		dir[b], cur[b] = at, at
+		dir[b], cur[b] = base+at, at
 		at += n
 	}
-	rows = rows[:len(keys)]
+	vals = vals[:len(keys)]
 	for i, k := range keys {
 		b := relation.HashKey(k) >> shift & mask
 		at := cur[b]
 		cur[b] = at + 1
 		dstKeys[at] = k
-		dstRows[at] = rows[i]
+		dstVals[at] = vals[i]
 	}
 }
 
-// gathered returns the payload column of src reordered so that payload i is
-// src's payload rows[i].
-func gathered(src *relation.Relation, rows []uint32, workers int) []byte {
-	payW := src.Schema().PayloadWidth
-	pay := make([]byte, len(rows)*payW)
-	srcPay := src.PayloadColumn()
-	join.Chunks(len(rows), workers, func(_, lo, hi int) {
-		join.GatherPayload(pay[lo*payW:hi*payW], srcPay, rows[lo:hi], payW)
-	})
-	return pay
-}
-
-// clustered returns a copy of r ordered by the top `width` bits of the key
-// hash, using exactly `workers` chunks.
-func clustered(r *relation.Relation, width, workers int) (*relation.Relation, error) {
-	n := r.Len()
-	keys := make([]uint64, n)
-	sc := scratchPool.Get().(*scratch)
-	sc.rows[0] = grown(sc.rows[0], n)
-	sc.cluster(keys, sc.rows[0], r.Keys(), uint(width), workers)
-	pay := gathered(r, sc.rows[0], workers)
-	scratchPool.Put(sc)
-	return relation.Wrap(r.Schema(), keys, pay)
-}
-
-// build orders s by bucket id and fills the directory, using exactly
-// `workers` chunks: one clustering pass on the top digit of the bucket id
-// into scratch, then a counting sort of each of its blocks by the rest of
-// the id straight into the output.
+// build orders s by bucket id and keeps the directory, using exactly
+// `workers` chunks.
 func build(s *relation.Relation, workers int) *stationary {
-	n := s.Len()
-	b := dirBits(n)
-	top := min(b, topBits)
-	sub := 1 << (b - top) // buckets per first-pass block
+	b := dirBits(s.Len())
 	st := &stationary{
 		shift: 64 - b,
 		dir:   make([]uint32, 1<<b+1),
-		keys:  make([]uint64, n),
 		payW:  s.Schema().PayloadWidth,
 	}
-
-	sc := scratchPool.Get().(*scratch)
-	sc.keys = grown(sc.keys, n)
-	sc.rows[0], sc.rows[1] = grown(sc.rows[0], n), grown(sc.rows[1], n)
-	sc.cursors = grown(sc.cursors, workers*sub)
-	sc.cluster(sc.keys, sc.rows[0], s.Keys(), top, workers)
-	join.Chunks(1<<top, workers, func(w, lo, hi int) {
-		cur := sc.cursors[w*sub : (w+1)*sub]
-		for blk := lo; blk < hi; blk++ {
-			from, to := sc.starts[blk], sc.starts[blk+1]
-			sortBlock(st.keys, sc.rows[1], st.dir[blk*sub:(blk+1)*sub],
-				sc.keys[from:to], sc.rows[0][from:to], cur, from, st.shift)
-		}
-	})
-	st.dir[1<<b] = uint32(n)
-	st.pay = gathered(s, sc.rows[1], workers)
-	scratchPool.Put(sc)
+	st.keys, st.pay = order(s, b, st.dir, workers)
 	return st
 }
 
@@ -360,52 +424,110 @@ func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 	if n == 0 {
 		return nil
 	}
+	mProbes.Add(int64(n))
 	counter, _ := c.(join.MatchCounter)
 	join.Chunks(n, min(len(st.probeShards), n), func(w, lo, hi int) {
 		ps := st.probeShards[w]
 		pd := ps.Begin(trace.PhaseProbe)
 		pd.Arg = int64(hi - lo)
+		var overflow int64
 		if counter != nil {
-			counter.AddMatches(st.count(r.Keys()[lo:hi]))
+			var matches int64
+			matches, overflow = st.count(r.Keys()[lo:hi])
+			counter.AddMatches(matches)
 		} else {
-			st.emit(r, lo, hi, c)
+			overflow = st.emit(r, lo, hi, c)
 		}
+		mOverflow.Add(overflow)
 		ps.End(pd)
 	})
 	return nil
 }
 
-// count returns the number of matches of rKeys against the stationary
-// fragment.
+// windowHits returns how many of win's `window` keys equal k, each comparison
+// a conditional increment: no branch depends on the keys.
 //
 //cyclolint:hotpath
-func (st *stationary) count(rKeys []uint64) int64 {
+func windowHits(win []uint64, k uint64) (hits int64) {
+	if win[0] == k {
+		hits++
+	}
+	if win[1] == k {
+		hits++
+	}
+	if win[2] == k {
+		hits++
+	}
+	if win[3] == k {
+		hits++
+	}
+	return hits
+}
+
+// count returns the number of matches of rKeys against the stationary
+// fragment, and the number of probes whose bucket ran past the window.
+//
+// The window starts where the bucket does, clamped so that it ends inside the
+// column; either way it covers the bucket's first `window` keys, and every
+// other key in it belongs to a different bucket, so differs from the probe.
+//
+//cyclolint:hotpath
+func (st *stationary) count(rKeys []uint64) (matches, overflow int64) {
 	keys, dir, shift := st.keys, st.dir, st.shift
-	var n int64
+	last := len(keys) - window
+	if last < 0 {
+		for _, k := range rKeys {
+			for _, sk := range keys {
+				if sk == k {
+					matches++
+				}
+			}
+		}
+		return matches, 0
+	}
 	for _, k := range rKeys {
 		b := relation.HashKey(k) >> shift
-		for _, sk := range keys[dir[b]:dir[b+1]] {
-			if sk == k {
-				n++
+		at, end := min(int(dir[b]), last), int(dir[b+1])
+		matches += windowHits(keys[at:at+window:at+window], k)
+		if end > at+window {
+			overflow++
+			for _, sk := range keys[at+window : end] {
+				if sk == k {
+					matches++
+				}
 			}
 		}
 	}
-	return n
+	return matches, overflow
 }
 
-// emit hands every match of tuples [lo, hi) of r to c.
+// emit hands every match of tuples [lo, hi) of r to c, a probe's matches in
+// ascending position, and returns the number of probes whose bucket ran past
+// the window. The window is count's, as a filter: only a probe that matches
+// inside it, or whose bucket runs past it, walks its bucket.
 //
 //cyclolint:hotpath
-func (st *stationary) emit(r *relation.Relation, lo, hi int, c join.Collector) {
+func (st *stationary) emit(r *relation.Relation, lo, hi int, c join.Collector) (overflow int64) {
 	keys, dir, shift, pay, payW := st.keys, st.dir, st.shift, st.pay, st.payW
 	rKeys, rPay, rPayW := r.Keys(), r.PayloadColumn(), r.Schema().PayloadWidth
+	last := len(keys) - window
 	for i := lo; i < hi; i++ {
 		k := rKeys[i]
 		b := relation.HashKey(k) >> shift
-		for at := int(dir[b]); at < int(dir[b+1]); at++ {
+		from, end := int(dir[b]), int(dir[b+1])
+		if last >= 0 {
+			at := min(from, last)
+			if end > at+window {
+				overflow++
+			} else if windowHits(keys[at:at+window:at+window], k) == 0 {
+				continue
+			}
+		}
+		for at := from; at < end; at++ {
 			if keys[at] == k {
 				c.Emit(k, k, rPay[i*rPayW:(i+1)*rPayW:(i+1)*rPayW], pay[at*payW:(at+1)*payW:(at+1)*payW])
 			}
 		}
 	}
+	return overflow
 }

@@ -2,6 +2,7 @@ package hashjoin
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -57,7 +58,7 @@ func TestMatchesOracleSmall(t *testing.T) {
 		{"wide domain", 500, 400, 100000, 4, 1, 0},
 		{"no payload", 100, 100, 50, 0, 1, 0},
 		{"parallel", 1000, 800, 64, 4, 4, 0},
-		{"forced multi-cluster", 2000, 2000, 256, 4, 2, 1 << 10},
+		{"forced multi-cluster", 2000, 2000, 256, 4, 2, 1 << 10}, // a cache target small enough that SetupRotating orders R
 		{"empty R", 0, 50, 10, 4, 1, 0},
 		{"empty S", 50, 0, 10, 4, 1, 0},
 	}
@@ -125,7 +126,7 @@ func sweep(maxN int, fn func(name string, r *relation.Relation)) {
 			if n > maxN {
 				continue
 			}
-			for _, payW := range []int{0, 4, 8, 13, 248} {
+			for _, payW := range []int{0, 1, 3, 4, 5, 8, 13, 248} {
 				if n >= 50_000 && payW != 4 {
 					continue // the width sweep does not need the largest inputs
 				}
@@ -219,98 +220,287 @@ func TestBuildDirectoryInvariants(t *testing.T) {
 	})
 }
 
-// TestSetupRotatingClusters: the rotating side comes back ordered by the
-// top bits of the key hash with nothing lost, the input is left alone, the
-// worker count does not show, and — the point of using the same hash as the
-// directory — each cluster's probes stay inside one window of a stationary
-// fragment's buckets.
-func TestSetupRotatingClusters(t *testing.T) {
-	const width = 5
+// bucketOrdered is the reference for order: the columns of r stably sorted
+// by the top b bits of the key hash, tuple by tuple.
+func bucketOrdered(r *relation.Relation, b uint) ([]uint64, []byte) {
+	rows := make([]int, r.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	bucket := func(row int) uint64 { return relation.HashKey(r.Key(row)) >> (64 - b) }
+	slices.SortStableFunc(rows, func(x, y int) int { return cmp.Compare(bucket(x), bucket(y)) })
+	keys := make([]uint64, 0, r.Len())
+	pay := make([]byte, 0, r.Len()*r.Schema().PayloadWidth)
+	for _, row := range rows {
+		keys = append(keys, r.Key(row))
+		pay = append(pay, r.Payload(row)...)
+	}
+	return keys, pay
+}
+
+// TestSetupRotatingOrder: the rotating side comes back as the stable sort of
+// its tuples by bucket id — every payload width still beside its key, packed
+// into the row-number slot or gathered — the input is left alone, the worker
+// count does not show, and the key order is the one build gives the same
+// input: one routine orders both sides.
+func TestSetupRotatingOrder(t *testing.T) {
 	sweep(50_000, func(name string, r *relation.Relation) {
 		snapshot := r.Clone()
-		var first *relation.Relation
-		for _, workers := range []int{1, 2, 4, 7} {
-			rot, err := clustered(r, width, workers)
-			if err != nil {
-				t.Fatal(err)
+		b := dirBits(r.Len())
+		wantKeys, wantPay := bucketOrdered(r, b)
+		for _, workers := range []int{1, 3, 8} {
+			keys, pay := order(r, b, nil, workers)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("%s: %d workers: keys are not the stable bucket order", name, workers)
 			}
-			if first != nil {
-				if !rot.Equal(first) {
-					t.Fatalf("%s: %d workers cluster differently than 1", name, workers)
-				}
-				continue
+			if !bytes.Equal(pay, wantPay) {
+				t.Fatalf("%s: %d workers: payloads left their keys", name, workers)
 			}
-			first = rot
-			for i := 1; i < rot.Len(); i++ {
-				if relation.HashKey(rot.Key(i-1))>>(64-width) > relation.HashKey(rot.Key(i))>>(64-width) {
-					t.Fatalf("%s: tuple %d belongs to an earlier cluster than its predecessor", name, i)
-				}
-			}
-			if !permutes(r, rot.Keys(), rot.PayloadColumn()) {
-				t.Fatalf("%s: tuple multiset changed", name)
-			}
+		}
+		if st := build(r, 1); !slices.Equal(st.keys, wantKeys) || !bytes.Equal(st.pay, wantPay) {
+			t.Fatalf("%s: build orders the same input differently", name)
 		}
 		if !r.Equal(snapshot) {
 			t.Fatalf("%s: input mutated", name)
 		}
 	})
 
-	// Through the public entry point, against a stationary fragment of its
-	// own fan-out.
+	// Through the public entry point: ordered above the threshold, to the
+	// bits of the fragment's own size; the very relation back below it.
 	rng := rand.New(rand.NewSource(4))
-	r := jointest.RandomRelation(rng, "R", 4096, 1024, 4)
-	opts := join.Options{L2CacheBytes: 1 << 10}
-	b := uint(RadixBits(r.Bytes(), opts))
-	if b == 0 {
-		t.Fatal("test needs multi-cluster clustering")
-	}
-	rot, err := Join{}.SetupRotating(r, join.Equi{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := build(jointest.RandomRelation(rng, "S", 1<<17, 1024, 4), 1)
-	if 64-st.shift < b {
-		t.Fatalf("test needs bucket ids of at least %d bits, have %d", b, 64-st.shift)
-	}
-	perCluster := uint64(len(st.dir)-1) >> b
-	for i := 0; i < rot.Len(); i++ {
-		h := relation.HashKey(rot.Key(i))
-		if cluster, bucket := h>>(64-b), h>>st.shift; bucket/perCluster != cluster {
-			t.Fatalf("tuple %d of cluster %d probes bucket %d, outside the cluster's window", i, cluster, bucket)
+	r := jointest.RandomRelation(rng, "R", 40_000, 1024, 3)
+	for _, par := range []int{1, 4} {
+		rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1 << 10, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
 		}
+		wantKeys, wantPay := bucketOrdered(r, dirBits(r.Len()))
+		if !slices.Equal(rot.Keys(), wantKeys) || !bytes.Equal(rot.PayloadColumn(), wantPay) {
+			t.Errorf("SetupRotating with %d workers is not the stable bucket order of its input", par)
+		}
+	}
+	if rot, err := (Join{}).SetupRotating(r, join.Equi{}, join.Options{}); err != nil || rot != r {
+		t.Errorf("SetupRotating below the threshold = %p, %v; want its input %p as it lies", rot, err, r)
 	}
 }
 
-func TestRadixBits(t *testing.T) {
+// TestStaysCached pins the rule for leaving a rotating fragment as it lies:
+// twice its bytes fit a quarter of the cache target.
+func TestStaysCached(t *testing.T) {
 	tests := []struct {
 		bytes, l2 int
-		want      int
+		want      bool
 	}{
-		{0, 1 << 20, 0},
-		{100, 1 << 20, 0},     // fits in a quarter of L2
-		{1 << 20, 1 << 20, 3}, // 2*1MB over 256KB target → 8 clusters
-		{64 << 20, join.DefaultL2Bytes, 7},
-		{1 << 40, 1 << 20, 14}, // clamped
+		{0, 1 << 20, true},
+		{100, 1 << 20, true},
+		{512 << 10, 0, true}, // the boundary at the default target
+		{512<<10 + 1, 0, false},
+		{512 << 10, join.DefaultL2Bytes, true},
+		{1 << 20, 1 << 20, false},
+		{128 << 10, 1 << 20, true}, // overrides are honoured
+		{128<<10 + 1, 1 << 20, false},
+		{64 << 20, join.DefaultL2Bytes, false},
+		{1, 1, false}, // a target too small to quarter holds nothing but the empty fragment
+		{0, 1, true},
 	}
 	for _, tt := range tests {
 		opts := join.Options{L2CacheBytes: tt.l2}
-		if got := RadixBits(tt.bytes, opts); got != tt.want {
-			t.Errorf("RadixBits(%d, l2=%d) = %d, want %d", tt.bytes, tt.l2, got, tt.want)
+		if got := staysCached(tt.bytes, opts); got != tt.want {
+			t.Errorf("staysCached(%d, l2=%d) = %v, want %v", tt.bytes, tt.l2, got, tt.want)
 		}
 	}
 }
 
-// TestDirBits pins the bucket-id width rule, ⌈log₂ n⌉ − 2.
+// TestDirBits pins the bucket-id width rule, ⌈log₂ n⌉ − 1.
 func TestDirBits(t *testing.T) {
 	for _, tt := range []struct {
 		n    int
 		want uint
 	}{
-		{0, 0}, {1, 0}, {4, 0}, {5, 1}, {8, 1}, {9, 2}, {16, 2}, {17, 3},
-		{250_000, 16}, {1 << 20, 18}, {1<<20 + 1, 19}, {1 << 30, 28},
+		{0, 0}, {1, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}, {16, 3}, {17, 4},
+		{50_000, 15}, {250_000, 17}, {1 << 20, 19}, {1<<20 + 1, 20}, {1 << 30, 29},
 	} {
 		if got := dirBits(tt.n); got != tt.want {
 			t.Errorf("dirBits(%d) = %d, want %d", tt.n, got, tt.want)
+		}
+	}
+}
+
+// inBucket returns `distinct` different keys, the first one ≥ from, whose
+// bucket among 2^b is bkt.
+func inBucket(b uint, bkt uint64, from uint64, distinct int) []uint64 {
+	var keys []uint64
+	for k := from; len(keys) < distinct; k++ {
+		if b == 0 || relation.HashKey(k)>>(64-b) == bkt {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// repeated returns n copies of k.
+func repeated(k uint64, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = k
+	}
+	return keys
+}
+
+// stationed is SetupStationary with one probe worker, as the structure it
+// returns.
+func stationed(t *testing.T, s *relation.Relation) *stationary {
+	t.Helper()
+	st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*stationary)
+}
+
+// positions is a collector that records, per Emit, the S payload it was
+// handed — with jointest.Numbered's four-byte payloads, the S row.
+type positions struct{ rows []uint32 }
+
+func (p *positions) Emit(_, _ uint64, _, sPay []byte) {
+	p.rows = append(p.rows, binary.LittleEndian.Uint32(sPay))
+}
+
+// TestWindowScan: the fixed-window probe, counting and emitting, against the
+// nested-loops join on the stationary shapes where the window could go wrong
+// — fewer keys than the window, buckets of exactly W, W+1 and many more keys,
+// a bucket at the column's end where the window is clamped, the extremes of
+// the key domain — and on rotating fragments in every order the ring can
+// deliver: as generated, ordered for their own size, ordered for a foreign
+// fan-out. Run it under -race: the four-worker rows probe concurrently.
+func TestWindowScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shapes := map[string][]uint64{
+		"all equal, W-1":     repeated(42, window-1),
+		"all equal, W":       repeated(42, window),
+		"all equal, W+1":     repeated(42, window+1),
+		"all equal, 100":     repeated(42, 100),
+		"0 and max":          append(repeated(0, 7), repeated(math.MaxUint64, 6)...),
+		"one key is half":    append(repeated(7, 100), inBucket(0, 0, 1000, 100)...),
+		"heavy among random": append(repeated(99, 300), jointest.RandomRelation(rng, "S", 300, 100, 0).Keys()...),
+	}
+	for n := 0; n <= 9; n++ {
+		shapes["random n="+strconv.Itoa(n)] = jointest.RandomRelation(rng, "S", n, 6, 0).Keys()
+	}
+	// Buckets of W-1 … W+2 distinct and repeated keys at the very end of the
+	// column, behind filler of other buckets, and with no filler at all.
+	for _, filler := range []int{0, 60} {
+		for inLast := 1; inLast <= window+2; inLast++ {
+			n := filler + inLast
+			b := dirBits(n)
+			lastBkt := uint64(1)<<b - 1
+			fill := inBucket(b, 0, 0, filler)
+			shapes["last bucket, distinct, filler="+strconv.Itoa(filler)+" n="+strconv.Itoa(inLast)] =
+				append(slices.Clone(fill), inBucket(b, lastBkt, 0, inLast)...)
+			shapes["last bucket, repeated, filler="+strconv.Itoa(filler)+" n="+strconv.Itoa(inLast)] =
+				append(slices.Clone(fill), repeated(inBucket(b, lastBkt, 0, 1)[0], inLast)...)
+		}
+	}
+
+	for name, sKeys := range shapes {
+		s := jointest.Numbered(sKeys, 4)
+		// Every S key twice, in shuffled order, among keys S does not hold
+		// (some from S's own buckets, which the window then compares).
+		rKeys := append(slices.Clone(sKeys), sKeys...)
+		rKeys = append(rKeys, inBucket(0, 0, 1<<40, 50)...)
+		rKeys = append(rKeys, 0, 1, math.MaxUint64, math.MaxUint64-1)
+		rng.Shuffle(len(rKeys), func(i, j int) { rKeys[i], rKeys[j] = rKeys[j], rKeys[i] })
+		r := jointest.Numbered(rKeys, 4)
+
+		want := join.NewPairSet()
+		ref, err := nested.Join{}.SetupStationary(s, join.Equi{}, join.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Join(r, want); err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, c := range want.Pairs() {
+			total += int64(c)
+		}
+
+		ordered, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ordered == r && r.Len() > 0 {
+			t.Fatalf("%s: test needs an ordered rotating fragment", name)
+		}
+		foreignKeys, foreignPay := order(r, 3, nil, 1)
+		foreign, err := relation.Wrap(r.Schema(), foreignKeys, foreignPay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rotName, rot := range map[string]*relation.Relation{"as it lies": r, "ordered": ordered, "foreign fan-out": foreign} {
+				var counted join.Counter
+				emitted := join.NewPairSet()
+				if err := st.Join(rot, &counted); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Join(rot, emitted); err != nil {
+					t.Fatal(err)
+				}
+				if counted.Count() != total {
+					t.Errorf("%s, R %s, %d workers: counted %d matches, nested-loops has %d", name, rotName, par, counted.Count(), total)
+				}
+				if !emitted.Equal(want) {
+					t.Errorf("%s, R %s, %d workers: emitted pairs differ from nested-loops'", name, rotName, par)
+				}
+			}
+		}
+
+		// One worker hands matches over probe by probe, each probe's in
+		// ascending position of S's ordered column: what keeps materialised
+		// output byte-identical.
+		st := stationed(t, s)
+		var wantRows []uint32
+		for _, k := range rKeys {
+			for at, sk := range st.keys {
+				if sk == k {
+					wantRows = append(wantRows, binary.LittleEndian.Uint32(st.pay[at*4:]))
+				}
+			}
+		}
+		var got positions
+		if err := st.Join(r, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.rows, wantRows) {
+			t.Errorf("%s: matches not handed over in ascending position", name)
+		}
+	}
+}
+
+// TestProbeCounters: every probed tuple is counted once, and a probe is
+// counted as an overflow exactly when its bucket holds more keys than the
+// window — on both probe paths.
+func TestProbeCounters(t *testing.T) {
+	// The first bucket holds W+1 keys, the last holds W, the others none.
+	b := dirBits(2*window + 1)
+	long, full := inBucket(b, 0, 0, window+1), inBucket(b, 1<<b-1, 0, window)
+	st := stationed(t, jointest.Numbered(append(slices.Clone(long), full...), 4))
+	r := jointest.Numbered(append(repeated(long[0], 5), append(repeated(full[0], 7), inBucket(b, 1, 0, 3)...)...), 4)
+	for name, c := range map[string]join.Collector{"count": &join.Counter{}, "emit": join.NewPairSet()} {
+		probes, overflow := mProbes.Value(), mOverflow.Value()
+		if err := st.Join(r, c); err != nil {
+			t.Fatal(err)
+		}
+		if got := mProbes.Value() - probes; got != int64(r.Len()) {
+			t.Errorf("%s: hashjoin_probes_total rose by %d, want %d", name, got, r.Len())
+		}
+		if got := mOverflow.Value() - overflow; got != 5 {
+			t.Errorf("%s: hashjoin_window_overflow_total rose by %d, want 5", name, got)
 		}
 	}
 }
@@ -468,6 +658,8 @@ func FuzzHashJoinEqualsNested(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint8(0), uint8(0), uint16(0))
 	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"), uint64(math.MaxUint64), uint8(4), uint8(1), uint16(64))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, and over it again, and again"), uint64(0x0101), uint8(13), uint8(3), uint16(1))
+	// Twelve equal keys, six a side: a bucket longer than the probe's window.
+	f.Add(bytes.Repeat([]byte{7}, 8*12), uint64(math.MaxUint64), uint8(3), uint8(2), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64, payW, par uint8, l2 uint16) {
 		var sides [2][]uint64
 		for i := 0; i+8 <= len(data); i += 8 {

@@ -13,7 +13,7 @@
 //     S_i — the "join phase", executed once per ring hop.
 //
 // Algorithm.SetupRotating reorganizes a rotating fragment once before it
-// enters the ring (radix-clustering or sorting R_j), implementing the
+// enters the ring (ordering R_j by hash bucket, or sorting it), implementing the
 // paper's §IV-D trade: spend network bandwidth shipping reorganized data to
 // save CPU on every subsequent hop.
 package join
@@ -88,10 +88,10 @@ type Options struct {
 	// phase (the paper uses all four cores of its quad-core Xeons). Zero
 	// means 1.
 	Parallelism int
-	// L2CacheBytes is the target cache residency for radix partitions
-	// (4 MB unified L2 on the paper's testbed): the radix fan-out is
-	// derived from it so that what one cluster probes fits in (a quarter
-	// of) L2, as in [22]. Zero means DefaultL2Bytes.
+	// L2CacheBytes is the cache the hash join sizes against (4 MB unified
+	// L2 on the paper's testbed): a rotating fragment that, with the piece
+	// of S it probes, fits in a quarter of it, as in [22], is left as it
+	// lies instead of being reordered. Zero means DefaultL2Bytes.
 	L2CacheBytes int
 	// Flight is the span recorder algorithm-internal phases (build, probe,
 	// sort, merge) report to. Nil means the process-wide trace.Flight()
