@@ -12,10 +12,11 @@
 // backpressure slots short. These leaks hide in exactly the paths tests
 // rarely drive: shutdown selects and encode-failure bailouts.
 //
-// The analyzer simulates each function path-sensitively, like spanpair:
-// tracked buffers are Held/Posted/Released per control-flow path, merges
-// keep the leakiest state, and deferred releases count for every return
-// after them. It reports:
+// The package is a table for the typestate engine
+// (internal/lint/dataflow/typestate), which simulates each function
+// path-sensitively: tracked buffers are Held/Posted/Released per
+// control-flow path, merges keep the leakiest state, and deferred
+// releases count for every return after them. It reports:
 //
 //   - a buffer still Held at a return or at a loop's back edge (with a
 //     suggested fix reinserting the free-list send when the acquire came
@@ -35,16 +36,12 @@
 package bufown
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
 	"cyclojoin/internal/lint/analysis"
-	"cyclojoin/internal/lint/dataflow"
+	"cyclojoin/internal/lint/dataflow/typestate"
 )
 
 // rdmaPkg declares Buffer, Device and the queue-pair interfaces; the
@@ -55,9 +52,34 @@ const rdmaPkg = "cyclojoin/internal/rdma"
 var Analyzer = &analysis.Analyzer{
 	Name:      "bufown",
 	Doc:       "a registered *rdma.Buffer credit must be released (free list, post, or handoff) on every path; posted buffers are untouchable until completion",
-	Version:   "2",
+	Version:   "3",
 	UsesFacts: true,
-	Run:       run,
+	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
+}
+
+var table = &typestate.Table{
+	Directive: "bufsafe",
+	Skip:      rdmaPkg,
+	Tracks:    IsBufferPtr,
+	Acquire:   acquire,
+	Release:   release,
+	Guard: func(t types.Type) bool {
+		return types.Identical(t, types.Universe.Lookup("error").Type())
+	},
+	Post: IsPostCall,
+	Reap: isCompletionChan,
+	// Methods that touch buffer memory, invalid while posted.
+	Access: map[string]bool{"SetLen": true, "Data": true, "Bytes": true},
+	Msg: typestate.Messages{
+		Held:          "registered buffer %s (acquired at %s) is still held on this return path; release its credit before returning, or annotate //cyclolint:bufsafe with the custody argument",
+		BackEdge:      "registered buffer %s is still held at the loop's back edge; release its credit before the iteration ends, or annotate //cyclolint:bufsafe",
+		Overwrite:     "registered buffer %s (acquired at %s) is overwritten while its credit is still held",
+		DoubleRelease: "registered buffer %s is released twice on this path (previous release at %s); the duplicate credit corrupts the pool",
+		DoublePost:    "registered buffer %s is posted twice without an intervening completion (previous post at %s)",
+		Access:        "registered buffer %s is accessed (%s) after being posted at %s; the transport owns its memory until the completion is reaped",
+		Fix:           "send %s back on its free list",
+		FixText:       "%s <- %s",
+	},
 }
 
 // postMethods transfer custody to the transport until a completion.
@@ -65,54 +87,16 @@ var postMethods = map[string]bool{
 	"PostRecv": true, "PostSend": true, "PostWrite": true, "PostWriteImm": true,
 }
 
-// accessMethods touch buffer memory and are invalid while posted.
-var accessMethods = map[string]bool{
-	"SetLen": true, "Data": true, "Bytes": true,
-}
-
-func run(pass *analysis.Pass) error {
-	g := dataflow.NewGraph(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
-	effects := make(map[string]*Effect)
-	for _, imp := range pass.Pkg.Imports() {
-		for k, e := range DecodeBufFacts(pass.ImportedFacts(imp.Path())) {
-			effects[k] = e
-		}
-	}
-	if pass.Pkg.Path() != rdmaPkg {
-		solveEffects(pass, g, effects)
-	}
-	pass.Export(EncodeBufFacts(effects))
-	if pass.Pkg.Path() == rdmaPkg {
-		return nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if analysis.FuncHasDirective(fn, "bufsafe") {
-				continue
-			}
-			checkFunc(pass, g, effects, file, fn)
-		}
-	}
-	return nil
-}
-
-// isBufferPtr reports whether t is *rdma.Buffer.
-func isBufferPtr(t types.Type) bool {
+// IsBufferPtr reports whether t is *rdma.Buffer.
+func IsBufferPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return analysis.IsNamed(ptr.Elem(), rdmaPkg, "Buffer")
+	return ok && analysis.IsNamed(ptr.Elem(), rdmaPkg, "Buffer")
 }
 
 // isBufferChan reports whether t is a channel of *rdma.Buffer.
 func isBufferChan(t types.Type) bool {
 	ch, ok := t.Underlying().(*types.Chan)
-	return ok && isBufferPtr(ch.Elem())
+	return ok && IsBufferPtr(ch.Elem())
 }
 
 // isCompletionChan reports whether t is a channel of rdma.Completion —
@@ -122,340 +106,10 @@ func isCompletionChan(t types.Type) bool {
 	return ok && analysis.IsNamed(ch.Elem(), rdmaPkg, "Completion")
 }
 
-// ---- effect inference (flow-insensitive, with alias closure) ----
-
-// solveEffects computes each local function's Effect to a fixpoint and
-// merges them into effects (which already holds the imports' tables).
-func solveEffects(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect) {
-	fns := g.All()
-	const maxRounds = 8
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, fn := range fns {
-			e := inferEffect(pass, g, effects, fn)
-			old := effects[fn.Key()]
-			if !effectsEqual(old, e) {
-				effects[fn.Key()] = e
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-func effectsEqual(a, b *Effect) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return intsEqual(a.ParamRelease, b.ParamRelease) &&
-		intsEqual(a.ParamBorrowed, b.ParamBorrowed) &&
-		intsEqual(a.AcquiresResult, b.AcquiresResult)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// combinedParams lists receiver-first parameter objects of fn.
-func combinedParams(fn *dataflow.Func) []*types.Var {
-	sig := fn.Obj.Type().(*types.Signature)
-	var out []*types.Var
-	if sig.Recv() != nil {
-		out = append(out, sig.Recv())
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
-}
-
-// inferEffect derives fn's custody effect: which buffer parameters it
-// releases (directly, by posting, or via a callee with a known release
-// effect — through simple local aliases), and which results carry a
-// freshly acquired buffer.
-func inferEffect(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, fn *dataflow.Func) *Effect {
-	e := &Effect{Key: fn.Key()}
-	if fn.Decl.Body == nil {
-		return e
-	}
-	params := combinedParams(fn)
-
-	// aliasRoot maps a local object to the parameter index (or acquired
-	// marker) it aliases via plain `a := p` assignments.
-	objOf := func(id *ast.Ident) types.Object {
-		if o := pass.TypesInfo.Defs[id]; o != nil {
-			return o
-		}
-		return pass.TypesInfo.Uses[id]
-	}
-	paramIdx := make(map[types.Object]int)
-	for i, p := range params {
-		if isBufferPtr(p.Type()) {
-			paramIdx[p] = i
-		}
-	}
-	acquired := make(map[types.Object]bool)
-	// Two passes: first grow the alias sets, then classify uses.
-	for pass2 := 0; pass2 < 2; pass2++ {
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				lobj := objOf(id)
-				if lobj == nil || !isBufferPtr(lobj.Type()) {
-					continue
-				}
-				if i < len(as.Rhs) && len(as.Lhs) == len(as.Rhs) {
-					if rid, ok := ast.Unparen(as.Rhs[i]).(*ast.Ident); ok {
-						if robj := objOf(rid); robj != nil {
-							if idx, ok := paramIdx[robj]; ok {
-								paramIdx[lobj] = idx
-							}
-							if acquired[robj] {
-								acquired[lobj] = true
-							}
-						}
-						continue
-					}
-				}
-				// Acquire through := <-ch / Register / effect-call.
-				rhs := as.Rhs[0]
-				if len(as.Lhs) == len(as.Rhs) {
-					rhs = as.Rhs[i]
-				}
-				if kind, _ := acquireKind(pass, g, effects, rhs, i); kind != acquireNone {
-					acquired[lobj] = true
-				}
-			}
-			return true
-		})
-	}
-
-	released := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			if !isBufferChan(pass.TypesInfo.TypeOf(x.Chan)) {
-				return true
-			}
-			if id, ok := ast.Unparen(x.Value).(*ast.Ident); ok {
-				if idx, ok := paramIdx[objOf(id)]; ok {
-					released[idx] = true
-				}
-			}
-		case *ast.CallExpr:
-			for ai, arg := range callArgs(pass, x) {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				idx, ok := paramIdx[objOf(id)]
-				if !ok {
-					continue
-				}
-				if isPostCall(pass, x) && ai > 0 && isBufferPtr(pass.TypesInfo.TypeOf(arg)) {
-					released[idx] = true
-					continue
-				}
-				if ce := calleeEffect(g, effects, x); ce != nil {
-					for _, r := range ce.ParamRelease {
-						if r == ai {
-							released[idx] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	for idx := range released {
-		e.ParamRelease = append(e.ParamRelease, idx)
-	}
-	sort.Ints(e.ParamRelease)
-
-	// ParamBorrowed: buffer parameters whose every use keeps custody with
-	// the caller — comparisons, methods on the buffer itself, rebinding to
-	// another buffer local, or passing to a callee that itself only
-	// borrows. Any other use (return, store, capture, unknown callee)
-	// escapes, and a release supersedes a borrow.
-	parent := buildParents(fn.Decl.Body)
-	escaped := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		idx, ok := paramIdx[objOf(id)]
-		if !ok {
-			return true
-		}
-		if !borrowUseSafe(pass, g, effects, parent, id, objOf) {
-			escaped[idx] = true
-		}
-		return true
-	})
-	for i, p := range params {
-		if !isBufferPtr(p.Type()) || released[i] || escaped[i] {
-			continue
-		}
-		e.ParamBorrowed = append(e.ParamBorrowed, i)
-	}
-	sort.Ints(e.ParamBorrowed)
-
-	// AcquiresResult: a return whose expression is an acquire form or an
-	// acquired local.
-	fresh := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // nested functions own their own effects
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for j, res := range ret.Results {
-			if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-				if acquired[objOf(id)] {
-					fresh[j] = true
-				}
-				continue
-			}
-			if kind, _ := acquireKind(pass, g, effects, res, j); kind != acquireNone {
-				fresh[j] = true
-			}
-		}
-		return true
-	})
-	for j := range fresh {
-		e.AcquiresResult = append(e.AcquiresResult, j)
-	}
-	sort.Ints(e.AcquiresResult)
-	return e
-}
-
-// buildParents maps every node in root to its syntactic parent.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parent := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parent[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parent
-}
-
-// borrowUseSafe reports whether this use of a buffer-parameter ident keeps
-// custody with the caller.
-func borrowUseSafe(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect,
-	parent map[ast.Node]ast.Node, id *ast.Ident, objOf func(*ast.Ident) types.Object) bool {
-	var n ast.Node = id
-	p := parent[n]
-	for {
-		if pe, ok := p.(*ast.ParenExpr); ok {
-			n = pe
-			p = parent[pe]
-			continue
-		}
-		break
-	}
-	switch x := p.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range x.Lhs {
-			if lhs == n {
-				return true // rebinding the name itself
-			}
-			if i < len(x.Rhs) && x.Rhs[i] == n && len(x.Lhs) == len(x.Rhs) {
-				if lid, ok := lhs.(*ast.Ident); ok {
-					if lid.Name == "_" {
-						return true // discarded
-					}
-					if lo := objOf(lid); lo != nil && isBufferPtr(lo.Type()) {
-						return true // local alias, tracked by the closure pass
-					}
-				}
-			}
-		}
-		return false
-	case *ast.SendStmt:
-		// On a buffer chan this is a release (already counted); on anything
-		// else the receiver keeps it.
-		return x.Value == n && isBufferChan(pass.TypesInfo.TypeOf(x.Chan))
-	case *ast.BinaryExpr:
-		return true // comparisons don't move custody
-	case *ast.SelectorExpr:
-		if x.X != n {
-			return false
-		}
-		// p.Method(...) — a method call on the buffer itself only touches
-		// its memory; a method value or field access escapes.
-		call, ok := parent[x].(*ast.CallExpr)
-		if !ok || call.Fun != ast.Node(x) {
-			return false
-		}
-		_, isMethod := pass.TypesInfo.Selections[x]
-		return isMethod
-	case *ast.CallExpr:
-		if x.Fun == n {
-			return false
-		}
-		for ai, arg := range callArgs(pass, x) {
-			if arg != n {
-				continue
-			}
-			if isPostCall(pass, x) && ai > 0 && isBufferPtr(pass.TypesInfo.TypeOf(arg)) {
-				return true // a post is a release, already counted
-			}
-			if ce := calleeEffect(g, effects, x); ce != nil {
-				return releasesParam(ce, ai) || borrowsParam(ce, ai)
-			}
-			return false
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-// callArgs returns the call's combined argument list in the same
-// receiver-first indexing Effect uses: methods get their receiver at
-// slot 0, plain functions start at 0 with their declared arguments.
-func callArgs(pass *analysis.Pass, call *ast.CallExpr) []ast.Expr {
-	var out []ast.Expr
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if _, isMethod := pass.TypesInfo.Selections[sel]; isMethod {
-			out = append(out, sel.X)
-		}
-	}
-	return append(out, call.Args...)
-}
-
-// isPostCall reports PostRecv/PostSend/PostWrite/PostWriteImm calls on
+// IsPostCall reports PostRecv/PostSend/PostWrite/PostWriteImm calls on
 // any receiver, as long as some argument is a *rdma.Buffer — this covers
 // both the rdma interfaces and concrete transports.
-func isPostCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+func IsPostCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !postMethods[sel.Sel.Name] {
 		return false
@@ -464,823 +118,33 @@ func isPostCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	for _, a := range call.Args {
-		if isBufferPtr(pass.TypesInfo.TypeOf(a)) {
+		if IsBufferPtr(pass.TypesInfo.TypeOf(a)) {
 			return true
 		}
 	}
 	return false
 }
 
-// calleeEffect resolves the custody effect governing a call, if known.
-// Instantiated generic callees resolve to their generic declaration's
-// effect via FuncKey.
-func calleeEffect(g *dataflow.Graph, effects map[string]*Effect, call *ast.CallExpr) *Effect {
-	fn := g.StaticCallee(call)
-	if fn == nil {
-		return nil
-	}
-	return effects[dataflow.FuncKey(fn)]
-}
-
-type acquire int
-
-const (
-	acquireNone acquire = iota
-	acquireChan         // <-ch: releasing means sending back on ch
-	acquireCall         // Register / effect callee: no known home channel
-)
-
-// acquireKind classifies an acquire expression feeding result/LHS slot i
-// and, for channel receives, returns the channel expression.
-func acquireKind(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, e ast.Expr, i int) (acquire, ast.Expr) {
+// acquire matches `<-free` on a buffer channel (releasing means sending
+// back on it) and Device.Register's buffer result.
+func acquire(pass *analysis.Pass, e ast.Expr, slot int) (ast.Expr, bool) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
 		if x.Op == token.ARROW && isBufferChan(pass.TypesInfo.TypeOf(x.X)) {
-			return acquireChan, x.X
+			return x.X, true
 		}
 	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Register" {
-			if selection, ok := pass.TypesInfo.Selections[sel]; ok &&
-				analysis.IsNamed(selection.Recv(), rdmaPkg, "Device") && i == 0 {
-				return acquireCall, nil
-			}
-		}
-		if ce := calleeEffect(g, effects, x); ce != nil {
-			for _, j := range ce.AcquiresResult {
-				if j == i {
-					return acquireCall, nil
-				}
-			}
+		if slot == 0 && pass.IsMethodOn(x, rdmaPkg, "Device", "Register") {
+			return nil, true
 		}
 	}
-	return acquireNone, nil
+	return nil, false
 }
 
-// ---- path-sensitive typestate walk ----
-
-type status int
-
-const (
-	untracked status = iota
-	released
-	posted
-	held // highest wins on merge: a leak on any path is a leak
-)
-
-type bufState struct {
-	s status
-	// pos is where the state was last set (the release for released, the
-	// post for posted), cited in double-release/use-after-post reports.
-	pos token.Pos
-}
-
-type state map[types.Object]bufState
-
-func (s state) clone() state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
+// release matches a send back on a buffer free list.
+func release(pass *analysis.Pass, n ast.Node) ast.Expr {
+	if s, ok := n.(*ast.SendStmt); ok && isBufferChan(pass.TypesInfo.TypeOf(s.Chan)) {
+		return s.Value
 	}
-	return out
-}
-
-func (s state) merge(other state) {
-	for k, v := range other {
-		if v.s > s[k].s {
-			s[k] = v
-		}
-	}
-}
-
-// tracked is one acquire site.
-type tracked struct {
-	obj      types.Object
-	acquire  token.Pos
-	kind     acquire
-	chanExpr ast.Expr // the free list, when kind == acquireChan
-}
-
-type checker struct {
-	pass    *analysis.Pass
-	g       *dataflow.Graph
-	effects map[string]*Effect
-	file    *ast.File
-	fn      *ast.FuncDecl
-
-	bufs map[types.Object]*tracked
-	// errFor pairs the error result of a `buf, err := acquire()` with its
-	// buffer: on the error path the acquire failed and nothing is held.
-	errFor   map[types.Object]types.Object
-	hasGoto  bool
-	reported map[posKey]bool
-}
-
-type posKey struct {
-	obj types.Object
-	pos token.Pos
-}
-
-func checkFunc(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, file *ast.File, fn *ast.FuncDecl) {
-	c := &checker{
-		pass:     pass,
-		g:        g,
-		effects:  effects,
-		file:     file,
-		fn:       fn,
-		bufs:     make(map[types.Object]*tracked),
-		errFor:   make(map[types.Object]types.Object),
-		reported: make(map[posKey]bool),
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
-			c.hasGoto = true
-		}
-		return true
-	})
-	if c.hasGoto {
-		return
-	}
-	st := make(state)
-	terminated := c.stmt(fn.Body, st)
-	if !terminated {
-		c.reportHeld(st, fn.Body.End(), fn.Body)
-	}
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Defs[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Uses[id]
-}
-
-// trackedIdent resolves e to a tracked buffer object, if it is one.
-func (c *checker) trackedIdent(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := c.objOf(id)
-	if obj == nil || c.bufs[obj] == nil {
-		return nil
-	}
-	return obj
-}
-
-func (c *checker) exempt(at ast.Node) bool {
-	return c.pass.HasDirective(c.file, at, "bufsafe")
-}
-
-func (c *checker) report(obj types.Object, at token.Pos, node ast.Node, format string, args ...any) {
-	key := posKey{obj, at}
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	if node != nil && c.exempt(node) {
-		return
-	}
-	c.pass.Reportf(at, format, args...)
-}
-
-func (c *checker) reportHeld(st state, at token.Pos, node ast.Node) {
-	for obj, v := range st {
-		if v.s != held {
-			continue
-		}
-		tr := c.bufs[obj]
-		key := posKey{obj, at}
-		if c.reported[key] {
-			continue
-		}
-		c.reported[key] = true
-		if node != nil && c.exempt(node) {
-			continue
-		}
-		d := analysis.Diagnostic{
-			Pos: at,
-			Message: "registered buffer " + obj.Name() + " (acquired at " +
-				c.pass.Fset.Position(tr.acquire).String() + ") is still held on this return path; release its credit before returning, or annotate //cyclolint:bufsafe with the custody argument",
-		}
-		if tr.kind == acquireChan && tr.chanExpr != nil {
-			if fix := c.releaseFix(tr, obj, at); fix != nil {
-				d.Fixes = append(d.Fixes, *fix)
-			}
-		}
-		c.pass.Report(d)
-	}
-}
-
-// releaseFix builds the `freeList <- buf` insertion in front of the
-// leaking return, matching the return's indentation.
-func (c *checker) releaseFix(tr *tracked, obj types.Object, at token.Pos) *analysis.SuggestedFix {
-	var chanSrc bytes.Buffer
-	if err := printer.Fprint(&chanSrc, c.pass.Fset, tr.chanExpr); err != nil {
-		return nil
-	}
-	pos := c.pass.Fset.Position(at)
-	indent := strings.Repeat("\t", pos.Column-1)
-	return &analysis.SuggestedFix{
-		Message: "send " + obj.Name() + " back on its free list",
-		Edits: []analysis.TextEdit{{
-			Pos:     at,
-			End:     at,
-			NewText: chanSrc.String() + " <- " + obj.Name() + "\n" + indent,
-		}},
-	}
-}
-
-// ---- statement simulation ----
-
-// stmt simulates s along the fall-through path; true means control cannot
-// fall past it.
-func (c *checker) stmt(s ast.Stmt, st state) bool {
-	switch x := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return c.stmtList(x.List, st)
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if c.terminatesCall(call) {
-				c.scanExpr(x.X, st, x)
-				return true
-			}
-		}
-		c.scanExpr(x.X, st, x)
-		return false
-	case *ast.AssignStmt:
-		c.assign(x, st)
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.valueSpec(vs, st, x)
-				}
-			}
-		}
-		return false
-	case *ast.SendStmt:
-		c.send(x, st)
-		return false
-	case *ast.DeferStmt:
-		// A deferred release covers every return after it; modeling it as
-		// immediate is sound for leak checking (same as spanpair's End).
-		c.deferredCall(x.Call, st, x)
-		return false
-	case *ast.GoStmt:
-		c.scanExpr(x.Call, st, x)
-		return false
-	case *ast.ReturnStmt:
-		for _, res := range x.Results {
-			if obj := c.trackedIdent(res); obj != nil {
-				// Returning the buffer transfers the credit to the caller.
-				st[obj] = bufState{s: untracked, pos: x.Pos()}
-				continue
-			}
-			c.scanExpr(res, st, x)
-		}
-		c.reportHeld(st, x.Pos(), x)
-		return true
-	case *ast.IfStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Cond, st, x)
-		thenSt := st.clone()
-		elseSt := st.clone()
-		if bufObj, eq := c.errCheck(x.Cond); bufObj != nil {
-			if eq {
-				// err == nil: the acquire failed on the else path.
-				elseSt[bufObj] = bufState{s: untracked, pos: x.Cond.Pos()}
-			} else {
-				// err != nil: the acquire failed on the then path.
-				thenSt[bufObj] = bufState{s: untracked, pos: x.Cond.Pos()}
-			}
-		}
-		thenTerm := c.stmt(x.Body, thenSt)
-		elseTerm := false
-		if x.Else != nil {
-			elseTerm = c.stmt(x.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			copyInto(st, elseSt)
-		case elseTerm:
-			copyInto(st, thenSt)
-		default:
-			copyInto(st, thenSt)
-			st.merge(elseSt)
-		}
-		return false
-	case *ast.ForStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Cond, st, x)
-		c.loopBody(x.Body, st)
-		return x.Cond == nil && !hasBreak(x.Body)
-	case *ast.RangeStmt:
-		if isCompletionChan(c.pass.TypesInfo.TypeOf(x.X)) {
-			c.reapCompletions(st, x.X.Pos())
-		}
-		c.scanExpr(x.X, st, x)
-		c.loopBody(x.Body, st)
-		return false
-	case *ast.SwitchStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Tag, st, x)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.TypeSwitchStmt:
-		c.stmt(x.Init, st)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.SelectStmt:
-		return c.clauses(x.Body, st, true)
-	case *ast.LabeledStmt:
-		return c.stmt(x.Stmt, st)
-	case *ast.BranchStmt:
-		return true
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		return false
-	default:
-		return false
-	}
-}
-
-func (c *checker) stmtList(list []ast.Stmt, st state) bool {
-	for _, s := range list {
-		if c.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) loopBody(body *ast.BlockStmt, st state) {
-	bodySt := st.clone()
-	terminated := c.stmt(body, bodySt)
-	if !terminated {
-		for obj, v := range bodySt {
-			if v.s != held || st[obj].s == held {
-				continue // only buffers acquired by this iteration
-			}
-			tr := c.bufs[obj]
-			if tr == nil || tr.acquire < body.Pos() || body.End() <= tr.acquire {
-				continue
-			}
-			c.report(obj, tr.acquire, nil,
-				"registered buffer %s is still held at the loop's back edge; release its credit before the iteration ends, or annotate //cyclolint:bufsafe",
-				obj.Name())
-			// One report per acquire site; don't cascade to the exits.
-			bodySt[obj] = bufState{s: untracked, pos: v.pos}
-		}
-	}
-	st.merge(bodySt)
-}
-
-func (c *checker) clauses(body *ast.BlockStmt, st state, exhaustive bool) bool {
-	pre := st.clone()
-	allTerm := true
-	first := true
-	for _, cl := range body.List {
-		clSt := pre.clone()
-		var term bool
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			term = c.stmtList(cc.Body, clSt)
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				c.stmt(cc.Comm, clSt)
-			}
-			term = c.stmtList(cc.Body, clSt)
-		default:
-			continue
-		}
-		if term {
-			continue
-		}
-		allTerm = false
-		if first {
-			copyInto(st, clSt)
-			first = false
-		} else {
-			st.merge(clSt)
-		}
-	}
-	if !exhaustive {
-		if first {
-			copyInto(st, pre)
-		} else {
-			st.merge(pre)
-		}
-		return false
-	}
-	return allTerm
-}
-
-// assign handles acquires (LHS becomes held) and alias/escape on the RHS.
-func (c *checker) assign(x *ast.AssignStmt, st state) {
-	// Parallel assignment: classify each RHS slot against its LHS.
-	for i, lhs := range x.Lhs {
-		var rhs ast.Expr
-		ri := i
-		if len(x.Lhs) == len(x.Rhs) {
-			rhs = x.Rhs[i]
-			ri = 0 // each RHS is its own single-result expression
-		} else if len(x.Rhs) == 1 {
-			rhs = x.Rhs[0]
-			// multi-value: slot i of the single call/receive
-		} else {
-			continue
-		}
-		id, isIdent := lhs.(*ast.Ident)
-		if isIdent && id.Name != "_" {
-			obj := c.objOf(id)
-			if obj != nil && isBufferPtr(obj.Type()) {
-				if kind, ch := acquireKind(c.pass, c.g, c.effects, rhs, ri); kind != acquireNone {
-					c.bufs[obj] = &tracked{obj: obj, acquire: rhs.Pos(), kind: kind, chanExpr: ch}
-					st[obj] = bufState{s: held, pos: rhs.Pos()}
-					if len(x.Lhs) != len(x.Rhs) {
-						// buf, err := acquire(): remember the pairing so the
-						// err != nil path is known to hold nothing.
-						for _, other := range x.Lhs {
-							oid, ok := other.(*ast.Ident)
-							if !ok || oid == id {
-								continue
-							}
-							if oobj := c.objOf(oid); oobj != nil && isErrorType(oobj.Type()) {
-								c.errFor[oobj] = obj
-							}
-						}
-					}
-					if len(x.Rhs) == 1 {
-						// The single RHS is consumed by this acquire.
-						c.scanCallArgsOnly(rhs, st, x)
-						return
-					}
-					continue
-				}
-				// Reassignment from a non-acquire: tracking ends.
-				if prev, ok := st[obj]; ok && prev.s == held {
-					// Overwriting a held credit drops it.
-					c.report(obj, x.Pos(), x,
-						"registered buffer %s (acquired at %s) is overwritten while its credit is still held",
-						obj.Name(), c.pass.Fset.Position(c.bufs[obj].acquire))
-				}
-				st[obj] = bufState{s: untracked, pos: x.Pos()}
-			}
-		}
-		if rhs != nil {
-			if obj := c.trackedIdent(rhs); obj != nil {
-				if isIdent && id.Name == "_" {
-					continue // `_ = buf` discards the value; custody is unchanged
-				}
-				// Aliasing the buffer into another name (or storing it):
-				// custody follows the new owner; stop tracking here.
-				st[obj] = bufState{s: untracked, pos: x.Pos()}
-				continue
-			}
-			c.scanExpr(rhs, st, x)
-		}
-	}
-	// Non-ident LHS (field stores, index stores) may embed tracked idents
-	// on the left too (rare); treat them as escapes.
-	for _, lhs := range x.Lhs {
-		if _, ok := lhs.(*ast.Ident); ok {
-			continue
-		}
-		c.scanExpr(lhs, st, x)
-	}
-}
-
-func (c *checker) valueSpec(vs *ast.ValueSpec, st state, at ast.Stmt) {
-	for i, name := range vs.Names {
-		if i >= len(vs.Values) {
-			continue
-		}
-		obj := c.objOf(name)
-		if obj != nil && isBufferPtr(obj.Type()) {
-			if kind, ch := acquireKind(c.pass, c.g, c.effects, vs.Values[i], 0); kind != acquireNone {
-				c.bufs[obj] = &tracked{obj: obj, acquire: vs.Values[i].Pos(), kind: kind, chanExpr: ch}
-				st[obj] = bufState{s: held, pos: vs.Values[i].Pos()}
-				continue
-			}
-		}
-		c.scanExpr(vs.Values[i], st, at)
-	}
-}
-
-// reapCompletions models receiving from a completion queue: the
-// transport hands custody of completed buffers back to the application,
-// so every posted buffer leaves the analyzer's sight — which buffer a
-// given completion covers is not statically knowable.
-func (c *checker) reapCompletions(st state, at token.Pos) {
-	for obj, v := range st {
-		if v.s == posted {
-			st[obj] = bufState{s: untracked, pos: at}
-			// Path merges keep the leakiest state, which would resurrect
-			// `posted` when the reap sits in a loop body; once a completion
-			// is reaped anywhere, stop tracking the buffer outright.
-			delete(c.bufs, obj)
-		}
-	}
-}
-
-// send handles `ch <- buf`: a release when ch is a buffer free list.
-func (c *checker) send(x *ast.SendStmt, st state) {
-	obj := c.trackedIdent(x.Value)
-	if obj == nil || !isBufferChan(c.pass.TypesInfo.TypeOf(x.Chan)) {
-		if obj != nil {
-			// Sent on a non-buffer channel (inside a struct, etc.): the
-			// receiver owns it now.
-			st[obj] = bufState{s: untracked, pos: x.Pos()}
-			return
-		}
-		c.scanExpr(x.Value, st, x)
-		return
-	}
-	if prev, ok := st[obj]; ok && prev.s == released {
-		c.report(obj, x.Pos(), x,
-			"registered buffer %s is released twice on this path (previous release at %s); the duplicate credit corrupts the pool",
-			obj.Name(), c.pass.Fset.Position(prev.pos))
-	}
-	st[obj] = bufState{s: released, pos: x.Pos()}
-}
-
-// deferredCall applies a deferred statement's custody effects immediately.
-func (c *checker) deferredCall(call *ast.CallExpr, st state, at ast.Stmt) {
-	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if snd, ok := n.(*ast.SendStmt); ok {
-				c.send(snd, st)
-			}
-			return true
-		})
-		return
-	}
-	c.scanExpr(call, st, at)
-}
-
-// scanCallArgsOnly scans an acquire call's arguments without treating the
-// call itself as an escape of anything.
-func (c *checker) scanCallArgsOnly(e ast.Expr, st state, at ast.Stmt) {
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		for _, a := range call.Args {
-			c.scanExpr(a, st, at)
-		}
-	}
-}
-
-// scanExpr classifies every use of a tracked buffer inside e: posts,
-// releasing callees, memory access while posted, and everything else as a
-// custody handoff that ends tracking on this path.
-func (c *checker) scanExpr(e ast.Expr, st state, at ast.Stmt) {
-	if e == nil {
-		return
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if obj := c.trackedIdent(x); obj != nil {
-			st[obj] = bufState{s: untracked, pos: x.Pos()}
-		}
-	case *ast.CallExpr:
-		c.call(x, st, at)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			// &buf escapes.
-			if obj := c.trackedIdent(x.X); obj != nil {
-				st[obj] = bufState{s: untracked, pos: x.Pos()}
-				return
-			}
-		}
-		if x.Op == token.ARROW && isCompletionChan(c.pass.TypesInfo.TypeOf(x.X)) {
-			c.reapCompletions(st, x.Pos())
-		}
-		c.scanExpr(x.X, st, at)
-	case *ast.BinaryExpr:
-		// Comparisons (buf == nil) don't move custody.
-		if obj := c.trackedIdent(x.X); obj == nil {
-			c.scanExpr(x.X, st, at)
-		}
-		if obj := c.trackedIdent(x.Y); obj == nil {
-			c.scanExpr(x.Y, st, at)
-		}
-	case *ast.ParenExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.StarExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.SelectorExpr:
-		// buf.Method as a method value, or buf.field: handled at call
-		// sites; a bare selector on a tracked buffer is an escape.
-		if obj := c.trackedIdent(x.X); obj != nil {
-			st[obj] = bufState{s: untracked, pos: x.Pos()}
-			return
-		}
-		c.scanExpr(x.X, st, at)
-	case *ast.IndexExpr:
-		c.scanExpr(x.X, st, at)
-		c.scanExpr(x.Index, st, at)
-	case *ast.SliceExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.CompositeLit:
-		for _, elt := range x.Elts {
-			v := elt
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			if obj := c.trackedIdent(v); obj != nil {
-				// Stored in a struct/slice/map: the container owns it.
-				st[obj] = bufState{s: untracked, pos: v.Pos()}
-				continue
-			}
-			c.scanExpr(v, st, at)
-		}
-	case *ast.TypeAssertExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.FuncLit:
-		// The closure may release later; custody analysis stops here for
-		// any buffer it captures.
-		ast.Inspect(x.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := c.trackedIdent(id); obj != nil {
-					st[obj] = bufState{s: untracked, pos: id.Pos()}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// call applies one call's custody semantics.
-func (c *checker) call(call *ast.CallExpr, st state, at ast.Stmt) {
-	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		// Immediately-invoked (or go'd) literal: its captures escape.
-		c.scanExpr(fl, st, at)
-	}
-	// Memory access on a posted buffer: buf.SetLen / buf.Data / buf.Bytes.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj := c.trackedIdent(sel.X); obj != nil {
-			if _, isMethod := c.pass.TypesInfo.Selections[sel]; isMethod {
-				if prev, ok := st[obj]; ok && prev.s == posted && accessMethods[sel.Sel.Name] {
-					c.report(obj, call.Pos(), at,
-						"registered buffer %s is accessed (%s) after being posted at %s; the transport owns its memory until the completion is reaped",
-						obj.Name(), sel.Sel.Name, c.pass.Fset.Position(prev.pos))
-				}
-				for _, a := range call.Args {
-					c.scanExpr(a, st, at)
-				}
-				return
-			}
-		}
-	}
-	post := isPostCall(c.pass, call)
-	ce := calleeEffect(c.g, c.effects, call)
-	for ai, arg := range callArgs(c.pass, call) {
-		obj := c.trackedIdent(arg)
-		if obj == nil {
-			c.scanExpr(arg, st, at)
-			continue
-		}
-		switch {
-		case post && ai > 0:
-			if prev, ok := st[obj]; ok && prev.s == posted {
-				c.report(obj, call.Pos(), at,
-					"registered buffer %s is posted twice without an intervening completion (previous post at %s)",
-					obj.Name(), c.pass.Fset.Position(prev.pos))
-			}
-			st[obj] = bufState{s: posted, pos: call.Pos()}
-		case ce != nil && releasesParam(ce, ai):
-			if prev, ok := st[obj]; ok && prev.s == released {
-				c.report(obj, call.Pos(), at,
-					"registered buffer %s is released twice on this path (previous release at %s); the duplicate credit corrupts the pool",
-					obj.Name(), c.pass.Fset.Position(prev.pos))
-			}
-			st[obj] = bufState{s: released, pos: call.Pos()}
-		case ce != nil && borrowsParam(ce, ai):
-			// The callee only writes into the buffer; custody stays here.
-		default:
-			// Unknown custody: the callee (or container) owns it now.
-			st[obj] = bufState{s: untracked, pos: call.Pos()}
-		}
-	}
-}
-
-func releasesParam(e *Effect, i int) bool {
-	for _, r := range e.ParamRelease {
-		if r == i {
-			return true
-		}
-	}
-	return false
-}
-
-func borrowsParam(e *Effect, i int) bool {
-	for _, r := range e.ParamBorrowed {
-		if r == i {
-			return true
-		}
-	}
-	return false
-}
-
-// errCheck recognizes `err ==/!= nil` over an error paired with an
-// acquire; eq reports the == form.
-func (c *checker) errCheck(cond ast.Expr) (types.Object, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false
-	}
-	errSide, nilSide := be.X, be.Y
-	if isNilIdent(c.pass, errSide) {
-		errSide, nilSide = nilSide, errSide
-	}
-	if !isNilIdent(c.pass, nilSide) {
-		return nil, false
-	}
-	id, ok := ast.Unparen(errSide).(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	buf := c.errFor[c.objOf(id)]
-	if buf == nil {
-		return nil, false
-	}
-	return buf, be.Op == token.EQL
-}
-
-func isNilIdent(pass *analysis.Pass, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := pass.TypesInfo.Uses[id].(*types.Nil)
-	return isNil
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-func (c *checker) terminatesCall(call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkgID, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := c.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok {
-				path := pn.Imported().Path()
-				name := sel.Sel.Name
-				if path == "os" && name == "Exit" {
-					return true
-				}
-				if path == "log" && strings.HasPrefix(name, "Fatal") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func copyInto(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, cl := range body.List {
-		if cc, ok := cl.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BranchStmt:
-			if x.Tok == token.BREAK {
-				found = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			if n != ast.Node(body) {
-				ast.Inspect(n, func(m ast.Node) bool {
-					if b, ok := m.(*ast.BranchStmt); ok && b.Tok == token.BREAK && b.Label != nil {
-						found = true
-					}
-					return true
-				})
-				return false
-			}
-		}
-		return true
-	})
-	return found
+	return nil
 }

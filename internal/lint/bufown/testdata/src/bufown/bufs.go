@@ -128,3 +128,13 @@ func sanctioned(free chan *rdma.Buffer, bad bool) error {
 	free <- buf
 	return nil
 }
+
+// varRegister pairs the error of a `var` acquire exactly like `:=`: the
+// err != nil path holds nothing.
+func varRegister(dev *rdma.Device) (*rdma.Buffer, error) {
+	var buf, err = dev.Register(4096)
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}

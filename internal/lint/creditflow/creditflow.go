@@ -12,12 +12,14 @@
 // recovery and flush paths that tests rarely drive. Pushing the same
 // token twice is worse: the pool hands the buffer to two senders.
 //
-// The analyzer simulates each function path-sensitively (like bufown):
-// tokens are Held/Released per path, merges keep the leakiest state,
-// `buf, ok := pool.TryPop()` pairs the bool so failed-acquire branches
-// hold nothing, and custody effects of callees cross package boundaries
-// as facts. Leaks at a return get a mechanical suggested fix reinserting
-// the TryPush when the pool expression is visible at the acquire.
+// The package is a table for the typestate engine
+// (internal/lint/dataflow/typestate), which simulates each function
+// path-sensitively: tokens are Held/Released per path, merges keep the
+// leakiest state, `buf, ok := pool.TryPop()` pairs the bool so
+// failed-acquire branches hold nothing, and custody effects of callees
+// cross package boundaries as facts. Leaks at a return get a mechanical
+// suggested fix reinserting the TryPush when the pool expression is
+// visible at the acquire.
 //
 // Deliberate exceptions are annotated at the statement:
 //
@@ -25,1185 +27,86 @@
 package creditflow
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
 	"cyclojoin/internal/lint/analysis"
-	"cyclojoin/internal/lint/dataflow"
+	"cyclojoin/internal/lint/bufown"
+	"cyclojoin/internal/lint/dataflow/typestate"
 )
 
-// ringqPkg declares the MPMC pool type; rdmaPkg declares Buffer.
-const (
-	ringqPkg = "cyclojoin/internal/ringq"
-	rdmaPkg  = "cyclojoin/internal/rdma"
-)
+// ringqPkg declares the MPMC pool type.
+const ringqPkg = "cyclojoin/internal/ringq"
 
 // Analyzer flags send-credit tokens that leak or double-release.
 var Analyzer = &analysis.Analyzer{
 	Name:      "creditflow",
 	Doc:       "a send credit popped from a ringq.MPMC[*rdma.Buffer] pool must be returned (TryPush, post, or handoff) on every path, exactly once",
-	Version:   "1",
+	Version:   "2",
 	UsesFacts: true,
-	Run:       run,
+	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
 }
 
-// postMethods transfer the credit to the transport.
-var postMethods = map[string]bool{
-	"PostRecv": true, "PostSend": true, "PostWrite": true, "PostWriteImm": true,
-}
-
-func run(pass *analysis.Pass) error {
-	g := dataflow.NewGraph(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
-	effects := make(map[string]*Effect)
-	for _, imp := range pass.Pkg.Imports() {
-		for k, e := range DecodeCreditFacts(pass.ImportedFacts(imp.Path())) {
-			effects[k] = e
+var table = &typestate.Table{
+	Directive: "creditsafe",
+	Tracks:    bufown.IsBufferPtr,
+	Acquire: func(pass *analysis.Pass, e ast.Expr, slot int) (ast.Expr, bool) {
+		// pool.TryPop(): the pool is where a fix pushes the credit back.
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || slot != 0 {
+			return nil, false
 		}
-	}
-	solveEffects(pass, g, effects)
-	pass.Export(EncodeCreditFacts(effects))
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		return poolMethod(pass, call, "TryPop")
+	},
+	Release: func(pass *analysis.Pass, n ast.Node) ast.Expr {
+		// pool.TryPush(x) returns x's credit.
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 {
+			if _, ok := poolMethod(pass, call, "TryPush"); ok {
+				return call.Args[0]
 			}
-			if analysis.FuncHasDirective(fn, "creditsafe") {
-				continue
-			}
-			checkFunc(pass, g, effects, file, fn)
 		}
-	}
-	return nil
+		return nil
+	},
+	Guard: func(t types.Type) bool {
+		b, ok := t.Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Bool
+	},
+	// A post hands the credit to the transport; the completion reaper
+	// owns the repost.
+	Post: bufown.IsPostCall,
+	Msg: typestate.Messages{
+		Held:          "send credit %s (popped at %s) is not returned on this path; push it back to its pool before returning, or annotate //cyclolint:creditsafe with the custody argument",
+		BackEdge:      "send credit %s is still held at the loop's back edge; return it before the iteration ends, or annotate //cyclolint:creditsafe",
+		Overwrite:     "send credit %s (popped at %s) is overwritten while still held",
+		DoubleRelease: "send credit %s is returned twice on this path (previous return at %s); the duplicate credit hands the buffer to two senders",
+		Fix:           "return the credit %s to its pool",
+		FixText:       "%s.TryPush(%s)",
+	},
 }
 
-// isBufferPtr reports whether t is *rdma.Buffer.
-func isBufferPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
+// poolMethod matches a call of the named method on a credit pool,
+// returning the pool expression.
+func poolMethod(pass *analysis.Pass, call *ast.CallExpr, name string) (ast.Expr, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return nil, false
 	}
-	return analysis.IsNamed(ptr.Elem(), rdmaPkg, "Buffer")
-}
-
-// isBufferChan reports whether t is a channel of *rdma.Buffer (a credit
-// handoff lane between goroutines).
-func isBufferChan(t types.Type) bool {
-	if t == nil {
-		return false
+	selection, ok := pass.TypesInfo.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal || !isCreditPool(selection.Recv()) {
+		return nil, false
 	}
-	ch, ok := t.Underlying().(*types.Chan)
-	return ok && isBufferPtr(ch.Elem())
+	return sel.X, true
 }
 
 // isCreditPool reports whether t is ringq.MPMC[*rdma.Buffer] (possibly
 // behind a pointer) — the send-credit ledger type.
 func isCreditPool(t types.Type) bool {
-	if t == nil {
+	if !analysis.IsNamed(t, ringqPkg, "MPMC") {
 		return false
 	}
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Name() != "MPMC" || obj.Pkg() == nil || obj.Pkg().Path() != ringqPkg {
-		return false
-	}
-	args := named.TypeArgs()
-	return args != nil && args.Len() == 1 && isBufferPtr(args.At(0))
-}
-
-// poolPop returns the pool expression of a `pool.TryPop()` credit
-// acquire, or nil.
-func poolPop(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "TryPop" {
-		return nil
-	}
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal || !isCreditPool(selection.Recv()) {
-		return nil
-	}
-	return sel.X
-}
-
-// poolPush returns the pushed argument of a `pool.TryPush(x)` credit
-// release, or nil.
-func poolPush(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "TryPush" || len(call.Args) != 1 {
-		return nil
-	}
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal || !isCreditPool(selection.Recv()) {
-		return nil
-	}
-	return call.Args[0]
-}
-
-// isPostCall reports PostRecv/PostSend/PostWrite/PostWriteImm with a
-// buffer argument: the transport takes the credit.
-func isPostCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !postMethods[sel.Sel.Name] {
-		return false
-	}
-	if _, ok := pass.TypesInfo.Selections[sel]; !ok {
-		return false
-	}
-	for _, a := range call.Args {
-		if isBufferPtr(pass.TypesInfo.TypeOf(a)) {
-			return true
-		}
-	}
-	return false
-}
-
-// ---- effect inference (flow-insensitive, with alias closure) ----
-
-func solveEffects(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect) {
-	fns := g.All()
-	const maxRounds = 8
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, fn := range fns {
-			e := inferEffect(pass, g, effects, fn)
-			old := effects[fn.Key()]
-			if !effectsEqual(old, e) {
-				effects[fn.Key()] = e
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-func effectsEqual(a, b *Effect) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return intsEqual(a.ParamRelease, b.ParamRelease) &&
-		intsEqual(a.ParamBorrowed, b.ParamBorrowed) &&
-		intsEqual(a.AcquiresResult, b.AcquiresResult)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func combinedParams(fn *dataflow.Func) []*types.Var {
-	sig := fn.Obj.Type().(*types.Signature)
-	var out []*types.Var
-	if sig.Recv() != nil {
-		out = append(out, sig.Recv())
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
-}
-
-// inferEffect derives fn's credit effect: which buffer parameters it
-// returns to a pool (directly or via a releasing callee, through simple
-// local aliases), and which results carry a freshly popped credit.
-func inferEffect(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, fn *dataflow.Func) *Effect {
-	e := &Effect{Key: fn.Key()}
-	if fn.Decl.Body == nil {
-		return e
-	}
-	params := combinedParams(fn)
-
-	objOf := func(id *ast.Ident) types.Object {
-		if o := pass.TypesInfo.Defs[id]; o != nil {
-			return o
-		}
-		return pass.TypesInfo.Uses[id]
-	}
-	paramIdx := make(map[types.Object]int)
-	for i, p := range params {
-		if isBufferPtr(p.Type()) {
-			paramIdx[p] = i
-		}
-	}
-	acquired := make(map[types.Object]bool)
-	for round := 0; round < 2; round++ {
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				lobj := objOf(id)
-				if lobj == nil || !isBufferPtr(lobj.Type()) {
-					continue
-				}
-				if i < len(as.Rhs) && len(as.Lhs) == len(as.Rhs) {
-					if rid, ok := ast.Unparen(as.Rhs[i]).(*ast.Ident); ok {
-						if robj := objOf(rid); robj != nil {
-							if idx, ok := paramIdx[robj]; ok {
-								paramIdx[lobj] = idx
-							}
-							if acquired[robj] {
-								acquired[lobj] = true
-							}
-						}
-						continue
-					}
-				}
-				rhs := as.Rhs[0]
-				if len(as.Lhs) == len(as.Rhs) {
-					rhs = as.Rhs[i]
-				}
-				if kind, _ := acquireKind(pass, g, effects, rhs, i); kind != acquireNone {
-					acquired[lobj] = true
-				}
-			}
-			return true
-		})
-	}
-
-	released := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			if !isBufferChan(pass.TypesInfo.TypeOf(x.Chan)) {
-				return true
-			}
-			if id, ok := ast.Unparen(x.Value).(*ast.Ident); ok {
-				if idx, ok := paramIdx[objOf(id)]; ok {
-					released[idx] = true
-				}
-			}
-		case *ast.CallExpr:
-			if arg := poolPush(pass, x); arg != nil {
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-					if idx, ok := paramIdx[objOf(id)]; ok {
-						released[idx] = true
-					}
-				}
-				return true
-			}
-			for ai, arg := range callArgs(pass, x) {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				idx, ok := paramIdx[objOf(id)]
-				if !ok {
-					continue
-				}
-				if isPostCall(pass, x) && ai > 0 && isBufferPtr(pass.TypesInfo.TypeOf(arg)) {
-					released[idx] = true
-					continue
-				}
-				if ce := calleeEffect(g, effects, x); ce != nil {
-					for _, r := range ce.ParamRelease {
-						if r == ai {
-							released[idx] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	for idx := range released {
-		e.ParamRelease = append(e.ParamRelease, idx)
-	}
-	sort.Ints(e.ParamRelease)
-
-	// ParamBorrowed: every use keeps custody with the caller.
-	parent := buildParents(fn.Decl.Body)
-	escaped := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		idx, ok := paramIdx[objOf(id)]
-		if !ok {
-			return true
-		}
-		if !borrowUseSafe(pass, g, effects, parent, id, objOf) {
-			escaped[idx] = true
-		}
-		return true
-	})
-	for i, p := range params {
-		if !isBufferPtr(p.Type()) || released[i] || escaped[i] {
-			continue
-		}
-		e.ParamBorrowed = append(e.ParamBorrowed, i)
-	}
-	sort.Ints(e.ParamBorrowed)
-
-	fresh := make(map[int]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for j, res := range ret.Results {
-			if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-				if acquired[objOf(id)] {
-					fresh[j] = true
-				}
-				continue
-			}
-			if kind, _ := acquireKind(pass, g, effects, res, j); kind != acquireNone {
-				fresh[j] = true
-			}
-		}
-		return true
-	})
-	for j := range fresh {
-		e.AcquiresResult = append(e.AcquiresResult, j)
-	}
-	sort.Ints(e.AcquiresResult)
-	return e
-}
-
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parent := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parent[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parent
-}
-
-func borrowUseSafe(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect,
-	parent map[ast.Node]ast.Node, id *ast.Ident, objOf func(*ast.Ident) types.Object) bool {
-	var n ast.Node = id
-	p := parent[n]
-	for {
-		if pe, ok := p.(*ast.ParenExpr); ok {
-			n = pe
-			p = parent[pe]
-			continue
-		}
-		break
-	}
-	switch x := p.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range x.Lhs {
-			if lhs == n {
-				return true
-			}
-			if i < len(x.Rhs) && x.Rhs[i] == n && len(x.Lhs) == len(x.Rhs) {
-				if lid, ok := lhs.(*ast.Ident); ok {
-					if lid.Name == "_" {
-						return true
-					}
-					if lo := objOf(lid); lo != nil && isBufferPtr(lo.Type()) {
-						return true
-					}
-				}
-			}
-		}
-		return false
-	case *ast.SendStmt:
-		return x.Value == n && isBufferChan(pass.TypesInfo.TypeOf(x.Chan))
-	case *ast.BinaryExpr:
-		return true
-	case *ast.SelectorExpr:
-		if x.X != n {
-			return false
-		}
-		call, ok := parent[x].(*ast.CallExpr)
-		if !ok || call.Fun != ast.Node(x) {
-			return false
-		}
-		_, isMethod := pass.TypesInfo.Selections[x]
-		return isMethod
-	case *ast.CallExpr:
-		if x.Fun == n {
-			return false
-		}
-		if arg := poolPush(pass, x); arg != nil && ast.Unparen(arg) == n {
-			return true // a release, already counted
-		}
-		for ai, arg := range callArgs(pass, x) {
-			if arg != n {
-				continue
-			}
-			if isPostCall(pass, x) && ai > 0 && isBufferPtr(pass.TypesInfo.TypeOf(arg)) {
-				return true
-			}
-			if ce := calleeEffect(g, effects, x); ce != nil {
-				return releasesParam(ce, ai) || borrowsParam(ce, ai)
-			}
-			return false
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-func callArgs(pass *analysis.Pass, call *ast.CallExpr) []ast.Expr {
-	var out []ast.Expr
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if _, isMethod := pass.TypesInfo.Selections[sel]; isMethod {
-			out = append(out, sel.X)
-		}
-	}
-	return append(out, call.Args...)
-}
-
-func calleeEffect(g *dataflow.Graph, effects map[string]*Effect, call *ast.CallExpr) *Effect {
-	fn := g.StaticCallee(call)
-	if fn == nil {
-		return nil
-	}
-	return effects[dataflow.FuncKey(fn)]
-}
-
-type acquire int
-
-const (
-	acquireNone acquire = iota
-	acquirePool         // pool.TryPop(): the home pool is visible
-	acquireCall         // effect callee: no visible home pool
-)
-
-// acquireKind classifies an acquire expression feeding result slot i
-// and, for direct pool pops, returns the pool expression.
-func acquireKind(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, e ast.Expr, i int) (acquire, ast.Expr) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return acquireNone, nil
-	}
-	if pool := poolPop(pass, call); pool != nil && i == 0 {
-		return acquirePool, pool
-	}
-	if ce := calleeEffect(g, effects, call); ce != nil {
-		for _, j := range ce.AcquiresResult {
-			if j == i {
-				return acquireCall, nil
-			}
-		}
-	}
-	return acquireNone, nil
-}
-
-// ---- path-sensitive typestate walk ----
-
-type status int
-
-const (
-	untracked status = iota
-	releasedS
-	held // highest wins on merge: a leak on any path is a leak
-)
-
-type credState struct {
-	s   status
-	pos token.Pos
-}
-
-type state map[types.Object]credState
-
-func (s state) clone() state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func (s state) merge(other state) {
-	for k, v := range other {
-		if v.s > s[k].s {
-			s[k] = v
-		}
-	}
-}
-
-type tracked struct {
-	obj      types.Object
-	acquire  token.Pos
-	kind     acquire
-	poolExpr ast.Expr // the home pool, when kind == acquirePool
-}
-
-type checker struct {
-	pass    *analysis.Pass
-	g       *dataflow.Graph
-	effects map[string]*Effect
-	file    *ast.File
-	fn      *ast.FuncDecl
-
-	bufs map[types.Object]*tracked
-	// okFor pairs the bool of `buf, ok := pool.TryPop()` with its buffer:
-	// on the !ok path the pop failed and nothing is held.
-	okFor    map[types.Object]types.Object
-	hasGoto  bool
-	reported map[posKey]bool
-}
-
-type posKey struct {
-	obj types.Object
-	pos token.Pos
-}
-
-func checkFunc(pass *analysis.Pass, g *dataflow.Graph, effects map[string]*Effect, file *ast.File, fn *ast.FuncDecl) {
-	c := &checker{
-		pass:     pass,
-		g:        g,
-		effects:  effects,
-		file:     file,
-		fn:       fn,
-		bufs:     make(map[types.Object]*tracked),
-		okFor:    make(map[types.Object]types.Object),
-		reported: make(map[posKey]bool),
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
-			c.hasGoto = true
-		}
-		return true
-	})
-	if c.hasGoto {
-		return
-	}
-	st := make(state)
-	terminated := c.stmt(fn.Body, st)
-	if !terminated {
-		c.reportHeld(st, fn.Body.End(), fn.Body)
-	}
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Defs[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Uses[id]
-}
-
-func (c *checker) trackedIdent(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := c.objOf(id)
-	if obj == nil || c.bufs[obj] == nil {
-		return nil
-	}
-	return obj
-}
-
-func (c *checker) exempt(at ast.Node) bool {
-	return c.pass.HasDirective(c.file, at, "creditsafe")
-}
-
-func (c *checker) report(obj types.Object, at token.Pos, node ast.Node, format string, args ...any) {
-	key := posKey{obj, at}
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	if node != nil && c.exempt(node) {
-		return
-	}
-	c.pass.Reportf(at, format, args...)
-}
-
-func (c *checker) reportHeld(st state, at token.Pos, node ast.Node) {
-	for obj, v := range st {
-		if v.s != held {
-			continue
-		}
-		tr := c.bufs[obj]
-		key := posKey{obj, at}
-		if c.reported[key] {
-			continue
-		}
-		c.reported[key] = true
-		if node != nil && c.exempt(node) {
-			continue
-		}
-		d := analysis.Diagnostic{
-			Pos: at,
-			Message: "send credit " + obj.Name() + " (popped at " +
-				c.pass.Fset.Position(tr.acquire).String() + ") is not returned on this path; push it back to its pool before returning, or annotate //cyclolint:creditsafe with the custody argument",
-		}
-		if tr.kind == acquirePool && tr.poolExpr != nil {
-			if fix := c.releaseFix(tr, obj, at); fix != nil {
-				d.Fixes = append(d.Fixes, *fix)
-			}
-		}
-		c.pass.Report(d)
-	}
-}
-
-// releaseFix builds the `pool.TryPush(buf)` insertion in front of the
-// leaking return, matching the return's indentation.
-func (c *checker) releaseFix(tr *tracked, obj types.Object, at token.Pos) *analysis.SuggestedFix {
-	var poolSrc bytes.Buffer
-	if err := printer.Fprint(&poolSrc, c.pass.Fset, tr.poolExpr); err != nil {
-		return nil
-	}
-	pos := c.pass.Fset.Position(at)
-	indent := strings.Repeat("\t", pos.Column-1)
-	return &analysis.SuggestedFix{
-		Message: "return the credit " + obj.Name() + " to its pool",
-		Edits: []analysis.TextEdit{{
-			Pos:     at,
-			End:     at,
-			NewText: poolSrc.String() + ".TryPush(" + obj.Name() + ")\n" + indent,
-		}},
-	}
-}
-
-// ---- statement simulation ----
-
-func (c *checker) stmt(s ast.Stmt, st state) bool {
-	switch x := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return c.stmtList(x.List, st)
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if c.terminatesCall(call) {
-				c.scanExpr(x.X, st, x)
-				return true
-			}
-		}
-		c.scanExpr(x.X, st, x)
-		return false
-	case *ast.AssignStmt:
-		c.assign(x, st)
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, name := range vs.Names {
-						if i < len(vs.Values) {
-							c.scanExpr(vs.Values[i], st, x)
-						}
-						_ = name
-					}
-				}
-			}
-		}
-		return false
-	case *ast.SendStmt:
-		c.send(x, st)
-		return false
-	case *ast.DeferStmt:
-		c.deferredCall(x.Call, st, x)
-		return false
-	case *ast.GoStmt:
-		c.scanExpr(x.Call, st, x)
-		return false
-	case *ast.ReturnStmt:
-		for _, res := range x.Results {
-			if obj := c.trackedIdent(res); obj != nil {
-				// Returning the token transfers the obligation upward.
-				st[obj] = credState{s: untracked, pos: x.Pos()}
-				continue
-			}
-			c.scanExpr(res, st, x)
-		}
-		c.reportHeld(st, x.Pos(), x)
-		return true
-	case *ast.IfStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Cond, st, x)
-		thenSt := st.clone()
-		elseSt := st.clone()
-		if bufObj, thenHolds := c.okCheck(x.Cond); bufObj != nil {
-			if thenHolds {
-				// if ok: the pop failed on the else path.
-				elseSt[bufObj] = credState{s: untracked, pos: x.Cond.Pos()}
-			} else {
-				// if !ok: the pop failed on the then path.
-				thenSt[bufObj] = credState{s: untracked, pos: x.Cond.Pos()}
-			}
-		}
-		thenTerm := c.stmt(x.Body, thenSt)
-		elseTerm := false
-		if x.Else != nil {
-			elseTerm = c.stmt(x.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			copyInto(st, elseSt)
-		case elseTerm:
-			copyInto(st, thenSt)
-		default:
-			copyInto(st, thenSt)
-			st.merge(elseSt)
-		}
-		return false
-	case *ast.ForStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Cond, st, x)
-		c.loopBody(x.Body, st)
-		return x.Cond == nil && !hasBreak(x.Body)
-	case *ast.RangeStmt:
-		c.scanExpr(x.X, st, x)
-		c.loopBody(x.Body, st)
-		return false
-	case *ast.SwitchStmt:
-		c.stmt(x.Init, st)
-		c.scanExpr(x.Tag, st, x)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.TypeSwitchStmt:
-		c.stmt(x.Init, st)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.SelectStmt:
-		return c.clauses(x.Body, st, true)
-	case *ast.LabeledStmt:
-		return c.stmt(x.Stmt, st)
-	case *ast.BranchStmt:
-		return true
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		return false
-	default:
-		return false
-	}
-}
-
-func (c *checker) stmtList(list []ast.Stmt, st state) bool {
-	for _, s := range list {
-		if c.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) loopBody(body *ast.BlockStmt, st state) {
-	bodySt := st.clone()
-	terminated := c.stmt(body, bodySt)
-	if !terminated {
-		for obj, v := range bodySt {
-			if v.s != held || st[obj].s == held {
-				continue
-			}
-			tr := c.bufs[obj]
-			if tr == nil || tr.acquire < body.Pos() || body.End() <= tr.acquire {
-				continue
-			}
-			c.report(obj, tr.acquire, nil,
-				"send credit %s is still held at the loop's back edge; return it before the iteration ends, or annotate //cyclolint:creditsafe",
-				obj.Name())
-			bodySt[obj] = credState{s: untracked, pos: v.pos}
-		}
-	}
-	st.merge(bodySt)
-}
-
-func (c *checker) clauses(body *ast.BlockStmt, st state, exhaustive bool) bool {
-	pre := st.clone()
-	allTerm := true
-	first := true
-	for _, cl := range body.List {
-		clSt := pre.clone()
-		var term bool
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			term = c.stmtList(cc.Body, clSt)
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				c.stmt(cc.Comm, clSt)
-			}
-			term = c.stmtList(cc.Body, clSt)
-		default:
-			continue
-		}
-		if term {
-			continue
-		}
-		allTerm = false
-		if first {
-			copyInto(st, clSt)
-			first = false
-		} else {
-			st.merge(clSt)
-		}
-	}
-	if !exhaustive {
-		if first {
-			copyInto(st, pre)
-		} else {
-			st.merge(pre)
-		}
-		return false
-	}
-	return allTerm
-}
-
-// assign handles acquires (LHS becomes held) and alias/escape on the RHS.
-func (c *checker) assign(x *ast.AssignStmt, st state) {
-	for i, lhs := range x.Lhs {
-		var rhs ast.Expr
-		ri := i
-		if len(x.Lhs) == len(x.Rhs) {
-			rhs = x.Rhs[i]
-			ri = 0
-		} else if len(x.Rhs) == 1 {
-			rhs = x.Rhs[0]
-		} else {
-			continue
-		}
-		id, isIdent := lhs.(*ast.Ident)
-		if isIdent && id.Name != "_" {
-			obj := c.objOf(id)
-			if obj != nil && isBufferPtr(obj.Type()) {
-				if kind, pool := acquireKind(c.pass, c.g, c.effects, rhs, ri); kind != acquireNone {
-					c.bufs[obj] = &tracked{obj: obj, acquire: rhs.Pos(), kind: kind, poolExpr: pool}
-					st[obj] = credState{s: held, pos: rhs.Pos()}
-					if len(x.Lhs) != len(x.Rhs) {
-						// buf, ok := pool.TryPop(): pair the bool so the
-						// failed-pop path is known to hold nothing.
-						for _, other := range x.Lhs {
-							oid, ok := other.(*ast.Ident)
-							if !ok || oid == id {
-								continue
-							}
-							if oobj := c.objOf(oid); oobj != nil && isBoolType(oobj.Type()) {
-								c.okFor[oobj] = obj
-							}
-						}
-					}
-					if len(x.Rhs) == 1 {
-						c.scanCallArgsOnly(rhs, st, x)
-						return
-					}
-					continue
-				}
-				if prev, ok := st[obj]; ok && prev.s == held {
-					c.report(obj, x.Pos(), x,
-						"send credit %s (popped at %s) is overwritten while still held",
-						obj.Name(), c.pass.Fset.Position(c.bufs[obj].acquire))
-				}
-				st[obj] = credState{s: untracked, pos: x.Pos()}
-			}
-		}
-		if rhs != nil {
-			if obj := c.trackedIdent(rhs); obj != nil {
-				if isIdent && id.Name == "_" {
-					continue
-				}
-				st[obj] = credState{s: untracked, pos: x.Pos()}
-				continue
-			}
-			c.scanExpr(rhs, st, x)
-		}
-	}
-	for _, lhs := range x.Lhs {
-		if _, ok := lhs.(*ast.Ident); ok {
-			continue
-		}
-		c.scanExpr(lhs, st, x)
-	}
-}
-
-// send handles `ch <- buf`: a credit handoff to the receiving goroutine.
-func (c *checker) send(x *ast.SendStmt, st state) {
-	obj := c.trackedIdent(x.Value)
-	if obj == nil {
-		c.scanExpr(x.Value, st, x)
-		return
-	}
-	st[obj] = credState{s: untracked, pos: x.Pos()}
-}
-
-func (c *checker) deferredCall(call *ast.CallExpr, st state, at ast.Stmt) {
-	// A deferred release covers every return after it; immediate is sound
-	// for leak checking.
-	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if inner, ok := n.(*ast.CallExpr); ok {
-				if arg := poolPush(c.pass, inner); arg != nil {
-					if obj := c.trackedIdent(arg); obj != nil {
-						c.release(obj, inner.Pos(), at, st)
-					}
-				}
-			}
-			return true
-		})
-		return
-	}
-	c.scanExpr(call, st, at)
-}
-
-func (c *checker) scanCallArgsOnly(e ast.Expr, st state, at ast.Stmt) {
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		for _, a := range call.Args {
-			c.scanExpr(a, st, at)
-		}
-	}
-}
-
-// release moves obj to released, reporting the duplicate-credit case.
-func (c *checker) release(obj types.Object, at token.Pos, node ast.Node, st state) {
-	if prev, ok := st[obj]; ok && prev.s == releasedS {
-		c.report(obj, at, node,
-			"send credit %s is returned twice on this path (previous return at %s); the duplicate credit hands the buffer to two senders",
-			obj.Name(), c.pass.Fset.Position(prev.pos))
-	}
-	st[obj] = credState{s: releasedS, pos: at}
-}
-
-// scanExpr classifies every use of a tracked credit inside e.
-func (c *checker) scanExpr(e ast.Expr, st state, at ast.Stmt) {
-	if e == nil {
-		return
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if obj := c.trackedIdent(x); obj != nil {
-			st[obj] = credState{s: untracked, pos: x.Pos()}
-		}
-	case *ast.CallExpr:
-		c.call(x, st, at)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if obj := c.trackedIdent(x.X); obj != nil {
-				st[obj] = credState{s: untracked, pos: x.Pos()}
-				return
-			}
-		}
-		c.scanExpr(x.X, st, at)
-	case *ast.BinaryExpr:
-		if obj := c.trackedIdent(x.X); obj == nil {
-			c.scanExpr(x.X, st, at)
-		}
-		if obj := c.trackedIdent(x.Y); obj == nil {
-			c.scanExpr(x.Y, st, at)
-		}
-	case *ast.ParenExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.StarExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.SelectorExpr:
-		if obj := c.trackedIdent(x.X); obj != nil {
-			st[obj] = credState{s: untracked, pos: x.Pos()}
-			return
-		}
-		c.scanExpr(x.X, st, at)
-	case *ast.IndexExpr:
-		c.scanExpr(x.X, st, at)
-		c.scanExpr(x.Index, st, at)
-	case *ast.SliceExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.CompositeLit:
-		for _, elt := range x.Elts {
-			v := elt
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			if obj := c.trackedIdent(v); obj != nil {
-				st[obj] = credState{s: untracked, pos: v.Pos()}
-				continue
-			}
-			c.scanExpr(v, st, at)
-		}
-	case *ast.TypeAssertExpr:
-		c.scanExpr(x.X, st, at)
-	case *ast.FuncLit:
-		ast.Inspect(x.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := c.trackedIdent(id); obj != nil {
-					st[obj] = credState{s: untracked, pos: id.Pos()}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// call applies one call's credit semantics.
-func (c *checker) call(call *ast.CallExpr, st state, at ast.Stmt) {
-	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		c.scanExpr(fl, st, at)
-	}
-	if arg := poolPush(c.pass, call); arg != nil {
-		if obj := c.trackedIdent(arg); obj != nil {
-			c.release(obj, call.Pos(), at, st)
-			return
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj := c.trackedIdent(sel.X); obj != nil {
-			if _, isMethod := c.pass.TypesInfo.Selections[sel]; isMethod {
-				// Methods on the buffer itself only touch its memory.
-				for _, a := range call.Args {
-					c.scanExpr(a, st, at)
-				}
-				return
-			}
-		}
-	}
-	post := isPostCall(c.pass, call)
-	ce := calleeEffect(c.g, c.effects, call)
-	for ai, arg := range callArgs(c.pass, call) {
-		obj := c.trackedIdent(arg)
-		if obj == nil {
-			c.scanExpr(arg, st, at)
-			continue
-		}
-		switch {
-		case post && ai > 0:
-			// The transport holds the credit until completion; the reaper
-			// owns the repost.
-			st[obj] = credState{s: untracked, pos: call.Pos()}
-		case ce != nil && releasesParam(ce, ai):
-			c.release(obj, call.Pos(), at, st)
-		case ce != nil && borrowsParam(ce, ai):
-			// Custody stays here.
-		default:
-			st[obj] = credState{s: untracked, pos: call.Pos()}
-		}
-	}
-}
-
-func releasesParam(e *Effect, i int) bool {
-	for _, r := range e.ParamRelease {
-		if r == i {
-			return true
-		}
-	}
-	return false
-}
-
-func borrowsParam(e *Effect, i int) bool {
-	for _, r := range e.ParamBorrowed {
-		if r == i {
-			return true
-		}
-	}
-	return false
-}
-
-// okCheck recognizes `if ok` / `if !ok` over a bool paired with a pop;
-// thenHolds reports whether the token is held on the then path.
-func (c *checker) okCheck(cond ast.Expr) (types.Object, bool) {
-	neg := false
-	e := ast.Unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		neg = true
-		e = ast.Unparen(u.X)
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	buf := c.okFor[c.objOf(id)]
-	if buf == nil {
-		return nil, false
-	}
-	return buf, !neg
-}
-
-func isBoolType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Bool
-}
-
-func (c *checker) terminatesCall(call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkgID, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := c.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok {
-				path := pn.Imported().Path()
-				name := sel.Sel.Name
-				if path == "os" && name == "Exit" {
-					return true
-				}
-				if path == "log" && strings.HasPrefix(name, "Fatal") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func copyInto(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, cl := range body.List {
-		if cc, ok := cl.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BranchStmt:
-			if x.Tok == token.BREAK {
-				found = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			if n != ast.Node(body) {
-				ast.Inspect(n, func(m ast.Node) bool {
-					if b, ok := m.(*ast.BranchStmt); ok && b.Tok == token.BREAK && b.Label != nil {
-						found = true
-					}
-					return true
-				})
-				return false
-			}
-		}
-		return true
-	})
-	return found
+	args := t.(*types.Named).TypeArgs()
+	return args.Len() == 1 && bufown.IsBufferPtr(args.At(0))
 }

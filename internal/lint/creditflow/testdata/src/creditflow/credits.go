@@ -131,3 +131,17 @@ func (n *node) sanctioned(bad bool) error {
 	n.freeSend.TryPush(buf)
 	return nil
 }
+
+// varLeak pairs the bool of a `var` pop exactly like `:=`, and still sees
+// the leak.
+func (n *node) varLeak(bad bool) error {
+	var buf, ok = n.freeSend.TryPop()
+	if !ok {
+		return nil
+	}
+	if bad {
+		return errStopping // want `send credit buf .* is not returned on this path`
+	}
+	n.freeSend.TryPush(buf)
+	return nil
+}

@@ -21,9 +21,9 @@
 //     package boundaries through the driver's fact store (the vetx file,
 //     in go vet mode).
 //
-// Analyzers with bespoke state machines (bufown's buffer typestate,
-// lockorder's lock-set walk) use Graph and the fact plumbing directly and
-// keep their own per-function walkers.
+// Path-sensitive acquire/release checks (bufown, creditflow, spanpair)
+// are tables over the typestate subpackage; lockorder's lock-set walk
+// uses Graph and the fact plumbing directly.
 package dataflow
 
 import (
@@ -95,7 +95,11 @@ func NewGraph(fset *token.FileSet, pkg *types.Package, info *types.Info, files [
 			g.ordered = append(g.ordered, fn)
 		}
 	}
-	sort.Slice(g.ordered, func(i, j int) bool { return g.ordered[i].Key() < g.ordered[j].Key() })
+	keys := make(map[*Func]string, len(g.ordered))
+	for _, fn := range g.ordered {
+		keys[fn] = fn.Key()
+	}
+	sort.Slice(g.ordered, func(i, j int) bool { return keys[g.ordered[i]] < keys[g.ordered[j]] })
 	return g
 }
 

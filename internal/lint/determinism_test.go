@@ -12,26 +12,6 @@ import (
 	"cyclojoin/internal/lint/load"
 )
 
-// protocolAnalyzers picks the fact-threading concurrency-protocol
-// analyzers out of the suite.
-func protocolAnalyzers(t *testing.T) []*analysis.Analyzer {
-	t.Helper()
-	want := map[string]bool{
-		"spscrole": true, "frozenpub": true, "creditflow": true,
-		"shareguard": true, "waitcycle": true,
-	}
-	var out []*analysis.Analyzer
-	for _, a := range lint.Analyzers() {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	if len(out) != len(want) {
-		t.Fatalf("suite has %d of the %d protocol analyzers", len(out), len(want))
-	}
-	return out
-}
-
 // transcript runs the analyzers over every package in the module,
 // threading facts in dependency order, and renders diagnostics plus
 // exported fact bytes into one canonical string.
@@ -82,18 +62,17 @@ func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
 	return strings.Join(lines, "\n") + "\n---\n" + strings.Join(factLines, "\n")
 }
 
-// TestProtocolAnalyzersDeterministic runs the fact-threading analyzers twice
-// over the whole module and requires byte-identical diagnostics and
-// facts. Map-iteration nondeterminism in the fixpoints or encoders would
-// flap vet's cache and CI; this runs under `make race` for the schedule
+// TestProtocolAnalyzersDeterministic runs the whole suite twice over the
+// whole module and requires byte-identical diagnostics and facts.
+// Map-iteration nondeterminism in the fixpoints or encoders would flap
+// vet's cache and CI; this runs under `make race` for the schedule
 // jitter.
 func TestProtocolAnalyzersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the whole module")
 	}
-	analyzers := protocolAnalyzers(t)
-	first := transcript(t, analyzers)
-	second := transcript(t, analyzers)
+	first := transcript(t, lint.Analyzers())
+	second := transcript(t, lint.Analyzers())
 	if first != second {
 		t.Errorf("analyzer output is nondeterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}

@@ -14,6 +14,9 @@
 //	unsafeonly   — unsafe confined to build-tagged endian files
 //	metricname   — metric names are greppable, unit-suffixed literals
 //
+// bufown, creditflow and spanpair are three tables over one
+// path-sensitive typestate engine, dataflow/typestate.
+//
 // Drivers (cmd/cyclolint standalone and vettool modes, linttest) consume
 // Analyzers(); the suite order is stable for deterministic output.
 package lint

@@ -8,29 +8,29 @@
 // in exactly the paths tests rarely drive: shutdown selects, bind errors,
 // full-queue bailouts.
 //
-// The analyzer tracks locals of the form
-//
-//	pd := shard.Begin(...)
-//
-// and simulates the function body path-sensitively: each tracked span is
-// NotYet/Open/Closed per control-flow path, branches merge
+// The package is a table for the typestate engine
+// (internal/lint/dataflow/typestate): a Pending bound from Begin is Open
+// along each control-flow path until End closes it; branches merge
 // open-if-any-path-open, `defer shard.End(pd)` closes the span for every
 // return after it, and panic/os.Exit paths are exempt. A span still Open
 // at a return is reported at that return; a loop whose body Begins a span
 // that is still Open at the back edge is reported at the Begin.
 //
-// Spans whose Pending escapes the function — stored in a struct field or
-// map (the ring's send-reaper pattern), passed to a helper other than
-// End — are skipped: cross-function pairing is the owner's contract, not
-// this analyzer's.
+// Spans whose Pending escapes the function anywhere — stored in a struct
+// field or map (the ring's send-reaper pattern), passed to a helper other
+// than End — are skipped: cross-function pairing is the owner's contract,
+// not this analyzer's. Setting its correlation fields and probing Active
+// are plain uses, and a go'd helper that Ends the Pending takes the
+// obligation over.
 package spanpair
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 
 	"cyclojoin/internal/lint/analysis"
+	"cyclojoin/internal/lint/dataflow/typestate"
 )
 
 // tracePkg declares Shard and Pending.
@@ -40,606 +40,111 @@ const tracePkg = "cyclojoin/internal/trace"
 var Analyzer = &analysis.Analyzer{
 	Name: "spanpair",
 	Doc:  "every trace.Shard.Begin must reach a matching End on all return paths (defer-aware)",
-	Run:  run,
+	Run:  func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
 }
 
-func run(pass *analysis.Pass) error {
-	if pass.Pkg.Path() == tracePkg {
-		return nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, fn)
-		}
+var table = &typestate.Table{
+	Skip:   tracePkg,
+	Tracks: isPending,
+	Acquire: func(pass *analysis.Pass, e ast.Expr, slot int) (ast.Expr, bool) {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		return nil, ok && pass.IsMethodOn(call, tracePkg, "Shard", "Begin")
+	},
+	Release: release,
+	Escapes: escapes,
+	Msg: typestate.Messages{
+		Held:     "trace span %s (Begin at %s) is still open on this return path; call End before returning or defer it",
+		BackEdge: "trace span %s is still open at the loop's back edge; the next iteration's Begin orphans it — End it before the iteration ends",
+	},
+}
+
+func isPending(t types.Type) bool {
+	return analysis.IsNamed(t, tracePkg, "Pending")
+}
+
+// release matches End(pd).
+func release(pass *analysis.Pass, n ast.Node) ast.Expr {
+	if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 && pass.IsMethodOn(call, tracePkg, "Shard", "End") {
+		return call.Args[0]
 	}
 	return nil
 }
 
-type status int
-
-const (
-	notYet status = iota
-	closed
-	open // highest wins on merge
-)
-
-// span is one tracked Begin site.
-type span struct {
-	obj   types.Object
-	begin token.Pos
-}
-
-type checker struct {
-	pass    *analysis.Pass
-	spans   map[types.Object]*span
-	hasGoto bool
-	// reported dedups diagnostics per (object, position).
-	reported map[posKey]bool
-	// decls lazily maps package-level function objects to their
-	// declarations, for resolving go'd helper bodies.
-	decls map[types.Object]*ast.FuncDecl
-}
-
-type posKey struct {
-	obj types.Object
-	pos token.Pos
-}
-
-// state maps tracked span objects to their status along one path.
-type state map[types.Object]status
-
-func (s state) clone() state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
+// escapes finds the Pendings in body used other than as a declared name,
+// an assignment target, the base of a field or method selection, End's
+// argument, or the argument of a go'd helper that Ends it.
+func escapes(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	parents := typestate.Parents(body)
+	out := make(map[types.Object]bool)
+	for n, p := range parents {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj := pass.TypesInfo.Uses[id]
+		if obj == nil {
+			obj = pass.TypesInfo.Defs[id]
+		}
+		if obj == nil || !isPending(obj.Type()) {
+			continue
+		}
+		allowed := false
+		switch p := p.(type) {
+		case *ast.ValueSpec:
+			allowed = slices.Contains(p.Names, id)
+		case *ast.AssignStmt:
+			allowed = slices.Contains(p.Lhs, ast.Expr(id))
+		case *ast.SelectorExpr:
+			allowed = p.X == ast.Expr(id)
+		case *ast.CallExpr:
+			i := slices.Index(p.Args, ast.Expr(id))
+			g, spawned := parents[p].(*ast.GoStmt)
+			allowed = i >= 0 && (release(pass, p) != nil || spawned && g.Call == p && endsParam(pass, p, i))
+		}
+		if !allowed {
+			out[obj] = true
+		}
 	}
 	return out
 }
 
-// merge folds other into s: open beats closed beats notYet, because a
-// span open on any fall-through path can leak at a later return.
-func (s state) merge(other state) {
-	for k, v := range other {
-		if v > s[k] {
-			s[k] = v
-		}
-	}
-}
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	c := &checker{
-		pass:     pass,
-		spans:    make(map[types.Object]*span),
-		reported: make(map[posKey]bool),
-	}
-	c.collect(fn.Body)
-	if len(c.spans) == 0 || c.hasGoto {
-		return
-	}
-	c.pruneEscapes(fn.Body)
-	if len(c.spans) == 0 {
-		return
-	}
-	st := make(state)
-	terminated := c.stmt(fn.Body, st)
-	if !terminated {
-		// Falling off the end of the body is an implicit return.
-		c.reportOpen(st, fn.Body.End())
-	}
-}
-
-// collect finds `pd := shard.Begin(...)` locals and notes goto usage.
-func (c *checker) collect(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BranchStmt:
-			if x.Tok == token.GOTO {
-				c.hasGoto = true
-			}
-		case *ast.AssignStmt:
-			if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
-				return true
-			}
-			call, ok := x.Rhs[0].(*ast.CallExpr)
-			if !ok || !c.isBegin(call) {
-				return true
-			}
-			id, ok := x.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return true
-			}
-			obj := c.pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = c.pass.TypesInfo.Uses[id]
-			}
-			if obj != nil {
-				c.spans[obj] = &span{obj: obj, begin: call.Pos()}
-			}
-		}
-		return true
-	})
-}
-
-// pruneEscapes drops spans whose Pending leaves the function's hands:
-// any use other than being the End argument, a reassignment target, or
-// the base of a field access (pd.Frag = …, pd.Active()) means another
-// owner is responsible for closing it.
-func (c *checker) pruneEscapes(body *ast.BlockStmt) {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := c.pass.TypesInfo.Uses[id]
-		if obj == nil {
-			obj = c.pass.TypesInfo.Defs[id]
-		}
-		if obj == nil || c.spans[obj] == nil {
-			return true
-		}
-		if !c.useAllowed(id, parents[id]) && !c.goHandoff(id, parents) {
-			delete(c.spans, obj)
-		}
-		return true
-	})
-}
-
-func (c *checker) useAllowed(id *ast.Ident, parent ast.Node) bool {
-	switch p := parent.(type) {
-	case *ast.ValueSpec:
-		return true // var pd trace.Pending declaration
-	case *ast.AssignStmt:
-		for _, l := range p.Lhs {
-			if l == ast.Expr(id) {
-				return true // definition or reassignment target
-			}
-		}
-		// Appearing on the RHS aliases the pending elsewhere.
-		return false
-	case *ast.SelectorExpr:
-		// pd.Frag = …, pd.Active(): field/method access on the pending.
-		return p.X == ast.Expr(id)
-	case *ast.CallExpr:
-		if !c.isEnd(p) {
-			return false
-		}
-		for _, a := range p.Args {
-			if a == ast.Expr(id) {
-				return true
-			}
-		}
-		return false
-	case *ast.UnaryExpr:
-		return false // &pd escapes
-	default:
-		return false
-	}
-}
-
-// goHandoff reports whether id's use is `go helper(.., pd, ..)` where
-// the same-package helper Ends that parameter: the spawned goroutine
-// takes over the closing obligation (the ring's completion-reaper
-// pattern), so the use is a transfer, not an escape.
-func (c *checker) goHandoff(id *ast.Ident, parents map[ast.Node]ast.Node) bool {
-	call, ok := parents[id].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	g, ok := parents[call].(*ast.GoStmt)
-	if !ok || g.Call != call {
-		return false
-	}
-	for i, a := range call.Args {
-		if ast.Unparen(a) == ast.Expr(id) {
-			return c.calleeEndsParam(call, i)
-		}
-	}
-	return false
-}
-
-// calleeEndsParam resolves the static same-package callee of call and
-// reports whether its body calls End on the parameter at index i.
-func (c *checker) calleeEndsParam(call *ast.CallExpr, i int) bool {
-	var obj types.Object
+// endsParam reports whether call's static same-package callee Ends its
+// i'th parameter.
+func endsParam(pass *analysis.Pass, call *ast.CallExpr, i int) bool {
+	var name *ast.Ident
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[f]
+		name = f
 	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[f.Sel]
+		name = f.Sel
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() != c.pass.Pkg {
+	fn, ok := pass.TypesInfo.Uses[name].(*types.Func)
+	if !ok || fn.Pkg() != pass.Pkg {
 		return false
 	}
-	if c.decls == nil {
-		c.decls = make(map[types.Object]*ast.FuncDecl)
-		for _, file := range c.pass.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					if o := c.pass.TypesInfo.Defs[fd.Name]; o != nil {
-						c.decls[o] = fd
-					}
-				}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || pass.TypesInfo.Defs[fd.Name] != fn.Origin() {
+				continue
 			}
-		}
-	}
-	decl := c.decls[fn.Origin()]
-	if decl == nil || decl.Body == nil {
-		return false
-	}
-	var params []*ast.Ident
-	for _, field := range decl.Type.Params.List {
-		params = append(params, field.Names...)
-	}
-	if i >= len(params) {
-		return false
-	}
-	target := c.pass.TypesInfo.Defs[params[i]]
-	if target == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		ce, ok := n.(*ast.CallExpr)
-		if !ok || !c.isEnd(ce) {
-			return true
-		}
-		for _, a := range ce.Args {
-			if aid, ok := ast.Unparen(a).(*ast.Ident); ok && c.pass.TypesInfo.Uses[aid] == target {
-				found = true
+			var params []*ast.Ident
+			for _, field := range fd.Type.Params.List {
+				params = append(params, field.Names...)
 			}
-		}
-		return true
-	})
-	return found
-}
-
-func (c *checker) isBegin(call *ast.CallExpr) bool {
-	return c.pass.IsMethodOn(call, tracePkg, "Shard", "Begin")
-}
-
-func (c *checker) isEnd(call *ast.CallExpr) bool {
-	return c.pass.IsMethodOn(call, tracePkg, "Shard", "End")
-}
-
-// endedObj returns the tracked object a statement's End call closes.
-func (c *checker) endedObj(call *ast.CallExpr) types.Object {
-	if !c.isEnd(call) {
-		return nil
-	}
-	for _, a := range call.Args {
-		id, ok := ast.Unparen(a).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := c.pass.TypesInfo.Uses[id]
-		if obj != nil && c.spans[obj] != nil {
-			return obj
-		}
-	}
-	return nil
-}
-
-// terminatesCall reports calls that never return control.
-func (c *checker) terminatesCall(call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkgID, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := c.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok {
-				path := pn.Imported().Path()
-				name := sel.Sel.Name
-				if path == "os" && name == "Exit" {
-					return true
-				}
-				if path == "log" && (name == "Fatal" || name == "Fatalf" || name == "Fatalln" || name == "Panic" || name == "Panicf" || name == "Panicln") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func (c *checker) reportOpen(st state, at token.Pos) {
-	for obj, v := range st {
-		if v != open {
-			continue
-		}
-		key := posKey{obj, at}
-		if c.reported[key] {
-			continue
-		}
-		c.reported[key] = true
-		c.pass.Reportf(at,
-			"trace span %s (Begin at %s) is still open on this return path; call End before returning or defer it",
-			obj.Name(), c.pass.Fset.Position(c.spans[obj].begin))
-	}
-}
-
-// stmt simulates s, mutating st along the fall-through path. It returns
-// true when control cannot fall past s (return/panic/terminating loop on
-// every path).
-func (c *checker) stmt(s ast.Stmt, st state) bool {
-	switch x := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return c.stmtList(x.List, st)
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if obj := c.endedObj(call); obj != nil {
-				st[obj] = closed
+			if i >= len(params) {
 				return false
 			}
-			if c.terminatesCall(call) {
-				return true
-			}
-		}
-		return false
-	case *ast.AssignStmt:
-		if len(x.Lhs) == 1 && len(x.Rhs) == 1 {
-			if call, ok := x.Rhs[0].(*ast.CallExpr); ok && c.isBegin(call) {
-				if id, ok := x.Lhs[0].(*ast.Ident); ok {
-					obj := c.pass.TypesInfo.Defs[id]
-					if obj == nil {
-						obj = c.pass.TypesInfo.Uses[id]
-					}
-					if obj != nil && c.spans[obj] != nil {
-						st[obj] = open
-					}
+			target := pass.TypesInfo.Defs[params[i]]
+			ended := false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if arg, ok := ast.Unparen(release(pass, n)).(*ast.Ident); ok && target != nil && pass.TypesInfo.Uses[arg] == target {
+					ended = true
 				}
-			}
-		}
-		return false
-	case *ast.DeferStmt:
-		if obj := c.endedObj(x.Call); obj != nil {
-			// A deferred End closes the span for every path from here on;
-			// modeling it as an immediate close is sound for leak checking.
-			st[obj] = closed
-		}
-		return false
-	case *ast.ReturnStmt:
-		c.reportOpen(st, x.Pos())
-		return true
-	case *ast.IfStmt:
-		c.stmt(x.Init, st)
-		thenSt := st.clone()
-		thenTerm := c.stmt(x.Body, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if x.Else != nil {
-			elseTerm = c.stmt(x.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			copyInto(st, elseSt)
-		case elseTerm:
-			copyInto(st, thenSt)
-		default:
-			copyInto(st, thenSt)
-			st.merge(elseSt)
-		}
-		return false
-	case *ast.ForStmt:
-		c.stmt(x.Init, st)
-		c.loopBody(x.Body, st)
-		// `for { ... }` with no break never falls through.
-		return x.Cond == nil && !hasBreak(x.Body)
-	case *ast.RangeStmt:
-		c.loopBody(x.Body, st)
-		return false
-	case *ast.SwitchStmt:
-		c.stmt(x.Init, st)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.TypeSwitchStmt:
-		c.stmt(x.Init, st)
-		return c.clauses(x.Body, st, hasDefault(x.Body))
-	case *ast.SelectStmt:
-		// Select always takes exactly one of its clauses.
-		return c.clauses(x.Body, st, true)
-	case *ast.LabeledStmt:
-		return c.stmt(x.Stmt, st)
-	case *ast.BranchStmt:
-		// break/continue leave the enclosing loop's walk; the path ends
-		// here as far as fall-through reporting is concerned.
-		return true
-	case *ast.GoStmt:
-		c.goStmt(x, st)
-		return false
-	case *ast.SendStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.EmptyStmt:
-		return false
-	default:
-		return false
-	}
-}
-
-// goStmt transfers span obligations into a spawned goroutine. A span
-// Ended anywhere in the go'd body — `go sh.End(pd)`, an End inside the
-// go'd function literal, or a same-package helper that Ends its
-// parameter — is closed on the spawning path: the new goroutine owns
-// the End from here, which is how the send reaper pairs Begin on the
-// submit path with End on the completion path.
-func (c *checker) goStmt(g *ast.GoStmt, st state) {
-	if obj := c.endedObj(g.Call); obj != nil {
-		st[obj] = closed
-		return
-	}
-	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if obj := c.endedObj(call); obj != nil {
-					st[obj] = closed
-				}
-			}
-			return true
-		})
-		return
-	}
-	for i, a := range g.Call.Args {
-		id, ok := ast.Unparen(a).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := c.pass.TypesInfo.Uses[id]
-		if obj == nil || c.spans[obj] == nil {
-			continue
-		}
-		if c.calleeEndsParam(g.Call, i) {
-			st[obj] = closed
-		}
-	}
-}
-
-func (c *checker) stmtList(list []ast.Stmt, st state) bool {
-	for _, s := range list {
-		if c.stmt(s, st) {
-			return true
+				return !ended
+			})
+			return ended
 		}
 	}
 	return false
-}
-
-// loopBody simulates one iteration and reports spans Begun inside the
-// body that are still open at the back edge — the next iteration's Begin
-// would orphan them. After the loop, state conservatively merges the
-// body's effects with the zero-iteration path.
-func (c *checker) loopBody(body *ast.BlockStmt, st state) {
-	bodySt := st.clone()
-	terminated := c.stmt(body, bodySt)
-	if !terminated {
-		for obj, v := range bodySt {
-			if v != open || st[obj] == open {
-				continue // only spans opened by this iteration
-			}
-			if sp := c.spans[obj]; sp != nil && body.Pos() <= sp.begin && sp.begin < body.End() {
-				key := posKey{obj, sp.begin}
-				if !c.reported[key] {
-					c.reported[key] = true
-					c.pass.Reportf(sp.begin,
-						"trace span %s is still open at the loop's back edge; the next iteration's Begin orphans it — End it before the iteration ends",
-						obj.Name())
-				}
-			}
-		}
-	}
-	st.merge(bodySt)
-}
-
-// clauses simulates a switch/select body: each case runs from a copy of
-// the incoming state; fall-through states merge. exhaustive indicates
-// one clause always runs (select, or switch with default).
-func (c *checker) clauses(body *ast.BlockStmt, st state, exhaustive bool) bool {
-	pre := st.clone()
-	allTerm := true
-	first := true
-	for _, cl := range body.List {
-		clSt := pre.clone()
-		var term bool
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			term = c.stmtList(cc.Body, clSt)
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				c.stmt(cc.Comm, clSt)
-			}
-			term = c.stmtList(cc.Body, clSt)
-		default:
-			continue
-		}
-		if term {
-			continue
-		}
-		allTerm = false
-		if first {
-			copyInto(st, clSt)
-			first = false
-		} else {
-			st.merge(clSt)
-		}
-	}
-	if !exhaustive {
-		// The no-match path carries the incoming state through.
-		if first {
-			copyInto(st, pre)
-		} else {
-			st.merge(pre)
-		}
-		return false
-	}
-	if allTerm {
-		return true
-	}
-	return false
-}
-
-func copyInto(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, cl := range body.List {
-		if cc, ok := cl.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// hasBreak reports whether body contains a break that targets the
-// enclosing loop (i.e. not one swallowed by a nested for/switch/select).
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BranchStmt:
-			if x.Tok == token.BREAK {
-				found = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			if n != ast.Node(body) {
-				// Unlabeled breaks inside bind to the inner statement; a
-				// labeled break out of the outer loop is rare enough that
-				// treating it as found keeps us conservative.
-				ast.Inspect(n, func(m ast.Node) bool {
-					if b, ok := m.(*ast.BranchStmt); ok && b.Tok == token.BREAK && b.Label != nil {
-						found = true
-					}
-					return true
-				})
-				return false
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return found
 }

@@ -161,3 +161,13 @@ func panicExempt(sh *trace.Shard) {
 	}
 	sh.End(pd)
 }
+
+// A `var` Begin is tracked exactly like `:=`.
+func varLeak(sh *trace.Shard) bool {
+	var pd = sh.Begin(trace.PhaseJoin)
+	if cond() {
+		return false // want `still open on this return path`
+	}
+	sh.End(pd)
+	return true
+}

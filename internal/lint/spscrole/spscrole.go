@@ -137,7 +137,7 @@ func (c *checker) solveParams() {
 
 func (c *checker) paramPass(fn *dataflow.Func) bool {
 	sum := c.sums[fn.Key()]
-	params := paramObjects(fn)
+	params := dataflow.ParamObjects(fn)
 	changed := false
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -148,17 +148,17 @@ func (c *checker) paramPass(fn *dataflow.Func) bool {
 		if eff == nil {
 			return true
 		}
-		args := callArgs(c.g, call)
+		args := dataflow.CallArgs(c.g, call)
 		for _, i := range eff.ParamPush {
 			if i < len(args) {
-				if j, ok := paramIndex(c.g, args[i], params); ok && addIndex(&sum.ParamPush, j) {
+				if j, ok := dataflow.ParamIndex(c.g, args[i], params); ok && addIndex(&sum.ParamPush, j) {
 					changed = true
 				}
 			}
 		}
 		for _, i := range eff.ParamPop {
 			if i < len(args) {
-				if j, ok := paramIndex(c.g, args[i], params); ok && addIndex(&sum.ParamPop, j) {
+				if j, ok := dataflow.ParamIndex(c.g, args[i], params); ok && addIndex(&sum.ParamPop, j) {
 					changed = true
 				}
 			}
@@ -301,7 +301,7 @@ func (c *checker) opsAt(fn *dataflow.Func, call *ast.CallExpr, ctx []string, pen
 		}
 	}
 	if eff != nil {
-		args := callArgs(c.g, call)
+		args := dataflow.CallArgs(c.g, call)
 		for _, i := range eff.ParamPush {
 			if i < len(args) {
 				emit(c.fieldIdent(fn, args[i]), opPush)
@@ -347,7 +347,7 @@ func (c *checker) fieldIdent(fn *dataflow.Func, e ast.Expr) string {
 		sel, ok := c.g.Info.Selections[x]
 		if !ok || sel.Kind() != types.FieldVal {
 			// Qualified identifier pkg.Var.
-			if v, ok := c.g.Info.Uses[x.Sel].(*types.Var); ok && globalVar(v) {
+			if v, ok := c.g.Info.Uses[x.Sel].(*types.Var); ok && dataflow.GlobalVar(v) {
 				return v.Pkg().Path() + "." + v.Name()
 			}
 			return ""
@@ -373,10 +373,10 @@ func (c *checker) fieldIdent(fn *dataflow.Func, e ast.Expr) string {
 		if !ok {
 			return ""
 		}
-		if globalVar(v) {
+		if dataflow.GlobalVar(v) {
 			return v.Pkg().Path() + "." + v.Name()
 		}
-		for _, p := range paramObjects(fn) {
+		for _, p := range dataflow.ParamObjects(fn) {
 			if p == v {
 				return "" // phase A's job
 			}
@@ -440,65 +440,6 @@ func (c *checker) report() {
 }
 
 // ---- shared helpers ----
-
-// paramObjects returns fn's parameter objects, receiver first.
-func paramObjects(fn *dataflow.Func) []*types.Var {
-	sig, ok := fn.Obj.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out []*types.Var
-	if r := sig.Recv(); r != nil {
-		out = append(out, r)
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
-}
-
-// callArgs returns the call's argument expressions receiver-first, to
-// match the combined parameter indexing of summaries.
-func callArgs(g *dataflow.Graph, call *ast.CallExpr) []ast.Expr {
-	var out []ast.Expr
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := g.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			out = append(out, sel.X)
-		}
-	}
-	if out == nil {
-		// Plain function: no receiver slot; summaries for plain functions
-		// still index from 0, aligned with Args alone — pad nothing.
-		// Methods called as expressions (T.M(recv, …)) pass the receiver
-		// as Args[0] already.
-		return call.Args
-	}
-	return append(out, call.Args...)
-}
-
-// paramIndex resolves e to one of params, returning its index.
-func paramIndex(g *dataflow.Graph, e ast.Expr, params []*types.Var) (int, bool) {
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj := g.Info.Uses[id]
-	for i, p := range params {
-		if p == obj {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// globalVar reports whether v is a package-level variable.
-func globalVar(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
 
 // addIndex inserts i into the sorted set s, reporting growth.
 func addIndex(s *[]int, i int) bool {
