@@ -137,8 +137,8 @@ func renderTrace(w io.Writer, after string) error {
 		counts[sp.Phase]++
 		total += time.Duration(sp.Dur)
 	}
-	// Instant events (autotune recentres, drop faults) carry no duration;
-	// with only those recorded there is no time to share out.
+	// Instant events (retirements, drop faults) carry no duration; with
+	// only those recorded there is no time to share out.
 	share := func(d time.Duration) string {
 		if total == 0 {
 			return "-"

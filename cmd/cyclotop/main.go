@@ -1,7 +1,7 @@
 // Command cyclotop is `top` for a spinning ring: it follows a roundabout
 // process's /health/live SSE feed and renders a refreshing per-node table
-// — phase shares, windowed hop latency percentiles, autotuner chunk size,
-// credit stalls, chaoslink fault counts — plus the sampler's verdict line
+// — phase shares, windowed hop latency percentiles, queue depth, credit
+// stalls, chaoslink fault counts — plus the sampler's verdict line
 // (healthy / straggler / credit-stall / degraded).
 //
 // Usage:
@@ -130,7 +130,7 @@ func render(w io.Writer, snap *health.Snapshot) error {
 		snap.Seq, snap.Time.Format("15:04:05.000"), snap.Window.Round(time.Millisecond))
 
 	tbl := stats.NewTable("Ring health (windowed)",
-		"node", "busy", "wait", "stall", "hop p50", "hop p99", "frags/s", "queue", "chunk")
+		"node", "busy", "wait", "stall", "hop p50", "hop p99", "frags/s", "queue")
 	for _, ns := range snap.Nodes {
 		tbl.AddRow(
 			strconv.Itoa(ns.Node),
@@ -141,7 +141,6 @@ func render(w io.Writer, snap *health.Snapshot) error {
 			fmtDur(time.Duration(ns.HopP99Ns)),
 			fmt.Sprintf("%.0f", ns.FragsPerSec),
 			strconv.FormatInt(ns.QueueDepth, 10),
-			fmtBytes(ns.ChunkBytes),
 		)
 	}
 	if err := tbl.Render(w); err != nil {
@@ -182,18 +181,5 @@ func fmtDur(d time.Duration) string {
 		return d.Round(time.Microsecond).String()
 	default:
 		return d.Round(time.Nanosecond).String()
-	}
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n <= 0:
-		return "-"
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return strconv.FormatInt(n, 10) + "B"
 	}
 }

@@ -13,7 +13,9 @@
 //     implementations plus a kernel-TCP baseline (internal/rdma,
 //     internal/kerneltcp);
 //   - the Data Roundabout ring runtime (internal/ring) and the cyclo-join
-//     orchestrator (internal/core);
+//     orchestrator (internal/core), the only owner of a ring;
+//   - the SQL front end (internal/query) and hot-set storage
+//     (internal/hotset);
 //   - the paper-evaluation harness: calibrated cost model, discrete-event
 //     simulator and per-figure experiments (internal/costmodel,
 //     internal/simnet, internal/experiments).
@@ -35,7 +37,6 @@ package cyclojoin
 import (
 	"cyclojoin/internal/core"
 	"cyclojoin/internal/costmodel"
-	"cyclojoin/internal/cyclotron"
 	"cyclojoin/internal/experiments"
 	"cyclojoin/internal/hotset"
 	"cyclojoin/internal/join"
@@ -93,19 +94,6 @@ type (
 	// LinkFactory selects the wire implementation connecting neighboring
 	// ring hosts.
 	LinkFactory = ring.LinkFactory
-)
-
-// Continuous circulation (the Data Cyclotron mode, §II-C).
-type (
-	// Wheel keeps a relation revolving and serves joins against it;
-	// concurrent joins batch onto shared revolutions.
-	Wheel = cyclotron.Wheel
-	// WheelConfig sizes a wheel's ring.
-	WheelConfig = cyclotron.Config
-	// WheelJoin describes one join riding a wheel.
-	WheelJoin = cyclotron.JoinSpec
-	// WheelOutcome is one completed wheel join.
-	WheelOutcome = cyclotron.Outcome
 )
 
 // Hot-set storage (§II-C: hot data in memory, the rest on disk).
@@ -195,11 +183,6 @@ func InProcessLinks() LinkFactory { return ring.MemLinks() }
 // TCPLoopbackLinks connects ring hosts over real TCP sockets on the
 // loopback interface.
 func TCPLoopbackLinks() LinkFactory { return ring.TCPLinks() }
-
-// NewWheel starts a wheel that keeps the rotating relation circulating.
-func NewWheel(cfg WheelConfig, rotating *Relation) (*Wheel, error) {
-	return cyclotron.New(cfg, rotating)
-}
 
 // NewHotSetStore creates a memory-budgeted relation store that spills to
 // dir.

@@ -88,35 +88,6 @@ func ExampleBandJoin() {
 	// Output: band matches: 28
 }
 
-// ExampleNewWheel keeps a relation circulating and serves two joins from
-// the same spinning data.
-func ExampleNewWheel() {
-	facts := cyclojoin.SequentialRelation("facts", 2000, 4)
-	wheel, err := cyclojoin.NewWheel(cyclojoin.WheelConfig{Nodes: 2}, facts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		_ = wheel.Close()
-	}()
-
-	for _, dimSize := range []int{100, 200} {
-		dim := cyclojoin.SequentialRelation("dim", dimSize, 4)
-		out, err := wheel.ExecuteJoin(cyclojoin.WheelJoin{
-			Algorithm:  cyclojoin.HashJoin(),
-			Predicate:  cyclojoin.EquiJoin(),
-			Stationary: dim,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(out.Matches())
-	}
-	// Output:
-	// 100
-	// 200
-}
-
 // ExampleNewQueryEngine runs SQL over the ring.
 func ExampleNewQueryEngine() {
 	catalog := cyclojoin.NewCatalog()

@@ -182,7 +182,7 @@ type Cluster struct {
 }
 
 // Ring exposes the cluster's transport ring as a live-telemetry source:
-// internal/health samples its HealthSnapshot on a ticker. Callers must
+// internal/health samples its Stats on a ticker. Callers must
 // not Close or Run the ring directly — the cluster owns its lifecycle.
 func (c *Cluster) Ring() *ring.Ring { return c.ring }
 
@@ -449,7 +449,7 @@ func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, er
 			SetupTime:  setup,
 			JoinTime:   time.Since(start),
 			Collectors: collectors,
-			Nodes:      c.ring.Stats(),
+			Nodes:      c.ring.Stats(nil),
 			Partial:    pe,
 		}, fmt.Errorf("cyclojoin: rotate: %w", err)
 	}
@@ -457,7 +457,7 @@ func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, er
 		SetupTime:  setup,
 		JoinTime:   time.Since(start),
 		Collectors: collectors,
-		Nodes:      c.ring.Stats(),
+		Nodes:      c.ring.Stats(nil),
 	}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cyclojoin/internal/costmodel"
-	"cyclojoin/internal/ring"
 	"cyclojoin/internal/stats"
 )
 
@@ -40,7 +39,7 @@ type AutotuneResult struct {
 // with margin to spare.
 const autotuneTriangles = 48
 
-// AutotuneSweep drives ring.Autotuner closed-loop against the calibrated
+// AutotuneSweep drives the autotuner closed-loop against the calibrated
 // Fig 5 curve: every simulated transfer uses the chunk size the tuner
 // currently recommends and takes cal.TransferTime, so the tuner observes
 // exactly the cal.RDMAThroughput rate for that size. Starting from the
@@ -48,7 +47,7 @@ const autotuneTriangles = 48
 // sweet spot — the smallest chunk within upMargin of link saturation —
 // live, with no prior knowledge of the curve.
 func AutotuneSweep(cal costmodel.Calibration) AutotuneResult {
-	tuner := ring.NewAutotuner(1, 1<<30)
+	tuner := newAutotuner(1, 1<<30)
 	res := AutotuneResult{
 		Trajectory: []AutotunePoint{{
 			Triangle:   0,

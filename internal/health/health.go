@@ -29,7 +29,7 @@ import (
 // Source is what the sampler observes each tick. *ring.Ring implements
 // it; tests substitute synthetic sources.
 type Source interface {
-	HealthSnapshot(dst []ring.NodeHealth) []ring.NodeHealth
+	Stats(dst []ring.NodeStats) []ring.NodeStats
 }
 
 // VerdictKind classifies the ring's condition, worst first.
@@ -112,7 +112,6 @@ type NodeSample struct {
 	Processed    int64 `json:"processed"`
 	Materializes int64 `json:"materializes"`
 	QueueDepth   int64 `json:"queue_depth"`
-	ChunkBytes   int64 `json:"chunk_bytes"`
 }
 
 // LinkFaults is one directed link's cumulative injected-fault tally
@@ -243,8 +242,8 @@ type Sampler struct {
 
 	mu       sync.Mutex
 	subs     map[chan *Snapshot]struct{}
-	prev     []ring.NodeHealth
-	scratch  []ring.NodeHealth
+	prev     []ring.NodeStats
+	scratch  []ring.NodeStats
 	prevTime time.Time
 	states   map[int]*nodeState
 	// prevFaults holds each link's drops+corrupts at the previous tick,
@@ -274,13 +273,14 @@ func NewSampler(src Source, opt Options) *Sampler {
 	}
 }
 
-// Start launches the ticker loop; the first sample is taken immediately
-// (a baseline — deltas begin with the second). Idempotent.
+// Start takes the first sample (a baseline — deltas begin with the second)
+// before it returns, so Current is never nil after Start, then launches
+// the ticker loop. Idempotent.
 func (s *Sampler) Start() {
 	s.startOnce.Do(func() {
+		s.SampleOnce()
 		go func() {
 			defer close(s.done)
-			s.SampleOnce()
 			t := time.NewTicker(s.opt.Interval)
 			defer t.Stop()
 			for {
@@ -335,11 +335,14 @@ func (s *Sampler) Subscribe() (ch <-chan *Snapshot, cancel func()) {
 func (s *Sampler) SampleOnce() *Snapshot {
 	now := time.Now()
 	s.mu.Lock()
-	cur := s.src.HealthSnapshot(s.scratch[:0])
+	cur := s.src.Stats(s.scratch[:0])
 	s.scratch = cur
 	snap := s.build(now, cur)
 	// Retain the cumulative readings for the next delta (a copy: scratch
-	// is overwritten by the next tick's HealthSnapshot).
+	// is overwritten by the next tick's Stats). The copy is shallow: each
+	// row's HopCounts still aliases scratch, which the next Stats call
+	// refills in place. That is safe only because build reads prev's
+	// scalars alone and keeps its own bucket baseline in st.prevHop.
 	s.prev = append(s.prev[:0], cur...)
 	s.prevTime = now
 	prevKind := s.lastKind
@@ -368,7 +371,7 @@ func (s *Sampler) SampleOnce() *Snapshot {
 
 // build computes one snapshot from the current cumulative readings. The
 // caller holds s.mu.
-func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
+func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 	snap := &Snapshot{
 		Seq:      s.seq.Add(1),
 		Time:     now,
@@ -377,7 +380,7 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 		Captures: s.captures.Load(),
 		Verdict:  Verdict{Kind: Healthy, Node: -1, Reason: "warming up"},
 	}
-	prevByNode := make(map[int]*ring.NodeHealth, len(s.prev))
+	prevByNode := make(map[int]*ring.NodeStats, len(s.prev))
 	for i := range s.prev {
 		prevByNode[s.prev[i].Node] = &s.prev[i]
 	}
@@ -401,14 +404,17 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 			}
 			s.states[nh.Node] = st
 		}
-		ns := NodeSample{Node: nh.Node, QueueDepth: nh.QueueDepth, ChunkBytes: nh.ChunkBytes}
+		ns := NodeSample{Node: nh.Node, QueueDepth: nh.QueueDepth}
 		if prev, ok := prevByNode[nh.Node]; ok && !first {
 			w := float64(window.Nanoseconds())
-			busy := float64(nh.JoinNs-prev.JoinNs+nh.StageNs-prev.StageNs) / w
-			wait := float64(nh.WaitNs-prev.WaitNs) / w
-			join := float64(nh.JoinNs-prev.JoinNs) / w
-			stage := float64(nh.StageNs-prev.StageNs) / w
-			stall := float64(nh.StallNs-prev.StallNs) / w
+			dWait := nh.WaitTime - prev.WaitTime
+			dJoin := nh.ProcessTime - prev.ProcessTime
+			dStage := nh.StageTime - prev.StageTime
+			busy := float64(dJoin+dStage) / w
+			wait := float64(dWait) / w
+			join := float64(dJoin) / w
+			stage := float64(dStage) / w
+			stall := float64(nh.StallTime-prev.StallTime) / w
 			if !st.warm {
 				st.ewmaBusy, st.ewmaWait, st.ewmaJoin, st.ewmaStage, st.ewmaStall = busy, wait, join, stage, stall
 				st.warm = true
@@ -419,14 +425,14 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 				st.ewmaStage += alpha * (stage - st.ewmaStage)
 				st.ewmaStall += alpha * (stall - st.ewmaStall)
 			}
-			ns.Processed = nh.Processed - prev.Processed
+			ns.Processed = int64(nh.Processed - prev.Processed)
 			ns.Materializes = nh.Materializes - prev.Materializes
 			ns.FragsPerSec = float64(ns.Processed) / window.Seconds()
 			rows = append(rows, trace.PhaseTotals{
 				Node:  nh.Node,
-				Wait:  time.Duration(nh.WaitNs - prev.WaitNs),
-				Join:  time.Duration(nh.JoinNs - prev.JoinNs),
-				Stage: time.Duration(nh.StageNs - prev.StageNs),
+				Wait:  dWait,
+				Join:  dJoin,
+				Stage: dStage,
 				Wall:  window,
 			})
 		}

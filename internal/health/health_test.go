@@ -17,15 +17,15 @@ import (
 // fakeSource feeds the sampler hand-written cumulative counters; tests
 // mutate rows between SampleOnce calls to simulate load.
 type fakeSource struct {
-	rows []ring.NodeHealth
+	rows []ring.NodeStats
 }
 
-func (f *fakeSource) HealthSnapshot(dst []ring.NodeHealth) []ring.NodeHealth {
+func (f *fakeSource) Stats(dst []ring.NodeStats) []ring.NodeStats {
 	return append(dst, f.rows...)
 }
 
 func threeNodes() *fakeSource {
-	return &fakeSource{rows: []ring.NodeHealth{{Node: 0}, {Node: 1}, {Node: 2}}}
+	return &fakeSource{rows: []ring.NodeStats{{Node: 0}, {Node: 1}, {Node: 2}}}
 }
 
 // tick takes a sample after a short sleep so the window has real width.
@@ -50,7 +50,7 @@ func TestBaselineThenHealthy(t *testing.T) {
 
 	// Balanced load: every node equally busy.
 	for i := range src.rows {
-		src.rows[i].JoinNs += int64(2 * time.Millisecond)
+		src.rows[i].ProcessTime += 2 * time.Millisecond
 		src.rows[i].Processed += 7
 	}
 	snap := tick(s)
@@ -78,10 +78,10 @@ func TestStragglerVerdictNamesTheBusyNode(t *testing.T) {
 
 	// Node 2 burns an entire second of join+stage while the others barely
 	// move: busy share >> MinBusyShare, ratio >> StragglerScore.
-	src.rows[0].JoinNs += int64(2 * time.Millisecond)
-	src.rows[1].JoinNs += int64(2 * time.Millisecond)
-	src.rows[2].JoinNs += int64(500 * time.Millisecond)
-	src.rows[2].StageNs += int64(500 * time.Millisecond)
+	src.rows[0].ProcessTime += 2 * time.Millisecond
+	src.rows[1].ProcessTime += 2 * time.Millisecond
+	src.rows[2].ProcessTime += 500 * time.Millisecond
+	src.rows[2].StageTime += 500 * time.Millisecond
 	snap := tick(s)
 	if snap.Verdict.Kind != Straggler {
 		t.Fatalf("verdict = %v (%s), want straggler", snap.Verdict.Kind, snap.Verdict.Reason)
@@ -105,9 +105,9 @@ func TestCreditStallVerdictNamesTheEgressLink(t *testing.T) {
 	// Balanced busy (no straggler), but node 1's sender spends a full
 	// second blocked on credits: stall share dominates.
 	for i := range src.rows {
-		src.rows[i].JoinNs += int64(3 * time.Millisecond)
+		src.rows[i].ProcessTime += 3 * time.Millisecond
 	}
-	src.rows[1].StallNs += int64(time.Second)
+	src.rows[1].StallTime += time.Second
 	snap := tick(s)
 	if snap.Verdict.Kind != CreditStall {
 		t.Fatalf("verdict = %v (%s), want credit-stall", snap.Verdict.Kind, snap.Verdict.Reason)

@@ -464,18 +464,21 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 			return rdma.ErrClosed
 		default:
 		}
-		mDelays.Inc()
-		q.mLinkDelay.Inc()
-		q.lf.delays.Add(1)
-		mHoldNs.Observe(hold.Nanoseconds())
 		pend := q.shard.Begin(trace.PhaseFault)
 		pend.Arg = hold.Nanoseconds()
 		select {
 		case q.holdQ <- heldWR{due: time.Now().Add(hold), post: forward, op: op, buf: buf, pend: pend}:
-			return nil
 		case <-q.done:
+			// Closed between the check above and the hand-off: the frame
+			// is never held, so its span ends here and no delay counts.
+			q.shard.End(pend)
 			return rdma.ErrClosed
 		}
+		mDelays.Inc()
+		q.mLinkDelay.Inc()
+		q.lf.delays.Add(1)
+		mHoldNs.Observe(hold.Nanoseconds())
+		return nil
 	default:
 		return forward()
 	}

@@ -72,10 +72,9 @@ func Partition(r *Relation, n int) ([]*Fragment, error) {
 
 // PartitionByBytes splits r into fragments whose encoded wire size is at
 // most chunkBytes each (except when a single tuple already exceeds it),
-// in input order. It is the bridge from a chunk-size recommendation —
-// typically ring.Autotuner's — to a fragment plan: the count is derived
-// from the relation's tuple width so that each frame lands near the
-// requested transfer-unit size of the paper's Fig 5 sweep.
+// in input order. It turns a chunk size into a fragment plan: the count is
+// derived from the relation's tuple width so that each frame lands near
+// the requested transfer-unit size of the paper's Fig 5 sweep.
 func PartitionByBytes(r *Relation, chunkBytes int) ([]*Fragment, error) {
 	if chunkBytes <= 0 {
 		return nil, fmt.Errorf("relation: partition %q by %d bytes", r.schema.Name, chunkBytes)

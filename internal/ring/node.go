@@ -141,7 +141,7 @@ type outbound struct {
 
 // hotStats holds the per-node counters bumped on the hot path. Plain
 // atomics, one bump per field: deliver, procLoop and the transmitters never
-// take a mutex for bookkeeping, and snapshot() assembles a NodeStats from a
+// take a mutex for bookkeeping, and Ring.Stats assembles a NodeStats from a
 // set of independently-consistent loads.
 type hotStats struct {
 	processed, retired atomic.Int64
@@ -1247,7 +1247,6 @@ func (n *node) sendPoster(qp rdma.QueuePair, _ chan struct{}) (func([]outbound) 
 func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}, credits chan<- rdma.RemoteKey) {
 	var batch [reapBatch]rdma.Completion
 	var creditBufs [reapBatch]*rdma.Buffer
-	var lastBurst time.Time // autotuner baseline; zero until the first burst
 	for {
 		var c rdma.Completion
 		var ok bool
@@ -1272,7 +1271,6 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}, credits chan<- 
 		batch[0] = c
 		m := 1 + rdma.PollCQ(qp, batch[1:])
 		nCredits := 0
-		burstBytes := 0
 		for i := 0; i < m; i++ {
 			c := batch[i]
 			var fault error
@@ -1280,7 +1278,6 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}, credits chan<- 
 			case c.Err != nil:
 				fault = c.Err
 			case c.Op == rdma.OpSend || c.Op == rdma.OpWrite:
-				burstBytes += c.Buf.Len()
 				n.settleSend(c)
 			case c.Op == rdma.OpRecv:
 				if fault = n.collectCredit(c.Buf.Bytes(), credits); fault == nil {
@@ -1304,26 +1301,7 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}, credits chan<- 
 				return
 			}
 		}
-		lastBurst = n.observeBurst(lastBurst, burstBytes)
 	}
-}
-
-// observeBurst feeds one completion burst to the chunk-size autotuner:
-// burst bytes over the time since the previous burst, i.e. the achieved
-// through-the-transmitter rate. Returns the new baseline; a no-op (and
-// free of clock reads) when no tuner is configured.
-//
-//cyclolint:hotpath
-func (n *node) observeBurst(last time.Time, bytes int) time.Time {
-	tuner := n.cfg.Autotune
-	if tuner == nil {
-		return last
-	}
-	now := time.Now()
-	if !last.IsZero() && bytes > 0 {
-		tuner.Observe(bytes, now.Sub(last))
-	}
-	return now
 }
 
 // drainSendCQ settles what the stopped reaper still owes recovery: first
@@ -1443,19 +1421,5 @@ func (n *node) report(err error) {
 	case n.errc <- err:
 	default:
 		// Another error is already pending; the first one wins.
-	}
-}
-
-func (n *node) snapshot() NodeStats {
-	return NodeStats{
-		Processed:       int(n.stats.processed.Load()),
-		Retired:         int(n.stats.retired.Load()),
-		BytesIn:         n.stats.bytesIn.Load(),
-		BytesOut:        n.stats.bytesOut.Load(),
-		ProcessTime:     time.Duration(n.stats.processNs.Load()),
-		WaitTime:        time.Duration(n.stats.waitNs.Load()),
-		StageTime:       time.Duration(n.stats.stageNs.Load()),
-		StallTime:       time.Duration(n.stats.stallNs.Load()),
-		RegisteredBytes: n.stats.registeredBytes.Load(),
 	}
 }

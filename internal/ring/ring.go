@@ -24,6 +24,7 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -135,13 +136,6 @@ type Config struct {
 	// recovery.go). The zero value keeps the historical fail-fast
 	// behavior. Recovery needs Nodes > 1.
 	Recovery Recovery
-	// Autotune, when non-nil, receives per-burst transmit throughput
-	// observations from every node's send reaper, feeding the live
-	// chunk-size search (see Autotuner). The ring never re-chunks frames
-	// in flight; the tuner's recommendation steers the NEXT partitioning
-	// (relation.PartitionByBytes) and is surfaced via the
-	// ring_autotune_chunk_bytes gauge and PhaseAutotune trace points.
-	Autotune *Autotuner
 }
 
 // flightRecorder returns the effective span recorder.
@@ -180,8 +174,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NodeStats snapshots one node's counters after (or during) a run.
+// NodeStats snapshots one node's counters after (or during) a run. The
+// counters are cumulative over the ring's lifetime, except QueueDepth, a
+// point-in-time reading; internal/health differences two snapshots to get
+// a window.
 type NodeStats struct {
+	// Node is the ring position.
+	Node int
 	// Processed counts fragments handled by the join entity.
 	Processed int
 	// Retired counts fragments that completed their revolution here.
@@ -203,6 +202,23 @@ type NodeStats struct {
 	StallTime time.Duration
 	// RegisteredBytes is the node's pinned buffer volume.
 	RegisteredBytes int64
+
+	// The fields below read the node's series in the process-wide metrics
+	// registry (ring_materializes_total, ring_procq_depth, ring_hop_ns),
+	// which are labeled by ring position alone: two rings in one process
+	// sum into the same series, and a replaced node keeps its
+	// predecessor's counts.
+
+	// Materializes counts congestion fallbacks (no free send buffer).
+	Materializes int64
+	// QueueDepth is the join entity's input backlog right now.
+	QueueDepth int64
+	// HopBounds and HopCounts snapshot the hop-latency histogram
+	// (fragment residence on the join entity). HopBounds are the
+	// registry's inclusive upper bounds (read-only, shared); HopCounts has
+	// len(HopBounds)+1 entries, the last being +Inf.
+	HopBounds []int64
+	HopCounts []int64
 }
 
 // retirement announces that a fragment completed its revolution. It is
@@ -280,13 +296,36 @@ func New(cfg Config, links LinkFactory, procs []Processor) (*Ring, error) {
 // Size returns the number of nodes.
 func (r *Ring) Size() int { return r.cfg.Nodes }
 
-// Stats returns per-node counter snapshots.
-func (r *Ring) Stats() []NodeStats {
-	out := make([]NodeStats, len(r.nodes))
-	for i, n := range r.nodes {
-		out[i] = n.snapshot()
+// Stats appends one NodeStats per node to dst and returns it. Every counter
+// is a plain atomic load, so it is safe to call during a Run and costs the
+// hot path nothing. Passing a previous call's result as dst[:0] allocates
+// nothing: each row's HopCounts backing array is reused in place.
+func (r *Ring) Stats(dst []NodeStats) []NodeStats {
+	dst = slices.Grow(dst, len(r.nodes))
+	for _, n := range r.nodes {
+		i := len(dst)
+		hops := dst[:i+1][i].HopCounts[:0]
+		if want := len(n.m.hopNs.Bounds()) + 1; cap(hops) < want {
+			hops = make([]int64, 0, want)
+		}
+		dst = append(dst, NodeStats{
+			Node:            n.id,
+			Processed:       int(n.stats.processed.Load()),
+			Retired:         int(n.stats.retired.Load()),
+			BytesIn:         n.stats.bytesIn.Load(),
+			BytesOut:        n.stats.bytesOut.Load(),
+			ProcessTime:     time.Duration(n.stats.processNs.Load()),
+			WaitTime:        time.Duration(n.stats.waitNs.Load()),
+			StageTime:       time.Duration(n.stats.stageNs.Load()),
+			StallTime:       time.Duration(n.stats.stallNs.Load()),
+			RegisteredBytes: n.stats.registeredBytes.Load(),
+			Materializes:    n.m.materializes.Value(),
+			QueueDepth:      n.m.procDepth.Value(),
+			HopBounds:       n.m.hopNs.Bounds(),
+			HopCounts:       n.m.hopNs.Buckets(hops),
+		})
 	}
-	return out
+	return dst
 }
 
 // Run injects perNode[i] fragments at node i and blocks until every
@@ -443,11 +482,10 @@ func (r *Ring) abandon() {
 func (r *Ring) progressSummary() string {
 	out := ""
 	for i, n := range r.nodes {
-		st := n.snapshot()
 		if i > 0 {
 			out += ", "
 		}
-		out += fmt.Sprintf("node %d processed %d", i, st.Processed)
+		out += fmt.Sprintf("node %d processed %d", i, n.stats.processed.Load())
 	}
 	return out
 }

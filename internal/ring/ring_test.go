@@ -258,7 +258,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err := r.Run(perNode(frags)); err != nil {
 		t.Fatal(err)
 	}
-	stats := r.Stats()
+	stats := r.Stats(nil)
 	if len(stats) != 3 {
 		t.Fatalf("stats for %d nodes", len(stats))
 	}
@@ -300,7 +300,7 @@ func TestStatsExactAfterRun(t *testing.T) {
 				}
 				var in, out int64
 				processed, retired := 0, 0
-				for _, st := range r.Stats() {
+				for _, st := range r.Stats(nil) {
 					in += st.BytesIn
 					out += st.BytesOut
 					processed += st.Processed
@@ -313,6 +313,24 @@ func TestStatsExactAfterRun(t *testing.T) {
 					t.Errorf("Processed = %d, Retired = %d, want %d and %d", processed, retired, len(frags)*nodes, len(frags))
 				}
 			})
+		}
+	}
+}
+
+// TestStatsReusesDst: a sampler calls Stats on every tick, so once its
+// slice has grown a call allocates nothing — hop buckets included.
+func TestStatsReusesDst(t *testing.T) {
+	r, _ := newRecorderRing(t, 3, Config{}, nil)
+	if err := r.Run(perNode(buildFrags(t, 3, 300))); err != nil {
+		t.Fatal(err)
+	}
+	dst := r.Stats(nil)
+	if allocs := testing.AllocsPerRun(100, func() { dst = r.Stats(dst[:0]) }); allocs != 0 {
+		t.Errorf("Stats on a reused dst: %v allocs per call, want 0", allocs)
+	}
+	for i, st := range dst {
+		if st.Node != i || len(st.HopCounts) != len(st.HopBounds)+1 {
+			t.Errorf("row %d: node %d, %d hop counts for %d bounds", i, st.Node, len(st.HopCounts), len(st.HopBounds))
 		}
 	}
 }

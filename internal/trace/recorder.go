@@ -88,9 +88,6 @@ const (
 	// re-established and retained frames re-routed. Arg carries the
 	// number of re-dial attempts.
 	PhaseRelink
-	// PhaseAutotune: instant — the chunk-size autotuner recentred its
-	// recommendation. Arg carries the chosen chunk size in bytes.
-	PhaseAutotune
 )
 
 // phaseNames is the wire naming, shared by String and the Perfetto parser.
@@ -111,7 +108,6 @@ var phaseNames = map[Phase]string{
 	PhaseCreditStall: "credit-stall",
 	PhaseFault:       "fault",
 	PhaseRelink:      "relink",
-	PhaseAutotune:    "autotune",
 }
 
 // String implements fmt.Stringer.
