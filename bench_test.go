@@ -25,6 +25,7 @@ import (
 	"cyclojoin/internal/join/nested"
 	"cyclojoin/internal/join/sortmerge"
 	"cyclojoin/internal/kerneltcp"
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/rdma"
 	"cyclojoin/internal/rdma/memlink"
 	"cyclojoin/internal/rdma/tcplink"
@@ -615,51 +616,109 @@ func BenchmarkCycloJoinEndToEnd(b *testing.B) {
 // revolution against key-placed b and c; a tiny rotating table keeps the
 // left-deep sequence, because placing a million stationary tuples by key
 // would cost more than the 6 000 probes it saves (BenchmarkPlacement has
-// both sides of that choice).
+// both sides of that choice). The engine keeps its tables stationed, so an
+// op over unchanged tables is one revolution; even_200k/cold registers a, b
+// and c again before every op, which stations all three anew. stations/op
+// counts core's setup calls.
 func BenchmarkSQL3Way(b *testing.B) {
 	const sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k"
 	for _, shape := range []struct {
 		name    string
 		a, b, c int
+		cold    bool
 	}{
-		{"even_200k", 200_000, 200_000, 200_000},
-		{"tiny_rotating_2k_x_1M", 2_000, 1_000_000, 200_000},
-		{"big_rotating_1M", 1_000_000, 200_000, 200_000},
+		{"even_200k/cold", 200_000, 200_000, 200_000, true},
+		{"even_200k/warm", 200_000, 200_000, 200_000, false},
+		{"tiny_rotating_2k_x_1M", 2_000, 1_000_000, 200_000, false},
+		{"big_rotating_1M", 1_000_000, 200_000, 200_000, false},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			domain := max(shape.a, shape.b, shape.c)
-			cat := cyclojoin.NewCatalog()
-			for i, t := range []struct {
-				name   string
-				tuples int
-			}{{"a", shape.a}, {"b", shape.b}, {"c", shape.c}} {
-				rel, err := workload.Generate(workload.Spec{Name: t.name, Tuples: t.tuples, KeyDomain: domain, Seed: int64(7 + i), PayloadWidth: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := cat.Register(t.name, "k", rel); err != nil {
-					b.Fatal(err)
-				}
+			engine, register := sqlEngine(b, map[string]int{"a": shape.a, "b": shape.b, "c": shape.c})
+			before := func() {}
+			if shape.cold {
+				before = register
 			}
-			engine, err := cyclojoin.NewQueryEngine(cat, 4, cyclojoin.JoinOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				_ = engine.Close()
-			}()
-			if _, err := engine.Execute(sql); err != nil { // builds the ring
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Execute(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runSQL(b, engine, before, sql)
 		})
 	}
+}
+
+// BenchmarkSQLAlternating alternates the three-way count with a two-way count
+// over two of its tables on one engine, one op being both: the two
+// statements station b differently (a side, then the rotating table) and
+// share c.
+func BenchmarkSQLAlternating(b *testing.B) {
+	engine, _ := sqlEngine(b, map[string]int{"a": 200_000, "b": 200_000, "c": 200_000})
+	runSQL(b, engine, func() {},
+		"SELECT COUNT(*) FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k",
+		"SELECT COUNT(*) FROM b JOIN c ON b.k = c.k")
+}
+
+// sqlEngine generates tables a, b and c of the given sizes over the largest
+// one's key domain and builds a 4-host engine over them. register registers
+// the three tables (again): a new version of each.
+func sqlEngine(b *testing.B, sizes map[string]int) (engine *cyclojoin.QueryEngine, register func()) {
+	b.Helper()
+	domain := 0
+	for _, n := range sizes {
+		domain = max(domain, n)
+	}
+	names := []string{"a", "b", "c"}
+	rels := make([]*cyclojoin.Relation, len(names))
+	for i, name := range names {
+		var err error
+		if rels[i], err = workload.Generate(workload.Spec{Name: name, Tuples: sizes[name], KeyDomain: domain, Seed: int64(7 + i), PayloadWidth: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cat := cyclojoin.NewCatalog()
+	register = func() {
+		for i, name := range names {
+			if err := cat.Register(name, "k", rels[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	register()
+	engine, err := cyclojoin.NewQueryEngine(cat, 4, cyclojoin.JoinOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		_ = engine.Close()
+	})
+	return engine, register
+}
+
+// coreStations sums core_stations_total over both placements.
+func coreStations() int64 {
+	var n int64
+	for _, placement := range []string{"position", "key"} {
+		n += metrics.Default().Counter("core_stations_total", "", "placement", placement).Value()
+	}
+	return n
+}
+
+// runSQL times ops of before and then every statement of sqls, after one
+// untimed pass that builds the ring and stations what a warm op reuses.
+func runSQL(b *testing.B, engine *cyclojoin.QueryEngine, before func(), sqls ...string) {
+	b.Helper()
+	op := func() {
+		before()
+		for _, sql := range sqls {
+			if _, err := engine.Execute(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	op()
+	stations := coreStations()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(coreStations()-stations)/float64(b.N), "stations/op")
 }
 
 // BenchmarkPlacement is the evidence for the engine's placement rule

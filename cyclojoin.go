@@ -14,8 +14,8 @@
 //     internal/kerneltcp);
 //   - the Data Roundabout ring runtime (internal/ring) and the cyclo-join
 //     orchestrator (internal/core), the only owner of a ring;
-//   - the SQL front end (internal/query) and hot-set storage
-//     (internal/hotset);
+//   - the SQL front end (internal/query), whose engine keeps the tables it
+//     joins stationed on its ring;
 //   - the paper-evaluation harness: calibrated cost model, discrete-event
 //     simulator and per-figure experiments (internal/costmodel,
 //     internal/simnet, internal/experiments).
@@ -38,7 +38,6 @@ import (
 	"cyclojoin/internal/core"
 	"cyclojoin/internal/costmodel"
 	"cyclojoin/internal/experiments"
-	"cyclojoin/internal/hotset"
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/nested"
@@ -94,15 +93,6 @@ type (
 	// LinkFactory selects the wire implementation connecting neighboring
 	// ring hosts.
 	LinkFactory = ring.LinkFactory
-)
-
-// Hot-set storage (§II-C: hot data in memory, the rest on disk).
-type (
-	// HotSetStore holds relations under a memory budget, spilling the
-	// least recently used ones to disk and reloading them on access.
-	HotSetStore = hotset.Store
-	// HotRelation reports one relation's access heat.
-	HotRelation = hotset.HotRelation
 )
 
 // SQL front end (§VII's "SQL-enabled system", as a working slice).
@@ -183,12 +173,6 @@ func InProcessLinks() LinkFactory { return ring.MemLinks() }
 // TCPLoopbackLinks connects ring hosts over real TCP sockets on the
 // loopback interface.
 func TCPLoopbackLinks() LinkFactory { return ring.TCPLinks() }
-
-// NewHotSetStore creates a memory-budgeted relation store that spills to
-// dir.
-func NewHotSetStore(budgetBytes int64, dir string) (*HotSetStore, error) {
-	return hotset.New(budgetBytes, dir)
-}
 
 // NewCatalog returns an empty SQL catalog.
 func NewCatalog() *Catalog { return query.NewCatalog() }

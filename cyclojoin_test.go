@@ -133,24 +133,3 @@ func TestOneSidedWriteCluster(t *testing.T) {
 		t.Errorf("matches = %d, want 2000", res.Matches())
 	}
 }
-
-func TestHotSetStoreFacade(t *testing.T) {
-	store, err := cyclojoin.NewHotSetStore(1<<20, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := cyclojoin.SequentialRelation("r", 100, 4)
-	if err := store.Register("r", r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Get("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 100 {
-		t.Errorf("len = %d", got.Len())
-	}
-	if hot := store.Hottest(); len(hot) != 1 || hot[0].Name != "r" {
-		t.Errorf("hottest = %+v", hot)
-	}
-}

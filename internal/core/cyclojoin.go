@@ -6,23 +6,29 @@
 // union of the per-host results is the complete join R ⋈ S, available as a
 // distributed table.
 //
-// The two paper phases map onto two calls:
+// The two paper phases map onto handles the caller keeps:
 //
-//   - Station runs the setup phase: in parallel on every host, build the
-//     access structure over S_i (hash tables / sorted runs) and reorganize
-//     the local rotating fragments (radix-clustering / sorting). Because
-//     the reorganized fragments travel the ring, this work is invested
-//     once and amortized over every hop (§IV-D).
-//   - Rotate runs the join phase: one full revolution of the rotating
-//     fragments. It can be called repeatedly against the same stationed
-//     state — that is the setup-reuse trade at the heart of §V-E.
+//   - The setup phase builds them, in parallel on every host: a Side is one
+//     stationary relation with an access structure (hash table, sorted runs)
+//     over each host's share (SetupSide, SetupSideByKey); a Rotating is the
+//     rotating fragments reorganized on their home hosts (radix-clustering,
+//     sorting — SetupRotating). Because the reorganized fragments travel the
+//     ring, this work is invested once and amortized over every hop (§IV-D).
+//   - Revolve runs the join phase: one full revolution of a Rotating against
+//     an ordered list of Sides. The hosts read the handles for that
+//     revolution only, so a cluster serves any number of stationed sides, a
+//     handle serves any number of revolutions — the setup-reuse trade at the
+//     heart of §V-E — and dropping a handle releases it.
 //
-// Join combines both for the common case.
+// Station, StationByKey, Rotate, RotateInto, Join and JoinRelations are the
+// one-handle-set form of the same calls: Station and StationByKey set up the
+// handles that Rotate and RotateInto then revolve.
 //
-// Station takes the data where it lies, as the paper does (§II-C). For
-// equi-joins StationByKey is the other setup phase: it places any number of
-// stationary relations by key hash, so that one revolution joins the rotating
-// relation with all of them and each rotating tuple probes one host only.
+// Placement is a property of a handle. By position the data joins where it
+// lies, as in the paper (§II-C): every fragment probes every host. By key,
+// for equi-joins, stationary relations are placed by key hash, so one
+// revolution joins the rotating relation with any number of them and each
+// rotating tuple probes one host only.
 package core
 
 import (
@@ -78,55 +84,113 @@ func (c Config) validate() error {
 	return nil
 }
 
-// stationed is what one Station call left on a host. Station swaps it in
-// whole, so a revolution never joins with the sides of one Station under the
-// placement of another.
-type stationed struct {
-	// sides are the host's prepared stationary pieces in chain order: Station
-	// sets up one, StationByKey one per stationary relation. A fragment
-	// flowing by probes sides[0]; its matches probe sides[1], and so on.
-	sides []join.Stationary
-	// byKey marks key placement: every side holds exactly the keys
-	// relation.Owner gives this host, and the rotating fragments are ordered
-	// by owner, so the host joins only its own contiguous slice of each.
-	byKey bool
+// Placement is how a handle's data sits on the ring. All handles of one
+// revolution share it.
+type Placement uint8
+
+const (
+	// ByPosition stations data where it lies: host i holds the i-th piece,
+	// and every rotating fragment probes every host. One side per
+	// revolution.
+	ByPosition Placement = iota
+	// ByKey places stationary data by key hash (relation.PartitionByHash):
+	// host i holds exactly the keys relation.Owner gives it, and the
+	// rotating fragments are ordered by owner, so a host probes only its own
+	// contiguous slice of each. Equi-joins only.
+	ByKey
+)
+
+// A revolution refuses a handle it cannot read with one of these errors.
+var (
+	// ErrForeignHandle: the handle was set up on another cluster.
+	ErrForeignHandle = errors.New("cyclojoin: handle set up on another cluster")
+	// ErrStaleHandle: a host was replaced since the handle was set up, and
+	// the host's share of it died with the host.
+	ErrStaleHandle = errors.New("cyclojoin: handle set up before a host was replaced")
+	// ErrMixedPlacement: the handles of one revolution are placed
+	// differently.
+	ErrMixedPlacement = errors.New("cyclojoin: handles of one revolution placed differently")
+)
+
+// origin is what a revolution checks before it reads a handle.
+type origin struct {
+	cluster *Cluster
+	// replaced is the cluster's count of replaced hosts when the handle was
+	// set up.
+	replaced  uint64
+	placement Placement
 }
 
-// hostState is the mutable per-node state the ring processor reads.
+// Side is one stationary relation set up on every host of a cluster: each
+// host's access structure over its share. It serves any number of
+// revolutions until a host is replaced.
+type Side struct {
+	origin
+	hosts []join.Stationary // by host
+}
+
+// Rotating is a rotating relation after the setup phase: its fragments,
+// reorganized on their home hosts, and their key-column projections. It
+// serves any number of revolutions until a host is replaced, one revolution
+// at a time: the ring counts a fragment's hops in the fragment.
+type Rotating struct {
+	origin
+	// rotating are the reorganized fragments, by home node.
+	rotating [][]*relation.Fragment
+	// rotatingKeys are the same fragments projected onto their key column
+	// (relation.KeysOnly: aliases, no tuple copied), each its own Fragment.
+	rotatingKeys [][]*relation.Fragment
+}
+
+// staged names the rotating handle Station and StationByKey leave for
+// Rotate; Cluster embeds it under this unexported name.
+type staged = Rotating
+
+// hostState is one ring host's join entity. Between revolutions it holds
+// nothing: a revolution hands it its share of the sides and the collectors
+// their matches go to, and takes them back when it ends.
 type hostState struct {
 	node, nodes int
 
 	mu sync.Mutex
-	st *stationed
-	// head is what sides[0] emits into this revolution: the revolution's
-	// collector on this host or, in front of further sides, the first link
-	// of links, the chain that leads there.
+	// sides are the host's shares of the revolution's sides in chain order:
+	// a fragment flowing by probes sides[0]; its matches probe sides[1],
+	// and so on. Nil between revolutions.
+	sides []join.Stationary
+	// byKey marks key placement: the host joins only its owner's slice of
+	// each fragment.
+	byKey bool
+	// head is what sides[0] emits into: the revolution's collector on this
+	// host or, in front of further sides, the first link of links, the
+	// chain that leads there.
 	head  join.Collector
 	links []*link
 }
 
-func (h *hostState) current() (*stationed, join.Collector, []*link) {
+func (h *hostState) set(sides []join.Stationary, byKey bool, head join.Collector, links []*link) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.st, h.head, h.links
+	h.sides, h.byKey, h.head, h.links = sides, byKey, head, links
 }
 
 // process is the host's join entity: it joins a fragment flowing by against
-// the stationed state into this revolution's collector. The fragment may be
-// key-only — RotateInto ships no payloads to collectors that only count.
+// the revolution's sides into its collector. The fragment may be key-only —
+// a revolution ships no payloads to collectors that only count.
 func (h *hostState) process(frag *relation.Fragment) error {
-	st, head, links := h.current()
-	if st == nil {
-		return errors.New("cyclojoin: fragment arrived before Station")
+	h.mu.Lock()
+	sides, byKey, head, links := h.sides, h.byKey, h.head, h.links
+	h.mu.Unlock()
+	if sides == nil {
+		return errors.New("cyclojoin: fragment arrived outside a revolution")
 	}
 	rel := frag.Rel
-	if st.byKey {
+	if byKey {
 		var err error
 		if rel, err = ownerSlice(rel, h.node, h.nodes); err != nil {
 			return err
 		}
 	}
-	if err := st.sides[0].Join(rel, head); err != nil {
+	if err := sides[0].Join(rel, head); err != nil {
 		return err
 	}
 	// Whatever this fragment left in the chain's batches joins now, front to
@@ -140,8 +204,8 @@ func (h *hostState) process(frag *relation.Fragment) error {
 }
 
 // ownerSlice returns the tuples of rel that relation.Owner gives host `node`
-// of `nodes`: rel is ordered by owner (StationByKey does that), so they are
-// one contiguous range, found by two binary searches and aliased.
+// of `nodes`: rel is ordered by owner (SetupRotating does that under ByKey),
+// so they are one contiguous range, found by two binary searches and aliased.
 func ownerSlice(rel *relation.Relation, node, nodes int) (*relation.Relation, error) {
 	keys := rel.Keys()
 	lo := sort.Search(len(keys), func(i int) bool { return relation.Owner(keys[i], nodes) >= node })
@@ -157,28 +221,34 @@ var (
 	mTupleRevolutions = metrics.Default().Counter("core_revolutions_total", "cyclo-join revolutions by what the rotating fragments carried", "ships", "tuples")
 )
 
-// How the stationary side was placed answers "one revolution or one per
-// side": key placement joins any number of sides in one.
+// How the stationary data was placed answers "one revolution or one per
+// side": key placement joins any number of sides in one. One count per
+// Station, StationByKey, SetupSide or SetupSideByKey, whatever its number of
+// sides.
 var (
 	mPositionStations = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "position")
 	mKeyStations      = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "key")
 )
 
 // Cluster is a running cyclo-join deployment: a Data Roundabout ring whose
-// join entities probe incoming fragments against stationed local state.
+// join entities probe incoming fragments against stationed sides. It runs
+// one revolution at a time.
 type Cluster struct {
 	cfg   Config
 	ring  *ring.Ring
 	hosts []*hostState
 
-	mu       sync.Mutex
-	rotating [][]*relation.Fragment // reorganized fragments, by home node
-	// rotatingKeys are the same fragments projected onto their key column
-	// (relation.KeysOnly: aliases, no tuple copied), each its own Fragment
-	// because the ring counts hops in the struct.
-	rotatingKeys [][]*relation.Fragment
-	setupDur     time.Duration
-	closed       bool
+	mu sync.Mutex
+	// replacements counts ReplaceHost calls: a handle set up under an
+	// earlier count is stale.
+	replacements uint64
+	// *staged and stagedSides are the handles the last Station or
+	// StationByKey set up, for Rotate: nil before the first and after
+	// ReplaceHost. setupDur is how long that setup took.
+	*staged
+	stagedSides []*Side
+	setupDur    time.Duration
+	closed      bool
 }
 
 // Ring exposes the cluster's transport ring as a live-telemetry source:
@@ -220,18 +290,62 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Station runs the setup phase. sFrags[i] is the stationary piece S_i held
-// by host i; rFrags[i] are the rotating fragments initially homed at host
-// i. Hosts run their setup concurrently, as the cluster's machines would.
-// The data joins where it lies: every fragment probes every host.
+// SetupSide stations a relation where it lies: host i sets up sFrags[i], the
+// piece S_i it holds.
+func (c *Cluster) SetupSide(sFrags []*relation.Fragment) (*Side, error) {
+	if len(sFrags) != c.cfg.Nodes {
+		return nil, fmt.Errorf("cyclojoin: SetupSide with %d stationary slots for %d nodes", len(sFrags), c.cfg.Nodes)
+	}
+	sides, _, err := c.setup([][]*relation.Fragment{sFrags}, nil, ByPosition)
+	if err != nil {
+		return nil, err
+	}
+	mPositionStations.Inc()
+	return sides[0], nil
+}
+
+// SetupSideByKey places s by key hash — host i gets exactly the keys
+// relation.Owner gives it — and sets up each host's share. Equi-joins only:
+// only equal keys share a host.
+func (c *Cluster) SetupSideByKey(s *relation.Relation) (*Side, error) {
+	placed, err := c.placeByKey([]*relation.Relation{s})
+	if err != nil {
+		return nil, err
+	}
+	sides, _, err := c.setup(placed, nil, ByKey)
+	if err != nil {
+		return nil, err
+	}
+	mKeyStations.Inc()
+	return sides[0], nil
+}
+
+// SetupRotating reorganizes the rotating fragments on their home hosts:
+// rFrags[i] are the fragments host i injects. Under ByKey every fragment is
+// also ordered by owner — not an optimization, unlike the kernel's
+// reorganization: a host joins only its owner's range of a fragment.
+func (c *Cluster) SetupRotating(rFrags [][]*relation.Fragment, p Placement) (*Rotating, error) {
+	if len(rFrags) != c.cfg.Nodes {
+		return nil, fmt.Errorf("cyclojoin: SetupRotating with %d rotating slots for %d nodes", len(rFrags), c.cfg.Nodes)
+	}
+	_, rot, err := c.setup(nil, rFrags, p)
+	return rot, err
+}
+
+// Station runs the setup phase for Rotate. sFrags[i] is the stationary piece
+// S_i held by host i; rFrags[i] are the rotating fragments initially homed at
+// host i. The data joins where it lies: every fragment probes every host.
 func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Fragment) error {
 	if len(sFrags) != c.cfg.Nodes || len(rFrags) != c.cfg.Nodes {
 		return fmt.Errorf("cyclojoin: Station with %d stationary and %d rotating slots for %d nodes",
 			len(sFrags), len(rFrags), c.cfg.Nodes)
 	}
-	if err := c.station([][]*relation.Fragment{sFrags}, rFrags, false); err != nil {
+	start := time.Now()
+	sides, rot, err := c.setup([][]*relation.Fragment{sFrags}, rFrags, ByPosition)
+	if err != nil {
 		return err
 	}
+	c.stage(rot, sides, time.Since(start))
 	mPositionStations.Inc()
 	return nil
 }
@@ -239,95 +353,118 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 // StationByKey runs the setup phase for an equi-join of the rotating
 // fragments with every relation of sides at once: R ⋈ sides[0] ⋈ sides[1] ⋈ …
 // on the one join key, in a single revolution. It places each side by key
-// hash (relation.PartitionByHash), so host i holds, of every side, exactly
-// the keys relation.Owner gives it, and sets up one join.Stationary per
-// side there. RotateInto then chains them on each host: a fragment's matches
-// with sides[0] probe sides[1] in small batches, and so on; the collectors
-// receive the matches of the last side, laid out as a left-deep sequence of
-// join.Materializer steps would lay them out (rKey, and rPay ‖ key ‖ pay₀ ‖
-// key ‖ pay₁ … as rPay). No intermediate result exists at any point.
+// hash (SetupSideByKey) and orders the rotating fragments by owner
+// (SetupRotating under ByKey). RotateInto then chains the sides on each host:
+// a fragment's matches with sides[0] probe sides[1] in small batches, and so
+// on; the collectors receive the matches of the last side, laid out as a
+// left-deep sequence of join.Materializer steps would lay them out (rKey, and
+// rPay ‖ key ‖ pay₀ ‖ key ‖ pay₁ … as rPay). No intermediate result exists at
+// any point.
 //
-// Because a key's matches live on one host only, the rotating fragments are
-// additionally ordered by owner and a host probes just its own slice of each:
-// a revolution probes |R| tuples against sides[0], not nodes·|R|. The price
-// is that placement follows the keys: a key that makes up half of a side
-// puts half of that side's probe work on one host.
+// Because a key's matches live on one host only, a host probes just its own
+// slice of each fragment: a revolution probes |R| tuples against sides[0],
+// not nodes·|R|. The price is that placement follows the keys: a key that
+// makes up half of a side puts half of that side's probe work on one host.
 func (c *Cluster) StationByKey(sides []*relation.Relation, rFrags [][]*relation.Fragment) error {
-	if _, ok := c.cfg.Predicate.(join.Equi); !ok {
-		return fmt.Errorf("cyclojoin: StationByKey needs an equi-join, not %s: only equal keys share a host", c.cfg.Predicate)
-	}
 	if len(sides) == 0 || len(rFrags) != c.cfg.Nodes {
 		return fmt.Errorf("cyclojoin: StationByKey with %d stationary sides and %d rotating slots for %d nodes",
 			len(sides), len(rFrags), c.cfg.Nodes)
 	}
-	placed := make([][]*relation.Fragment, len(sides))
-	errs := make([]error, len(sides))
-	var wg sync.WaitGroup
-	for j, side := range sides {
-		wg.Add(1)
-		go func(j int, side *relation.Relation) {
-			defer wg.Done()
-			placed[j], errs[j] = relation.PartitionByHash(side, c.cfg.Nodes)
-		}(j, side)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return fmt.Errorf("cyclojoin: place by key: %w", err)
-	}
-	if err := c.station(placed, rFrags, true); err != nil {
+	placed, err := c.placeByKey(sides)
+	if err != nil {
 		return err
 	}
+	start := time.Now()
+	set, rot, err := c.setup(placed, rFrags, ByKey)
+	if err != nil {
+		return err
+	}
+	c.stage(rot, set, time.Since(start))
 	mKeyStations.Inc()
 	return nil
 }
 
-// station is the setup phase proper: host i sets up sides[j][i] for every j
-// and reorganizes rFrags[i]. The stationed state replaces the previous
-// Station's, on every host, only once every host has succeeded.
-func (c *Cluster) station(sides [][]*relation.Fragment, rFrags [][]*relation.Fragment, byKey bool) error {
-	start := time.Now()
-	stations := make([]*stationed, c.cfg.Nodes)
-	rotated := make([][]*relation.Fragment, c.cfg.Nodes)
-	keyed := make([][]*relation.Fragment, c.cfg.Nodes)
-	errs := make([]error, c.cfg.Nodes)
+// placeByKey hash-partitions every relation of sides over the hosts,
+// concurrently.
+func (c *Cluster) placeByKey(sides []*relation.Relation) ([][]*relation.Fragment, error) {
+	if _, ok := c.cfg.Predicate.(join.Equi); !ok {
+		return nil, fmt.Errorf("cyclojoin: key placement needs an equi-join, not %s: only equal keys share a host", c.cfg.Predicate)
+	}
+	placed := make([][]*relation.Fragment, len(sides))
+	if err := parallel(len(sides), func(j int) (err error) {
+		placed[j], err = relation.PartitionByHash(sides[j], c.cfg.Nodes)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("cyclojoin: place by key: %w", err)
+	}
+	return placed, nil
+}
+
+// setup is the setup phase proper, the one path behind every handle: host i
+// sets up sides[j][i] for every j, then reorganizes rFrags[i] unless rFrags
+// is nil. Hosts run their setup concurrently, as the cluster's machines
+// would.
+func (c *Cluster) setup(sides [][]*relation.Fragment, rFrags [][]*relation.Fragment, p Placement) ([]*Side, *Rotating, error) {
+	c.mu.Lock()
+	at := origin{cluster: c, replaced: c.replacements, placement: p}
+	c.mu.Unlock()
+	set := make([]*Side, len(sides))
+	for j := range set {
+		set[j] = &Side{origin: at, hosts: make([]join.Stationary, c.cfg.Nodes)}
+	}
+	var rot *Rotating
+	if rFrags != nil {
+		rot = &Rotating{origin: at, rotating: make([][]*relation.Fragment, c.cfg.Nodes), rotatingKeys: make([][]*relation.Fragment, c.cfg.Nodes)}
+	}
+	err := parallel(c.cfg.Nodes, func(i int) error {
+		opts := c.joinOpts(i)
+		for j, side := range sides {
+			st, err := c.cfg.Algorithm.SetupStationary(side[i].Rel, c.cfg.Predicate, opts)
+			if err != nil {
+				return fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
+			}
+			set[j].hosts[i] = st
+		}
+		if rot == nil {
+			return nil
+		}
+		rotated := make([]*relation.Fragment, len(rFrags[i]))
+		keyed := make([]*relation.Fragment, len(rFrags[i]))
+		for j, f := range rFrags[i] {
+			rel := f.Rel
+			if !c.cfg.SkipRotatingSetup {
+				var err error
+				rel, err = c.cfg.Algorithm.SetupRotating(f.Rel, c.cfg.Predicate, opts)
+				if err != nil {
+					return fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
+				}
+			}
+			if p == ByKey {
+				// Stable, so the kernel's order survives inside each range.
+				rel = relation.OrderByOwner(rel, c.cfg.Nodes)
+			}
+			rotated[j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
+			keyed[j] = &relation.Fragment{Rel: rel.KeysOnly(), Index: f.Index, Of: f.Of}
+		}
+		rot.rotating[i], rot.rotatingKeys[i] = rotated, keyed
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return set, rot, nil
+}
+
+// parallel runs f(0) … f(n-1) concurrently and returns the error of the
+// lowest i that failed.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < c.cfg.Nodes; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := c.joinOpts(i)
-			st := &stationed{sides: make([]join.Stationary, len(sides)), byKey: byKey}
-			for j, side := range sides {
-				var err error
-				st.sides[j], err = c.cfg.Algorithm.SetupStationary(side[i].Rel, c.cfg.Predicate, opts)
-				if err != nil {
-					errs[i] = fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
-					return
-				}
-			}
-			stations[i] = st
-
-			rotated[i] = make([]*relation.Fragment, len(rFrags[i]))
-			keyed[i] = make([]*relation.Fragment, len(rFrags[i]))
-			for j, f := range rFrags[i] {
-				rel := f.Rel
-				if !c.cfg.SkipRotatingSetup {
-					var err error
-					rel, err = c.cfg.Algorithm.SetupRotating(f.Rel, c.cfg.Predicate, opts)
-					if err != nil {
-						errs[i] = fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
-						return
-					}
-				}
-				if byKey {
-					// Not an optimization, unlike SetupRotating: a host joins
-					// only its owner's range of a fragment. Stable, so the
-					// kernel's order survives inside each range.
-					rel = relation.OrderByOwner(rel, c.cfg.Nodes)
-				}
-				rotated[i][j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
-				keyed[i][j] = &relation.Fragment{Rel: rel.KeysOnly(), Index: f.Index, Of: f.Of}
-			}
+			errs[i] = f(i)
 		}(i)
 	}
 	wg.Wait()
@@ -336,21 +473,21 @@ func (c *Cluster) station(sides [][]*relation.Fragment, rFrags [][]*relation.Fra
 			return err
 		}
 	}
-	for i, h := range c.hosts {
-		h.mu.Lock()
-		h.st = stations[i]
-		h.mu.Unlock()
-	}
-	c.mu.Lock()
-	c.rotating, c.rotatingKeys = rotated, keyed
-	c.setupDur = time.Since(start)
-	c.mu.Unlock()
 	return nil
 }
 
-// Result reports one Rotate's outcome.
+// stage makes rot and sides what Rotate revolves.
+func (c *Cluster) stage(rot *Rotating, sides []*Side, took time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.staged, c.stagedSides, c.setupDur = rot, sides, took
+}
+
+// Result reports one revolution's outcome.
 type Result struct {
-	// SetupTime is the wall-clock duration of the most recent Station.
+	// SetupTime is the wall-clock duration of the most recent Station or
+	// StationByKey for Rotate and RotateInto, and zero for Revolve, whose
+	// handles may serve many revolutions.
 	SetupTime time.Duration
 	// JoinTime is the wall-clock duration of the revolution.
 	JoinTime time.Duration
@@ -388,28 +525,79 @@ func (c *Cluster) Rotate() (*Result, error) {
 	return c.RotateInto(c.cfg.Collectors)
 }
 
-// RotateInto is Rotate with this revolution's collectors: collect builds
-// each host's collector, nil meaning one join.Counter per host. A caller
-// that runs different joins on one cluster — a count, then a materialized
-// intermediate — chooses per revolution what Config.Collectors fixes for
-// the cluster's lifetime.
+// RotateInto is Rotate with this revolution's collectors: Revolve over the
+// handles the last Station or StationByKey set up. A caller that runs
+// different joins on one cluster — a count, then a materialized
+// intermediate — chooses per revolution what Config.Collectors fixes for the
+// cluster's lifetime.
+func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
+	c.mu.Lock()
+	rot, sides, setup := c.staged, c.stagedSides, c.setupDur
+	c.mu.Unlock()
+	if rot == nil {
+		return nil, errors.New("cyclojoin: Rotate before Station")
+	}
+	return c.revolve(rot, sides, collect, setup)
+}
+
+// Revolve runs one full revolution of rot against sides, in chain order, and
+// returns the per-host results; collect builds each host's collector, nil
+// meaning one join.Counter per host. The hosts read the handles for this
+// revolution only. Every handle must come from this cluster, share one
+// placement and predate no ReplaceHost; by position a revolution reads one
+// side.
 //
 // What rotates follows from the collectors: when every one is a
 // join.MatchCounter — it needs the number of matches, not the tuples — the
 // revolution ships the rotating fragments' key column alone; any other
-// collector gets whole tuples. The stationed state serves both, so a count,
-// a materialization and another count on one Station each ship what they
-// read.
+// collector gets whole tuples. One Rotating serves both, so a count, a
+// materialization and another count each ship what they read.
 //
-// After StationByKey the collectors stand at the end of each host's probe
-// chain: they receive the matches with the last side.
-func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
+// With several sides (key placement) the collectors stand at the end of each
+// host's probe chain: they receive the matches with the last side.
+func (c *Cluster) Revolve(rot *Rotating, sides []*Side, collect func(node int) join.Collector) (*Result, error) {
+	return c.revolve(rot, sides, collect, 0)
+}
+
+// check refuses handles a revolution cannot read.
+func (c *Cluster) check(rot *Rotating, sides []*Side) error {
+	if rot == nil || len(sides) == 0 {
+		return fmt.Errorf("cyclojoin: a revolution needs a rotating handle and a side, not %d sides", len(sides))
+	}
 	c.mu.Lock()
-	rotating, rotatingKeys := c.rotating, c.rotatingKeys
-	setup := c.setupDur
+	replacements := c.replacements
 	c.mu.Unlock()
-	if rotating == nil {
-		return nil, errors.New("cyclojoin: Rotate before Station")
+	valid := func(at origin) error {
+		switch {
+		case at.cluster != c:
+			return ErrForeignHandle
+		case at.replaced != replacements:
+			return ErrStaleHandle
+		case at.placement != rot.placement:
+			return ErrMixedPlacement
+		}
+		return nil
+	}
+	if err := valid(rot.origin); err != nil {
+		return err
+	}
+	for _, s := range sides {
+		if s == nil {
+			return errors.New("cyclojoin: nil side")
+		}
+		if err := valid(s.origin); err != nil {
+			return err
+		}
+	}
+	if rot.placement == ByPosition && len(sides) > 1 {
+		return fmt.Errorf("cyclojoin: %d sides placed by position: only sides placed by key chain", len(sides))
+	}
+	return nil
+}
+
+func (c *Cluster) revolve(rot *Rotating, sides []*Side, collect func(node int) join.Collector, setup time.Duration) (*Result, error) {
+	if err := c.check(rot, sides); err != nil {
+		return nil, err
 	}
 	collectors := make([]join.Collector, c.cfg.Nodes)
 	countOnly := true
@@ -423,15 +611,24 @@ func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, er
 			countOnly = false
 		}
 	}
+	k := len(sides)
+	shares := make([]join.Stationary, len(c.hosts)*k) // one allocation for every host's shares
 	for i, h := range c.hosts {
-		h.mu.Lock()
-		if h.st != nil {
-			h.head, h.links = chain(h.st.sides, collectors[i], countOnly)
+		own := shares[i*k : (i+1)*k : (i+1)*k]
+		for j, s := range sides {
+			own[j] = s.hosts[i]
 		}
-		h.mu.Unlock()
+		head, links := chain(own, collectors[i], countOnly)
+		h.set(own, rot.placement == ByKey, head, links)
 	}
+	defer func() {
+		for _, h := range c.hosts {
+			h.set(nil, false, nil, nil)
+		}
+	}()
+	rotating := rot.rotating
 	if countOnly {
-		rotating = rotatingKeys
+		rotating = rot.rotatingKeys
 		mKeyRevolutions.Inc()
 	} else {
 		mTupleRevolutions.Inc()
@@ -495,7 +692,8 @@ func (c *Cluster) JoinRelations(r, s *relation.Relation, rotateSmaller bool) (*R
 }
 
 // ReplaceHost swaps the host at position i for a fresh one (idle ring
-// only). The new host has no stationed state until the next Station.
+// only). Stationed state dies with the host: every handle set up so far is
+// stale, and Rotate needs a fresh Station.
 func (c *Cluster) ReplaceHost(i int) error {
 	if i < 0 || i >= c.cfg.Nodes {
 		return fmt.Errorf("cyclojoin: replace host %d of %d", i, c.cfg.Nodes)
@@ -505,10 +703,10 @@ func (c *Cluster) ReplaceHost(i int) error {
 	if err := c.ring.ReplaceNode(i, ring.ProcessorFunc(h.process)); err != nil {
 		return fmt.Errorf("cyclojoin: replace host %d: %w", i, err)
 	}
-	// Stationed state died with the host; require a fresh Station.
 	c.mu.Lock()
-	c.rotating, c.rotatingKeys = nil, nil
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	c.replacements++
+	c.staged, c.stagedSides = nil, nil
 	return nil
 }
 

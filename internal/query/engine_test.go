@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,19 +64,20 @@ func TestRingBuiltOnceAcrossQueries(t *testing.T) {
 	if got := mRingBuilds.Value() - builds; got != 1 {
 		t.Errorf("query_ring_builds_total rose by %d over ten queries, want 1", got)
 	}
-	// Three 100-row tables on three hosts are placed by key: one Station
-	// and one revolution per query, however many tables it joins.
-	if got := mJoinSteps.Value() - steps; got != 10 {
-		t.Errorf("query_join_steps_total rose by %d over ten key-placed 3-way queries, want 10", got)
+	// Three 100-row tables on three hosts are placed by key: one revolution
+	// per run, however many tables it joins, and newEngine runs each query
+	// three times.
+	if got := mJoinSteps.Value() - steps; got != 30 {
+		t.Errorf("query_join_steps_total rose by %d over thirty key-placed 3-way runs, want 30", got)
 	}
 }
 
 // TestEngineRecoversFromDeadRing makes a revolution abort inside ring.Run —
 // a tuple wider than a ring buffer cannot be forwarded — which closes the
 // ring. The failure must stay with that query: the next one gets a fresh
-// ring. Only SELECT * ships that tuple: a COUNT(*) over the same table reads
-// its key column alone, so it runs on the warm ring and never sees the
-// payload.
+// ring, and stations again every table the dead ring held. Only SELECT *
+// ships that tuple: a COUNT(*) over the same table reads its key column
+// alone, so it runs on the warm ring and never sees the payload.
 func TestEngineRecoversFromDeadRing(t *testing.T) {
 	cat := fixture(t)
 	wide := relation.New(relation.Schema{Name: "wide", PayloadWidth: ring.DefaultBufferBytes}, 1)
@@ -87,8 +89,12 @@ func TestEngineRecoversFromDeadRing(t *testing.T) {
 	}
 	e := newEngine(t, cat)
 	builds := mRingBuilds.Value()
+	if _, err := e.Execute(threeWay); err != nil { // stations nums, evens and dups
+		t.Fatal(err)
+	}
 
-	_, err := e.Execute("SELECT * FROM wide JOIN nums ON wide.id = nums.id")
+	// One run, not newEngine's three: each would build another ring.
+	_, err := e.Engine.Execute("SELECT * FROM wide JOIN nums ON wide.id = nums.id")
 	if err == nil || !strings.Contains(err.Error(), "ring: run aborted") {
 		t.Fatalf("oversize tuple: err = %v, want an aborted revolution", err)
 	}
@@ -96,7 +102,8 @@ func TestEngineRecoversFromDeadRing(t *testing.T) {
 		t.Fatalf("builds after the failed query = %d, want 1", got)
 	}
 
-	res, err := e.Execute(threeWay)
+	reused, stationed := mReused.Value(), mStationed.Value()
+	res, err := e.Engine.Execute(threeWay)
 	if err != nil {
 		t.Fatalf("healthy query after a dead ring: %v", err)
 	}
@@ -105,6 +112,9 @@ func TestEngineRecoversFromDeadRing(t *testing.T) {
 	}
 	if got := mRingBuilds.Value() - builds; got != 2 {
 		t.Errorf("builds after recovery = %d, want 2", got)
+	}
+	if got, want := []int64{mReused.Value() - reused, mStationed.Value() - stationed}, []int64{0, 3}; !slices.Equal(got, want) {
+		t.Errorf("after the abort: {reused, stationed} rose by %v, want %v — the store died with the ring", got, want)
 	}
 
 	res, err = e.Execute("SELECT COUNT(*) FROM wide JOIN nums ON wide.id = nums.id")
@@ -317,13 +327,14 @@ func TestLargeTablesRotateInSeveralFragments(t *testing.T) {
 	if err := cat.Register("b", "k", b); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(cat, 4, join.Options{})
+	raw, err := NewEngine(cat, 4, join.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		_ = e.Close()
+		_ = raw.Close()
 	}()
+	e := &testEngine{Engine: raw, t: t}
 	res, err := e.Execute("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k")
 	if err != nil {
 		t.Fatal(err)

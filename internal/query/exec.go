@@ -27,6 +27,13 @@ var (
 	mJoinSteps  = metrics.Default().Counter("query_join_steps_total", "cyclo-join steps run by SQL engines")
 )
 
+// Reused against stationed answers "are the tables staying on the ring?":
+// one count per stationary side and rotating table a join step reads.
+var (
+	mReused    = metrics.Default().Counter("query_stationed_total", "tables SQL join steps read, by whether the engine's store held them stationed", "outcome", "reused")
+	mStationed = metrics.Default().Counter("query_stationed_total", "tables SQL join steps read, by whether the engine's store held them stationed", "outcome", "stationed")
+)
+
 // Engine executes parsed queries on a cyclo-join ring. It is safe for
 // concurrent use; join steps of concurrent queries take turns on the ring.
 type Engine struct {
@@ -35,12 +42,16 @@ type Engine struct {
 	opts    join.Options
 
 	// mu serializes join steps — a ring runs one revolution at a time —
-	// and guards cluster.
+	// and guards cluster and stationed.
 	mu sync.Mutex
 	// cluster is the engine's one ring: nil until the first join step, and
 	// again after a step that failed, because a ring closes itself when a
 	// revolution aborts.
 	cluster *core.Cluster
+	// stationed is the store: the stationed form of every base table a
+	// join step read whole, filed by how the step read it and tagged with
+	// the table's catalog version. It lives and dies with cluster.
+	stationed map[slot]entry
 	// closed is set under mu, so a step that holds mu and reads false may
 	// build; Execute reads it without queueing behind a revolution.
 	closed atomic.Bool
@@ -50,9 +61,18 @@ type Engine struct {
 // size. The ring — its registered buffers (160 MB at 4 nodes) and its
 // nodes' goroutines — is built by the first join step and kept for every
 // later step and query until Close; single-table queries and Explain never
-// build it. An engine dropped without Close pins its ring: the goroutines
-// stay parked (no CPU) and the buffers, like whatever the last step
-// stationed, are never collected.
+// build it.
+//
+// The tables stay on the ring: a join step stations a base table it reads
+// whole (hash-placed or where it lies, rotating or stationary, all columns
+// or the key alone) once per catalog version, and every later step that
+// reads it the same way reuses that stationed state. Registering the table
+// again makes the next such step station it again; a filtered table and an
+// intermediate result are stationed for their step only. The store holds at
+// most one entry per table and way of reading it, and is emptied with the
+// ring, by a failed step or Close. An engine dropped without Close pins its
+// ring and its store: the goroutines stay parked (no CPU) and the memory is
+// never collected.
 func NewEngine(catalog *Catalog, nodes int, opts join.Options) (*Engine, error) {
 	if catalog == nil {
 		return nil, fmt.Errorf("query: nil catalog")
@@ -63,9 +83,9 @@ func NewEngine(catalog *Catalog, nodes int, opts join.Options) (*Engine, error) 
 	return &Engine{catalog: catalog, nodes: nodes, opts: opts}, nil
 }
 
-// Close releases the engine's ring, if one was built. It waits for a join
-// step in progress; later Execute calls return ErrClosed. Close is
-// idempotent.
+// Close releases the engine's ring and what it stationed, if a ring was
+// built. It waits for a join step in progress; later Execute calls return
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -75,9 +95,10 @@ func (e *Engine) Close() error {
 	return e.dropCluster()
 }
 
-// dropCluster closes and forgets the ring; the next join step builds a
-// fresh one. The caller holds e.mu.
+// dropCluster closes and forgets the ring and the store; the next join step
+// builds a fresh ring. The caller holds e.mu.
 func (e *Engine) dropCluster() error {
+	e.stationed = nil
 	if e.cluster == nil {
 		return nil
 	}
@@ -127,21 +148,22 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 		return res, nil
 	}
 
-	rotating, err := distribute(filtered[0], e.nodes)
-	if err != nil {
-		return nil, err
+	// table is the i-th FROM table as a revolution placed p reads it.
+	table := func(i int, p core.Placement, rotating bool) operand {
+		return inputs[i].operand(st, filtered[i], p, rotating)
 	}
-	sides := filtered[1:]
-	lastSide := sides[len(sides)-1]
-	lastWidth := lastSide.Schema().PayloadWidth
+	n := len(filtered) - 1 // the last table's index
+	lastWidth := filtered[n].Schema().PayloadWidth
 	if chooseShape(e.nodes, filtered).byKey {
 		// One revolution: every stationary table is placed by key hash, so
 		// each host joins a fragment flowing by against its share of all of
 		// them, one after the other, and no intermediate exists.
-		last := newSink(st, chainedWidth(rotating[0], sides[:len(sides)-1]), lastWidth)
-		res, err := e.onRing(rotating, last.collect, func(c *core.Cluster, rFrags [][]*relation.Fragment) error {
-			return c.StationByKey(sides, rFrags)
-		})
+		sides := make([]operand, n)
+		for i := range sides {
+			sides[i] = table(i+1, core.ByKey, false)
+		}
+		last := newSink(st, chainedWidth(filtered[0], filtered[1:n]), lastWidth)
+		res, err := e.onRing(core.ByKey, table(0, core.ByKey, true), sides, last.collect)
 		if err != nil {
 			return nil, fmt.Errorf("query: join %s: %w", strings.Join(st.Tables, ", "), err)
 		}
@@ -153,30 +175,26 @@ func (e *Engine) Execute(sql string) (*Result, error) {
 	// next base table is stationed where it lies. The intermediate is the
 	// paper's distributed table: what a host's join entity produced in one
 	// step is what that host injects in the next.
-	byPosition := func(stationary *relation.Relation) func(*core.Cluster, [][]*relation.Fragment) error {
-		return func(c *core.Cluster, rFrags [][]*relation.Fragment) error {
-			sFrags, err := relation.Partition(stationary, e.nodes)
-			if err != nil {
-				return err
-			}
-			return c.Station(sFrags, rFrags)
-		}
-	}
-	for i, stationary := range sides[:len(sides)-1] {
-		name := fmt.Sprintf("join-%d", i+1)
-		rWidth, sWidth := rotating[0].Schema().PayloadWidth, stationary.Schema().PayloadWidth
-		res, err := e.onRing(rotating, func(int) join.Collector { return join.NewMaterializer(name, rWidth, sWidth) }, byPosition(stationary))
+	rotating := table(0, core.ByPosition, true)
+	width := filtered[0].Schema().PayloadWidth
+	for i := 1; i < n; i++ {
+		name, rWidth, sWidth := fmt.Sprintf("join-%d", i), width, filtered[i].Schema().PayloadWidth
+		res, err := e.onRing(core.ByPosition, rotating, []operand{table(i, core.ByPosition, false)},
+			func(int) join.Collector { return join.NewMaterializer(name, rWidth, sWidth) })
 		if err != nil {
-			return nil, fmt.Errorf("query: join step %d (%s): %w", i+1, st.Tables[i+1], err)
+			return nil, fmt.Errorf("query: join step %d (%s): %w", i, st.Tables[i], err)
 		}
-		if rotating, err = materialized(res); err != nil {
+		parts, err := materialized(res)
+		if err != nil {
 			return nil, err
 		}
+		rotating = operand{parts: parts}
+		width += filtered[i].Schema().TupleWidth()
 	}
-	last := newSink(st, rotating[0].Schema().PayloadWidth, lastWidth)
-	res, err := e.onRing(rotating, last.collect, byPosition(lastSide))
+	last := newSink(st, width, lastWidth)
+	res, err := e.onRing(core.ByPosition, rotating, []operand{table(n, core.ByPosition, false)}, last.collect)
 	if err != nil {
-		return nil, fmt.Errorf("query: join step %d (%s): %w", len(sides), st.Tables[len(sides)], err)
+		return nil, fmt.Errorf("query: join step %d (%s): %w", n, st.Tables[n], err)
 	}
 	return last.result(res, st)
 }
@@ -394,10 +412,22 @@ type bound struct {
 	name string
 	// rel holds the columns the statement reads. SQL names key columns only
 	// (payloads are opaque to it), so anything but SELECT * binds the key
-	// column alone; its filters, Station, the ring and the intermediates
+	// column alone; its filters, setup, the ring and the intermediates
 	// then handle 8 bytes per tuple and source table, whatever the widths.
-	rel *relation.Relation
-	key string
+	rel     *relation.Relation
+	key     string
+	version uint64 // of the catalog entry rel came from
+}
+
+// operand is this table, rel after the statement's filters, as one
+// revolution placed p reads it, rotating or stationary.
+func (in bound) operand(st *Statement, rel *relation.Relation, p core.Placement, rotating bool) operand {
+	return operand{
+		rel:     rel,
+		version: in.version,
+		slot:    slot{table: in.name, keysOnly: st.keysOnly(), placement: p, rotating: rotating},
+		stored:  len(filtersFor(st, in.name)) == 0,
+	}
 }
 
 // bind resolves and semantically validates the statement.
@@ -417,7 +447,7 @@ func (e *Engine) bind(st *Statement) ([]bound, error) {
 		if st.keysOnly() {
 			rel = rel.KeysOnly()
 		}
-		inputs[i] = bound{name: name, rel: rel, key: entry.key}
+		inputs[i] = bound{name: name, rel: rel, key: entry.key, version: entry.version}
 	}
 
 	keyOf := map[string]string{}
@@ -568,25 +598,49 @@ func (d distributed) concat() (*relation.Relation, error) {
 	return relation.Concat(d[0].Schema(), frags)
 }
 
-// onRing runs one cyclo-join on the engine's ring: station — Station or
-// StationByKey, with rotating cut into ring-sized fragments — then one
-// revolution into collect's collectors (nil: a join.Counter per host). The
-// first call builds the ring. A call that fails drops it — ring.Run closes a
-// ring whose revolution aborted — so the failure ends with the query that
-// caused it and the next call starts on a fresh ring.
-func (e *Engine) onRing(rotating distributed, collect func(node int) join.Collector,
-	station func(c *core.Cluster, rFrags [][]*relation.Fragment) error) (*core.Result, error) {
-	rFrags, err := rotating.fragments()
-	if err != nil {
-		return nil, err
-	}
+// slot is how a join step reads a base table, and so which stationed form
+// of it the step needs: its columns (all, or the key alone), its placement,
+// and whether it rotates or stays.
+type slot struct {
+	table     string
+	keysOnly  bool
+	placement core.Placement
+	rotating  bool
+}
 
+// entry is one table in the store: its stationed form — a *core.Side or a
+// *core.Rotating — set up from the table's registration `version`.
+type entry struct {
+	version uint64
+	handle  any
+}
+
+// operand is one input of a revolution: a base table (rel), or the
+// distributed intermediate of the step before (parts), which rotates where
+// it lies. A stored operand is a base table read whole; the store files its
+// stationed form under slot. Any other is stationed for its revolution only.
+type operand struct {
+	rel     *relation.Relation
+	parts   distributed
+	slot    slot
+	version uint64
+	stored  bool
+}
+
+// onRing runs one cyclo-join on the engine's ring: the rotating operand
+// against the stationary ones, in chain order, all placed p, in one
+// revolution into collect's collectors (nil: a join.Counter per host). The
+// first call builds the ring. A call that fails drops it, and the store with
+// it — ring.Run closes a ring whose revolution aborted — so the failure ends
+// with the query that caused it and the next call starts on a fresh ring.
+func (e *Engine) onRing(p core.Placement, rotating operand, sides []operand, collect func(node int) join.Collector) (*core.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
 	if e.cluster == nil {
+		var err error
 		e.cluster, err = core.NewCluster(core.Config{
 			Nodes:     e.nodes,
 			Algorithm: hashjoin.Join{},
@@ -596,16 +650,126 @@ func (e *Engine) onRing(rotating distributed, collect func(node int) join.Collec
 		if err != nil {
 			return nil, err
 		}
+		e.stationed = make(map[slot]entry)
 		mRingBuilds.Inc()
 	}
 	mJoinSteps.Inc()
+	rot, set, err := e.station(p, rotating, sides)
 	var res *core.Result
-	if err = station(e.cluster, rFrags); err == nil {
-		res, err = e.cluster.RotateInto(collect)
+	if err == nil {
+		res, err = e.cluster.Revolve(rot, set, collect)
 	}
 	if err != nil {
 		_ = e.dropCluster() // the step's error is the one to report
 		return nil, err
 	}
 	return res, nil
+}
+
+// station returns the stationed form of every operand: the store's where it
+// holds the operand at its version, set up now — concurrently — where it
+// does not. A stored operand set up now is filed. The caller holds e.mu.
+func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (*core.Rotating, []*core.Side, error) {
+	ops := append([]operand{rotating}, sides...)
+	handles := make([]any, len(ops))
+	var fresh []int
+	for i, op := range ops {
+		if h, ok := e.lookup(op); ok {
+			handles[i] = h
+			mReused.Inc()
+		} else {
+			fresh = append(fresh, i)
+		}
+	}
+	c, errs := e.cluster, make([]error, len(fresh))
+	var wg sync.WaitGroup
+	for k, i := range fresh {
+		wg.Add(1)
+		go func(k, i int) {
+			defer wg.Done()
+			handles[i], errs[k] = e.setup(c, p, ops[i], i == 0)
+		}(k, i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
+	}
+	for _, i := range fresh {
+		mStationed.Inc()
+		if ops[i].stored {
+			e.file(ops[i], handles[i])
+		}
+	}
+	set := make([]*core.Side, len(sides))
+	for j, h := range handles[1:] {
+		set[j] = h.(*core.Side)
+	}
+	return handles[0].(*core.Rotating), set, nil
+}
+
+// setup stations op on c, placed p: as the rotating fragments, or as a side
+// placed by key hash or where it lies.
+func (e *Engine) setup(c *core.Cluster, p core.Placement, op operand, rotating bool) (any, error) {
+	switch {
+	case rotating:
+		parts := op.parts
+		if parts == nil {
+			var err error
+			if parts, err = distribute(op.rel, e.nodes); err != nil {
+				return nil, err
+			}
+		}
+		rFrags, err := parts.fragments()
+		if err != nil {
+			return nil, err
+		}
+		return c.SetupRotating(rFrags, p)
+	case p == core.ByKey:
+		return c.SetupSideByKey(op.rel)
+	default:
+		sFrags, err := relation.Partition(op.rel, e.nodes)
+		if err != nil {
+			return nil, err
+		}
+		return c.SetupSide(sFrags)
+	}
+}
+
+// lookup returns the store's stationed form of op, if it holds op at its
+// version. The caller holds e.mu.
+func (e *Engine) lookup(op operand) (any, bool) {
+	if !op.stored {
+		return nil, false
+	}
+	ent, ok := e.stationed[op.slot]
+	if !ok || ent.version != op.version {
+		return nil, false
+	}
+	return ent.handle, true
+}
+
+// file stores op's freshly stationed form. A table's entries all come from
+// one registration: filing a newer version drops the older ones, and a step
+// that read a table since registered again files nothing. The caller holds
+// e.mu.
+func (e *Engine) file(op operand, handle any) {
+	for s, ent := range e.stationed {
+		switch {
+		case s.table != op.slot.table:
+		case ent.version > op.version:
+			return
+		case ent.version < op.version:
+			delete(e.stationed, s)
+		}
+	}
+	e.stationed[op.slot] = entry{version: op.version, handle: handle}
+}
+
+// holds reports whether the store holds op at its version: what Explain
+// marks as stationed.
+func (e *Engine) holds(op operand) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.lookup(op)
+	return ok
 }

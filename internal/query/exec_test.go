@@ -45,7 +45,10 @@ func fixture(t *testing.T) *Catalog {
 	return cat
 }
 
-func newEngine(t *testing.T, cat *Catalog) *Engine {
+// newEngine returns a three-host engine over cat that runs every statement
+// three times, cold and warm among them (testEngine), and is closed when the
+// test ends.
+func newEngine(t *testing.T, cat *Catalog) *testEngine {
 	t.Helper()
 	e, err := NewEngine(cat, 3, join.Options{})
 	if err != nil {
@@ -56,7 +59,7 @@ func newEngine(t *testing.T, cat *Catalog) *Engine {
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return e
+	return &testEngine{Engine: e, t: t}
 }
 
 func TestEngineValidation(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cyclojoin/internal/core"
 	"cyclojoin/internal/costmodel"
 	"cyclojoin/internal/planner"
 	"cyclojoin/internal/relation"
@@ -38,7 +39,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 
 	if len(filtered) > 1 {
-		if err := e.explainJoins(&b, st, filtered); err != nil {
+		if err := e.explainJoins(&b, st, inputs, filtered); err != nil {
 			return "", err
 		}
 	}
@@ -71,9 +72,20 @@ const estimationRate = 16
 
 // explainJoins prints the shape Execute will choose for the statement's
 // joins, with the two row counts that decide it, and the cardinality
-// estimate of every join.
-func (e *Engine) explainJoins(b *strings.Builder, st *Statement, filtered []*relation.Relation) error {
+// estimate of every join. An input the engine holds stationed at its current
+// version is marked "(stationed)": Execute will not station it again.
+func (e *Engine) explainJoins(b *strings.Builder, st *Statement, inputs []bound, filtered []*relation.Relation) error {
 	sh := chooseShape(e.nodes, filtered)
+	placement := core.ByPosition
+	if sh.byKey {
+		placement = core.ByKey
+	}
+	stationed := make([]string, len(filtered))
+	for i, in := range inputs {
+		if e.holds(in.operand(st, filtered[i], placement, i == 0)) {
+			stationed[i] = " (stationed)"
+		}
+	}
 	ships := func(width int, last bool) (string, int) {
 		// The last revolution of COUNT(*) collects into join.Counters, to
 		// which the ring rotates the key column alone; every other collector
@@ -87,12 +99,18 @@ func (e *Engine) explainJoins(b *strings.Builder, st *Statement, filtered []*rel
 	curRows := float64(filtered[0].Len())
 	cur := filtered[0]
 	if sh.byKey {
+		moves := 0 // what this statement places, not what chooseShape weighs
+		for i, side := range filtered[1:] {
+			if stationed[i+1] == "" {
+				moves += side.Len()
+			}
+		}
 		what, width := ships(cur.Schema().TupleWidth(), true)
-		fmt.Fprintf(b, "cyclo-join: rotate %s (%d rows) against %s placed by key hash — 1 revolution, ships %s (%d B/tuple), saves %d probes, moves %d tuples\n",
-			st.Tables[0], cur.Len(), strings.Join(st.Tables[1:], ", "), what, width, sh.saves, sh.moves)
+		fmt.Fprintf(b, "cyclo-join: rotate %s (%d rows)%s against %s placed by key hash — 1 revolution, ships %s (%d B/tuple), saves %d probes, moves %d tuples\n",
+			st.Tables[0], cur.Len(), stationed[0], strings.Join(st.Tables[1:], ", "), what, width, sh.saves, moves)
 		for i, side := range filtered[1:] {
 			curRows = EstimateJoinSizeFloat(cur, side, estimationRate)
-			fmt.Fprintf(b, "  probe %d: %s (%d rows), est. output %.0f rows\n", i+1, st.Tables[i+1], side.Len(), curRows)
+			fmt.Fprintf(b, "  probe %d: %s (%d rows)%s, est. output %.0f rows\n", i+1, st.Tables[i+1], side.Len(), stationed[i+1], curRows)
 			cur = side // stands in for the chain's key distribution, as in the loop below
 		}
 		return nil
@@ -114,8 +132,12 @@ func (e *Engine) explainJoins(b *strings.Builder, st *Statement, filtered []*rel
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(b, "cyclo-join %d: rotate %.0f rows against %s (%d rows), ships %s (%d B/tuple) — plan %s, est. output %.0f rows\n",
-			step, curRows, st.Tables[step], filtered[step].Len(), what, width, plan, est)
+		rotated := "" // the first step rotates a base table, later ones an intermediate
+		if step == 1 {
+			rotated = stationed[0]
+		}
+		fmt.Fprintf(b, "cyclo-join %d: rotate %.0f rows%s against %s (%d rows)%s, ships %s (%d B/tuple) — plan %s, est. output %.0f rows\n",
+			step, curRows, rotated, st.Tables[step], filtered[step].Len(), stationed[step], what, width, plan, est)
 		curRows = est
 		curWidth += filtered[step].Schema().TupleWidth()
 		// EXPLAIN does not execute, so the true intermediate is not

@@ -17,28 +17,37 @@
 // shared key, and a multi-table statement runs in one of two shapes, chosen
 // from the row counts after WHERE (chooseShape): one revolution of the first
 // table against all the others placed by key hash, each host chaining its
-// share of them (core.Cluster.StationByKey); or, when the other tables are
-// too large to be worth moving, as the paper sketches for ternary joins
-// (§IV-A): a left-deep sequence of cyclo-join runs on the engine's one
-// ring, each leaving its result distributed over the hosts — a host's share
-// is what that host rotates in the next run.
+// share of them (core.Cluster.Revolve over key-placed sides); or, when the
+// other tables are too large to be worth moving, as the paper sketches for
+// ternary joins (§IV-A): a left-deep sequence of cyclo-join runs on the
+// engine's one ring, each leaving its result distributed over the hosts — a
+// host's share is what that host rotates in the next run. Either way the
+// tables stay on the ring between statements (Engine).
 package query
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"cyclojoin/internal/relation"
 )
 
-// Catalog maps table names to relations and their key-column names.
+// Catalog maps table names to relations and their key-column names. It is
+// safe for concurrent use: a table may be registered while queries run.
 type Catalog struct {
-	tables map[string]catalogEntry
+	mu      sync.RWMutex
+	tables  map[string]catalogEntry
+	version uint64 // of the last registration
 }
 
 type catalogEntry struct {
 	rel *relation.Relation
 	key string
+	// version identifies this registration: every Register takes the next
+	// one, so an engine's stationed form of a table is current exactly when
+	// it was stationed at the table's version.
+	version uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -47,7 +56,8 @@ func NewCatalog() *Catalog {
 }
 
 // Register adds a table under the given name, exposing keyColumn as its
-// join-key column. Re-registering a name replaces the table.
+// join-key column. Re-registering a name replaces the table; statements that
+// start afterwards read the new one.
 func (c *Catalog) Register(name, keyColumn string, rel *relation.Relation) error {
 	if name == "" || keyColumn == "" {
 		return fmt.Errorf("query: register needs a table and a key column name")
@@ -55,21 +65,30 @@ func (c *Catalog) Register(name, keyColumn string, rel *relation.Relation) error
 	if rel == nil {
 		return fmt.Errorf("query: register %s: nil relation", name)
 	}
-	c.tables[name] = catalogEntry{rel: rel, key: keyColumn}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.version++
+	c.tables[name] = catalogEntry{rel: rel, key: keyColumn, version: c.version}
 	return nil
 }
 
 // Tables lists the registered table names, sorted.
 func (c *Catalog) Tables() []string {
+	c.mu.RLock()
 	out := make([]string, 0, len(c.tables))
 	for name := range c.tables {
 		out = append(out, name)
 	}
+	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
+// lookup returns the table's relation, key column and version as one
+// registration left them.
 func (c *Catalog) lookup(name string) (catalogEntry, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	e, ok := c.tables[name]
 	if !ok {
 		return catalogEntry{}, fmt.Errorf("query: unknown table %q", name)

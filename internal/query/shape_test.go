@@ -41,8 +41,9 @@ func TestChooseShape(t *testing.T) {
 // large table (placed by key: one revolution) and once by a tiny one (placed
 // by position: a revolution per join), with and without WHERE, and compares
 // COUNT(*), SUM, MIN, MAX and the SELECT * rows — payload bytes included —
-// with a left-deep sequence of join/nested runs. Which shape ran is read off
-// query_join_steps_total and must be the one chooseShape names.
+// with a left-deep sequence of join/nested runs. Every statement runs three
+// times, cold and warm among them (testEngine). Which shape ran is read off query_join_steps_total
+// and must be the one chooseShape names.
 func TestBothShapesMatchNested(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const domain = 60
@@ -97,10 +98,11 @@ func TestBothShapesMatchNested(t *testing.T) {
 	ran := map[bool]map[int]int{true: {}, false: {}}
 	for _, nodes := range []int{1, 2, 3, 4, 5} {
 		for _, workers := range []int{1, 4} {
-			e, err := NewEngine(cat, nodes, join.Options{Parallelism: workers})
+			raw, err := NewEngine(cat, nodes, join.Options{Parallelism: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
+			e := &testEngine{Engine: raw, t: t}
 			for _, lead := range []string{"big", "tiny"} {
 				for n := 2; n <= 5; n++ {
 					names := append([]string{lead}, "s1", "s2", "s3", "s4")[:n]
@@ -142,6 +144,7 @@ func TestBothShapesMatchNested(t *testing.T) {
 						if sh.byKey {
 							wantSteps = 1
 						}
+						wantSteps *= 3 // testEngine's three runs
 						ran[sh.byKey][n]++
 
 						steps := mJoinSteps.Value()
