@@ -522,6 +522,53 @@ func BenchmarkSortMergeJoinPhase(b *testing.B) {
 	}
 }
 
+// BenchmarkSortMergeHost is the merge as a ring host of bench's
+// sortmerge_band runs it: one host's share of S (100 k tuples of a 1.6 M key
+// domain) against a rotating fragment of the same size that went through
+// SetupRotating, band ±2, counted and emitted; and the Station that prepares
+// that share.
+func BenchmarkSortMergeHost(b *testing.B) {
+	const tuples, domain = 100_000, 1_600_000
+	gen := func(name string, seed int64) *relation.Relation {
+		rel, err := workload.Generate(workload.Spec{Name: name, Tuples: tuples, KeyDomain: domain, Seed: seed, PayloadWidth: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rel
+	}
+	r, s := gen("R", 7), gen("S", 8)
+	pred := join.Band{Width: 2}
+	b.Run("setupStationary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := (sortmerge.Join{}).SetupStationary(s, pred, join.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/tuple")
+	})
+	st, err := (sortmerge.Join{}).SetupStationary(s, pred, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rot, err := (sortmerge.Join{}).SetupRotating(r, pred, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, path := range []struct {
+		name string
+		c    join.Collector
+	}{{"count", join.Discard{}}, {"emit", emitOnly{}}} {
+		b.Run(path.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := st.Join(rot, path.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rot.Len()), "ns/tuple")
+		})
+	}
+}
+
 func BenchmarkNestedLoops(b *testing.B) {
 	r, s := benchRelations(b, 8_000)
 	st, err := (nested.Join{}).SetupStationary(s, join.Equi{}, join.Options{})

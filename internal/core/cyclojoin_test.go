@@ -243,26 +243,31 @@ func TestSkipRotatingSetupSameResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	r := jointest.RandomRelation(rng, "R", 400, 50, 4)
 	s := jointest.RandomRelation(rng, "S", 400, 50, 4)
-	want := oraclePairs(r, s, join.Equi{})
-	for _, skip := range []bool{false, true} {
-		c, err := NewCluster(Config{
-			Nodes:             3,
-			Algorithm:         hashjoin.Join{},
-			Predicate:         join.Equi{},
-			Collectors:        pairSetCollectors,
-			SkipRotatingSetup: skip,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range []struct {
+		alg  join.Algorithm
+		pred join.Predicate
+	}{{hashjoin.Join{}, join.Equi{}}, {sortmerge.Join{}, join.Band{Width: 2}}} {
+		want := oraclePairs(r, s, k.pred)
+		for _, skip := range []bool{false, true} {
+			c, err := NewCluster(Config{
+				Nodes:             3,
+				Algorithm:         k.alg,
+				Predicate:         k.pred,
+				Collectors:        pairSetCollectors,
+				SkipRotatingSetup: skip,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.JoinRelations(r, s, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mergedPairs(t, res); !equalPairs(got, want) {
+				t.Errorf("%s, skip=%v: wrong result", k.alg.Name(), skip)
+			}
+			_ = c.Close()
 		}
-		res, err := c.JoinRelations(r, s, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := mergedPairs(t, res); !equalPairs(got, want) {
-			t.Errorf("skip=%v: wrong result", skip)
-		}
-		_ = c.Close()
 	}
 }
 
