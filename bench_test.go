@@ -525,8 +525,9 @@ func BenchmarkSortMergeJoinPhase(b *testing.B) {
 // BenchmarkSortMergeHost is the merge as a ring host of bench's
 // sortmerge_band runs it: one host's share of S (100 k tuples of a 1.6 M key
 // domain) against a rotating fragment of the same size that went through
-// SetupRotating, band ±2, counted and emitted; and the Station that prepares
-// that share.
+// SetupRotating, band ±2, counted and emitted; the same count under a band
+// of ±1000, whose candidates span many buckets (count_wide); and the Station
+// that prepares that share.
 func BenchmarkSortMergeHost(b *testing.B) {
 	const tuples, domain = 100_000, 1_600_000
 	gen := func(name string, seed int64) *relation.Relation {
@@ -567,6 +568,18 @@ func BenchmarkSortMergeHost(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rot.Len()), "ns/tuple")
 		})
 	}
+	wide, err := (sortmerge.Join{}).SetupStationary(s, join.Band{Width: 1000}, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("count_wide", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := wide.Join(rot, join.Discard{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rot.Len()), "ns/tuple")
+	})
 }
 
 func BenchmarkNestedLoops(b *testing.B) {
