@@ -1,6 +1,12 @@
 package query
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"cyclojoin/internal/relation"
+)
 
 func TestParseOrderByLimit(t *testing.T) {
 	st, err := Parse("SELECT * FROM r ORDER BY r.k DESC LIMIT 10")
@@ -128,5 +134,47 @@ func TestReservedWordsRejectedAsIdentifiers(t *testing.T) {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q): want error", q)
 		}
+	}
+}
+
+// TestOrderByKeepsTiesInInputOrder pins ORDER BY's order on equal keys:
+// ascending keeps tuples with one key in the order the result had them, and
+// DESC is exactly that order reversed. LIMIT then takes a prefix.
+func TestOrderByKeepsTiesInInputOrder(t *testing.T) {
+	keys := []uint64{5, 3, 5, 1, 3, 5, 0, 3}
+	pay := make([]byte, len(keys))
+	for i := range pay {
+		pay[i] = byte(i)
+	}
+	in, err := relation.Wrap(relation.Schema{Name: "t", PayloadWidth: 1}, keys, pay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asc := []byte{6, 3, 1, 4, 7, 0, 2, 5}
+	for _, tt := range []struct {
+		desc  bool
+		limit int
+		want  []byte
+	}{
+		{false, -1, asc},
+		{true, -1, []byte{5, 2, 0, 7, 4, 1, 3, 6}},
+		{false, 3, asc[:3]},
+		{true, 4, []byte{5, 2, 0, 7}},
+	} {
+		out, err := shapeOutput(in, &Statement{OrderByTable: "t", OrderByCol: "k", OrderDesc: tt.desc, Limit: tt.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.PayloadColumn(); !bytes.Equal(got, tt.want) {
+			t.Errorf("desc=%v limit=%d: rows %v, want %v", tt.desc, tt.limit, got, tt.want)
+		}
+		for i, row := range tt.want {
+			if out.Key(i) != keys[row] {
+				t.Errorf("desc=%v limit=%d: row %d has key %d, want %d", tt.desc, tt.limit, i, out.Key(i), keys[row])
+			}
+		}
+	}
+	if !slices.Equal(in.Keys(), []uint64{5, 3, 5, 1, 3, 5, 0, 3}) {
+		t.Error("ORDER BY changed its input")
 	}
 }
