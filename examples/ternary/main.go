@@ -90,7 +90,10 @@ func main() {
 	for i, f := range interFrags {
 		rotating[i] = []*cyclojoin.Fragment{f}
 	}
-	res2, err := second.Join(tFrags, rotating)
+	if err := second.Station(tFrags, rotating); err != nil {
+		log.Fatal(err)
+	}
+	res2, err := second.Rotate()
 	if err != nil {
 		log.Fatal(err)
 	}

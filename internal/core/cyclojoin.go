@@ -9,20 +9,21 @@
 // The two paper phases map onto handles the caller keeps:
 //
 //   - The setup phase builds them, in parallel on every host: a Side is one
-//     stationary relation with an access structure (hash table, sorted runs)
-//     over each host's share (SetupSide, SetupSideByKey); a Rotating is the
-//     rotating fragments reorganized on their home hosts (radix-clustering,
-//     sorting — SetupRotating). Because the reorganized fragments travel the
-//     ring, this work is invested once and amortized over every hop (§IV-D).
+//     stationary relation with an access structure (a bucket directory over
+//     ordered columns) over each host's share (SetupSide, SetupSideByKey); a
+//     Rotating is the rotating fragments reorganized on their home hosts
+//     (ordered by hash or key prefix — SetupRotating). Because the
+//     reorganized fragments travel the ring, this work is invested once and
+//     amortized over every hop (§IV-D).
 //   - Revolve runs the join phase: one full revolution of a Rotating against
 //     an ordered list of Sides. The hosts read the handles for that
 //     revolution only, so a cluster serves any number of stationed sides, a
 //     handle serves any number of revolutions — the setup-reuse trade at the
 //     heart of §V-E — and dropping a handle releases it.
 //
-// Station, StationByKey, Rotate, RotateInto, Join and JoinRelations are the
-// one-handle-set form of the same calls: Station and StationByKey set up the
-// handles that Rotate and RotateInto then revolve.
+// Station, StationByKey, Rotate and JoinRelations are the one-handle-set
+// form of the same calls: Station and StationByKey set up the handles that
+// Rotate then revolves into Config.Collectors.
 //
 // Placement is a property of a handle. By position the data joins where it
 // lies, as in the paper (§II-C): every fragment probes every host. By key,
@@ -60,7 +61,7 @@ type Config struct {
 	// Links selects the transport; nil means in-process links.
 	Links ring.LinkFactory
 	// Collectors builds the per-host result collector for each Rotate
-	// call; nil means one join.Counter per host. RotateInto takes the
+	// call; nil means one join.Counter per host. Revolve takes the
 	// collectors per revolution instead.
 	Collectors func(node int) join.Collector
 	// SkipRotatingSetup disables the reorganization of rotating fragments
@@ -354,7 +355,7 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 // fragments with every relation of sides at once: R ⋈ sides[0] ⋈ sides[1] ⋈ …
 // on the one join key, in a single revolution. It places each side by key
 // hash (SetupSideByKey) and orders the rotating fragments by owner
-// (SetupRotating under ByKey). RotateInto then chains the sides on each host:
+// (SetupRotating under ByKey). Rotate then chains the sides on each host:
 // a fragment's matches with sides[0] probe sides[1] in small batches, and so
 // on; the collectors receive the matches of the last side, laid out as a
 // left-deep sequence of join.Materializer steps would lay them out (rKey, and
@@ -486,8 +487,8 @@ func (c *Cluster) stage(rot *Rotating, sides []*Side, took time.Duration) {
 // Result reports one revolution's outcome.
 type Result struct {
 	// SetupTime is the wall-clock duration of the most recent Station or
-	// StationByKey for Rotate and RotateInto, and zero for Revolve, whose
-	// handles may serve many revolutions.
+	// StationByKey for Rotate, and zero for Revolve, whose handles may serve
+	// many revolutions.
 	SetupTime time.Duration
 	// JoinTime is the wall-clock duration of the revolution.
 	JoinTime time.Duration
@@ -518,26 +519,18 @@ func (r *Result) Matches() int64 {
 	return total
 }
 
-// Rotate runs one full revolution of the stationed rotating fragments and
-// returns the per-host results. It may be called repeatedly; each call
-// reuses the setup-phase investment.
+// Rotate runs one full revolution of the stationed rotating fragments into
+// Config.Collectors and returns the per-host results: Revolve over the
+// handles the last Station or StationByKey set up. It may be called
+// repeatedly; each call reuses the setup-phase investment.
 func (c *Cluster) Rotate() (*Result, error) {
-	return c.RotateInto(c.cfg.Collectors)
-}
-
-// RotateInto is Rotate with this revolution's collectors: Revolve over the
-// handles the last Station or StationByKey set up. A caller that runs
-// different joins on one cluster — a count, then a materialized
-// intermediate — chooses per revolution what Config.Collectors fixes for the
-// cluster's lifetime.
-func (c *Cluster) RotateInto(collect func(node int) join.Collector) (*Result, error) {
 	c.mu.Lock()
 	rot, sides, setup := c.staged, c.stagedSides, c.setupDur
 	c.mu.Unlock()
 	if rot == nil {
 		return nil, errors.New("cyclojoin: Rotate before Station")
 	}
-	return c.revolve(rot, sides, collect, setup)
+	return c.revolve(rot, sides, c.cfg.Collectors, setup)
 }
 
 // Revolve runs one full revolution of rot against sides, in chain order, and
@@ -658,14 +651,6 @@ func (c *Cluster) revolve(rot *Rotating, sides []*Side, collect func(node int) j
 	}, nil
 }
 
-// Join is Station followed by one Rotate.
-func (c *Cluster) Join(sFrags []*relation.Fragment, rFrags [][]*relation.Fragment) (*Result, error) {
-	if err := c.Station(sFrags, rFrags); err != nil {
-		return nil, err
-	}
-	return c.Rotate()
-}
-
 // JoinRelations partitions both relations evenly across the hosts (the
 // paper's starting condition: data pre-distributed, S reasonably even) and
 // runs Station + Rotate. S is stationary, R rotates. If rotateSmaller is
@@ -688,7 +673,10 @@ func (c *Cluster) JoinRelations(r, s *relation.Relation, rotateSmaller bool) (*R
 	for i, f := range rParts {
 		rFrags[i] = []*relation.Fragment{f}
 	}
-	return c.Join(sFrags, rFrags)
+	if err := c.Station(sFrags, rFrags); err != nil {
+		return nil, err
+	}
+	return c.Rotate()
 }
 
 // ReplaceHost swaps the host at position i for a fresh one (idle ring

@@ -161,10 +161,10 @@ func TestSetupReuse(t *testing.T) {
 	}
 }
 
-// TestRotateIntoPerRevolutionCollectors runs three revolutions on one
-// stationed cluster, each into a different kind of collector: what
-// Config.Collectors freezes for a cluster's lifetime, RotateInto chooses
-// per revolution, and Rotate keeps meaning "the configured ones".
+// TestRotateIntoPerRevolutionCollectors runs three revolutions of one
+// stationed state, each into a different kind of collector: what
+// Config.Collectors freezes for a cluster's lifetime, Revolve chooses per
+// revolution, and Rotate keeps meaning "the configured ones".
 func TestRotateIntoPerRevolutionCollectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := jointest.RandomRelation(rng, "R", 500, 60, 4)
@@ -201,11 +201,8 @@ func TestRotateIntoPerRevolutionCollectors(t *testing.T) {
 	for i, f := range rParts {
 		rFrags[i] = []*relation.Fragment{f}
 	}
-	if err := c.Station(sFrags, rFrags); err != nil {
-		t.Fatal(err)
-	}
-
-	counted, err := c.RotateInto(func(int) join.Collector { return &join.Counter{} })
+	rot, side := byPosition(t, c, sFrags, rFrags)
+	counted, err := c.Revolve(rot, side, func(int) join.Collector { return &join.Counter{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestRotateIntoPerRevolutionCollectors(t *testing.T) {
 		t.Errorf("Counter revolution: %d matches, nested finds %d", got, want.Result().Len())
 	}
 
-	materialized, err := c.RotateInto(func(int) join.Collector { return join.NewMaterializer("got", 4, 6) })
+	materialized, err := c.Revolve(rot, side, func(int) join.Collector { return join.NewMaterializer("got", 4, 6) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +227,9 @@ func TestRotateIntoPerRevolutionCollectors(t *testing.T) {
 		t.Errorf("Materializer revolution: %d distinct rows, nested finds %d", len(got), len(wantRows))
 	}
 
+	if err := c.Station(sFrags, rFrags); err != nil {
+		t.Fatal(err)
+	}
 	configured, err := c.Rotate()
 	if err != nil {
 		t.Fatal(err)

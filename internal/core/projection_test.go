@@ -38,11 +38,12 @@ func bytesOut(res *Result) int64 {
 	return total
 }
 
-// TestRotateIntoShipsWhatCollectorsRead pins the rule RotateInto decides by:
-// a revolution whose collectors are all join.MatchCounters ships the key
-// column, any other ships whole tuples — as exact byte counts, on one
-// stationed state, with a materialization after a key-only revolution to
-// show the payloads are still there.
+// TestRotateIntoShipsWhatCollectorsRead pins the rule a revolution decides
+// by when it rotates into the collectors it is given: one whose collectors
+// are all join.MatchCounters ships the key column, any other ships whole
+// tuples — as exact byte counts, revolving one pair of handles again and
+// again, with a materialization after a key-only revolution to show the
+// payloads are still there.
 func TestRotateIntoShipsWhatCollectorsRead(t *testing.T) {
 	const nodes, fragsPerHost = 3, 2
 	rng := rand.New(rand.NewSource(61))
@@ -130,13 +131,11 @@ func TestRotateIntoShipsWhatCollectorsRead(t *testing.T) {
 			defer func() {
 				_ = c.Close()
 			}()
-			if err := c.Station(sFrags, rFrags); err != nil {
-				t.Fatal(err)
-			}
+			rot, side := byPosition(t, c, sFrags, rFrags)
 			var shipped int64 // the ring's counters run on from revolution to revolution
 			keyRevs, tupleRevs := mKeyRevolutions.Value(), mTupleRevolutions.Value()
 			for _, rev := range revolutions {
-				res, err := c.RotateInto(rev.collect)
+				res, err := c.Revolve(rot, side, rev.collect)
 				if err != nil {
 					t.Fatalf("%s: %v", rev.name, err)
 				}

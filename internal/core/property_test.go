@@ -33,11 +33,10 @@ func TestDistributedJoinProperty(t *testing.T) {
 		s := jointest.RandomRelation(rng, "S", sN, domain, widths[int(sWidth)%len(widths)])
 
 		c, err := NewCluster(Config{
-			Nodes:      nodes,
-			Algorithm:  hashjoin.Join{},
-			Predicate:  join.Equi{},
-			Ring:       ring.Config{OneSidedWrites: oneSided},
-			Collectors: func(int) join.Collector { return join.NewPairSet() },
+			Nodes:     nodes,
+			Algorithm: hashjoin.Join{},
+			Predicate: join.Equi{},
+			Ring:      ring.Config{OneSidedWrites: oneSided},
 		})
 		if err != nil {
 			return false
@@ -45,7 +44,20 @@ func TestDistributedJoinProperty(t *testing.T) {
 		defer func() {
 			_ = c.Close()
 		}()
-		res, err := c.JoinRelations(r, s, false)
+		sFrags, err := relation.Partition(s, nodes)
+		if err != nil {
+			return false
+		}
+		rParts, err := relation.Partition(r, nodes)
+		if err != nil {
+			return false
+		}
+		rFrags := make([][]*relation.Fragment, nodes)
+		for i, f := range rParts {
+			rFrags[i] = []*relation.Fragment{f}
+		}
+		rot, side := byPosition(t, c, sFrags, rFrags)
+		res, err := c.Revolve(rot, side, pairSetCollectors)
 		if err != nil {
 			return false
 		}
@@ -68,7 +80,7 @@ func TestDistributedJoinProperty(t *testing.T) {
 			}
 			matches += int64(v)
 		}
-		counted, err := c.RotateInto(nil)
+		counted, err := c.Revolve(rot, side, nil)
 		return err == nil && counted.Matches() == matches
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -137,7 +149,8 @@ func TestUnevenFragmentDistribution(t *testing.T) {
 	}
 	rFrags := make([][]*relation.Fragment, nodes)
 	rFrags[0] = rParts
-	res, err := c.Join(sFrags, rFrags)
+	rot, side := byPosition(t, c, sFrags, rFrags)
+	res, err := c.Revolve(rot, side, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,10 +119,18 @@ func checkByKey(t *testing.T, c *Cluster, r *relation.Relation, sides []*relatio
 // checkByKeyAgainst is checkByKey for a caller that computed the reference.
 func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Relation, sides []*relation.Relation, rFrags [][]*relation.Fragment) {
 	t.Helper()
-	if err := c.StationByKey(sides, rFrags); err != nil {
+	set := make([]*Side, len(sides))
+	for j, s := range sides {
+		var err error
+		if set[j], err = c.SetupSideByKey(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rot, err := c.SetupRotating(rFrags, ByKey)
+	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := c.RotateInto(nil)
+	counted, err := c.Revolve(rot, set, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +138,7 @@ func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Rel
 		t.Errorf("%d sides, counting: %d matches, join/nested finds %d", len(sides), got, want.count)
 	}
 	rWidth, sWidth := chainedWidth(r, sides), sides[len(sides)-1].Schema().PayloadWidth
-	rows, err := c.RotateInto(func(int) join.Collector { return join.NewMaterializer("got", rWidth, sWidth) })
+	rows, err := c.Revolve(rot, set, func(int) join.Collector { return join.NewMaterializer("got", rWidth, sWidth) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +146,22 @@ func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Rel
 		t.Errorf("%d sides, materializing: rows differ from join/nested (%d distinct, want %d)",
 			len(sides), len(got), len(want.rows))
 	}
+}
+
+// byPosition sets up sFrags where they lie and rFrags on their home hosts:
+// the handles Station stages, for a caller that chooses its collectors per
+// revolution.
+func byPosition(t *testing.T, c *Cluster, sFrags []*relation.Fragment, rFrags [][]*relation.Fragment) (*Rotating, []*Side) {
+	t.Helper()
+	side, err := c.SetupSide(sFrags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := c.SetupRotating(rFrags, ByPosition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rot, []*Side{side}
 }
 
 // TestStationByKeyMatchesNested is the correctness property of the
@@ -337,18 +361,18 @@ func TestPlacementDoesNotLeakAcrossStations(t *testing.T) {
 	if err := c.Station(sFrags, rFrags); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RotateInto(func(int) join.Collector { return join.NewMaterializer("got", 4, 4) })
+	res, err := c.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := jointest.RowCounts(nestedChain(t, r, []*relation.Relation{s0})); !maps.Equal(rowsOf(t, res), want) {
-		t.Error("Station after StationByKey: rows differ from join/nested")
+	if want := int64(nestedChain(t, r, []*relation.Relation{s0}).Len()); res.Matches() != want {
+		t.Errorf("Station after key-placed sides: %d matches, join/nested finds %d", res.Matches(), want)
 	}
 
 	checkByKey(t, c, r, []*relation.Relation{s1, s0}, rFrags)
 
-	if got := mKeyStations.Value() - keyStations; got != 2 {
-		t.Errorf(`core_stations_total{placement="key"} rose by %d, want 2`, got)
+	if got := mKeyStations.Value() - keyStations; got != 4 {
+		t.Errorf(`core_stations_total{placement="key"} rose by %d, want 4`, got)
 	}
 	if got := mPositionStations.Value() - posStations; got != 1 {
 		t.Errorf(`core_stations_total{placement="position"} rose by %d, want 1`, got)
@@ -441,12 +465,10 @@ func TestProbeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Station(sFrags, rFrags); err != nil {
-		t.Fatal(err)
-	}
+	rot, side := byPosition(t, c, sFrags, rFrags)
 	for _, collect := range []func(int) join.Collector{nil, func(int) join.Collector { return join.NewPairSet() }} {
 		rec.Reset()
-		if _, err := c.RotateInto(collect); err != nil {
+		if _, err := c.Revolve(rot, side, collect); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := probed(t, rec), int64(nodes*r.Len()); got != want {
@@ -469,7 +491,7 @@ func TestProbeCounts(t *testing.T) {
 		}
 		chained := mChainMatches.Value()
 		rec.Reset()
-		res, err := c.RotateInto(nil)
+		res, err := c.Rotate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,8 +566,8 @@ func TestChainErrorFailsTheHop(t *testing.T) {
 }
 
 // TestSingleSideChainsNothing: one stationary side means no link, no batch
-// and no allocation per revolution — a plain Station's RotateInto costs what
-// it cost before chains existed.
+// and no allocation per revolution — a revolution of one side costs what it
+// cost before chains existed.
 func TestSingleSideChainsNothing(t *testing.T) {
 	st, err := hashjoin.Join{}.SetupStationary(workload.Sequential("S", 10, 0), join.Equi{}, join.Options{})
 	if err != nil {

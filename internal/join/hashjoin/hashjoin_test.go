@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -14,6 +13,7 @@ import (
 
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/jointest"
+	"cyclojoin/internal/join/layout"
 	"cyclojoin/internal/join/nested"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
@@ -140,88 +140,8 @@ func sweep(maxN int, fn func(name string, r *relation.Relation)) {
 	}
 }
 
-// permutes reports whether the columns (keys, pay) hold exactly the tuples
-// of r, which jointest.Numbered built: a payload of four bytes or more names its row,
-// so every row must turn up once, with its own key and payload; narrower
-// tuples are told apart by key alone.
-func permutes(r *relation.Relation, keys []uint64, pay []byte) bool {
-	n, payW := r.Len(), r.Schema().PayloadWidth
-	if len(keys) != n || len(pay) != n*payW {
-		return false
-	}
-	if payW < 4 {
-		left := workload.Multiplicities(r)
-		for _, k := range keys {
-			left[k]--
-		}
-		for _, c := range left {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	seen := make([]bool, n)
-	for i, k := range keys {
-		p := pay[i*payW : (i+1)*payW]
-		row := int(binary.LittleEndian.Uint32(p))
-		if row >= n || seen[row] || k != r.Key(row) || !bytes.Equal(p, r.Payload(row)) {
-			return false
-		}
-		seen[row] = true
-	}
-	return true
-}
-
-// TestBuildDirectoryInvariants is the layout's contract: the directory
-// tiles [0, n) in bucket order, every key sits in the bucket its hash
-// names, no tuple is lost, repeated or separated from its payload, and the
-// worker count does not show in the result.
-func TestBuildDirectoryInvariants(t *testing.T) {
-	sweep(300_000, func(name string, s *relation.Relation) {
-		n := s.Len()
-		snapshot := s.Clone()
-		var first *stationary
-		for _, workers := range []int{1, 2, 4, 7} {
-			// build takes the worker count as given, so small inputs run
-			// chunked too (with empty chunks when workers > n).
-			st := build(s, workers)
-			if first == nil {
-				first = st
-				b := 64 - st.shift
-				if wantB := dirBits(n); b != wantB || len(st.dir) != 1<<b+1 {
-					t.Fatalf("%s: %d-bit bucket ids and %d directory entries, want %d bits", name, b, len(st.dir), wantB)
-				}
-				if st.dir[0] != 0 || st.dir[len(st.dir)-1] != uint32(n) {
-					t.Fatalf("%s: directory spans [%d, %d), want [0, %d)", name, st.dir[0], st.dir[len(st.dir)-1], n)
-				}
-				for bkt := 0; bkt+1 < len(st.dir); bkt++ {
-					if st.dir[bkt] > st.dir[bkt+1] {
-						t.Fatalf("%s: directory not monotone at bucket %d", name, bkt)
-					}
-					for _, k := range st.keys[st.dir[bkt]:st.dir[bkt+1]] {
-						if got := relation.HashKey(k) >> st.shift; got != uint64(bkt) {
-							t.Fatalf("%s: key %#x sits in bucket %d, its hash names %d", name, k, bkt, got)
-						}
-					}
-				}
-				if !permutes(s, st.keys, st.pay) {
-					t.Fatalf("%s: tuple multiset changed", name)
-				}
-				continue
-			}
-			if !slices.Equal(st.keys, first.keys) || !bytes.Equal(st.pay, first.pay) || !slices.Equal(st.dir, first.dir) {
-				t.Fatalf("%s: %d workers build a different structure than 1", name, workers)
-			}
-		}
-		if !s.Equal(snapshot) {
-			t.Fatalf("%s: input mutated", name)
-		}
-	})
-}
-
-// bucketOrdered is the reference for order: the columns of r stably sorted
-// by the top b bits of the key hash, tuple by tuple.
+// bucketOrdered is the reference for the rotating order: the columns of r
+// stably sorted by the top b bits of relation.HashKey, tuple by tuple.
 func bucketOrdered(r *relation.Relation, b uint) ([]uint64, []byte) {
 	rows := make([]int, r.Len())
 	for i := range rows {
@@ -238,47 +158,33 @@ func bucketOrdered(r *relation.Relation, b uint) ([]uint64, []byte) {
 	return keys, pay
 }
 
-// TestSetupRotatingOrder: the rotating side comes back as the stable sort of
-// its tuples by bucket id — every payload width still beside its key, packed
-// into the row-number slot or gathered — the input is left alone, the worker
-// count does not show, and the key order is the one build gives the same
-// input: one routine orders both sides.
+// TestSetupRotatingOrder: above the cache threshold the rotating side comes
+// back as the stable sort of its tuples by the top dirBits(n) bits of
+// relation.HashKey — every payload width still beside its key — the input is
+// left alone and the worker count does not show; below it, the very relation
+// comes back as it lies.
 func TestSetupRotatingOrder(t *testing.T) {
 	sweep(50_000, func(name string, r *relation.Relation) {
 		snapshot := r.Clone()
-		b := dirBits(r.Len())
-		wantKeys, wantPay := bucketOrdered(r, b)
-		for _, workers := range []int{1, 3, 8} {
-			keys, pay := order(r, b, nil, workers)
-			if !slices.Equal(keys, wantKeys) {
-				t.Fatalf("%s: %d workers: keys are not the stable bucket order", name, workers)
+		wantKeys, wantPay := bucketOrdered(r, dirBits(r.Len()))
+		for _, par := range []int{1, 3, 8} {
+			rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(pay, wantPay) {
-				t.Fatalf("%s: %d workers: payloads left their keys", name, workers)
+			if !slices.Equal(rot.Keys(), wantKeys) {
+				t.Fatalf("%s: %d workers: keys are not the stable bucket order", name, par)
 			}
-		}
-		if st := build(r, 1); !slices.Equal(st.keys, wantKeys) || !bytes.Equal(st.pay, wantPay) {
-			t.Fatalf("%s: build orders the same input differently", name)
+			if !bytes.Equal(rot.PayloadColumn(), wantPay) {
+				t.Fatalf("%s: %d workers: payloads left their keys", name, par)
+			}
 		}
 		if !r.Equal(snapshot) {
 			t.Fatalf("%s: input mutated", name)
 		}
 	})
-
-	// Through the public entry point: ordered above the threshold, to the
-	// bits of the fragment's own size; the very relation back below it.
 	rng := rand.New(rand.NewSource(4))
 	r := jointest.RandomRelation(rng, "R", 40_000, 1024, 3)
-	for _, par := range []int{1, 4} {
-		rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1 << 10, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantKeys, wantPay := bucketOrdered(r, dirBits(r.Len()))
-		if !slices.Equal(rot.Keys(), wantKeys) || !bytes.Equal(rot.PayloadColumn(), wantPay) {
-			t.Errorf("SetupRotating with %d workers is not the stable bucket order of its input", par)
-		}
-	}
 	if rot, err := (Join{}).SetupRotating(r, join.Equi{}, join.Options{}); err != nil || rot != r {
 		t.Errorf("SetupRotating below the threshold = %p, %v; want its input %p as it lies", rot, err, r)
 	}
@@ -305,8 +211,8 @@ func TestStaysCached(t *testing.T) {
 	}
 	for _, tt := range tests {
 		opts := join.Options{L2CacheBytes: tt.l2}
-		if got := staysCached(tt.bytes, opts); got != tt.want {
-			t.Errorf("staysCached(%d, l2=%d) = %v, want %v", tt.bytes, tt.l2, got, tt.want)
+		if got := layout.StaysCached(tt.bytes, opts); got != tt.want {
+			t.Errorf("StaysCached(%d, l2=%d) = %v, want %v", tt.bytes, tt.l2, got, tt.want)
 		}
 	}
 }
@@ -347,23 +253,14 @@ func repeated(k uint64, n int) []uint64 {
 	return keys
 }
 
-// stationed is SetupStationary with one probe worker, as the structure it
-// returns.
-func stationed(t *testing.T, s *relation.Relation) *stationary {
+// stationed is SetupStationary with one probe worker.
+func stationed(t *testing.T, s *relation.Relation) join.Stationary {
 	t.Helper()
 	st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.(*stationary)
-}
-
-// positions is a collector that records, per Emit, the S payload it was
-// handed — with jointest.Numbered's four-byte payloads, the S row.
-type positions struct{ rows []uint32 }
-
-func (p *positions) Emit(_, _ uint64, _, sPay []byte) {
-	p.rows = append(p.rows, binary.LittleEndian.Uint32(sPay))
+	return st
 }
 
 // TestWindowScan: the fixed-window probe, counting and emitting, against the
@@ -432,8 +329,8 @@ func TestWindowScan(t *testing.T) {
 		if ordered == r && r.Len() > 0 {
 			t.Fatalf("%s: test needs an ordered rotating fragment", name)
 		}
-		foreignKeys, foreignPay := order(r, 3, nil, 1)
-		foreign, err := relation.Wrap(r.Schema(), foreignKeys, foreignPay)
+		// Ordered as a fragment of 16 tuples would be: by three bits.
+		foreign, err := layout.Rotating(r, func([]uint64) layout.Rule { return rule(make([]uint64, 16)) }, join.Options{L2CacheBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,26 +355,6 @@ func TestWindowScan(t *testing.T) {
 					t.Errorf("%s, R %s, %d workers: emitted pairs differ from nested-loops'", name, rotName, par)
 				}
 			}
-		}
-
-		// One worker hands matches over probe by probe, each probe's in
-		// ascending position of S's ordered column: what keeps materialised
-		// output byte-identical.
-		st := stationed(t, s)
-		var wantRows []uint32
-		for _, k := range rKeys {
-			for at, sk := range st.keys {
-				if sk == k {
-					wantRows = append(wantRows, binary.LittleEndian.Uint32(st.pay[at*4:]))
-				}
-			}
-		}
-		var got positions
-		if err := st.Join(r, &got); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.rows, wantRows) {
-			t.Errorf("%s: matches not handed over in ascending position", name)
 		}
 	}
 }
@@ -569,7 +446,7 @@ func TestParallelSetupJoinCount(t *testing.T) {
 	r := jointest.RandomRelation(rng, "R", 60_000, 2_000, 4)
 	s := jointest.RandomRelation(rng, "S", 60_000, 2_000, 4)
 	opts := join.Options{Parallelism: 4, L2CacheBytes: 64 << 10}
-	if clampWorkers(opts.Workers(), s.Len()) < 2 {
+	if layout.Workers(opts, s.Len()) < 2 {
 		t.Fatal("test needs a parallel setup")
 	}
 	want := int64(workload.ExpectedMatches(workload.Multiplicities(r), workload.Multiplicities(s)))
@@ -603,50 +480,6 @@ func TestSelfJoinCount(t *testing.T) {
 	}
 	if c.Count() != 5000 {
 		t.Errorf("self-join count = %d, want 5000", c.Count())
-	}
-}
-
-// TestCheckRows: row numbers and directory offsets are 32 bits, so 2³² rows
-// must be refused, not wrapped. (A relation that large cannot be built in a
-// test.)
-func TestCheckRows(t *testing.T) {
-	if strconv.IntSize < 64 {
-		t.Skip("int cannot hold 2^32")
-	}
-	limit := int64(math.MaxUint32)
-	if err := checkRows(int(limit)); err != nil {
-		t.Errorf("2^32-1 rows: %v", err)
-	}
-	if err := checkRows(int(limit + 1)); err == nil {
-		t.Error("2^32 rows: want an error")
-	}
-}
-
-// TestSetupAllocatesOnlyTheOutput: the scratch is pooled, so a setup call
-// that finds a fitting scratch in the pool allocates the structure it
-// returns and next to nothing else. The cheapest of several calls is such a
-// call: earlier tests leave smaller scratches in the pool, a GC empties it,
-// and under the race detector Put drops entries at random, so not every
-// call is one — but without pooling none would be.
-func TestSetupAllocatesOnlyTheOutput(t *testing.T) {
-	s, err := workload.Generate(workload.Spec{Name: "S", Tuples: 100_000, PayloadWidth: 4, KeyDomain: 1 << 21, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheapest := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	var st join.Stationary
-	for i := 0; i < 20; i++ {
-		runtime.ReadMemStats(&before)
-		if st, err = (Join{}).SetupStationary(s, join.Equi{}, join.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)
-	}
-	// Bytes is the ordered copy plus the directory.
-	if limit := uint64(1.02 * float64(st.Bytes())); cheapest > limit {
-		t.Errorf("cheapest SetupStationary allocated %d B, want ≤ %d B (1.02 × the structure's %d B)", cheapest, limit, st.Bytes())
 	}
 }
 

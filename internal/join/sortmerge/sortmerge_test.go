@@ -1,13 +1,19 @@
 package sortmerge
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/jointest"
+	"cyclojoin/internal/join/nested"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
 )
@@ -112,21 +118,64 @@ func TestBandProperty(t *testing.T) {
 	}
 }
 
+// TestSetupRotatingSorts: above the cache threshold SetupRotating orders the
+// fragment by its own key prefix — bucket ids non-decreasing, which is all
+// the order a probe walk needs — and keeps every tuple; below it the
+// fragment stays as it lies.
 func TestSetupRotatingSorts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := jointest.RandomRelation(rng, "R", 500, 1000, 4)
-	rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{})
+	rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsSorted(rot) {
-		t.Error("SetupRotating did not sort")
+	rule := rule(r.Keys())
+	id := func(k uint64) uint64 { return (k - rule.Base) >> rule.Shift }
+	for i := 1; i < rot.Len(); i++ {
+		if id(rot.Key(i)) < id(rot.Key(i-1)) {
+			t.Fatalf("SetupRotating left key %d before key %d, a bucket below it", rot.Key(i-1), rot.Key(i))
+		}
 	}
 	got, want := workload.Multiplicities(rot), workload.Multiplicities(r)
 	for k, c := range want {
 		if got[k] != c {
 			t.Errorf("key %d multiplicity changed: %d → %d", k, c, got[k])
 		}
+	}
+	if cached, err := (Join{}).SetupRotating(r, join.Equi{}, join.Options{}); err != nil || cached != r {
+		t.Errorf("SetupRotating below the threshold = %p, %v; want its input %p as it lies", cached, err, r)
+	}
+}
+
+// TestSortProperty: random key columns under a random digit mask, payload
+// width and worker count come back from SetupRotating as the stable order of
+// their tuples by key prefix — a tuple's bucket id never below its
+// predecessor's, tuples of one bucket in input order, every payload beside
+// its key — whatever the worker count.
+func TestSortProperty(t *testing.T) {
+	f := func(keys []uint64, mask uint64, payW, workers uint8) bool {
+		for i := range keys {
+			keys[i] &= mask
+		}
+		r := jointest.Numbered(keys, int(payW%17))
+		rule := rule(keys)
+		rows := make([]int, len(keys))
+		for i := range rows {
+			rows[i] = i
+		}
+		id := func(row int) uint64 { return (keys[row] - rule.Base) >> rule.Shift }
+		slices.SortStableFunc(rows, func(a, b int) int { return cmp.Compare(id(a), id(b)) })
+		want := relation.New(r.Schema(), r.Len())
+		for _, row := range rows {
+			if err := want.AppendFrom(r, row); err != nil {
+				return false
+			}
+		}
+		got, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1, Parallelism: int(workers%8) + 1})
+		return err == nil && got.Equal(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -143,7 +192,7 @@ func TestJoinToleratesUnsortedRotating(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := join.NewPairSet()
-	if err := st.Join(r, got); err != nil { // r not sorted
+	if err := st.Join(r, got); err != nil { // r not ordered
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
@@ -160,12 +209,12 @@ func TestParallelMergeEqualsSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := SortedCopy(r)
+		ordered, err := Join{}.SetupRotating(r, join.Band{Width: 2}, join.Options{L2CacheBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps := join.NewPairSet()
-		if err := st.Join(sorted, ps); err != nil {
+		if err := st.Join(ordered, ps); err != nil {
 			t.Fatal(err)
 		}
 		return ps
@@ -183,11 +232,7 @@ func TestStationaryBytes(t *testing.T) {
 	}
 	// Keys and payload as they were, plus the directory: 100 keys spanning
 	// 99 take 25 buckets of four, and one entry ends the last.
-	dir := len(st.(*stationary).dir)
-	if dir != 26 {
-		t.Errorf("directory has %d entries, want 26", dir)
-	}
-	if want := s.Bytes() + 4*dir; st.Bytes() != want {
+	if want := s.Bytes() + 4*26; st.Bytes() != want {
 		t.Errorf("Bytes() = %d, want %d", st.Bytes(), want)
 	}
 }
@@ -218,7 +263,7 @@ func pairCount(p *join.PairSet) (n int64) {
 
 // TestCountPathEqualsEmitPath: a join.Counter takes the count path, which
 // never emits, and a PairSet the emit path; both must find the oracle's
-// matches, for sorted and unsorted rotating fragments and any parallelism.
+// matches, for ordered and unordered rotating fragments and any parallelism.
 func TestCountPathEqualsEmitPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, domain := range []int{300, 32000} {
@@ -228,19 +273,19 @@ func TestCountPathEqualsEmitPath(t *testing.T) {
 			want := join.NewPairSet()
 			jointest.Oracle(r, s, p, want)
 			for _, par := range []int{1, 4} {
-				opts := join.Options{Parallelism: par}
+				opts := join.Options{Parallelism: par, L2CacheBytes: 1}
 				st, err := Join{}.SetupStationary(s, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sorted, err := Join{}.SetupRotating(r, p, opts)
+				ordered, err := Join{}.SetupRotating(r, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, rot := range []struct {
 					name string
 					rel  *relation.Relation
-				}{{"sorted", sorted}, {"unsorted", r}} {
+				}{{"ordered", ordered}, {"unordered", r}} {
 					got, n := join.NewPairSet(), &join.Counter{}
 					if err := st.Join(rot.rel, got); err != nil {
 						t.Fatal(err)
@@ -298,40 +343,6 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 }
 
-// TestDirectory checks the directory against its definition: dir[b] is the
-// first row whose key lies in bucket b or a later one, or the start of the
-// column's last window if that is earlier.
-func TestDirectory(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 7, 8, 9, 100, 5000} {
-		s := jointest.RandomRelation(rng, "S", n, 3*n, 0)
-		st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm := st.(*stationary)
-		keys, last := sm.keys, max(n-window, 0)
-		if cap(keys) < window {
-			t.Fatalf("n=%d: key column holds %d, want at least a window", n, cap(keys))
-		}
-		if got, most := len(sm.dir)-1, max(n/perBucket, 1); got > most {
-			t.Errorf("n=%d: %d buckets, want at most %d", n, got, most)
-		}
-		for b := range sm.dir {
-			first := n
-			for i, k := range keys {
-				if (k-sm.base)>>sm.shift >= uint64(b) {
-					first = i
-					break
-				}
-			}
-			if want := min(first, last); int(sm.dir[b]) != want {
-				t.Fatalf("n=%d: dir[%d] = %d, want %d", n, b, sm.dir[b], want)
-			}
-		}
-	}
-}
-
 // TestKernelCounters pins sortmerge_probes_total and
 // sortmerge_window_overflow_total: every probe counts once, whichever path it
 // takes, and a probe overflows when its candidates run past the window — for
@@ -377,4 +388,56 @@ func TestKernelCounters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSortMergeEqualsNested reads both key columns out of data, eight bytes
+// a key, alternating sides, and keeps only the bits of mask, which lets the
+// fuzzer make keys collide and crowd one bucket; the whole pipeline must
+// then emit the pairs the nested-loops join does, for a band as wide as the
+// fuzzer picks, and count as many.
+func FuzzSortMergeEqualsNested(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint64(0), uint8(0), uint8(0), uint16(0))
+	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00"), uint64(math.MaxUint64), uint64(3), uint8(4), uint8(1), uint16(64))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, and over it again, and again"), uint64(0xff0000ff00ff), uint64(1000), uint8(13), uint8(3), uint16(1))
+	// Twelve equal keys, six a side: a bucket longer than the probe's window.
+	f.Add(bytes.Repeat([]byte{7}, 8*12), uint64(math.MaxUint64), uint64(0), uint8(3), uint8(2), uint16(1))
+	// Keys at both ends of the domain under a band that saturates.
+	f.Add(append(bytes.Repeat([]byte{0xff}, 24), make([]byte, 24)...), uint64(math.MaxUint64), uint64(1<<40), uint8(4), uint8(2), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, mask, width uint64, payW, par uint8, l2 uint16) {
+		var sides [2][]uint64
+		for i := 0; i+8 <= len(data); i += 8 {
+			sides[i/8%2] = append(sides[i/8%2], binary.LittleEndian.Uint64(data[i:])&mask)
+		}
+		r, s := jointest.Numbered(sides[0], int(payW)), jointest.Numbered(sides[1], int(payW))
+		p := join.Band{Width: width}
+		opts := join.Options{Parallelism: int(par%8) + 1, L2CacheBytes: int(l2)}
+
+		want := join.NewPairSet()
+		ref, err := nested.Join{}.SetupStationary(s, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Join(r, want); err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := Join{}.SetupStationary(s, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rot, err := Join{}.SetupRotating(r, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, counted := join.NewPairSet(), &join.Counter{}
+		if err := st.Join(rot, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Join(rot, counted); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || counted.Count() != pairCount(want) {
+			t.Fatalf("r=%x s=%x %s payW=%d: counted %d, pairs differ from the nested-loops join's %d", sides[0], sides[1], p, payW, counted.Count(), pairCount(want))
+		}
+	})
 }

@@ -1,8 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,7 +13,6 @@ import (
 	"cyclojoin/internal/core"
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/hashjoin"
-	"cyclojoin/internal/join/sortmerge"
 	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/ring"
@@ -299,11 +301,8 @@ func materialized(res *core.Result) (distributed, error) {
 func shapeOutput(out *relation.Relation, st *Statement) (*relation.Relation, error) {
 	if st.OrderByTable != "" {
 		var err error
-		if out, err = sortmerge.SortedCopy(out); err != nil {
+		if out, err = orderByKey(out, st.OrderDesc); err != nil {
 			return nil, fmt.Errorf("query: ORDER BY: %w", err)
-		}
-		if st.OrderDesc {
-			out = reverseRelation(out)
 		}
 	}
 	if st.Limit >= 0 && st.Limit < out.Len() {
@@ -317,16 +316,28 @@ func shapeOutput(out *relation.Relation, st *Statement) (*relation.Relation, err
 	return out, nil
 }
 
-// reverseRelation returns a copy with tuples in reverse order.
-func reverseRelation(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Schema(), r.Len())
-	for i := r.Len() - 1; i >= 0; i-- {
-		if err := out.AppendFrom(r, i); err != nil {
-			// Same schema; unreachable.
-			panic(err)
-		}
+// orderByKey returns a copy of r stably sorted by key — tuples with one key
+// keep their order — or, for desc, that order reversed.
+func orderByKey(r *relation.Relation, desc bool) (*relation.Relation, error) {
+	if uint64(r.Len()) > math.MaxUint32 {
+		return nil, fmt.Errorf("cannot sort %d rows: row numbers are 32 bits wide", r.Len())
 	}
-	return out
+	keys, payW := r.Keys(), r.Schema().PayloadWidth
+	rows := make([]uint32, len(keys))
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	slices.SortStableFunc(rows, func(a, b uint32) int { return cmp.Compare(keys[a], keys[b]) })
+	if desc {
+		slices.Reverse(rows)
+	}
+	sorted := make([]uint64, len(rows))
+	for i, row := range rows {
+		sorted[i] = keys[row]
+	}
+	pay := make([]byte, len(rows)*payW)
+	join.GatherPayload(pay, r.PayloadColumn(), rows, payW)
+	return relation.Wrap(r.Schema(), sorted, pay)
 }
 
 // aggregator folds matched output keys under SUM/MIN/MAX. It is shared by

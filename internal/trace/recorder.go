@@ -67,7 +67,7 @@ const (
 	PhaseBuild
 	// PhaseProbe: one hash-join worker's probe range.
 	PhaseProbe
-	// PhaseSort: sort-merge setup (parallel sorted copy).
+	// PhaseSort: sort-merge setup (the key-prefix order and its directory).
 	PhaseSort
 	// PhaseMerge: one sort-merge worker's merge range.
 	PhaseMerge
