@@ -190,6 +190,35 @@ func TestSetupRotatingOrder(t *testing.T) {
 	}
 }
 
+// TestBuildDirectoryInvariants: the layout's contract holds under the hash
+// rule, and the rule names as a key's bucket the top dirBits(n) bits of
+// relation.HashKey.
+func TestBuildDirectoryInvariants(t *testing.T) {
+	jointest.SweepLayouts(func(name string, s *relation.Relation) {
+		got, keys, _, _ := jointest.CheckLayout(t, name, Join{}, s).Layout()
+		if want := rule(s.Keys()); got != want || got.Buckets != 1<<dirBits(s.Len()) {
+			t.Fatalf("%s: stationed under %+v, want %+v over 2^%d buckets", name, got, want, dirBits(s.Len()))
+		}
+		for _, k := range keys {
+			if id, want := got.ID(k), relation.HashKey(k)>>got.Shift; id != want {
+				t.Fatalf("%s: key %#x has bucket %d, want %d", name, k, id, want)
+			}
+		}
+	})
+}
+
+// TestSetupAllocatesOnlyTheOutput: both setups allocate the structure they
+// return and next to nothing else.
+func TestSetupAllocatesOnlyTheOutput(t *testing.T) {
+	jointest.CheckSetupAllocations(t, Join{})
+}
+
+// TestCheckRows: the row limit both setups apply, layout.CheckRows, refuses
+// 2³² rows rather than wrap the 32-bit row numbers.
+func TestCheckRows(t *testing.T) {
+	jointest.CheckRowLimit(t)
+}
+
 // TestStaysCached pins the rule for leaving a rotating fragment as it lies:
 // twice its bytes fit a quarter of the cache target.
 func TestStaysCached(t *testing.T) {

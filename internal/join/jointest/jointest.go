@@ -1,7 +1,9 @@
 // Package jointest provides shared test fixtures for the join algorithm
 // packages: a brute-force oracle independent of any production algorithm,
 // random relation generators, and an equivalence checker that compares an
-// algorithm's output against the oracle as a (rKey, sKey) pair multiset.
+// algorithm's output against the oracle as a (rKey, sKey) pair multiset;
+// and the checks of package layout's contract that both kernels built on it
+// run under their own rules.
 package jointest
 
 import (

@@ -2,15 +2,6 @@ package layout
 
 import "cyclojoin/internal/relation"
 
-// Columns exposes a stationed fragment's rule, ordered columns and directory
-// to the tests, which station fragments through the kernels' own rules.
-func Columns(st *Stationary) (rule Rule, keys []uint64, pay []byte, dir []uint32) {
-	return st.rule, st.keys, st.pay, st.dir
-}
-
-// ID is rule's bucket of a key the ordered relation holds.
-func ID(rule Rule, k uint64) uint64 { return rule.id(k) }
-
 // Order is the ordering with exactly `workers` chunks, so that small inputs
 // run chunked too (with empty chunks when workers > n), and the directory
 // it writes.

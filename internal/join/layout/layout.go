@@ -47,8 +47,8 @@ type Rule struct {
 	Buckets int
 }
 
-// id is the bucket of a key the ordered relation holds.
-func (r Rule) id(k uint64) uint64 { return (k - r.Base) * r.Mul >> r.Shift }
+// ID is the bucket of a key the ordered relation holds.
+func (r Rule) ID(k uint64) uint64 { return (k - r.Base) * r.Mul >> r.Shift }
 
 // Probe is a kernel's join phase: how many keys a probe compares, the band
 // it asks for, and what it records.
@@ -152,6 +152,13 @@ func Station(s *relation.Relation, rule Rule, probe Probe, opts join.Options) (*
 // Bytes implements join.Stationary: the ordered copy plus the directory.
 func (st *Stationary) Bytes() int {
 	return len(st.keys)*8 + len(st.pay) + len(st.dir)*4
+}
+
+// Layout is the fragment as Station left it — its rule, its columns in
+// bucket order and its directory — for checking; the caller must not write
+// them.
+func (st *Stationary) Layout() (rule Rule, keys []uint64, pay []byte, dir []uint32) {
+	return st.rule, st.keys, st.pay, st.dir
 }
 
 // topBits is the widest first-pass digit of the ordering: the high part of
@@ -287,7 +294,7 @@ func order(rel *relation.Relation, rule Rule, dir []uint32, workers int) ([]uint
 //cyclolint:hotpath
 func count(h []uint32, keys []uint64, rule Rule) {
 	for _, k := range keys {
-		h[rule.id(k)]++
+		h[rule.ID(k)]++
 	}
 }
 
@@ -336,7 +343,7 @@ func unpack(pay []byte, vals []uint32, w int) {
 func scatter(dstKeys []uint64, dstVals []uint32, keys []uint64, vals []uint32, first uint32, off []uint32, rule Rule) {
 	if vals == nil {
 		for i, k := range keys {
-			c := rule.id(k)
+			c := rule.ID(k)
 			at := off[c]
 			off[c] = at + 1
 			dstKeys[at] = k
@@ -346,7 +353,7 @@ func scatter(dstKeys []uint64, dstVals []uint32, keys []uint64, vals []uint32, f
 	}
 	vals = vals[:len(keys)]
 	for i, k := range keys {
-		c := rule.id(k)
+		c := rule.ID(k)
 		at := off[c]
 		off[c] = at + 1
 		dstKeys[at] = k
@@ -365,7 +372,7 @@ func sortBlock(dstKeys []uint64, dstVals, dir []uint32, keys []uint64, vals, cur
 	mask := uint64(len(cur) - 1)
 	clear(cur)
 	for _, k := range keys {
-		cur[rule.id(k)&mask]++
+		cur[rule.ID(k)&mask]++
 	}
 	var at uint32
 	for b, n := range cur {
@@ -374,7 +381,7 @@ func sortBlock(dstKeys []uint64, dstVals, dir []uint32, keys []uint64, vals, cur
 	}
 	vals = vals[:len(keys)]
 	for i, k := range keys {
-		b := rule.id(k) & mask
+		b := rule.ID(k) & mask
 		at := cur[b]
 		cur[b] = at + 1
 		dstKeys[at] = k

@@ -2,11 +2,9 @@ package layout_test
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -17,7 +15,6 @@ import (
 	"cyclojoin/internal/join/layout"
 	"cyclojoin/internal/join/sortmerge"
 	"cyclojoin/internal/relation"
-	"cyclojoin/internal/workload"
 )
 
 // kernels are the two bucket rules, each through the kernel that owns it:
@@ -66,187 +63,20 @@ func pairCount(p *join.PairSet) (n int64) {
 	return n
 }
 
-// TestCheckRows: row numbers and directory offsets are 32 bits, so 2³² rows
-// must be refused, not wrapped. (A relation that large cannot be built in a
-// test.)
-func TestCheckRows(t *testing.T) {
-	if strconv.IntSize < 64 {
-		t.Skip("int cannot hold 2^32")
-	}
-	limit := int64(math.MaxUint32)
-	if err := layout.CheckRows(int(limit)); err != nil {
-		t.Errorf("2^32-1 rows: %v", err)
-	}
-	if err := layout.CheckRows(int(limit + 1)); err == nil {
-		t.Error("2^32 rows: want an error")
-	}
-}
-
-// TestSetupAllocatesOnlyTheOutput: the scratch is pooled, so a setup call
-// that finds a fitting scratch in the pool allocates the structure it
-// returns and next to nothing else — for both rules, stationary and
-// rotating. The cheapest of several calls is such a call: earlier tests
-// leave smaller scratches in the pool, a GC empties it, and under the race
-// detector Put drops entries at random, so not every call is one — but
-// without pooling none would be.
-func TestSetupAllocatesOnlyTheOutput(t *testing.T) {
-	s, err := workload.Generate(workload.Spec{Name: "S", Tuples: 100_000, PayloadWidth: 4, KeyDomain: 1 << 21, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range kernels {
-		stationary, rotating := uint64(math.MaxUint64), uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		var st join.Stationary
-		for i := 0; i < 20; i++ {
-			runtime.ReadMemStats(&before)
-			if st, err = k.alg.SetupStationary(s, join.Equi{}, join.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			stationary = min(stationary, after.TotalAlloc-before.TotalAlloc)
-			runtime.ReadMemStats(&before)
-			if _, err := k.alg.SetupRotating(s, join.Equi{}, join.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			rotating = min(rotating, after.TotalAlloc-before.TotalAlloc)
-		}
-		// Bytes is the ordered copy plus the directory.
-		if limit := uint64(1.02 * float64(st.Bytes())); stationary > limit {
-			t.Errorf("%s: cheapest SetupStationary allocated %d B, want ≤ %d B (1.02 × the structure's %d B)", k.name, stationary, limit, st.Bytes())
-		}
-		if limit := uint64(1.02 * float64(s.Bytes())); rotating > limit {
-			t.Errorf("%s: cheapest SetupRotating allocated %d B, want ≤ %d B (1.02 × the relation's %d B)", k.name, rotating, limit, s.Bytes())
-		}
-	}
-}
-
-// keyShapes are the key distributions the layout must hold up under: spread
-// over all buckets, piled into one, piled into a few, in and against key
-// order, and the extremes of the key domain side by side.
-var keyShapes = []struct {
-	name string
-	key  func(rng *rand.Rand, i, n int) uint64
-}{
-	{"uniform", func(rng *rand.Rand, _, _ int) uint64 { return rng.Uint64() }},
-	{"narrow", func(rng *rand.Rand, _, _ int) uint64 { return uint64(rng.Intn(1000)) }},
-	{"all equal", func(*rand.Rand, int, int) uint64 { return 42 }},
-	{"16 heavy hitters", func(rng *rand.Rand, _, _ int) uint64 { return uint64(rng.Intn(16)) * 0x0101010101010101 }},
-	{"sequential", func(_ *rand.Rand, i, _ int) uint64 { return uint64(i) }},
-	{"reversed", func(_ *rand.Rand, i, n int) uint64 { return uint64(n - i) }},
-	{"0 and max", func(rng *rand.Rand, _, _ int) uint64 { return uint64(rng.Intn(2)) * math.MaxUint64 }},
-}
-
-// sweep calls fn for every key shape, payload width and size of the layout
-// tests.
-func sweep(fn func(name string, r *relation.Relation)) {
-	rng := rand.New(rand.NewSource(16))
-	for _, shape := range keyShapes {
-		// 300 000 uniform tuples take a bucket id wider than 16 bits under both
-		// rules: a second-pass digit of more than a byte.
-		for _, n := range []int{0, 1, 2, 3, 255, 256, 257, 4095, 8192, 50_000, 300_000} {
-			for _, payW := range []int{0, 1, 3, 4, 5, 8, 13, 248} {
-				if n >= 50_000 && (payW != 4 || n > 50_000 && shape.name != "uniform") {
-					continue // the width and shape sweeps do not need the largest inputs
-				}
-				keys := make([]uint64, n)
-				for i := range keys {
-					keys[i] = shape.key(rng, i, n)
-				}
-				fn(shape.name+" n="+strconv.Itoa(n)+" payW="+strconv.Itoa(payW), jointest.Numbered(keys, payW))
-			}
-		}
-	}
-}
-
-// bucketOrdered is the reference for the ordering: the columns of r stably
-// sorted by bucket id, tuple by tuple.
-func bucketOrdered(r *relation.Relation, rule layout.Rule) ([]uint64, []byte) {
-	rows := make([]int, r.Len())
-	for i := range rows {
-		rows[i] = i
-	}
-	slices.SortStableFunc(rows, func(x, y int) int {
-		return cmp.Compare(layout.ID(rule, r.Key(x)), layout.ID(rule, r.Key(y)))
-	})
-	keys := make([]uint64, 0, r.Len())
-	pay := make([]byte, 0, r.Len()*r.Schema().PayloadWidth)
-	for _, row := range rows {
-		keys = append(keys, r.Key(row))
-		pay = append(pay, r.Payload(row)...)
-	}
-	return keys, pay
-}
-
-// TestBuildDirectoryInvariants is the layout's contract, under both rules:
-// each kernel's rule names the bucket it should (the top bits of
-// relation.HashKey; the key prefix over the fragment's range, with at most
-// n/3 buckets), the columns are the stable bucket order of the input — no
-// tuple lost, repeated or separated from its payload, every payload width
-// packed into the row-number slot or gathered — the directory tiles [0, n)
-// in bucket order with every key in the bucket its id names, the worker
-// count does not show, SetupRotating orders the same input the same way, and
-// the input is left alone.
-func TestBuildDirectoryInvariants(t *testing.T) {
-	sweep(func(name string, s *relation.Relation) {
-		n := s.Len()
-		snapshot := s.Clone()
-		var least uint64
-		if n > 0 {
-			least = slices.Min(s.Keys())
-		}
+// TestOrderIgnoresWorkerCount: under both rules, the ordering and the
+// directory it writes come out the same whether one worker orders the
+// fragment or several, even workers with empty chunks. (The kernels' tests
+// check the rest of the layout's contract under their own rules.)
+func TestOrderIgnoresWorkerCount(t *testing.T) {
+	jointest.SweepLayouts(func(name string, s *relation.Relation) {
 		for _, k := range kernels {
-			name := k.name + ": " + name
-			rule, keys, pay, dir := layout.Columns(station(t, k.alg, s, join.Equi{}, join.Options{}))
-			for _, key := range keys {
-				want := relation.HashKey(key) >> rule.Shift
-				if k.name == "sortmerge" {
-					want = (key - least) >> rule.Shift
-				}
-				if rule.Shift >= 64 {
-					want = 0
-				}
-				if got := layout.ID(rule, key); got != want {
-					t.Fatalf("%s: key %#x has bucket %d, want %d", name, key, got, want)
-				}
-			}
-			if k.name == "sortmerge" && rule.Buckets > max(n/3, 1) {
-				t.Fatalf("%s: %d buckets, want at most %d", name, rule.Buckets, max(n/3, 1))
-			}
-			wantKeys, wantPay := bucketOrdered(s, rule)
-			if !slices.Equal(keys, wantKeys) || !bytes.Equal(pay, wantPay) {
-				t.Fatalf("%s: columns are not the stable bucket order of the input", name)
-			}
-			if dir[0] != 0 || dir[len(dir)-1] != uint32(n) || len(dir) <= rule.Buckets {
-				t.Fatalf("%s: %d directory entries span [%d, %d), want [0, %d) over %d buckets", name, len(dir), dir[0], dir[len(dir)-1], n, rule.Buckets)
-			}
-			for b := 0; b+1 < len(dir); b++ {
-				if dir[b] > dir[b+1] {
-					t.Fatalf("%s: directory not monotone at bucket %d", name, b)
-				}
-				for _, key := range keys[dir[b]:dir[b+1]] {
-					if got := layout.ID(rule, key); got != uint64(b) {
-						t.Fatalf("%s: key %#x sits in bucket %d, its id is %d", name, key, b, got)
-					}
-				}
-			}
+			rule, keys, pay, dir := station(t, k.alg, s, join.Equi{}, join.Options{}).Layout()
 			for _, workers := range []int{2, 7} {
 				k2, p2, d2 := layout.Order(s, rule, workers)
 				if !slices.Equal(k2, keys) || !bytes.Equal(p2, pay) || !slices.Equal(d2, dir) {
-					t.Fatalf("%s: %d workers order differently than 1", name, workers)
+					t.Fatalf("%s: %s: %d workers order differently than 1", k.name, name, workers)
 				}
 			}
-			rot, err := k.alg.SetupRotating(s, join.Equi{}, join.Options{L2CacheBytes: 1, Parallelism: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(rot.Keys(), keys) || !bytes.Equal(rot.PayloadColumn(), pay) {
-				t.Fatalf("%s: SetupRotating orders the same input differently", name)
-			}
-		}
-		if !s.Equal(snapshot) {
-			t.Fatalf("%s: input mutated", name)
 		}
 	})
 }
@@ -356,7 +186,7 @@ func TestEmitOrder(t *testing.T) {
 				continue
 			}
 			st := station(t, k.alg, s, p, join.Options{})
-			_, keys, pay, _ := layout.Columns(st)
+			_, keys, pay, _ := st.Layout()
 			var want []uint32
 			for _, rk := range r.Keys() {
 				for at, sk := range keys {

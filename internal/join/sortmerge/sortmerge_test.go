@@ -343,6 +343,42 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestDirectory: the layout's contract holds under the key-prefix rule, and
+// the rule names as a key's bucket its offset from the fragment's least key,
+// shifted right, over at most n/perBucket buckets.
+func TestDirectory(t *testing.T) {
+	jointest.SweepLayouts(func(name string, s *relation.Relation) {
+		got, keys, _, _ := jointest.CheckLayout(t, name, Join{}, s).Layout()
+		if want := rule(s.Keys()); got != want {
+			t.Fatalf("%s: stationed under %+v, want %+v", name, got, want)
+		}
+		if most := max(s.Len()/perBucket, 1); got.Buckets > most {
+			t.Fatalf("%s: %d buckets, want at most %d", name, got.Buckets, most)
+		}
+		var least uint64
+		if len(keys) > 0 {
+			least = slices.Min(keys)
+		}
+		for _, k := range keys {
+			if id, want := got.ID(k), (k-least)>>got.Shift; id != want {
+				t.Fatalf("%s: key %#x has bucket %d, want %d", name, k, id, want)
+			}
+		}
+	})
+}
+
+// TestSetupAllocatesOnlyTheOutput: both setups allocate the structure they
+// return and next to nothing else.
+func TestSetupAllocatesOnlyTheOutput(t *testing.T) {
+	jointest.CheckSetupAllocations(t, Join{})
+}
+
+// TestCheckRows: the row limit both setups apply, layout.CheckRows, refuses
+// 2³² rows rather than wrap the 32-bit row numbers.
+func TestCheckRows(t *testing.T) {
+	jointest.CheckRowLimit(t)
+}
+
 // TestKernelCounters pins sortmerge_probes_total and
 // sortmerge_window_overflow_total: every probe counts once, whichever path it
 // takes, and a probe overflows when its candidates run past the window — for
