@@ -79,11 +79,10 @@ type Stationary struct {
 	// length is one more than a whole number of second-pass blocks, so its
 	// last buckets may be empty.
 	//
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	dir []uint32
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
+	// dir, keys and pay are built during SetupStationary and read-only
+	// once Join's probe workers start.
+	dir  []uint32
 	keys []uint64
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
 	pay  []byte
 	payW int
 	// shards is one flight-recorder track per probe worker (index = worker):

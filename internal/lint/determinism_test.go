@@ -12,10 +12,9 @@ import (
 	"cyclojoin/internal/lint/load"
 )
 
-// transcript runs the analyzers over every package in the module,
-// threading facts in dependency order, and renders diagnostics plus
-// exported fact bytes into one canonical string.
-func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
+// loadModule type-checks every package in the module, in dependency
+// order.
+func loadModule(t *testing.T) []*load.Package {
 	t.Helper()
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -25,6 +24,14 @@ func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
+	return pkgs
+}
+
+// analyze runs the analyzers over pkgs, threading facts in dependency
+// order, and returns the rendered diagnostics and each analyzer's
+// exported fact blobs by package path.
+func analyze(t *testing.T, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]string, map[string]map[string][]byte) {
+	t.Helper()
 	var lines []string
 	facts := make(map[string]map[string][]byte)
 	for _, pkg := range pkgs {
@@ -52,6 +59,14 @@ func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
 			}
 		}
 	}
+	return lines, facts
+}
+
+// transcript runs the analyzers over every package in the module and
+// renders diagnostics plus exported fact bytes into one canonical string.
+func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
+	t.Helper()
+	lines, facts := analyze(t, loadModule(t), analyzers)
 	var factLines []string
 	for name, byPkg := range facts {
 		for path, data := range byPkg {

@@ -30,15 +30,12 @@ import (
 // view only after the buffer hand-off (procQ, completion channel) that
 // viewescape polices. The hand-off is the happens-before edge.
 type View struct {
-	//cyclolint:sharesafe rebound only by the buffer owner; readers follow the buffer hand-off
-	frag Fragment
-	//cyclolint:sharesafe rebound only by the buffer owner; readers follow the buffer hand-off
-	rel Relation
-	//cyclolint:sharesafe rebound only by the buffer owner; readers follow the buffer hand-off
+	// Each field is rebound only by the buffer owner; readers follow the
+	// buffer hand-off.
+	frag  Fragment
+	rel   Relation
 	frame []byte
 	// portable-path key storage, reused across binds
-	//
-	//cyclolint:sharesafe rebound only by the buffer owner; readers follow the buffer hand-off
 	scratch []uint64
 }
 
