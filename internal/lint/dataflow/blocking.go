@@ -6,19 +6,11 @@ import (
 	"go/types"
 )
 
-// Blocking-edge extension of the dataflow IR.
-//
-// The concurrency-protocol analyzers of PR 9 reason about who *touches*
-// a queue; shareguard and waitcycle additionally reason about who
-// *waits*. This file contributes the shared vocabulary: a stable
-// identity for the synchronization resource an operation names (a
-// channel field, a Waiter, a WaitGroup — the same naming scheme
-// spscrole uses for queues), parameter resolution shared by every
-// summary-building analyzer, and the classification of an AST node as a
-// blocking edge (an operation that can park the goroutine) or its
-// releasing counterpart (the operation that wakes it).
-//
-// Blocking-edge kinds (see DESIGN.md §14):
+// The blocking-edge vocabulary waitcycle's table speaks: a stable
+// identity for the resource an operation names (ResourceIdent, shared by
+// every origin table), parameter resolution in receiver-first indexing,
+// and the classification of an operation as a blocking edge (it can park
+// the goroutine) or its releasing counterpart:
 //
 //	send   — ch <- v           released by recv or close of ch
 //	recv   — <-ch              released by send or close of ch
@@ -26,9 +18,9 @@ import (
 //	wait   — wg.Wait()         released by wg.Done()
 //
 // ringq push/pop waits appear as parks: the queues expose only
-// non-blocking TryPush/TryPop, and every blocking loop around them
-// parks on a ringq.Waiter — so the waiter carries the wait-for edge the
-// queue itself cannot.
+// non-blocking TryPush/TryPop, and every blocking loop around them parks
+// on a ringq.Waiter — so the waiter carries the wait-for edge the queue
+// itself cannot.
 
 // Blocking-edge modes.
 const (

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -45,34 +44,18 @@ type EscapeFacts struct {
 
 // EncodeEscapeFacts serializes a summary table.
 func EncodeEscapeFacts(sums map[string]*Summary) []byte {
-	keys := make([]string, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	f := &EscapeFacts{}
-	for _, k := range keys {
+	var f EscapeFacts
+	for _, k := range sortedKeys(sums) {
 		f.Summaries = append(f.Summaries, sums[k])
 	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil
-	}
-	return data
+	return EncodeFacts(f)
 }
 
 // DecodeEscapeFacts parses a fact blob into a key→summary table,
 // tolerating nil/garbage (returns an empty table).
 func DecodeEscapeFacts(data []byte) map[string]*Summary {
 	out := make(map[string]*Summary)
-	if len(data) == 0 {
-		return out
-	}
-	var f EscapeFacts
-	if err := json.Unmarshal(data, &f); err != nil {
-		return out
-	}
-	for _, s := range f.Summaries {
+	for _, s := range DecodeFacts[EscapeFacts](data).Summaries {
 		if s != nil && s.Key != "" {
 			out[s.Key] = s
 		}

@@ -2,7 +2,7 @@
 // machinery that lets analyzers follow values across function boundaries
 // instead of stopping at the first call.
 //
-// It deliberately stays far smaller than go/ssa. Three pieces:
+// It deliberately stays far smaller than go/ssa:
 //
 //   - Graph (this file): the package's function index and call-graph
 //     primitives — static callee resolution, and candidate resolution for
@@ -14,16 +14,20 @@
 //     an edge annotated with its source position and a human-readable
 //     description of the flow step. "SSA-lite": one node per variable
 //     rather than per definition — taint only grows along edges, which is
-//     exactly the monotone shape escape analyses need, and it keeps the
-//     IR small enough to rebuild per fixpoint round.
+//     exactly the monotone shape escape analyses need.
 //   - Escape (escape.go): the bottom-up interprocedural summary engine
-//     built on Flow, with JSON fact serialization so summaries cross
-//     package boundaries through the driver's fact store (the vetx file,
-//     in go vet mode).
+//     built on Flow, viewescape's.
+//   - Origins and the origin engine (origin.go, walk.go, engine.go): which
+//     goroutines execute each function, a labeled walk that knows the
+//     goroutine, held locks and select group at every node, and the engine
+//     that attributes a table's ops to goroutine origins through helpers,
+//     launches and facts. spscrole, shareguard and waitcycle are tables
+//     over it; lockorder walks with it.
 //
-// Path-sensitive acquire/release checks (bufown, creditflow, spanpair)
-// are tables over the typestate subpackage; lockorder's lock-set walk
-// uses Graph and the fact plumbing directly.
+// Summaries cross package boundaries as facts through one codec
+// (EncodeFacts, DecodeFacts): the driver's fact store, the vetx file in
+// go vet mode. Path-sensitive acquire/release checks (bufown, creditflow,
+// spanpair) are tables over the typestate subpackage.
 package dataflow
 
 import (

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -30,8 +29,8 @@ import (
 //
 // Cross-package propagation is one-directional by construction: a
 // bottom-up pass cannot add origins to an already-analyzed dependency.
-// Analyzers bridge the gap with per-function fact summaries (spscrole's
-// pending ops) attributed at the importing call site instead.
+// The origin engine (engine.go) bridges the gap with pending ops,
+// attributed at the importing call site instead.
 
 // EntryOrigin is the label for functions executable from outside the
 // package's visible goroutine structure.
@@ -63,9 +62,9 @@ func NewOrigins(g *Graph) *Origins {
 func (o *Origins) Of(fn *Func) []string { return o.byFunc[fn] }
 
 // HasEvidence reports whether fn's origins stem from observed in-package
-// calls or launches rather than the root default. spscrole uses this to
-// decide whether a root's protocol ops are attributable here or must ride
-// the facts to the real caller's package.
+// calls or launches rather than the root default. The engine uses this
+// to decide whether a root's ops are attributable here or must ride the
+// facts to the real caller's package.
 func (o *Origins) HasEvidence(fn *Func) bool { return o.evidence[fn] }
 
 // GoLabel renders the origin label for a `go` statement.
@@ -246,50 +245,4 @@ func (o *Origins) isCallFun(id *ast.Ident) bool {
 		}
 	}
 	return o.g.callFuns[id]
-}
-
-// ---- fact serialization ----
-
-// FuncOrigins is one function's origin set, as exported in facts.
-type FuncOrigins struct {
-	// Key is the function's FuncKey.
-	Key string `json:"key"`
-	// Origins is the sorted origin label set.
-	Origins []string `json:"origins"`
-}
-
-// OriginFacts is the per-package origin fact blob.
-type OriginFacts struct {
-	Funcs []FuncOrigins `json:"funcs"`
-}
-
-// Facts serializes the package's origin sets in deterministic order.
-func (o *Origins) Facts() []byte {
-	f := &OriginFacts{}
-	for _, fn := range o.g.All() {
-		f.Funcs = append(f.Funcs, FuncOrigins{Key: fn.Key(), Origins: o.byFunc[fn]})
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// DecodeOriginFacts parses an origin fact blob, tolerating nil/garbage.
-func DecodeOriginFacts(data []byte) map[string][]string {
-	out := make(map[string][]string)
-	if len(data) == 0 {
-		return out
-	}
-	var f OriginFacts
-	if err := json.Unmarshal(data, &f); err != nil {
-		return out
-	}
-	for _, fo := range f.Funcs {
-		if fo.Key != "" {
-			out[fo.Key] = fo.Origins
-		}
-	}
-	return out
 }

@@ -152,12 +152,4 @@ func TestOrigins(t *testing.T) {
 		t.Error("flush: a method-value launch must not count as execution evidence")
 	}
 
-	// Fact round-trip.
-	facts := DecodeOriginFacts(o.Facts())
-	if got := facts[get("deliver").Key()]; !reflect.DeepEqual(got, deliver) {
-		t.Errorf("facts[deliver]: got %v, want %v", got, deliver)
-	}
-	if DecodeOriginFacts(nil) == nil || DecodeOriginFacts([]byte("junk")) == nil {
-		t.Error("DecodeOriginFacts must tolerate nil/garbage")
-	}
 }

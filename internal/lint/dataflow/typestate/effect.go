@@ -1,7 +1,6 @@
 package typestate
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 	"slices"
@@ -55,28 +54,17 @@ func EncodeFacts(effects map[string]*Effect) []byte {
 		}
 	}
 	sort.Strings(keys)
-	f := &factBlob{}
+	var f factBlob
 	for _, k := range keys {
 		f.Effects = append(f.Effects, effects[k])
 	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil
-	}
-	return data
+	return dataflow.EncodeFacts(f)
 }
 
 // DecodeFacts parses a fact blob, tolerating nil and garbage.
 func DecodeFacts(data []byte) map[string]*Effect {
 	out := make(map[string]*Effect)
-	if len(data) == 0 {
-		return out
-	}
-	var f factBlob
-	if err := json.Unmarshal(data, &f); err != nil {
-		return out
-	}
-	for _, e := range f.Effects {
+	for _, e := range dataflow.DecodeFacts[factBlob](data).Effects {
 		if e != nil && e.Key != "" {
 			out[e.Key] = e
 		}
