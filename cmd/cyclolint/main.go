@@ -17,11 +17,10 @@
 //	go vet -vettool=$(pwd)/bin/cyclolint ./...
 //
 // Fact-using analyzers (UsesFacts) exchange per-package summaries across
-// package boundaries. Standalone mode threads them in process: go list
-// returns matched packages in dependency order, so a dependency's facts
-// are always computed before its importers run (packages outside the
-// matched patterns contribute no facts — run ./... for whole-module
-// precision). In vet mode the summaries ride the vetx files: each unit
+// package boundaries. Standalone mode threads them in process, in the
+// dependency order go list returns: the matched packages' dependencies
+// in this module are analyzed for their facts only, so a pattern naming
+// one package reports what ./... reports for it. In vet mode the summaries ride the vetx files: each unit
 // writes a JSON table of {analyzer: {version, data}} blobs and reads its
 // dependencies' tables via the .cfg's PackageVetx map. Blobs written by a
 // different version of the same analyzer are discarded, and -V=full
@@ -227,12 +226,23 @@ func runStandalone(analyzers []*analysis.Analyzer, patterns []string, opts outpu
 			}
 			m[pkgPath] = data
 		}
-		diags := analyze(analyzers, &analysis.Pass{
+		base := &analysis.Pass{
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-		}, read, export, tm)
+		}
+		if pkg.DepOnly {
+			var factful []*analysis.Analyzer
+			for _, a := range analyzers {
+				if a.UsesFacts {
+					factful = append(factful, a)
+				}
+			}
+			analyze(factful, base, read, export, tm)
+			continue
+		}
+		diags := analyze(analyzers, base, read, export, tm)
 		if opts.fix {
 			if err := applyFixes(pkg.Fset, diags); err != nil {
 				fmt.Fprintf(os.Stderr, "cyclolint: -fix: %v\n", err)

@@ -140,3 +140,19 @@ func TestBudgetExceeded(t *testing.T) {
 		t.Fatalf("total = %v, want 120ms", got)
 	}
 }
+
+// TestSinglePackageRun pins that a run on one package sees the facts of
+// its dependencies in this module: ./... reports nothing in
+// internal/ring, so neither may a run on ./internal/ring/ alone.
+func TestSinglePackageRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks and analyzes internal/ring and its dependencies")
+	}
+	analyzers, err := selected("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := runStandalone(analyzers, []string{"../../internal/ring/"}, outputOptions{}); code != 0 {
+		t.Errorf("cyclolint ./internal/ring/ exited %d, want 0 (diagnostics above)", code)
+	}
+}

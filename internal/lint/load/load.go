@@ -37,6 +37,9 @@ type Package struct {
 	Types *types.Package
 	// TypesInfo holds the checker's facts about Files.
 	TypesInfo *types.Info
+	// DepOnly marks a module-local dependency of the matched packages,
+	// loaded so its facts reach them; drivers report nothing in it.
+	DepOnly bool
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
@@ -47,14 +50,16 @@ type listEntry struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Main bool }
 }
 
 // GoList runs `go list -export -deps -json` for patterns in dir and
 // returns the export-data index (import path → export file) plus the
-// matched packages (dependencies contribute export data only) in
-// dependency order.
+// matched packages and their dependencies in the main module (DepOnly
+// set), in dependency order. Other dependencies contribute export data
+// only.
 func GoList(dir string, patterns ...string) (map[string]string, []listEntry, error) {
-	args := []string{"list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,DepOnly"}
+	args := []string{"list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,DepOnly,Module"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -77,7 +82,7 @@ func GoList(dir string, patterns ...string) (map[string]string, []listEntry, err
 		if e.Export != "" {
 			exports[e.ImportPath] = e.Export
 		}
-		if !e.Standard && !e.DepOnly {
+		if !e.Standard && (!e.DepOnly || e.Module != nil && e.Module.Main) {
 			targets = append(targets, e)
 		}
 	}
@@ -138,8 +143,9 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, pkgPath string, filenam
 }
 
 // Packages loads and type-checks the packages matching patterns, rooted
-// at dir (any directory inside the module). Dependencies are imported
-// from export data; only the matched packages are parsed.
+// at dir (any directory inside the module), and their dependencies in the
+// main module (DepOnly), in dependency order. Every import resolves
+// through export data.
 func Packages(dir string, patterns ...string) ([]*Package, error) {
 	exports, targets, err := GoList(dir, patterns...)
 	if err != nil {
@@ -160,6 +166,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.DepOnly = e.DepOnly
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
