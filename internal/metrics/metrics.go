@@ -111,6 +111,13 @@ type Histogram struct {
 	sum     atomic.Int64
 }
 
+// NewHistogram returns a histogram outside any registry, over bounds
+// the caller has checked: state one instance owns, where a process-wide
+// series would mix instances.
+func NewHistogram(bounds []int64) *Histogram {
+	return &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
+}
+
 // Observe records one value.
 //
 //cyclolint:hotpath
@@ -245,9 +252,7 @@ func (r *Registry) lookup(kind Kind, name, help string, bounds []int64, labels [
 	case KindGauge:
 		s.inst = &Gauge{}
 	case KindHistogram:
-		h := &Histogram{bounds: f.bounds}
-		h.buckets = make([]atomic.Int64, len(f.bounds)+1)
-		s.inst = h
+		s.inst = NewHistogram(f.bounds)
 	}
 	f.byKey[key] = s
 	f.series = append(f.series, s)

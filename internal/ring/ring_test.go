@@ -335,6 +335,37 @@ func TestStatsReusesDst(t *testing.T) {
 	}
 }
 
+// TestStatsArePerRing runs one ring and then reads the stats of a second
+// ring that never ran: the registry's per-node series are shared by every
+// ring in the process, so a row read from them would report the first
+// ring's hops, materializes and queue depth as the second's.
+func TestStatsArePerRing(t *testing.T) {
+	busy, _ := newRecorderRing(t, 3, Config{}, nil)
+	if err := busy.Run(perNode(buildFrags(t, 3, 300))); err != nil {
+		t.Fatal(err)
+	}
+	var hops int64
+	for _, st := range busy.Stats(nil) {
+		for _, c := range st.HopCounts {
+			hops += c
+		}
+	}
+	if hops == 0 {
+		t.Fatal("the ring that ran counted no hops")
+	}
+	idle, _ := newRecorderRing(t, 3, Config{}, nil)
+	for _, st := range idle.Stats(nil) {
+		var h int64
+		for _, c := range st.HopCounts {
+			h += c
+		}
+		if h != 0 || st.Materializes != 0 || st.QueueDepth != 0 || st.Processed != 0 {
+			t.Errorf("idle ring, node %d: %d hops, %d materializes, depth %d, %d processed; want all zero",
+				st.Node, h, st.Materializes, st.QueueDepth, st.Processed)
+		}
+	}
+}
+
 // TestReplaceNode swaps a fresh machine into position 1 between two runs,
 // on both transports and in both transport modes: the replacement sees the
 // whole second revolution, the untouched nodes see both, and the fresh
