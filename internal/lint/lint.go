@@ -15,7 +15,11 @@
 //	metricname   — metric names are greppable, unit-suffixed literals
 //
 // bufown, creditflow and spanpair are three tables over one
-// path-sensitive typestate engine, dataflow/typestate.
+// path-sensitive typestate engine, dataflow/typestate. spscrole,
+// shareguard and waitcycle are three tables over one goroutine-origin
+// engine, dataflow.RunTable: each is an op recognizer, an op payload and
+// a final check, and the engine attributes the ops to the goroutines that
+// run them. lockorder walks with the engine's labeled walk.
 //
 // Drivers (cmd/cyclolint standalone and vettool modes, linttest) consume
 // Analyzers(); the suite order is stable for deterministic output.
