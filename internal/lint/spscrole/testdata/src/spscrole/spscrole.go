@@ -9,6 +9,7 @@ type node struct {
 	gq   *ringq.SPSC[string]
 	ok   *ringq.SPSC[int]
 	mix  *ringq.SPSC[int]
+	sp   *ringq.SPSC[int]
 }
 
 // Clean: one producer origin, one consumer origin.
@@ -78,3 +79,17 @@ func (n *node) Inject(v int) { n.mix.TryPush(v) } // want `SPSC \(cyclolinttest/
 func (n *node) startMix() { go n.mixLoop() }
 
 func (n *node) mixLoop() { n.mix.TryPush(3) }
+
+// A helper launches the push on its parameter: the push runs on the
+// helper's launch, a producer of whatever queue the caller passes, beside
+// the producer goroutine started next to it.
+func spawn(q *ringq.SPSC[int]) {
+	go func() { q.TryPush(1) }()
+}
+
+func (n *node) startSpawn() {
+	spawn(n.sp) // want `SPSC \(cyclolinttest/spscrole\.node\)\.sp push has 2 producer origins: go spscrole\.go:\d+ \(at spscrole\.go:\d+\), go spscrole\.go:\d+`
+	go n.pushSp()
+}
+
+func (n *node) pushSp() { n.sp.TryPush(2) }
