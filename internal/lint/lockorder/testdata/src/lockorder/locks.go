@@ -46,3 +46,36 @@ func unlockedFirst(a *A, b *B) {
 	b.mu.Lock()
 	b.mu.Unlock()
 }
+
+type D struct{ mu sync.Mutex }
+type E struct{ mu sync.Mutex }
+type F struct{ mu sync.Mutex }
+
+// guarded returns early without D: the unlock in the guard body releases
+// D for the rest of that body, so taking E there records no D→E edge,
+// while the fallthrough still holds D when it takes F.
+func guarded(d *D, e *E, f *F, busy bool) {
+	d.mu.Lock()
+	if busy {
+		d.mu.Unlock()
+		e.mu.Lock()
+		e.mu.Unlock()
+		return
+	}
+	f.mu.Lock() // want `lock acquisition order cycle: cyclolinttest/lockorder\.F\.mu is acquired here while holding cyclolinttest/lockorder\.D\.mu`
+	f.mu.Unlock()
+	d.mu.Unlock()
+}
+
+// reversed takes D under E and under F: only the F→D order closes a
+// cycle with guarded.
+func reversed(d *D, e *E, f *F) {
+	e.mu.Lock()
+	d.mu.Lock()
+	d.mu.Unlock()
+	e.mu.Unlock()
+	f.mu.Lock()
+	d.mu.Lock()
+	d.mu.Unlock()
+	f.mu.Unlock()
+}
