@@ -83,7 +83,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("cyclolint", flag.ContinueOnError)
 	vFlag := fs.String("V", "", "print version and exit (go vet protocol)")
 	flagsFlag := fs.Bool("flags", false, "print flag definitions as JSON and exit (go vet protocol)")
-	disable := fs.String("disable", "", "comma-separated analyzer names to skip (legacy alias of -skip)")
 	only := fs.String("only", "", "comma-separated analyzer names to run exclusively")
 	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
 	jsonFlag := fs.Bool("json", false, "print diagnostics as JSON on stdout (standalone mode)")
@@ -110,7 +109,7 @@ func run(args []string) int {
 		fmt.Println("[]")
 		return 0
 	}
-	analyzers, err := selected(*only, joinLists(*skip, *disable))
+	analyzers, err := selected(*only, *skip)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
 		return 2
@@ -123,17 +122,6 @@ func run(args []string) int {
 		rest = []string{"./..."}
 	}
 	return runStandalone(analyzers, rest, outputOptions{json: *jsonFlag, sarif: *sarifFlag, fix: *fixFlag, stats: *statsFlag, budget: *budgetFlag})
-}
-
-// joinLists concatenates comma-separated name lists, tolerating empties.
-func joinLists(lists ...string) string {
-	var parts []string
-	for _, l := range lists {
-		if l != "" {
-			parts = append(parts, l)
-		}
-	}
-	return strings.Join(parts, ",")
 }
 
 // splitNames parses a comma-separated analyzer-name list, rejecting
@@ -158,7 +146,7 @@ func splitNames(list string) (map[string]bool, error) {
 }
 
 // selected filters the suite: -only keeps exactly the named analyzers,
-// -skip (and its legacy alias -disable) removes the named ones. The
+// -skip removes the named ones. The
 // suite order is preserved either way.
 func selected(only, skip string) ([]*analysis.Analyzer, error) {
 	keep, err := splitNames(only)

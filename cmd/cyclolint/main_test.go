@@ -129,9 +129,6 @@ func TestSelected(t *testing.T) {
 	if _, err := selected("waitcycle", "waitcycle"); err == nil {
 		t.Errorf("an analyzer in both -only and -skip did not error")
 	}
-	if joinLists("a,b", "", "c") != "a,b,c" {
-		t.Errorf("joinLists mangles the legacy -disable merge")
-	}
 }
 
 func TestBudgetExceeded(t *testing.T) {

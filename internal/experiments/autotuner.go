@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"cyclojoin/internal/ring"
 )
 
 // autotuner adapts the fragment chunk size against observed transfer
@@ -26,17 +22,9 @@ import (
 //
 // ChunkBytes reports the size a closed-loop driver should use for its
 // next transfers (the probe schedule) and Best the converged centre.
-// AutotuneSweep is the driver: it feeds Observe from the calibrated Fig 5
-// cost model.
+// AutotuneSweep is the driver, single-threaded and closed-loop: it feeds
+// Observe from the calibrated Fig 5 cost model.
 type autotuner struct {
-	// next is the size a closed-loop driver should use now: the probe
-	// target, which cycles around the centre. Loaded lock-free by
-	// ChunkBytes on hot paths.
-	next atomic.Int64
-	// best is the current centre of the climb, updated at recentre.
-	best atomic.Int64
-
-	mu     sync.Mutex
 	minLog uint // smallest probed size, log2
 	maxLog uint // largest probed size, log2
 	curLog uint // centre of the climb, log2
@@ -48,18 +36,15 @@ type autotuner struct {
 	winDur   time.Duration
 	winN     int
 
-	// Smoothed throughput (bytes/s) per power-of-two bucket; observations
-	// are bucketed by their own mean chunk size, so open-loop feeds (a
-	// ring whose fragment size the tuner does not control) still land in
-	// the right bucket.
+	// Smoothed throughput (bytes/s) per power-of-two bucket; a window is
+	// bucketed by its own mean chunk size.
 	seen [maxChunkLog + 1]bool
 	tput [maxChunkLog + 1]float64
 }
 
 const (
-	// minChunkLog/maxChunkLog bound the ladder: 1 B to 1 GB, the extent
-	// of the paper's Fig 5 sweep.
-	minChunkLog = 0
+	// maxChunkLog tops the ladder, which runs from 1 B to 1 GB: the
+	// extent of the paper's Fig 5 sweep.
 	maxChunkLog = 30
 	// autotuneWindow is the default number of observations per probe
 	// window. Small enough to recentre within a revolution's worth of
@@ -77,30 +62,15 @@ const (
 
 // newAutotuner creates a tuner probing power-of-two chunk sizes in
 // [minBytes, maxBytes] (both rounded to powers of two, clamped to the
-// Fig 5 ladder of 1 B–1 GB). Non-positive bounds default to 1 kB and
-// ring.DefaultBufferBytes. The climb starts at the lower bound — the
+// Fig 5 ladder of 1 B–1 GB). The climb starts at the lower bound — the
 // paper's Fig 5 narrative read left to right.
 func newAutotuner(minBytes, maxBytes int) *autotuner {
-	if minBytes <= 0 {
-		minBytes = 1 << 10
-	}
-	if maxBytes <= 0 {
-		maxBytes = ring.DefaultBufferBytes
-	}
 	lo := log2Clamp(minBytes)
 	hi := log2Clamp(maxBytes)
 	if hi < lo {
 		hi = lo
 	}
-	a := &autotuner{
-		minLog: lo,
-		maxLog: hi,
-		curLog: lo,
-		window: autotuneWindow,
-	}
-	a.next.Store(1 << lo)
-	a.best.Store(1 << lo)
-	return a
+	return &autotuner{minLog: lo, maxLog: hi, curLog: lo, window: autotuneWindow}
 }
 
 // log2Clamp rounds n to the nearest power-of-two exponent and clamps it
@@ -123,40 +93,30 @@ func log2Clamp(n int) uint {
 // ChunkBytes returns the chunk size a closed-loop driver should use for
 // its next transfers. It cycles through the triangle-probe schedule as
 // windows complete; use Best for the converged recommendation.
-//
-//cyclolint:hotpath
-func (a *autotuner) ChunkBytes() int { return int(a.next.Load()) }
+func (a *autotuner) ChunkBytes() int { return 1 << a.probeLog() }
 
 // Best returns the centre of the climb — the tuner's current best fixed
 // chunk size.
-//
-//cyclolint:hotpath
-func (a *autotuner) Best() int { return int(a.best.Load()) }
+func (a *autotuner) Best() int { return 1 << a.curLog }
 
 // Observe feeds one transfer measurement: bytes moved and the elapsed
-// time attributed to them (for a transmit reaper, the time since the
-// previous completion burst — which makes the metric the achieved
-// through-the-transmitter rate, Fig 5's y-axis). Zero-valued samples are
-// ignored. Safe for concurrent use; allocation-free.
-//
-//cyclolint:hotpath
+// time they took, whose ratio is Fig 5's y-axis. Zero-valued samples are
+// ignored.
 func (a *autotuner) Observe(bytes int, elapsed time.Duration) {
 	if bytes <= 0 || elapsed <= 0 {
 		return
 	}
-	a.mu.Lock()
 	a.winBytes += int64(bytes)
 	a.winDur += elapsed
 	a.winN++
 	if a.winN >= a.window {
 		a.closeWindow()
 	}
-	a.mu.Unlock()
 }
 
 // closeWindow folds the finished probe window into the per-size smoothed
 // throughput, advances the probe schedule, and recentres at the end of
-// each triangle. Called with mu held.
+// each triangle.
 func (a *autotuner) closeWindow() {
 	idx := log2Clamp(int(a.winBytes / int64(a.winN)))
 	t := float64(a.winBytes) / a.winDur.Seconds()
@@ -167,34 +127,14 @@ func (a *autotuner) closeWindow() {
 		a.seen[idx] = true
 	}
 	a.winBytes, a.winDur, a.winN = 0, 0, 0
-
-	// An open-loop feed (a ring whose chunk size the tuner does not
-	// control) lands observations away from the probe neighbourhood;
-	// drift the centre one step per window toward the observed operating
-	// point so the recommendation tracks reality. Closed-loop windows
-	// land within cur±1 by construction and never trigger this.
-	if idx > a.curLog+1 && a.curLog < a.maxLog {
-		a.setCentre(a.curLog + 1)
-	} else if idx+1 < a.curLog && a.curLog > a.minLog {
-		a.setCentre(a.curLog - 1)
-	}
-
 	a.cycle = (a.cycle + 1) % 4
 	if a.cycle == 0 {
 		a.recentre()
 	}
-	a.next.Store(1 << a.probeLog())
-}
-
-// setCentre moves the climb's centre and publishes it. Called with mu
-// held.
-func (a *autotuner) setCentre(l uint) {
-	a.curLog = l
-	a.best.Store(1 << l)
 }
 
 // probeLog maps the triangle-probe position to a size: centre, half,
-// centre, double. Called with mu held.
+// centre, double.
 func (a *autotuner) probeLog() uint {
 	switch a.cycle {
 	case 1:
@@ -210,7 +150,6 @@ func (a *autotuner) probeLog() uint {
 }
 
 // recentre moves the climb's centre to the best-performing neighbour.
-// Called with mu held.
 func (a *autotuner) recentre() {
 	cur := a.curLog
 	bestLog, bestT := cur, a.tput[cur]
@@ -222,7 +161,5 @@ func (a *autotuner) recentre() {
 	if hi := cur + 1; cur < a.maxLog && a.seen[hi] && a.tput[hi] > bestT*upMargin {
 		bestLog = hi
 	}
-	if bestLog != a.curLog {
-		a.setCentre(bestLog)
-	}
+	a.curLog = bestLog
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -80,22 +79,6 @@ func TestAutotunerFindsInteriorPeak(t *testing.T) {
 	}
 }
 
-// TestAutotunerOpenLoopDrift feeds observations at a fixed size the
-// tuner did not recommend (a ring with a static fragment plan); the
-// centre must drift to the actual operating point.
-func TestAutotunerOpenLoopDrift(t *testing.T) {
-	a := newAutotuner(1<<10, 1<<24)
-	const actual = 1 << 18
-	for w := 0; w < 64; w++ {
-		for i := 0; i < autotuneWindow; i++ {
-			a.Observe(actual, time.Millisecond)
-		}
-	}
-	if got := a.Best(); got != actual {
-		t.Fatalf("centre = %d B after open-loop feed at %d B", got, actual)
-	}
-}
-
 // TestAutotunerBounds checks recommendations never escape the configured
 // ladder segment, even under out-of-range observations.
 func TestAutotunerBounds(t *testing.T) {
@@ -132,33 +115,6 @@ func TestAutotunerIgnoresDegenerateSamples(t *testing.T) {
 	if got := tput(a.Best()); math.IsNaN(got) || got <= 0 {
 		t.Fatalf("tuner state poisoned: Best=%d", a.Best())
 	}
-}
-
-// TestAutotunerConcurrent exercises Observe against the lock-free
-// readers under the race detector.
-func TestAutotunerConcurrent(t *testing.T) {
-	a := newAutotuner(1<<10, 1<<24)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := a.ChunkBytes()
-				a.Observe(s, time.Microsecond)
-				_ = a.Best()
-			}
-		}()
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
 }
 
 // TestLog2Clamp pins the bucketing: round to the nearest power of two,

@@ -29,7 +29,7 @@ import (
 // Analyzer is one static check: a name for diagnostics and flags, a doc
 // string, and the per-package Run function.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -disable flags.
+	// Name identifies the analyzer in diagnostics and -only/-skip flags.
 	Name string
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string

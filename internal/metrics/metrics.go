@@ -21,6 +21,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,13 +110,6 @@ type Histogram struct {
 	bounds  []int64
 	buckets []atomic.Int64 // len(bounds)+1
 	sum     atomic.Int64
-}
-
-// NewHistogram returns a histogram outside any registry, over bounds
-// the caller has checked: state one instance owns, where a process-wide
-// series would mix instances.
-func NewHistogram(bounds []int64) *Histogram {
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one value.
@@ -252,7 +246,7 @@ func (r *Registry) lookup(kind Kind, name, help string, bounds []int64, labels [
 	case KindGauge:
 		s.inst = &Gauge{}
 	case KindHistogram:
-		s.inst = NewHistogram(f.bounds)
+		s.inst = &Histogram{bounds: f.bounds, buckets: make([]atomic.Int64, len(f.bounds)+1)}
 	}
 	f.byKey[key] = s
 	f.series = append(f.series, s)
@@ -282,6 +276,26 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...string
 		}
 	}
 	return r.lookup(KindHistogram, name, help, bounds, labels).inst.(*Histogram)
+}
+
+// Forget removes every series whose labels include key="value", so the
+// exposition stops showing a component that is gone (a closed ring).
+// Instruments already handed out keep working, unexposed; a later lookup
+// of the same label set creates a fresh series.
+func (r *Registry) Forget(key, value string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.order {
+		f.series = slices.DeleteFunc(f.series, func(s *series) bool {
+			for i := 0; i+1 < len(s.labels); i += 2 {
+				if s.labels[i] == key && s.labels[i+1] == value {
+					delete(f.byKey, seriesKey(s.labels))
+					return true
+				}
+			}
+			return false
+		})
+	}
 }
 
 // Sample is one exposed value, flattened for table rendering. Histograms

@@ -196,3 +196,32 @@ func TestLabelEscaping(t *testing.T) {
 		t.Errorf("escaping wrong:\n%s", b.String())
 	}
 }
+
+// TestForget: removing a label value drops exactly the series carrying
+// it, across families, and a later lookup starts a fresh series.
+func TestForget(t *testing.T) {
+	r := NewRegistry()
+	gone := r.Counter("c_total", "", "ring", "1", "node", "0")
+	gone.Inc()
+	r.Histogram("h_ns", "", []int64{10}, "ring", "1", "node", "0").Observe(3)
+	r.Counter("c_total", "", "ring", "2", "node", "0").Add(5)
+	r.Counter("c_total", "", "node", "1").Add(7)
+	r.Forget("ring", "1")
+	got := make(map[string]int64)
+	for _, s := range r.Samples() {
+		got[s.Name+"{"+s.Labels+"}"] = s.Value
+	}
+	want := map[string]int64{`c_total{ring="2",node="0"}`: 5, `c_total{node="1"}`: 7}
+	if len(got) != len(want) {
+		t.Errorf("samples after Forget = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+	gone.Inc() // a handed-out instrument keeps working, unexposed
+	if fresh := r.Counter("c_total", "", "ring", "1", "node", "0"); fresh == gone || fresh.Value() != 0 {
+		t.Errorf("lookup after Forget returned the forgotten counter (value %d)", fresh.Value())
+	}
+}

@@ -74,7 +74,7 @@ func BenchmarkRingHopWrites(b *testing.B) {
 // regression guard for the "zero heap allocations per forwarded fragment"
 // property.
 func BenchmarkForwardStage(b *testing.B) {
-	n := newNode(0, Config{Nodes: 2}, nil, nil, make(chan error, 4))
+	n := newNode("test", 0, Config{Nodes: 2}, nil, nil, make(chan error, 4))
 	recv, err := n.dev.RegisterPool(1, 1<<20)
 	if err != nil {
 		b.Fatal(err)

@@ -79,12 +79,12 @@ func TestMetricsIncreaseAcrossRevolution(t *testing.T) {
 			`tcplink_completions_total`,
 		}
 		for i := 0; i < nodes; i++ {
-			n := strconv.Itoa(i)
+			l := `{ring="` + r.label + `",node="` + strconv.Itoa(i) + `"}`
 			strictly = append(strictly,
-				`ring_bytes_in_total{node="`+n+`"}`,
-				`ring_bytes_out_total{node="`+n+`"}`,
-				`ring_fragments_processed_total{node="`+n+`"}`,
-				`ring_fragments_retired_total{node="`+n+`"}`,
+				`ring_bytes_in_total`+l,
+				`ring_bytes_out_total`+l,
+				`ring_fragments_processed_total`+l,
+				`ring_fragments_retired_total`+l,
 			)
 		}
 		for _, key := range strictly {
@@ -93,5 +93,80 @@ func TestMetricsIncreaseAcrossRevolution(t *testing.T) {
 			}
 		}
 		before = after
+	}
+}
+
+// ringSums sums each ring_* sample carrying ring's label by name.
+func ringSums(samples []metrics.Sample, ring string) map[string]int64 {
+	out := make(map[string]int64)
+	for _, s := range samples {
+		if strings.HasPrefix(s.Labels, `ring="`+ring+`",`) {
+			out[s.Name] += s.Value
+		}
+	}
+	return out
+}
+
+// statSums sums a Stats snapshot into the registry's sample names.
+func statSums(rows []NodeStats) map[string]int64 {
+	out := make(map[string]int64)
+	for _, st := range rows {
+		out["ring_bytes_in_total"] += st.BytesIn
+		out["ring_bytes_out_total"] += st.BytesOut
+		out["ring_fragments_processed_total"] += int64(st.Processed)
+		out["ring_fragments_retired_total"] += int64(st.Retired)
+		out["ring_materializes_total"] += st.Materializes
+		out["ring_wait_ns_sum"] += int64(st.WaitTime)
+		out["ring_process_ns_sum"] += int64(st.ProcessTime)
+		for _, c := range st.HopCounts {
+			out["ring_hop_ns_count"] += c
+		}
+	}
+	return out
+}
+
+// TestRegistryMatchesStats runs two rings in one process: each ring's
+// {ring=…} samples in the registry are the sums of its own Stats rows, and
+// Close removes them. A hop's last count lands just after the frame that
+// lets Run return, so the registry read is bracketed by two Stats reads.
+func TestRegistryMatchesStats(t *testing.T) {
+	a, _ := newRecorderRing(t, 3, Config{}, nil)
+	b, _ := newRecorderRing(t, 2, Config{}, nil)
+	if a.label == b.label {
+		t.Fatalf("two rings share the label %q", a.label)
+	}
+	if err := a.Run(perNode(buildFrags(t, 3, 300))); err != nil {
+		t.Fatal(err)
+	}
+	for rev := 0; rev < 2; rev++ {
+		if err := b.Run(perNode(buildFrags(t, 2, 500))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []*Ring{a, b} {
+		lo := statSums(r.Stats(nil))
+		reg := ringSums(metrics.Default().Samples(), r.label)
+		hi := statSums(r.Stats(nil))
+		if lo["ring_fragments_processed_total"] == 0 {
+			t.Fatalf("ring %s processed nothing", r.label)
+		}
+		for name, v := range reg {
+			if _, ok := lo[name]; ok && (v < lo[name] || v > hi[name]) {
+				t.Errorf("ring %s: registry %s = %d, Stats reads %d … %d", r.label, name, v, lo[name], hi[name])
+			}
+		}
+		for name := range lo {
+			if _, ok := reg[name]; !ok {
+				t.Errorf("ring %s: no %s series in the registry", r.label, name)
+			}
+		}
+	}
+	for _, r := range []*Ring{a, b} {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := ringSums(metrics.Default().Samples(), r.label); len(left) != 0 {
+			t.Errorf("ring %s closed, the registry still has %v", r.label, left)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cyclojoin/internal/metrics"
@@ -52,17 +51,29 @@ const txBatch = 16
 // clock traffic.
 const timerSample = 16
 
-// nodeMetrics are one ring position's hot-path instruments, labeled by
-// node id. Lookup is idempotent, so a replaced or re-created node keeps
-// accumulating into the same series.
+// nodeMetrics are one ring position's instruments, labeled
+// {ring="<seq>", node="<id>"}: the node's only stats. Every hot-path event
+// bumps exactly one of them, and Ring.Stats reads them back. Lookup is
+// idempotent, so a replaced node keeps counting into its position's
+// series; Ring.Close removes the ring's series from the registry.
 type nodeMetrics struct {
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
 	processed *metrics.Counter
 	retired   *metrics.Counter
-	procDepth *metrics.Gauge
+	// waitNs/processNs are the paper's sync/join time per fragment; their
+	// sums are NodeStats.WaitTime/ProcessTime.
 	waitNs    *metrics.Histogram
 	processNs *metrics.Histogram
+	// stageNs is post-Process staging time (forward copy / encode /
+	// retirement bookkeeping) — with processNs the node's "busy" time in
+	// the attribution model's sense.
+	stageNs *metrics.Counter
+	// stallNs is send-side backpressure: waiting for a free send buffer,
+	// and in write mode for a remote credit. A node whose downstream
+	// neighbor lags shows it here first.
+	stallNs         *metrics.Counter
+	registeredBytes *metrics.Gauge
 
 	// Zero-copy hot-path accounting: every received frame should be a
 	// view bind (no decode allocation), and every non-first hop a frame
@@ -82,25 +93,27 @@ type nodeMetrics struct {
 	hopNs *metrics.Histogram
 }
 
-func newNodeMetrics(id int) nodeMetrics {
+func newNodeMetrics(ring string, id int) nodeMetrics {
 	r := metrics.Default()
-	node := strconv.Itoa(id)
+	l := []string{"ring", ring, "node", strconv.Itoa(id)}
 	return nodeMetrics{
-		bytesIn:      r.Counter("ring_bytes_in_total", "encoded wire bytes received per ring node", "node", node),
-		bytesOut:     r.Counter("ring_bytes_out_total", "encoded wire bytes transmitted per ring node", "node", node),
-		processed:    r.Counter("ring_fragments_processed_total", "fragments handled by the join entity", "node", node),
-		retired:      r.Counter("ring_fragments_retired_total", "fragments that completed their revolution here", "node", node),
-		procDepth:    r.Gauge("ring_procq_depth", "fragments queued for the join entity", "node", node),
-		waitNs:       r.Histogram("ring_wait_ns", "join-entity starvation (sync) time per fragment", durationBounds, "node", node),
-		processNs:    r.Histogram("ring_process_ns", "join-entity processing time per fragment", durationBounds, "node", node),
-		views:        r.Counter("ring_views_total", "received frames bound as allocation-free views of registered memory", "node", node),
-		forwards:     r.Counter("ring_forwards_total", "fragments forwarded by wire-frame copy and hops patch, no decode or re-encode", "node", node),
-		encodes:      r.Counter("ring_encodes_total", "fragments fully serialized into a send buffer (first hop of locally injected fragments)", "node", node),
-		materializes: r.Counter("ring_materializes_total", "fragments copied out of registered memory because no send buffer was free (congestion fallback)", "node", node),
-		bindNs:       r.Histogram("ring_view_bind_ns", "time to bind a received frame as a view", stageBounds, "node", node),
-		forwardNs:    r.Histogram("ring_forward_ns", "time to stage a forwarded frame (copy + hops patch)", stageBounds, "node", node),
-		encodeNs:     r.Histogram("ring_encode_ns", "time to fully encode a fragment into a send buffer", stageBounds, "node", node),
-		hopNs:        r.Histogram("ring_hop_ns", "fragment residence on the join entity, Process start to staged", durationBounds, "node", node),
+		bytesIn:         r.Counter("ring_bytes_in_total", "encoded wire bytes received per ring node", l...),
+		bytesOut:        r.Counter("ring_bytes_out_total", "encoded wire bytes transmitted per ring node", l...),
+		processed:       r.Counter("ring_fragments_processed_total", "fragments handled by the join entity", l...),
+		retired:         r.Counter("ring_fragments_retired_total", "fragments that completed their revolution here", l...),
+		waitNs:          r.Histogram("ring_wait_ns", "join-entity starvation (sync) time per fragment", durationBounds, l...),
+		processNs:       r.Histogram("ring_process_ns", "join-entity processing time per fragment", durationBounds, l...),
+		stageNs:         r.Counter("ring_stage_ns_total", "post-Process staging time (forward copy, encode, retirement)", l...),
+		stallNs:         r.Counter("ring_stall_ns_total", "send-side backpressure: waiting for a free send buffer or a remote credit", l...),
+		registeredBytes: r.Gauge("ring_registered_bytes", "registered (pinned) buffer bytes per ring node", l...),
+		views:           r.Counter("ring_views_total", "received frames bound as allocation-free views of registered memory", l...),
+		forwards:        r.Counter("ring_forwards_total", "fragments forwarded by wire-frame copy and hops patch, no decode or re-encode", l...),
+		encodes:         r.Counter("ring_encodes_total", "fragments fully serialized into a send buffer (first hop of locally injected fragments)", l...),
+		materializes:    r.Counter("ring_materializes_total", "fragments copied out of registered memory because no send buffer was free (congestion fallback)", l...),
+		bindNs:          r.Histogram("ring_view_bind_ns", "time to bind a received frame as a view", stageBounds, l...),
+		forwardNs:       r.Histogram("ring_forward_ns", "time to stage a forwarded frame (copy + hops patch)", stageBounds, l...),
+		encodeNs:        r.Histogram("ring_encode_ns", "time to fully encode a fragment into a send buffer", stageBounds, l...),
+		hopNs:           r.Histogram("ring_hop_ns", "fragment residence on the join entity, Process start to staged", durationBounds, l...),
 	}
 }
 
@@ -137,33 +150,6 @@ type outbound struct {
 	index, hops int
 	staged      *rdma.Buffer
 	sz          int
-}
-
-// hotStats holds the per-node counters bumped on the hot path. Plain
-// atomics, one bump per field: deliver, procLoop and the transmitters never
-// take a mutex for bookkeeping, and Ring.Stats assembles a NodeStats from a
-// set of independently-consistent loads.
-type hotStats struct {
-	processed, retired atomic.Int64
-	bytesIn, bytesOut  atomic.Int64
-	// waitNs/processNs accumulate the paper's sync/join time in
-	// nanoseconds.
-	waitNs, processNs atomic.Int64
-	// stageNs accumulates post-Process staging time (forward copy /
-	// encode / retirement bookkeeping) — with processNs it is the node's
-	// "busy" time in the attribution model's sense.
-	stageNs atomic.Int64
-	// stallNs accumulates send-side backpressure: waiting for a free send
-	// buffer, and in write mode for a remote credit. A node whose
-	// downstream neighbor lags shows it here first.
-	stallNs         atomic.Int64
-	registeredBytes atomic.Int64
-	// materializes and hops count what the registry's
-	// ring_materializes_total and ring_hop_ns count, for this ring alone:
-	// those series are keyed by node id only, so every ring in the
-	// process adds to them.
-	materializes atomic.Int64
-	hops         *metrics.Histogram
 }
 
 // node is one Data Roundabout host: receiver + join entity + transmitter
@@ -297,8 +283,6 @@ type node struct {
 	sendStop chan struct{}
 	sendWG   sync.WaitGroup
 
-	stats hotStats
-
 	// bindTick/stageTick drive the timerSample decimation. Single-writer:
 	// bindTick belongs to the receiver goroutine, stageTick to the join
 	// loop.
@@ -316,7 +300,7 @@ type node struct {
 	sendPend map[*rdma.Buffer]trace.Pending
 }
 
-func newNode(id int, cfg Config, proc Processor, retired chan<- retirement, errc chan<- error) *node {
+func newNode(ring string, id int, cfg Config, proc Processor, retired chan<- retirement, errc chan<- error) *node {
 	slots := cfg.slots()
 	fl := cfg.flightRecorder()
 	return &node{
@@ -341,8 +325,7 @@ func newNode(id int, cfg Config, proc Processor, retired chan<- retirement, errc
 		retired:      retired,
 		errc:         errc,
 		quit:         make(chan struct{}),
-		m:            newNodeMetrics(id),
-		stats:        hotStats{hops: metrics.NewHistogram(durationBounds)},
+		m:            newNodeMetrics(ring, id),
 		frecv:        fl.Shard(id, "recv"),
 		fjoin:        fl.Shard(id, "join"),
 		fsend:        fl.Shard(id, "send"),
@@ -388,7 +371,7 @@ func (n *node) start() error {
 		for _, b := range send {
 			n.freeSend.TryPush(b)
 		}
-		n.stats.registeredBytes.Store(n.dev.Stats().BytesPinned)
+		n.m.registeredBytes.Set(n.dev.Stats().BytesPinned)
 	}
 	// The three entities below share custody of the pooled views planted
 	// in n.views: each send of a view down the pipeline carries the
@@ -691,7 +674,6 @@ func (n *node) deliver(buf *rdma.Buffer, frame []byte) {
 	n.recvMu.Lock()
 	n.pinned[buf] = true
 	n.recvMu.Unlock()
-	n.stats.bytesIn.Add(int64(len(frame)))
 	n.m.bytesIn.Add(int64(len(frame)))
 	// The view rides the queue bound to live receive memory, and that is
 	// the point: the buffer credit travels with it (buf stays pinned), and
@@ -713,7 +695,6 @@ func (n *node) deliver(buf *rdma.Buffer, frame []byte) {
 //cyclolint:hotpath
 func (n *node) pushInput(q *ringq.SPSC[inflight], space *ringq.Waiter, inf inflight) bool {
 	if q.TryPush(inf) {
-		n.m.procDepth.Inc()
 		n.joinWake.Signal()
 		return true
 	}
@@ -721,14 +702,12 @@ func (n *node) pushInput(q *ringq.SPSC[inflight], space *ringq.Waiter, inf infli
 		for i := 0; i < spinPops; i++ {
 			runtime.Gosched()
 			if q.TryPush(inf) {
-				n.m.procDepth.Inc()
 				n.joinWake.Signal()
 				return true
 			}
 		}
 		space.Prepare()
 		if q.TryPush(inf) {
-			n.m.procDepth.Inc()
 			n.joinWake.Signal()
 			return true
 		}
@@ -800,7 +779,6 @@ func (n *node) procLoop() {
 			n.fjoin.End(wpd)
 			return
 		}
-		n.m.procDepth.Dec()
 		// One clock read serves as both the end of the wait and the start
 		// of Process: the bookkeeping between them is a handful of stores.
 		procStart := time.Now()
@@ -820,9 +798,6 @@ func (n *node) procLoop() {
 
 		// The wait before a fragment that did arrive is "sync" time in
 		// the paper's sense: the join entity starving on the transport.
-		n.stats.waitNs.Add(waited.Nanoseconds())
-		n.stats.processNs.Add(procTime.Nanoseconds())
-		n.stats.processed.Add(1)
 		n.m.waitNs.Observe(waited.Nanoseconds())
 		n.m.processNs.Observe(procTime.Nanoseconds())
 		n.m.processed.Inc()
@@ -841,7 +816,6 @@ func (n *node) procLoop() {
 			// would inf.view.Materialize() before the release — today none
 			// does, Run just counts revolutions.
 			ret := retirement{index: frag.Index, hops: frag.Hops}
-			n.stats.retired.Add(1)
 			n.m.retired.Inc()
 			n.fjoin.Point(trace.PhaseRetire, int32(ret.index), int32(ret.hops), 0)
 			n.releaseRecvDeferred(inf.buf)
@@ -892,7 +866,6 @@ func (n *node) procLoop() {
 			} else {
 				heap := inf.view.Materialize()
 				n.m.materializes.Inc()
-				n.stats.materializes.Add(1)
 				n.releaseRecvDeferred(inf.buf)
 				var ok bool
 				if ob, ok = n.encodeOutbound(heap); !ok {
@@ -926,9 +899,8 @@ func (n *node) procLoop() {
 //cyclolint:hotpath
 func (n *node) finishHop(procStart, procEnd time.Time) {
 	end := time.Now()
-	n.stats.stageNs.Add(end.Sub(procEnd).Nanoseconds())
+	n.m.stageNs.Add(end.Sub(procEnd).Nanoseconds())
 	n.m.hopNs.Observe(end.Sub(procStart).Nanoseconds())
-	n.stats.hops.Observe(end.Sub(procStart).Nanoseconds())
 }
 
 // popFreeSend blocks for a free send buffer; quit aborts. The wait
@@ -946,13 +918,13 @@ func (n *node) popFreeSend() (*rdma.Buffer, bool) {
 		for i := 0; i < spinPops; i++ {
 			runtime.Gosched()
 			if buf, ok := n.freeSend.TryPop(); ok {
-				n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+				n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 				return buf, true
 			}
 		}
 		n.poolWake.Prepare()
 		if buf, ok := n.freeSend.TryPop(); ok {
-			n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+			n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 			return buf, true
 		}
 		select {
@@ -1026,7 +998,6 @@ func (n *node) tryInject(frag *relation.Fragment) bool {
 	if !n.injectQ.TryPush(inflight{frag: frag}) {
 		return false
 	}
-	n.m.procDepth.Inc()
 	n.joinWake.Signal()
 	return true
 }
@@ -1217,7 +1188,6 @@ func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}, post func([]outbo
 		// what lets the downstream hops — and with the last of them Run —
 		// complete, and whoever reads the stats after Run must find this
 		// burst in them.
-		n.stats.bytesOut.Add(int64(total))
 		n.m.bytesOut.Add(int64(total))
 		if err := post(batch[:m]); err != nil {
 			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post send: %w", n.id, err))

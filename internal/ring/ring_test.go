@@ -413,6 +413,46 @@ func TestReplaceNode(t *testing.T) {
 	}
 }
 
+// TestStatsSurviveReplaceNode: a replacement keeps counting where its ring
+// position left off. A Stats row going backwards would read as a negative
+// window to internal/health's sampler.
+func TestStatsSurviveReplaceNode(t *testing.T) {
+	const nodes = 3
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			r, _ := newRecorderRing(t, nodes, Config{}, tr.links())
+			frags := buildFrags(t, nodes, 300)
+			if err := r.Run(perNode(frags)); err != nil {
+				t.Fatal(err)
+			}
+			before := r.Stats(nil)
+			if err := r.ReplaceNode(1, newRecorder()); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(perNode(frags)); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range r.Stats(nil) {
+				b := before[i]
+				// Every node processes, forwards and retires in each Run.
+				if st.Processed <= b.Processed || st.Retired <= b.Retired || st.BytesIn <= b.BytesIn || st.BytesOut <= b.BytesOut {
+					t.Errorf("node %d: processed %d → %d, retired %d → %d, in %d → %d, out %d → %d; want all to grow",
+						i, b.Processed, st.Processed, b.Retired, st.Retired, b.BytesIn, st.BytesIn, b.BytesOut, st.BytesOut)
+				}
+				if st.ProcessTime < b.ProcessTime || st.WaitTime < b.WaitTime || st.StageTime < b.StageTime ||
+					st.StallTime < b.StallTime || st.Materializes < b.Materializes {
+					t.Errorf("node %d went backwards: %+v → %+v", i, b, st)
+				}
+				for j, c := range st.HopCounts {
+					if c < b.HopCounts[j] {
+						t.Errorf("node %d hop bucket %d went backwards: %d → %d", i, j, b.HopCounts[j], c)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestReplaceNodeSingleNodeRing(t *testing.T) {
 	r, _ := newRecorderRing(t, 1, Config{}, nil)
 	frags := buildFrags(t, 1, 50)

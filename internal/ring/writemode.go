@@ -245,7 +245,7 @@ func (n *node) writePoster(qp rdma.QueuePair, stop chan struct{}) (func([]outbou
 					return ErrClosed
 				case key = <-credits:
 				}
-				n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+				n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 				n.fsend.End(cs)
 			}
 			n.beginSendSpan(ob)

@@ -193,7 +193,7 @@ func TestFrameOfCompletion(t *testing.T) {
 			for _, cons := range consumers {
 				t.Run(fmt.Sprintf("writes=%v/%s/%s", writes, row.name, cons.name), func(t *testing.T) {
 					errc := make(chan error, 4)
-					n := newNode(1, Config{Nodes: 3, BufferSlots: 2, OneSidedWrites: writes}, nil, nil, errc)
+					n := newNode("test", 1, Config{Nodes: 3, BufferSlots: 2, OneSidedWrites: writes}, nil, nil, errc)
 					recv, err := n.dev.RegisterPool(2, 1<<16)
 					if err != nil {
 						t.Fatal(err)

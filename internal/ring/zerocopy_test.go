@@ -225,7 +225,7 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	if !relation.NativeLittleEndian() {
 		t.Skip("portable-endian build: key column binds through the scratch path")
 	}
-	n := newNode(0, Config{Nodes: 2}, nil, nil, make(chan error, 4))
+	n := newNode("test", 0, Config{Nodes: 2}, nil, nil, make(chan error, 4))
 	recv, err := n.dev.RegisterPool(1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
