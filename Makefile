@@ -115,8 +115,8 @@ tree-clean:
 	@st="$$(git status --porcelain)"; [ -z "$$st" ] || { echo "working tree not clean:"; echo "$$st"; exit 1; }
 
 # chaos is the fault-injection e2e tier: the seeded cyclobench scenario
-# suite (drop, flap, corrupt doorbell, jitter+reorder, slow node,
-# partition) against live mem and tcp rings, race-enabled. The unit- and
+# suite (drop, flap, jitter, slow node, partition) against live mem and
+# tcp rings, race-enabled. The unit- and
 # package-level chaos tests (TestChaos* in ring, core, chaoslink) already
 # run under `race`; this drives the same machinery through the CLI the CI
 # fuzz job uses, with a pinned seed so the gate is deterministic.

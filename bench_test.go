@@ -812,19 +812,20 @@ func BenchmarkPlacement(b *testing.B) {
 			rFrags[i] = []*relation.Fragment{f}
 		}
 		for _, placement := range []struct {
-			name    string
-			station func(c *core.Cluster) error
+			name  string
+			setup func(c *core.Cluster) (*core.Side, error)
+			p     core.Placement
 		}{
-			{"position", func(c *core.Cluster) error {
+			{"position", func(c *core.Cluster) (*core.Side, error) {
 				sFrags, err := relation.Partition(s, nodes)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				return c.Station(sFrags, rFrags)
-			}},
-			{"key", func(c *core.Cluster) error {
-				return c.StationByKey([]*relation.Relation{s}, rFrags)
-			}},
+				return c.SetupSide(sFrags)
+			}, core.ByPosition},
+			{"key", func(c *core.Cluster) (*core.Side, error) {
+				return c.SetupSideByKey(s)
+			}, core.ByKey},
 		} {
 			b.Run(shape.name+"/"+placement.name, func(b *testing.B) {
 				c, err := core.NewCluster(core.Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
@@ -836,10 +837,15 @@ func BenchmarkPlacement(b *testing.B) {
 				}()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := placement.station(c); err != nil {
+					side, err := placement.setup(c)
+					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := c.Rotate(); err != nil {
+					rot, err := c.SetupRotating(rFrags, placement.p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Revolve(rot, []*core.Side{side}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -998,45 +1004,4 @@ func BenchmarkRegistrationCost(b *testing.B) {
 		}
 		b.ReportMetric(dev.Stats().ModeledCost.Seconds()/float64(b.N)*1e6, "modeled-us/op")
 	})
-}
-
-// BenchmarkAblationTransportMode compares the ring's two wirings: two-sided
-// send/recv versus one-sided write-with-immediate plus credits.
-func BenchmarkAblationTransportMode(b *testing.B) {
-	rel := workload.Sequential("R", 400_000, 4)
-	for _, writes := range []bool{false, true} {
-		name := "sendrecv"
-		if writes {
-			name = "onesided"
-		}
-		b.Run(name, func(b *testing.B) {
-			const nodes = 4
-			procs := make([]ring.Processor, nodes)
-			for i := range procs {
-				procs[i] = ring.ProcessorFunc(func(f *relation.Fragment) error { return nil })
-			}
-			rg, err := ring.New(ring.Config{Nodes: nodes, OneSidedWrites: writes}, nil, procs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				_ = rg.Close()
-			}()
-			frags, err := relation.Partition(rel, nodes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			perNode := make([][]*relation.Fragment, nodes)
-			for i, f := range frags {
-				perNode[i] = []*relation.Fragment{f}
-			}
-			b.SetBytes(int64(rel.Bytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rg.Run(perNode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -29,7 +29,6 @@ const (
 type chaosCase struct {
 	name      string
 	transport string // "mem" or "tcp"
-	writes    bool
 	link      chaoslink.Link
 	scenario  chaoslink.Scenario
 	// faultDials forwards to Plan.FaultDials (flapping links).
@@ -81,12 +80,6 @@ func chaosCases(seed uint64) []chaosCase {
 			retries:  4,
 		},
 		{
-			name: "drop+recover/writes", transport: "mem", writes: true,
-			link:     link(),
-			scenario: chaoslink.Scenario{Seed: sub(), FailFrame: frame()},
-			retries:  4,
-		},
-		{
 			name: "flapping", transport: "mem",
 			link:       link(),
 			scenario:   chaoslink.Scenario{Seed: sub(), FailFrame: frame()},
@@ -94,19 +87,12 @@ func chaosCases(seed uint64) []chaosCase {
 			retries:    4,
 		},
 		{
-			name: "corrupt-imm", transport: "mem", writes: true,
-			link:     link(),
-			scenario: chaoslink.Scenario{Seed: sub(), FailFrame: frame(), CorruptImm: true},
-			retries:  4,
-		},
-		{
-			name: "jitter+reorder", transport: "mem", writes: true,
+			name: "jitter", transport: "tcp",
 			link: link(),
 			scenario: chaoslink.Scenario{
-				Seed:    sub(),
-				Delay:   100 * time.Microsecond,
-				Jitter:  500 * time.Microsecond,
-				Reorder: true,
+				Seed:   sub(),
+				Delay:  100 * time.Microsecond,
+				Jitter: 500 * time.Microsecond,
 			},
 		},
 		{
@@ -187,8 +173,7 @@ func runChaosCase(tc chaosCase, withHealth bool) (string, int, string, error) {
 		Predicate: join.Equi{},
 		Links:     ring.LinkFactory(plan.Wrap(links)),
 		Ring: ring.Config{
-			OneSidedWrites: tc.writes,
-			Recovery:       ring.Recovery{MaxRetries: tc.retries, Backoff: time.Millisecond},
+			Recovery: ring.Recovery{MaxRetries: tc.retries, Backoff: time.Millisecond},
 		},
 	})
 	if err != nil {
@@ -240,25 +225,21 @@ func runChaos(w io.Writer, seed uint64, withHealth bool) int {
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
 	}
-	cols := []string{"scenario", "transport", "mode", "link", "dials", "outcome"}
+	cols := []string{"scenario", "transport", "link", "dials", "outcome"}
 	if withHealth {
 		cols = append(cols, "verdict")
 	}
 	tbl := stats.NewTable(fmt.Sprintf("Chaos scenarios (seed %d)", seed), cols...)
 	failures := 0
 	for _, tc := range chaosCases(seed) {
-		mode := "send/recv"
-		if tc.writes {
-			mode = "writes"
-		}
 		outcome, dials, verdict, err := runChaosCase(tc, withHealth)
 		if err != nil {
 			failures++
 			fmt.Fprintf(os.Stderr,
-				"cyclobench: chaos FAIL %s/%s/%s: %v\n  reproduce: cyclobench -chaos -seed %d\n  schedule: link %s %+v faultDials=%d retries=%d\n",
-				tc.name, tc.transport, mode, err, seed, tc.link, tc.scenario, tc.faultDials, tc.retries)
+				"cyclobench: chaos FAIL %s/%s: %v\n  reproduce: cyclobench -chaos -seed %d\n  schedule: link %s %+v faultDials=%d retries=%d\n",
+				tc.name, tc.transport, err, seed, tc.link, tc.scenario, tc.faultDials, tc.retries)
 		}
-		row := []string{tc.name, tc.transport, mode, tc.link.String(),
+		row := []string{tc.name, tc.transport, tc.link.String(),
 			fmt.Sprintf("%d", dials), outcome}
 		if withHealth {
 			row = append(row, verdict)

@@ -151,9 +151,9 @@ func render(w io.Writer, snap *health.Snapshot) error {
 	if len(snap.Faults) > 0 {
 		parts := make([]string, 0, len(snap.Faults))
 		for _, lf := range snap.Faults {
-			parts = append(parts, fmt.Sprintf("%s: %dd/%dc/%ddl", lf.Link, lf.Drops, lf.Corrupts, lf.Delays))
+			parts = append(parts, fmt.Sprintf("%s: %dd/%ddl", lf.Link, lf.Drops, lf.Delays))
 		}
-		fmt.Fprintf(w, "chaos faults (drops/corrupts/delays): %s\n", strings.Join(parts, "  "))
+		fmt.Fprintf(w, "chaos faults (drops/delays): %s\n", strings.Join(parts, "  "))
 	}
 	v := snap.Verdict
 	switch v.Kind {

@@ -59,7 +59,6 @@ func run() int {
 		transport = flag.String("transport", "memory", "transport: memory | tcp")
 		slots     = flag.Int("slots", 4, "ring buffer elements per host")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		oneSided  = flag.Bool("write", false, "use one-sided RDMA writes instead of send/recv")
 		metricsAt = flag.String("metrics", "", "serve Prometheus metrics at http://ADDR/metrics while running (e.g. 127.0.0.1:9090); empty disables")
 		flightrec = flag.String("flightrec", "", "record cross-layer spans and write a Perfetto trace-event JSON FILE (view at ui.perfetto.dev or with cyclotrace)")
 		rotations = flag.Int("rotations", 1, "full revolutions to run (reusing the setup phase); >1 keeps the ring spinning for live observation with cyclotop")
@@ -131,7 +130,7 @@ func run() int {
 		Algorithm: alg,
 		Predicate: pred,
 		Opts:      cyclojoin.JoinOptions{Parallelism: *threads},
-		Ring:      cyclojoin.RingConfig{BufferSlots: *slots, OneSidedWrites: *oneSided},
+		Ring:      cyclojoin.RingConfig{BufferSlots: *slots},
 		Links:     links,
 	})
 	if err != nil {
@@ -167,12 +166,8 @@ func run() int {
 		return 1
 	}
 
-	mode := "send/recv"
-	if *oneSided {
-		mode = "one-sided writes"
-	}
-	fmt.Printf("cyclo-join: %s join of R ⋈ S (%s) on %d hosts over %s links (%s)\n",
-		*algo, pred, *nodes, *transport, mode)
+	fmt.Printf("cyclo-join: %s join of R ⋈ S (%s) on %d hosts over %s links\n",
+		*algo, pred, *nodes, *transport)
 	res, err := cluster.JoinRelations(r, s, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roundabout:", err)

@@ -107,29 +107,3 @@ func TestFacadeTCPLinks(t *testing.T) {
 		t.Error("band join over TCP produced no matches")
 	}
 }
-
-// TestOneSidedWriteCluster runs a distributed join with the ring's
-// transmitters using RDMA write-with-immediate instead of send/recv.
-func TestOneSidedWriteCluster(t *testing.T) {
-	cluster, err := cyclojoin.NewCluster(cyclojoin.Config{
-		Nodes:     3,
-		Algorithm: cyclojoin.HashJoin(),
-		Predicate: cyclojoin.EquiJoin(),
-		Ring:      cyclojoin.RingConfig{OneSidedWrites: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cluster.Close()
-	}()
-	r := cyclojoin.SequentialRelation("R", 2000, 4)
-	s := cyclojoin.SequentialRelation("S", 2000, 4)
-	res, err := cluster.JoinRelations(r, s, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches() != 2000 {
-		t.Errorf("matches = %d, want 2000", res.Matches())
-	}
-}

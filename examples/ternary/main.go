@@ -7,9 +7,9 @@
 // outputs are already a distributed table, so the second run stations T and
 // rotates those outputs without any repartitioning step. It is what a join
 // on two different attributes needs. When both joins are on the same key, as
-// in every statement the SQL engine accepts, core.Cluster.StationByKey places
-// S and T by key hash and one revolution computes the whole join with no
-// intermediate (see examples/sqljoin and DESIGN.md §7).
+// in every statement the SQL engine accepts, core.Cluster.SetupSideByKey
+// places S and T by key hash and one revolution computes the whole join with
+// no intermediate (see examples/sqljoin and DESIGN.md §7).
 //
 //	go run ./examples/ternary
 package main

@@ -21,9 +21,9 @@
 //     handle serves any number of revolutions — the setup-reuse trade at the
 //     heart of §V-E — and dropping a handle releases it.
 //
-// Station, StationByKey, Rotate and JoinRelations are the one-handle-set
-// form of the same calls: Station and StationByKey set up the handles that
-// Rotate then revolves into Config.Collectors.
+// Station, Rotate and JoinRelations are the one-handle-set form of the same
+// calls for data placed by position: Station sets up the handles that Rotate
+// then revolves into Config.Collectors.
 //
 // Placement is a property of a handle. By position the data joins where it
 // lies, as in the paper (§II-C): every fragment probes every host. By key,
@@ -143,8 +143,8 @@ type Rotating struct {
 	rotatingKeys [][]*relation.Fragment
 }
 
-// staged names the rotating handle Station and StationByKey leave for
-// Rotate; Cluster embeds it under this unexported name.
+// staged names the rotating handle Station leaves for Rotate; Cluster
+// embeds it under this unexported name.
 type staged = Rotating
 
 // hostState is one ring host's join entity. Between revolutions it holds
@@ -224,8 +224,7 @@ var (
 
 // How the stationary data was placed answers "one revolution or one per
 // side": key placement joins any number of sides in one. One count per
-// Station, StationByKey, SetupSide or SetupSideByKey, whatever its number of
-// sides.
+// Station, SetupSide or SetupSideByKey.
 var (
 	mPositionStations = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "position")
 	mKeyStations      = metrics.Default().Counter("core_stations_total", "cyclo-join setup phases by how the stationary data was placed", "placement", "key")
@@ -243,9 +242,9 @@ type Cluster struct {
 	// replacements counts ReplaceHost calls: a handle set up under an
 	// earlier count is stale.
 	replacements uint64
-	// *staged and stagedSides are the handles the last Station or
-	// StationByKey set up, for Rotate: nil before the first and after
-	// ReplaceHost. setupDur is how long that setup took.
+	// *staged and stagedSides are the handles the last Station set up, for
+	// Rotate: nil before the first and after ReplaceHost. setupDur is how
+	// long that setup took.
 	*staged
 	stagedSides []*Side
 	setupDur    time.Duration
@@ -297,28 +296,31 @@ func (c *Cluster) SetupSide(sFrags []*relation.Fragment) (*Side, error) {
 	if len(sFrags) != c.cfg.Nodes {
 		return nil, fmt.Errorf("cyclojoin: SetupSide with %d stationary slots for %d nodes", len(sFrags), c.cfg.Nodes)
 	}
-	sides, _, err := c.setup([][]*relation.Fragment{sFrags}, nil, ByPosition)
+	side, _, err := c.setup(sFrags, nil, ByPosition)
 	if err != nil {
 		return nil, err
 	}
 	mPositionStations.Inc()
-	return sides[0], nil
+	return side, nil
 }
 
 // SetupSideByKey places s by key hash — host i gets exactly the keys
 // relation.Owner gives it — and sets up each host's share. Equi-joins only:
 // only equal keys share a host.
 func (c *Cluster) SetupSideByKey(s *relation.Relation) (*Side, error) {
-	placed, err := c.placeByKey([]*relation.Relation{s})
-	if err != nil {
-		return nil, err
+	if _, ok := c.cfg.Predicate.(join.Equi); !ok {
+		return nil, fmt.Errorf("cyclojoin: key placement needs an equi-join, not %s: only equal keys share a host", c.cfg.Predicate)
 	}
-	sides, _, err := c.setup(placed, nil, ByKey)
+	placed, err := relation.PartitionByHash(s, c.cfg.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("cyclojoin: place by key: %w", err)
+	}
+	side, _, err := c.setup(placed, nil, ByKey)
 	if err != nil {
 		return nil, err
 	}
 	mKeyStations.Inc()
-	return sides[0], nil
+	return side, nil
 }
 
 // SetupRotating reorganizes the rotating fragments on their home hosts:
@@ -342,76 +344,26 @@ func (c *Cluster) Station(sFrags []*relation.Fragment, rFrags [][]*relation.Frag
 			len(sFrags), len(rFrags), c.cfg.Nodes)
 	}
 	start := time.Now()
-	sides, rot, err := c.setup([][]*relation.Fragment{sFrags}, rFrags, ByPosition)
+	side, rot, err := c.setup(sFrags, rFrags, ByPosition)
 	if err != nil {
 		return err
 	}
-	c.stage(rot, sides, time.Since(start))
+	c.stage(rot, []*Side{side}, time.Since(start))
 	mPositionStations.Inc()
 	return nil
 }
 
-// StationByKey runs the setup phase for an equi-join of the rotating
-// fragments with every relation of sides at once: R ⋈ sides[0] ⋈ sides[1] ⋈ …
-// on the one join key, in a single revolution. It places each side by key
-// hash (SetupSideByKey) and orders the rotating fragments by owner
-// (SetupRotating under ByKey). Rotate then chains the sides on each host:
-// a fragment's matches with sides[0] probe sides[1] in small batches, and so
-// on; the collectors receive the matches of the last side, laid out as a
-// left-deep sequence of join.Materializer steps would lay them out (rKey, and
-// rPay ‖ key ‖ pay₀ ‖ key ‖ pay₁ … as rPay). No intermediate result exists at
-// any point.
-//
-// Because a key's matches live on one host only, a host probes just its own
-// slice of each fragment: a revolution probes |R| tuples against sides[0],
-// not nodes·|R|. The price is that placement follows the keys: a key that
-// makes up half of a side puts half of that side's probe work on one host.
-func (c *Cluster) StationByKey(sides []*relation.Relation, rFrags [][]*relation.Fragment) error {
-	if len(sides) == 0 || len(rFrags) != c.cfg.Nodes {
-		return fmt.Errorf("cyclojoin: StationByKey with %d stationary sides and %d rotating slots for %d nodes",
-			len(sides), len(rFrags), c.cfg.Nodes)
-	}
-	placed, err := c.placeByKey(sides)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	set, rot, err := c.setup(placed, rFrags, ByKey)
-	if err != nil {
-		return err
-	}
-	c.stage(rot, set, time.Since(start))
-	mKeyStations.Inc()
-	return nil
-}
-
-// placeByKey hash-partitions every relation of sides over the hosts,
-// concurrently.
-func (c *Cluster) placeByKey(sides []*relation.Relation) ([][]*relation.Fragment, error) {
-	if _, ok := c.cfg.Predicate.(join.Equi); !ok {
-		return nil, fmt.Errorf("cyclojoin: key placement needs an equi-join, not %s: only equal keys share a host", c.cfg.Predicate)
-	}
-	placed := make([][]*relation.Fragment, len(sides))
-	if err := parallel(len(sides), func(j int) (err error) {
-		placed[j], err = relation.PartitionByHash(sides[j], c.cfg.Nodes)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("cyclojoin: place by key: %w", err)
-	}
-	return placed, nil
-}
-
 // setup is the setup phase proper, the one path behind every handle: host i
-// sets up sides[j][i] for every j, then reorganizes rFrags[i] unless rFrags
-// is nil. Hosts run their setup concurrently, as the cluster's machines
-// would.
-func (c *Cluster) setup(sides [][]*relation.Fragment, rFrags [][]*relation.Fragment, p Placement) ([]*Side, *Rotating, error) {
+// sets up sFrags[i] unless sFrags is nil, then reorganizes rFrags[i] unless
+// rFrags is nil. Hosts run their setup concurrently, as the cluster's
+// machines would.
+func (c *Cluster) setup(sFrags []*relation.Fragment, rFrags [][]*relation.Fragment, p Placement) (*Side, *Rotating, error) {
 	c.mu.Lock()
 	at := origin{cluster: c, replaced: c.replacements, placement: p}
 	c.mu.Unlock()
-	set := make([]*Side, len(sides))
-	for j := range set {
-		set[j] = &Side{origin: at, hosts: make([]join.Stationary, c.cfg.Nodes)}
+	var side *Side
+	if sFrags != nil {
+		side = &Side{origin: at, hosts: make([]join.Stationary, c.cfg.Nodes)}
 	}
 	var rot *Rotating
 	if rFrags != nil {
@@ -419,12 +371,12 @@ func (c *Cluster) setup(sides [][]*relation.Fragment, rFrags [][]*relation.Fragm
 	}
 	err := parallel(c.cfg.Nodes, func(i int) error {
 		opts := c.joinOpts(i)
-		for j, side := range sides {
-			st, err := c.cfg.Algorithm.SetupStationary(side[i].Rel, c.cfg.Predicate, opts)
+		if side != nil {
+			st, err := c.cfg.Algorithm.SetupStationary(sFrags[i].Rel, c.cfg.Predicate, opts)
 			if err != nil {
 				return fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
 			}
-			set[j].hosts[i] = st
+			side.hosts[i] = st
 		}
 		if rot == nil {
 			return nil
@@ -453,7 +405,7 @@ func (c *Cluster) setup(sides [][]*relation.Fragment, rFrags [][]*relation.Fragm
 	if err != nil {
 		return nil, nil, err
 	}
-	return set, rot, nil
+	return side, rot, nil
 }
 
 // parallel runs f(0) … f(n-1) concurrently and returns the error of the
@@ -486,9 +438,9 @@ func (c *Cluster) stage(rot *Rotating, sides []*Side, took time.Duration) {
 
 // Result reports one revolution's outcome.
 type Result struct {
-	// SetupTime is the wall-clock duration of the most recent Station or
-	// StationByKey for Rotate, and zero for Revolve, whose handles may serve
-	// many revolutions.
+	// SetupTime is the wall-clock duration of the most recent Station for
+	// Rotate, and zero for Revolve, whose handles may serve many
+	// revolutions.
 	SetupTime time.Duration
 	// JoinTime is the wall-clock duration of the revolution.
 	JoinTime time.Duration
@@ -521,7 +473,7 @@ func (r *Result) Matches() int64 {
 
 // Rotate runs one full revolution of the stationed rotating fragments into
 // Config.Collectors and returns the per-host results: Revolve over the
-// handles the last Station or StationByKey set up. It may be called
+// handles the last Station set up. It may be called
 // repeatedly; each call reuses the setup-phase investment.
 func (c *Cluster) Rotate() (*Result, error) {
 	c.mu.Lock()
@@ -547,7 +499,13 @@ func (c *Cluster) Rotate() (*Result, error) {
 // materialization and another count each ship what they read.
 //
 // With several sides (key placement) the collectors stand at the end of each
-// host's probe chain: they receive the matches with the last side.
+// host's probe chain: a fragment's matches with sides[0] probe sides[1] in
+// small batches, and so on, and the collectors receive the matches with the
+// last side, laid out as a left-deep sequence of join.Materializer steps
+// would lay them out (rKey, and rPay ‖ key ‖ pay₀ ‖ key ‖ pay₁ … as rPay).
+// No intermediate result exists at any point, and since a key's matches live
+// on one host only, a revolution probes |R| tuples against sides[0], not
+// nodes·|R|.
 func (c *Cluster) Revolve(rot *Rotating, sides []*Side, collect func(node int) join.Collector) (*Result, error) {
 	return c.revolve(rot, sides, collect, 0)
 }

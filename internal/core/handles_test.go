@@ -14,7 +14,7 @@ import (
 
 // TestHandlesServeManyRevolutions keeps two key-placed sides and two
 // rotating handles on one cluster and revolves them in every order against
-// the nested reference; a StationByKey and a Rotate in between leave them
+// the nested reference; handles set up and revolved in between leave them
 // untouched, and no host holds anything once a revolution has ended.
 func TestHandlesServeManyRevolutions(t *testing.T) {
 	const nodes = 3
@@ -77,11 +77,16 @@ func TestHandlesServeManyRevolutions(t *testing.T) {
 	check(r, rotR, s0, s1)
 	check(q, rotQ, s1, s0)
 
-	// Rotate's own handles come and go without touching the caller's.
-	if err := c.StationByKey([]*relation.Relation{s1}, homed(t, q, nodes, 1)); err != nil {
+	// Other handles come and go without touching these.
+	extraSide, err := c.SetupSideByKey(s1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Rotate(); err != nil {
+	extraRot, err := c.SetupRotating(homed(t, q, nodes, 1), ByKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Revolve(extraRot, []*Side{extraSide}, nil); err != nil {
 		t.Fatal(err)
 	}
 	check(r, rotR, s1, s0)

@@ -9,12 +9,11 @@ import (
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/jointest"
 	"cyclojoin/internal/relation"
-	"cyclojoin/internal/ring"
 	"cyclojoin/internal/workload"
 )
 
 // TestDistributedJoinProperty drives random ring sizes, cardinalities, key
-// domains, payload widths and transport modes through the full stack and
+// domains and payload widths through the full stack and
 // compares against the oracle — the repository's broadest property test.
 // Each case runs a whole-tuple revolution (PairSets) and then a key-only one
 // (Counters) on the same stationed state.
@@ -23,7 +22,7 @@ func TestDistributedJoinProperty(t *testing.T) {
 		t.Skip("property test is slow")
 	}
 	widths := [...]int{0, 4, 13, 248}
-	f := func(seed int64, nodesRaw, rRaw, sRaw, domRaw uint16, rWidth, sWidth uint8, oneSided bool) bool {
+	f := func(seed int64, nodesRaw, rRaw, sRaw, domRaw uint16, rWidth, sWidth uint8) bool {
 		nodes := int(nodesRaw%5) + 1
 		rN := int(rRaw % 800)
 		sN := int(sRaw % 800)
@@ -36,7 +35,6 @@ func TestDistributedJoinProperty(t *testing.T) {
 			Nodes:     nodes,
 			Algorithm: hashjoin.Join{},
 			Predicate: join.Equi{},
-			Ring:      ring.Config{OneSidedWrites: oneSided},
 		})
 		if err != nil {
 			return false
@@ -89,7 +87,7 @@ func TestDistributedJoinProperty(t *testing.T) {
 }
 
 // TestMatchCountInvariantAcrossRingSizes: the total match count must be
-// identical for every ring size and transport mode — the fragment layout
+// identical for every ring size — the fragment layout
 // is an implementation detail.
 func TestMatchCountInvariantAcrossRingSizes(t *testing.T) {
 	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: 3000, KeyDomain: 500, Seed: 51, PayloadWidth: 4})
@@ -102,25 +100,22 @@ func TestMatchCountInvariantAcrossRingSizes(t *testing.T) {
 	}
 	want := int64(workload.ExpectedMatches(workload.Multiplicities(r), workload.Multiplicities(s)))
 	for _, nodes := range []int{1, 2, 3, 4, 5, 6} {
-		for _, oneSided := range []bool{false, true} {
-			c, err := NewCluster(Config{
-				Nodes:     nodes,
-				Algorithm: hashjoin.Join{},
-				Predicate: join.Equi{},
-				Ring:      ring.Config{OneSidedWrites: oneSided},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.JoinRelations(r, s, false)
-			if err != nil {
-				t.Fatalf("nodes=%d oneSided=%v: %v", nodes, oneSided, err)
-			}
-			if got := res.Matches(); got != want {
-				t.Errorf("nodes=%d oneSided=%v: matches = %d, want %d", nodes, oneSided, got, want)
-			}
-			_ = c.Close()
+		c, err := NewCluster(Config{
+			Nodes:     nodes,
+			Algorithm: hashjoin.Join{},
+			Predicate: join.Equi{},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := c.JoinRelations(r, s, false)
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		if got := res.Matches(); got != want {
+			t.Errorf("nodes=%d: matches = %d, want %d", nodes, got, want)
+		}
+		_ = c.Close()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -22,7 +21,8 @@ import (
 	"cyclojoin/internal/workload"
 )
 
-// nestedChain is the reference for StationByKey: r ⋈ sides[0] ⋈ sides[1] … as
+// nestedChain is the reference for a key-placed revolution: r ⋈ sides[0] ⋈
+// sides[1] … as
 // a left-deep sequence of join/nested runs into join.Materializers, which is
 // the row layout the chain promises.
 func nestedChain(t *testing.T, r *relation.Relation, sides []*relation.Relation) *relation.Relation {
@@ -109,15 +109,8 @@ func referenceFor(t *testing.T, r *relation.Relation, sides []*relation.Relation
 	return reference{rows: jointest.RowCounts(want), count: int64(want.Len())}
 }
 
-// checkByKey stations sides by key under r's fragments and checks a counting
-// revolution and a materializing one against the nested reference.
-func checkByKey(t *testing.T, c *Cluster, r *relation.Relation, sides []*relation.Relation, rFrags [][]*relation.Fragment) {
-	t.Helper()
-	checkByKeyAgainst(t, c, referenceFor(t, r, sides), r, sides, rFrags)
-}
-
-// checkByKeyAgainst is checkByKey for a caller that computed the reference.
-func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Relation, sides []*relation.Relation, rFrags [][]*relation.Fragment) {
+// keyHandles places every side by key and orders rFrags by owner.
+func keyHandles(t *testing.T, c *Cluster, sides []*relation.Relation, rFrags [][]*relation.Fragment) (*Rotating, []*Side) {
 	t.Helper()
 	set := make([]*Side, len(sides))
 	for j, s := range sides {
@@ -130,6 +123,20 @@ func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Rel
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rot, set
+}
+
+// checkByKey stations sides by key under r's fragments and checks a counting
+// revolution and a materializing one against the nested reference.
+func checkByKey(t *testing.T, c *Cluster, r *relation.Relation, sides []*relation.Relation, rFrags [][]*relation.Fragment) {
+	t.Helper()
+	checkByKeyAgainst(t, c, referenceFor(t, r, sides), r, sides, rFrags)
+}
+
+// checkByKeyAgainst is checkByKey for a caller that computed the reference.
+func checkByKeyAgainst(t *testing.T, c *Cluster, want reference, r *relation.Relation, sides []*relation.Relation, rFrags [][]*relation.Fragment) {
+	t.Helper()
+	rot, set := keyHandles(t, c, sides, rFrags)
 	counted, err := c.Revolve(rot, set, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -280,9 +287,10 @@ func ownerOrdered(rel *relation.Relation, nodes int) bool {
 }
 
 // TestOwnerOrderIsNotOptional: the owner slice a host takes is only correct
-// on owner-ordered fragments, so StationByKey orders every fragment a host
-// injects — with and without the kernel's own reorganization — and Station
-// never does (a position-placed revolution ships what the parent shipped).
+// on owner-ordered fragments, so SetupRotating under ByKey orders every
+// fragment a host injects — with and without the kernel's own
+// reorganization — and Station never does (a position-placed revolution
+// ships what the parent shipped).
 func TestOwnerOrderIsNotOptional(t *testing.T) {
 	const nodes = 3
 	rng := rand.New(rand.NewSource(13))
@@ -304,22 +312,27 @@ func TestOwnerOrderIsNotOptional(t *testing.T) {
 			// 8 KiB of L2: SetupRotating really clusters these fragments.
 			Opts: join.Options{L2CacheBytes: 8 << 10},
 		})
-		if err := c.StationByKey([]*relation.Relation{s}, rFrags); err != nil {
+		side, err := c.SetupSideByKey(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for host, frags := range c.rotating {
+		rot, err := c.SetupRotating(rFrags, ByKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for host, frags := range rot.rotating {
 			for j, f := range frags {
-				if !ownerOrdered(f.Rel, nodes) || !ownerOrdered(c.rotatingKeys[host][j].Rel, nodes) {
-					t.Errorf("skip=%v: host %d's fragment %d is not owner-ordered after StationByKey", skip, host, j)
+				if !ownerOrdered(f.Rel, nodes) || !ownerOrdered(rot.rotatingKeys[host][j].Rel, nodes) {
+					t.Errorf("skip=%v: host %d's fragment %d is not owner-ordered under ByKey", skip, host, j)
 				}
 			}
 		}
-		res, err := c.Rotate()
+		res, err := c.Revolve(rot, []*Side{side}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Matches() != want {
-			t.Errorf("skip=%v: StationByKey counts %d matches, want %d", skip, res.Matches(), want)
+			t.Errorf("skip=%v: key placement counts %d matches, want %d", skip, res.Matches(), want)
 		}
 
 		if err := c.Station(sFrags, rFrags); err != nil {
@@ -385,43 +398,40 @@ func TestReplaceHostAfterStationByKey(t *testing.T) {
 	s := workload.Sequential("S", 600, 4)
 	c := newCluster(t, Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
 	rFrags := homed(t, r, nodes, 1)
-	if err := c.StationByKey([]*relation.Relation{s, s}, rFrags); err != nil {
-		t.Fatal(err)
-	}
+	rot, sides := keyHandles(t, c, []*relation.Relation{s, s}, rFrags)
 	if err := c.ReplaceHost(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Rotate(); err == nil || !strings.Contains(err.Error(), "before Station") {
-		t.Fatalf("Rotate after ReplaceHost: err = %v, want a demand for a fresh Station", err)
+	if _, err := c.Revolve(rot, sides, nil); !errors.Is(err, ErrStaleHandle) {
+		t.Fatalf("Revolve after ReplaceHost: err = %v, want ErrStaleHandle", err)
 	}
-	if err := c.StationByKey([]*relation.Relation{s, s}, rFrags); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Rotate()
+	rot, sides = keyHandles(t, c, []*relation.Relation{s, s}, rFrags)
+	res, err := c.Revolve(rot, sides, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Matches() != 600 {
-		t.Errorf("matches after re-station = %d, want 600", res.Matches())
+		t.Errorf("matches after a fresh setup = %d, want 600", res.Matches())
 	}
 }
 
 func TestStationByKeyValidation(t *testing.T) {
 	r := workload.Sequential("R", 60, 4)
 	c := newCluster(t, Config{Nodes: 2, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
-	if err := c.StationByKey(nil, homed(t, r, 2, 1)); err == nil {
+	rot, err := c.SetupRotating(homed(t, r, 2, 1), ByKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Revolve(rot, nil, nil); err == nil {
 		t.Error("no stationary side: want error")
 	}
-	if err := c.StationByKey([]*relation.Relation{r}, homed(t, r, 3, 1)); err == nil {
+	if _, err := c.SetupRotating(homed(t, r, 3, 1), ByKey); err == nil {
 		t.Error("rotating slots for another ring size: want error")
 	}
 	// Keys a band apart match but live on different hosts.
 	band := newCluster(t, Config{Nodes: 2, Algorithm: sortmerge.Join{}, Predicate: join.Band{Width: 1}})
-	if err := band.StationByKey([]*relation.Relation{r}, homed(t, r, 2, 1)); err == nil {
+	if _, err := band.SetupSideByKey(r); err == nil {
 		t.Error("band join: want error, key placement needs an equi-join")
-	}
-	if _, err := band.Rotate(); err == nil {
-		t.Error("Rotate after a refused StationByKey: want error")
 	}
 }
 
@@ -486,23 +496,21 @@ func TestProbeCounts(t *testing.T) {
 		for _, m := range matches[:k] {
 			want += m
 		}
-		if err := c.StationByKey(sides[:k], rFrags); err != nil {
-			t.Fatal(err)
-		}
+		rot, set := keyHandles(t, c, sides[:k], rFrags)
 		chained := mChainMatches.Value()
 		rec.Reset()
-		res, err := c.Rotate()
+		res, err := c.Revolve(rot, set, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := probed(t, rec); got != want {
-			t.Errorf("StationByKey, %d sides: a revolution probed %d tuples, want |R| + chained matches = %d", k, got, want)
+			t.Errorf("by key, %d sides: a revolution probed %d tuples, want |R| + chained matches = %d", k, got, want)
 		}
 		if got := mChainMatches.Value() - chained; got != want-matches[0] {
-			t.Errorf("StationByKey, %d sides: core_chain_matches_total rose by %d, want %d", k, got, want-matches[0])
+			t.Errorf("by key, %d sides: core_chain_matches_total rose by %d, want %d", k, got, want-matches[0])
 		}
 		if got := res.Matches(); got != matches[k] {
-			t.Errorf("StationByKey, %d sides: %d matches, want %d", k, got, matches[k])
+			t.Errorf("by key, %d sides: %d matches, want %d", k, got, matches[k])
 		}
 	}
 }
@@ -556,10 +564,8 @@ func TestChainErrorFailsTheHop(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newCluster(t, Config{Nodes: 2, Algorithm: failingSide{name: "bad"}, Predicate: join.Equi{}})
-		if err := c.StationByKey([]*relation.Relation{s, bad}, homed(t, r, 2, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Rotate(); !errors.Is(err, errInjected) {
+		rot, sides := keyHandles(t, c, []*relation.Relation{s, bad}, homed(t, r, 2, 1))
+		if _, err := c.Revolve(rot, sides, nil); !errors.Is(err, errInjected) {
 			t.Errorf("%d matches into a failing side: err = %v, want the injected failure", tuples, err)
 		}
 	}

@@ -44,8 +44,8 @@ const (
 	// CreditStall: a link's sender spends an outsized share of the
 	// window waiting on send credits — downstream backpressure.
 	CreditStall
-	// Degraded: injected or real link faults (drops, corrupted
-	// doorbells) hit this window; recovery or partial results follow.
+	// Degraded: injected or real link faults (drops) hit this window;
+	// recovery or partial results follow.
 	Degraded
 )
 
@@ -117,10 +117,9 @@ type NodeSample struct {
 // LinkFaults is one directed link's cumulative injected-fault tally
 // (mirrors chaoslink.SnapshotFaults, JSON-friendly).
 type LinkFaults struct {
-	Link     string `json:"link"`
-	Drops    int64  `json:"drops"`
-	Corrupts int64  `json:"corrupts"`
-	Delays   int64  `json:"delays"`
+	Link   string `json:"link"`
+	Drops  int64  `json:"drops"`
+	Delays int64  `json:"delays"`
 }
 
 // Snapshot is one published tick: immutable once swapped in.
@@ -246,7 +245,7 @@ type Sampler struct {
 	scratch  []ring.NodeStats
 	prevTime time.Time
 	states   map[int]*nodeState
-	// prevFaults holds each link's drops+corrupts at the previous tick,
+	// prevFaults holds each link's drops at the previous tick,
 	// so Degraded fires on faults that moved THIS window, not on any
 	// fault the process has ever seen.
 	prevFaults map[string]int64
@@ -461,11 +460,10 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 	for _, fc := range chaoslink.SnapshotFaults() {
 		name := fc.Link.String()
 		snap.Faults = append(snap.Faults, LinkFaults{
-			Link: name, Drops: fc.Drops, Corrupts: fc.Corrupts, Delays: fc.Delays,
+			Link: name, Drops: fc.Drops, Delays: fc.Delays,
 		})
-		failures := fc.Drops + fc.Corrupts
-		d := failures - s.prevFaults[name]
-		s.prevFaults[name] = failures
+		d := fc.Drops - s.prevFaults[name]
+		s.prevFaults[name] = fc.Drops
 		if !first && d > 0 {
 			faultDelta += d
 			if d > worstLinkDelta {
@@ -488,9 +486,9 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 // verdict ranks the window's signals, worst first: faults beat a
 // straggler beats a credit stall beats healthy. The caller holds s.mu.
 func (s *Sampler) verdict(snap *Snapshot, attr trace.Attribution, faults int64, faultLink string) Verdict {
-	// Degraded: failure faults (drops, corrupted doorbells — not mere
-	// delays, which surface as straggling) moved this window; recovery
-	// or graceful degradation is in play right now.
+	// Degraded: failure faults (drops — not mere delays, which surface
+	// as straggling) moved this window; recovery or graceful
+	// degradation is in play right now.
 	if faults > 0 {
 		return Verdict{
 			Kind: Degraded, Node: -1, Link: faultLink,

@@ -91,18 +91,3 @@ func TestStatsCountCopies(t *testing.T) {
 		t.Error("context switches not counted")
 	}
 }
-
-// TestNoOneSidedOps: a kernel socket has no remote-memory access; the
-// baseline must NOT claim the one-sided interface.
-func TestNoOneSidedOps(t *testing.T) {
-	c1, c2 := net.Pipe()
-	a, _ := New(c1)
-	b, _ := New(c2)
-	defer func() {
-		_ = a.Close()
-		_ = b.Close()
-	}()
-	if _, ok := a.(rdma.WriteQueuePair); ok {
-		t.Error("kernel-TCP baseline must not implement WriteQueuePair")
-	}
-}

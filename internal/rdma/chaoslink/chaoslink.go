@@ -1,9 +1,8 @@
 // Package chaoslink is a fault-injecting rdma.QueuePair wrapper: it sits
 // between the ring and any real transport (tcplink, memlink) and delivers
 // the failure scenarios internal/simnet only models — frame drops, extra
-// latency, reordering of write-mode doorbells, link partitions, slow-node
-// pacing, corrupted doorbell immediates — deterministically, from a seeded
-// schedule.
+// latency and jitter, link partitions, slow-node pacing —
+// deterministically, from a seeded schedule.
 //
 // The fault model follows RDMA reliable-connection semantics: a reliable
 // transport that loses a frame does not deliver it late or out of order —
@@ -19,8 +18,8 @@
 // over.
 //
 // Faults are injected on the sending side of a link only; the receiving
-// side observes them the way a real peer would (a torn connection, a
-// poisoned doorbell, silence). Every injected fault is counted in
+// side observes them the way a real peer would (a torn connection,
+// silence). Every injected fault is counted in
 // internal/metrics and recorded as a flight-recorder span on the link's
 // chaos track, so cyclotrace can lay the injected outage and the ring's
 // recovery side by side on one timeline.
@@ -49,7 +48,6 @@ var ErrPartitioned = errors.New("chaoslink: link partitioned")
 
 var (
 	mDrops    = metrics.Default().Counter("chaoslink_faults_total", "injected link faults", "kind", "drop")
-	mCorrupts = metrics.Default().Counter("chaoslink_faults_total", "injected link faults", "kind", "corrupt_imm")
 	mDelays   = metrics.Default().Counter("chaoslink_faults_total", "injected link faults", "kind", "delay")
 	mRefusals = metrics.Default().Counter("chaoslink_faults_total", "injected link faults", "kind", "refuse_dial")
 	mRejects  = metrics.Default().Counter("chaoslink_rejected_posts_total", "posts refused because the link was already failed")
@@ -61,7 +59,7 @@ var (
 // surfaces (cyclotop, /health/live) can show which link the chaos schedule
 // is hitting without scraping Prometheus text.
 type linkFaults struct {
-	drops, corrupts, delays atomic.Int64
+	drops, delays atomic.Int64
 }
 
 var (
@@ -82,12 +80,12 @@ func faultsFor(link Link) *linkFaults {
 
 // FaultCount is one link's cumulative injected-fault tally.
 type FaultCount struct {
-	Link                    Link
-	Drops, Corrupts, Delays int64
+	Link          Link
+	Drops, Delays int64
 }
 
 // Total sums every fault kind.
-func (f FaultCount) Total() int64 { return f.Drops + f.Corrupts + f.Delays }
+func (f FaultCount) Total() int64 { return f.Drops + f.Delays }
 
 // SnapshotFaults returns the per-link cumulative fault counts, sorted by
 // (From, To). Links that have injected nothing yet are included from the
@@ -98,10 +96,9 @@ func SnapshotFaults() []FaultCount {
 	out := make([]FaultCount, 0, len(faultTab))
 	for link, lf := range faultTab {
 		out = append(out, FaultCount{
-			Link:     link,
-			Drops:    lf.drops.Load(),
-			Corrupts: lf.corrupts.Load(),
-			Delays:   lf.delays.Load(),
+			Link:   link,
+			Drops:  lf.drops.Load(),
+			Delays: lf.delays.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -134,27 +131,16 @@ type Scenario struct {
 	FailFrame int
 	// DropProb additionally fails each frame with this probability.
 	DropProb float64
-	// CorruptImm changes the FailFrame fault: instead of dropping the
-	// frame, its write-with-immediate doorbell is poisoned (the
-	// immediate is overwritten with an impossible length). The receiver
-	// gets a corrupt doorbell; the sender still observes an error
-	// completion for the work request. Meaningful only for write-mode
-	// traffic.
-	CorruptImm bool
 	// Delay holds every frame back for this long before it reaches the
 	// wire.
 	Delay time.Duration
-	// Jitter adds a seeded random hold in [0, Jitter) per frame.
+	// Jitter adds a seeded random hold in [0, Jitter) per frame. Frames
+	// still leave in post order: the receive-buffer matching of two-sided
+	// sends depends on it.
 	Jitter time.Duration
 	// Pace enforces a minimum spacing between consecutive frame
 	// releases — a slow node's egress.
 	Pace time.Duration
-	// Reorder lets delayed frames overtake each other (release ordered
-	// by due time rather than post order). Safe only for write-mode
-	// doorbells, where each frame lands in its own exposed buffer; the
-	// wrapper ignores it for two-sided sends, whose in-order delivery
-	// the receive-buffer matching depends on.
-	Reorder bool
 	// RefuseRedials makes a Plan refuse every re-dial of this link with
 	// ErrPartitioned — a partition rather than a transient fault.
 	RefuseRedials bool
@@ -187,7 +173,6 @@ func (p *prng) float() float64 { return float64(p.next()>>11) / (1 << 53) }
 type heldWR struct {
 	due  time.Time
 	post func() error
-	op   rdma.Op
 	buf  *rdma.Buffer
 	pend trace.Pending
 }
@@ -195,16 +180,13 @@ type heldWR struct {
 // qp wraps the sending side of a queue pair with a fault schedule.
 type qp struct {
 	inner rdma.QueuePair
-	// winner is inner's write interface; nil when inner is two-sided
-	// only (then the wrapper is too).
-	winner rdma.WriteQueuePair
-	link   Link
-	sc     Scenario
-	shard  *trace.Shard
+	link  Link
+	sc    Scenario
+	shard *trace.Shard
 	// lf is the link's persistent fault tally; the m* counters are the
 	// same tallies as Prometheus series labeled by kind and link.
-	lf                               *linkFaults
-	mLinkDrop, mLinkCorr, mLinkDelay *metrics.Counter
+	lf                    *linkFaults
+	mLinkDrop, mLinkDelay *metrics.Counter
 
 	cq chan rdma.Completion
 	// holdQ feeds the delayer goroutine; nil when the scenario has no
@@ -222,25 +204,12 @@ type qp struct {
 	// lastRelease tracks pacing: a frame may not be released earlier
 	// than lastRelease+Pace.
 	lastRelease time.Time
-	// poisoned marks buffers whose success completion must be converted
-	// into an injected failure (corrupt-imm frames the inner transport
-	// happily delivered).
-	poisoned map[*rdma.Buffer]bool
 }
 
-// writeQP adds the one-sided verbs when the inner transport has them.
-type writeQP struct{ *qp }
-
-var (
-	_ rdma.QueuePair      = (*qp)(nil)
-	_ rdma.BatchQueuePair = (*qp)(nil)
-	_ rdma.WriteQueuePair = (*writeQP)(nil)
-	_ rdma.BatchQueuePair = (*writeQP)(nil)
-)
+var _ rdma.BatchQueuePair = (*qp)(nil)
 
 // Wrap puts a fault schedule in front of inner's sending side. The
-// returned queue pair implements rdma.WriteQueuePair whenever inner does.
-// The wrapper owns inner and closes it on Close.
+// wrapper owns inner and closes it on Close.
 func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 	q := &qp{
 		inner:      inner,
@@ -252,10 +221,8 @@ func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 		shard:      trace.Flight().Shard(trace.NodeTransport, "chaos/"+link.String()),
 		lf:         faultsFor(link),
 		mLinkDrop:  metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "drop", "link", link.String()),
-		mLinkCorr:  metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "corrupt_imm", "link", link.String()),
 		mLinkDelay: metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "delay", "link", link.String()),
 	}
-	q.winner, _ = inner.(rdma.WriteQueuePair)
 	q.wg.Add(1)
 	go func() {
 		defer q.wg.Done()
@@ -269,14 +236,11 @@ func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 			q.delayer()
 		}()
 	}
-	if q.winner != nil {
-		return &writeQP{q}
-	}
 	return q
 }
 
-// pump forwards inner completions to the wrapper CQ, converting the
-// completions of poisoned work requests into injected failures.
+// pump forwards inner completions to the wrapper CQ, which also carries
+// the completions the schedule itself raises (drops, flushed holds).
 //
 // The pump must never abandon completions still queued in the inner CQ —
 // the ring's retained-frame accounting depends on every success completion
@@ -289,22 +253,12 @@ func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 // than the inner CQ can hold, and the consumer drains it to close.
 func (q *qp) pump() {
 	for c := range q.inner.Completions() {
-		if c.Err == nil && c.Buf != nil {
-			q.mu.Lock()
-			if q.poisoned[c.Buf] {
-				delete(q.poisoned, c.Buf)
-				c.Err = fmt.Errorf("chaoslink %s: corrupted doorbell immediate: %w", q.link, ErrInjected)
-			}
-			q.mu.Unlock()
-		}
 		q.cq <- c
 	}
 }
 
-// delayer releases held frames at their due times. Without Reorder the
-// queue is FIFO (due times are monotonic anyway unless Jitter is set);
-// with Reorder the earliest-due frame goes first, so jittered doorbells
-// overtake each other.
+// delayer releases held frames at their due times, in post order: a
+// jittered frame due before the one ahead of it waits for that one.
 func (q *qp) delayer() {
 	var held []heldWR
 	timer := time.NewTimer(time.Hour)
@@ -315,7 +269,7 @@ func (q *qp) delayer() {
 	for {
 		var fire <-chan time.Time
 		if len(held) > 0 {
-			d := time.Until(held[q.nextHeld(held)].due)
+			d := time.Until(held[0].due)
 			if d <= 0 {
 				q.release(&held)
 				continue
@@ -340,7 +294,7 @@ func (q *qp) delayer() {
 			}
 			for _, h := range held {
 				q.shard.End(h.pend)
-				q.cq <- rdma.Completion{Op: h.op, Buf: h.buf, Err: rdma.ErrFlushed}
+				q.cq <- rdma.Completion{Op: rdma.OpSend, Buf: h.buf, Err: rdma.ErrFlushed}
 			}
 			return
 		case h := <-q.holdQ:
@@ -358,42 +312,25 @@ func (q *qp) delayer() {
 	}
 }
 
-// nextHeld picks the index of the frame to release next.
-func (q *qp) nextHeld(held []heldWR) int {
-	if !q.sc.Reorder {
-		return 0
-	}
-	best := 0
-	for i, h := range held {
-		if h.due.Before(held[best].due) {
-			best = i
-		}
-	}
-	return best
-}
-
-// release forwards the next due frame to the inner transport.
+// release forwards the oldest held frame to the inner transport.
 func (q *qp) release(held *[]heldWR) {
-	i := q.nextHeld(*held)
-	h := (*held)[i]
-	*held = append((*held)[:i], (*held)[i+1:]...)
+	h := (*held)[0]
+	*held = (*held)[1:]
 	q.shard.End(h.pend)
 	if err := h.post(); err != nil {
 		// The inner link refused the delayed post (closed underneath);
 		// surface it as this work request's completion so the buffer is
 		// handed back.
 		select {
-		case q.cq <- rdma.Completion{Op: h.op, Buf: h.buf, Err: err}:
+		case q.cq <- rdma.Completion{Op: rdma.OpSend, Buf: h.buf, Err: err}:
 		case <-q.done:
 		}
 	}
 }
 
-// submit runs one outbound work request through the fault schedule.
-// isImm distinguishes write-with-immediate (the only frame kind
-// CorruptImm applies to); forward posts the unmodified request and
-// corrupt posts it with a poisoned immediate.
-func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt func() error) error {
+// submit runs one outbound send through the fault schedule; forward posts
+// it to the inner transport.
+func (q *qp) submit(buf *rdma.Buffer, forward func() error) error {
 	q.mu.Lock()
 	if q.failed {
 		q.mu.Unlock()
@@ -403,7 +340,6 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 	q.ordinal++
 	o := q.ordinal
 	fail := o == q.sc.FailFrame || (q.sc.DropProb > 0 && q.rng.float() < q.sc.DropProb)
-	poison := fail && isImm && q.sc.CorruptImm && corrupt != nil
 	var hold time.Duration
 	if !fail && q.sc.delayed() {
 		hold = q.sc.Delay
@@ -421,25 +357,10 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 	}
 	if fail {
 		q.failed = true
-		if poison {
-			if q.poisoned == nil {
-				q.poisoned = make(map[*rdma.Buffer]bool, 1)
-			}
-			q.poisoned[buf] = true
-		}
 	}
 	q.mu.Unlock()
 
 	switch {
-	case poison:
-		// Deliver the frame with a poisoned doorbell: the receiver sees
-		// an impossible length, the sender an error completion (via the
-		// pump) for a frame it must re-route.
-		mCorrupts.Inc()
-		q.mLinkCorr.Inc()
-		q.lf.corrupts.Add(1)
-		q.shard.Point(trace.PhaseFault, -1, -1, int64(o))
-		return corrupt()
 	case fail:
 		// RC error-state drop: the frame never reaches the wire, the
 		// work request completes with an error that returns the buffer,
@@ -450,7 +371,7 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 		q.shard.Point(trace.PhaseFault, -1, -1, int64(o))
 		err := fmt.Errorf("chaoslink %s: dropped frame %d: %w", q.link, o, ErrInjected)
 		select {
-		case q.cq <- rdma.Completion{Op: op, Buf: buf, Err: err}:
+		case q.cq <- rdma.Completion{Op: rdma.OpSend, Buf: buf, Err: err}:
 		case <-q.done:
 		}
 		_ = q.inner.Close()
@@ -467,7 +388,7 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 		pend := q.shard.Begin(trace.PhaseFault)
 		pend.Arg = hold.Nanoseconds()
 		select {
-		case q.holdQ <- heldWR{due: time.Now().Add(hold), post: forward, op: op, buf: buf, pend: pend}:
+		case q.holdQ <- heldWR{due: time.Now().Add(hold), post: forward, buf: buf, pend: pend}:
 		case <-q.done:
 			// Closed between the check above and the hand-off: the frame
 			// is never held, so its span ends here and no delay counts.
@@ -486,7 +407,7 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 
 // PostSend implements rdma.QueuePair.
 func (q *qp) PostSend(b *rdma.Buffer) error {
-	return q.submit(rdma.OpSend, b, false, func() error { return q.inner.PostSend(b) }, nil)
+	return q.submit(b, func() error { return q.inner.PostSend(b) })
 }
 
 // PostRecv implements rdma.QueuePair. Receives are posted straight
@@ -555,7 +476,7 @@ func (q *qp) Close() error {
 				select {
 				case h := <-q.holdQ:
 					q.shard.End(h.pend)
-					q.cq <- rdma.Completion{Op: h.op, Buf: h.buf, Err: rdma.ErrFlushed}
+					q.cq <- rdma.Completion{Op: rdma.OpSend, Buf: h.buf, Err: rdma.ErrFlushed}
 				default:
 					drained = true
 				}
@@ -564,22 +485,4 @@ func (q *qp) Close() error {
 		close(q.cq)
 	})
 	return nil
-}
-
-// Expose implements rdma.WriteQueuePair.
-func (w *writeQP) Expose(b *rdma.Buffer) (rdma.RemoteKey, error) { return w.winner.Expose(b) }
-
-// PostWrite implements rdma.WriteQueuePair.
-func (w *writeQP) PostWrite(key rdma.RemoteKey, offset int, src *rdma.Buffer) error {
-	return w.submit(rdma.OpWrite, src, false,
-		func() error { return w.winner.PostWrite(key, offset, src) }, nil)
-}
-
-// PostWriteImm implements rdma.WriteQueuePair.
-func (w *writeQP) PostWriteImm(key rdma.RemoteKey, offset int, src *rdma.Buffer, imm uint32) error {
-	return w.submit(rdma.OpWrite, src, true,
-		func() error { return w.winner.PostWriteImm(key, offset, src, imm) },
-		// A poisoned doorbell announces ~4 GiB in a buffer that cannot
-		// hold it; the receiver must reject it without trusting a byte.
-		func() error { return w.winner.PostWriteImm(key, offset, src, ^uint32(0)) })
 }

@@ -29,9 +29,8 @@ import (
 
 // Transfer instrumentation, one atomic add per event (internal/metrics).
 var (
-	mSendTransfers  = metrics.Default().Counter("memlink_transfers_total", "data movements over in-process links", "kind", "send")
-	mWriteTransfers = metrics.Default().Counter("memlink_transfers_total", "data movements over in-process links", "kind", "write")
-	mBytes          = metrics.Default().Counter("memlink_bytes_total", "payload bytes moved over in-process links")
+	mSendTransfers = metrics.Default().Counter("memlink_transfers_total", "data movements over in-process links", "kind", "send")
+	mBytes         = metrics.Default().Counter("memlink_bytes_total", "payload bytes moved over in-process links")
 )
 
 // linkSeq names flight-recorder tracks across all links in the process.
@@ -48,15 +47,10 @@ const queueDepth = 256
 // DMA goroutine, and without a per-batch heap allocation.
 const maxBatch = 16
 
-// workReq is one outbound work request (send, one-sided write, or a
-// doorbell-batched run of sends).
+// workReq is one outbound work request: a send, or a doorbell-batched run
+// of sends.
 type workReq struct {
-	kind   rdma.Op
-	buf    *rdma.Buffer
-	key    rdma.RemoteKey
-	off    int
-	imm    uint32
-	hasImm bool
+	buf *rdma.Buffer
 	// batchLen > 0 marks a batched send: the buffers are batchArr[:batchLen]
 	// and buf is nil. The array is inline (not a slice) because the workReq
 	// is copied by value through sendQ — a slice into a local array would
@@ -81,11 +75,9 @@ type link struct {
 	// track; inert when flight recording is disabled.
 	shard *trace.Shard
 
-	mu      sync.Mutex
-	exposed map[rdma.RemoteKey]*rdma.Buffer
-	nextKey rdma.RemoteKey
 	// recvPend holds the open WRRecv span per posted receive buffer
 	// (guarded by mu): posted→filled is the buffer's residency time.
+	mu       sync.Mutex
 	recvPend map[*rdma.Buffer]trace.Pending
 
 	// cqMu guards cq against close: completions are delivered by the
@@ -99,7 +91,6 @@ type link struct {
 }
 
 var (
-	_ rdma.WriteQueuePair = (*link)(nil)
 	_ rdma.BatchQueuePair = (*link)(nil)
 )
 
@@ -122,7 +113,6 @@ func newLink() *link {
 		// posted work request must come back through the CQ even when
 		// nobody is reaping anymore.
 		cq:       make(chan rdma.Completion, 2*queueDepth+64),
-		exposed:  make(map[rdma.RemoteKey]*rdma.Buffer),
 		recvPend: make(map[*rdma.Buffer]trace.Pending),
 		done:     make(chan struct{}),
 		shard:    trace.Flight().Shard(trace.NodeTransport, "memlink/"+strconv.FormatInt(linkSeq.Add(1), 10)),
@@ -138,9 +128,8 @@ func (l *link) start() {
 }
 
 // sendLoop is the virtual DMA engine: it moves each posted send into the
-// peer's next posted receive buffer (two-sided) or directly into the
-// peer's exposed buffer (one-sided write), raising the completions the
-// verbs semantics call for.
+// peer's next posted receive buffer, raising the completions the verbs
+// semantics call for.
 func (l *link) sendLoop() {
 	for {
 		var wr workReq
@@ -156,10 +145,6 @@ func (l *link) sendLoop() {
 				return
 			case wr = <-l.sendQ:
 			}
-		}
-		if wr.kind == rdma.OpWrite {
-			l.performWrite(wr)
-			continue
 		}
 		if wr.batchLen > 0 {
 			// Doorbell batch: one queue hand-off delivered the whole run;
@@ -270,85 +255,6 @@ func (l *link) placeSend(sb *rdma.Buffer, pend *trace.Pending, placed int) (n in
 	return len(payload), true
 }
 
-// performWrite places a one-sided write into the peer's exposed buffer.
-func (l *link) performWrite(wr workReq) {
-	target, err := l.peer.lookupExposed(wr.key)
-	if err != nil {
-		l.complete(rdma.Completion{Op: rdma.OpWrite, Buf: wr.buf, Err: err})
-		return
-	}
-	payload := wr.buf.Bytes()
-	if wr.off < 0 || wr.off+len(payload) > target.Cap() {
-		l.complete(rdma.Completion{Op: rdma.OpWrite, Buf: wr.buf,
-			Err: fmt.Errorf("%w: offset %d + %d B into %d B", rdma.ErrOutOfBounds, wr.off, len(payload), target.Cap())})
-		return
-	}
-	copy(target.Data()[wr.off:], payload)
-	mWriteTransfers.Inc()
-	mBytes.Add(int64(len(payload)))
-	wr.pend.Arg = int64(len(payload))
-	wr.pend.Aux = int64(len(l.cq))
-	l.shard.End(wr.pend)
-	l.complete(rdma.Completion{Op: rdma.OpWrite, Buf: wr.buf})
-	if wr.hasImm {
-		// Write-with-immediate: the only one-sided form the target CPU
-		// observes.
-		l.peer.complete(rdma.Completion{Op: rdma.OpWrite, Buf: target, Imm: wr.imm})
-	}
-}
-
-func (l *link) lookupExposed(key rdma.RemoteKey) (*rdma.Buffer, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, ok := l.exposed[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: key %d", rdma.ErrBadRemoteKey, key)
-	}
-	return b, nil
-}
-
-// Expose implements rdma.WriteQueuePair.
-func (l *link) Expose(b *rdma.Buffer) (rdma.RemoteKey, error) {
-	select {
-	case <-l.done:
-		return 0, rdma.ErrClosed
-	default:
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextKey++
-	l.exposed[l.nextKey] = b
-	return l.nextKey, nil
-}
-
-// PostWrite implements rdma.WriteQueuePair.
-func (l *link) PostWrite(key rdma.RemoteKey, offset int, src *rdma.Buffer) error {
-	return l.postWrite(workReq{kind: rdma.OpWrite, buf: src, key: key, off: offset})
-}
-
-// PostWriteImm implements rdma.WriteQueuePair.
-func (l *link) PostWriteImm(key rdma.RemoteKey, offset int, src *rdma.Buffer, imm uint32) error {
-	return l.postWrite(workReq{kind: rdma.OpWrite, buf: src, key: key, off: offset, imm: imm, hasImm: true})
-}
-
-// postWrite queues a one-sided write work request.
-//
-//cyclolint:hotpath
-func (l *link) postWrite(wr workReq) error {
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	wr.pend = l.shard.Begin(trace.PhaseWRWrite)
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	case l.sendQ <- wr:
-		return nil
-	}
-}
-
 // complete delivers a completion unless the CQ is already closed. The
 // guard is needed because the peer's DMA goroutine also delivers here.
 //
@@ -390,7 +296,7 @@ func (l *link) PostSend(b *rdma.Buffer) error {
 	select {
 	case <-l.done:
 		return rdma.ErrClosed
-	case l.sendQ <- workReq{kind: rdma.OpSend, buf: b, pend: l.shard.Begin(trace.PhaseWRSend)}:
+	case l.sendQ <- workReq{buf: b, pend: l.shard.Begin(trace.PhaseWRSend)}:
 		return nil
 	}
 }
@@ -434,7 +340,7 @@ func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
 			return rdma.ErrClosed
 		default:
 		}
-		wr := workReq{kind: rdma.OpSend, batchLen: n, pend: l.shard.Begin(trace.PhaseWRSend)}
+		wr := workReq{batchLen: n, pend: l.shard.Begin(trace.PhaseWRSend)}
 		copy(wr.batchArr[:n], bufs[:n])
 		// Fast path: the work queue usually has room — one non-blocking
 		// send beats arming the two-way select. The shutdown check above
@@ -597,7 +503,7 @@ drainSends:
 				}
 				continue
 			}
-			deliver(rdma.Completion{Op: wr.kind, Buf: wr.buf, Err: rdma.ErrFlushed})
+			deliver(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf, Err: rdma.ErrFlushed})
 		default:
 			break drainSends
 		}

@@ -62,9 +62,3 @@ func TestZeroCopySemantics(t *testing.T) {
 		t.Fatalf("posted buffer does not contain the payload: %q", rb.Data()[:3])
 	}
 }
-
-func TestWriteConformance(t *testing.T) {
-	rdmatest.RunWrites(t, func(t *testing.T) (rdma.QueuePair, rdma.QueuePair) {
-		return Pair()
-	})
-}

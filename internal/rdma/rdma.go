@@ -41,12 +41,6 @@ const (
 	// OpRecv completes when a message has been placed into the posted
 	// receive buffer.
 	OpRecv
-	// OpWrite completes at the writer when a one-sided RDMA write has
-	// been placed into the peer's exposed buffer. At the target, an
-	// OpWrite completion is raised only for writes carrying immediate
-	// data (PostWriteImm) — plain writes are invisible to the target
-	// CPU, which is the entire point of one-sided operations.
-	OpWrite
 )
 
 // String implements fmt.Stringer.
@@ -56,8 +50,6 @@ func (o Op) String() string {
 		return "send"
 	case OpRecv:
 		return "recv"
-	case OpWrite:
-		return "write"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -68,12 +60,8 @@ type Completion struct {
 	// Op says which verb completed.
 	Op Op
 	// Buf is the buffer whose work request completed. Ownership returns
-	// to the application with the completion. For an OpWrite completion
-	// at the target, Buf is the exposed buffer that was written into
-	// (which the application never ceded ownership of).
+	// to the application with the completion.
 	Buf *Buffer
-	// Imm carries the immediate data of a PostWriteImm, at the target.
-	Imm uint32
 	// Err is non-nil if the work request failed; the queue pair is then
 	// unusable.
 	Err error
@@ -244,37 +232,6 @@ var ErrClosed = errors.New("rdma: queue pair closed")
 // through the completion queue before closing it, or the application's
 // buffer pool shrinks permanently under faults.
 var ErrFlushed = errors.New("rdma: work request flushed on queue pair shutdown")
-
-// ErrBadRemoteKey is reported when a write names an rkey the peer never
-// exposed — the software analogue of an RNIC protection fault.
-var ErrBadRemoteKey = errors.New("rdma: unknown or revoked remote key")
-
-// ErrOutOfBounds is reported when a write would exceed the exposed
-// buffer's registered extent.
-var ErrOutOfBounds = errors.New("rdma: write outside the exposed buffer")
-
-// RemoteKey names a buffer the peer has exposed for one-sided writes —
-// the steering tag (rkey/STag) of the verbs API.
-type RemoteKey uint32
-
-// WriteQueuePair extends QueuePair with one-sided RDMA writes. RDMA-class
-// transports (memlink, tcplink) implement it; the kernel-TCP baseline
-// cannot — a kernel socket has no remote-memory access — and deliberately
-// does not.
-type WriteQueuePair interface {
-	QueuePair
-	// Expose grants the peer write access to b and returns the key to
-	// advertise. The application retains ownership of b and is
-	// responsible for coordinating access (as with real RDMA).
-	Expose(b *Buffer) (RemoteKey, error)
-	// PostWrite places src.Bytes() into the peer buffer named by key at
-	// the given byte offset. Only the writer observes a completion.
-	PostWrite(key RemoteKey, offset int, src *Buffer) error
-	// PostWriteImm is PostWrite plus immediate data: the target also
-	// receives an OpWrite completion carrying imm — the doorbell that
-	// tells its CPU the data has landed.
-	PostWriteImm(key RemoteKey, offset int, src *Buffer, imm uint32) error
-}
 
 // ErrBufferTooSmall is reported (via a completion error) when an incoming
 // message exceeds the posted receive buffer, mirroring the fatal RNR/length

@@ -19,13 +19,6 @@ func TestChecksummedConformance(t *testing.T) {
 	})
 }
 
-func TestChecksummedWriteConformance(t *testing.T) {
-	rdmatest.RunWrites(t, func(t *testing.T) (rdma.QueuePair, rdma.QueuePair) {
-		c1, c2 := net.Pipe()
-		return NewChecksummed(c1), NewChecksummed(c2)
-	})
-}
-
 // corruptingConn flips one payload byte after `after` bytes have passed.
 type corruptingConn struct {
 	net.Conn

@@ -7,15 +7,13 @@
 // messages — while the wire underneath is an ordinary socket. It is also
 // how the test suite runs the full ring over the loopback interface.
 //
-// Framing is one type byte (send / write / write-with-immediate) plus a
-// 4-byte big-endian payload length, followed by per-type header fields. A
-// message larger than the peer's posted receive buffer, or a one-sided
-// write naming an unknown key or exceeding the exposed extent, is a fatal
-// link error, as on real RNICs. Each frame reaches the socket in a single
-// writev (header, payload and CRC trailer coalesced), and work requests
-// the 32-bit wire fields cannot carry are rejected at post time with
-// ErrFrameTooLarge / ErrOffsetOutOfRange rather than corrupting the
-// stream.
+// Framing is one type byte (always a send) plus a 4-byte big-endian
+// payload length. A message larger than the peer's posted receive buffer,
+// or a frame of any other type, is a fatal link error, as on real RNICs.
+// Each frame reaches the socket in a single writev (header, payload and
+// CRC trailer coalesced), and payloads the 32-bit length field cannot
+// carry are rejected at post time with ErrFrameTooLarge rather than
+// corrupting the stream.
 //
 // With NewChecksummed, every frame additionally carries a CRC-32C of its
 // payload, verified at the receiver — end-to-end integrity over links that
@@ -29,7 +27,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -56,19 +53,10 @@ const queueDepth = 256
 // corrupt the stream). Tests shrink the limit via newLink.
 const defaultMaxFrame = 1 << 30
 
-// maxWireOffset is the largest write offset the 4-byte wire field can
-// carry.
-const maxWireOffset = math.MaxUint32
-
-// ErrFrameTooLarge is returned by PostSend/PostWrite/PostWriteImm when
-// the payload exceeds the maximum frame size. The work request is
-// rejected before anything reaches the wire.
+// ErrFrameTooLarge is returned by PostSend/PostSendBatch when the payload
+// exceeds the maximum frame size. The work request is rejected before
+// anything reaches the wire.
 var ErrFrameTooLarge = errors.New("tcplink: frame exceeds the maximum frame size")
-
-// ErrOffsetOutOfRange is returned by PostWrite/PostWriteImm when the
-// remote offset (or offset plus payload length) cannot be represented
-// in the wire format's 32-bit offset field.
-var ErrOffsetOutOfRange = errors.New("tcplink: write offset not representable on the wire")
 
 // DefaultDialTimeout bounds Dial: a black-holed peer (dead machine,
 // dropped SYNs) turns into a diagnosable error instead of wedging ring
@@ -92,12 +80,11 @@ var (
 		metrics.ExponentialBounds(1024, 4, 10))
 )
 
-// Frame types.
-const (
-	frameSend     = 0
-	frameWrite    = 1
-	frameWriteImm = 2
-)
+// frameSend is the one frame type; any other type byte fails the link.
+const frameSend = 0
+
+// hdrLen is the frame header: the type byte plus the payload length.
+const hdrLen = 5
 
 // maxBatch bounds how many sends ride in one work request (larger batches
 // split transparently). The bound keeps the batch in a fixed array INSIDE
@@ -106,15 +93,10 @@ const (
 // allocation, and lets writeLoop size its frame-assembly scratch statically.
 const maxBatch = 16
 
-// workReq is one outbound work request (send, one-sided write, or a
-// doorbell-batched run of sends).
+// workReq is one outbound work request: a send, or a doorbell-batched run
+// of sends.
 type workReq struct {
-	kind   rdma.Op
-	buf    *rdma.Buffer
-	key    rdma.RemoteKey
-	off    int
-	imm    uint32
-	hasImm bool
+	buf *rdma.Buffer
 	// batchLen > 0 marks a batched send: the buffers are batchArr[:batchLen]
 	// and buf is nil. Inline array, not a slice — the workReq is copied by
 	// value through sendQ.
@@ -146,11 +128,9 @@ type link struct {
 	// track; inert when flight recording is disabled.
 	shard *trace.Shard
 
-	mu      sync.Mutex
-	exposed map[rdma.RemoteKey]*rdma.Buffer
-	nextKey rdma.RemoteKey
 	// recvPend holds the open WRRecv span per posted receive buffer
 	// (guarded by mu): posted→filled is the buffer's residency time.
+	mu       sync.Mutex
 	recvPend map[*rdma.Buffer]trace.Pending
 
 	failOnce  sync.Once
@@ -167,7 +147,6 @@ type link struct {
 }
 
 var (
-	_ rdma.WriteQueuePair = (*link)(nil)
 	_ rdma.BatchQueuePair = (*link)(nil)
 )
 
@@ -193,7 +172,6 @@ func newLink(conn net.Conn, checksum bool, maxFrame int) *link {
 		sendQ:    make(chan workReq, queueDepth),
 		recvQ:    make(chan *rdma.Buffer, queueDepth),
 		cq:       make(chan rdma.Completion, rdma.CQDepth),
-		exposed:  make(map[rdma.RemoteKey]*rdma.Buffer),
 		recvPend: make(map[*rdma.Buffer]trace.Pending),
 		done:     make(chan struct{}),
 		shard:    trace.Flight().Shard(trace.NodeTransport, "tcplink/"+strconv.FormatInt(linkSeq.Add(1), 10)),
@@ -259,15 +237,13 @@ func (l *Listener) Accept() (rdma.QueuePair, error) {
 func (l *Listener) Close() error { return l.ln.Close() }
 
 func (l *link) writeLoop() {
-	// Header: type byte + payload length + (for writes) key, offset and
-	// optional immediate.
-	var hdr [17]byte
+	var hdr [hdrLen]byte
 	var sum [4]byte
 	var parts [3][]byte
 	// Batch frame-assembly scratch: every frame of a doorbell batch needs
 	// its own header and CRC trailer alive until the single writev, so
-	// they are statically sized by maxBatch (send headers are 5 bytes).
-	var bhdrs [maxBatch * 5]byte
+	// they are statically sized by maxBatch.
+	var bhdrs [maxBatch * hdrLen]byte
 	var bsums [maxBatch][4]byte
 	var bparts [maxBatch * 3][]byte
 	for {
@@ -285,25 +261,10 @@ func (l *link) writeLoop() {
 		}
 		mSendDepth.Dec()
 		payload := wr.buf.Bytes()
-		n := 5
-		binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-		switch {
-		case wr.kind == rdma.OpSend:
-			hdr[0] = frameSend
-		case wr.hasImm:
-			hdr[0] = frameWriteImm
-			binary.BigEndian.PutUint32(hdr[5:9], uint32(wr.key))
-			binary.BigEndian.PutUint32(hdr[9:13], uint32(wr.off))
-			binary.BigEndian.PutUint32(hdr[13:17], wr.imm)
-			n = 17
-		default:
-			hdr[0] = frameWrite
-			binary.BigEndian.PutUint32(hdr[5:9], uint32(wr.key))
-			binary.BigEndian.PutUint32(hdr[9:13], uint32(wr.off))
-			n = 13
-		}
+		hdr[0] = frameSend
+		binary.BigEndian.PutUint32(hdr[1:hdrLen], uint32(len(payload)))
 		k := 0
-		parts[k] = hdr[:n]
+		parts[k] = hdr[:]
 		k++
 		parts[k] = payload
 		k++
@@ -313,7 +274,7 @@ func (l *link) writeLoop() {
 			k++
 		}
 		if err := l.writeFrame(parts[:k]); err != nil {
-			l.fail(rdma.Completion{Op: wr.kind, Buf: wr.buf, Err: fmt.Errorf("tcplink: write frame: %w", err)})
+			l.fail(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf, Err: fmt.Errorf("tcplink: write frame: %w", err)})
 			return
 		}
 		mTxFrames.Inc()
@@ -322,7 +283,7 @@ func (l *link) writeLoop() {
 		wr.pend.Arg = int64(len(payload))
 		wr.pend.Aux = int64(len(l.cq))
 		l.shard.End(wr.pend)
-		l.complete(rdma.Completion{Op: wr.kind, Buf: wr.buf})
+		l.complete(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf})
 	}
 }
 
@@ -337,9 +298,9 @@ func (l *link) writeBatch(wr *workReq, bhdrs []byte, bsums *[maxBatch][4]byte, p
 	total := 0
 	for i := 0; i < wr.batchLen; i++ {
 		payload := wr.batchArr[i].Bytes()
-		h := bhdrs[i*5 : i*5+5]
+		h := bhdrs[i*hdrLen : (i+1)*hdrLen]
 		h[0] = frameSend
-		binary.BigEndian.PutUint32(h[1:5], uint32(len(payload)))
+		binary.BigEndian.PutUint32(h[1:hdrLen], uint32(len(payload)))
 		parts = append(parts, h, payload)
 		if l.checksum {
 			binary.BigEndian.PutUint32(bsums[i][:], crc32.Checksum(payload, castagnoli))
@@ -402,29 +363,22 @@ func (l *link) writeFrame(parts [][]byte) error {
 }
 
 func (l *link) readLoop() {
-	var hdr [17]byte
+	var hdr [hdrLen]byte
 	for {
-		if _, err := io.ReadFull(l.conn, hdr[:5]); err != nil {
+		if _, err := io.ReadFull(l.conn, hdr[:]); err != nil {
 			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: read header: %w", err)})
 			return
 		}
-		kind := hdr[0]
-		n := int(binary.BigEndian.Uint32(hdr[1:5]))
+		if hdr[0] != frameSend {
+			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: unknown frame type %d", hdr[0])})
+			return
+		}
+		n := int(binary.BigEndian.Uint32(hdr[1:hdrLen]))
 		if n > l.maxFrame {
 			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: frame length %d exceeds limit", n)})
 			return
 		}
-		switch kind {
-		case frameSend:
-			if !l.readSend(n) {
-				return
-			}
-		case frameWrite, frameWriteImm:
-			if !l.readWrite(kind, n, hdr[:]) {
-				return
-			}
-		default:
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: unknown frame type %d", kind)})
+		if !l.readSend(n) {
 			return
 		}
 	}
@@ -491,107 +445,29 @@ func (l *link) verifyChecksum(payload []byte) bool {
 	return true
 }
 
-// readWrite handles an incoming one-sided write: the payload lands
-// directly in the exposed buffer, no receive buffer is consumed, and the
-// local CPU is notified only for write-with-immediate. A protection fault
-// (bad key, out of bounds) terminates the connection, as on a real RNIC.
-func (l *link) readWrite(kind byte, n int, hdr []byte) bool {
-	rest := 8
-	if kind == frameWriteImm {
-		rest = 12
-	}
-	if _, err := io.ReadFull(l.conn, hdr[5:5+rest]); err != nil {
-		l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: read write header: %w", err)})
-		return false
-	}
-	key := rdma.RemoteKey(binary.BigEndian.Uint32(hdr[5:9]))
-	off := int(binary.BigEndian.Uint32(hdr[9:13]))
-	var imm uint32
-	if kind == frameWriteImm {
-		imm = binary.BigEndian.Uint32(hdr[13:17])
-	}
-	l.mu.Lock()
-	target, ok := l.exposed[key]
-	l.mu.Unlock()
-	if !ok {
-		l.fail(rdma.Completion{Op: rdma.OpWrite, Err: fmt.Errorf("%w: key %d", rdma.ErrBadRemoteKey, key)})
-		return false
-	}
-	if off < 0 || off+n > target.Cap() {
-		l.fail(rdma.Completion{Op: rdma.OpWrite, Buf: target,
-			Err: fmt.Errorf("%w: offset %d + %d B into %d B", rdma.ErrOutOfBounds, off, n, target.Cap())})
-		return false
-	}
-	if _, err := io.ReadFull(l.conn, target.Data()[off:off+n]); err != nil {
-		l.fail(rdma.Completion{Op: rdma.OpWrite, Buf: target, Err: fmt.Errorf("tcplink: read write payload: %w", err)})
-		return false
-	}
-	if !l.verifyChecksum(target.Data()[off : off+n]) {
-		l.fail(rdma.Completion{Op: rdma.OpWrite, Buf: target, Err: fmt.Errorf("tcplink: write payload checksum mismatch")})
-		return false
-	}
-	mRxFrames.Inc()
-	mRxBytes.Add(int64(n))
-	if kind == frameWriteImm {
-		l.complete(rdma.Completion{Op: rdma.OpWrite, Buf: target, Imm: imm})
-	}
-	return true
-}
-
-// Expose implements rdma.WriteQueuePair.
-func (l *link) Expose(b *rdma.Buffer) (rdma.RemoteKey, error) {
-	select {
-	case <-l.done:
-		return 0, rdma.ErrClosed
-	default:
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextKey++
-	l.exposed[l.nextKey] = b
-	return l.nextKey, nil
-}
-
-// PostWrite implements rdma.WriteQueuePair.
-func (l *link) PostWrite(key rdma.RemoteKey, offset int, src *rdma.Buffer) error {
-	return l.post(workReq{kind: rdma.OpWrite, buf: src, key: key, off: offset})
-}
-
-// PostWriteImm implements rdma.WriteQueuePair.
-func (l *link) PostWriteImm(key rdma.RemoteKey, offset int, src *rdma.Buffer, imm uint32) error {
-	return l.post(workReq{kind: rdma.OpWrite, buf: src, key: key, off: offset, imm: imm, hasImm: true})
-}
-
-// validate rejects, at post time, work requests the wire format cannot
-// carry: the length and offset header fields are 4 bytes, so an
-// oversized payload or out-of-range offset would silently wrap and
-// corrupt the stream if allowed through. The limit check also mirrors
-// the receiver's maxFrame guard, so a frame the peer would kill the
-// connection over is refused locally with a typed error instead.
-// validate applies the sender-side frame limits before queueing.
+// validate rejects, at post time, a payload the wire format cannot
+// carry: the length header field is 4 bytes, so an oversized payload
+// would silently wrap and corrupt the stream if allowed through. The
+// limit also mirrors the receiver's maxFrame guard, so a frame the peer
+// would kill the connection over is refused locally with a typed error
+// instead.
 //
 //cyclolint:hotpath
-func (l *link) validate(wr workReq) error {
-	if wr.buf.Len() > l.maxFrame {
+func (l *link) validate(b *rdma.Buffer) error {
+	if b.Len() > l.maxFrame {
 		mPostRejects.Inc()
 		//cyclolint:coldpath rejected post: caller handles the error off the fast path
-		return fmt.Errorf("%w: payload %d B, limit %d B", ErrFrameTooLarge, wr.buf.Len(), l.maxFrame)
-	}
-	if wr.kind == rdma.OpWrite {
-		if wr.off < 0 || wr.off > maxWireOffset || int64(wr.off)+int64(wr.buf.Len()) > maxWireOffset {
-			mPostRejects.Inc()
-			//cyclolint:coldpath rejected post: caller handles the error off the fast path
-			return fmt.Errorf("%w: offset %d + %d B payload", ErrOffsetOutOfRange, wr.off, wr.buf.Len())
-		}
+		return fmt.Errorf("%w: payload %d B, limit %d B", ErrFrameTooLarge, b.Len(), l.maxFrame)
 	}
 	return nil
 }
 
-// post queues a validated work request, opening its residency span.
+// PostSend implements rdma.QueuePair: it queues a validated send,
+// opening its residency span.
 //
 //cyclolint:hotpath
-func (l *link) post(wr workReq) error {
-	if err := l.validate(wr); err != nil {
+func (l *link) PostSend(b *rdma.Buffer) error {
+	if err := l.validate(b); err != nil {
 		return err
 	}
 	select {
@@ -599,15 +475,10 @@ func (l *link) post(wr workReq) error {
 		return rdma.ErrClosed
 	default:
 	}
-	if wr.kind == rdma.OpSend {
-		wr.pend = l.shard.Begin(trace.PhaseWRSend)
-	} else {
-		wr.pend = l.shard.Begin(trace.PhaseWRWrite)
-	}
 	select {
 	case <-l.done:
 		return rdma.ErrClosed
-	case l.sendQ <- wr:
+	case l.sendQ <- workReq{buf: b, pend: l.shard.Begin(trace.PhaseWRSend)}:
 		mSendDepth.Inc()
 		return nil
 	}
@@ -680,7 +551,7 @@ drainSends:
 				continue
 			}
 			mSendDepth.Dec()
-			deliver(rdma.Completion{Op: wr.kind, Buf: wr.buf, Err: rdma.ErrFlushed})
+			deliver(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf, Err: rdma.ErrFlushed})
 		default:
 			break drainSends
 		}
@@ -696,11 +567,6 @@ drainSends:
 	}
 }
 
-// PostSend implements rdma.QueuePair.
-func (l *link) PostSend(b *rdma.Buffer) error {
-	return l.post(workReq{kind: rdma.OpSend, buf: b})
-}
-
 // PostSendBatch implements rdma.BatchQueuePair: the run is validated and
 // handed to writeLoop in maxBatch-sized chunks, one queue operation and
 // one writev per chunk. Prefix-atomic: on a validation reject at position
@@ -712,7 +578,7 @@ func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
 	post := len(bufs)
 	var verr error
 	for i, b := range bufs {
-		if err := l.validate(workReq{kind: rdma.OpSend, buf: b}); err != nil {
+		if err := l.validate(b); err != nil {
 			//cyclolint:coldpath rejected post: caller handles the error off the fast path
 			post, verr = i, fmt.Errorf("tcplink: batch send %d/%d: %w", i, len(bufs), err)
 			break
@@ -728,7 +594,7 @@ func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
 			return rdma.ErrClosed
 		default:
 		}
-		wr := workReq{kind: rdma.OpSend, batchLen: n, pend: l.shard.Begin(trace.PhaseWRSend)}
+		wr := workReq{batchLen: n, pend: l.shard.Begin(trace.PhaseWRSend)}
 		copy(wr.batchArr[:n], bufs[off:off+n])
 		select {
 		case <-l.done:

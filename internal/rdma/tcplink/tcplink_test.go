@@ -89,10 +89,3 @@ func TestPeerDisconnectSurfacesError(t *testing.T) {
 		t.Fatal("no completion after peer disconnect")
 	}
 }
-
-func TestWriteConformancePipe(t *testing.T) {
-	rdmatest.RunWrites(t, func(t *testing.T) (rdma.QueuePair, rdma.QueuePair) {
-		c1, c2 := net.Pipe()
-		return New(c1), New(c2)
-	})
-}

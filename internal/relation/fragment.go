@@ -93,9 +93,9 @@ func PartitionByBytes(r *Relation, chunkBytes int) ([]*Fragment, error) {
 // PartitionByHash splits r into n fragments by key hash: fragment i holds,
 // in input order, exactly the tuples whose key Owner assigns to i. Relations
 // placed this way are co-partitioned — all tuples of one key, of every
-// relation, share a fragment index — which is what core.Cluster.StationByKey
-// builds on: it places every stationary side with this function, so one
-// revolution joins the rotating side against all of them locally. Plain
+// relation, share a fragment index — which is what core.Cluster.SetupSideByKey
+// builds on: it places a stationary side with this function, so one
+// revolution joins the rotating side against all such sides locally. Plain
 // cyclo-join (core.Cluster.Station, JoinRelations) still does not rely on
 // it: there the data lies wherever it lies (ad-hoc queries, §II-C).
 //

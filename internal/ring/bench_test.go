@@ -63,10 +63,6 @@ func BenchmarkRingHop(b *testing.B) {
 	benchRing(b, Config{Nodes: 4, BufferSlots: 4, BufferBytes: 1 << 20}, 8192)
 }
 
-func BenchmarkRingHopWrites(b *testing.B) {
-	benchRing(b, Config{Nodes: 4, BufferSlots: 4, BufferBytes: 1 << 20, OneSidedWrites: true}, 8192)
-}
-
 // BenchmarkForwardStage isolates the per-hop staging work on the zero-copy
 // path: bind the received frame as a view, pin, copy it into a send buffer
 // with the hops field patched, release the receive credit. On little-endian

@@ -10,10 +10,10 @@ import (
 // runTracedRing drives a full ring run with a private flight recorder and
 // returns the recording. The processors sleep a little so the join spans
 // dominate the per-iteration bookkeeping overhead, as a real join does.
-func runTracedRing(t *testing.T, nodes int, oneSided bool) *trace.Recorder {
+func runTracedRing(t *testing.T, nodes int) *trace.Recorder {
 	t.Helper()
 	rec := trace.NewRecorder(trace.DefaultShardCap)
-	cfg := Config{Flight: rec, OneSidedWrites: oneSided}
+	cfg := Config{Flight: rec}
 	r, recs := newRecorderRing(t, nodes, cfg, MemLinks())
 	for _, rc := range recs {
 		rc.delay = time.Millisecond
@@ -110,13 +110,7 @@ func checkFlightRecording(t *testing.T, rec *trace.Recorder, nodes int) {
 
 func TestFlightRecorderRingSendRecv(t *testing.T) {
 	const nodes = 4
-	rec := runTracedRing(t, nodes, false)
-	checkFlightRecording(t, rec, nodes)
-}
-
-func TestFlightRecorderRingWrites(t *testing.T) {
-	const nodes = 4
-	rec := runTracedRing(t, nodes, true)
+	rec := runTracedRing(t, nodes)
 	checkFlightRecording(t, rec, nodes)
 }
 

@@ -268,16 +268,12 @@ func (r *Ring) recoverLink(from, to int, st *linkRetry) error {
 	}
 
 	// Bring the receiver up before the sender so the new link starts with
-	// receive buffers posted (write mode: credits advertised) — the same
-	// order New wires a fresh ring in.
+	// receive buffers posted — the same order New wires a fresh ring in.
 	if err := toN.beginRecv(dst); err != nil {
 		r.frelink.End(pd)
 		return err
 	}
-	if err := fromN.beginSend(src); err != nil {
-		r.frelink.End(pd)
-		return err
-	}
+	fromN.beginSend(src)
 	for _, ob := range retained {
 		mRerouted.Inc()
 		if !fromN.requeue(ob) {

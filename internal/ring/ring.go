@@ -122,13 +122,6 @@ type Config struct {
 	// Recording must be enabled before New: nodes take their shards at
 	// construction time.
 	Flight *trace.Recorder
-	// OneSidedWrites switches the transmitters to RDMA write-with-
-	// immediate into buffers the downstream neighbor exposes, with
-	// explicit credit flow control on the reverse channel, instead of
-	// two-sided send/recv. Requires a transport implementing
-	// rdma.WriteQueuePair (memlink, tcplink — not the kernel-TCP
-	// baseline).
-	OneSidedWrites bool
 	// StallTimeout aborts a Run when no fragment retires for this long —
 	// the watchdog that turns a hung host (stuck join entity, dead
 	// machine behind a silent link) into a diagnostic error instead of a
@@ -203,8 +196,7 @@ type NodeStats struct {
 	// retirement bookkeeping); ProcessTime+StageTime is the node's busy
 	// time in the attribution model's sense.
 	StageTime time.Duration
-	// StallTime is send-side backpressure: waiting on a free send buffer
-	// or (write mode) a remote credit.
+	// StallTime is send-side backpressure: waiting on a free send buffer.
 	StallTime time.Duration
 	// RegisteredBytes is the node's pinned buffer volume.
 	RegisteredBytes int64
@@ -537,9 +529,7 @@ func (r *Ring) ReplaceNode(i int, proc Processor) error {
 	if err := n.start(); err != nil {
 		return err
 	}
-	if err := r.nodes[prev].beginSend(srcPrev); err != nil {
-		return err
-	}
+	r.nodes[prev].beginSend(srcPrev)
 	if err := r.nodes[next].beginRecv(dstNext); err != nil {
 		return err
 	}

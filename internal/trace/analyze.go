@@ -25,7 +25,7 @@ func joinEntityPhase(p Phase) bool {
 // auxPhases are detail phases reported as aggregate latency stats rather
 // than in the per-node wall-clock breakdown: transport work requests and
 // the join algorithms' internal phases (which overlap PhaseJoin).
-var auxPhases = []Phase{PhaseBuild, PhaseProbe, PhaseSort, PhaseMerge, PhaseWRSend, PhaseWRWrite, PhaseWRRecv, PhaseCreditStall, PhaseFault, PhaseRelink}
+var auxPhases = []Phase{PhaseBuild, PhaseProbe, PhaseSort, PhaseMerge, PhaseWRSend, PhaseWRRecv, PhaseCreditStall, PhaseFault, PhaseRelink}
 
 // NodeBreakdown is one ring position's per-phase cost split.
 type NodeBreakdown struct {

@@ -73,16 +73,14 @@ const (
 	PhaseMerge
 	// PhaseWRSend: a two-sided send work request, post → completion.
 	PhaseWRSend
-	// PhaseWRWrite: a one-sided write work request, post → completion.
-	PhaseWRWrite
 	// PhaseWRRecv: a posted receive buffer's residency, post → filled.
 	PhaseWRRecv
-	// PhaseCreditStall: a sender blocked because the receiver advertised
-	// no buffer (RNR backpressure / exhausted write credits).
+	// PhaseCreditStall: a sender blocked because the receiver had no
+	// buffer posted (RNR backpressure).
 	PhaseCreditStall
-	// PhaseFault: an injected (or detected) link fault. Instant for drops
-	// and corrupted doorbells; an interval for injected delays, covering
-	// the time the frame was held back.
+	// PhaseFault: an injected (or detected) link fault. Instant for
+	// drops; an interval for injected delays, covering the time the frame
+	// was held back.
 	PhaseFault
 	// PhaseRelink: ring-level link recovery, failure detection → link
 	// re-established and retained frames re-routed. Arg carries the
@@ -103,7 +101,6 @@ var phaseNames = map[Phase]string{
 	PhaseSort:        "sort",
 	PhaseMerge:       "merge",
 	PhaseWRSend:      "wr-send",
-	PhaseWRWrite:     "wr-write",
 	PhaseWRRecv:      "wr-recv",
 	PhaseCreditStall: "credit-stall",
 	PhaseFault:       "fault",
