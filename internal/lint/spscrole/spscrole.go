@@ -13,12 +13,12 @@
 // (or two pop origins) is a diagnostic.
 //
 // Two origins of the same endpoint are not always a bug: mutually
-// exclusive transport modes may each own a loop, or a drain path may
+// exclusive configurations may each own a loop, or a drain path may
 // run after the producer goroutine has provably exited. Those sanctioned
 // hand-offs are annotated at the operation (or on the function's doc
 // comment) with the reason:
 //
-//	//cyclolint:role send loop and write-mode send loop are mutually exclusive per ring
+//	//cyclolint:role the inline injector precedes the loader goroutine; the two never overlap
 package spscrole
 
 import (
