@@ -4,7 +4,7 @@
 
 GO ?= go
 
-# Ceiling for one standalone pass of the analyzer suite over ./...; the
+# Ceiling for one pass of the analyzer suite over ./...; the
 # cyclolint target fails when analysis wall time exceeds it, so a
 # quadratic fixpoint regression in an analyzer breaks the gate instead
 # of quietly taxing every CI run.
@@ -31,14 +31,12 @@ lint: cyclolint
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-# cyclolint is driven through `go vet -vettool` so package results are
-# cached by the build cache (analyzer versions are stamped into the vetx
-# facts, so editing an analyzer invalidates its cache entries);
-# `bin/cyclolint ./...` works standalone too, and takes -fix / -json /
-# -sarif.
+# cyclolint runs the suite once over every package with its tests
+# (_test.go files and external _test packages included), threading facts
+# between the module's packages in process; `bin/cyclolint` also takes
+# -fix / -json / -sarif.
 cyclolint:
 	$(GO) build -o bin/cyclolint ./cmd/cyclolint
-	$(GO) vet -vettool=$(CURDIR)/bin/cyclolint ./...
 	./bin/cyclolint -stats -budget $(LINT_BUDGET) ./...
 
 # lint-sarif renders the suite's findings as SARIF 2.1.0 for GitHub code
@@ -50,8 +48,8 @@ lint-sarif:
 
 # lint-stats captures the per-analyzer wall-time breakdown to
 # cyclolint-stats.txt (CI uploads it as a per-run artifact) and appends
-# one trend row to the committed LINT_STATS.md: date, suite version,
-# analyzer count, total wall time. Run it in any PR that changes the
+# one trend row to the committed LINT_STATS.md: date, the commit the
+# suite was built from, analyzer count, total wall time. Run it in any PR that changes the
 # suite and commit the row — the table makes wall-time creep visible
 # long before the LINT_BUDGET gate trips.
 lint-stats:
@@ -60,7 +58,7 @@ lint-stats:
 	cat cyclolint-stats.txt; [ $$st -eq 0 ] || exit $$st
 	printf '| %s | %s | %s | %s |\n' \
 		"$$(date -u +%F)" \
-		"$$(./bin/cyclolint -V=full | sed 's/^cyclolint version //; s/+.*//')" \
+		"$$(git rev-parse --short HEAD)" \
 		"$$(grep -c 'cyclolint: stats: ' cyclolint-stats.txt | awk '{print $$1 - 1}')" \
 		"$$(awk '/cyclolint: stats: total/ {print $$NF}' cyclolint-stats.txt)" \
 		>> LINT_STATS.md

@@ -1,7 +1,5 @@
 // Command cyclolint runs the repo's custom analyzer suite (see
-// internal/lint) in two modes:
-//
-// Standalone, over package patterns, from anywhere in the module:
+// internal/lint) over package patterns, from anywhere in the module:
 //
 //	cyclolint ./...
 //	cyclolint -only shareguard,waitcycle ./...   (just the named analyzers)
@@ -10,22 +8,13 @@
 //	cyclolint -sarif ./...    (SARIF 2.1.0 on stdout, for code scanning)
 //	cyclolint -fix ./...      (apply suggested fixes in place)
 //
-// As a go vet tool, speaking vet's unitchecker protocol — the .cfg
-// handshake, -V=full version stamping and -flags discovery — so the
-// toolchain drives it incrementally with build-cache hits:
-//
-//	go vet -vettool=$(pwd)/bin/cyclolint ./...
-//
+// Each matched package is linted with its tests: its in-package _test.go
+// files join it, and its external _test package is linted too.
 // Fact-using analyzers (UsesFacts) exchange per-package summaries across
-// package boundaries. Standalone mode threads them in process, in the
-// dependency order go list returns: the matched packages' dependencies
-// in this module are analyzed for their facts only, so a pattern naming
-// one package reports what ./... reports for it. In vet mode the summaries ride the vetx files: each unit
-// writes a JSON table of {analyzer: {version, data}} blobs and reads its
-// dependencies' tables via the .cfg's PackageVetx map. Blobs written by a
-// different version of the same analyzer are discarded, and -V=full
-// composes every analyzer's version so bumping one invalidates vet's
-// cached verdicts.
+// package boundaries, threaded in process in dependency order: the
+// matched packages' dependencies in this module are analyzed for their
+// facts only, so a pattern naming one package reports what ./... reports
+// for it. The standard library is imported, never summarized.
 //
 // Diagnostics print as file:line:col: analyzer: message, sorted by
 // (file, line, column, analyzer); the exit code is nonzero when any
@@ -50,27 +39,11 @@ import (
 	"cyclojoin/internal/lint/load"
 )
 
-// version is the driver's own version; suiteVersion folds in each
-// analyzer's, so either kind of bump discards stale cached vet verdicts.
-const version = "v0.4.0"
-
-// suiteVersion stamps the driver and every analyzer version into the
-// -V=full reply, which go vet hashes into its build-cache key.
-func suiteVersion() string {
-	parts := []string{version}
-	for _, a := range lint.Analyzers() {
-		if a.Version != "" {
-			parts = append(parts, a.Name+"."+a.Version)
-		}
-	}
-	return strings.Join(parts, "+")
-}
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// outputOptions selects the standalone-mode diagnostic sink.
+// outputOptions selects the diagnostic sink and the wall-time report.
 type outputOptions struct {
 	json   bool
 	sarif  bool
@@ -81,17 +54,15 @@ type outputOptions struct {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("cyclolint", flag.ContinueOnError)
-	vFlag := fs.String("V", "", "print version and exit (go vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "print flag definitions as JSON and exit (go vet protocol)")
 	only := fs.String("only", "", "comma-separated analyzer names to run exclusively")
 	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
-	jsonFlag := fs.Bool("json", false, "print diagnostics as JSON on stdout (standalone mode)")
-	sarifFlag := fs.Bool("sarif", false, "print diagnostics as SARIF 2.1.0 on stdout (standalone mode)")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes to the source files (standalone mode)")
-	statsFlag := fs.Bool("stats", false, "print per-analyzer wall time on stderr (standalone mode)")
-	budgetFlag := fs.Duration("budget", 0, "fail when total analysis wall time exceeds this duration (standalone mode)")
+	jsonFlag := fs.Bool("json", false, "print diagnostics as JSON on stdout")
+	sarifFlag := fs.Bool("sarif", false, "print diagnostics as SARIF 2.1.0 on stdout")
+	fixFlag := fs.Bool("fix", false, "apply suggested fixes to the source files")
+	statsFlag := fs.Bool("stats", false, "print per-analyzer wall time on stderr")
+	budgetFlag := fs.Duration("budget", 0, "fail when total analysis wall time exceeds this duration")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: cyclolint [-only names] [-skip names] [-json|-sarif] [-fix] [-stats] [-budget dur] [packages]\n       cyclolint <unit>.cfg  (go vet -vettool mode)\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: cyclolint [-only names] [-skip names] [-json|-sarif] [-fix] [-stats] [-budget dur] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -99,29 +70,16 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *vFlag != "":
-		// go vet invokes `tool -V=full` and wants "name version ...".
-		fmt.Printf("cyclolint version %s\n", suiteVersion())
-		return 0
-	case *flagsFlag:
-		// go vet discovers tool flags via `tool -flags`; we expose none.
-		fmt.Println("[]")
-		return 0
-	}
 	analyzers, err := selected(*only, *skip)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
 		return 2
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(analyzers, rest[0])
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	return runStandalone(analyzers, rest, outputOptions{json: *jsonFlag, sarif: *sarifFlag, fix: *fixFlag, stats: *statsFlag, budget: *budgetFlag})
+	return check(analyzers, patterns, outputOptions{json: *jsonFlag, sarif: *sarifFlag, fix: *fixFlag, stats: *statsFlag, budget: *budgetFlag})
 }
 
 // splitNames parses a comma-separated analyzer-name list, rejecting
@@ -183,62 +141,36 @@ type located struct {
 	message  string
 }
 
-// runStandalone loads patterns via go list export data and analyzes each
-// matched package, threading facts between packages in process.
-func runStandalone(analyzers []*analysis.Analyzer, patterns []string, opts outputOptions) int {
+// check loads patterns with their tests and analyzes each package in
+// dependency order, threading facts between packages in process.
+func check(analyzers []*analysis.Analyzer, patterns []string, opts outputOptions) int {
 	dir, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
 		return 2
 	}
-	pkgs, err := load.Packages(dir, patterns...)
+	pkgs, err := load.Packages(dir, nil, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
 		return 2
 	}
-	// facts[analyzer][package path] — filled in dependency order, since
-	// that is the order go list yields the matched packages in.
-	facts := make(map[string]map[string][]byte)
-	read := func(a *analysis.Analyzer, path string) []byte {
-		return facts[a.Name][path]
-	}
+	facts := make(analysis.Facts)
 	tm := make(timings)
 	var all []located
 	for _, pkg := range pkgs {
-		pkgPath := pkg.Types.Path()
-		export := func(a *analysis.Analyzer, data []byte) {
-			m := facts[a.Name]
-			if m == nil {
-				m = make(map[string][]byte)
-				facts[a.Name] = m
-			}
-			m[pkgPath] = data
+		findings, err := analysis.CheckPackage(analyzers, pkg, facts, tm)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
+			return 2
 		}
-		base := &analysis.Pass{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-		}
-		if pkg.DepOnly {
-			var factful []*analysis.Analyzer
-			for _, a := range analyzers {
-				if a.UsesFacts {
-					factful = append(factful, a)
-				}
-			}
-			analyze(factful, base, read, export, tm)
-			continue
-		}
-		diags := analyze(analyzers, base, read, export, tm)
 		if opts.fix {
-			if err := applyFixes(pkg.Fset, diags); err != nil {
+			if err := applyFixes(pkg.Fset, findings); err != nil {
 				fmt.Fprintf(os.Stderr, "cyclolint: -fix: %v\n", err)
 				return 2
 			}
 		}
-		for _, d := range diags {
-			all = append(all, located{pos: pkg.Fset.Position(d.Pos), analyzer: d.analyzer, message: d.Message})
+		for _, f := range findings {
+			all = append(all, located{pos: pkg.Fset.Position(f.Pos), analyzer: f.Analyzer, message: f.Message})
 		}
 	}
 	sortLocated(all)
@@ -286,10 +218,10 @@ func emitStats(w io.Writer, analyzers []*analysis.Analyzer, tm timings) {
 
 // applyFixes rewrites the source files touched by the diagnostics'
 // suggested fixes, refusing the whole batch on any conflict.
-func applyFixes(fset *token.FileSet, diags []labeled) error {
+func applyFixes(fset *token.FileSet, findings []analysis.Finding) error {
 	var withFix []analysis.Diagnostic
 	src := make(map[string][]byte)
-	for _, d := range diags {
+	for _, d := range findings {
 		if len(d.Fixes) == 0 {
 			continue
 		}
@@ -324,185 +256,6 @@ func applyFixes(fset *token.FileSet, diags []labeled) error {
 		}
 	}
 	return nil
-}
-
-// unitConfig is the subset of go vet's unitchecker .cfg the tool needs.
-type unitConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetxFile is the cyclolint facts file exchanged between vet units: one
-// versioned blob per fact-exporting analyzer.
-type vetxFile struct {
-	Analyzers map[string]vetxEntry `json:"analyzers"`
-}
-
-type vetxEntry struct {
-	Version string `json:"version"`
-	Data    []byte `json:"data,omitempty"`
-}
-
-// runUnit analyzes one compilation unit described by a go vet .cfg.
-func runUnit(analyzers []*analysis.Analyzer, cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
-		return 2
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "cyclolint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	if cfg.VetxOnly {
-		// Facts are still needed downstream: run just the fact-exporting
-		// analyzers, with their reports discarded.
-		var factAnalyzers []*analysis.Analyzer
-		for _, a := range analyzers {
-			if a.UsesFacts {
-				factAnalyzers = append(factAnalyzers, a)
-			}
-		}
-		analyzers = factAnalyzers
-	}
-	fset := token.NewFileSet()
-	imp := load.Importer(fset, cfg.ImportMap, cfg.PackageFile)
-	pkg, err := load.CheckFiles(fset, imp, cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
-		return 2
-	}
-	// Dependencies' facts arrive via their vetx files, loaded lazily and
-	// keyed by import path through the .cfg's PackageVetx map.
-	depVetx := make(map[string]*vetxFile)
-	read := func(a *analysis.Analyzer, path string) []byte {
-		vf, ok := depVetx[path]
-		if !ok {
-			vf = loadVetx(cfg.PackageVetx[path])
-			depVetx[path] = vf
-		}
-		if vf == nil {
-			return nil
-		}
-		e, ok := vf.Analyzers[a.Name]
-		if !ok || e.Version != a.Version {
-			return nil
-		}
-		return e.Data
-	}
-	out := vetxFile{Analyzers: make(map[string]vetxEntry)}
-	export := func(a *analysis.Analyzer, data []byte) {
-		out.Analyzers[a.Name] = vetxEntry{Version: a.Version, Data: data}
-	}
-	diags := analyze(analyzers, &analysis.Pass{
-		Fset:      fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-	}, read, export, nil)
-	if cfg.VetxOutput != "" {
-		blob, err := json.Marshal(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(cfg.VetxOutput, blob, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	if len(diags) > 0 {
-		for _, d := range diags {
-			pos := fset.Position(d.Pos)
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", relName(pos.Filename), pos.Line, pos.Column, d.analyzer, d.Message)
-		}
-		return 2
-	}
-	return 0
-}
-
-// loadVetx parses one dependency's facts file; any failure (missing path,
-// old format) degrades to "no facts".
-func loadVetx(path string) *vetxFile {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var vf vetxFile
-	if err := json.Unmarshal(data, &vf); err != nil {
-		return nil
-	}
-	return &vf
-}
-
-// labeled pairs a diagnostic with the analyzer that produced it.
-type labeled struct {
-	analysis.Diagnostic
-	analyzer string
-}
-
-// analyze runs each analyzer over the shared pass skeleton and collects
-// diagnostics sorted by (file, line, column, analyzer). When tm is
-// non-nil, each analyzer's wall time is accumulated into it.
-func analyze(analyzers []*analysis.Analyzer, base *analysis.Pass, read func(*analysis.Analyzer, string) []byte, export func(*analysis.Analyzer, []byte), tm timings) []labeled {
-	var diags []labeled
-	for _, a := range analyzers {
-		a := a
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      base.Fset,
-			Files:     base.Files,
-			Pkg:       base.Pkg,
-			TypesInfo: base.TypesInfo,
-		}
-		if read != nil {
-			pass.ReadFacts = func(path string) []byte { return read(a, path) }
-		}
-		if export != nil {
-			pass.ExportFacts = func(data []byte) { export(a, data) }
-		}
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			diags = append(diags, labeled{Diagnostic: d, analyzer: name})
-		}
-		start := time.Now()
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "cyclolint: %s: %v\n", a.Name, err)
-		}
-		if tm != nil {
-			tm[name] += time.Since(start)
-		}
-	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		pi, pj := base.Fset.Position(diags[i].Pos), base.Fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return diags[i].analyzer < diags[j].analyzer
-	})
-	return diags
 }
 
 func sortLocated(ds []located) {
@@ -571,9 +324,8 @@ type sarifTool struct {
 }
 
 type sarifDriver struct {
-	Name    string      `json:"name"`
-	Version string      `json:"version"`
-	Rules   []sarifRule `json:"rules"`
+	Name  string      `json:"name"`
+	Rules []sarifRule `json:"rules"`
 }
 
 type sarifRule struct {
@@ -631,7 +383,7 @@ func emitSARIF(w io.Writer, ds []located) {
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
 		Version: "2.1.0",
 		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "cyclolint", Version: suiteVersion(), Rules: rules}},
+			Tool:    sarifTool{Driver: sarifDriver{Name: "cyclolint", Rules: rules}},
 			Results: results,
 		}},
 	}

@@ -57,10 +57,8 @@ func TestEmitJSONGolden(t *testing.T) {
 	checkGolden(t, "diags.json", buf.Bytes())
 }
 
-// TestEmitSARIFGolden pins the SARIF envelope byte-exactly; the golden
-// embeds suiteVersion(), so bumping any analyzer version requires
-// regenerating it with -update — which is the cache-invalidation
-// property the vetx protocol depends on.
+// TestEmitSARIFGolden pins the SARIF envelope byte-exactly: the rule
+// table is the suite, in suite order.
 func TestEmitSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer
 	emitSARIF(&buf, fixedDiags())
@@ -140,7 +138,8 @@ func TestBudgetExceeded(t *testing.T) {
 
 // TestSinglePackageRun pins that a run on one package sees the facts of
 // its dependencies in this module: ./... reports nothing in
-// internal/ring, so neither may a run on ./internal/ring/ alone.
+// internal/ring or its tests, so neither may a run on ./internal/ring/
+// alone.
 func TestSinglePackageRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks and analyzes internal/ring and its dependencies")
@@ -149,7 +148,7 @@ func TestSinglePackageRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := runStandalone(analyzers, []string{"../../internal/ring/"}, outputOptions{}); code != 0 {
+	if code := check(analyzers, []string{"../../internal/ring/"}, outputOptions{}); code != 0 {
 		t.Errorf("cyclolint ./internal/ring/ exited %d, want 0 (diagnostics above)", code)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cyclojoin/internal/metrics"
-	"cyclojoin/internal/rdma/chaoslink"
 	"cyclojoin/internal/ring"
 	"cyclojoin/internal/trace"
 )
@@ -44,8 +43,8 @@ const (
 	// CreditStall: a link's sender spends an outsized share of the
 	// window waiting on send credits — downstream backpressure.
 	CreditStall
-	// Degraded: injected or real link faults (drops) hit this window;
-	// recovery or partial results follow.
+	// Degraded: the ring observed link failures this window; recovery
+	// or partial results follow.
 	Degraded
 )
 
@@ -114,12 +113,11 @@ type NodeSample struct {
 	QueueDepth   int64 `json:"queue_depth"`
 }
 
-// LinkFaults is one directed link's cumulative injected-fault tally
-// (mirrors chaoslink.SnapshotFaults, JSON-friendly).
+// LinkFaults is one directed link's cumulative failure count, read from
+// its sending node's NodeStats.LinkFailures.
 type LinkFaults struct {
-	Link   string `json:"link"`
-	Drops  int64  `json:"drops"`
-	Delays int64  `json:"delays"`
+	Link     string `json:"link"`
+	Failures int64  `json:"failures"`
 }
 
 // Snapshot is one published tick: immutable once swapped in.
@@ -245,13 +243,9 @@ type Sampler struct {
 	scratch  []ring.NodeStats
 	prevTime time.Time
 	states   map[int]*nodeState
-	// prevFaults holds each link's drops at the previous tick,
-	// so Degraded fires on faults that moved THIS window, not on any
-	// fault the process has ever seen.
-	prevFaults map[string]int64
-	lastKind   VerdictKind
-	profile    []byte
-	profBusy   bool
+	lastKind VerdictKind
+	profile  []byte
+	profBusy bool
 
 	startOnce sync.Once
 	stop      chan struct{}
@@ -261,14 +255,13 @@ type Sampler struct {
 // NewSampler builds a sampler over src. It does not start sampling.
 func NewSampler(src Source, opt Options) *Sampler {
 	return &Sampler{
-		src:        src,
-		opt:        opt.withDefaults(),
-		m:          newSamplerMetrics(),
-		subs:       make(map[chan *Snapshot]struct{}),
-		states:     make(map[int]*nodeState),
-		prevFaults: make(map[string]int64),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		src:    src,
+		opt:    opt.withDefaults(),
+		m:      newSamplerMetrics(),
+		subs:   make(map[chan *Snapshot]struct{}),
+		states: make(map[int]*nodeState),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -391,7 +384,8 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 	}
 
 	rows := make([]trace.PhaseTotals, 0, len(cur))
-	var faultDelta int64
+	var faultDelta, worstLinkDelta int64
+	var worstLink string
 	alpha := s.opt.Alpha
 	for i := range cur {
 		nh := &cur[i]
@@ -404,7 +398,19 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 			s.states[nh.Node] = st
 		}
 		ns := NodeSample{Node: nh.Node, QueueDepth: nh.QueueDepth}
+		// A node's link failures are those of its outbound link.
+		var link string
+		if nh.LinkFailures > 0 {
+			link = fmt.Sprintf("%d→%d", nh.Node, (nh.Node+1)%len(cur))
+			snap.Faults = append(snap.Faults, LinkFaults{Link: link, Failures: nh.LinkFailures})
+		}
 		if prev, ok := prevByNode[nh.Node]; ok && !first {
+			if d := nh.LinkFailures - prev.LinkFailures; d > 0 {
+				faultDelta += d
+				if d > worstLinkDelta {
+					worstLink, worstLinkDelta = link, d
+				}
+			}
 			w := float64(window.Nanoseconds())
 			dWait := nh.WaitTime - prev.WaitTime
 			dJoin := nh.ProcessTime - prev.ProcessTime
@@ -456,22 +462,6 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 		snap.Nodes = append(snap.Nodes, ns)
 	}
 
-	worstLink, worstLinkDelta := "", int64(0)
-	for _, fc := range chaoslink.SnapshotFaults() {
-		name := fc.Link.String()
-		snap.Faults = append(snap.Faults, LinkFaults{
-			Link: name, Drops: fc.Drops, Delays: fc.Delays,
-		})
-		d := fc.Drops - s.prevFaults[name]
-		s.prevFaults[name] = fc.Drops
-		if !first && d > 0 {
-			faultDelta += d
-			if d > worstLinkDelta {
-				worstLink, worstLinkDelta = name, d
-			}
-		}
-	}
-
 	if first || len(rows) == 0 {
 		return snap
 	}
@@ -486,13 +476,13 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeStats) *Snapshot {
 // verdict ranks the window's signals, worst first: faults beat a
 // straggler beats a credit stall beats healthy. The caller holds s.mu.
 func (s *Sampler) verdict(snap *Snapshot, attr trace.Attribution, faults int64, faultLink string) Verdict {
-	// Degraded: failure faults (drops — not mere delays, which surface
-	// as straggling) moved this window; recovery or graceful
-	// degradation is in play right now.
+	// Degraded: link failures (not mere delays, which surface as
+	// straggling) moved this window; recovery or graceful degradation is
+	// in play right now.
 	if faults > 0 {
 		return Verdict{
 			Kind: Degraded, Node: -1, Link: faultLink,
-			Reason: fmt.Sprintf("%d link fault(s) this window, worst on %s", faults, faultLink),
+			Reason: fmt.Sprintf("%d link failure(s) this window, worst on %s", faults, faultLink),
 		}
 	}
 	// Straggler: the attribution model's ratio over smoothed floors.

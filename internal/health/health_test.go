@@ -120,6 +120,42 @@ func TestCreditStallVerdictNamesTheEgressLink(t *testing.T) {
 	}
 }
 
+// TestDegradedVerdictNamesTheFailedLink reads link failures from the
+// ring's own stats: a failure count that moves between two samples
+// outranks a straggler and names the failing node's outbound link, and
+// a count that stands still no longer degrades.
+func TestDegradedVerdictNamesTheFailedLink(t *testing.T) {
+	src := threeNodes()
+	src.rows[2].LinkFailures = 1 // before the baseline: not this window
+	s := NewSampler(src, Options{})
+	s.SampleOnce()
+
+	src.rows[0].ProcessTime += 2 * time.Millisecond
+	src.rows[1].ProcessTime += 2 * time.Millisecond
+	src.rows[2].ProcessTime += 500 * time.Millisecond
+	src.rows[2].LinkFailures += 2
+	snap := tick(s)
+	if snap.Verdict.Kind != Degraded {
+		t.Fatalf("verdict = %v (%s), want degraded", snap.Verdict.Kind, snap.Verdict.Reason)
+	}
+	if snap.Verdict.Link != "2→0" {
+		t.Errorf("degraded link = %q, want 2→0", snap.Verdict.Link)
+	}
+	if !strings.Contains(snap.Verdict.Reason, "2 link failure(s)") {
+		t.Errorf("reason %q does not count this window's 2 failures", snap.Verdict.Reason)
+	}
+	if want := (LinkFaults{Link: "2→0", Failures: 3}); len(snap.Faults) != 1 || snap.Faults[0] != want {
+		t.Errorf("Faults = %+v, want [%+v]", snap.Faults, want)
+	}
+
+	for i := range src.rows {
+		src.rows[i].ProcessTime += 2 * time.Millisecond
+	}
+	if snap := tick(s); snap.Verdict.Kind == Degraded {
+		t.Errorf("verdict = degraded (%s) on a window without link failures", snap.Verdict.Reason)
+	}
+}
+
 func TestVerdictKindTextRoundTrip(t *testing.T) {
 	for _, k := range []VerdictKind{Healthy, Straggler, CreditStall, Degraded} {
 		b, err := k.MarshalText()

@@ -216,8 +216,52 @@ func (l *link) PostRecv(b *rdma.Buffer) error {
 	}
 }
 
+// PostSendBatch implements rdma.QueuePair one send at a time: a socket
+// stack has no doorbell to share. Prefix-atomic: buffers before the
+// first refused post are posted and will complete.
+func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
+	for i, b := range bufs {
+		if err := l.PostSend(b); err != nil {
+			return fmt.Errorf("kerneltcp: batch send %d/%d: %w", i, len(bufs), err)
+		}
+	}
+	return nil
+}
+
+// PostRecvBatch implements rdma.QueuePair one receive at a time,
+// prefix-atomic like PostSendBatch.
+func (l *link) PostRecvBatch(bufs []*rdma.Buffer) error {
+	for i, b := range bufs {
+		if err := l.PostRecv(b); err != nil {
+			return fmt.Errorf("kerneltcp: batch recv %d/%d: %w", i, len(bufs), err)
+		}
+	}
+	return nil
+}
+
 // Completions implements rdma.QueuePair.
 func (l *link) Completions() <-chan rdma.Completion { return l.cq }
+
+// PollCQ implements rdma.QueuePair: a non-blocking drain of the
+// completion channel. A closed CQ reads as empty.
+//
+//cyclolint:hotpath
+func (l *link) PollCQ(dst []rdma.Completion) int {
+	n := 0
+	for n < len(dst) {
+		select {
+		case c, ok := <-l.cq:
+			if !ok {
+				return n
+			}
+			dst[n] = c
+			n++
+		default:
+			return n
+		}
+	}
+	return n
+}
 
 // Close implements rdma.QueuePair.
 func (l *link) Close() error {

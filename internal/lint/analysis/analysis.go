@@ -2,8 +2,9 @@
 // analyzers, mirroring the shape of golang.org/x/tools/go/analysis (which
 // this repo deliberately does not vendor: the module is stdlib-only). An
 // Analyzer inspects one type-checked package at a time and reports
-// diagnostics; drivers (cmd/cyclolint standalone, the go vet -vettool
-// protocol, and the linttest harness) construct the Pass.
+// diagnostics. CheckPackage is the one place a Pass is built: the
+// cyclolint command, the module-wide tests and the linttest harness all
+// run the suite through it.
 //
 // The repo-specific part is the directive convention: analyzers that
 // enforce hot-path invariants are steered by machine-readable comments of
@@ -33,16 +34,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string
-	// Version participates in the vet build-cache key and in fact
-	// compatibility: facts written by a different version of the same
-	// analyzer are discarded, and bumping it invalidates cached vet
-	// verdicts for every package. Bump it whenever Run's behavior or the
-	// fact encoding changes.
-	Version string
 	// UsesFacts marks analyzers that exchange per-package summaries
-	// (facts) with their runs over dependency packages. Drivers run these
-	// analyzers in dependency order and persist their fact blobs (the
-	// vetx file, in go vet mode).
+	// (facts) with their runs over dependency packages. CheckPackage runs
+	// only these over a fact-only dependency, and keeps their blobs in
+	// the run's Facts.
 	UsesFacts bool
 	// Run inspects one package via the Pass and reports findings.
 	Run func(*Pass) error
@@ -63,14 +58,9 @@ type Pass struct {
 	// Report consumes one diagnostic.
 	Report func(Diagnostic)
 
-	// ReadFacts returns the fact blob this analyzer exported for the
-	// imported package at path, or nil when none exists (package outside
-	// the analyzed set, or written by a different analyzer version).
-	// Nil when the driver has no fact store.
-	ReadFacts func(path string) []byte
-	// ExportFacts records this package's fact blob for downstream
-	// packages' passes. Nil when the driver has no fact store.
-	ExportFacts func(data []byte)
+	// facts is the run's fact store, read by ImportedFacts and written
+	// by Export.
+	facts Facts
 
 	// directives caches the per-file directive index.
 	directives map[*ast.File]map[int][]string
@@ -103,21 +93,22 @@ type TextEdit struct {
 	NewText string
 }
 
-// ImportedFacts looks up this analyzer's facts for an imported package,
-// tolerating drivers without a fact store.
+// ImportedFacts returns the fact blob this analyzer exported for the
+// imported package at path, or nil when none exists (a package outside
+// the module, or not loaded in this run).
 func (p *Pass) ImportedFacts(path string) []byte {
-	if p.ReadFacts == nil {
-		return nil
-	}
-	return p.ReadFacts(path)
+	return p.facts[p.Analyzer.Name][path]
 }
 
-// Export records this package's fact blob, tolerating drivers without a
-// fact store.
+// Export records this package's fact blob for the passes over the
+// packages that import it.
 func (p *Pass) Export(data []byte) {
-	if p.ExportFacts != nil {
-		p.ExportFacts(data)
+	byPkg := p.facts[p.Analyzer.Name]
+	if byPkg == nil {
+		byPkg = make(map[string][]byte)
+		p.facts[p.Analyzer.Name] = byPkg
 	}
+	byPkg[p.Pkg.Path()] = data
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -52,7 +52,6 @@ const rdmaPkg = "cyclojoin/internal/rdma"
 var Analyzer = &analysis.Analyzer{
 	Name:      "bufown",
 	Doc:       "a registered *rdma.Buffer credit must be released (free list, post, or handoff) on every path; posted buffers are untouchable until completion",
-	Version:   "4",
 	UsesFacts: true,
 	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
 }

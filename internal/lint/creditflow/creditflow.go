@@ -42,7 +42,6 @@ const ringqPkg = "cyclojoin/internal/ringq"
 var Analyzer = &analysis.Analyzer{
 	Name:      "creditflow",
 	Doc:       "a send credit popped from a ringq.MPMC[*rdma.Buffer] pool must be returned (TryPush, post, or handoff) on every path, exactly once",
-	Version:   "3",
 	UsesFacts: true,
 	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
 }

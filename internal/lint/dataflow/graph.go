@@ -25,8 +25,7 @@
 //     over it; lockorder walks with it.
 //
 // Summaries cross package boundaries as facts through one codec
-// (EncodeFacts, DecodeFacts): the driver's fact store, the vetx file in
-// go vet mode. Path-sensitive acquire/release checks (bufown, creditflow,
+// (EncodeFacts, DecodeFacts) into the run's fact store. Path-sensitive acquire/release checks (bufown, creditflow,
 // spanpair) are tables over the typestate subpackage.
 package dataflow
 

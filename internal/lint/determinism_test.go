@@ -12,51 +12,42 @@ import (
 	"cyclojoin/internal/lint/load"
 )
 
-// loadModule type-checks every package in the module, in dependency
-// order.
-func loadModule(t *testing.T) []*load.Package {
+// loadPackages type-checks the module's packages matching patterns, with
+// their tests, as cyclolint does: overlay (file name → source) replaces
+// files' contents in memory.
+func loadPackages(t *testing.T, overlay map[string][]byte, patterns ...string) []*load.Package {
+	t.Helper()
+	pkgs, err := load.Packages(moduleRoot(t), overlay, patterns...)
+	if err != nil {
+		t.Fatalf("loading %v: %v", patterns, err)
+	}
+	return pkgs
+}
+
+// moduleRoot is the module's directory.
+func moduleRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := load.Packages(root, "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	return pkgs
+	return root
 }
 
-// analyze runs the analyzers over pkgs, threading facts in dependency
-// order, and returns the rendered diagnostics and each analyzer's
-// exported fact blobs by package path.
-func analyze(t *testing.T, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]string, map[string]map[string][]byte) {
+// analyze runs the analyzers over pkgs as cyclolint does, threading
+// facts in dependency order, and returns the rendered diagnostics and
+// the fact store.
+func analyze(t *testing.T, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]string, analysis.Facts) {
 	t.Helper()
 	var lines []string
-	facts := make(map[string]map[string][]byte)
+	facts := make(analysis.Facts)
 	for _, pkg := range pkgs {
-		pkgPath := pkg.Types.Path()
-		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-			}
-			pass.ReadFacts = func(path string) []byte { return facts[a.Name][path] }
-			pass.ExportFacts = func(data []byte) {
-				if facts[a.Name] == nil {
-					facts[a.Name] = make(map[string][]byte)
-				}
-				facts[a.Name][pkgPath] = data
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				lines = append(lines, fmt.Sprintf("%s: %s: %s", pkg.Fset.Position(d.Pos), a.Name, d.Message))
-			}
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, pkgPath, err)
-			}
+		findings, err := analysis.CheckPackage(analyzers, pkg, facts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			lines = append(lines, fmt.Sprintf("%s: %s: %s", pkg.Fset.Position(f.Pos), f.Analyzer, f.Message))
 		}
 	}
 	return lines, facts
@@ -66,7 +57,7 @@ func analyze(t *testing.T, pkgs []*load.Package, analyzers []*analysis.Analyzer)
 // renders diagnostics plus exported fact bytes into one canonical string.
 func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
 	t.Helper()
-	lines, facts := analyze(t, loadModule(t), analyzers)
+	lines, facts := analyze(t, loadPackages(t, nil, "./..."), analyzers)
 	var factLines []string
 	for name, byPkg := range facts {
 		for path, data := range byPkg {
@@ -80,8 +71,7 @@ func transcript(t *testing.T, analyzers []*analysis.Analyzer) string {
 // TestProtocolAnalyzersDeterministic runs the whole suite twice over the
 // whole module and requires byte-identical diagnostics and facts.
 // Map-iteration nondeterminism in the fixpoints or encoders would flap
-// vet's cache and CI; this runs under `make race` for the schedule
-// jitter.
+// CI; this runs under `make race` for the schedule jitter.
 func TestProtocolAnalyzersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the whole module")

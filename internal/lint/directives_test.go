@@ -24,15 +24,16 @@ var suppressors = map[string]string{
 }
 
 // TestEverySuppressionSuppresses drops each suppression directive in the
-// module's product code, one at a time, and requires its analyzer to
-// report at least one diagnostic without it. A directive that silences
-// nothing is dead weight that would also hide a future finding; and a
-// live one is the only guard some analyzers have on real product code.
+// module's code, test files included, one at a time, and requires its
+// analyzer to report at least one diagnostic without it. A directive
+// that silences nothing is dead weight that would also hide a future
+// finding; and a live one is the only guard some analyzers have on real
+// product code.
 func TestEverySuppressionSuppresses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the whole module once per directive")
 	}
-	pkgs := loadModule(t)
+	pkgs := loadPackages(t, nil, "./...")
 	byName := make(map[string]*analysis.Analyzer)
 	for _, a := range lint.Analyzers() {
 		byName[a.Name] = a
@@ -74,4 +75,5 @@ func TestEverySuppressionSuppresses(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("found no suppression directive in the module")
 	}
+	t.Logf("walked %d suppression directives", seen)
 }

@@ -34,10 +34,9 @@ import (
 // Analyzer flags writes through pointers that were already atomically
 // published.
 var Analyzer = &analysis.Analyzer{
-	Name:    "frozenpub",
-	Doc:     "an object published via atomic.Pointer/atomic.Value Store must not be written afterwards; annotate //cyclolint:pubsafe for sanctioned mutation",
-	Version: "1",
-	Run:     run,
+	Name: "frozenpub",
+	Doc:  "an object published via atomic.Pointer/atomic.Value Store must not be written afterwards; annotate //cyclolint:pubsafe for sanctioned mutation",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

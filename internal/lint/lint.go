@@ -21,8 +21,9 @@
 // a final check, and the engine attributes the ops to the goroutines that
 // run them. lockorder walks with the engine's labeled walk.
 //
-// Drivers (cmd/cyclolint standalone and vettool modes, linttest) consume
-// Analyzers(); the suite order is stable for deterministic output.
+// cmd/cyclolint and the module-wide tests run Analyzers() through
+// analysis.CheckPackage; the suite order is stable for deterministic
+// output.
 package lint
 
 import (

@@ -11,17 +11,19 @@
 //
 // Test packages type-check against the real module: imports of
 // cyclojoin/... (and the stdlib) resolve through the same export-data
-// importer the drivers use, so testdata can exercise analyzers against
+// importer cyclolint uses, so testdata can exercise analyzers against
 // the genuine relation.View, trace.Shard and metrics.Registry types.
+// Each fixture package runs through analysis.CheckPackage, the step
+// cyclolint runs per package.
 //
-// Two interprocedural features mirror the real drivers:
+// Two interprocedural features mirror cyclolint:
 //
 //   - Multi-package fixtures: a testdata package may import another one
 //     as "cyclolinttest/<pkg>"; the import resolves to the sibling
 //     testdata/src/<pkg> directory, type-checked from source. Run
 //     analyzes its packages in the listed order and threads analyzer
 //     facts between them, so list dependencies first and summaries cross
-//     the package boundary exactly as vetx facts do in go vet mode.
+//     the package boundary exactly as they do between module packages.
 //   - Suggested-fix goldens: RunFix applies every reported fix and
 //     compares each rewritten file byte-exactly against its
 //     <name>.go.golden sibling.
@@ -110,7 +112,7 @@ type harness struct {
 	fset    *token.FileSet
 	base    types.Importer
 	loaded  map[string]*load.Package // by full import path
-	facts   map[string][]byte        // by full import path
+	facts   analysis.Facts
 	srcRoot string
 }
 
@@ -120,7 +122,7 @@ func newHarness(t *testing.T) *harness {
 	h := &harness{
 		fset:    fset,
 		loaded:  make(map[string]*load.Package),
-		facts:   make(map[string][]byte),
+		facts:   make(analysis.Facts),
 		srcRoot: filepath.Join("testdata", "src"),
 	}
 	h.base = load.Importer(fset, nil, moduleExports(t))
@@ -159,7 +161,7 @@ func (h *harness) load(path string) (*load.Package, error) {
 	if len(filenames) == 0 {
 		return nil, fmt.Errorf("linttest: no Go files in %s", dir)
 	}
-	p, err := load.CheckFiles(h.fset, h, path, filenames)
+	p, err := load.CheckFiles(h.fset, h, path, filenames, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,21 +177,13 @@ func (h *harness) analyze(t *testing.T, a *analysis.Analyzer, pkg string) []anal
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      h.fset,
-		Files:     loaded.Files,
-		Pkg:       loaded.Types,
-		TypesInfo: loaded.TypesInfo,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFacts: func(p string) []byte { return h.facts[p] },
-		ExportFacts: func(data []byte) {
-			h.facts[path] = data
-		},
+	findings, err := analysis.CheckPackage([]*analysis.Analyzer{a}, loaded, h.facts, nil)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("linttest: %s on %s: %v", a.Name, pkg, err)
+	diags := make([]analysis.Diagnostic, len(findings))
+	for i, f := range findings {
+		diags[i] = f.Diagnostic
 	}
 	return diags
 }
@@ -199,7 +193,7 @@ func (h *harness) analyze(t *testing.T, a *analysis.Analyzer, pkg string) []anal
 func moduleExports(t *testing.T) map[string]string {
 	t.Helper()
 	root := moduleRoot(t)
-	exports, _, err := load.GoList(root, "./...")
+	exports, err := load.Exports(root, "./...")
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}

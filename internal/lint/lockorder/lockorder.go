@@ -37,7 +37,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
 	Doc:       "all mutexes must be acquired in one global order; a cycle in the acquisition graph is a potential deadlock",
-	Version:   "2",
 	UsesFacts: true,
 	Run:       run,
 }

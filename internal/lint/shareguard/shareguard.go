@@ -54,7 +54,6 @@ const ringqPkg = "cyclojoin/internal/ringq"
 var Analyzer = &analysis.Analyzer{
 	Name:      "shareguard",
 	Doc:       "a location reachable from two goroutine origins with a plain write needs a common guard: one lock class, atomic discipline, or a happens-before; annotate //cyclolint:sharesafe for sanctioned ownership",
-	Version:   "2",
 	UsesFacts: true,
 	Run: func(pass *analysis.Pass) error {
 		c := &checker{

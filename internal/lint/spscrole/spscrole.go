@@ -37,7 +37,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "spscrole",
 	Doc:       "a ringq.SPSC endpoint (push or pop) must be reachable from a single goroutine origin; annotate //cyclolint:role for sanctioned hand-offs",
-	Version:   "2",
 	UsesFacts: true,
 	Run: func(pass *analysis.Pass) error {
 		return dataflow.RunTable(pass, &dataflow.Table[string]{

@@ -8,7 +8,7 @@
 // on the stack. Materialize() is the single sanctioned way to take
 // ownership: its result deep-copies the data and may go anywhere.
 //
-// Version 2 runs on the internal/lint/dataflow IR. Every function gets a
+// It runs on the internal/lint/dataflow IR. Every function gets a
 // def-use flow graph; bottom-up summaries record, per parameter, whether
 // the callee escapes it (global store, channel send, goroutine handoff),
 // flows it to a result, or stores it into another parameter. Summaries
@@ -44,7 +44,6 @@ const relationPkg = "cyclojoin/internal/relation"
 var Analyzer = &analysis.Analyzer{
 	Name:      "viewescape",
 	Doc:       "a relation.View alias (or anything it flows into, across calls) must not outlive the buffer credit without Materialize()",
-	Version:   "3",
 	UsesFacts: true,
 	Run:       run,
 }

@@ -12,7 +12,7 @@ func TestViewEscape(t *testing.T) {
 }
 
 // TestViewEscapeCrossPackage threads dep's facts into use's pass, the
-// same way vetx facts flow in go vet mode.
+// same way cyclolint threads a module package's facts into its importers.
 func TestViewEscapeCrossPackage(t *testing.T) {
 	linttest.Run(t, viewescape.Analyzer, "viewdep/dep", "viewdep/use")
 }

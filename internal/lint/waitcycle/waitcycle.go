@@ -51,7 +51,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "waitcycle",
 	Doc:       "two goroutine origins that each block on an operation released only past the other's block form a static wait cycle; reorder the hand-off, buffer the channel, or annotate //cyclolint:waitsafe with the progress argument",
-	Version:   "2",
 	UsesFacts: true,
 	Run: func(pass *analysis.Pass) error {
 		escapes := make(map[*ast.SelectStmt]bool)

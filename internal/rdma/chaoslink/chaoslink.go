@@ -28,9 +28,7 @@ package chaoslink
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cyclojoin/internal/metrics"
@@ -53,62 +51,6 @@ var (
 	mRejects  = metrics.Default().Counter("chaoslink_rejected_posts_total", "posts refused because the link was already failed")
 	mHoldNs   = metrics.Default().Histogram("chaoslink_hold_ns", "injected per-frame delay", metrics.ExponentialBounds(1<<10, 4, 12))
 )
-
-// linkFaults tallies one link's injected faults across every dial (a
-// scenario wraps a fresh qp per dial; this table persists), so live health
-// surfaces (cyclotop, /health/live) can show which link the chaos schedule
-// is hitting without scraping Prometheus text.
-type linkFaults struct {
-	drops, delays atomic.Int64
-}
-
-var (
-	faultMu  sync.Mutex
-	faultTab = make(map[Link]*linkFaults)
-)
-
-func faultsFor(link Link) *linkFaults {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	lf := faultTab[link]
-	if lf == nil {
-		lf = &linkFaults{}
-		faultTab[link] = lf
-	}
-	return lf
-}
-
-// FaultCount is one link's cumulative injected-fault tally.
-type FaultCount struct {
-	Link          Link
-	Drops, Delays int64
-}
-
-// Total sums every fault kind.
-func (f FaultCount) Total() int64 { return f.Drops + f.Delays }
-
-// SnapshotFaults returns the per-link cumulative fault counts, sorted by
-// (From, To). Links that have injected nothing yet are included from the
-// moment they are wrapped.
-func SnapshotFaults() []FaultCount {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	out := make([]FaultCount, 0, len(faultTab))
-	for link, lf := range faultTab {
-		out = append(out, FaultCount{
-			Link:   link,
-			Drops:  lf.drops.Load(),
-			Delays: lf.delays.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.From != out[j].Link.From {
-			return out[i].Link.From < out[j].Link.From
-		}
-		return out[i].Link.To < out[j].Link.To
-	})
-	return out
-}
 
 // Link names one directed ring link, sender → receiver.
 type Link struct {
@@ -183,9 +125,8 @@ type qp struct {
 	link  Link
 	sc    Scenario
 	shard *trace.Shard
-	// lf is the link's persistent fault tally; the m* counters are the
-	// same tallies as Prometheus series labeled by kind and link.
-	lf                    *linkFaults
+	// mLinkDrop and mLinkDelay count the link's injected faults as
+	// Prometheus series labeled by kind and link.
 	mLinkDrop, mLinkDelay *metrics.Counter
 
 	cq chan rdma.Completion
@@ -206,7 +147,7 @@ type qp struct {
 	lastRelease time.Time
 }
 
-var _ rdma.BatchQueuePair = (*qp)(nil)
+var _ rdma.QueuePair = (*qp)(nil)
 
 // Wrap puts a fault schedule in front of inner's sending side. The
 // wrapper owns inner and closes it on Close.
@@ -219,7 +160,6 @@ func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 		cq:         make(chan rdma.Completion, rdma.CQDepth+16),
 		done:       make(chan struct{}),
 		shard:      trace.Flight().Shard(trace.NodeTransport, "chaos/"+link.String()),
-		lf:         faultsFor(link),
 		mLinkDrop:  metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "drop", "link", link.String()),
 		mLinkDelay: metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "delay", "link", link.String()),
 	}
@@ -367,7 +307,6 @@ func (q *qp) submit(buf *rdma.Buffer, forward func() error) error {
 		// and the inner link is torn down so the peer notices too.
 		mDrops.Inc()
 		q.mLinkDrop.Inc()
-		q.lf.drops.Add(1)
 		q.shard.Point(trace.PhaseFault, -1, -1, int64(o))
 		err := fmt.Errorf("chaoslink %s: dropped frame %d: %w", q.link, o, ErrInjected)
 		select {
@@ -397,7 +336,6 @@ func (q *qp) submit(buf *rdma.Buffer, forward func() error) error {
 		}
 		mDelays.Inc()
 		q.mLinkDelay.Inc()
-		q.lf.delays.Add(1)
 		mHoldNs.Observe(hold.Nanoseconds())
 		return nil
 	default:
@@ -414,7 +352,7 @@ func (q *qp) PostSend(b *rdma.Buffer) error {
 // through: faults are injected on the sending side only.
 func (q *qp) PostRecv(b *rdma.Buffer) error { return q.inner.PostRecv(b) }
 
-// PostSendBatch implements rdma.BatchQueuePair by unrolling the batch
+// PostSendBatch implements rdma.QueuePair by unrolling the batch
 // through the per-frame fault schedule: a batched doorbell must not let
 // frames slip past the ordinal/drop bookkeeping, so under chaos a batch
 // deliberately degrades to per-frame submits (correctness tier, not perf
@@ -429,13 +367,13 @@ func (q *qp) PostSendBatch(bufs []*rdma.Buffer) error {
 	return nil
 }
 
-// PostRecvBatch implements rdma.BatchQueuePair: receives carry no faults,
+// PostRecvBatch implements rdma.QueuePair: receives carry no faults,
 // so the batch goes straight through to the inner transport's batch verb.
 func (q *qp) PostRecvBatch(bufs []*rdma.Buffer) error {
-	return rdma.PostRecvBatch(q.inner, bufs)
+	return q.inner.PostRecvBatch(bufs)
 }
 
-// PollCQ implements rdma.BatchQueuePair: a non-blocking drain of the
+// PollCQ implements rdma.QueuePair: a non-blocking drain of the
 // wrapper CQ (which the pump feeds from the inner CQ, fault conversions
 // applied). A closed CQ reads as empty.
 func (q *qp) PollCQ(dst []rdma.Completion) int {

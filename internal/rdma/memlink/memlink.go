@@ -90,9 +90,7 @@ type link struct {
 	wg        sync.WaitGroup
 }
 
-var (
-	_ rdma.BatchQueuePair = (*link)(nil)
-)
+var _ rdma.QueuePair = (*link)(nil)
 
 // Pair returns two connected in-process queue pairs.
 func Pair() (a, b rdma.QueuePair) {
@@ -324,7 +322,7 @@ func (l *link) PostRecv(b *rdma.Buffer) error {
 	}
 }
 
-// PostSendBatch implements rdma.BatchQueuePair: the whole run crosses to
+// PostSendBatch implements rdma.QueuePair: the whole run crosses to
 // the DMA goroutine in one queue hand-off (one doorbell) instead of one
 // per frame. Runs longer than maxBatch split into several doorbells.
 //
@@ -360,7 +358,7 @@ func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
 	return nil
 }
 
-// PostRecvBatch implements rdma.BatchQueuePair. The receive queue is
+// PostRecvBatch implements rdma.QueuePair. The receive queue is
 // consumed buffer-at-a-time by the peer's DMA engine, so the batch form
 // is a single shutdown check plus the per-buffer enqueues — prefix-atomic
 // like the send side.
@@ -392,7 +390,7 @@ func (l *link) PostRecvBatch(bufs []*rdma.Buffer) error {
 	return nil
 }
 
-// PollCQ implements rdma.BatchQueuePair: a non-blocking drain of the
+// PollCQ implements rdma.QueuePair: a non-blocking drain of the
 // completion channel. A closed CQ reads as empty.
 //
 //cyclolint:hotpath

@@ -68,11 +68,13 @@ type Completion struct {
 }
 
 // QueuePair is the asynchronous, connection-oriented transport endpoint —
-// the shape of an RDMA RC queue pair reduced to the two verbs the Data
-// Roundabout needs.
+// the shape of an RDMA RC queue pair reduced to the verbs the Data
+// Roundabout needs: two-sided send and receive, each also as a batch
+// posted with one doorbell, and a completion queue reaped one at a time
+// or drained with one poll.
 //
 // Semantics all implementations must provide (the rdmatest package checks
-// them):
+// them; DESIGN.md §11 specifies the batch verbs):
 //
 //   - messages arrive exactly once, in posting order;
 //   - a receive completes only into a buffer the application posted
@@ -82,121 +84,44 @@ type Completion struct {
 //     eventually closed;
 //   - work requests still posted at Close are flushed: each one's buffer
 //     comes back through the completion queue with ErrFlushed before the
-//     channel closes, so a fault never strands pool buffers.
-type QueuePair interface {
-	// PostRecv hands a registered buffer to the transport for the next
-	// incoming message.
-	PostRecv(b *Buffer) error
-	// PostSend transmits b.Bytes() to the peer.
-	PostSend(b *Buffer) error
-	// Completions returns the completion queue. The channel is closed
-	// when the queue pair shuts down.
-	Completions() <-chan Completion
-	// Close shuts the queue pair down and releases its resources.
-	// Close is idempotent.
-	Close() error
-}
-
-// BatchQueuePair extends QueuePair with the doorbell-batching verbs of
-// real RNICs: post a linked list of work requests with one doorbell ring,
-// reap a whole completion-queue drain with one poll. The contract is
-// specified in DESIGN.md §11; the load-bearing points:
-//
-//   - Batches preserve order: PostSendBatch(a, b, c) is observably
+//     channel closes, so a fault never strands pool buffers;
+//   - batches preserve order: PostSendBatch(a, b, c) is observably
 //     identical to three PostSends back to back — the peer receives a, b,
-//     c in order, and each buffer gets its own completion.
-//   - Failure is prefix-atomic at post time: if validation rejects buffer
-//     i, buffers 0..i-1 are already posted (and will complete), buffers
-//     i.. are not posted and remain owned by the caller. The returned
-//     error identifies the first rejected request.
-//   - Asynchronous failure (link death mid-batch) follows the flush
-//     contract: every accepted buffer still returns through the CQ,
-//     carrying the wire error or ErrFlushed.
+//     c in order, and each buffer gets its own completion;
+//   - a batch fails prefix-atomically at post time: if buffer i is
+//     rejected, buffers 0..i-1 are already posted (and will complete),
+//     buffers i.. are not posted and remain owned by the caller, and the
+//     returned error identifies i;
 //   - PollCQ never blocks: it moves at most len(dst) already-available
 //     completions into dst and returns the count, 0 when the CQ is empty
 //     or the queue pair has shut down. It may be interleaved freely with
 //     channel receives from Completions(); each completion is delivered
 //     exactly once through exactly one of the two.
 //
-// Implementations that can batch natively (memlink: one queue hand-off
-// per batch; tcplink: one writev per batch) do so; the package-level
-// PostSendBatch/PostRecvBatch/PollCQ helpers fall back to per-buffer
-// verbs for plain QueuePairs (kerneltcp), so callers need not type-switch.
-type BatchQueuePair interface {
-	QueuePair
-	// PostSendBatch transmits each buffer's Bytes() in order with a
-	// single doorbell. One OpSend completion is raised per buffer.
-	PostSendBatch(bufs []*Buffer) error
+// Transports that can batch natively do (memlink: one queue hand-off per
+// batch; tcplink: one writev per batch); kerneltcp posts a batch buffer
+// by buffer.
+type QueuePair interface {
+	// PostRecv hands a registered buffer to the transport for the next
+	// incoming message.
+	PostRecv(b *Buffer) error
+	// PostSend transmits b.Bytes() to the peer.
+	PostSend(b *Buffer) error
 	// PostRecvBatch hands several registered buffers to the transport in
 	// one call. Buffers fill in posting order.
 	PostRecvBatch(bufs []*Buffer) error
+	// PostSendBatch transmits each buffer's Bytes() in order with a
+	// single doorbell. One OpSend completion is raised per buffer.
+	PostSendBatch(bufs []*Buffer) error
+	// Completions returns the completion queue. The channel is closed
+	// when the queue pair shuts down.
+	Completions() <-chan Completion
 	// PollCQ moves up to len(dst) available completions into dst without
 	// blocking and returns how many were moved.
 	PollCQ(dst []Completion) int
-}
-
-// PostSendBatch posts every buffer with one doorbell when qp batches
-// natively, else with per-buffer posts. Prefix-atomic on error either way.
-func PostSendBatch(qp QueuePair, bufs []*Buffer) error {
-	if len(bufs) == 0 {
-		return nil
-	}
-	if bqp, ok := qp.(BatchQueuePair); ok {
-		return bqp.PostSendBatch(bufs)
-	}
-	for i, b := range bufs {
-		if err := qp.PostSend(b); err != nil {
-			return fmt.Errorf("rdma: batch send %d/%d: %w", i, len(bufs), err)
-		}
-	}
-	return nil
-}
-
-// PostRecvBatch posts every receive buffer with one doorbell when qp
-// batches natively, else with per-buffer posts.
-func PostRecvBatch(qp QueuePair, bufs []*Buffer) error {
-	if len(bufs) == 0 {
-		return nil
-	}
-	if bqp, ok := qp.(BatchQueuePair); ok {
-		return bqp.PostRecvBatch(bufs)
-	}
-	for i, b := range bufs {
-		if err := qp.PostRecv(b); err != nil {
-			return fmt.Errorf("rdma: batch recv %d/%d: %w", i, len(bufs), err)
-		}
-	}
-	return nil
-}
-
-// PollCQ drains up to len(dst) available completions from qp without
-// blocking, returning how many landed in dst. For plain QueuePairs it
-// performs a non-blocking drain of the completion channel; a closed
-// channel reads as empty.
-//
-//cyclolint:hotpath
-func PollCQ(qp QueuePair, dst []Completion) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if bqp, ok := qp.(BatchQueuePair); ok {
-		return bqp.PollCQ(dst)
-	}
-	ch := qp.Completions()
-	n := 0
-	for n < len(dst) {
-		select {
-		case c, ok := <-ch:
-			if !ok {
-				return n
-			}
-			dst[n] = c
-			n++
-		default:
-			return n
-		}
-	}
-	return n
+	// Close shuts the queue pair down and releases its resources.
+	// Close is idempotent.
+	Close() error
 }
 
 // BufferedTransport marks queue pairs whose send completions can precede

@@ -146,9 +146,7 @@ type link struct {
 	pendingFail []rdma.Completion
 }
 
-var (
-	_ rdma.BatchQueuePair = (*link)(nil)
-)
+var _ rdma.QueuePair = (*link)(nil)
 
 // New wraps an established connection in a queue pair. The link owns the
 // connection and closes it on Close.
@@ -567,7 +565,7 @@ drainSends:
 	}
 }
 
-// PostSendBatch implements rdma.BatchQueuePair: the run is validated and
+// PostSendBatch implements rdma.QueuePair: the run is validated and
 // handed to writeLoop in maxBatch-sized chunks, one queue operation and
 // one writev per chunk. Prefix-atomic: on a validation reject at position
 // i, buffers 0..i-1 are posted (and will complete) and the error names i.
@@ -607,7 +605,7 @@ func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
 	return verr
 }
 
-// PostRecvBatch implements rdma.BatchQueuePair. Receive buffers are
+// PostRecvBatch implements rdma.QueuePair. Receive buffers are
 // consumed one at a time by the read loop, so the batch form is a single
 // shutdown check plus the per-buffer enqueues — prefix-atomic on error.
 //
@@ -631,7 +629,7 @@ func (l *link) PostRecvBatch(bufs []*rdma.Buffer) error {
 	return nil
 }
 
-// PollCQ implements rdma.BatchQueuePair: a non-blocking drain of the
+// PollCQ implements rdma.QueuePair: a non-blocking drain of the
 // completion channel. A closed CQ reads as empty.
 //
 //cyclolint:hotpath

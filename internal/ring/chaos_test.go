@@ -206,6 +206,15 @@ func TestChaosFlappingLinkRecovers(t *testing.T) {
 	if got := plan.Dials(chaoslink.Link{From: 1, To: 2}); got != 3 {
 		t.Errorf("flapping link dialed %d times, want 3", got)
 	}
+	for _, st := range r.Stats(nil) {
+		want := int64(0)
+		if st.Node == 1 {
+			want = 2 // the first two dials of 1→2 fail
+		}
+		if st.LinkFailures != want {
+			t.Errorf("node %d LinkFailures = %d, want %d", st.Node, st.LinkFailures, want)
+		}
+	}
 	assertPoolsWhole(t, r)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

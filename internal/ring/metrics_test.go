@@ -116,6 +116,7 @@ func statSums(rows []NodeStats) map[string]int64 {
 		out["ring_fragments_processed_total"] += int64(st.Processed)
 		out["ring_fragments_retired_total"] += int64(st.Retired)
 		out["ring_materializes_total"] += st.Materializes
+		out["ring_link_failures_total"] += st.LinkFailures
 		out["ring_wait_ns_sum"] += int64(st.WaitTime)
 		out["ring_process_ns_sum"] += int64(st.ProcessTime)
 		for _, c := range st.HopCounts {

@@ -73,6 +73,9 @@ type nodeMetrics struct {
 	// A node whose downstream neighbor lags shows it here first.
 	stallNs         *metrics.Counter
 	registeredBytes *metrics.Gauge
+	// linkFailures counts failures of the node's outbound link that Run
+	// took off the ring's error channel, recoverable or not.
+	linkFailures *metrics.Counter
 
 	// Zero-copy hot-path accounting: every received frame should be a
 	// view bind (no decode allocation), and every non-first hop a frame
@@ -105,6 +108,7 @@ func newNodeMetrics(ring string, id int) nodeMetrics {
 		stageNs:         r.Counter("ring_stage_ns_total", "post-Process staging time (forward copy, encode, retirement)", l...),
 		stallNs:         r.Counter("ring_stall_ns_total", "send-side backpressure: waiting for a free send buffer", l...),
 		registeredBytes: r.Gauge("ring_registered_bytes", "registered (pinned) buffer bytes per ring node", l...),
+		linkFailures:    r.Counter("ring_link_failures_total", "failures of the node's outbound link observed by Run", l...),
 		views:           r.Counter("ring_views_total", "received frames bound as allocation-free views of registered memory", l...),
 		forwards:        r.Counter("ring_forwards_total", "fragments forwarded by wire-frame copy and hops patch, no decode or re-encode", l...),
 		encodes:         r.Counter("ring_encodes_total", "fragments fully serialized into a send buffer (first hop of locally injected fragments)", l...),
@@ -377,6 +381,7 @@ func (n *node) start() error {
 		//cyclolint:viewsafe pooled views travel the pipeline with their buffer credit
 		n.procLoop()
 	}()
+	//cyclolint:viewsafe postRecvPool posts only unpinned receive buffers; a view's buffer stays pinned until its credit is released
 	if err := n.beginRecv(n.in); err != nil {
 		return err
 	}
@@ -416,7 +421,7 @@ func (n *node) postRecvPool(qp rdma.QueuePair) error {
 	// not be posted — their release will repost them through the new qp.
 	n.recvMu.Lock()
 	n.repost = qp.PostRecv
-	n.repostBatch = func(bufs []*rdma.Buffer) error { return rdma.PostRecvBatch(qp, bufs) }
+	n.repostBatch = qp.PostRecvBatch
 	n.repostQP = qp
 	post := make([]*rdma.Buffer, 0, len(n.recvBufs))
 	for _, b := range n.recvBufs {
@@ -425,7 +430,7 @@ func (n *node) postRecvPool(qp rdma.QueuePair) error {
 		}
 	}
 	n.recvMu.Unlock()
-	if err := rdma.PostRecvBatch(qp, post); err != nil {
+	if err := qp.PostRecvBatch(post); err != nil {
 		return fmt.Errorf("ring: node %d: post receive: %w", n.id, err)
 	}
 	return nil
@@ -564,7 +569,7 @@ func (n *node) recvLoop(qp rdma.QueuePair, stop, dead chan struct{}) {
 		// Bulk reap: one blocking receive, then drain whatever else the
 		// transport already completed — one receiver wakeup per burst.
 		batch[0] = c
-		m := 1 + rdma.PollCQ(qp, batch[1:])
+		m := 1 + qp.PollCQ(batch[1:])
 		for i := 0; i < m; i++ {
 			if err := n.acceptRecv(batch[i]); err != nil {
 				n.failLink(stop, false, qp, fmt.Errorf("ring: node %d: receive: %w", n.id, err))
@@ -1161,7 +1166,7 @@ func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}) {
 			n.beginSendSpan(ob)
 			bufs[i] = ob.staged
 		}
-		if err := rdma.PostSendBatch(qp, bufs[:m]); err != nil {
+		if err := qp.PostSendBatch(bufs[:m]); err != nil {
 			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post send: %w", n.id, err))
 			return
 		}
@@ -1199,7 +1204,7 @@ func (n *node) sendReaper(qp rdma.QueuePair, stop chan struct{}) {
 			return
 		}
 		batch[0] = c
-		m := 1 + rdma.PollCQ(qp, batch[1:])
+		m := 1 + qp.PollCQ(batch[1:])
 		for i := 0; i < m; i++ {
 			c := batch[i]
 			if c.Err == nil && c.Op == rdma.OpSend {

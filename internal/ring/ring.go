@@ -202,6 +202,9 @@ type NodeStats struct {
 	RegisteredBytes int64
 	// Materializes counts congestion fallbacks (no free send buffer).
 	Materializes int64
+	// LinkFailures counts failures of the node's outbound link (to the
+	// next ring position) that Run observed, recoverable or not.
+	LinkFailures int64
 	// QueueDepth is the join entity's input backlog right now.
 	QueueDepth int64
 	// HopBounds and HopCounts snapshot the hop-latency histogram
@@ -316,6 +319,7 @@ func (r *Ring) Stats(dst []NodeStats) []NodeStats {
 			StallTime:       time.Duration(n.m.stallNs.Value()),
 			RegisteredBytes: n.m.registeredBytes.Value(),
 			Materializes:    n.m.materializes.Value(),
+			LinkFailures:    n.m.linkFailures.Value(),
 			QueueDepth:      int64(n.procQ.Len() + n.injectQ.Len()),
 			HopBounds:       durationBounds,
 			HopCounts:       n.m.hopNs.Buckets(hops),
@@ -421,11 +425,13 @@ func (r *Ring) Run(perNode [][]*relation.Fragment) error {
 				// by ReplaceNode. It says nothing about this Run.
 				continue
 			}
+			if isLink {
+				r.nodes[lf.le.From].m.linkFailures.Inc()
+			}
 			if !isLink || !r.recoverable() {
 				_ = r.Close()
 				return fmt.Errorf("ring: run aborted: %w", err)
 			}
-			mLinkFailures.Inc()
 			if retries == nil {
 				retries = make(map[int]*linkRetry)
 			}
