@@ -178,10 +178,10 @@ bench-ring:
 # new baseline — benchmarks BASE does not have yet get no baseline row — so
 # a before/after row is one command: `make bench-kernels BASE=HEAD~1`.
 # benchring refuses to label a row from a dirty tree.
-KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|SortMergeHost|HashJoinSetup|HashJoinSetupRotating|HashJoinProbe|HashJoinProbeOrdered|HashJoinProbeZipf|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way|SQLAlternating)$$'
+KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|SortMergeHost|HashJoinSetup|HashJoinSetupRotating|HashJoinStationEmit|HashJoinProbe|HashJoinProbeOrdered|HashJoinProbeZipf|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way|SQLAlternating)$$'
 KERNEL_PKGS = . ./internal/relation
 KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
-	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), the sort-merge merge as a ring host of sortmerge_band runs it (100 k of S in a 1.6 M key domain, band ±2, against a fragment ordered by SetupRotating, counted and emitted, counted under a band of ±1000, and the Station of that share), the hash probe as a ring host runs it (one host-share of S against a fragment ordered by SetupRotating, counted and emitted; the price of that order; and the same probe against Zipf-skewed S), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) a three-way SQL count in the three shapes that rule tells apart (even tables both cold, every table registered again before each op, and warm, on tables the engine keeps stationed), and that count alternating with a two-way count over two of its tables on one engine; stations/op is core setup calls per op. Medians of -count 5; baseline is the parent of the last change to any of them.'
+	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), the sort-merge merge as a ring host of sortmerge_band runs it (100 k of S in a 1.6 M key domain, band ±2, against a fragment ordered by SetupRotating, counted and emitted, counted under a band of ±1000, and the Station of that share), the hash probe as a ring host runs it (one host-share of S against a fragment ordered by SetupRotating, counted and emitted; the price of that order; what the emit path pays from nothing, that share stationed, the fragment ordered and one emitting Join that places the payloads; and the same probe against Zipf-skewed S), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) a three-way SQL count in the three shapes that rule tells apart (even tables both cold, every table registered again before each op, and warm, on tables the engine keeps stationed), and that count alternating with a two-way count over two of its tables on one engine; stations/op is core setup calls per op. Medians of -count 5; baseline is the parent of the last change to any of them.'
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	if [ -n "$(BASE)" ]; then \

@@ -458,6 +458,28 @@ func BenchmarkHashJoinSetupRotating(b *testing.B) {
 	}
 }
 
+// BenchmarkHashJoinStationEmit is what the emit path pays from nothing for
+// one host share (hash_mem's 250 k): S stationed, a fragment of R ordered
+// whole, and one emitting Join, which places S's payloads first.
+func BenchmarkHashJoinStationEmit(b *testing.B) {
+	r, s := benchRelations(b, 250_000)
+	b.SetBytes(int64(r.Bytes() + s.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, join.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Join(rot, emitOnly{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHashJoinProbeZipf is the probe's skew guard: S is Zipf-distributed,
 // so its buckets get long; R stays uniform, so the match count does not go
 // quadratic and ns/probe stays comparable across z.

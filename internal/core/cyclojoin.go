@@ -14,7 +14,10 @@
 //     Rotating is the rotating fragments reorganized on their home hosts
 //     (ordered by hash or key prefix — SetupRotating). Because the
 //     reorganized fragments travel the ring, this work is invested once and
-//     amortized over every hop (§IV-D).
+//     amortized over every hop (§IV-D). A revolution whose collectors only
+//     count ships and reads keys alone, so the setup orders only keys: a
+//     stationary share places its payloads, and a Rotating orders its whole
+//     tuples, the first time a collector that reads them needs them.
 //   - Revolve runs the join phase: one full revolution of a Rotating against
 //     an ordered list of Sides. The hosts read the handles for that
 //     revolution only, so a cluster serves any number of stationed sides, a
@@ -40,6 +43,7 @@ import (
 	"time"
 
 	"cyclojoin/internal/join"
+	"cyclojoin/internal/join/layout"
 	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/ring"
@@ -130,17 +134,24 @@ type Side struct {
 	hosts []join.Stationary // by host
 }
 
-// Rotating is a rotating relation after the setup phase: its fragments,
-// reorganized on their home hosts, and their key-column projections. It
-// serves any number of revolutions until a host is replaced, one revolution
-// at a time: the ring counts a fragment's hops in the fragment.
+// Rotating is a rotating relation after the setup phase: its fragments'
+// key columns, reorganized on their home hosts, and the fragments
+// themselves, reorganized whole on the first revolution that ships tuples.
+// It serves any number of revolutions until a host is replaced, one
+// revolution at a time: the ring counts a fragment's hops in the fragment.
 type Rotating struct {
 	origin
-	// rotating are the reorganized fragments, by home node.
-	rotating [][]*relation.Fragment
-	// rotatingKeys are the same fragments projected onto their key column
-	// (relation.KeysOnly: aliases, no tuple copied), each its own Fragment.
+	// rotatingKeys are the fragments' key columns, reorganized, each its own
+	// Fragment, by home node: what a revolution of counters ships.
 	rotatingKeys [][]*relation.Fragment
+	// fragments are the caller's fragments, by home node, until ordering
+	// reorganizes them into rotating, in tookOrdering or failing with
+	// orderErr; then nil.
+	fragments    [][]*relation.Fragment
+	ordering     sync.Once
+	rotating     [][]*relation.Fragment
+	tookOrdering time.Duration
+	orderErr     error
 }
 
 // staged names the rotating handle Station leaves for Rotate; Cluster
@@ -367,12 +378,11 @@ func (c *Cluster) setup(sFrags []*relation.Fragment, rFrags [][]*relation.Fragme
 	}
 	var rot *Rotating
 	if rFrags != nil {
-		rot = &Rotating{origin: at, rotating: make([][]*relation.Fragment, c.cfg.Nodes), rotatingKeys: make([][]*relation.Fragment, c.cfg.Nodes)}
+		rot = &Rotating{origin: at, fragments: rFrags, rotatingKeys: make([][]*relation.Fragment, c.cfg.Nodes)}
 	}
 	err := parallel(c.cfg.Nodes, func(i int) error {
-		opts := c.joinOpts(i)
 		if side != nil {
-			st, err := c.cfg.Algorithm.SetupStationary(sFrags[i].Rel, c.cfg.Predicate, opts)
+			st, err := c.cfg.Algorithm.SetupStationary(sFrags[i].Rel, c.cfg.Predicate, c.joinOpts(i))
 			if err != nil {
 				return fmt.Errorf("cyclojoin: host %d: setup stationary: %w", i, err)
 			}
@@ -381,31 +391,66 @@ func (c *Cluster) setup(sFrags []*relation.Fragment, rFrags [][]*relation.Fragme
 		if rot == nil {
 			return nil
 		}
-		rotated := make([]*relation.Fragment, len(rFrags[i]))
-		keyed := make([]*relation.Fragment, len(rFrags[i]))
-		for j, f := range rFrags[i] {
-			rel := f.Rel
-			if !c.cfg.SkipRotatingSetup {
-				var err error
-				rel, err = c.cfg.Algorithm.SetupRotating(f.Rel, c.cfg.Predicate, opts)
-				if err != nil {
-					return fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
-				}
-			}
-			if p == ByKey {
-				// Stable, so the kernel's order survives inside each range.
-				rel = relation.OrderByOwner(rel, c.cfg.Nodes)
-			}
-			rotated[j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
-			keyed[j] = &relation.Fragment{Rel: rel.KeysOnly(), Index: f.Index, Of: f.Of}
-		}
-		rot.rotating[i], rot.rotatingKeys[i] = rotated, keyed
-		return nil
+		var err error
+		rot.rotatingKeys[i], err = c.reorganize(i, rFrags[i], true, p)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return side, rot, nil
+}
+
+// reorganize is host i's setup of its rotating fragments frags, whole or
+// their key columns alone: the kernel's order, unless the fragment's whole
+// tuples stay cached (the one order-or-leave decision, so a key column is
+// ordered exactly when its tuples would be) or the ablation skips it, then
+// under ByKey the order by owner.
+func (c *Cluster) reorganize(i int, frags []*relation.Fragment, keysOnly bool, p Placement) ([]*relation.Fragment, error) {
+	opts := c.joinOpts(i)
+	out := make([]*relation.Fragment, len(frags))
+	for j, f := range frags {
+		rel := f.Rel
+		if keysOnly {
+			rel = rel.KeysOnly()
+		}
+		if !c.cfg.SkipRotatingSetup && !layout.StaysCached(f.Rel.Bytes(), opts) {
+			// Decided: an L2 of one byte keeps the kernel from deciding again
+			// on the key column's smaller size.
+			ordered := opts
+			ordered.L2CacheBytes = 1
+			var err error
+			if rel, err = c.cfg.Algorithm.SetupRotating(rel, c.cfg.Predicate, ordered); err != nil {
+				return nil, fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
+			}
+		}
+		if p == ByKey {
+			// Stable, so the kernel's order survives inside each range.
+			rel = relation.OrderByOwner(rel, c.cfg.Nodes)
+		}
+		out[j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
+	}
+	return out, nil
+}
+
+// tuples returns rot's fragments reorganized whole, reorganizing them on
+// every host in parallel on the first call, and how long that took on the
+// call that did it — zero on every other.
+func (c *Cluster) tuples(rot *Rotating) (rotating [][]*relation.Fragment, took time.Duration, err error) {
+	rot.ordering.Do(func() {
+		start := time.Now()
+		rotated := make([][]*relation.Fragment, c.cfg.Nodes)
+		rot.orderErr = parallel(c.cfg.Nodes, func(i int) (err error) {
+			rotated[i], err = c.reorganize(i, rot.fragments[i], false, rot.placement)
+			return err
+		})
+		if rot.orderErr == nil {
+			rot.rotating = rotated
+		}
+		rot.fragments = nil
+		took = time.Since(start)
+	})
+	return rot.rotating, took, rot.orderErr
 }
 
 // parallel runs f(0) … f(n-1) concurrently and returns the error of the
@@ -440,7 +485,8 @@ func (c *Cluster) stage(rot *Rotating, sides []*Side, took time.Duration) {
 type Result struct {
 	// SetupTime is the wall-clock duration of the most recent Station for
 	// Rotate, and zero for Revolve, whose handles may serve many
-	// revolutions.
+	// revolutions; for either, plus the time the rotating handle took to
+	// order its whole tuples if this revolution was the first to ship them.
 	SetupTime time.Duration
 	// JoinTime is the wall-clock duration of the revolution.
 	JoinTime time.Duration
@@ -562,6 +608,18 @@ func (c *Cluster) revolve(rot *Rotating, sides []*Side, collect func(node int) j
 			countOnly = false
 		}
 	}
+	rotating := rot.rotatingKeys
+	if countOnly {
+		mKeyRevolutions.Inc()
+	} else {
+		var took time.Duration
+		var err error
+		if rotating, took, err = c.tuples(rot); err != nil {
+			return nil, err
+		}
+		setup += took
+		mTupleRevolutions.Inc()
+	}
 	k := len(sides)
 	shares := make([]join.Stationary, len(c.hosts)*k) // one allocation for every host's shares
 	for i, h := range c.hosts {
@@ -577,13 +635,6 @@ func (c *Cluster) revolve(rot *Rotating, sides []*Side, collect func(node int) j
 			h.set(nil, false, nil, nil)
 		}
 	}()
-	rotating := rot.rotating
-	if countOnly {
-		rotating = rot.rotatingKeys
-		mKeyRevolutions.Inc()
-	} else {
-		mTupleRevolutions.Inc()
-	}
 	start := time.Now()
 	if err := c.ring.Run(rotating); err != nil {
 		var pe *ring.PartialError

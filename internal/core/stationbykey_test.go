@@ -288,9 +288,9 @@ func ownerOrdered(rel *relation.Relation, nodes int) bool {
 
 // TestOwnerOrderIsNotOptional: the owner slice a host takes is only correct
 // on owner-ordered fragments, so SetupRotating under ByKey orders every
-// fragment a host injects — with and without the kernel's own
-// reorganization — and Station never does (a position-placed revolution
-// ships what the parent shipped).
+// fragment a host injects, its key column and its whole tuples — with and
+// without the kernel's own reorganization — and Station never does (a
+// position-placed revolution ships what the parent shipped).
 func TestOwnerOrderIsNotOptional(t *testing.T) {
 	const nodes = 3
 	rng := rand.New(rand.NewSource(13))
@@ -320,7 +320,11 @@ func TestOwnerOrderIsNotOptional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for host, frags := range rot.rotating {
+		rotating, _, err := c.tuples(rot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for host, frags := range rotating {
 			for j, f := range frags {
 				if !ownerOrdered(f.Rel, nodes) || !ownerOrdered(rot.rotatingKeys[host][j].Rel, nodes) {
 					t.Errorf("skip=%v: host %d's fragment %d is not owner-ordered under ByKey", skip, host, j)
@@ -338,7 +342,11 @@ func TestOwnerOrderIsNotOptional(t *testing.T) {
 		if err := c.Station(sFrags, rFrags); err != nil {
 			t.Fatal(err)
 		}
-		for host, frags := range c.rotating {
+		staged, _, err := c.tuples(c.staged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for host, frags := range staged {
 			for j, f := range frags {
 				if skip && f.Rel != rFrags[host][j].Rel {
 					t.Errorf("Station under SkipRotatingSetup copied host %d's fragment %d", host, j)

@@ -76,8 +76,7 @@ func bucketOrdered(r *relation.Relation, rule layout.Rule) ([]uint64, []byte) {
 // CheckLayout stations s through alg, a kernel built on package layout, and
 // checks the layout's contract under whatever rule alg chose: the columns
 // are the stable bucket order of s — no tuple lost, repeated or separated
-// from its payload, every payload width packed into the row-number slot or
-// gathered — the directory tiles [0, n) in bucket order with every key in
+// from its payload, whatever the payload width place moves — the directory tiles [0, n) in bucket order with every key in
 // the bucket its id names, SetupRotating orders s the same way, and s is
 // left alone. It returns the stationed fragment for the kernel's checks of
 // its own rule.

@@ -7,11 +7,15 @@
 // A Rule maps a key to its bucket, id(k) = ((k − Base)·Mul) >> Shift:
 // hashjoin takes the top bits of a Fibonacci hash of the key (Base 0), and
 // sortmerge a key prefix over the fragment's key range (Mul 1), which is
-// monotone in the key. Order moves a relation's key and payload columns into
-// bucket order, the tuples of one bucket in input order, in two stable,
-// parallel counting-sort passes, and writes a directory of bucket starts as
-// a by-product: dir[b] is the row of bucket b's first tuple and dir[b+1]
-// ends it.
+// monotone in the key. Order moves a relation's key column into bucket
+// order, the keys of one bucket in input order, in two stable, parallel
+// counting-sort passes, and writes a directory of bucket starts as a
+// by-product: dir[b] is the row of bucket b's first tuple and dir[b+1] ends
+// it. Place moves the payload column into the same order in one pass over
+// the input, with a copy of the directory as cursors: tuple i lands at
+// cur[id(kᵢ)]++. A stationary fragment places its payloads the first time a
+// collector that reads them probes it, so a fragment that is only ever
+// counted never moves a payload byte.
 //
 // A probe asks for the stationary keys in a range [lo, hi]: [r, r] for an
 // equi-join, [r ⊖ w, r ⊕ w] for a band, saturating at both ends of the key
@@ -66,10 +70,11 @@ type Probe struct {
 	Probes, Overflow *metrics.Counter
 }
 
-// Stationary is a stationed fragment: its columns in bucket order, its
-// bucket directory and its probe. Station writes it; the probe workers Join
-// launches later only read it, and the setup-then-join contract is the
-// happens-before edge.
+// Stationary is a stationed fragment: its key column in bucket order, its
+// bucket directory and its probe, and its input, whose payloads it places in
+// the same order the first time a collector that reads them probes it.
+// Station writes it; the probe workers Join launches later only read it, and
+// the setup-then-join contract is the happens-before edge.
 type Stationary struct {
 	Probe
 	rule Rule
@@ -79,19 +84,28 @@ type Stationary struct {
 	// length is one more than a whole number of second-pass blocks, so its
 	// last buckets may be empty.
 	//
-	// dir, keys and pay are built during SetupStationary and read-only
-	// once Join's probe workers start.
+	// dir and keys are built during SetupStationary and read-only once
+	// Join's probe workers start.
 	dir  []uint32
 	keys []uint64
-	pay  []byte
-	payW int
+	// in is the input relation until its payloads are placed. placing
+	// places them into pay, once, before the first emitting probe worker
+	// starts; pay is read-only after.
+	in      *relation.Relation
+	placing sync.Once
+	pay     []byte
+	payW    int
 	// shards is one flight-recorder track per probe worker (index = worker):
 	// Join runs the probe phase concurrently and shards are single-producer.
 	shards []*trace.Shard
 }
 
-// CheckRows rejects relations whose row numbers do not fit the 32-bit row
-// index and directory offsets.
+// mPlacements answers "did a collector that reads payloads make a Station
+// move them": a fragment that is only ever counted never does.
+var mPlacements = metrics.Default().Counter("layout_payload_placements_total", "stationary fragments whose payloads were placed for a collector that reads them")
+
+// CheckRows rejects relations whose row numbers do not fit the 32-bit
+// directory offsets and placement cursors.
 func CheckRows(n int) error {
 	if uint64(n) > math.MaxUint32 {
 		return fmt.Errorf("join: cannot index %d rows: row numbers are 32 bits wide", n)
@@ -128,19 +142,28 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 	if err := CheckRows(r.Len()); err != nil {
 		return nil, err
 	}
-	keys, pay := order(r, rule(r.Keys()), nil, Workers(opts, r.Len()))
+	ru := rule(r.Keys())
+	sc := scratchPool.Get().(*scratch)
+	sc.dir = grown(sc.dir, dirLen(ru.Buckets))
+	keys := order(sc, r.Keys(), ru, sc.dir, Workers(opts, r.Len()))
+	pay := make([]byte, len(r.PayloadColumn()))
+	place(pay, r, sc.dir, ru)
+	scratchPool.Put(sc)
 	return relation.Wrap(r.Schema(), keys, pay)
 }
 
-// Station orders s by rule into a Stationary for probe. A relation of 2³²
-// rows or more is an error.
+// Station orders the keys of s by rule into a Stationary for probe; it
+// keeps s to place its payloads from. A relation of 2³² rows or more is an
+// error.
 func Station(s *relation.Relation, rule Rule, probe Probe, opts join.Options) (*Stationary, error) {
 	if err := CheckRows(s.Len()); err != nil {
 		return nil, err
 	}
 	dir := make([]uint32, dirLen(rule.Buckets))
-	st := &Stationary{Probe: probe, rule: rule, top: uint64(len(dir) - 2), dir: dir, payW: s.Schema().PayloadWidth}
-	st.keys, st.pay = order(s, rule, dir, Workers(opts, s.Len()))
+	st := &Stationary{Probe: probe, rule: rule, top: uint64(len(dir) - 2), dir: dir, in: s, payW: s.Schema().PayloadWidth}
+	sc := scratchPool.Get().(*scratch)
+	st.keys = order(sc, s.Keys(), rule, dir, Workers(opts, s.Len()))
+	scratchPool.Put(sc)
 	st.shards = make([]*trace.Shard, opts.Workers())
 	for w := range st.shards {
 		st.shards[w] = opts.FlightRecorder().Shard(opts.TraceNode, "join/"+probe.Phase.String()+"/"+strconv.Itoa(w))
@@ -148,16 +171,33 @@ func Station(s *relation.Relation, rule Rule, probe Probe, opts join.Options) (*
 	return st, nil
 }
 
-// Bytes implements join.Stationary: the ordered copy plus the directory.
+// Bytes implements join.Stationary: the ordered copy, payloads placed or
+// not, plus the directory — what shipping the structure would cost (§IV-D).
 func (st *Stationary) Bytes() int {
-	return len(st.keys)*8 + len(st.pay) + len(st.dir)*4
+	return len(st.keys)*(8+st.payW) + len(st.dir)*4
 }
 
 // Layout is the fragment as Station left it — its rule, its columns in
-// bucket order and its directory — for checking; the caller must not write
-// them.
+// bucket order, the payloads placed if they were not yet, and its directory
+// — for checking; the caller must not write them.
 func (st *Stationary) Layout() (rule Rule, keys []uint64, pay []byte, dir []uint32) {
-	return st.rule, st.keys, st.pay, st.dir
+	return st.rule, st.keys, st.placed(), st.dir
+}
+
+// placed returns the payload column in bucket order, placing it on the first
+// call: from then on the fragment no longer needs its input.
+func (st *Stationary) placed() []byte {
+	st.placing.Do(func() {
+		sc := scratchPool.Get().(*scratch)
+		sc.dir = grown(sc.dir, len(st.dir))
+		copy(sc.dir, st.dir)
+		st.pay = make([]byte, len(st.in.PayloadColumn()))
+		place(st.pay, st.in, sc.dir, st.rule)
+		scratchPool.Put(sc)
+		st.in = nil
+		mPlacements.Inc()
+	})
+	return st.pay
 }
 
 // topBits is the widest first-pass digit of the ordering: the high part of
@@ -180,25 +220,24 @@ func dirLen(buckets int) int {
 	return fan<<low + 1
 }
 
-// scratch is the working set of one ordering besides its output.
+// scratch is the working set of one ordering or placement besides its
+// output.
 type scratch struct {
-	// keys and vals[0] receive the first pass, vals[1] the second. A val is
-	// what travels beside a key: the tuple's payload when that fits, else
-	// the input row it came from.
+	// keys receives the first pass.
 	keys []uint64
-	vals [2][]uint32
 	// hist is one histogram of the first-pass digit per worker, turned into
 	// scatter offsets in place; starts is where each first-pass block begins.
 	hist   []uint32
 	starts []uint32
 	// cursors is one block of second-pass scatter offsets per worker.
 	cursors []uint32
-	// dir is the directory of an ordering whose caller keeps none.
+	// dir is the directory of an ordering whose caller keeps none, or a copy
+	// of a kept one: either way place uses it up as its cursors.
 	dir []uint32
 }
 
-// scratchPool recycles scratch across orderings, so an ordering allocates
-// nothing but its output once the pool is warm.
+// scratchPool recycles scratch across orderings and placements, so either
+// allocates nothing but its output once the pool is warm.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func grown[T any](s []T, n int) []T {
@@ -208,45 +247,28 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// order returns the key and payload columns of rel in the bucket order of
-// rule, the tuples of one bucket in input order, using exactly `workers`
-// chunks: one pass on the top digit of the bucket id into scratch, then a
-// counting sort of each of its blocks by the rest of the id straight into
-// the output. dir, of dirLen(rule.Buckets) entries, receives the offset of
-// every bucket; nil stands for a directory nobody keeps.
-func order(rel *relation.Relation, rule Rule, dir []uint32, workers int) ([]uint64, []byte) {
-	n, payW := rel.Len(), rel.Schema().PayloadWidth
-	in, inPay := rel.Keys(), rel.PayloadColumn()
+// order returns keys in the bucket order of rule, the keys of one bucket in
+// input order, using sc and exactly `workers` chunks: one pass on the top
+// digit of the bucket id into scratch, then a counting sort of each of its
+// blocks by the rest of the id straight into the output. dir, of
+// dirLen(rule.Buckets) entries, receives the offset of every bucket.
+func order(sc *scratch, in []uint64, rule Rule, dir []uint32, workers int) []uint64 {
+	n := len(in)
 	fan, low := digits(rule.Buckets)
 	sub := 1 << low // buckets in each first-pass block
 	first := rule
 	first.Shift += uint(low)
 	keys := make([]uint64, n)
 
-	sc := scratchPool.Get().(*scratch)
 	sc.keys = grown(sc.keys, n)
-	sc.vals[0], sc.vals[1] = grown(sc.vals[0], n), grown(sc.vals[1], n)
 	sc.hist = grown(sc.hist, workers*fan)
 	sc.starts = grown(sc.starts, fan+1)
 	sc.cursors = grown(sc.cursors, workers*sub)
-	if dir == nil {
-		sc.dir = grown(sc.dir, fan*sub+1)
-		dir = sc.dir
-	}
-	// A payload of at most four bytes rides through both passes in the
-	// row-number slot: vals[1] is free until the second pass writes it.
-	var packed []uint32
-	if 0 < payW && payW <= 4 {
-		packed = sc.vals[1]
-	}
 
 	join.Chunks(n, workers, func(w, lo, hi int) {
 		h := sc.hist[w*fan : (w+1)*fan]
 		clear(h)
 		count(h, in[lo:hi], first)
-		if packed != nil {
-			pack(packed[lo:hi], inPay[lo*payW:hi*payW], payW)
-		}
 	})
 	// Exclusive prefix sum in (block, worker) order: worker w's run of a
 	// block follows worker w-1's, which keeps input order within it.
@@ -261,31 +283,17 @@ func order(rel *relation.Relation, rule Rule, dir []uint32, workers int) ([]uint
 	}
 	sc.starts[fan] = at
 	join.Chunks(n, workers, func(w, lo, hi int) {
-		var vals []uint32
-		if packed != nil {
-			vals = packed[lo:hi]
-		}
-		scatter(sc.keys, sc.vals[0], in[lo:hi], vals, uint32(lo), sc.hist[w*fan:(w+1)*fan], first)
+		scatter(sc.keys, in[lo:hi], sc.hist[w*fan:(w+1)*fan], first)
 	})
-	pay := make([]byte, n*payW)
 	join.Chunks(fan, workers, func(w, lo, hi int) {
 		cur := sc.cursors[w*sub : (w+1)*sub]
 		for blk := lo; blk < hi; blk++ {
 			from, to := int(sc.starts[blk]), int(sc.starts[blk+1])
-			vals := sc.vals[1][from:to]
-			sortBlock(keys[from:to], vals, dir[blk*sub:(blk+1)*sub],
-				sc.keys[from:to], sc.vals[0][from:to], cur, uint32(from), rule)
-			// While the block's vals are still in the cache.
-			if packed != nil {
-				unpack(pay[from*payW:to*payW], vals, payW)
-			} else {
-				join.GatherPayload(pay[from*payW:to*payW], inPay, vals, payW)
-			}
+			sortBlock(keys[from:to], dir[blk*sub:(blk+1)*sub], sc.keys[from:to], cur, uint32(from), rule)
 		}
 	})
 	dir[fan*sub] = uint32(n)
-	scratchPool.Put(sc)
-	return keys, pay
+	return keys
 }
 
 // count adds the first-pass block of every key to h.
@@ -297,77 +305,27 @@ func count(h []uint32, keys []uint64, rule Rule) {
 	}
 }
 
-// pack writes payload i of pay, w ≤ 4 bytes wide, to vals[i], little-endian.
+// scatter moves each key to the next free slot of its first-pass block; off
+// holds the caller's next slot per block.
 //
 //cyclolint:hotpath
-func pack(vals []uint32, pay []byte, w int) {
-	if w == 4 {
-		for i := range vals {
-			vals[i] = binary.LittleEndian.Uint32(pay[i*4:])
-		}
-		return
-	}
-	for i := range vals {
-		var v uint32
-		for j, c := range pay[i*w : (i+1)*w] {
-			v |= uint32(c) << (8 * j)
-		}
-		vals[i] = v
-	}
-}
-
-// unpack is pack's inverse: payload i of pay becomes the low w bytes of
-// vals[i].
-//
-//cyclolint:hotpath
-func unpack(pay []byte, vals []uint32, w int) {
-	if w == 4 {
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(pay[i*4:], v)
-		}
-		return
-	}
-	for i, v := range vals {
-		for j := range pay[i*w : (i+1)*w] {
-			pay[i*w+j] = byte(v >> (8 * j))
-		}
-	}
-}
-
-// scatter moves each key, with its val, to the next free slot of its
-// first-pass block; off holds the caller's next slot per block. Key i's val
-// is vals[i], or its row number first+i when vals is nil.
-//
-//cyclolint:hotpath
-func scatter(dstKeys []uint64, dstVals []uint32, keys []uint64, vals []uint32, first uint32, off []uint32, rule Rule) {
-	if vals == nil {
-		for i, k := range keys {
-			c := rule.ID(k)
-			at := off[c]
-			off[c] = at + 1
-			dstKeys[at] = k
-			dstVals[at] = first + uint32(i)
-		}
-		return
-	}
-	vals = vals[:len(keys)]
-	for i, k := range keys {
+func scatter(dst, keys []uint64, off []uint32, rule Rule) {
+	for _, k := range keys {
 		c := rule.ID(k)
 		at := off[c]
 		off[c] = at + 1
-		dstKeys[at] = k
-		dstVals[at] = vals[i]
+		dst[at] = k
 	}
 }
 
 // sortBlock is the second pass over one first-pass block: a counting sort of
-// its (key, val) pairs by the low bits of the bucket id into dstKeys and
-// dstVals, the block's stretch of the output, which starts at offset base.
-// dir is the block's slice of the directory and receives the start of each
-// of its buckets; cur is scratch of the same length.
+// its keys by the low bits of the bucket id into dst, the block's stretch of
+// the output, which starts at offset base. dir is the block's slice of the
+// directory and receives the start of each of its buckets; cur is scratch of
+// the same length.
 //
 //cyclolint:hotpath
-func sortBlock(dstKeys []uint64, dstVals, dir []uint32, keys []uint64, vals, cur []uint32, base uint32, rule Rule) {
+func sortBlock(dst []uint64, dir []uint32, keys []uint64, cur []uint32, base uint32, rule Rule) {
 	mask := uint64(len(cur) - 1)
 	clear(cur)
 	for _, k := range keys {
@@ -378,13 +336,46 @@ func sortBlock(dstKeys []uint64, dstVals, dir []uint32, keys []uint64, vals, cur
 		dir[b], cur[b] = base+at, at
 		at += n
 	}
-	vals = vals[:len(keys)]
-	for i, k := range keys {
+	for _, k := range keys {
 		b := rule.ID(k) & mask
 		at := cur[b]
 		cur[b] = at + 1
-		dstKeys[at] = k
-		dstVals[at] = vals[i]
+		dst[at] = k
+	}
+}
+
+// place writes the payloads of rel to pay in the bucket order of rule, the
+// tuples of one bucket in input order — the order order gave their keys — in
+// one pass over rel: tuple i lands at cur[id(kᵢ)]++. cur starts as a copy of
+// the directory order wrote and is used up. The two widths the workloads use
+// most move as one word.
+//
+//cyclolint:hotpath
+func place(pay []byte, rel *relation.Relation, cur []uint32, rule Rule) {
+	keys, in, w := rel.Keys(), rel.PayloadColumn(), rel.Schema().PayloadWidth
+	switch w {
+	case 0:
+	case 4:
+		for i, k := range keys {
+			b := rule.ID(k)
+			at := int(cur[b])
+			cur[b]++
+			binary.LittleEndian.PutUint32(pay[at*4:], binary.LittleEndian.Uint32(in[i*4:]))
+		}
+	case 8:
+		for i, k := range keys {
+			b := rule.ID(k)
+			at := int(cur[b])
+			cur[b]++
+			binary.LittleEndian.PutUint64(pay[at*8:], binary.LittleEndian.Uint64(in[i*8:]))
+		}
+	default:
+		for i, k := range keys {
+			b := rule.ID(k)
+			at := int(cur[b])
+			cur[b]++
+			copy(pay[at*w:(at+1)*w], in[i*w:(i+1)*w])
+		}
 	}
 }
 
@@ -394,6 +385,10 @@ func (st *Stationary) Join(r *relation.Relation, c join.Collector) error {
 	n := r.Len()
 	st.Probes.Add(int64(n))
 	counter, _ := c.(join.MatchCounter)
+	if counter == nil {
+		// Before any worker starts: they read pay.
+		st.placed()
+	}
 	join.Chunks(n, min(len(st.shards), n), func(w, lo, hi int) {
 		sh := st.shards[w]
 		pd := sh.Begin(st.Phase)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"cyclojoin/internal/join"
@@ -201,6 +202,96 @@ func TestEmitOrder(t *testing.T) {
 			}
 			if !slices.Equal(got.rows, want) {
 				t.Errorf("%s, %s: matches not handed over in ascending position", k.name, p)
+			}
+		}
+	}
+}
+
+// matches records, in order, every match an emitting probe hands over, as
+// its (rKey, sKey, rPay, sPay) bytes.
+type matches struct {
+	mu   sync.Mutex
+	seen []byte
+}
+
+func (m *matches) Emit(rKey, sKey uint64, rPay, sPay []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.seen = binary.LittleEndian.AppendUint64(m.seen, rKey)
+	m.seen = binary.LittleEndian.AppendUint64(m.seen, sKey)
+	m.seen = append(append(m.seen, rPay...), sPay...)
+}
+
+// TestCountingNeverPlaces: under both rules and every payload width place
+// moves differently, a stationed fragment that is only ever counted never
+// places its payloads; its first emitting probe places them, and a count
+// after it hands an emitting collector the (rKey, sKey, rPay, sPay) sequence
+// a fragment that was never counted hands it.
+func TestCountingNeverPlaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, payW := range []int{0, 3, 4, 8, 13} {
+		s := jointest.RandomRelation(rng, "S", 5000, 3000, payW)
+		r := jointest.RandomRelation(rng, "R", 4000, 3000, 5)
+		for _, k := range kernels {
+			name := k.name + ", payload " + strconv.Itoa(payW)
+			counted := station(t, k.alg, s, join.Equi{}, join.Options{})
+			before := layout.Placements()
+			for i := 0; i < 2; i++ {
+				if err := counted.Join(r, &join.Counter{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if counted.Placed() || layout.Placements() != before {
+				t.Fatalf("%s: counting placed the payloads", name)
+			}
+			after, alone := &matches{}, &matches{}
+			if err := counted.Join(r, after); err != nil {
+				t.Fatal(err)
+			}
+			if !counted.Placed() || layout.Placements() != before+1 {
+				t.Fatalf("%s: the first emitting probe did not place the payloads once", name)
+			}
+			if err := station(t, k.alg, s, join.Equi{}, join.Options{}).Join(r, alone); err != nil {
+				t.Fatal(err)
+			}
+			if len(alone.seen) == 0 || !bytes.Equal(after.seen, alone.seen) {
+				t.Errorf("%s: count then emit hands over another sequence than emit alone", name)
+			}
+		}
+	}
+}
+
+// TestFirstEmitPlacesOnce: two concurrent Joins of four probe workers each
+// race to be the first emitting probe of a fragment; it places its payloads
+// once, and both get every match. (Under -race, a worker that read the
+// payloads before they were placed is a reported race.)
+func TestFirstEmitPlacesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	s := jointest.RandomRelation(rng, "S", 6000, 3000, 4)
+	r := jointest.RandomRelation(rng, "R", 3000, 3000, 4)
+	want := join.NewPairSet()
+	jointest.Oracle(r, s, join.Equi{}, want)
+	for _, k := range kernels {
+		st := station(t, k.alg, s, join.Equi{}, join.Options{Parallelism: 4})
+		before := layout.Placements()
+		got := [2]*join.PairSet{join.NewPairSet(), join.NewPairSet()}
+		var wg sync.WaitGroup
+		for _, c := range got {
+			wg.Add(1)
+			go func(c *join.PairSet) {
+				defer wg.Done()
+				if err := st.Join(r, c); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+		wg.Wait()
+		if n := layout.Placements() - before; n != 1 {
+			t.Errorf("%s: %d placements, want 1", k.name, n)
+		}
+		for i, c := range got {
+			if !c.Equal(want) {
+				t.Errorf("%s: Join %d: pairs differ from the oracle's", k.name, i)
 			}
 		}
 	}
