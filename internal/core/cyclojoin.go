@@ -145,13 +145,12 @@ type Rotating struct {
 	// Fragment, by home node: what a revolution of counters ships.
 	rotatingKeys [][]*relation.Fragment
 	// fragments are the caller's fragments, by home node, until ordering
-	// reorganizes them into rotating, in tookOrdering or failing with
-	// orderErr; then nil.
-	fragments    [][]*relation.Fragment
-	ordering     sync.Once
-	rotating     [][]*relation.Fragment
-	tookOrdering time.Duration
-	orderErr     error
+	// reorganizes them whole into rotating, or fails with orderErr; then
+	// nil.
+	fragments [][]*relation.Fragment
+	ordering  sync.Once
+	rotating  [][]*relation.Fragment
+	orderErr  error
 }
 
 // staged names the rotating handle Station leaves for Rotate; Cluster
