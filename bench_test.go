@@ -407,10 +407,12 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 }
 
 // emitOnly is a collector that is not a join.MatchCounter, so a kernel hands
-// it every match.
+// it every match, in the join.Blocks a collector receives.
 type emitOnly struct{}
 
 func (emitOnly) Emit(rKey, sKey uint64, rPay, sPay []byte) {}
+
+func (emitOnly) EmitBlock(join.Block) {}
 
 // BenchmarkHashJoinProbeOrdered is the probe as a ring host runs it: one
 // host's share of S (hash_mem's 250 k, rotate_wide_tcp's 50 k) against a

@@ -15,10 +15,10 @@
 //   - the Data Roundabout ring runtime (internal/ring) and the cyclo-join
 //     orchestrator (internal/core), the only owner of a ring;
 //   - the SQL front end (internal/query), whose engine keeps the tables it
-//     joins stationed on its ring;
-//   - the paper-evaluation harness: calibrated cost model, discrete-event
-//     simulator and per-figure experiments (internal/costmodel,
-//     internal/simnet, internal/experiments).
+//     joins stationed on its ring.
+//
+// The paper-evaluation harness (calibrated cost model, discrete-event
+// simulator, per-figure experiments) is cmd/cyclobench's, not the facade's.
 //
 // Quickstart:
 //
@@ -36,8 +36,6 @@ package cyclojoin
 
 import (
 	"cyclojoin/internal/core"
-	"cyclojoin/internal/costmodel"
-	"cyclojoin/internal/experiments"
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/nested"
@@ -105,14 +103,6 @@ type (
 	QueryEngine = query.Engine
 	// QueryResult is a SQL query's outcome.
 	QueryResult = query.Result
-)
-
-// Evaluation harness.
-type (
-	// Calibration carries the paper-testbed cost parameters.
-	Calibration = costmodel.Calibration
-	// Experiment is one reproducible table/figure of the paper.
-	Experiment = experiments.Experiment
 )
 
 // NewCluster builds and starts a cyclo-join cluster.
@@ -184,14 +174,3 @@ func NewCatalog() *Catalog { return query.NewCatalog() }
 func NewQueryEngine(catalog *Catalog, nodes int, opts JoinOptions) (*QueryEngine, error) {
 	return query.NewEngine(catalog, nodes, opts)
 }
-
-// DefaultCalibration returns the paper-testbed calibration (quad-core
-// 2.33 GHz Xeons, 4 MB L2, 10 Gb/s iWARP).
-func DefaultCalibration() Calibration { return costmodel.Default() }
-
-// Experiments returns the paper's evaluation harness, one entry per table
-// and figure.
-func Experiments() []Experiment { return experiments.All() }
-
-// ExperimentByID finds one experiment ("fig7", "table1", ...).
-func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id) }

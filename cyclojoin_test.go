@@ -60,24 +60,6 @@ func TestFacadeAlgorithms(t *testing.T) {
 	}
 }
 
-func TestFacadeExperiments(t *testing.T) {
-	all := cyclojoin.Experiments()
-	if len(all) != 13 {
-		t.Fatalf("%d experiments, want 13 (every table and figure, plus the extensions)", len(all))
-	}
-	e, err := cyclojoin.ExperimentByID("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := e.Run(cyclojoin.DefaultCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 4 {
-		t.Errorf("Table I has %d rows, want 4", tbl.Rows())
-	}
-}
-
 func TestFacadeTCPLinks(t *testing.T) {
 	cluster, err := cyclojoin.NewCluster(cyclojoin.Config{
 		Nodes:     2,

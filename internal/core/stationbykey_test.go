@@ -525,20 +525,32 @@ func TestProbeCounts(t *testing.T) {
 
 // TestChainBatchBoundaries drives a link to exactly one full batch (joined
 // from Emit, nothing left to flush), one tuple more (the flush joins the
-// residual), and two batches and one.
+// residual), and two batches and one; and drives one probe into more matches
+// than a kernel's block of them and than a batch holds, at one and four
+// probe workers — each chain, keys-only and whole-tuple, against the nested
+// reference.
 func TestChainBatchBoundaries(t *testing.T) {
 	const nodes = 2
 	one := jointest.Numbered([]uint64{7}, 2)
-	c := newCluster(t, Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
-	for _, n := range []int{batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 1} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = 7
+	heavy := jointest.Numbered(make([]uint64, 2*batchRows+3), 4) // all key 0
+	for _, workers := range []int{1, 4} {
+		c := newCluster(t, Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}, Opts: join.Options{Parallelism: workers}})
+		for _, n := range []int{batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 1} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = 7
+			}
+			r := jointest.Numbered(keys, 3)
+			// The whole batch sits in one fragment of one host.
+			rFrags := [][]*relation.Fragment{{{Rel: r, Index: 0, Of: 1}}, nil}
+			checkByKey(t, c, r, []*relation.Relation{one, one, one}, rFrags)
 		}
-		r := jointest.Numbered(keys, 3)
-		// The whole batch sits in one fragment of one host.
+		// Three probes of key 0, each meeting every tuple of heavy, then one
+		// tuple of each later side.
+		r := jointest.Numbered([]uint64{0, 5, 0, 0}, 3)
+		zero := jointest.Numbered([]uint64{0}, 1)
 		rFrags := [][]*relation.Fragment{{{Rel: r, Index: 0, Of: 1}}, nil}
-		checkByKey(t, c, r, []*relation.Relation{one, one, one}, rFrags)
+		checkByKey(t, c, r, []*relation.Relation{heavy, zero, zero}, rFrags)
 	}
 }
 

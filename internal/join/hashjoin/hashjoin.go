@@ -25,10 +25,12 @@ import (
 	"cyclojoin/internal/trace"
 )
 
-// Their ratio answers "is a hot key hurting the probe": 0.02 to 0.08 on
-// uniform keys, and the share of probes that hit a heavy bucket under skew.
+// Overflows per probe answer "is a hot key hurting the probe": 0.02 to 0.08
+// on uniform keys, and the share of probes that hit a heavy bucket under
+// skew. Matches per probe is the join's fan-out on this host.
 var (
 	mProbes   = metrics.Default().Counter("hashjoin_probes_total", "rotating tuples probed against a stationary fragment")
+	mMatches  = metrics.Default().Counter("hashjoin_matches_total", "matches found by the rotating tuples probed")
 	mOverflow = metrics.Default().Counter("hashjoin_window_overflow_total", "probes whose bucket ran past the fixed comparison window")
 )
 
@@ -57,7 +59,7 @@ func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.
 	bs := opts.FlightRecorder().Shard(opts.TraceNode, "join/build")
 	bpd := bs.Begin(trace.PhaseBuild)
 	bpd.Arg = int64(s.Len())
-	st, err := layout.Station(s, rule(s.Keys()), layout.Probe{Window: window, Phase: trace.PhaseProbe, Probes: mProbes, Overflow: mOverflow}, opts)
+	st, err := layout.Station(s, rule(s.Keys()), layout.Probe{Window: window, Phase: trace.PhaseProbe, Probes: mProbes, Matches: mMatches, Overflow: mOverflow}, opts)
 	bs.End(bpd)
 	if err != nil {
 		return nil, err

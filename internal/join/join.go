@@ -153,8 +153,9 @@ type Algorithm interface {
 type Stationary interface {
 	// Join runs the join phase: combine the rotating fragment r with the
 	// prepared stationary fragment, emitting every match to c exactly
-	// once. Implementations may emit concurrently from several
-	// goroutines; c must be safe for concurrent use.
+	// once, one Emit at a time or in Blocks through EmitBlock.
+	// Implementations may emit concurrently from several goroutines; c
+	// must be safe for concurrent use.
 	//
 	// When c is a MatchCounter, r may arrive without its payloads (cyclo-join
 	// rotates the key column alone to collectors that only count), so an

@@ -1,8 +1,10 @@
 package join
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -213,4 +215,59 @@ func TestTee(t *testing.T) {
 
 func TestDiscard(t *testing.T) {
 	Discard{}.Emit(1, 2, []byte{1}, []byte{2}) // must not panic
+}
+
+// emitter hides a collector's EmitBlock: EmitBlock hands it one Emit per
+// match.
+type emitter struct{ c Collector }
+
+func (e emitter) Emit(rKey, sKey uint64, rPay, sPay []byte) { e.c.Emit(rKey, sKey, rPay, sPay) }
+
+// TestEmitBlockIsEmitPerMatch: every collector, through EmitBlock, ends up
+// as it would after one Emit per match of the block, in order — blocks that
+// cross the Materializer's growth steps included.
+func TestEmitBlockIsEmitPerMatch(t *testing.T) {
+	const rows = 3000
+	b := Block{
+		R: Columns{Keys: make([]uint64, rows), Pay: make([]byte, 2*rows), Width: 2},
+		S: Columns{Keys: make([]uint64, rows), Pay: make([]byte, 3*rows), Width: 3},
+	}
+	for i := range rows {
+		b.R.Keys[i], b.S.Keys[i] = uint64(i%97), uint64(i%89)
+		b.R.Pay[2*i], b.S.Pay[3*i+2] = byte(i), byte(i>>8)
+		b.Pairs = append(b.Pairs, [2]uint32{uint32(i * 7 % rows), uint32(i * 11 % rows)})
+	}
+	blocks := []Block{b, b, b}
+	blocks[1].Pairs = b.Pairs[:1]
+	blocks[2].Pairs = b.Pairs[:0]
+	collectors := []struct {
+		name string
+		new  func() Collector
+		same func(x, y Collector) bool
+	}{
+		{"materializer", func() Collector { return NewMaterializer("m", 2, 3) }, func(x, y Collector) bool {
+			mx, my := x.(*Materializer).Result(), y.(*Materializer).Result()
+			return slices.Equal(mx.Keys(), my.Keys()) && bytes.Equal(mx.PayloadColumn(), my.PayloadColumn())
+		}},
+		{"rekeyed materializer", func() Collector { return NewRekeyedMaterializer("m", 2, 3) }, func(x, y Collector) bool {
+			mx, my := x.(*Materializer).Result(), y.(*Materializer).Result()
+			return slices.Equal(mx.Keys(), my.Keys()) && bytes.Equal(mx.PayloadColumn(), my.PayloadColumn())
+		}},
+		{"pair set", func() Collector { return NewPairSet() }, func(x, y Collector) bool { return x.(*PairSet).Equal(y.(*PairSet)) }},
+		{"tee", func() Collector { return Tee{NewPairSet(), &Counter{}} }, func(x, y Collector) bool {
+			tx, ty := x.(Tee), y.(Tee)
+			return tx[0].(*PairSet).Equal(ty[0].(*PairSet)) && tx[1].(*Counter).Count() == ty[1].(*Counter).Count()
+		}},
+		{"counter", func() Collector { return &Counter{} }, func(x, y Collector) bool { return x.(*Counter).Count() == y.(*Counter).Count() }},
+	}
+	for _, c := range collectors {
+		blocked, each := c.new(), c.new()
+		for _, blk := range blocks {
+			EmitBlock(blocked, blk)
+			EmitBlock(emitter{each}, blk)
+		}
+		if !c.same(blocked, each) {
+			t.Errorf("%s: blocks and one Emit per match disagree", c.name)
+		}
+	}
 }

@@ -17,5 +17,12 @@ func Order(rel *relation.Relation, rule Rule, workers int) ([]uint64, []byte, []
 // writes: call it once no Join runs.
 func (st *Stationary) Placed() bool { return st.in == nil }
 
+// Buffered reports whether st has allocated its probe workers' block
+// buffers. Call it once no Join runs.
+func (st *Stationary) Buffered() bool { return st.pairs != nil }
+
+// BlockPairs is how many matches a probe worker's block buffer holds.
+const BlockPairs = blockPairs
+
 // Placements is how many stationary fragments have placed their payloads.
 func Placements() int64 { return mPlacements.Value() }

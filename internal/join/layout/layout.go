@@ -22,8 +22,10 @@
 // domain. Its candidates are the rows [dir[id(lo)], dir[id(hi)+1]), and a
 // fixed window of keys from their start holds them unless a heavy key or a
 // wide band makes them run past it. Matches reach a join.MatchCounter as one
-// count per worker and fragment, and any other collector one Emit at a time,
-// a probe's matches in S's bucket order, not in key order.
+// count per worker and fragment, and any other collector as join.Blocks of
+// (R row, S row) pairs, written into a buffer per probe worker and handed
+// over whenever it fills: a probe's matches in S's bucket order, not in key
+// order, the probes of a worker in R's order.
 package layout
 
 import (
@@ -33,6 +35,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/metrics"
@@ -65,9 +68,10 @@ type Probe struct {
 	Width uint64
 	// Phase labels the probe workers' spans.
 	Phase trace.Phase
-	// Probes counts probed tuples, Overflow the probes whose candidates ran
-	// past the window.
-	Probes, Overflow *metrics.Counter
+	// Probes counts probed tuples, Matches the matches they found and
+	// Overflow the probes whose candidates ran past the window. Each probe
+	// worker adds to them once per Join.
+	Probes, Matches, Overflow *metrics.Counter
 }
 
 // Stationary is a stationed fragment: its key column in bucket order, its
@@ -95,6 +99,11 @@ type Stationary struct {
 	placing sync.Once
 	pay     []byte
 	payW    int
+	// pairs is one block buffer of blockPairs matches per probe worker,
+	// allocated with the placement. busy marks it taken by a Join; a Join
+	// that finds it taken, beside or inside another, takes its own.
+	pairs [][2]uint32
+	busy  atomic.Bool
 	// shards is one flight-recorder track per probe worker (index = worker):
 	// Join runs the probe phase concurrently and shards are single-producer.
 	shards []*trace.Shard
@@ -185,9 +194,11 @@ func (st *Stationary) Layout() (rule Rule, keys []uint64, pay []byte, dir []uint
 }
 
 // placed returns the payload column in bucket order, placing it on the first
-// call: from then on the fragment no longer needs its input.
+// call, and allocates the probe workers' block buffers: from then on the
+// fragment no longer needs its input.
 func (st *Stationary) placed() []byte {
 	st.placing.Do(func() {
+		st.pairs = make([][2]uint32, len(st.shards)*blockPairs)
 		sc := scratchPool.Get().(*scratch)
 		sc.dir = grown(sc.dir, len(st.dir))
 		copy(sc.dir, st.dir)
@@ -385,26 +396,50 @@ func (st *Stationary) Join(r *relation.Relation, c join.Collector) error {
 	n := r.Len()
 	st.Probes.Add(int64(n))
 	counter, _ := c.(join.MatchCounter)
+	var pairs [][2]uint32
 	if counter == nil {
+		// A pair holds R's row numbers in 32 bits too.
+		if err := CheckRows(n); err != nil {
+			return err
+		}
 		// Before any worker starts: they read pay.
 		st.placed()
-	}
-	join.Chunks(n, min(len(st.shards), n), func(w, lo, hi int) {
-		sh := st.shards[w]
-		pd := sh.Begin(st.Phase)
-		pd.Arg = int64(hi - lo)
-		var overflow int64
-		if counter != nil {
-			var matches int64
-			matches, overflow = st.count(r.Keys()[lo:hi], st.Width)
-			counter.AddMatches(matches)
+		if st.busy.CompareAndSwap(false, true) {
+			pairs = st.pairs
+			defer st.busy.Store(false)
 		} else {
-			overflow = st.emit(r, lo, hi, st.Width, c)
+			pairs = make([][2]uint32, len(st.pairs))
 		}
-		st.Overflow.Add(overflow)
-		sh.End(pd)
-	})
+	}
+	// One worker runs on the caller's goroutine, with no closure to
+	// allocate.
+	if workers := min(len(st.shards), n); workers == 1 {
+		st.probe(0, r, 0, n, c, counter, pairs)
+	} else {
+		join.Chunks(n, workers, func(w, lo, hi int) {
+			st.probe(w, r, lo, hi, c, counter, pairs)
+		})
+	}
 	return nil
+}
+
+// probe is worker w's share of a Join: tuples [lo, hi) of r, counted into
+// counter if there is one, else handed to c in blocks written to the
+// worker's buffer of pairs.
+func (st *Stationary) probe(w int, r *relation.Relation, lo, hi int, c join.Collector, counter join.MatchCounter, pairs [][2]uint32) {
+	sh := st.shards[w]
+	pd := sh.Begin(st.Phase)
+	pd.Arg = int64(hi - lo)
+	var matches, overflow int64
+	if counter != nil {
+		matches, overflow = st.count(r.Keys()[lo:hi], st.Width)
+		counter.AddMatches(matches)
+	} else {
+		matches, overflow = st.emit(r, lo, hi, st.Width, c, pairs[w*blockPairs:(w+1)*blockPairs:(w+1)*blockPairs])
+	}
+	st.Matches.Add(matches)
+	st.Overflow.Add(overflow)
+	sh.End(pd)
 }
 
 // bounds is the range a probe for k asks for under the band ±w: [lo,
@@ -555,24 +590,33 @@ func (st *Stationary) edges(b, e int, lo, hi uint64) int64 {
 	return n + between(keys[at:at+4:at+4], 0, hi) + between(keys[at+4:at+8:at+8], 0, hi)
 }
 
-// block is how many probes emit locates before it emits their matches.
-const block = 128
+// block is how many probes emit locates before it emits their matches;
+// blockPairs is how many matches a probe worker's buffer holds before it
+// hands them over.
+const block, blockPairs = 128, 512
 
 // located is a probe with candidates: its row and its candidate rows.
 type located struct{ row, from, end int }
 
-// emit hands every match of tuples [lo, hi) of r for the band ±w to c, a
-// probe's matches in ascending row of the ordered column, and returns the
-// number of probes whose candidates ran past the window. The window is
-// count's, as a filter: a block of probes is located first, keeping those
-// that match inside their window or whose candidates run past it without a
-// branch on which, and only those walk their candidates to emit.
+// emit hands every match of tuples [lo, hi) of r for the band ±w to c, in
+// blocks of at most len(pairs) written to pairs, a probe's matches in
+// ascending row of the ordered column, and returns the number of matches and
+// of probes whose candidates ran past the window. The window is count's, as
+// a filter: a block of probes is located first, keeping those that match
+// inside their window or whose candidates run past it without a branch on
+// which, and only those walk their candidates, writing every candidate's
+// pair and keeping it if it matches.
 //
 //cyclolint:hotpath
-func (st *Stationary) emit(r *relation.Relation, lo, hi int, w uint64, c join.Collector) (overflow int64) {
-	keys, dir, win, pay, payW := st.keys, st.dir, st.Window, st.pay, st.payW
-	rKeys, rPay, rPayW := r.Keys(), r.PayloadColumn(), r.Schema().PayloadWidth
+func (st *Stationary) emit(r *relation.Relation, lo, hi int, w uint64, c join.Collector, pairs [][2]uint32) (matches, overflow int64) {
+	keys, dir, win := st.keys, st.dir, st.Window
+	rKeys := r.Keys()
+	blk := join.Block{
+		R: join.Columns{Keys: rKeys, Pay: r.PayloadColumn(), Width: r.Schema().PayloadWidth},
+		S: join.Columns{Keys: keys, Pay: st.pay, Width: st.payW},
+	}
 	last := len(keys) - win
+	n := 0 // pairs written
 	var found [block]located
 	for first := lo; first < hi; first += block {
 		m := 0
@@ -603,16 +647,32 @@ func (st *Stationary) emit(r *relation.Relation, lo, hi int, w uint64, c join.Co
 			}
 		}
 		for _, p := range found[:m] {
-			k := rKeys[p.row]
-			low, span := bounds(k, w)
-			for at := p.from; at < p.end; at++ {
-				if keys[at]-low <= span {
-					c.Emit(k, keys[at], rPay[p.row*rPayW:(p.row+1)*rPayW:(p.row+1)*rPayW], pay[at*payW:(at+1)*payW:(at+1)*payW])
+			low, span := bounds(rKeys[p.row], w)
+			row := uint32(p.row)
+			for at := p.from; at < p.end; {
+				if n == len(pairs) {
+					blk.Pairs = pairs
+					join.EmitBlock(c, blk)
+					matches += int64(n)
+					n = 0
+				}
+				// At most the room left: n stays below len(pairs).
+				to := min(p.end, at+len(pairs)-n)
+				for ; at < to; at++ {
+					pairs[n] = [2]uint32{row, uint32(at)}
+					if keys[at]-low <= span {
+						n++
+					}
 				}
 			}
 		}
 	}
-	return overflow
+	if n > 0 {
+		blk.Pairs = pairs[:n]
+		join.EmitBlock(c, blk)
+		matches += int64(n)
+	}
+	return matches, overflow
 }
 
 func satSub(a, b uint64) uint64 {

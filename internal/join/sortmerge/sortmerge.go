@@ -29,9 +29,11 @@ import (
 	"cyclojoin/internal/trace"
 )
 
-// Their ratio answers "is a hot key or a wide band hurting the merge".
+// Overflows per probe answer "is a hot key or a wide band hurting the
+// merge"; matches per probe is the band's fan-out on this host.
 var (
 	mProbes   = metrics.Default().Counter("sortmerge_probes_total", "rotating tuples merged against a stationary fragment")
+	mMatches  = metrics.Default().Counter("sortmerge_matches_total", "matches found by the rotating tuples merged")
 	mOverflow = metrics.Default().Counter("sortmerge_window_overflow_total", "probes whose candidates ran past the fixed comparison window")
 )
 
@@ -73,7 +75,7 @@ func (Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Op
 	ss := opts.FlightRecorder().Shard(opts.TraceNode, "join/sort")
 	spd := ss.Begin(trace.PhaseSort)
 	spd.Arg = int64(s.Len())
-	st, err := layout.Station(s, rule(s.Keys()), layout.Probe{Window: window, Width: w, Phase: trace.PhaseMerge, Probes: mProbes, Overflow: mOverflow}, opts)
+	st, err := layout.Station(s, rule(s.Keys()), layout.Probe{Window: window, Width: w, Phase: trace.PhaseMerge, Probes: mProbes, Matches: mMatches, Overflow: mOverflow}, opts)
 	ss.End(spd)
 	if err != nil {
 		return nil, err

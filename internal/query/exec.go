@@ -352,12 +352,28 @@ type aggregator struct {
 	seen bool
 }
 
-var _ join.Collector = (*aggregator)(nil)
+var _ join.BlockCollector = (*aggregator)(nil)
 
 // Emit implements join.Collector.
 func (a *aggregator) Emit(rKey, sKey uint64, rPay, sPay []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.add(rKey)
+}
+
+// EmitBlock implements join.BlockCollector.
+//
+//cyclolint:hotpath
+func (a *aggregator) EmitBlock(b join.Block) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, m := range b.Pairs {
+		a.add(b.R.Keys[m[0]])
+	}
+}
+
+// add folds one matched output key. The caller holds a.mu.
+func (a *aggregator) add(rKey uint64) {
 	a.n++
 	a.sum += rKey
 	if !a.seen || rKey < a.min {
