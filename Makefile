@@ -177,20 +177,24 @@ bench-ring:
 # measures that revision from a `git archive` first and records it as the
 # new baseline — benchmarks BASE does not have yet get no baseline row — so
 # a before/after row is one command: `make bench-kernels BASE=HEAD~1`.
-# benchring refuses to label a row from a dirty tree.
+# The current row's label (LABEL, or `git describe --always --dirty`) is
+# taken before the baseline rewrites the tracked ledger, so a clean tree
+# stays clean to benchring; it refuses to label a row from a tree that was
+# dirty already.
 KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|SortMergeHost|HashJoinSetup|HashJoinSetupRotating|HashJoinStationEmit|HashJoinProbe|HashJoinProbeOrdered|HashJoinProbeZipf|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way|SQLAlternating)$$'
 KERNEL_PKGS = . ./internal/relation
 KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
 	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), the sort-merge merge as a ring host of sortmerge_band runs it (100 k of S in a 1.6 M key domain, band ±2, against a fragment ordered by SetupRotating, counted and emitted, counted under a band of ±1000, and the Station of that share), the hash probe as a ring host runs it (one host-share of S against a fragment ordered by SetupRotating, counted and emitted; the price of that order; what the emit path pays from nothing, that share stationed, the fragment ordered and one emitting Join that places the payloads; and the same probe against Zipf-skewed S), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) a three-way SQL count in the three shapes that rule tells apart (even tables both cold, every table registered again before each op, and warm, on tables the engine keeps stationed), and that count alternating with a two-way count over two of its tables on one engine; stations/op is core setup calls per op. Medians of -count 5; baseline is the parent of the last change to any of them.'
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	label='$(LABEL)'; [ -n "$$label" ] || label=$$(git describe --always --dirty); \
 	if [ -n "$(BASE)" ]; then \
 		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
 		(cd "$$tmp/base" && $(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS)) > "$$tmp/base.txt"; \
 		$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -rebaseline -label "$$(git rev-parse --short $(BASE))" < "$$tmp/base.txt"; \
 	fi; \
 	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS) > "$$tmp/cur.txt"; \
-	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) $(if $(LABEL),-label '$(LABEL)') < "$$tmp/cur.txt"
+	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -label "$$label" < "$$tmp/cur.txt"
 
 # Paired end-to-end runs, the measurement a performance claim rests on:
 # `make bench-pairs W=rotate_wide_tcp BASE=HEAD~1 [N=10] [SEED=1] [TRACE=0]`

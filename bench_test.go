@@ -416,7 +416,9 @@ func (emitOnly) EmitBlock(join.Block) {}
 
 // BenchmarkHashJoinProbeOrdered is the probe as a ring host runs it: one
 // host's share of S (hash_mem's 250 k, rotate_wide_tcp's 50 k) against a
-// rotating fragment that went through SetupRotating, counted and emitted.
+// rotating fragment that went through SetupRotating, counted, counted key
+// by key as a probe chain that only counts asks for them (each), and
+// emitted.
 func BenchmarkHashJoinProbeOrdered(b *testing.B) {
 	for _, size := range []struct {
 		name   string
@@ -431,13 +433,18 @@ func BenchmarkHashJoinProbeOrdered(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		counts := make([]uint32, rot.Len())
 		for _, path := range []struct {
 			name string
-			c    join.Collector
-		}{{"count", join.Discard{}}, {"emit", emitOnly{}}} {
+			run  func() error
+		}{
+			{"count", func() error { return st.Join(rot, join.Discard{}) }},
+			{"each", func() error { return st.CountEach(rot.Keys(), counts) }},
+			{"emit", func() error { return st.Join(rot, emitOnly{}) }},
+		} {
 			b.Run(size.name+"/"+path.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := st.Join(rot, path.c); err != nil {
+					if err := path.run(); err != nil {
 						b.Fatal(err)
 					}
 				}

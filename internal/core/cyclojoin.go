@@ -173,9 +173,11 @@ type hostState struct {
 	byKey bool
 	// head is what sides[0] emits into: the revolution's collector on this
 	// host or, in front of further sides, the first link of links, the
-	// chain that leads there.
+	// chain that leads there. A count chain has no links: head is the
+	// revolution's join.MatchCounter, and tally the chain's scratch.
 	head  join.Collector
 	links []*link
+	tally tally
 }
 
 func (h *hostState) set(sides []join.Stationary, byKey bool, head join.Collector, links []*link) {
@@ -200,6 +202,9 @@ func (h *hostState) process(frag *relation.Fragment) error {
 		if rel, err = ownerSlice(rel, h.node, h.nodes); err != nil {
 			return err
 		}
+	}
+	if counter, ok := head.(join.MatchCounter); ok && len(sides) > 1 {
+		return h.tally.count(rel.Keys(), sides, counter)
 	}
 	if err := sides[0].Join(rel, head); err != nil {
 		return err
@@ -548,9 +553,12 @@ func (c *Cluster) Rotate() (*Result, error) {
 // small batches, and so on, and the collectors receive the matches with the
 // last side, laid out as a left-deep sequence of join.Materializer steps
 // would lay them out (rKey, and rPay ‖ key ‖ pay₀ ‖ key ‖ pay₁ … as rPay).
-// No intermediate result exists at any point, and since a key's matches live
-// on one host only, a revolution probes |R| tuples against sides[0], not
-// nodes·|R|.
+// When every collector counts, the chain hands on no matches at all: it
+// multiplies each rotating tuple's per-side match counts (join.Stationary's
+// CountEach) and probes a later side once per tuple still matching, not once
+// per match. No intermediate result exists at any point, and since a key's
+// matches live on one host only, a revolution probes |R| tuples against
+// sides[0], not nodes·|R|.
 func (c *Cluster) Revolve(rot *Rotating, sides []*Side, collect func(node int) join.Collector) (*Result, error) {
 	return c.revolve(rot, sides, collect, 0)
 }
@@ -626,7 +634,12 @@ func (c *Cluster) revolve(rot *Rotating, sides []*Side, collect func(node int) j
 		for j, s := range sides {
 			own[j] = s.hosts[i]
 		}
-		head, links := chain(own, collectors[i], countOnly)
+		// A count chain (two or more sides) or a lone side emits into the
+		// collector itself.
+		head, links := collectors[i], []*link(nil)
+		if !countOnly {
+			head, links = chain(own, collectors[i])
+		}
 		h.set(own, rot.placement == ByKey, head, links)
 	}
 	defer func() {

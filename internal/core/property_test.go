@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,4 +154,73 @@ func TestUnevenFragmentDistribution(t *testing.T) {
 	if got := res.Matches(); got != 900 {
 		t.Errorf("matches = %d, want 900", got)
 	}
+}
+
+// TestCountChainProperty: for random chains of two to four key-placed sides,
+// each Zipf-skewed or a single key repeated (one that R holds, so every row
+// of R with it meets the whole side), on random ring sizes at one and four
+// probe workers, a counting revolution — a count chain, which multiplies
+// per-key counts — a revolution into PairSets, which hands whole matches
+// down a chain of links, and join/nested agree key by key.
+func TestCountChainProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	gen := func(name string, tuples, domain int) *relation.Relation {
+		rel, err := workload.Generate(workload.Spec{Name: name, Tuples: tuples, KeyDomain: domain, Zipf: 0.9, Seed: rng.Int63(), PayloadWidth: rng.Intn(6)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	for i := 0; i < 12; i++ {
+		domain := 20 + rng.Intn(80)
+		r := gen("R", 50+rng.Intn(250), domain)
+		sides := make([]*relation.Relation, 2+rng.Intn(3))
+		for j := range sides {
+			if rng.Intn(3) == 0 {
+				sides[j] = jointest.Numbered(repeated(r.Key(rng.Intn(r.Len())), 1+rng.Intn(12)), rng.Intn(4))
+			} else {
+				sides[j] = gen("S", 10+rng.Intn(80), domain)
+			}
+		}
+		want := map[uint64]int64{}
+		ref := nestedChain(t, r, sides)
+		for row := 0; row < ref.Len(); row++ {
+			want[ref.Key(row)]++
+		}
+		nodes := 1 + rng.Intn(4)
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("case %d: %d sides, %d nodes, %d workers", i, len(sides), nodes, workers)
+			c := newCluster(t, Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}, Opts: join.Options{Parallelism: workers}})
+			rot, set := keyHandles(t, c, sides, homed(t, r, nodes, 1))
+			counted, err := c.Revolve(rot, set, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := counted.Matches(); got != int64(ref.Len()) {
+				t.Errorf("%s: the count chain counts %d matches, join/nested finds %d", name, got, ref.Len())
+			}
+			paired, err := c.Revolve(rot, set, pairSetCollectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[uint64]int64{}
+			for _, col := range paired.Collectors {
+				for p, n := range col.(*join.PairSet).Pairs() {
+					got[p[0]] += int64(n)
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%s: PairSets hold other per-key match counts than join/nested (%d keys, want %d)", name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// repeated is n copies of k.
+func repeated(k uint64, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = k
+	}
+	return keys
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -41,7 +42,12 @@ type faultyStationary struct {
 	failures *atomic.Int32
 }
 
-var errInjected = errors.New("injected host failure")
+// errInjected is every injected failure; errInjectedCount, which wraps it,
+// the one a CountEach returns.
+var (
+	errInjected      = errors.New("injected host failure")
+	errInjectedCount = fmt.Errorf("CountEach: %w", errInjected)
+)
 
 func (f *faultyStationary) Bytes() int { return f.inner.Bytes() }
 
@@ -50,6 +56,13 @@ func (f *faultyStationary) Join(r *relation.Relation, c join.Collector) error {
 		return errInjected
 	}
 	return f.inner.Join(r, c)
+}
+
+func (f *faultyStationary) CountEach(rKeys []uint64, counts []uint32) error {
+	if f.failures.Add(-1) >= 0 {
+		return errInjectedCount
+	}
+	return f.inner.CountEach(rKeys, counts)
 }
 
 // TestFailureReplaceRetry exercises the paper's §II-C replacement story

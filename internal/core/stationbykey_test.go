@@ -459,67 +459,145 @@ func probed(t *testing.T, rec *trace.Recorder) int64 {
 	return total
 }
 
-// TestProbeCounts states the saving as a count: a position-placed revolution
-// probes every rotating tuple on every host, nodes·|R| in all — exactly what
-// it did before key placement existed; a key-placed one probes each rotating
-// tuple once, on its owner, plus one probe per match handed down the chain.
-func TestProbeCounts(t *testing.T) {
+// probeFixture is the probe-count tests' ring and relations: R numbered,
+// so that a chain's output row starts with the R row it came from, three
+// sides over R's key domain, and four hosts whose probe spans rec records.
+type probeFixture struct {
+	r      *relation.Relation
+	sides  []*relation.Relation
+	rFrags [][]*relation.Fragment
+	rec    *trace.Recorder
+	c      *Cluster
+	// matches[k] is |R ⋈ sides[0] ⋈ … ⋈ sides[k-1]|; matches[0] is |R|.
+	// live[k] is how many rows of R that join holds; live[0] is |R|.
+	matches, live []int64
+}
+
+func newProbeFixture(t *testing.T) *probeFixture {
+	t.Helper()
 	const nodes = 4
 	rng := rand.New(rand.NewSource(41))
-	r := jointest.RandomRelation(rng, "R", 3000, 400, 4)
-	sides := []*relation.Relation{
-		jointest.RandomRelation(rng, "S0", 500, 400, 4),
-		jointest.RandomRelation(rng, "S1", 450, 400, 2),
-		jointest.RandomRelation(rng, "S2", 400, 400, 0),
+	f := &probeFixture{
+		r: jointest.Numbered(jointest.RandomRelation(rng, "R", 3000, 400, 0).Keys(), 4),
+		sides: []*relation.Relation{
+			jointest.RandomRelation(rng, "S0", 500, 400, 4),
+			jointest.RandomRelation(rng, "S1", 450, 400, 2),
+			jointest.RandomRelation(rng, "S2", 400, 400, 0),
+		},
+		rec: trace.NewRecorder(1 << 14),
 	}
-	rec := trace.NewRecorder(1 << 14)
-	c := newCluster(t, Config{
+	f.c = newCluster(t, Config{
 		Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{},
-		Ring: ring.Config{Flight: rec},
+		Ring: ring.Config{Flight: f.rec},
 	})
-	rFrags := homed(t, r, nodes, 2)
+	f.rFrags = homed(t, f.r, nodes, 2)
+	f.matches, f.live = []int64{int64(f.r.Len())}, []int64{int64(f.r.Len())}
+	for k := 1; k <= len(f.sides); k++ {
+		joined := nestedChain(t, f.r, f.sides[:k])
+		rows := map[string]bool{}
+		for i := 0; i < joined.Len(); i++ {
+			rows[string(joined.Payload(i)[:4])] = true
+		}
+		f.matches = append(f.matches, int64(joined.Len()))
+		f.live = append(f.live, int64(len(rows)))
+	}
+	return f
+}
 
-	sFrags, err := relation.Partition(sides[0], nodes)
+// byKey runs one key-placed revolution of R against the first k sides into
+// collect and returns the tuples it probed and how much
+// core_chain_matches_total rose.
+func (f *probeFixture) byKey(t *testing.T, k int, collect func(int) join.Collector) (res *Result, probes, chained int64) {
+	t.Helper()
+	rot, set := keyHandles(t, f.c, f.sides[:k], f.rFrags)
+	before := mChainMatches.Value()
+	f.rec.Reset()
+	res, err := f.c.Revolve(rot, set, collect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rot, side := byPosition(t, c, sFrags, rFrags)
-	for _, collect := range []func(int) join.Collector{nil, func(int) join.Collector { return join.NewPairSet() }} {
-		rec.Reset()
-		if _, err := c.Revolve(rot, side, collect); err != nil {
+	return res, probed(t, f.rec), mChainMatches.Value() - before
+}
+
+// pairCount is the number of matches a revolution's PairSets received.
+func pairCount(res *Result) (n int64) {
+	for _, col := range res.Collectors {
+		for _, c := range col.(*join.PairSet).Pairs() {
+			n += int64(c)
+		}
+	}
+	return n
+}
+
+// TestProbeCounts states the saving as a count: a position-placed revolution
+// probes every rotating tuple on every host, nodes·|R| in all — exactly what
+// it did before key placement existed; a key-placed one that hands whole
+// matches down its chain probes each rotating tuple once, on its owner, plus
+// one probe per match handed to a later side.
+func TestProbeCounts(t *testing.T) {
+	f := newProbeFixture(t)
+	nodes := len(f.rFrags)
+	sFrags, err := relation.Partition(f.sides[0], nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, side := byPosition(t, f.c, sFrags, f.rFrags)
+	for _, collect := range []func(int) join.Collector{nil, pairSetCollectors} {
+		f.rec.Reset()
+		if _, err := f.c.Revolve(rot, side, collect); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := probed(t, rec), int64(nodes*r.Len()); got != want {
+		if got, want := probed(t, f.rec), int64(nodes*f.r.Len()); got != want {
 			t.Errorf("Station: a revolution probed %d tuples, want nodes·|R| = %d", got, want)
 		}
 	}
 
-	// matches[k] is |R ⋈ sides[0] ⋈ … ⋈ sides[k-1]|; matches[0] is |R|.
-	matches := []int64{int64(r.Len())}
-	for k := 1; k <= len(sides); k++ {
-		matches = append(matches, int64(nestedChain(t, r, sides[:k]).Len()))
+	for k := 1; k <= len(f.sides); k++ {
+		var handed int64 // every match handed to a later side
+		for _, m := range f.matches[1:k] {
+			handed += m
+		}
+		res, probes, chained := f.byKey(t, k, pairSetCollectors)
+		if want := f.matches[0] + handed; probes != want {
+			t.Errorf("by key, %d sides: a revolution probed %d tuples, want |R| + chained matches = %d", k, probes, want)
+		}
+		if chained != handed {
+			t.Errorf("by key, %d sides: core_chain_matches_total rose by %d, want %d", k, chained, handed)
+		}
+		if got := pairCount(res); got != f.matches[k] {
+			t.Errorf("by key, %d sides: %d matches, want %d", k, got, f.matches[k])
+		}
 	}
-	for k := 1; k <= len(sides); k++ {
-		var want int64 // every rotating tuple once, plus every match handed to a later side
-		for _, m := range matches[:k] {
-			want += m
+}
+
+// TestCountChainProbeCounts: a key-placed revolution that only counts probes
+// each rotating tuple once against sides[0], and each later side once per
+// rotating tuple that every side before it matched — not once per match —
+// while core_chain_matches_total rises by exactly what a chain that hands
+// on whole matches adds.
+func TestCountChainProbeCounts(t *testing.T) {
+	f := newProbeFixture(t)
+	for k := 1; k <= len(f.sides); k++ {
+		var want, handed int64
+		for j := 0; j < k; j++ {
+			want += f.live[j]
 		}
-		rot, set := keyHandles(t, c, sides[:k], rFrags)
-		chained := mChainMatches.Value()
-		rec.Reset()
-		res, err := c.Revolve(rot, set, nil)
-		if err != nil {
-			t.Fatal(err)
+		for _, m := range f.matches[1:k] {
+			handed += m
 		}
-		if got := probed(t, rec); got != want {
-			t.Errorf("by key, %d sides: a revolution probed %d tuples, want |R| + chained matches = %d", k, got, want)
+		res, probes, chained := f.byKey(t, k, nil)
+		if probes != want {
+			t.Errorf("by key, %d sides, counting: a revolution probed %d tuples, want |R| + the rows still matching before each later side = %d", k, probes, want)
 		}
-		if got := mChainMatches.Value() - chained; got != want-matches[0] {
-			t.Errorf("by key, %d sides: core_chain_matches_total rose by %d, want %d", k, got, want-matches[0])
+		if _, _, whole := f.byKey(t, k, pairSetCollectors); chained != whole || chained != handed {
+			t.Errorf("by key, %d sides: core_chain_matches_total rose by %d counting and %d handing on matches, want %d", k, chained, whole, handed)
 		}
-		if got := res.Matches(); got != matches[k] {
-			t.Errorf("by key, %d sides: %d matches, want %d", k, got, matches[k])
+		if got := res.Matches(); got != f.matches[k] {
+			t.Errorf("by key, %d sides, counting: %d matches, want %d", k, got, f.matches[k])
 		}
+	}
+	if f.live[1] == f.matches[1] || f.live[2] == f.matches[2] {
+		t.Fatal("fixture drifted: no rotating tuple matches twice, so the two chains probe alike")
 	}
 }
 
@@ -527,8 +605,8 @@ func TestProbeCounts(t *testing.T) {
 // from Emit, nothing left to flush), one tuple more (the flush joins the
 // residual), and two batches and one; and drives one probe into more matches
 // than a kernel's block of them and than a batch holds, at one and four
-// probe workers — each chain, keys-only and whole-tuple, against the nested
-// reference.
+// probe workers — the count chain and the chain of links, each against the
+// nested reference.
 func TestChainBatchBoundaries(t *testing.T) {
 	const nodes = 2
 	one := jointest.Numbered([]uint64{7}, 2)
@@ -572,8 +650,9 @@ func (f failingSide) SetupStationary(s *relation.Relation, p join.Predicate, o j
 }
 
 // TestChainErrorFailsTheHop: an error of a later side surfaces as the error
-// of the hop whose matches it was joining — whether the batch join ran from
-// the flush (few matches) or from inside an Emit (more than a batch).
+// of the hop whose matches it was joining. A count chain meets it in the
+// side's CountEach; a chain of links in its Join, whether the batch join ran
+// from the flush (few matches) or from inside an Emit (more than a batch).
 func TestChainErrorFailsTheHop(t *testing.T) {
 	for _, tuples := range []int{50, 3 * batchRows} {
 		keys := make([]uint64, tuples)
@@ -583,10 +662,18 @@ func TestChainErrorFailsTheHop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newCluster(t, Config{Nodes: 2, Algorithm: failingSide{name: "bad"}, Predicate: join.Equi{}})
-		rot, sides := keyHandles(t, c, []*relation.Relation{s, bad}, homed(t, r, 2, 1))
-		if _, err := c.Revolve(rot, sides, nil); !errors.Is(err, errInjected) {
-			t.Errorf("%d matches into a failing side: err = %v, want the injected failure", tuples, err)
+		// A failed revolution closes the ring: each arm builds its own.
+		revolve := func(collect func(int) join.Collector) error {
+			c := newCluster(t, Config{Nodes: 2, Algorithm: failingSide{name: "bad"}, Predicate: join.Equi{}})
+			rot, sides := keyHandles(t, c, []*relation.Relation{s, bad}, homed(t, r, 2, 1))
+			_, err := c.Revolve(rot, sides, collect)
+			return err
+		}
+		if err := revolve(nil); !errors.Is(err, errInjectedCount) {
+			t.Errorf("%d matches into a failing side, counting: err = %v, want the injected CountEach failure", tuples, err)
+		}
+		if err := revolve(pairSetCollectors); !errors.Is(err, errInjected) || errors.Is(err, errInjectedCount) {
+			t.Errorf("%d matches into a failing side, handing on matches: err = %v, want the injected Join failure", tuples, err)
 		}
 	}
 }
@@ -602,7 +689,7 @@ func TestSingleSideChainsNothing(t *testing.T) {
 	sides := []join.Stationary{st}
 	final := &join.Counter{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		head, links := chain(sides, final, true)
+		head, links := chain(sides, final)
 		if head != join.Collector(final) || links != nil {
 			t.Fatal("a single side must emit straight into the revolution's collector")
 		}

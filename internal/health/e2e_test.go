@@ -50,6 +50,11 @@ func (s slowStationary) Join(r *relation.Relation, c join.Collector) error {
 	return s.Stationary.Join(r, c)
 }
 
+func (s slowStationary) CountEach(rKeys []uint64, counts []uint32) error {
+	time.Sleep(s.delay)
+	return s.Stationary.CountEach(rKeys, counts)
+}
+
 // spinRing runs one join plus extra revolutions on a live 3-node mem ring.
 func spinRing(t *testing.T, c *core.Cluster, rotations int) {
 	t.Helper()

@@ -162,6 +162,12 @@ type Stationary interface {
 	// implementation takes r's payload width from r on every call, never
 	// from an earlier fragment or from SetupRotating's input.
 	Join(r *relation.Relation, c Collector) error
+	// CountEach writes to counts[i] the number of stationary tuples key
+	// rKeys[i] matches under the predicate, for every i < len(rKeys);
+	// counts has room for them. It is the count path of Join one key at a
+	// time: a probe chain that only counts multiplies these counts side by
+	// side instead of handing matches on.
+	CountEach(rKeys []uint64, counts []uint32) error
 	// Bytes estimates the in-memory size of the access structure, used to
 	// account for the cost of shipping it over the ring in setup-reuse
 	// mode (§IV-D).

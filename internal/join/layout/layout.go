@@ -22,10 +22,11 @@
 // domain. Its candidates are the rows [dir[id(lo)], dir[id(hi)+1]), and a
 // fixed window of keys from their start holds them unless a heavy key or a
 // wide band makes them run past it. Matches reach a join.MatchCounter as one
-// count per worker and fragment, and any other collector as join.Blocks of
-// (R row, S row) pairs, written into a buffer per probe worker and handed
-// over whenever it fills: a probe's matches in S's bucket order, not in key
-// order, the probes of a worker in R's order.
+// count per worker and fragment, CountEach's caller as one count per key,
+// and any other collector as join.Blocks of (R row, S row) pairs, written
+// into a buffer per probe worker and handed over whenever it fills: a
+// probe's matches in S's bucket order, not in key order, the probes of a
+// worker in R's order.
 package layout
 
 import (
@@ -440,6 +441,75 @@ func (st *Stationary) probe(w int, r *relation.Relation, lo, hi int, c join.Coll
 	st.Matches.Add(matches)
 	st.Overflow.Add(overflow)
 	sh.End(pd)
+}
+
+// CountEach implements join.Stationary: counts[i] is the number of matches
+// of rKeys[i], the keys split across the probe workers as Join splits a
+// fragment's tuples. Each worker records one probe span and adds to the
+// probe's counters once.
+func (st *Stationary) CountEach(rKeys []uint64, counts []uint32) error {
+	n := len(rKeys)
+	counts = counts[:n]
+	if workers := min(len(st.shards), n); workers == 1 {
+		st.countEach(0, rKeys, counts)
+	} else {
+		join.Chunks(n, workers, func(w, lo, hi int) {
+			st.countEach(w, rKeys[lo:hi], counts[lo:hi])
+		})
+	}
+	return nil
+}
+
+// countEach is worker w's share of a CountEach. An equi-join counts in
+// eachEqual's window loop; a band counts key by key through count, since
+// no probe chain reaches a band.
+func (st *Stationary) countEach(w int, rKeys []uint64, counts []uint32) {
+	sh := st.shards[w]
+	pd := sh.Begin(st.Phase)
+	pd.Arg = int64(len(rKeys))
+	var matches, overflow int64
+	if st.Width == 0 && len(st.keys) >= st.Window {
+		matches, overflow = st.eachEqual(rKeys, counts)
+	} else {
+		for i := range rKeys {
+			m, o := st.count(rKeys[i:i+1], st.Width)
+			counts[i] = uint32(m)
+			matches += m
+			overflow += o
+		}
+	}
+	st.Probes.Add(int64(len(rKeys)))
+	st.Matches.Add(matches)
+	st.Overflow.Add(overflow)
+	sh.End(pd)
+}
+
+// eachEqual is countEqual writing each key's count to counts, which is as
+// long as rKeys.
+//
+//cyclolint:hotpath
+func (st *Stationary) eachEqual(rKeys []uint64, counts []uint32) (matches, overflow int64) {
+	keys, dir, win := st.keys, st.dir, st.Window
+	base, mul, shift, top := st.rule.Base, st.rule.Mul, st.rule.Shift&63, st.top
+	last := len(keys) - win
+	counts = counts[:len(rKeys)]
+	for i, k := range rKeys {
+		// A key below base takes the last bucket, as in countEqual.
+		b := min((k-base)*mul>>shift, top)
+		from, end := int(dir[b]), int(dir[b+1])
+		at := min(from, last)
+		hits := between(keys[at:at+4:at+4], k, 0)
+		if win == 8 {
+			hits += between(keys[at+4:at+8:at+8], k, 0)
+		}
+		if end > at+win {
+			overflow++
+			hits += walk(keys[at+win:end], k, 0)
+		}
+		counts[i] = uint32(hits)
+		matches += hits
+	}
+	return matches, overflow
 }
 
 // bounds is the range a probe for k asks for under the band ±w: [lo,

@@ -17,6 +17,7 @@ import (
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/jointest"
 	"cyclojoin/internal/join/layout"
+	"cyclojoin/internal/join/nested"
 	"cyclojoin/internal/join/sortmerge"
 	"cyclojoin/internal/relation"
 )
@@ -160,6 +161,68 @@ func TestEdgeCases(t *testing.T) {
 						if counted.Count() != pairCount(want) {
 							t.Errorf("%s: counted %d, oracle %d", name, counted.Count(), pairCount(want))
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountEach: under both rules — the hash rule's equi-join, the key-prefix
+// rule's equi-join and bands — CountEach gives every key the count the
+// nested-loops join gives it, at one and four probe workers, for a heavy key
+// that runs past the window, keys below the fragment's smallest key (the
+// prefix rule's Base), keys it does not hold and a fragment shorter than the
+// window; and the counts add up to what a Join into a counter reports.
+func TestCountEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	heavy := append(repeated(5000, 40), jointest.RandomRelation(rng, "S", 2000, 3000, 0).Keys()...)
+	for i := range heavy[40:] {
+		heavy[40+i] += 4000 // every key at least 4000: the prefix rule's Base
+	}
+	for _, shape := range []struct {
+		name string
+		s    []uint64
+	}{{"heavy key", heavy}, {"shorter than the window", []uint64{4003, 4010, 4010}}} {
+		s := jointest.Numbered(shape.s, 4)
+		rKeys := append(repeated(5000, 3), 0, 1, 3999, 4000, 4003, 4010, 7000, 1<<40)
+		rKeys = append(rKeys, jointest.RandomRelation(rng, "R", 3000, 8000, 0).Keys()...)
+		for _, k := range kernels {
+			for _, w := range []uint64{0, 2, 300} {
+				p := predicate(k.pred, w)
+				if p == nil {
+					continue
+				}
+				ref, err := nested.Join{}.SetupStationary(s, p, join.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]uint32, len(rKeys))
+				if err := ref.CountEach(rKeys, want); err != nil {
+					t.Fatal(err)
+				}
+				for _, par := range []int{1, 4} {
+					name := k.name + ", " + shape.name + ", " + p.String() + ", parallelism " + strconv.Itoa(par)
+					st := station(t, k.alg, s, p, join.Options{Parallelism: par})
+					got := make([]uint32, len(rKeys))
+					if err := st.CountEach(rKeys, got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range rKeys {
+						if got[i] != want[i] {
+							t.Fatalf("%s: key %d counts %d matches, join/nested %d", name, rKeys[i], got[i], want[i])
+						}
+					}
+					var sum int64
+					for _, n := range got {
+						sum += int64(n)
+					}
+					counted := &join.Counter{}
+					if err := st.Join(jointest.Numbered(rKeys, 0), counted); err != nil {
+						t.Fatal(err)
+					}
+					if sum != counted.Count() {
+						t.Errorf("%s: the counts add up to %d, a counting Join reports %d", name, sum, counted.Count())
 					}
 				}
 			}
@@ -422,7 +485,8 @@ func (l *lengths) EmitBlock(b join.Block) { l.n.Add(int64(len(b.Pairs))) }
 // TestJoinAllocatesNothing: under both rules, once a fragment has placed its
 // payloads, a Join into a join.BlockCollector allocates nothing — its
 // blocks live in the fragment's buffers, not in each call — and a Join that
-// only counts allocates nothing either, nor any block buffer.
+// only counts, or a CountEach, allocates nothing either, nor any block
+// buffer.
 func TestJoinAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := jointest.RandomRelation(rng, "S", 5000, 3000, 8)
@@ -449,6 +513,14 @@ func TestJoinAllocatesNothing(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: a counting Join allocates %.0f times, want 0", k.name, allocs)
+		}
+		counts := make([]uint32, r.Len())
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := counted.CountEach(r.Keys(), counts); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: CountEach allocates %.0f times, want 0", k.name, allocs)
 		}
 		if counted.Buffered() {
 			t.Errorf("%s: a fragment only ever counted allocated block buffers", k.name)

@@ -77,6 +77,22 @@ func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 	return nil
 }
 
+// CountEach implements join.Stationary: every key against every stationary
+// tuple under the predicate.
+func (st *stationary) CountEach(rKeys []uint64, counts []uint32) error {
+	sKeys := st.rel.Keys()
+	for i, rk := range rKeys {
+		var n uint32
+		for _, sk := range sKeys {
+			if st.pred.Matches(rk, sk) {
+				n++
+			}
+		}
+		counts[i] = n
+	}
+	return nil
+}
+
 // blockTuples sizes the stationary block so one block of keys stays within
 // the L1 data cache (32 KB on the paper's Xeons).
 const blockTuples = 4096
