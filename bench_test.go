@@ -1,13 +1,8 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark per table
-// and figure, §V), plus the ablations called out in DESIGN.md §6 and
-// micro-benchmarks of the real implementation underneath.
-//
-// The Fig/Table benchmarks execute the calibrated model + discrete-event
-// simulation at the paper's data scale and report the headline quantity of
-// the corresponding figure as a custom metric (seconds of simulated time,
-// speedup factors, CPU load), so `go test -bench .` prints the
-// reproduction next to the benchmark name. The paper-vs-ours comparison is
-// recorded in EXPERIMENTS.md.
+// Benchmarks of the ablations called out in DESIGN.md §6 and
+// micro-benchmarks of the real implementation underneath. The paper's
+// tables and figures (§V) are regenerated by cmd/cyclobench, whose output
+// is pinned by its golden test; the paper-vs-ours comparison is recorded
+// in EXPERIMENTS.md.
 package cyclojoin_test
 
 import (
@@ -19,7 +14,6 @@ import (
 	"cyclojoin"
 	"cyclojoin/internal/core"
 	"cyclojoin/internal/costmodel"
-	"cyclojoin/internal/experiments"
 	"cyclojoin/internal/join"
 	"cyclojoin/internal/join/hashjoin"
 	"cyclojoin/internal/join/nested"
@@ -34,136 +28,6 @@ import (
 	"cyclojoin/internal/simnet"
 	"cyclojoin/internal/workload"
 )
-
-// ---- paper tables and figures ----
-
-// BenchmarkFig03CPUOverhead regenerates the Fig 3 transport overhead
-// decomposition.
-func BenchmarkFig03CPUOverhead(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig3Rows()
-		total = rows[2].Total()
-	}
-	b.ReportMetric(total*100, "rdma-residual-%")
-}
-
-// BenchmarkFig05ChunkSize regenerates the Fig 5 throughput sweep and
-// reports the chunk size's share of the link at 4 kB (the paper's
-// saturation knee).
-func BenchmarkFig05ChunkSize(b *testing.B) {
-	cal := costmodel.Default()
-	var at4k float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5Rows(cal)
-		for _, r := range rows {
-			if r.ChunkBytes == 4<<10 {
-				at4k = r.Throughput / cal.EffectiveBandwidth()
-			}
-		}
-	}
-	b.ReportMetric(at4k*100, "linkshare-4kB-%")
-}
-
-// BenchmarkFig07FixedData regenerates Fig 7 and reports the six-node setup
-// time (paper: 2.7 s, down from 16.2 s).
-func BenchmarkFig07FixedData(b *testing.B) {
-	cal := costmodel.Default()
-	var rows []experiments.ScaleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig7Rows(cal)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[5].Setup.Seconds(), "setup6-s")
-	b.ReportMetric(rows[5].Join.Seconds(), "join6-s")
-}
-
-// BenchmarkFig08ScaleUp regenerates Fig 8 and reports the 19.2 GB join
-// phase (paper: 16.2 s).
-func BenchmarkFig08ScaleUp(b *testing.B) {
-	cal := costmodel.Default()
-	var rows []experiments.ScaleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig8Rows(cal)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[5].Join.Seconds(), "join19GB-s")
-}
-
-// BenchmarkFig09Skew regenerates Fig 9 and reports the z=0.9 cyclo-join
-// advantage (paper: ≈5×).
-func BenchmarkFig09Skew(b *testing.B) {
-	cal := costmodel.Default()
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig9Rows(cal)
-		adv = rows[len(rows)-1].Advantage()
-	}
-	b.ReportMetric(adv, "advantage-z0.9-x")
-}
-
-// BenchmarkFig10SortMergeFixed regenerates Fig 10 and reports the
-// single-host sort setup (the figure's dominating bar).
-func BenchmarkFig10SortMergeFixed(b *testing.B) {
-	cal := costmodel.Default()
-	var rows []experiments.ScaleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig10Rows(cal)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Setup.Seconds(), "sort1-s")
-	b.ReportMetric(rows[5].Setup.Seconds(), "sort6-s")
-}
-
-// BenchmarkFig11SortMergeScaleUp regenerates Fig 11 and reports the
-// six-node merge and sync times (paper: 6.4 s + 2.3 s).
-func BenchmarkFig11SortMergeScaleUp(b *testing.B) {
-	cal := costmodel.Default()
-	var rows []experiments.ScaleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig11Rows(cal)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[5].Join.Seconds(), "join6-s")
-	b.ReportMetric(rows[5].Sync.Seconds(), "sync6-s")
-}
-
-// BenchmarkFig12RDMAvsTCP regenerates Fig 12 and reports the 4-thread
-// TCP/RDMA wall-clock ratio (the paper's largest gap).
-func BenchmarkFig12RDMAvsTCP(b *testing.B) {
-	cal := costmodel.Default()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12Rows(cal)
-		ratio = rows[3].TCP.Wall().Seconds() / rows[3].RDMA.Wall().Seconds()
-	}
-	b.ReportMetric(ratio, "tcp/rdma-4t-x")
-}
-
-// BenchmarkTable1CPULoad regenerates Table I and reports the 4-thread
-// loads (paper: TCP 86 %, RDMA 100 %).
-func BenchmarkTable1CPULoad(b *testing.B) {
-	cal := costmodel.Default()
-	var tcp, rdma float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12Rows(cal)
-		tcp, rdma = rows[3].TCP.CPULoad, rows[3].RDMA.CPULoad
-	}
-	b.ReportMetric(tcp*100, "tcp4t-%")
-	b.ReportMetric(rdma*100, "rdma4t-%")
-}
 
 // ---- ablations (DESIGN.md §6) ----
 

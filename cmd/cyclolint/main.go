@@ -158,11 +158,7 @@ func check(analyzers []*analysis.Analyzer, patterns []string, opts outputOptions
 	tm := make(timings)
 	var all []located
 	for _, pkg := range pkgs {
-		findings, err := analysis.CheckPackage(analyzers, pkg, facts, tm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cyclolint: %v\n", err)
-			return 2
-		}
+		findings := analysis.CheckPackage(analyzers, pkg, facts, tm)
 		if opts.fix {
 			if err := applyFixes(pkg.Fset, findings); err != nil {
 				fmt.Fprintf(os.Stderr, "cyclolint: -fix: %v\n", err)

@@ -64,7 +64,6 @@ func All() []Experiment {
 	return []Experiment{
 		{ID: "fig3", Title: "Fig 3: CPU overhead of network transports", Run: Fig3Table},
 		{ID: "fig5", Title: "Fig 5: RDMA throughput vs transfer-unit size", Run: Fig5Table},
-		{ID: "autotune", Title: "Fig 5 live: chunk-size autotuner convergence", Run: AutotuneTable},
 		{ID: "fig7", Title: "Fig 7: hash join, fixed 3.2 GB data set, 1-6 nodes", Run: Fig7Table},
 		{ID: "fig8", Title: "Fig 8: hash join scale-up, +3.2 GB per node", Run: Fig8Table},
 		{ID: "fig9", Title: "Fig 9: join phase under Zipf skew, local vs cyclo-join", Run: Fig9Table},

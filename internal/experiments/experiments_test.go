@@ -239,20 +239,6 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
-func TestAutotuneConvergesWithinTenPercent(t *testing.T) {
-	res := AutotuneSweep(cal())
-	if res.ConvergedTput < 0.9*res.BestFixedTput {
-		t.Fatalf("autotuner converged to %d B at %.3g B/s — below 90%% of the best fixed chunk (%d B at %.3g B/s)",
-			res.Converged, res.ConvergedTput, res.BestFixed, res.BestFixedTput)
-	}
-	if len(res.Trajectory) < 2 {
-		t.Fatal("trajectory never moved off the 1 B start")
-	}
-	if res.Converged >= 1<<30 {
-		t.Fatalf("converged to the ladder bound (%d B), not the knee", res.Converged)
-	}
-}
-
 func TestFig5RowsMonotone(t *testing.T) {
 	rows := Fig5Rows(cal())
 	for i := 1; i < len(rows); i++ {

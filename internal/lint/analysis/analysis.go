@@ -40,7 +40,7 @@ type Analyzer struct {
 	// the run's Facts.
 	UsesFacts bool
 	// Run inspects one package via the Pass and reports findings.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // Pass is one analyzer's view of one type-checked package.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"time"
 
 	"cyclojoin/internal/lint/load"
@@ -23,7 +22,7 @@ type Finding struct {
 // findings in report order. On a fact-only dependency (pkg.DepOnly) just
 // the analyzers that UsesFacts run, and their reports are dropped. When
 // tm is non-nil, each analyzer's wall time is added to it.
-func CheckPackage(analyzers []*Analyzer, pkg *load.Package, facts Facts, tm map[string]time.Duration) ([]Finding, error) {
+func CheckPackage(analyzers []*Analyzer, pkg *load.Package, facts Facts, tm map[string]time.Duration) []Finding {
 	var findings []Finding
 	for _, a := range analyzers {
 		if pkg.DepOnly && !a.UsesFacts {
@@ -43,12 +42,10 @@ func CheckPackage(analyzers []*Analyzer, pkg *load.Package, facts Facts, tm map[
 			},
 		}
 		start := time.Now()
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.PkgPath, err)
-		}
+		a.Run(pass)
 		if tm != nil {
 			tm[a.Name] += time.Since(start)
 		}
 	}
-	return findings, nil
+	return findings
 }

@@ -53,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "bufown",
 	Doc:       "a registered *rdma.Buffer credit must be released (free list, post, or handoff) on every path; posted buffers are untouchable until completion",
 	UsesFacts: true,
-	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
+	Run:       func(pass *analysis.Pass) { typestate.Run(pass, table) },
 }
 
 var table = &typestate.Table{

@@ -43,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "creditflow",
 	Doc:       "a send credit popped from a ringq.MPMC[*rdma.Buffer] pool must be returned (TryPush, post, or handoff) on every path, exactly once",
 	UsesFacts: true,
-	Run:       func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
+	Run:       func(pass *analysis.Pass) { typestate.Run(pass, table) },
 }
 
 var table = &typestate.Table{

@@ -95,7 +95,7 @@ type Messages struct {
 // Run checks one package against t. An analyzer that UsesFacts also
 // gets custody effects: inferred for every function, imported from
 // dependencies and exported to importers.
-func Run(pass *analysis.Pass, t *Table) error {
+func Run(pass *analysis.Pass, t *Table) {
 	e := &engine{pass: pass, t: t, g: dataflow.NewGraph(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)}
 	if pass.Analyzer.UsesFacts {
 		e.effects = make(map[string]*Effect)
@@ -108,7 +108,7 @@ func Run(pass *analysis.Pass, t *Table) error {
 		pass.Export(EncodeFacts(e.effects))
 	}
 	if pass.Pkg.Path() == t.Skip {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -119,7 +119,6 @@ func Run(pass *analysis.Pass, t *Table) error {
 			e.check(file, fn)
 		}
 	}
-	return nil
 }
 
 // engine is one package's run: the table, the package and its effects,

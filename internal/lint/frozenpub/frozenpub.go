@@ -39,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -57,7 +57,6 @@ func run(pass *analysis.Pass) error {
 			c.block(fn.Body, make(state))
 		}
 	}
-	return nil
 }
 
 // state maps a local variable to the position where the object it

@@ -39,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -50,7 +50,6 @@ func run(pass *analysis.Pass) error {
 			c.stmts(fn.Body.List)
 		}
 	}
-	return nil
 }
 
 // findResets collects the rendered form of every lvalue the function

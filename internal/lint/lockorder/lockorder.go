@@ -69,7 +69,7 @@ type localEdge struct {
 	file  *ast.File
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	g := dataflow.NewGraph(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 
 	acquires := make(map[string][]string)
@@ -109,7 +109,6 @@ func run(pass *analysis.Pass) error {
 	pass.Export(dataflow.EncodeFacts(f))
 
 	reportCycles(pass, local, imported)
-	return nil
 }
 
 // ---- summaries: which classes a function transitively acquires ----

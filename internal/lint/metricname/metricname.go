@@ -54,11 +54,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	// The registry's own package defines the methods; its registration
 	// calls in examples/tests are out of scope for the convention.
 	if pass.Pkg.Path() == metricsPkg {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -75,7 +75,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, method string) {

@@ -55,13 +55,13 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "shareguard",
 	Doc:       "a location reachable from two goroutine origins with a plain write needs a common guard: one lock class, atomic discipline, or a happens-before; annotate //cyclolint:sharesafe for sanctioned ownership",
 	UsesFacts: true,
-	Run: func(pass *analysis.Pass) error {
+	Run: func(pass *analysis.Pass) {
 		c := &checker{
 			owned:   make(map[*dataflow.Func]map[types.Object]bool),
 			skip:    make(map[ast.Node]bool),
 			firstGo: make(map[*dataflow.Func]token.Pos),
 		}
-		return dataflow.RunTable(pass, &dataflow.Table[access]{
+		dataflow.RunTable(pass, &dataflow.Table[access]{
 			Directive: "sharesafe", Visit: c.visit, Pending: c.pending, Check: c.check,
 		})
 	},

@@ -40,7 +40,7 @@ const tracePkg = "cyclojoin/internal/trace"
 var Analyzer = &analysis.Analyzer{
 	Name: "spanpair",
 	Doc:  "every trace.Shard.Begin must reach a matching End on all return paths (defer-aware)",
-	Run:  func(pass *analysis.Pass) error { return typestate.Run(pass, table) },
+	Run:  func(pass *analysis.Pass) { typestate.Run(pass, table) },
 }
 
 var table = &typestate.Table{

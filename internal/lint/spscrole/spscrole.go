@@ -38,8 +38,8 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "spscrole",
 	Doc:       "a ringq.SPSC endpoint (push or pop) must be reachable from a single goroutine origin; annotate //cyclolint:role for sanctioned hand-offs",
 	UsesFacts: true,
-	Run: func(pass *analysis.Pass) error {
-		return dataflow.RunTable(pass, &dataflow.Table[string]{
+	Run: func(pass *analysis.Pass) {
+		dataflow.RunTable(pass, &dataflow.Table[string]{
 			Directive: "role", Params: true, Visit: visit, Check: check,
 		})
 	},

@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			if imp.Path.Value != `"unsafe"` {
@@ -48,7 +48,6 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 func allowed(filename string) bool {

@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	g := dataflow.NewGraph(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 	imported := make(map[string]*dataflow.Summary)
 	for _, imp := range pass.Pkg.Imports() {
@@ -67,7 +67,7 @@ func run(pass *analysis.Pass) error {
 		// The implementation aliases itself freely; its real summaries
 		// (what Bind stores, what Frame returns) still reach importers,
 		// which is what keeps e.g. Bind's error result untainted.
-		return nil
+		return
 	}
 	for _, f := range eng.Findings() {
 		file := pass.File(f.Pos)
@@ -77,7 +77,6 @@ func run(pass *analysis.Pass) error {
 		pass.Reportf(f.Pos,
 			"relation.View alias %s: it aliases registered receive memory and must not outlive the buffer credit; Materialize() first, or annotate //cyclolint:viewsafe with the ownership argument", f.What)
 	}
-	return nil
 }
 
 // launders recognizes View.Materialize: its result is a deep copy, so no

@@ -52,9 +52,9 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "waitcycle",
 	Doc:       "two goroutine origins that each block on an operation released only past the other's block form a static wait cycle; reorder the hand-off, buffer the channel, or annotate //cyclolint:waitsafe with the progress argument",
 	UsesFacts: true,
-	Run: func(pass *analysis.Pass) error {
+	Run: func(pass *analysis.Pass) {
 		escapes := make(map[*ast.SelectStmt]bool)
-		return dataflow.RunTable(pass, &dataflow.Table[op]{
+		dataflow.RunTable(pass, &dataflow.Table[op]{
 			Directive: "waitsafe", Params: true,
 			Visit: func(e *dataflow.Engine[op], c *dataflow.Ctx, n ast.Node) bool {
 				visit(e, c, n, escapes)

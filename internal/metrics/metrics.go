@@ -15,8 +15,8 @@
 // Values are int64 throughout — bytes, event counts, nanoseconds —
 // because the instrumented code deals in integers and int64 is what a
 // single machine word can update atomically. The exposition layer turns
-// them into Prometheus text; the cyclobench -metrics flag renders the
-// same samples as a fixed-width table instead.
+// them into Prometheus text; Samples hands the same values to code that
+// reads them in-process.
 package metrics
 
 import (

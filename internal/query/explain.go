@@ -109,7 +109,7 @@ func (e *Engine) explainJoins(b *strings.Builder, st *Statement, inputs []bound,
 		fmt.Fprintf(b, "cyclo-join: rotate %s (%d rows)%s against %s placed by key hash — 1 revolution, ships %s (%d B/tuple), saves %d probes, moves %d tuples\n",
 			st.Tables[0], cur.Len(), stationed[0], strings.Join(st.Tables[1:], ", "), what, width, sh.saves, moves)
 		for i, side := range filtered[1:] {
-			curRows = EstimateJoinSizeFloat(cur, side, estimationRate)
+			curRows = planner.EstimateJoinSize(cur, side, estimationRate)
 			fmt.Fprintf(b, "  probe %d: %s (%d rows)%s, est. output %.0f rows\n", i+1, st.Tables[i+1], side.Len(), stationed[i+1], curRows)
 			cur = side // stands in for the chain's key distribution, as in the loop below
 		}
@@ -120,7 +120,7 @@ func (e *Engine) explainJoins(b *strings.Builder, st *Statement, inputs []bound,
 	// as bound, then the intermediate's — both sides' keys and payloads.
 	curWidth := cur.Schema().TupleWidth()
 	for step := 1; step < len(filtered); step++ {
-		est := EstimateJoinSizeFloat(cur, filtered[step], estimationRate)
+		est := planner.EstimateJoinSize(cur, filtered[step], estimationRate)
 		what, width := ships(curWidth, step == len(filtered)-1)
 		plan, err := planner.Choose(costmodel.Default(), planner.Workload{
 			RTuples:    int(curRows),
@@ -150,10 +150,4 @@ func (e *Engine) explainJoins(b *strings.Builder, st *Statement, inputs []bound,
 	}
 	fmt.Fprintf(b, "placement: position (%d < %d)\n", sh.saves, sh.moves)
 	return nil
-}
-
-// EstimateJoinSizeFloat adapts the planner's estimator for EXPLAIN (kept
-// here to avoid a query→planner→query cycle in the estimator tests).
-func EstimateJoinSizeFloat(r, s *relation.Relation, rate int) float64 {
-	return planner.EstimateJoinSize(r, s, rate)
 }

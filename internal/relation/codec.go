@@ -163,14 +163,6 @@ func Decode(src []byte, name string) (*Fragment, error) {
 	return f, nil
 }
 
-// FrameHops reads the hops field of an encoded frame without decoding it.
-func FrameHops(frame []byte) (int, error) {
-	if err := checkFramePrefix(frame); err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint32(frame[hopsOffset:])), nil
-}
-
 // SetFrameHops patches the hops field of an encoded frame in place. This is
 // the entire per-hop serialization work of the encode-free forwarding path:
 // four bytes rewritten, everything else moves as-is.

@@ -291,9 +291,6 @@ func New(cfg Config, links LinkFactory, procs []Processor) (*Ring, error) {
 	return r, nil
 }
 
-// Size returns the number of nodes.
-func (r *Ring) Size() int { return r.cfg.Nodes }
-
 // Stats appends one NodeStats per node to dst and returns it. It reads the
 // node's metric instruments, plain atomic loads, so it is safe to call
 // during a Run and costs the hot path nothing. Passing a previous call's

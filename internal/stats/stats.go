@@ -96,11 +96,6 @@ func Secs(d time.Duration) string {
 	return fmt.Sprintf("%.1f", d.Seconds())
 }
 
-// Secs2 formats a duration as seconds with two decimals.
-func Secs2(d time.Duration) string {
-	return fmt.Sprintf("%.2f", d.Seconds())
-}
-
 // GB formats a byte count in gigabytes (decimal, as the paper labels data
 // volumes).
 func GB(bytes int64) string {

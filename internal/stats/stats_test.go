@@ -45,7 +45,6 @@ func TestFormatters(t *testing.T) {
 		got, want string
 	}{
 		{Secs(16200 * time.Millisecond), "16.2"},
-		{Secs2(2300 * time.Millisecond), "2.30"},
 		{GB(9_600_000_000), "9.6"},
 		{Pct(0.86), "86%"},
 		{Gbps(1.25e9), "10.00"},

@@ -11,11 +11,6 @@ import (
 // fragment's revolution take; which node is the ring's bottleneck and how
 // much of the others' time is starvation waiting on it.
 
-// PipelinePhases are the ring-level phases that tile a node's time. Wait,
-// join and stage run on the join entity and partition its wall clock;
-// receive and send run on their own entities and overlap the pipeline.
-var PipelinePhases = []Phase{PhaseReceive, PhaseWait, PhaseJoin, PhaseStage, PhaseSend}
-
 // joinEntityPhase reports whether p runs on the join-entity track (the
 // phases whose sum must reconcile with that track's wall clock).
 func joinEntityPhase(p Phase) bool {

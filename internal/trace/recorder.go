@@ -317,10 +317,6 @@ type Shard struct {
 // is nil and buf is empty, so Begin/Point/End all no-op.
 var nopShard = &Shard{}
 
-// NopShard returns the shared inert shard, for code paths that may run
-// before any recorder wiring exists.
-func NopShard() *Shard { return nopShard }
-
 // Enabled reports whether spans recorded here are retained. False for the
 // inert shard of a disabled recorder.
 func (s *Shard) Enabled() bool { return s.rec != nil && s.rec.enabled.Load() }

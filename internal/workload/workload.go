@@ -210,28 +210,6 @@ func ExpectedMatches(mr, ms map[uint64]int) int {
 	return total
 }
 
-// ForeignKey generates an S relation whose keys all reference keys present
-// in the given primary relation, emulating a PK-FK join input (HadoopDB-
-// style warehouse layout mentioned in §IV-A).
-func ForeignKey(name string, primary *relation.Relation, tuples, payloadWidth int, seed int64) (*relation.Relation, error) {
-	if primary.Len() == 0 {
-		return nil, fmt.Errorf("workload: foreign key against empty primary %q", primary.Schema().Name)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rel := relation.New(relation.Schema{Name: name, PayloadWidth: payloadWidth}, tuples)
-	pay := make([]byte, payloadWidth)
-	for i := 0; i < tuples; i++ {
-		for j := range pay {
-			pay[j] = byte(rng.Intn(256))
-		}
-		k := primary.Key(rng.Intn(primary.Len()))
-		if err := rel.Append(k, pay); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
 // Sequential generates keys 0..n-1 in order (sorted input, the best case for
 // sort-merge setup and a useful test fixture).
 func Sequential(name string, tuples, payloadWidth int) *relation.Relation {

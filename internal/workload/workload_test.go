@@ -132,30 +132,6 @@ func TestExpectedMatches(t *testing.T) {
 	}
 }
 
-func TestForeignKeyReferentialIntegrity(t *testing.T) {
-	pk := Sequential("PK", 100, 0)
-	fk, err := ForeignKey("FK", pk, 1000, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fk.Len() != 1000 {
-		t.Fatalf("Len = %d", fk.Len())
-	}
-	valid := Multiplicities(pk)
-	for i := 0; i < fk.Len(); i++ {
-		if _, ok := valid[fk.Key(i)]; !ok {
-			t.Fatalf("fk key %d not in primary", fk.Key(i))
-		}
-	}
-}
-
-func TestForeignKeyEmptyPrimary(t *testing.T) {
-	pk := Sequential("PK", 0, 0)
-	if _, err := ForeignKey("FK", pk, 10, 0, 1); err == nil {
-		t.Error("want error for empty primary")
-	}
-}
-
 func TestSequentialSorted(t *testing.T) {
 	r := Sequential("S", 100, 2)
 	for i := 1; i < r.Len(); i++ {
