@@ -84,8 +84,10 @@ race:
 # TestReplaceHostOverTCP used to trip over) passes `race` most of the time
 # and fails here almost surely. Not part of `check` or CI yet: CHANGES.md
 # (PR 15) lists the rare timing-dependent test failures it still finds.
+# kerneltcp is listed beside ./internal/rdma/... because it runs on the
+# same work-queue core (internal/rdma/wq).
 flake:
-	$(GO) test -race -count=20 ./internal/ring ./internal/core ./internal/rdma/... ./internal/ringq
+	$(GO) test -race -count=20 ./internal/ring ./internal/core ./internal/rdma/... ./internal/kerneltcp ./internal/ringq
 
 # bench-check vets and tests the benchmark, which is its own module
 # (bench/go.mod), so the root `go build ./...` and `go test ./...` skip it:

@@ -18,14 +18,27 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
+	"strconv"
 	"sync/atomic"
 
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/rdma"
+	"cyclojoin/internal/rdma/wq"
+	"cyclojoin/internal/trace"
 )
 
-const queueDepth = 256
 const maxFrame = 1 << 30
+
+// linkSeq names flight-recorder tracks across all links in the process.
+var linkSeq atomic.Int64
+
+var queueMetrics = wq.Metrics{
+	Completions: metrics.Default().Counter("kerneltcp_completions_total", "completions delivered to applications over kernel-TCP baseline links"),
+	Rejects:     metrics.Default().Counter("kerneltcp_post_rejects_total", "work requests rejected by sender-side validation on kernel-TCP baseline links"),
+	Flushed:     metrics.Default().Counter("kerneltcp_flushed_total", "posted work requests flushed with an error completion at kernel-TCP baseline link shutdown"),
+	FlushDrops:  metrics.Default().Counter("kerneltcp_flush_drops_total", "flush completions dropped because the completion queue was full or closed at kernel-TCP baseline link shutdown"),
+	SendDepth:   metrics.Default().Gauge("kerneltcp_send_queue_depth", "posted sends not yet written by kernel-TCP baseline links"),
+}
 
 // Stats counts the kernel-path overhead work a link performed.
 type Stats struct {
@@ -41,23 +54,17 @@ type Stats struct {
 	ContextSwitches atomic.Int64
 }
 
+// link is one endpoint: the shared work queues plus the socket loops
+// that stage every message through a kernel buffer.
 type link struct {
+	*wq.Queue
 	conn  net.Conn
 	stats *Stats
-
-	sendQ chan *rdma.Buffer
-	recvQ chan *rdma.Buffer
-	cq    chan rdma.Completion
 
 	// kernel staging buffers, one per direction, grown on demand — the
 	// socket buffer stand-ins.
 	sendStage []byte
 	recvStage []byte
-
-	failOnce  sync.Once
-	closeOnce sync.Once
-	done      chan struct{}
-	wg        sync.WaitGroup
 }
 
 var _ rdma.QueuePair = (*link)(nil)
@@ -65,57 +72,52 @@ var _ rdma.QueuePair = (*link)(nil)
 // New wraps an established connection. The returned Stats is live: it
 // updates as the link moves data.
 func New(conn net.Conn) (rdma.QueuePair, *Stats) {
-	st := &Stats{}
-	l := &link{
-		conn:  conn,
-		stats: st,
-		sendQ: make(chan *rdma.Buffer, queueDepth),
-		recvQ: make(chan *rdma.Buffer, queueDepth),
-		cq:    make(chan rdma.Completion, rdma.CQDepth),
-		done:  make(chan struct{}),
-	}
-	l.wg.Add(2)
+	l := &link{conn: conn, stats: &Stats{}}
+	shard := trace.Flight().Shard(trace.NodeTransport, "kerneltcp/"+strconv.FormatInt(linkSeq.Add(1), 10))
+	l.Queue = wq.New(wq.Config{Shard: shard, MaxLen: maxFrame, Stop: conn, Metrics: queueMetrics})
+	l.Loops.Add(2)
 	go func() {
-		defer l.wg.Done()
+		defer l.Loops.Done()
 		l.writeLoop()
 	}()
 	go func() {
-		defer l.wg.Done()
+		defer l.Loops.Done()
 		l.readLoop()
 	}()
-	return l, st
+	return l, l.stats
 }
 
+// writeLoop sends a work request's buffers one send() call pair each: a
+// socket stack has no doorbell to share.
 func (l *link) writeLoop() {
 	var hdr [4]byte
-	for {
-		var sb *rdma.Buffer
-		select {
-		case <-l.done:
-			return
-		case sb = <-l.sendQ:
-		}
-		payload := sb.Bytes()
-		// The user→kernel copy a Berkeley-sockets send() performs.
-		if cap(l.sendStage) < len(payload) {
-			l.sendStage = make([]byte, len(payload))
-		}
-		stage := l.sendStage[:len(payload)]
-		copy(stage, payload)
-		l.stats.Copies.Add(1)
-		l.stats.BytesCopied.Add(int64(len(payload)))
-		l.stats.ContextSwitches.Add(1)
+	var wr wq.WR
+	for l.NextSend(&wr) {
+		placed := 0
+		for i, sb := range wr.Bufs() {
+			payload := sb.Bytes()
+			// The user→kernel copy a Berkeley-sockets send() performs.
+			if cap(l.sendStage) < len(payload) {
+				l.sendStage = make([]byte, len(payload))
+			}
+			stage := l.sendStage[:len(payload)]
+			copy(stage, payload)
+			l.stats.Copies.Add(1)
+			l.stats.BytesCopied.Add(int64(len(payload)))
+			l.stats.ContextSwitches.Add(1)
 
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(stage)))
-		if _, err := l.conn.Write(hdr[:]); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpSend, Buf: sb, Err: fmt.Errorf("kerneltcp: write header: %w", err)})
-			return
+			binary.BigEndian.PutUint32(hdr[:], uint32(len(stage)))
+			_, err := l.conn.Write(hdr[:])
+			if err == nil {
+				_, err = l.conn.Write(stage)
+			}
+			if err != nil {
+				l.Abort(&wr, i, placed, fmt.Errorf("kerneltcp: write frame: %w", err))
+				return
+			}
+			placed += len(payload)
+			l.Sent(&wr, i, placed, nil)
 		}
-		if _, err := l.conn.Write(stage); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpSend, Buf: sb, Err: fmt.Errorf("kerneltcp: write payload: %w", err)})
-			return
-		}
-		l.complete(rdma.Completion{Op: rdma.OpSend, Buf: sb})
 	}
 }
 
@@ -123,12 +125,12 @@ func (l *link) readLoop() {
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(l.conn, hdr[:]); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: read header: %w", err)})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: read header: %w", err)})
 			return
 		}
 		n := int(binary.BigEndian.Uint32(hdr[:]))
 		if n > maxFrame {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: frame length %d exceeds limit", n)})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: frame length %d exceeds limit", n)})
 			return
 		}
 		// The kernel receives into its own buffer first...
@@ -137,141 +139,26 @@ func (l *link) readLoop() {
 		}
 		stage := l.recvStage[:n]
 		if _, err := io.ReadFull(l.conn, stage); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: read payload: %w", err)})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("kerneltcp: read payload: %w", err)})
 			return
 		}
 		var rb *rdma.Buffer
 		select {
-		case <-l.done:
+		case <-l.Done():
 			return
-		case rb = <-l.recvQ:
+		case rb = <-l.Recvs():
 		}
-		if n > rb.Cap() {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb,
+		if err := rb.SetLen(n); err != nil {
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb,
 				Err: fmt.Errorf("%w: message %d B, buffer %d B", rdma.ErrBufferTooSmall, n, rb.Cap())})
 			return
 		}
 		// ...and only then copies into the user's buffer (recv()).
-		copy(rb.Data()[:n], stage)
+		copy(rb.Data(), stage)
 		l.stats.Copies.Add(1)
 		l.stats.BytesCopied.Add(int64(n))
 		l.stats.ContextSwitches.Add(1)
-		if err := rb.SetLen(n); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: err})
-			return
-		}
-		l.complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})
+		l.FinishRecv(rb, n)
+		l.Complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})
 	}
-}
-
-func (l *link) complete(c rdma.Completion) {
-	select {
-	case l.cq <- c:
-	case <-l.done:
-	}
-}
-
-func (l *link) fail(c rdma.Completion) {
-	l.failOnce.Do(func() {
-		select {
-		case l.cq <- c:
-		default:
-		}
-		close(l.done)
-		_ = l.conn.Close()
-	})
-}
-
-// PostSend implements rdma.QueuePair.
-func (l *link) PostSend(b *rdma.Buffer) error {
-	// Check shutdown first: with a closed done channel and free queue
-	// space, a bare select would choose nondeterministically.
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	case l.sendQ <- b:
-		return nil
-	}
-}
-
-// PostRecv implements rdma.QueuePair.
-func (l *link) PostRecv(b *rdma.Buffer) error {
-	// Check shutdown first: with a closed done channel and free queue
-	// space, a bare select would choose nondeterministically.
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	case l.recvQ <- b:
-		return nil
-	}
-}
-
-// PostSendBatch implements rdma.QueuePair one send at a time: a socket
-// stack has no doorbell to share. Prefix-atomic: buffers before the
-// first refused post are posted and will complete.
-func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
-	for i, b := range bufs {
-		if err := l.PostSend(b); err != nil {
-			return fmt.Errorf("kerneltcp: batch send %d/%d: %w", i, len(bufs), err)
-		}
-	}
-	return nil
-}
-
-// PostRecvBatch implements rdma.QueuePair one receive at a time,
-// prefix-atomic like PostSendBatch.
-func (l *link) PostRecvBatch(bufs []*rdma.Buffer) error {
-	for i, b := range bufs {
-		if err := l.PostRecv(b); err != nil {
-			return fmt.Errorf("kerneltcp: batch recv %d/%d: %w", i, len(bufs), err)
-		}
-	}
-	return nil
-}
-
-// Completions implements rdma.QueuePair.
-func (l *link) Completions() <-chan rdma.Completion { return l.cq }
-
-// PollCQ implements rdma.QueuePair: a non-blocking drain of the
-// completion channel. A closed CQ reads as empty.
-//
-//cyclolint:hotpath
-func (l *link) PollCQ(dst []rdma.Completion) int {
-	n := 0
-	for n < len(dst) {
-		select {
-		case c, ok := <-l.cq:
-			if !ok {
-				return n
-			}
-			dst[n] = c
-			n++
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// Close implements rdma.QueuePair.
-func (l *link) Close() error {
-	l.closeOnce.Do(func() {
-		l.failOnce.Do(func() {
-			close(l.done)
-			_ = l.conn.Close()
-		})
-		l.wg.Wait()
-		close(l.cq)
-	})
-	return nil
 }

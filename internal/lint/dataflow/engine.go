@@ -2,10 +2,12 @@ package dataflow
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,7 +26,9 @@ import (
 //     argument names the resource;
 //   - an operation of a function with no caller or launch site in its
 //     package is also pending: it rides the facts to the importing call
-//     site, which supplies the goroutine;
+//     site, which supplies the goroutine; for an order-blind table
+//     (Helpers), so do the operations of the in-package helpers every
+//     function an importer can call runs on its goroutine;
 //   - an operation inside a launched literal, or folded at a `go f(…)`
 //     site, runs on that launch — a parameter op keeps its launch label
 //     at every call site it is folded through; any other runs on its
@@ -58,6 +62,10 @@ type Table[P any] struct {
 	Pending func(e *Engine[P], r *Raw[P]) P
 	// Check reports on the attributed ops.
 	Check func(e *Engine[P], attrs []Attr[P])
+	// Helpers exports, with each function an importer can call, the ops
+	// of the in-package helpers it calls (exportHelpers). Their order is
+	// not kept, so only a table that ignores op order sets it.
+	Helpers bool
 }
 
 // Op is one operation in the form that crosses package boundaries.
@@ -113,6 +121,9 @@ type Raw[P any] struct {
 	// ops of one frame, folded ops in callee order.
 	Pos token.Pos
 	Seq int64
+	// Folded marks an op instantiated at a call site from its callee's
+	// summary.
+	Folded bool
 }
 
 // Attr is one op attributed to one goroutine origin.
@@ -414,7 +425,7 @@ func (e *Engine[P]) folded(s *Site, op Op[P], res string, param int) *Raw[P] {
 			Res: res, Param: param, P: op.P, Held: held, Label: label,
 			Group: group, Loop: loop, Safe: op.Safe || s.safe, Site: site,
 		},
-		Fn: s.Caller, Pos: s.Pos, Seq: seqOf(s.Pos, op.Ord),
+		Fn: s.Caller, Pos: s.Pos, Seq: seqOf(s.Pos, op.Ord), Folded: true,
 	}
 }
 
@@ -453,13 +464,17 @@ func (e *Engine[P]) fold() {
 // ---- attribution ----
 
 // attribute fans every op out to the origins of its context, and exports
-// the ops of functions with no in-package evidence as pending.
+// the ops of functions with no in-package evidence as pending (and, for a
+// Helpers table, those of their helpers: exportHelpers).
 func (e *Engine[P]) attribute() []Attr[P] {
 	perFn := make(map[*Func][]*Raw[P])
 	for _, r := range e.raw {
 		if r.Label == "" {
 			perFn[r.Fn] = append(perFn[r.Fn], r)
 		}
+	}
+	if e.t.Helpers {
+		e.exportHelpers(perFn)
 	}
 	ord := make(map[*Raw[P]]int)
 	for _, rs := range perFn {
@@ -489,6 +504,65 @@ func (e *Engine[P]) attribute() []Attr[P] {
 		}
 	}
 	return out
+}
+
+// exportHelpers exports, with every function an importer can call
+// (exported, EntryOrigin among its origins), the ops it runs on the
+// importer's goroutine through its in-package helpers: each helper's own
+// ops, holding the locks held at the calls that reach it. Without them an
+// importer sees only a root's own accesses, and a dependency that keeps
+// its state behind helpers looks race-free to every importer. Ops are
+// deduplicated per location and guard; their order is not kept, and ops
+// a helper folded from its own imports stay behind. It runs before
+// attribute adds each function's entry locks to its ops.
+func (e *Engine[P]) exportHelpers(perFn map[*Func][]*Raw[P]) {
+	sites := make(map[*Func][]*Site)
+	for _, s := range e.Sites {
+		if s.Callee != nil && s.Label == "" && !s.Launch {
+			sites[s.Caller] = append(sites[s.Caller], s)
+		}
+	}
+	memo := make(map[*Func][]Op[P])
+	var reach func(fn *Func) []Op[P]
+	reach = func(fn *Func) []Op[P] {
+		if ops, ok := memo[fn]; ok {
+			return ops
+		}
+		memo[fn] = nil // a recursive call contributes nothing more
+		seen := make(map[string]bool)
+		var ops []Op[P]
+		add := func(op Op[P]) {
+			k := fmt.Sprintf("%s|%v|%v|%v|%s", op.Res, op.P, op.Held, op.Safe, op.Label)
+			if !seen[k] {
+				seen[k] = true
+				op.Ord = len(ops)
+				ops = append(ops, op)
+			}
+		}
+		for _, r := range perFn[fn] {
+			if !r.Folded {
+				op := r.Op
+				if e.t.Pending != nil {
+					op.P = e.t.Pending(e, r)
+				}
+				add(op)
+			}
+		}
+		for _, s := range sites[fn] {
+			for _, op := range reach(s.Callee) {
+				op.Held = union(s.Held, op.Held)
+				add(op)
+			}
+		}
+		memo[fn] = ops
+		return ops
+	}
+	for _, fn := range e.G.All() {
+		if fn.Obj.Exported() && slices.Contains(e.Origins.Of(fn), EntryOrigin) {
+			sum := e.local[fn.Key()]
+			sum.Pending = append(sum.Pending, reach(fn)...)
+		}
+	}
 }
 
 // solveEntryHeld computes, per function, the lock classes held at every

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"reflect"
 	"sort"
 )
@@ -138,8 +139,16 @@ func (e *Escape) Solve() {
 // Summaries returns the package's computed summary table.
 func (e *Escape) Summaries() map[string]*Summary { return e.local }
 
-// Facts serializes the computed summaries for downstream packages.
-func (e *Escape) Facts() []byte { return EncodeEscapeFacts(e.local) }
+// Facts serializes the summaries downstream packages resolve calls
+// against: this package's and every one it imported, so a summary
+// reaches packages that do not import its package directly — an
+// importer calling a method promoted from an embedded field of another
+// package, or an interface method implemented only there.
+func (e *Escape) Facts() []byte {
+	all := maps.Clone(e.imported)
+	maps.Copy(all, e.local)
+	return EncodeEscapeFacts(all)
+}
 
 func methodSig(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)

@@ -62,7 +62,7 @@ var Analyzer = &analysis.Analyzer{
 			firstGo: make(map[*dataflow.Func]token.Pos),
 		}
 		dataflow.RunTable(pass, &dataflow.Table[access]{
-			Directive: "sharesafe", Visit: c.visit, Pending: c.pending, Check: c.check,
+			Directive: "sharesafe", Visit: c.visit, Pending: c.pending, Check: c.check, Helpers: true,
 		})
 	},
 }
@@ -141,7 +141,31 @@ func (c *checker) emit(e *dataflow.Engine[access], ctx *dataflow.Ctx, x ast.Expr
 	if obj := rootObject(e.G, core); obj != nil && owned[obj] {
 		return
 	}
+	if valueField(e.G, core) {
+		return
+	}
 	e.Emit(ctx, x, core, x.Pos(), access{Write: write, Atomic: atomic, PreGo: true})
+}
+
+// valueField reports a field of a struct-typed local or parameter: the
+// variable holds its own copy of the struct, so the field is the
+// function's storage however the copy was made — the ownership argument
+// of a fresh local.
+func valueField(g *dataflow.Graph, core ast.Expr) bool {
+	sel, ok := core.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v, ok := g.Info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || dataflow.GlobalVar(v) {
+		return false
+	}
+	_, isStruct := v.Type().Underlying().(*types.Struct)
+	return isStruct
 }
 
 // peelToCore unwraps parens, derefs, indexing and address-of down to the

@@ -26,3 +26,20 @@ func watch(d *dep.D) {
 		_ = d.Count
 	}
 }
+
+// RunHits writes through dep's helper from two goroutines: the write in
+// the unexported helper reaches this package with its exported callers.
+func RunHits(d *dep.D) {
+	go func() {
+		d.HitTwice() // want `\(cyclolinttest/sharedep/dep\.D\)\.Hits has a plain write with no common guard across 2 goroutine origins`
+	}()
+	d.Hit()
+}
+
+// RunMisses writes through the helper dep calls under its mutex: clean.
+func RunMisses(d *dep.D) {
+	go func() {
+		d.MissGuarded()
+	}()
+	d.MissGuarded()
+}

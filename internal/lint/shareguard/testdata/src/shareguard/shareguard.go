@@ -81,3 +81,32 @@ func drain() {
 		_ = c.n
 	}
 }
+
+// mark is stamped by value: each goroutine writes the fields of its own
+// copy — a parameter or a local of struct type — so nothing is shared.
+type mark struct {
+	arg, aux int
+}
+
+var marks chan mark
+
+func Stamp(s *srv) {
+	go stampLoop()
+	m := s.template()
+	m.arg = 1
+	marks <- finish(m, 2)
+}
+
+func stampLoop() {
+	for m := range marks {
+		m.aux = 3
+		_ = finish(m, 4)
+	}
+}
+
+func (s *srv) template() mark { return mark{} }
+
+func finish(m mark, n int) mark {
+	m.arg = n
+	return m
+}

@@ -16,11 +16,13 @@
 //     (direct data placement): a transfer involves no intermediate copy in
 //     either host's software stack.
 //
-// Two wire implementations live in subpackages: memlink (in-process,
-// genuinely zero-copy) and tcplink (real TCP sockets carrying the same
-// semantics). Package kerneltcp implements the same QueuePair interface in
-// the style of the paper's software-TCP baseline, with the extra
-// user↔kernel staging copies performed for real.
+// The verbs half of every transport — post verbs, receive stamps,
+// completion delivery, PollCQ and the flushing Close — is written once,
+// in subpackage wq. Each transport embeds a wq.Queue and adds only its
+// data mover: memlink (in-process, genuinely zero-copy), tcplink (real
+// TCP sockets carrying the same semantics) and package kerneltcp (the
+// paper's software-TCP baseline, with the extra user↔kernel staging
+// copies performed for real).
 package rdma
 
 import (
@@ -98,9 +100,11 @@ type Completion struct {
 //     channel receives from Completions(); each completion is delivered
 //     exactly once through exactly one of the two.
 //
-// Transports that can batch natively do (memlink: one queue hand-off per
-// batch; tcplink: one writev per batch); kerneltcp posts a batch buffer
-// by buffer.
+// The three transports share one implementation of these verbs
+// (package wq): a send batch crosses to the transport in one queue
+// hand-off per 16 buffers, which tcplink writes with one writev,
+// memlink places buffer by buffer and kerneltcp sends one socket write
+// pair per buffer.
 type QueuePair interface {
 	// PostRecv hands a registered buffer to the transport for the next
 	// incoming message.
@@ -163,10 +167,14 @@ var ErrFlushed = errors.New("rdma: work request flushed on queue pair shutdown")
 // errors of real RNICs.
 var ErrBufferTooSmall = errors.New("rdma: posted receive buffer too small for incoming message")
 
-// CQDepth is the buffered depth of completion channels. Posting more
-// outstanding work requests than this without reaping completions is an
-// application error on real hardware too.
-const CQDepth = 256
+// CQDepth is the buffered depth of completion channels: it out-sizes a
+// transport's send and receive work queues together (256 work requests
+// each, package wq), so a queue pair shutting down can hand every posted
+// buffer back through its CQ even when nobody reaps it anymore. Wrappers
+// size theirs from it. Posting more outstanding work requests than this
+// without reaping completions is an application error on real hardware
+// too.
+const CQDepth = 2*256 + 64
 
 // Buffer is a registered memory buffer. Only registered buffers can be
 // posted to a queue pair — the compile-time analogue of the RNIC's

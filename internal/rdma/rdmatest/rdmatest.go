@@ -7,6 +7,7 @@
 package rdmatest
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -31,6 +32,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Bidirectional", func(t *testing.T) { testBidirectional(t, factory) })
 	t.Run("BatchInOrder", func(t *testing.T) { testBatchInOrder(t, factory) })
 	t.Run("BatchPollCQ", func(t *testing.T) { testBatchPollCQ(t, factory) })
+	t.Run("FlushOnClose", func(t *testing.T) { testFlushOnClose(t, factory) })
 }
 
 func reap(t *testing.T, qp rdma.QueuePair, want rdma.Op) rdma.Completion {
@@ -294,8 +296,8 @@ func testBidirectional(t *testing.T, factory Factory) {
 // in-order arrival, one completion per buffer, ownership returning with
 // each completion. The run is longer than any native batch chunk, so
 // transports that split internally are exercised across the seam, and
-// the kerneltcp baseline, which posts a batch buffer by buffer, is held to
-// the same contract.
+// the kerneltcp baseline, which writes a batch buffer by buffer, is held
+// to the same contract.
 func testBatchInOrder(t *testing.T, factory Factory) {
 	a, b := factory(t)
 	defer closeBoth(a, b)
@@ -419,7 +421,117 @@ func testBatchPollCQ(t *testing.T, factory Factory) {
 	}
 }
 
+// testFlushOnClose checks the flush contract: every buffer posted when
+// Close runs — receives nobody sent to, and sends stuck behind a peer
+// with no posted receive buffer — comes back through the completion
+// queue exactly once before it closes, as a success or as ErrFlushed.
+// A buffer that never returns shrinks the ring's pool for good.
+func testFlushOnClose(t *testing.T, factory Factory) {
+	a, b := factory(t)
+	defer closeBoth(a, b)
+	dev := rdma.OpenDevice("test")
+
+	posted := make(map[*rdma.Buffer]int)
+	var recvs, sends []*rdma.Buffer
+	for i := 0; i < 4; i++ {
+		recvs = append(recvs, register(t, dev, 16))
+	}
+	// More sends than one batch chunk, so a transport that splits a run
+	// leaves work requests on its queue as well as in its mover.
+	for i := 0; i < 20; i++ {
+		sb := register(t, dev, 16)
+		fill(t, sb, []byte{byte(i)})
+		sends = append(sends, sb)
+	}
+	for _, buf := range append(recvs, sends...) {
+		posted[buf] = 0
+	}
+	if err := a.PostRecvBatch(recvs); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PostSendBatch(sends); err != nil {
+		t.Fatal(err)
+	}
+	// Let the transport take up the sends it can before Close cuts in.
+	time.Sleep(20 * time.Millisecond)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(timeout)
+	for closed := false; !closed; {
+		select {
+		case c, ok := <-a.Completions():
+			if !ok {
+				closed = true
+				break
+			}
+			n, ok := posted[c.Buf]
+			if !ok {
+				t.Fatalf("%s completion returned a buffer that was never posted (err=%v)", c.Op, c.Err)
+			}
+			if c.Err != nil && !errors.Is(c.Err, rdma.ErrFlushed) {
+				t.Errorf("%s completion after Close: err = %v, want nil or ErrFlushed", c.Op, c.Err)
+			}
+			posted[c.Buf] = n + 1
+		case <-deadline:
+			t.Fatal("completion queue did not close after Close")
+		}
+	}
+	for i, buf := range recvs {
+		if n := posted[buf]; n != 1 {
+			t.Errorf("posted receive %d came back %d times, want once", i, n)
+		}
+	}
+	for i, buf := range sends {
+		if n := posted[buf]; n != 1 {
+			t.Errorf("posted send %d came back %d times, want once", i, n)
+		}
+	}
+}
+
 func closeBoth(a, b rdma.QueuePair) {
 	_ = a.Close()
 	_ = b.Close()
+}
+
+// RoundTripAllocs measures the heap allocations of one round trip of four
+// frames from a to b — PostRecvBatch on b, PostSendBatch on a, then every
+// completion reaped on both — counted across all goroutines, the
+// transport's own included. Zero-allocation guards compare it with 0.
+func RoundTripAllocs(t *testing.T, a, b rdma.QueuePair) float64 {
+	t.Helper()
+	dev := rdma.OpenDevice("alloc")
+	recvs, err := dev.RegisterPool(4, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends, err := dev.RegisterPool(4, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sb := range sends {
+		if err := sb.SetLen(256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := false
+	reap := func(qp rdma.QueuePair, n int) {
+		for i := 0; i < n; i++ {
+			if c := <-qp.Completions(); c.Err != nil {
+				failed = true
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if b.PostRecvBatch(recvs) != nil || a.PostSendBatch(sends) != nil {
+			failed = true
+			return
+		}
+		reap(a, len(sends))
+		reap(b, len(recvs))
+	})
+	if failed {
+		t.Fatal("round trip failed")
+	}
+	return allocs
 }

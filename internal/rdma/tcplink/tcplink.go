@@ -23,18 +23,17 @@ package tcplink
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/rdma"
+	"cyclojoin/internal/rdma/wq"
 	"cyclojoin/internal/trace"
 )
 
@@ -43,8 +42,6 @@ var linkSeq atomic.Int64
 
 // castagnoli is the CRC-32C table (the polynomial iWARP's MPA layer uses).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const queueDepth = 256
 
 // defaultMaxFrame bounds payload sizes in both directions: at the
 // receiver it guards against corrupt length prefixes, at the sender it
@@ -56,7 +53,7 @@ const defaultMaxFrame = 1 << 30
 // ErrFrameTooLarge is returned by PostSend/PostSendBatch when the payload
 // exceeds the maximum frame size. The work request is rejected before
 // anything reaches the wire.
-var ErrFrameTooLarge = errors.New("tcplink: frame exceeds the maximum frame size")
+var ErrFrameTooLarge = wq.ErrTooLarge
 
 // DefaultDialTimeout bounds Dial: a black-holed peer (dead machine,
 // dropped SYNs) turns into a diagnosable error instead of wedging ring
@@ -70,14 +67,16 @@ var (
 	mRxFrames    = metrics.Default().Counter("tcplink_frames_total", "frames moved over tcplink connections", "dir", "rx")
 	mTxBytes     = metrics.Default().Counter("tcplink_bytes_total", "payload bytes moved over tcplink connections", "dir", "tx")
 	mRxBytes     = metrics.Default().Counter("tcplink_bytes_total", "payload bytes moved over tcplink connections", "dir", "rx")
-	mCompletions = metrics.Default().Counter("tcplink_completions_total", "completions delivered to applications")
 	mCRCFailures = metrics.Default().Counter("tcplink_checksum_failures_total", "CRC-32C payload mismatches detected at the receiver")
-	mPostRejects = metrics.Default().Counter("tcplink_post_rejects_total", "work requests rejected by sender-side validation")
-	mFlushed     = metrics.Default().Counter("tcplink_flushed_total", "posted work requests flushed with an error completion at shutdown")
-	mFlushDrops  = metrics.Default().Counter("tcplink_flush_drops_total", "flush completions dropped because the completion queue was full at shutdown")
-	mSendDepth   = metrics.Default().Gauge("tcplink_send_queue_depth", "posted work requests not yet on the wire")
 	mFrameBytes  = metrics.Default().Histogram("tcplink_frame_bytes", "transmitted frame payload sizes",
 		metrics.ExponentialBounds(1024, 4, 10))
+	queueMetrics = wq.Metrics{
+		Completions: metrics.Default().Counter("tcplink_completions_total", "completions delivered to applications"),
+		Rejects:     metrics.Default().Counter("tcplink_post_rejects_total", "work requests rejected by sender-side validation"),
+		Flushed:     metrics.Default().Counter("tcplink_flushed_total", "posted work requests flushed with an error completion at shutdown"),
+		FlushDrops:  metrics.Default().Counter("tcplink_flush_drops_total", "flush completions dropped because the completion queue was full at shutdown"),
+		SendDepth:   metrics.Default().Gauge("tcplink_send_queue_depth", "posted work requests not yet on the wire"),
+	}
 )
 
 // frameSend is the one frame type; any other type byte fails the link.
@@ -86,64 +85,36 @@ const frameSend = 0
 // hdrLen is the frame header: the type byte plus the payload length.
 const hdrLen = 5
 
-// maxBatch bounds how many sends ride in one work request (larger batches
-// split transparently). The bound keeps the batch in a fixed array INSIDE
-// the workReq, so the caller's slice is copied out at post time — the
-// caller may reuse its scratch immediately — with no per-batch heap
-// allocation, and lets writeLoop size its frame-assembly scratch statically.
-const maxBatch = 16
-
-// workReq is one outbound work request: a send, or a doorbell-batched run
-// of sends.
-type workReq struct {
-	buf *rdma.Buffer
-	// batchLen > 0 marks a batched send: the buffers are batchArr[:batchLen]
-	// and buf is nil. Inline array, not a slice — the workReq is copied by
-	// value through sendQ.
-	batchLen int
-	batchArr [maxBatch]*rdma.Buffer
-	// pend is the flight-recorder span opened at post time and closed
-	// once the frame is on the wire (WR post→completion latency). A batch
-	// carries one span for the whole run — the doorbell is the unit.
-	pend trace.Pending
-}
-
+// link is one endpoint: the shared work queues plus the framing loops
+// that carry them over the connection.
 type link struct {
+	*wq.Queue
 	conn     net.Conn
 	checksum bool
 	// maxFrame is the largest payload accepted in either direction
 	// (defaultMaxFrame outside tests).
 	maxFrame int
-	// coalesce stages header+payload+CRC into one Write for conns that
-	// lack a writev fast path (net.Pipe in tests); owned by writeLoop.
-	coalesce []byte
 	// isTCP selects the net.Buffers writev fast path.
 	isTCP bool
 
-	sendQ chan workReq
-	recvQ chan *rdma.Buffer
-	cq    chan rdma.Completion
-
-	// shard records this link's work-request spans on the transport
-	// track; inert when flight recording is disabled.
+	// shard records this link's credit-stall spans on the transport
+	// track (the queue records the work-request spans on the same one).
 	shard *trace.Shard
 
-	// recvPend holds the open WRRecv span per posted receive buffer
-	// (guarded by mu): posted→filled is the buffer's residency time.
-	mu       sync.Mutex
-	recvPend map[*rdma.Buffer]trace.Pending
+	// Frame-assembly scratch, owned by writeLoop: every frame of a work
+	// request needs its header and CRC trailer alive until the single
+	// writev, so they are sized by wq.MaxBatch; iov is the writev vector
+	// itself, kept here so the write path allocates nothing. coalesce
+	// stages the frames into one Write for conns that lack a writev fast
+	// path (net.Pipe in tests).
+	hdrs     [wq.MaxBatch * hdrLen]byte
+	sums     [wq.MaxBatch][4]byte
+	parts    [wq.MaxBatch * 3][]byte
+	iov      net.Buffers
+	coalesce []byte
 
-	failOnce  sync.Once
-	closeOnce sync.Once
-	done      chan struct{}
-	wg        sync.WaitGroup
-
-	// pendMu guards pendingFail: a fatal completion that found the CQ
-	// full is parked here instead of dropped — it may carry the receive
-	// buffer the failed frame consumed, and losing it would shrink the
-	// application's pool permanently. Close's flush delivers it first.
-	pendMu      sync.Mutex
-	pendingFail []rdma.Completion
+	// rsum is readLoop's CRC trailer scratch.
+	rsum [4]byte
 }
 
 var _ rdma.QueuePair = (*link)(nil)
@@ -167,20 +138,16 @@ func newLink(conn net.Conn, checksum bool, maxFrame int) *link {
 		checksum: checksum,
 		maxFrame: maxFrame,
 		isTCP:    isTCP,
-		sendQ:    make(chan workReq, queueDepth),
-		recvQ:    make(chan *rdma.Buffer, queueDepth),
-		cq:       make(chan rdma.Completion, rdma.CQDepth),
-		recvPend: make(map[*rdma.Buffer]trace.Pending),
-		done:     make(chan struct{}),
 		shard:    trace.Flight().Shard(trace.NodeTransport, "tcplink/"+strconv.FormatInt(linkSeq.Add(1), 10)),
 	}
-	l.wg.Add(2)
+	l.Queue = wq.New(wq.Config{Shard: l.shard, MaxLen: maxFrame, Stop: conn, Metrics: queueMetrics})
+	l.Loops.Add(2)
 	go func() {
-		defer l.wg.Done()
+		defer l.Loops.Done()
 		l.writeLoop()
 	}()
 	go func() {
-		defer l.wg.Done()
+		defer l.Loops.Done()
 		l.readLoop()
 	}()
 	return l
@@ -234,126 +201,59 @@ func (l *Listener) Accept() (rdma.QueuePair, error) {
 // Close stops listening.
 func (l *Listener) Close() error { return l.ln.Close() }
 
+// writeLoop puts every frame of a work request on the wire with a single
+// writev: all headers, payloads and CRC trailers become one iovec list,
+// so a batch of N frames costs one syscall instead of N. One OpSend
+// completion is raised per buffer, in order.
 func (l *link) writeLoop() {
-	var hdr [hdrLen]byte
-	var sum [4]byte
-	var parts [3][]byte
-	// Batch frame-assembly scratch: every frame of a doorbell batch needs
-	// its own header and CRC trailer alive until the single writev, so
-	// they are statically sized by maxBatch.
-	var bhdrs [maxBatch * hdrLen]byte
-	var bsums [maxBatch][4]byte
-	var bparts [maxBatch * 3][]byte
-	for {
-		var wr workReq
-		select {
-		case <-l.done:
-			return
-		case wr = <-l.sendQ:
-		}
-		if wr.batchLen > 0 {
-			if !l.writeBatch(&wr, bhdrs[:], &bsums, bparts[:0]) {
-				return
+	var wr wq.WR
+	for l.NextSend(&wr) {
+		bufs := wr.Bufs()
+		k, total := 0, 0
+		for i, b := range bufs {
+			payload := b.Bytes()
+			h := l.hdrs[i*hdrLen : (i+1)*hdrLen]
+			h[0] = frameSend
+			binary.BigEndian.PutUint32(h[1:], uint32(len(payload)))
+			l.parts[k], l.parts[k+1] = h, payload
+			k += 2
+			if l.checksum {
+				binary.BigEndian.PutUint32(l.sums[i][:], crc32.Checksum(payload, castagnoli))
+				l.parts[k] = l.sums[i][:]
+				k++
 			}
-			continue
+			total += len(payload)
+			mFrameBytes.Observe(int64(len(payload)))
 		}
-		mSendDepth.Dec()
-		payload := wr.buf.Bytes()
-		hdr[0] = frameSend
-		binary.BigEndian.PutUint32(hdr[1:hdrLen], uint32(len(payload)))
-		k := 0
-		parts[k] = hdr[:]
-		k++
-		parts[k] = payload
-		k++
-		if l.checksum {
-			binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-			parts[k] = sum[:]
-			k++
-		}
-		if err := l.writeFrame(parts[:k]); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf, Err: fmt.Errorf("tcplink: write frame: %w", err)})
+		if err := l.writeFrames(k); err != nil {
+			l.Abort(&wr, 0, 0, fmt.Errorf("tcplink: write batch: %w", err))
 			return
 		}
-		mTxFrames.Inc()
-		mTxBytes.Add(int64(len(payload)))
-		mFrameBytes.Observe(int64(len(payload)))
-		wr.pend.Arg = int64(len(payload))
-		wr.pend.Aux = int64(len(l.cq))
-		l.shard.End(wr.pend)
-		l.complete(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf})
+		mTxFrames.Add(int64(len(bufs)))
+		mTxBytes.Add(int64(total))
+		for i := range bufs {
+			l.Sent(&wr, i, total, nil)
+		}
 	}
 }
 
-// writeBatch puts every frame of a doorbell-batched send run on the wire
-// with a single writev: all headers, payloads and CRC trailers become one
-// iovec list, so a batch of N frames costs one syscall instead of N. One
-// OpSend completion is raised per buffer, in order. Reports false on a
-// fatal write error (the loop must exit); every batch buffer has received
-// its terminal completion by then.
-func (l *link) writeBatch(wr *workReq, bhdrs []byte, bsums *[maxBatch][4]byte, parts [][]byte) bool {
-	mSendDepth.Add(-int64(wr.batchLen))
-	total := 0
-	for i := 0; i < wr.batchLen; i++ {
-		payload := wr.batchArr[i].Bytes()
-		h := bhdrs[i*hdrLen : (i+1)*hdrLen]
-		h[0] = frameSend
-		binary.BigEndian.PutUint32(h[1:hdrLen], uint32(len(payload)))
-		parts = append(parts, h, payload)
-		if l.checksum {
-			binary.BigEndian.PutUint32(bsums[i][:], crc32.Checksum(payload, castagnoli))
-			parts = append(parts, bsums[i][:])
-		}
-		total += len(payload)
-		mFrameBytes.Observe(int64(len(payload)))
-	}
-	if err := l.writeFrame(parts); err != nil {
-		// The dequeued batch is invisible to flush: deliver every
-		// buffer's terminal completion here. fail() takes the first (it
-		// carries the wire error and tears the link down); the rest are
-		// flushed, parked with pendingFail when the CQ is full so no
-		// buffer is ever silently lost.
-		l.fail(rdma.Completion{Op: rdma.OpSend, Buf: wr.batchArr[0], Err: fmt.Errorf("tcplink: write batch: %w", err)})
-		for _, b := range wr.batchArr[1:wr.batchLen] {
-			c := rdma.Completion{Op: rdma.OpSend, Buf: b, Err: rdma.ErrFlushed}
-			select {
-			case l.cq <- c:
-			default:
-				l.pendMu.Lock()
-				l.pendingFail = append(l.pendingFail, c)
-				l.pendMu.Unlock()
-			}
-		}
-		return false
-	}
-	mTxFrames.Add(int64(wr.batchLen))
-	mTxBytes.Add(int64(total))
-	wr.pend.Arg = int64(total)
-	wr.pend.Aux = int64(len(l.cq))
-	l.shard.End(wr.pend)
-	for i := 0; i < wr.batchLen; i++ {
-		l.complete(rdma.Completion{Op: rdma.OpSend, Buf: wr.batchArr[i]})
-	}
-	return true
-}
-
-// writeFrame pushes one frame (header, payload, optional CRC trailer) to
-// the socket in a single call. On a TCP connection net.Buffers takes the
-// writev fast path, so the whole frame is one syscall with no copy; a
-// frame never straddles a partial write boundary of its parts. Generic
-// conns (net.Pipe in tests) have no writev path — net.Buffers would
-// degrade to one Write per slice — so the parts are coalesced into a
-// reusable staging buffer and written once.
+// writeFrames pushes the first k assembled parts to the socket in a
+// single call. On a TCP connection net.Buffers takes the writev fast
+// path, so the whole run is one syscall with no copy; a frame never
+// straddles a partial write boundary of its parts. Generic conns
+// (net.Pipe in tests) have no writev path — net.Buffers would degrade to
+// one Write per slice — so the parts are coalesced into a reusable
+// staging buffer and written once.
 //
 //cyclolint:hotpath
-func (l *link) writeFrame(parts [][]byte) error {
+func (l *link) writeFrames(k int) error {
 	if l.isTCP {
-		bufs := net.Buffers(parts)
-		_, err := bufs.WriteTo(l.conn)
+		l.iov = l.parts[:k]
+		_, err := l.iov.WriteTo(l.conn)
 		return err
 	}
 	l.coalesce = l.coalesce[:0]
-	for _, p := range parts {
+	for _, p := range l.parts[:k] {
 		l.coalesce = append(l.coalesce, p...)
 	}
 	_, err := l.conn.Write(l.coalesce)
@@ -364,16 +264,16 @@ func (l *link) readLoop() {
 	var hdr [hdrLen]byte
 	for {
 		if _, err := io.ReadFull(l.conn, hdr[:]); err != nil {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: read header: %w", err)})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: read header: %w", err)})
 			return
 		}
 		if hdr[0] != frameSend {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: unknown frame type %d", hdr[0])})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: unknown frame type %d", hdr[0])})
 			return
 		}
 		n := int(binary.BigEndian.Uint32(hdr[1:hdrLen]))
 		if n > l.maxFrame {
-			l.fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: frame length %d exceeds limit", n)})
+			l.Fail(rdma.Completion{Op: rdma.OpRecv, Err: fmt.Errorf("tcplink: frame length %d exceeds limit", n)})
 			return
 		}
 		if !l.readSend(n) {
@@ -388,41 +288,37 @@ func (l *link) readSend(n int) bool {
 	// Receiver-not-ready: a frame is on the wire but the application has
 	// no posted buffer. Only the slow path opens the stall span.
 	select {
-	case rb = <-l.recvQ:
+	case rb = <-l.Recvs():
 	default:
 		cs := l.shard.Begin(trace.PhaseCreditStall)
 		cs.Arg = int64(n)
 		select {
-		case <-l.done:
+		case <-l.Done():
 			// Close the stall span on shutdown too, so the trace shows how
 			// long the frame waited for a buffer that never arrived.
 			l.shard.End(cs)
 			return false
-		case rb = <-l.recvQ:
+		case rb = <-l.Recvs():
 		}
 		l.shard.End(cs)
 	}
-	if n > rb.Cap() {
-		l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb,
+	if err := rb.SetLen(n); err != nil {
+		l.Fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb,
 			Err: fmt.Errorf("%w: message %d B, buffer %d B", rdma.ErrBufferTooSmall, n, rb.Cap())})
 		return false
 	}
-	if _, err := io.ReadFull(l.conn, rb.Data()[:n]); err != nil {
-		l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: fmt.Errorf("tcplink: read payload: %w", err)})
+	if _, err := io.ReadFull(l.conn, rb.Bytes()); err != nil {
+		l.Fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: fmt.Errorf("tcplink: read payload: %w", err)})
 		return false
 	}
-	if !l.verifyChecksum(rb.Data()[:n]) {
-		l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: fmt.Errorf("tcplink: payload checksum mismatch")})
-		return false
-	}
-	if err := rb.SetLen(n); err != nil {
-		l.fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: err})
+	if !l.verifyChecksum(rb.Bytes()) {
+		l.Fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb, Err: fmt.Errorf("tcplink: payload checksum mismatch")})
 		return false
 	}
 	mRxFrames.Inc()
 	mRxBytes.Add(int64(n))
-	l.finishRecv(rb, n)
-	l.complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})
+	l.FinishRecv(rb, n)
+	l.Complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})
 	return true
 }
 
@@ -432,290 +328,14 @@ func (l *link) verifyChecksum(payload []byte) bool {
 	if !l.checksum {
 		return true
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(l.conn, sum[:]); err != nil {
+	if _, err := io.ReadFull(l.conn, l.rsum[:]); err != nil {
 		return false
 	}
-	if binary.BigEndian.Uint32(sum[:]) != crc32.Checksum(payload, castagnoli) {
+	if binary.BigEndian.Uint32(l.rsum[:]) != crc32.Checksum(payload, castagnoli) {
 		mCRCFailures.Inc()
 		return false
 	}
 	return true
-}
-
-// validate rejects, at post time, a payload the wire format cannot
-// carry: the length header field is 4 bytes, so an oversized payload
-// would silently wrap and corrupt the stream if allowed through. The
-// limit also mirrors the receiver's maxFrame guard, so a frame the peer
-// would kill the connection over is refused locally with a typed error
-// instead.
-//
-//cyclolint:hotpath
-func (l *link) validate(b *rdma.Buffer) error {
-	if b.Len() > l.maxFrame {
-		mPostRejects.Inc()
-		//cyclolint:coldpath rejected post: caller handles the error off the fast path
-		return fmt.Errorf("%w: payload %d B, limit %d B", ErrFrameTooLarge, b.Len(), l.maxFrame)
-	}
-	return nil
-}
-
-// PostSend implements rdma.QueuePair: it queues a validated send,
-// opening its residency span.
-//
-//cyclolint:hotpath
-func (l *link) PostSend(b *rdma.Buffer) error {
-	if err := l.validate(b); err != nil {
-		return err
-	}
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	case l.sendQ <- workReq{buf: b, pend: l.shard.Begin(trace.PhaseWRSend)}:
-		mSendDepth.Inc()
-		return nil
-	}
-}
-
-// complete delivers one completion to the application's CQ.
-//
-//cyclolint:hotpath
-func (l *link) complete(c rdma.Completion) {
-	select {
-	case l.cq <- c:
-		mCompletions.Inc()
-	case <-l.done:
-	}
-}
-
-// fail reports a fatal link error (once) and tears the connection down so
-// the peer loops unblock. The completion queue itself is closed by Close.
-func (l *link) fail(c rdma.Completion) {
-	l.failOnce.Do(func() {
-		select {
-		case l.cq <- c:
-		default:
-			// CQ full during teardown. The completion may carry a
-			// consumed receive buffer, so it must not be dropped: park
-			// it for Close's flush pass instead.
-			l.pendMu.Lock()
-			l.pendingFail = append(l.pendingFail, c)
-			l.pendMu.Unlock()
-		}
-		close(l.done)
-		// Unblock the other loop's conn reads/writes.
-		_ = l.conn.Close()
-	})
-}
-
-// flush returns every still-posted work request's buffer to the
-// application as an ErrFlushed completion (the verbs WR_FLUSH_ERR
-// discipline). Called by Close after both loops have exited, so the
-// queues are quiescent. Delivery is best-effort non-blocking — the CQ is
-// as deep as the post queues combined is shallow in practice — and any
-// completion that still cannot be delivered is counted, never silently
-// lost.
-func (l *link) flush() {
-	deliver := func(c rdma.Completion) {
-		select {
-		case l.cq <- c:
-			mFlushed.Inc()
-		default:
-			mFlushDrops.Inc()
-		}
-	}
-	l.pendMu.Lock()
-	parked := l.pendingFail
-	l.pendingFail = nil
-	l.pendMu.Unlock()
-	for _, c := range parked {
-		deliver(c)
-	}
-drainSends:
-	for {
-		select {
-		case wr := <-l.sendQ:
-			l.shard.End(wr.pend)
-			if wr.batchLen > 0 {
-				mSendDepth.Add(-int64(wr.batchLen))
-				for _, b := range wr.batchArr[:wr.batchLen] {
-					deliver(rdma.Completion{Op: rdma.OpSend, Buf: b, Err: rdma.ErrFlushed})
-				}
-				continue
-			}
-			mSendDepth.Dec()
-			deliver(rdma.Completion{Op: rdma.OpSend, Buf: wr.buf, Err: rdma.ErrFlushed})
-		default:
-			break drainSends
-		}
-	}
-	for {
-		select {
-		case b := <-l.recvQ:
-			l.dropRecvStamp(b)
-			deliver(rdma.Completion{Op: rdma.OpRecv, Buf: b, Err: rdma.ErrFlushed})
-		default:
-			return
-		}
-	}
-}
-
-// PostSendBatch implements rdma.QueuePair: the run is validated and
-// handed to writeLoop in maxBatch-sized chunks, one queue operation and
-// one writev per chunk. Prefix-atomic: on a validation reject at position
-// i, buffers 0..i-1 are posted (and will complete) and the error names i.
-//
-//cyclolint:hotpath
-func (l *link) PostSendBatch(bufs []*rdma.Buffer) error {
-	// Validate the whole run first so a reject poisons nothing after it.
-	post := len(bufs)
-	var verr error
-	for i, b := range bufs {
-		if err := l.validate(b); err != nil {
-			//cyclolint:coldpath rejected post: caller handles the error off the fast path
-			post, verr = i, fmt.Errorf("tcplink: batch send %d/%d: %w", i, len(bufs), err)
-			break
-		}
-	}
-	for off := 0; off < post; off += maxBatch {
-		n := post - off
-		if n > maxBatch {
-			n = maxBatch
-		}
-		select {
-		case <-l.done:
-			return rdma.ErrClosed
-		default:
-		}
-		wr := workReq{batchLen: n, pend: l.shard.Begin(trace.PhaseWRSend)}
-		copy(wr.batchArr[:n], bufs[off:off+n])
-		select {
-		case <-l.done:
-			l.shard.End(wr.pend)
-			return rdma.ErrClosed
-		case l.sendQ <- wr:
-			mSendDepth.Add(int64(n))
-		}
-	}
-	return verr
-}
-
-// PostRecvBatch implements rdma.QueuePair. Receive buffers are
-// consumed one at a time by the read loop, so the batch form is a single
-// shutdown check plus the per-buffer enqueues — prefix-atomic on error.
-//
-//cyclolint:hotpath
-func (l *link) PostRecvBatch(bufs []*rdma.Buffer) error {
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	for i, b := range bufs {
-		l.stampRecv(b)
-		select {
-		case <-l.done:
-			l.dropRecvStamp(b)
-			//cyclolint:coldpath link teardown: the queue pair is closing
-			return fmt.Errorf("tcplink: batch recv %d/%d: %w", i, len(bufs), rdma.ErrClosed)
-		case l.recvQ <- b:
-		}
-	}
-	return nil
-}
-
-// PollCQ implements rdma.QueuePair: a non-blocking drain of the
-// completion channel. A closed CQ reads as empty.
-//
-//cyclolint:hotpath
-func (l *link) PollCQ(dst []rdma.Completion) int {
-	n := 0
-	for n < len(dst) {
-		select {
-		case c, ok := <-l.cq:
-			if !ok {
-				return n
-			}
-			dst[n] = c
-			n++
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// PostRecv implements rdma.QueuePair.
-func (l *link) PostRecv(b *rdma.Buffer) error {
-	// Check shutdown first: with a closed done channel and free queue
-	// space, a bare select would choose nondeterministically.
-	select {
-	case <-l.done:
-		return rdma.ErrClosed
-	default:
-	}
-	// Stamp the residency span BEFORE the buffer becomes visible to the
-	// read loop: once enqueued, finishRecv may run immediately.
-	l.stampRecv(b)
-	select {
-	case <-l.done:
-		l.dropRecvStamp(b)
-		return rdma.ErrClosed
-	case l.recvQ <- b:
-		return nil
-	}
-}
-
-// stampRecv opens the WRRecv residency span for a buffer about to be
-// posted.
-//
-//cyclolint:hotpath
-func (l *link) stampRecv(b *rdma.Buffer) {
-	if !l.shard.Enabled() {
-		return
-	}
-	pd := l.shard.Begin(trace.PhaseWRRecv)
-	l.mu.Lock()
-	l.recvPend[b] = pd
-	l.mu.Unlock()
-}
-
-// dropRecvStamp abandons a stamp whose post failed.
-//
-//cyclolint:hotpath
-func (l *link) dropRecvStamp(b *rdma.Buffer) {
-	if !l.shard.Enabled() {
-		return
-	}
-	l.mu.Lock()
-	delete(l.recvPend, b)
-	l.mu.Unlock()
-}
-
-// finishRecv closes the buffer's WRRecv span when a frame lands in it.
-//
-//cyclolint:hotpath
-func (l *link) finishRecv(b *rdma.Buffer, n int) {
-	if !l.shard.Enabled() {
-		return
-	}
-	l.mu.Lock()
-	pd, ok := l.recvPend[b]
-	if ok {
-		delete(l.recvPend, b)
-	}
-	l.mu.Unlock()
-	if !ok {
-		return
-	}
-	pd.Arg = int64(n)
-	pd.Aux = int64(len(l.cq))
-	l.shard.End(pd)
 }
 
 // BufferedWire implements rdma.BufferedTransport: a send completion
@@ -723,20 +343,3 @@ func (l *link) finishRecv(b *rdma.Buffer, n int) {
 // posted receive buffer, so delivered-at-sender frames can still be in
 // flight on the wire.
 func (l *link) BufferedWire() bool { return true }
-
-// Completions implements rdma.QueuePair.
-func (l *link) Completions() <-chan rdma.Completion { return l.cq }
-
-// Close implements rdma.QueuePair.
-func (l *link) Close() error {
-	l.closeOnce.Do(func() {
-		l.failOnce.Do(func() {
-			close(l.done)
-			_ = l.conn.Close()
-		})
-		l.wg.Wait()
-		l.flush()
-		close(l.cq)
-	})
-	return nil
-}

@@ -332,8 +332,6 @@ type Pending struct {
 	// Arg and Aux become the span's magnitudes. A Pending is a plain
 	// value owned by whichever goroutine carries it; when one rides
 	// inside a work request the queue hand-off orders the accesses.
-	//
-	//cyclolint:sharesafe a Pending is stack-carried; cross-goroutine moves ride queue hand-offs
 	Arg, Aux int64
 }
 
