@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/rdma"
 	"cyclojoin/internal/rdma/wq"
 	"cyclojoin/internal/trace"
@@ -31,14 +30,6 @@ const maxFrame = 1 << 30
 
 // linkSeq names flight-recorder tracks across all links in the process.
 var linkSeq atomic.Int64
-
-var queueMetrics = wq.Metrics{
-	Completions: metrics.Default().Counter("kerneltcp_completions_total", "completions delivered to applications over kernel-TCP baseline links"),
-	Rejects:     metrics.Default().Counter("kerneltcp_post_rejects_total", "work requests rejected by sender-side validation on kernel-TCP baseline links"),
-	Flushed:     metrics.Default().Counter("kerneltcp_flushed_total", "posted work requests flushed with an error completion at kernel-TCP baseline link shutdown"),
-	FlushDrops:  metrics.Default().Counter("kerneltcp_flush_drops_total", "flush completions dropped because the completion queue was full or closed at kernel-TCP baseline link shutdown"),
-	SendDepth:   metrics.Default().Gauge("kerneltcp_send_queue_depth", "posted sends not yet written by kernel-TCP baseline links"),
-}
 
 // Stats counts the kernel-path overhead work a link performed.
 type Stats struct {
@@ -74,7 +65,7 @@ var _ rdma.QueuePair = (*link)(nil)
 func New(conn net.Conn) (rdma.QueuePair, *Stats) {
 	l := &link{conn: conn, stats: &Stats{}}
 	shard := trace.Flight().Shard(trace.NodeTransport, "kerneltcp/"+strconv.FormatInt(linkSeq.Add(1), 10))
-	l.Queue = wq.New(wq.Config{Shard: shard, MaxLen: maxFrame, Stop: conn, Metrics: queueMetrics})
+	l.Queue = wq.New(wq.Config{Shard: shard, MaxLen: maxFrame, Stop: conn})
 	l.Loops.Add(2)
 	go func() {
 		defer l.Loops.Done()

@@ -26,9 +26,9 @@ import (
 //     argument names the resource;
 //   - an operation of a function with no caller or launch site in its
 //     package is also pending: it rides the facts to the importing call
-//     site, which supplies the goroutine; for an order-blind table
-//     (Helpers), so do the operations of the in-package helpers every
-//     function an importer can call runs on its goroutine;
+//     site, which supplies the goroutine; so do, in call order, the
+//     operations every function an importer can call runs on the
+//     importer's goroutine, its in-package helpers' included;
 //   - an operation inside a launched literal, or folded at a `go f(…)`
 //     site, runs on that launch — a parameter op keeps its launch label
 //     at every call site it is folded through; any other runs on its
@@ -62,10 +62,6 @@ type Table[P any] struct {
 	Pending func(e *Engine[P], r *Raw[P]) P
 	// Check reports on the attributed ops.
 	Check func(e *Engine[P], attrs []Attr[P])
-	// Helpers exports, with each function an importer can call, the ops
-	// of the in-package helpers it calls (exportHelpers). Their order is
-	// not kept, so only a table that ignores op order sets it.
-	Helpers bool
 }
 
 // Op is one operation in the form that crosses package boundaries.
@@ -121,9 +117,6 @@ type Raw[P any] struct {
 	// ops of one frame, folded ops in callee order.
 	Pos token.Pos
 	Seq int64
-	// Folded marks an op instantiated at a call site from its callee's
-	// summary.
-	Folded bool
 }
 
 // Attr is one op attributed to one goroutine origin.
@@ -404,19 +397,8 @@ func (e *Engine[P]) solveParams() {
 // context.
 func (e *Engine[P]) folded(s *Site, op Op[P], res string, param int) *Raw[P] {
 	site := e.G.PosString(s.Pos)
-	if !s.resolved {
-		s.loop = e.loopAt(s.Caller, s.Pos)
-		s.safe = e.excused(&Ctx{Fn: s.Caller, Select: s.sel}, s.Call)
-		s.resolved = true
-	}
-	loop := s.loop
-	if op.Loop != "" {
-		loop = site + "/" + op.Loop
-	}
-	group, label, held := "", op.Label, op.Held
-	if op.Group != "" {
-		group = site + "/" + op.Group
-	}
+	group, loop := e.scope(s, op)
+	label, held := op.Label, op.Held
 	if label == "" {
 		label, held = s.Label, union(s.Held, op.Held)
 	}
@@ -425,8 +407,29 @@ func (e *Engine[P]) folded(s *Site, op Op[P], res string, param int) *Raw[P] {
 			Res: res, Param: param, P: op.P, Held: held, Label: label,
 			Group: group, Loop: loop, Safe: op.Safe || s.safe, Site: site,
 		},
-		Fn: s.Caller, Pos: s.Pos, Seq: seqOf(s.Pos, op.Ord), Folded: true,
+		Fn: s.Caller, Pos: s.Pos, Seq: seqOf(s.Pos, op.Ord),
 	}
+}
+
+// scope returns a callee op's select group and loop in the caller's
+// frame, scoped by call site s so that two calls of one callee stay
+// apart: an op outside any loop of its callee takes the call's loop. It
+// also resolves s.safe.
+func (e *Engine[P]) scope(s *Site, op Op[P]) (group, loop string) {
+	site := e.G.PosString(s.Pos)
+	if !s.resolved {
+		s.loop = e.loopAt(s.Caller, s.Pos)
+		s.safe = e.excused(&Ctx{Fn: s.Caller, Select: s.sel}, s.Call)
+		s.resolved = true
+	}
+	loop = s.loop
+	if op.Loop != "" {
+		loop = site + "/" + op.Loop
+	}
+	if op.Group != "" {
+		group = site + "/" + op.Group
+	}
+	return group, loop
 }
 
 // fold instantiates, at every call site, the callee's parameter ops
@@ -464,8 +467,9 @@ func (e *Engine[P]) fold() {
 // ---- attribution ----
 
 // attribute fans every op out to the origins of its context, and exports
-// the ops of functions with no in-package evidence as pending (and, for a
-// Helpers table, those of their helpers: exportHelpers).
+// as pending the ops of the functions an importer can call
+// (exportHelpers) and of the other functions with no in-package
+// evidence.
 func (e *Engine[P]) attribute() []Attr[P] {
 	perFn := make(map[*Func][]*Raw[P])
 	for _, r := range e.raw {
@@ -473,9 +477,7 @@ func (e *Engine[P]) attribute() []Attr[P] {
 			perFn[r.Fn] = append(perFn[r.Fn], r)
 		}
 	}
-	if e.t.Helpers {
-		e.exportHelpers(perFn)
-	}
+	exported := e.exportHelpers(perFn)
 	ord := make(map[*Raw[P]]int)
 	for _, rs := range perFn {
 		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Seq < rs[j].Seq })
@@ -489,7 +491,7 @@ func (e *Engine[P]) attribute() []Attr[P] {
 		if r.Label == "" {
 			ctx = e.Origins.Of(r.Fn)
 			r.Held = union(r.Held, e.entry[r.Fn])
-			if !e.Origins.HasEvidence(r.Fn) {
+			if !e.Origins.HasEvidence(r.Fn) && !exported[r.Fn] {
 				op := r.Op
 				op.Ord = ord[r]
 				if e.t.Pending != nil {
@@ -508,19 +510,26 @@ func (e *Engine[P]) attribute() []Attr[P] {
 
 // exportHelpers exports, with every function an importer can call
 // (exported, EntryOrigin among its origins), the ops it runs on the
-// importer's goroutine through its in-package helpers: each helper's own
-// ops, holding the locks held at the calls that reach it. Without them an
-// importer sees only a root's own accesses, and a dependency that keeps
-// its state behind helpers looks race-free to every importer. Ops are
-// deduplicated per location and guard; their order is not kept, and ops
-// a helper folded from its own imports stay behind. It runs before
-// attribute adds each function's entry locks to its ops.
-func (e *Engine[P]) exportHelpers(perFn map[*Func][]*Raw[P]) {
+// importer's goroutine: its own, and those of the in-package helpers it
+// calls, holding the locks held at the calls that reach them. Without
+// the helpers' an importer sees only a root's own ops, and a dependency
+// that keeps its state or its blocking operations behind helpers looks
+// race- and cycle-free to every importer. The ops keep their call order:
+// a helper's take the place of its call, scoped by the call site
+// (scope), so order-reading tables see them where they run. Ops are
+// deduplicated per location, guard, group and loop, keeping the first.
+// It runs before attribute adds each function's entry locks to its ops,
+// and returns the functions whose pending ops it wrote.
+func (e *Engine[P]) exportHelpers(perFn map[*Func][]*Raw[P]) map[*Func]bool {
 	sites := make(map[*Func][]*Site)
 	for _, s := range e.Sites {
 		if s.Callee != nil && s.Label == "" && !s.Launch {
 			sites[s.Caller] = append(sites[s.Caller], s)
 		}
+	}
+	type seqOp struct {
+		seq int64
+		op  Op[P]
 	}
 	memo := make(map[*Func][]Op[P])
 	var reach func(fn *Func) []Op[P]
@@ -529,40 +538,46 @@ func (e *Engine[P]) exportHelpers(perFn map[*Func][]*Raw[P]) {
 			return ops
 		}
 		memo[fn] = nil // a recursive call contributes nothing more
+		var all []seqOp
+		for _, r := range perFn[fn] {
+			op := r.Op
+			if e.t.Pending != nil {
+				op.P = e.t.Pending(e, r)
+			}
+			all = append(all, seqOp{r.Seq, op})
+		}
+		for _, s := range sites[fn] {
+			for _, op := range reach(s.Callee) {
+				op.Group, op.Loop = e.scope(s, op)
+				op.Held = union(s.Held, op.Held)
+				op.Safe = op.Safe || s.safe
+				all = append(all, seqOp{seqOf(s.Pos, op.Ord), op})
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 		seen := make(map[string]bool)
 		var ops []Op[P]
-		add := func(op Op[P]) {
-			k := fmt.Sprintf("%s|%v|%v|%v|%s", op.Res, op.P, op.Held, op.Safe, op.Label)
+		for _, x := range all {
+			op := x.op
+			k := fmt.Sprintf("%s|%d|%v|%v|%v|%s|%s|%s", op.Res, op.Param, op.P, op.Held, op.Safe, op.Label, op.Group, op.Loop)
 			if !seen[k] {
 				seen[k] = true
 				op.Ord = len(ops)
 				ops = append(ops, op)
 			}
 		}
-		for _, r := range perFn[fn] {
-			if !r.Folded {
-				op := r.Op
-				if e.t.Pending != nil {
-					op.P = e.t.Pending(e, r)
-				}
-				add(op)
-			}
-		}
-		for _, s := range sites[fn] {
-			for _, op := range reach(s.Callee) {
-				op.Held = union(s.Held, op.Held)
-				add(op)
-			}
-		}
 		memo[fn] = ops
 		return ops
 	}
+	exported := make(map[*Func]bool)
 	for _, fn := range e.G.All() {
 		if fn.Obj.Exported() && slices.Contains(e.Origins.Of(fn), EntryOrigin) {
 			sum := e.local[fn.Key()]
 			sum.Pending = append(sum.Pending, reach(fn)...)
+			exported[fn] = true
 		}
 	}
+	return exported
 }
 
 // solveEntryHeld computes, per function, the lock classes held at every

@@ -22,16 +22,33 @@ import (
 // with the one occurrence of old in file replaced by new, in memory.
 func mutatedPackage(t *testing.T, dir, file, old, new string) []*load.Package {
 	t.Helper()
-	name := filepath.Join(moduleRoot(t), dir, file)
-	src, err := os.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
+	return mutatedPackages(t, dir, mutation{filepath.Join(dir, file), old, new})
+}
+
+// mutation replaces the one occurrence of old in file (relative to the
+// module root) by new.
+type mutation struct{ file, old, new string }
+
+// mutatedPackages is mutatedPackage with several mutations, applied in
+// order; they may reach into the package's dependencies.
+func mutatedPackages(t *testing.T, dir string, ms ...mutation) []*load.Package {
+	t.Helper()
+	overlay := make(map[string][]byte)
+	for _, m := range ms {
+		name := filepath.Join(moduleRoot(t), m.file)
+		src, ok := overlay[name]
+		if !ok {
+			var err error
+			if src, err = os.ReadFile(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := strings.Count(string(src), m.old); n != 1 {
+			t.Fatalf("%s: mutation site %q occurs %d times, want 1", m.file, m.old, n)
+		}
+		overlay[name] = []byte(strings.Replace(string(src), m.old, m.new, 1))
 	}
-	if n := strings.Count(string(src), old); n != 1 {
-		t.Fatalf("%s/%s: mutation site %q occurs %d times, want 1", dir, file, old, n)
-	}
-	mutated := strings.Replace(string(src), old, new, 1)
-	return loadPackages(t, map[string][]byte{name: []byte(mutated)}, "./"+dir)
+	return loadPackages(t, overlay, "./"+dir)
 }
 
 // requireDiagnostic runs a over pkgs and requires a diagnostic containing
@@ -74,6 +91,32 @@ func TestWaitcycleGuard(t *testing.T) {
 		"\t\t<-n.injectSpace.C()\n\t\tn.injectSpace.Signal()\n")
 	requireDiagnostic(t, waitcycle.Analyzer, pkg,
 		"blocked at park of (cyclojoin/internal/ring.node).injectSpace")
+}
+
+// TestWaitcycleGuardCQ pins waitcycle on the work-queue core's
+// completion send as a transport loop reaches it. With the shutdown arm
+// of Complete's blocking send gone, tcplink's read loop blocks on the CQ
+// send, and a write loop that reaps the CQ only after the read loop's
+// signal waits on the loop it is about to release. The send lives in
+// package wq, behind the Complete that tcplink calls, so the cycle is
+// visible only through the helper ops wq exports.
+func TestWaitcycleGuardCQ(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and analyzes a product package")
+	}
+	pkgs := mutatedPackages(t, "internal/rdma/tcplink",
+		mutation{"internal/rdma/wq/wq.go",
+			"\tselect {\n\tcase q.cq <- c:\n\tdefault:\n\t\tselect {\n\t\tcase q.cq <- c:\n\t\tcase <-q.done:\n\t\t\tq.park(c)\n\t\t\treturn\n\t\t}\n\t}\n",
+			"\tq.cq <- c\n"},
+		mutation{"internal/rdma/tcplink/tcplink.go",
+			"\tl.Complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})\n\treturn true\n}\n",
+			"\tl.Complete(rdma.Completion{Op: rdma.OpRecv, Buf: rb})\n\treaped <- 1\n\treturn true\n}\n\n" +
+				"var reaped = make(chan int)\n\nfunc (l *link) reap() {\n\t<-reaped\n\tl.PollCQ(nil)\n}\n"},
+		mutation{"internal/rdma/tcplink/tcplink.go",
+			"\tfor l.NextSend(&wr) {\n",
+			"\tfor l.NextSend(&wr) {\n\t\tl.reap()\n"})
+	requireDiagnostic(t, waitcycle.Analyzer, pkgs,
+		"blocked at send of (cyclojoin/internal/rdma/wq.Queue).cq")
 }
 
 // TestFrozenpubGuard pins frozenpub on the health sampler's published

@@ -58,11 +58,13 @@ var Analyzer = &analysis.Analyzer{
 	Run: func(pass *analysis.Pass) {
 		c := &checker{
 			owned:   make(map[*dataflow.Func]map[types.Object]bool),
+			escaped: make(map[*dataflow.Func]map[types.Object]bool),
+			through: make(map[ast.Expr]bool),
 			skip:    make(map[ast.Node]bool),
 			firstGo: make(map[*dataflow.Func]token.Pos),
 		}
 		dataflow.RunTable(pass, &dataflow.Table[access]{
-			Directive: "sharesafe", Visit: c.visit, Pending: c.pending, Check: c.check, Helpers: true,
+			Directive: "sharesafe", Visit: c.visit, Pending: c.pending, Check: c.check,
 		})
 	},
 }
@@ -82,6 +84,11 @@ const noLaunch = token.Pos(1 << 40)
 
 type checker struct {
 	owned map[*dataflow.Func]map[types.Object]bool
+	// escaped holds each function's variables reachable without a copy
+	// (escapedVars); through marks the storage an access reaches through
+	// (the m.s of m.s[i]), which a value copy shares.
+	escaped map[*dataflow.Func]map[types.Object]bool
+	through map[ast.Expr]bool
 	// skip marks the location operands of atomic calls, already recorded
 	// as atomic accesses.
 	skip map[ast.Node]bool
@@ -92,7 +99,8 @@ type checker struct {
 }
 
 // visit recognizes writes (assignments, ++/--), atomic accesses, and
-// reads, and notes each function's first launch.
+// reads, notes each function's first launch, and marks the storage an
+// access reaches through a dereference, an index, a slice or a range.
 func (c *checker) visit(e *dataflow.Engine[access], ctx *dataflow.Ctx, n ast.Node) bool {
 	switch x := n.(type) {
 	case *ast.GoStmt:
@@ -113,6 +121,14 @@ func (c *checker) visit(e *dataflow.Engine[access], ctx *dataflow.Ctx, n ast.Nod
 		}
 	case *ast.IncDecStmt:
 		c.emit(e, ctx, x.X, true, false)
+	case *ast.StarExpr:
+		c.through[peelToCore(x.X)] = true
+	case *ast.IndexExpr:
+		c.through[peelToCore(x.X)] = true
+	case *ast.SliceExpr:
+		c.through[peelToCore(x.X)] = true
+	case *ast.RangeStmt:
+		c.through[peelToCore(x.X)] = true
 	case *ast.SelectorExpr, *ast.Ident:
 		if !c.skip[x] {
 			c.emit(e, ctx, x.(ast.Expr), false, false)
@@ -141,19 +157,22 @@ func (c *checker) emit(e *dataflow.Engine[access], ctx *dataflow.Ctx, x ast.Expr
 	if obj := rootObject(e.G, core); obj != nil && owned[obj] {
 		return
 	}
-	if valueField(e.G, core) {
+	if c.valueField(e.G, ctx.Fn, x, core) {
 		return
 	}
 	e.Emit(ctx, x, core, x.Pos(), access{Write: write, Atomic: atomic, PreGo: true})
 }
 
-// valueField reports a field of a struct-typed local or parameter: the
-// variable holds its own copy of the struct, so the field is the
-// function's storage however the copy was made — the ownership argument
-// of a fresh local.
-func valueField(g *dataflow.Graph, core ast.Expr) bool {
+// valueField reports a direct access to a field of a struct-typed local
+// or parameter that never escapes its function: the variable holds its
+// own copy of the struct, so the field is the function's storage however
+// the copy was made — the ownership argument of a fresh local. A copy
+// shares what its pointer, slice and map fields reach, so an access
+// through one (*m.p, m.s[i], a range over m.s) is not exempt, nor is a
+// variable a function literal captures or whose address is taken.
+func (c *checker) valueField(g *dataflow.Graph, fn *dataflow.Func, x, core ast.Expr) bool {
 	sel, ok := core.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || ast.Unparen(x) != core || c.through[core] {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
@@ -164,8 +183,54 @@ func valueField(g *dataflow.Graph, core ast.Expr) bool {
 	if !ok || v.IsField() || dataflow.GlobalVar(v) {
 		return false
 	}
-	_, isStruct := v.Type().Underlying().(*types.Struct)
-	return isStruct
+	if _, isStruct := v.Type().Underlying().(*types.Struct); !isStruct {
+		return false
+	}
+	esc, ok := c.escaped[fn]
+	if !ok {
+		esc = escapedVars(g, fn)
+		c.escaped[fn] = esc
+	}
+	return !esc[v]
+}
+
+// escapedVars collects fn's variables another goroutine may reach
+// without a copy: those a function literal uses, and those whose address
+// is taken — explicitly, or by a pointer-receiver method call on the
+// variable itself.
+func escapedVars(g *dataflow.Graph, fn *dataflow.Func) map[types.Object]bool {
+	esc := make(map[types.Object]bool)
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			ast.Inspect(x.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if v, ok := g.Info.Uses[id].(*types.Var); ok && !v.IsField() {
+						esc[v] = true
+					}
+				}
+				return true
+			})
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				if obj := rootObject(g, x.X); obj != nil {
+					esc[obj] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if s, ok := g.Info.Selections[x]; ok && s.Kind() == types.MethodVal {
+				if _, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptrRecv {
+					if _, ptrX := g.Info.TypeOf(x.X).Underlying().(*types.Pointer); !ptrX {
+						if obj := rootObject(g, x.X); obj != nil {
+							esc[obj] = true
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+	return esc
 }
 
 // peelToCore unwraps parens, derefs, indexing and address-of down to the

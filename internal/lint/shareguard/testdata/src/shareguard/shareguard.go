@@ -110,3 +110,45 @@ func finish(m mark, n int) mark {
 	m.arg = n
 	return m
 }
+
+// ref is passed by value too, but a copy shares what its pointer, slice
+// and map fields reach: accesses through them race.
+type ref struct {
+	p *int
+	s []int
+	m map[int]int
+	n []int
+}
+
+func Share(r ref) {
+	go shareLoop(r)
+	*r.p = 1   // want `\(cyclolinttest/shareguard\.ref\)\.p has a plain write with no common guard across 2 goroutine origins`
+	r.s[0] = 1 // want `\(cyclolinttest/shareguard\.ref\)\.s has a plain write with no common guard across 2 goroutine origins`
+	r.m[0] = 1 // want `\(cyclolinttest/shareguard\.ref\)\.m has a plain write with no common guard across 2 goroutine origins`
+	r.n[0] = 1 // want `\(cyclolinttest/shareguard\.ref\)\.n has a plain write with no common guard across 2 goroutine origins`
+}
+
+func shareLoop(r ref) {
+	*r.p = 2
+	r.s[0] = 2
+	r.m[0] = 2
+	_ = r.n[0]
+}
+
+// Captured's local copy is one variable the launched literal shares with
+// the function, not a copy of its own.
+func Captured(p *mark) {
+	m := *p
+	go func() {
+		m.aux++ // want `\(cyclolinttest/shareguard\.mark\)\.aux has a plain write with no common guard across 2 goroutine origins`
+	}()
+	m.aux++
+}
+
+// Lent hands a pointer to its copy to another goroutine.
+func Lent(m mark) {
+	go bump(&m)
+	m.arg++ // want `\(cyclolinttest/shareguard\.mark\)\.arg has a plain write with no common guard across 2 goroutine origins`
+}
+
+func bump(m *mark) { m.arg++ }

@@ -14,3 +14,14 @@ func New() *Q { return &Q{ch: ringq.NewSPSC[int](8)} }
 func (q *Q) Put(v int) { q.ch.TryPush(v) }
 
 func (q *Q) Get() (int, bool) { return q.ch.TryPop() }
+
+// H pushes through an in-package helper: push has a caller here, so its
+// push reaches an importer only through the export of the helpers Fill
+// runs.
+type H struct {
+	ch *ringq.SPSC[int]
+}
+
+func (h *H) Fill() { h.push(1) }
+
+func (h *H) push(v int) { h.ch.TryPush(v) }

@@ -17,3 +17,8 @@ func drain(q *dep.Q) {
 		}
 	}
 }
+
+func RunHelper(h *dep.H) {
+	go h.Fill() // want `SPSC \(cyclolinttest/spscdep/dep\.H\)\.ch push has 2 producer origins`
+	go h.Fill()
+}

@@ -25,3 +25,17 @@ func drain(v *dep.V) {
 	<-v.A
 	v.B <- 2
 }
+
+// LaunchQueue runs a delivery whose helper blocks on the completion send
+// before it takes the acknowledgement, against a drain that reaps only
+// after acknowledging: each waits on the other.
+func LaunchQueue(q *dep.Q) {
+	go q.Deliver() // want `static wait cycle: go waitdep\.go:\d+ blocked at send of \(cyclolinttest/waitdep/dep\.Q\)\.cq`
+	go q.Drain()
+}
+
+// LaunchQueueAcked takes the acknowledgement first: clean.
+func LaunchQueueAcked(r *dep.R) {
+	go r.Deliver()
+	go r.Drain()
+}

@@ -32,13 +32,6 @@ import (
 var (
 	mSendTransfers = metrics.Default().Counter("memlink_transfers_total", "data movements over in-process links", "kind", "send")
 	mBytes         = metrics.Default().Counter("memlink_bytes_total", "payload bytes moved over in-process links")
-	queueMetrics   = wq.Metrics{
-		Completions: metrics.Default().Counter("memlink_completions_total", "completions delivered to applications over in-process links"),
-		Rejects:     metrics.Default().Counter("memlink_post_rejects_total", "work requests rejected by sender-side validation on in-process links"),
-		Flushed:     metrics.Default().Counter("memlink_flushed_total", "posted work requests flushed with an error completion at in-process link shutdown"),
-		FlushDrops:  metrics.Default().Counter("memlink_flush_drops_total", "flush completions dropped because the completion queue was full or closed at in-process link shutdown"),
-		SendDepth:   metrics.Default().Gauge("memlink_send_queue_depth", "posted sends not yet placed by in-process links"),
-	}
 )
 
 // linkSeq names flight-recorder tracks across all links in the process.
@@ -49,9 +42,6 @@ var linkSeq atomic.Int64
 type link struct {
 	*wq.Queue
 	peer *link
-	// shard records this link's credit-stall spans on the transport
-	// track (the queue records the work-request spans on the same one).
-	shard *trace.Shard
 }
 
 var _ rdma.QueuePair = (*link)(nil)
@@ -76,7 +66,7 @@ func (l *link) start() {
 func newLink() *link {
 	shard := trace.Flight().Shard(trace.NodeTransport, "memlink/"+strconv.FormatInt(linkSeq.Add(1), 10))
 	// No wire bounds a payload: the receiver's buffer is the only limit.
-	return &link{Queue: wq.New(wq.Config{Shard: shard, MaxLen: math.MaxInt, Metrics: queueMetrics}), shard: shard}
+	return &link{Queue: wq.New(wq.Config{Shard: shard, MaxLen: math.MaxInt})}
 }
 
 // sendLoop is the virtual DMA engine: it moves each posted send into the
@@ -111,23 +101,23 @@ func (l *link) placeSend(wr *wq.WR, i, placed int) (n int, ok bool) {
 	select {
 	case rb = <-l.peer.Recvs():
 	default:
-		cs := l.shard.Begin(trace.PhaseCreditStall)
+		cs := l.Shard().Begin(trace.PhaseCreditStall)
 		cs.Arg = int64(len(payload))
 		select {
 		case <-l.Done():
 			// Record the stall interval even on shutdown: the time spent
 			// waiting for a credit that never came is exactly what the
 			// stall analysis wants to see.
-			l.shard.End(cs)
+			l.Shard().End(cs)
 			l.Abort(wr, i, placed, rdma.ErrFlushed)
 			return 0, false
 		case <-l.peer.Done():
-			l.shard.End(cs)
+			l.Shard().End(cs)
 			l.Abort(wr, i, placed, rdma.ErrClosed)
 			return 0, false
 		case rb = <-l.peer.Recvs():
 		}
-		l.shard.End(cs)
+		l.Shard().End(cs)
 	}
 	if err := rb.SetLen(len(payload)); err != nil {
 		err = fmt.Errorf("%w: message %d B, buffer %d B", rdma.ErrBufferTooSmall, len(payload), rb.Cap())

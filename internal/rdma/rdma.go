@@ -167,13 +167,16 @@ var ErrFlushed = errors.New("rdma: work request flushed on queue pair shutdown")
 // errors of real RNICs.
 var ErrBufferTooSmall = errors.New("rdma: posted receive buffer too small for incoming message")
 
-// CQDepth is the buffered depth of completion channels: it out-sizes a
-// transport's send and receive work queues together (256 work requests
-// each, package wq), so a queue pair shutting down can hand every posted
-// buffer back through its CQ even when nobody reaps it anymore. Wrappers
-// size theirs from it. Posting more outstanding work requests than this
-// without reaping completions is an application error on real hardware
-// too.
+// CQDepth is the buffered depth of completion channels: one completion
+// per slot of a transport's two work queues (256 send work requests and
+// 256 receive buffers, package wq) and 64 to spare, so a queue pair
+// shutting down can hand 256 posted sends and 256 posted receives back
+// through its CQ even when nobody reaps it anymore. A send work request
+// may carry up to 16 buffers; flushed buffers beyond the CQ's room are
+// dropped (and counted by a transport that exports its queue counters).
+// Wrappers size theirs from it. Posting more outstanding work requests
+// than this without reaping completions is an application error on real
+// hardware too.
 const CQDepth = 2*256 + 64
 
 // Buffer is a registered memory buffer. Only registered buffers can be

@@ -26,7 +26,8 @@ import (
 
 // depth bounds the posted work requests per direction: send work
 // requests on the send queue, buffers on the receive queue. rdma.CQDepth
-// out-sizes the two together so Close can flush into an unreaped CQ.
+// holds one completion per slot of both, so Close can flush a queue of
+// single-buffer sends into an unreaped CQ.
 const depth = 256
 
 // MaxBatch bounds how many sends ride in one work request; longer batches
@@ -57,7 +58,8 @@ type WR struct {
 func (w *WR) Bufs() []*rdma.Buffer { return w.bufs[:w.n] }
 
 // Metrics are a transport's queue instruments, registered under the
-// transport's own names.
+// transport's own names. A transport that exports none leaves them nil,
+// and its queue counts nothing.
 type Metrics struct {
 	// Completions counts completions delivered to the application.
 	Completions *metrics.Counter
@@ -142,6 +144,10 @@ func New(cfg Config) *Queue {
 	}
 }
 
+// Shard is the flight-recorder shard the queue records its work-request
+// spans on; a mover records its own spans there too.
+func (q *Queue) Shard() *trace.Shard { return q.shard }
+
 // Done is closed when shutdown begins: on Close, or on the first Fail.
 func (q *Queue) Done() <-chan struct{} { return q.done }
 
@@ -181,7 +187,7 @@ func (q *Queue) postSends(bufs []*rdma.Buffer) (int, error) {
 	var err error
 	for i, b := range bufs {
 		if b.Len() > q.maxLen {
-			q.m.Rejects.Inc()
+			count(q.m.Rejects)
 			//cyclolint:coldpath refused post: the caller handles the error off the fast path
 			post, err = i, fmt.Errorf("%w: payload %d B, limit %d B", ErrTooLarge, b.Len(), q.maxLen)
 			break
@@ -197,7 +203,7 @@ func (q *Queue) postSends(bufs []*rdma.Buffer) (int, error) {
 		}
 		wr := WR{n: min(post-off, MaxBatch)}
 		copy(wr.bufs[:wr.n], bufs[off:])
-		q.m.SendDepth.Add(int64(wr.n))
+		level(q.m.SendDepth, int64(wr.n))
 		wr.pend = q.shard.Begin(trace.PhaseWRSend)
 		// Fast path: the work queue usually has room, and one
 		// non-blocking send beats arming the two-way select.
@@ -209,7 +215,7 @@ func (q *Queue) postSends(bufs []*rdma.Buffer) (int, error) {
 		select {
 		case <-q.done:
 			q.shard.End(wr.pend)
-			q.m.SendDepth.Add(-int64(wr.n))
+			level(q.m.SendDepth, -int64(wr.n))
 			return off, rdma.ErrClosed
 		case q.sendQ <- wr:
 		}
@@ -290,7 +296,7 @@ func (q *Queue) NextSend(wr *WR) bool {
 		case *wr = <-q.sendQ:
 		}
 	}
-	q.m.SendDepth.Add(-int64(wr.n))
+	level(q.m.SendDepth, -int64(wr.n))
 	return true
 }
 
@@ -390,7 +396,7 @@ func (q *Queue) Complete(c rdma.Completion) {
 	q.cqMu.RLock()
 	defer q.cqMu.RUnlock()
 	if q.cqClosed {
-		q.m.FlushDrops.Inc()
+		count(q.m.FlushDrops)
 		return
 	}
 	select {
@@ -403,7 +409,7 @@ func (q *Queue) Complete(c rdma.Completion) {
 			return
 		}
 	}
-	q.m.Completions.Inc()
+	count(q.m.Completions)
 }
 
 // park keeps a completion that found the CQ full during teardown for
@@ -483,8 +489,10 @@ func (q *Queue) Close() error {
 // the verbs WR_FLUSH_ERR discipline — then closes the CQ. The loops have
 // exited, so the queues are quiescent; holding cqMu excludes the peer's
 // deliveries. Delivery does not block, since nobody may be reaping
-// anymore: rdma.CQDepth leaves room for both queues, and a completion
-// that still finds the CQ full is counted, never silently lost.
+// anymore: rdma.CQDepth has room for one completion per queue slot, and
+// a completion that finds the CQ full — send work requests of several
+// buffers can outnumber it — is dropped, and counted in FlushDrops
+// where the transport has it.
 func (q *Queue) flush() {
 	q.cqMu.Lock()
 	defer q.cqMu.Unlock()
@@ -498,7 +506,7 @@ func (q *Queue) flush() {
 	for {
 		select {
 		case wr := <-q.sendQ:
-			q.m.SendDepth.Add(-int64(wr.n))
+			level(q.m.SendDepth, -int64(wr.n))
 			q.shard.End(wr.pend)
 			for _, b := range wr.Bufs() {
 				q.deliver(rdma.Completion{Op: rdma.OpSend, Buf: b, Err: rdma.ErrFlushed})
@@ -520,8 +528,26 @@ func (q *Queue) flush() {
 func (q *Queue) deliver(c rdma.Completion) {
 	select {
 	case q.cq <- c:
-		q.m.Flushed.Inc()
+		count(q.m.Flushed)
 	default:
-		q.m.FlushDrops.Inc()
+		count(q.m.FlushDrops)
+	}
+}
+
+// count adds one to c, an instrument the transport may leave out.
+//
+//cyclolint:hotpath
+func count(c *metrics.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+}
+
+// level moves g by n, an instrument the transport may leave out.
+//
+//cyclolint:hotpath
+func level(g *metrics.Gauge, n int64) {
+	if g != nil {
+		g.Add(n)
 	}
 }
