@@ -75,7 +75,8 @@ type Op[P any] struct {
 	P P `json:"p"`
 	// Held is the sorted set of lock classes held at the op; an op run
 	// on its function's own goroutines adds those held at every
-	// in-package call of the function.
+	// in-package call of the function. A class held by RLock carries
+	// SharedMark.
 	Held []string `json:"held,omitempty"`
 	// Label is the launch the op runs on ("" = its function's origins).
 	Label string `json:"label,omitempty"`
@@ -666,11 +667,19 @@ func seqOf(pos token.Pos, sub int) int64 {
 	return int64(pos)<<12 | int64(min(sub, 0xfff))
 }
 
+// SharedMark follows a lock class in an op's Held set when the class is
+// held by RLock: the op excludes the mutex's writers, not its readers.
+const SharedMark = " (read)"
+
 // classes returns the sorted, deduplicated lock classes of held.
 func classes(held []Held) []string {
 	var out []string
 	for _, h := range held {
-		out = append(out, h.Class)
+		c := h.Class
+		if h.Shared {
+			c += SharedMark
+		}
+		out = append(out, c)
 	}
 	return union(out, nil)
 }
@@ -711,8 +720,20 @@ func same[T any](a, b []T) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-// Intersects reports whether a and b share an element.
-func Intersects(a, b []string) bool { return len(intersect(a, b)) > 0 }
+// Excludes reports whether ops holding the lock classes a and b exclude
+// each other: some class is held at both, and exclusively at one of them
+// at least. Two readers of one RWMutex run together.
+func Excludes(a, b []string) bool {
+	for _, x := range a {
+		xc, xs := strings.CutSuffix(x, SharedMark)
+		for _, y := range b {
+			if yc, ys := strings.CutSuffix(y, SharedMark); xc == yc && !(xs && ys) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // ---- the fact codec ----
 

@@ -16,6 +16,9 @@ import (
 type Held struct {
 	// Class is the lock class (see LockCall).
 	Class string
+	// Shared marks an RLock acquisition: other readers of the mutex may
+	// hold it at the same time.
+	Shared bool
 	// Pos is the acquisition.
 	Pos token.Pos
 }
@@ -143,7 +146,8 @@ func (w *walker) walk(n ast.Node, c *Ctx) {
 			}
 			w.visit(c, x)
 			if kind == KindAcquire {
-				c.Held = append(c.Held, Held{Class: cls, Pos: x.Pos()})
+				shared := x.Fun.(*ast.SelectorExpr).Sel.Name == "RLock"
+				c.Held = append(c.Held, Held{Class: cls, Shared: shared, Pos: x.Pos()})
 			} else {
 				for i := len(c.Held) - 1; i >= 0; i-- {
 					if c.Held[i].Class == cls {

@@ -12,6 +12,7 @@ import (
 	"cyclojoin/internal/lint/load"
 	"cyclojoin/internal/lint/lockorder"
 	"cyclojoin/internal/lint/metricname"
+	"cyclojoin/internal/lint/shareguard"
 	"cyclojoin/internal/lint/spanpair"
 	"cyclojoin/internal/lint/unsafeonly"
 	"cyclojoin/internal/lint/waitcycle"
@@ -119,6 +120,22 @@ func TestWaitcycleGuardCQ(t *testing.T) {
 		"blocked at send of (cyclojoin/internal/rdma/wq.Queue).cq")
 }
 
+// TestShareguardGuard pins shareguard on a read lock: tcplink's write
+// and read loops both reach the work-queue core's park under cqMu's
+// RLock, which does not exclude one reader from another, so park's
+// append without parkMu races.
+func TestShareguardGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and analyzes a product package")
+	}
+	pkgs := mutatedPackages(t, "internal/rdma/tcplink",
+		mutation{"internal/rdma/wq/wq.go",
+			"\tq.parkMu.Lock()\n\tq.parked = append(q.parked, c)\n\tq.parkMu.Unlock()\n",
+			"\tq.parked = append(q.parked, c)\n"})
+	requireDiagnostic(t, shareguard.Analyzer, pkgs,
+		"(cyclojoin/internal/rdma/wq.Queue).parked has a plain write with no common guard")
+}
+
 // TestFrozenpubGuard pins frozenpub on the health sampler's published
 // snapshot: Current readers Load it without a lock, so a field write
 // after the Store races every reader.
@@ -155,7 +172,7 @@ func TestSpanpairGuard(t *testing.T) {
 		t.Skip("loads and analyzes a product package")
 	}
 	pkgs := mutatedPackage(t, "internal/rdma/tcplink", "tcplink.go",
-		"\t\t\tl.shard.End(cs)\n\t\t\treturn false\n",
+		"\t\t\tl.Shard().End(cs)\n\t\t\treturn false\n",
 		"\t\t\treturn false\n")
 	requireDiagnostic(t, spanpair.Analyzer, pkgs,
 		"trace span cs (Begin at")

@@ -10,8 +10,9 @@
 // packages, through the facts — and adds to each the lock classes held
 // at every call of its function. A diagnostic fires when one location
 // is reachable from two or more origins with at least one plain
-// (non-atomic) write and an empty common guard set between the
-// conflicting accesses.
+// (non-atomic) write and no common guard between the conflicting
+// accesses: a lock class held at both, exclusively at one of them at
+// least — two RLock holders of one RWMutex do not exclude each other.
 //
 // Three happens-before/ownership arguments silence an access without a
 // lock:
@@ -565,7 +566,7 @@ func (c *checker) check(e *dataflow.Engine[access], attrs []dataflow.Attr[access
 			}
 			for j, b := range as {
 				if b.Origin != w.Origin && (!local || w.Label != "" || b.Label != "") &&
-					!dataflow.Intersects(w.Held, b.Held) {
+					!dataflow.Excludes(w.Held, b.Held) {
 					conflict[i] = true
 					conflict[j] = true
 				}

@@ -152,3 +152,27 @@ func Lent(m mark) {
 }
 
 func bump(m *mark) { m.arg++ }
+
+// table is read under its RWMutex's RLock and written under its Lock.
+// Two goroutines that each hold only the read lock do not exclude each
+// other, so a write they both make under RLock races.
+type table struct {
+	rw     sync.RWMutex
+	rows   int
+	parked []int
+}
+
+func Serve(t *table) {
+	go t.park(1)
+	go t.park(2)
+	t.rw.Lock()
+	t.rows++
+	t.rw.Unlock()
+}
+
+func (t *table) park(v int) {
+	t.rw.RLock()
+	defer t.rw.RUnlock()
+	_ = t.rows
+	t.parked = append(t.parked, v) // want `\(cyclolinttest/shareguard\.table\)\.parked has a plain write with no common guard across 2 goroutine origins`
+}

@@ -1,5 +1,6 @@
 // Package spanpair verifies that every trace span opened with
-// trace.Shard.Begin is closed with End on every return path.
+// trace.Shard.Begin is closed with End on every return path. Next closes
+// its first argument and opens the span it returns.
 //
 // The flight recorder's spans are manually paired: Begin hands back a
 // Pending by value and End stamps and records it. A return path that
@@ -48,7 +49,7 @@ var table = &typestate.Table{
 	Tracks: isPending,
 	Acquire: func(pass *analysis.Pass, e ast.Expr, slot int) (ast.Expr, bool) {
 		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		return nil, ok && pass.IsMethodOn(call, tracePkg, "Shard", "Begin")
+		return nil, ok && (pass.IsMethodOn(call, tracePkg, "Shard", "Begin") || pass.IsMethodOn(call, tracePkg, "Shard", "Next"))
 	},
 	Release: release,
 	Escapes: escapes,
@@ -62,9 +63,10 @@ func isPending(t types.Type) bool {
 	return analysis.IsNamed(t, tracePkg, "Pending")
 }
 
-// release matches End(pd).
+// release matches End(pd) and Next(pd, p).
 func release(pass *analysis.Pass, n ast.Node) ast.Expr {
-	if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 && pass.IsMethodOn(call, tracePkg, "Shard", "End") {
+	if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 &&
+		(pass.IsMethodOn(call, tracePkg, "Shard", "End") || pass.IsMethodOn(call, tracePkg, "Shard", "Next")) {
 		return call.Args[0]
 	}
 	return nil

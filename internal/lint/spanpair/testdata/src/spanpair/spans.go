@@ -171,3 +171,21 @@ func varLeak(sh *trace.Shard) bool {
 	sh.End(pd)
 	return true
 }
+
+// Next closes the span it is given and opens the one it returns.
+func nextCloses(sh *trace.Shard) {
+	pd := sh.Begin(trace.PhaseWait)
+	work()
+	jd := sh.Next(pd, trace.PhaseJoin)
+	sh.End(jd)
+}
+
+func nextLeaks(sh *trace.Shard) bool {
+	pd := sh.Begin(trace.PhaseWait)
+	jd := sh.Next(pd, trace.PhaseJoin)
+	if cond() {
+		return false // want `trace span jd .* is still open on this return path`
+	}
+	sh.End(jd)
+	return true
+}

@@ -367,12 +367,6 @@ func (q *qp) PostSendBatch(bufs []*rdma.Buffer) error {
 	return nil
 }
 
-// PostRecvBatch implements rdma.QueuePair: receives carry no faults,
-// so the batch goes straight through to the inner transport's batch verb.
-func (q *qp) PostRecvBatch(bufs []*rdma.Buffer) error {
-	return q.inner.PostRecvBatch(bufs)
-}
-
 // PollCQ implements rdma.QueuePair: a non-blocking drain of the
 // wrapper CQ (which the pump feeds from the inner CQ, fault conversions
 // applied). A closed CQ reads as empty.

@@ -71,9 +71,11 @@ type Completion struct {
 
 // QueuePair is the asynchronous, connection-oriented transport endpoint —
 // the shape of an RDMA RC queue pair reduced to the verbs the Data
-// Roundabout needs: two-sided send and receive, each also as a batch
+// Roundabout needs: two-sided send and receive, sends also as a batch
 // posted with one doorbell, and a completion queue reaped one at a time
-// or drained with one poll.
+// or drained with one poll. Receives are posted one at a time: the ring
+// returns each receive credit where the hop that held it ends, so it has
+// no batch of them to post.
 //
 // Semantics all implementations must provide (the rdmatest package checks
 // them; DESIGN.md §11 specifies the batch verbs):
@@ -107,13 +109,10 @@ type Completion struct {
 // pair per buffer.
 type QueuePair interface {
 	// PostRecv hands a registered buffer to the transport for the next
-	// incoming message.
+	// incoming message. Posted buffers fill in posting order.
 	PostRecv(b *Buffer) error
 	// PostSend transmits b.Bytes() to the peer.
 	PostSend(b *Buffer) error
-	// PostRecvBatch hands several registered buffers to the transport in
-	// one call. Buffers fill in posting order.
-	PostRecvBatch(bufs []*Buffer) error
 	// PostSendBatch transmits each buffer's Bytes() in order with a
 	// single doorbell. One OpSend completion is raised per buffer.
 	PostSendBatch(bufs []*Buffer) error

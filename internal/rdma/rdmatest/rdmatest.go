@@ -64,6 +64,15 @@ func register(t *testing.T, dev *rdma.Device, size int) *rdma.Buffer {
 	return b
 }
 
+func postRecvs(t *testing.T, qp rdma.QueuePair, bufs []*rdma.Buffer) {
+	t.Helper()
+	for _, b := range bufs {
+		if err := qp.PostRecv(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func fill(t *testing.T, b *rdma.Buffer, payload []byte) {
 	t.Helper()
 	copy(b.Data(), payload)
@@ -308,9 +317,7 @@ func testBatchInOrder(t *testing.T, factory Factory) {
 	for i := range rbs {
 		rbs[i] = register(t, dev, 16)
 	}
-	if err := b.PostRecvBatch(rbs); err != nil {
-		t.Fatal(err)
-	}
+	postRecvs(t, b, rbs)
 	sbs := make([]*rdma.Buffer, n)
 	for i := range sbs {
 		sbs[i] = register(t, dev, 16)
@@ -367,9 +374,7 @@ func testBatchPollCQ(t *testing.T, factory Factory) {
 	for i := range rbs {
 		rbs[i] = register(t, dev, 16)
 	}
-	if err := b.PostRecvBatch(rbs); err != nil {
-		t.Fatal(err)
-	}
+	postRecvs(t, b, rbs)
 	sbs := make([]*rdma.Buffer, n)
 	for i := range sbs {
 		sbs[i] = register(t, dev, 16)
@@ -446,9 +451,7 @@ func testFlushOnClose(t *testing.T, factory Factory) {
 	for _, buf := range append(recvs, sends...) {
 		posted[buf] = 0
 	}
-	if err := a.PostRecvBatch(recvs); err != nil {
-		t.Fatal(err)
-	}
+	postRecvs(t, a, recvs)
 	if err := a.PostSendBatch(sends); err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +498,7 @@ func closeBoth(a, b rdma.QueuePair) {
 }
 
 // RoundTripAllocs measures the heap allocations of one round trip of four
-// frames from a to b — PostRecvBatch on b, PostSendBatch on a, then every
+// frames from a to b — four PostRecvs on b, PostSendBatch on a, then every
 // completion reaped on both — counted across all goroutines, the
 // transport's own included. Zero-allocation guards compare it with 0.
 func RoundTripAllocs(t *testing.T, a, b rdma.QueuePair) float64 {
@@ -523,7 +526,13 @@ func RoundTripAllocs(t *testing.T, a, b rdma.QueuePair) float64 {
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if b.PostRecvBatch(recvs) != nil || a.PostSendBatch(sends) != nil {
+		for _, rb := range recvs {
+			if b.PostRecv(rb) != nil {
+				failed = true
+				return
+			}
+		}
+		if a.PostSendBatch(sends) != nil {
 			failed = true
 			return
 		}

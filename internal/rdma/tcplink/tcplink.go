@@ -97,10 +97,6 @@ type link struct {
 	// isTCP selects the net.Buffers writev fast path.
 	isTCP bool
 
-	// shard records this link's credit-stall spans on the transport
-	// track (the queue records the work-request spans on the same one).
-	shard *trace.Shard
-
 	// Frame-assembly scratch, owned by writeLoop: every frame of a work
 	// request needs its header and CRC trailer alive until the single
 	// writev, so they are sized by wq.MaxBatch; iov is the writev vector
@@ -138,9 +134,9 @@ func newLink(conn net.Conn, checksum bool, maxFrame int) *link {
 		checksum: checksum,
 		maxFrame: maxFrame,
 		isTCP:    isTCP,
-		shard:    trace.Flight().Shard(trace.NodeTransport, "tcplink/"+strconv.FormatInt(linkSeq.Add(1), 10)),
 	}
-	l.Queue = wq.New(wq.Config{Shard: l.shard, MaxLen: maxFrame, Stop: conn, Metrics: queueMetrics})
+	shard := trace.Flight().Shard(trace.NodeTransport, "tcplink/"+strconv.FormatInt(linkSeq.Add(1), 10))
+	l.Queue = wq.New(wq.Config{Shard: shard, MaxLen: maxFrame, Stop: conn, Metrics: queueMetrics})
 	l.Loops.Add(2)
 	go func() {
 		defer l.Loops.Done()
@@ -290,17 +286,17 @@ func (l *link) readSend(n int) bool {
 	select {
 	case rb = <-l.Recvs():
 	default:
-		cs := l.shard.Begin(trace.PhaseCreditStall)
+		cs := l.Shard().Begin(trace.PhaseCreditStall)
 		cs.Arg = int64(n)
 		select {
 		case <-l.Done():
 			// Close the stall span on shutdown too, so the trace shows how
 			// long the frame waited for a buffer that never arrived.
-			l.shard.End(cs)
+			l.Shard().End(cs)
 			return false
 		case rb = <-l.Recvs():
 		}
-		l.shard.End(cs)
+		l.Shard().End(cs)
 	}
 	if err := rb.SetLen(n); err != nil {
 		l.Fail(rdma.Completion{Op: rdma.OpRecv, Buf: rb,

@@ -223,55 +223,32 @@ func (q *Queue) postSends(bufs []*rdma.Buffer) (int, error) {
 	return post, err
 }
 
-// PostRecv implements rdma.QueuePair: a batch of one.
+// PostRecv implements rdma.QueuePair: the buffer joins the receive
+// queue, which the mover takes from in posting order.
 //
 //cyclolint:hotpath
 func (q *Queue) PostRecv(b *rdma.Buffer) error {
-	bufs := [1]*rdma.Buffer{b}
-	_, err := q.postRecvs(bufs[:])
-	return err
-}
-
-// PostRecvBatch implements rdma.QueuePair. The mover takes receive
-// buffers one at a time, so the batch is one shutdown check plus the
-// per-buffer enqueues.
-//
-//cyclolint:hotpath
-func (q *Queue) PostRecvBatch(bufs []*rdma.Buffer) error {
-	if i, err := q.postRecvs(bufs); err != nil {
-		//cyclolint:coldpath queue pair closing: the caller handles the error off the fast path
-		return fmt.Errorf("rdma: batch recv %d/%d: %w", i, len(bufs), err)
-	}
-	return nil
-}
-
-// postRecvs posts bufs on the receive queue, prefix-atomic like
-// postSends.
-//
-//cyclolint:hotpath
-func (q *Queue) postRecvs(bufs []*rdma.Buffer) (int, error) {
+	// Check shutdown first, as postSends does.
 	select {
 	case <-q.done:
-		return 0, rdma.ErrClosed
+		return rdma.ErrClosed
 	default:
 	}
-	for i, b := range bufs {
-		// Stamp the residency span BEFORE the buffer becomes visible to
-		// the mover: once enqueued, FinishRecv may run at once.
-		q.stampRecv(b)
-		select {
-		case q.recvQ <- b:
-			continue
-		default:
-		}
-		select {
-		case <-q.done:
-			q.dropStamp(b)
-			return i, rdma.ErrClosed
-		case q.recvQ <- b:
-		}
+	// Stamp the residency span BEFORE the buffer becomes visible to the
+	// mover: once enqueued, FinishRecv may run at once.
+	q.stampRecv(b)
+	select {
+	case q.recvQ <- b:
+		return nil
+	default:
 	}
-	return len(bufs), nil
+	select {
+	case <-q.done:
+		q.dropStamp(b)
+		return rdma.ErrClosed
+	case q.recvQ <- b:
+		return nil
+	}
 }
 
 // NextSend waits for the next posted send work request and moves it into

@@ -3,7 +3,6 @@ package ring
 import (
 	"testing"
 
-	"cyclojoin/internal/rdma"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
 )
@@ -82,7 +81,7 @@ func BenchmarkForwardStage(b *testing.B) {
 	rbuf, sbuf := recv[0], send[0]
 	n.recvBufs = recv
 	n.views[rbuf] = new(relation.View)
-	n.repost = func(buf *rdma.Buffer) error { return nil }
+	n.repostQP = &cqOnly{}
 
 	rel := workload.Sequential("R", 8192, 8)
 	frags, err := relation.Partition(rel, 1)

@@ -185,9 +185,9 @@ type node struct {
 	injectQ *ringq.SPSC[inflight]
 	// sendQ feeds the transmitter. It holds every staged buffer the pool
 	// can produce: an outbound exists only while it owns one of the
-	// slots+2 send buffers, so at this capacity the join loop's push can
-	// never block behind a transmitter waiting on its downstream
-	// neighbor.
+	// slots+2 send buffers, so at this capacity the join loop's push
+	// never fails, and never waits on a transmitter that waits on its
+	// downstream neighbor.
 	sendQ *ringq.SPSC[outbound]
 	// requeueQ carries retained frames re-routed by link recovery to the
 	// restarted transmitter, which drains it before sendQ. A separate
@@ -207,21 +207,13 @@ type node struct {
 	// joinWake parks the join loop when procQ and injectQ are empty;
 	// txWake parks the transmitter when sendQ and requeueQ are empty;
 	// poolWake parks the join loop's blocking free-buffer wait.
-	// procSpace/injectSpace/sendSpace park the respective producers when
-	// an edge is full.
+	// procSpace/injectSpace park the respective producers when an edge is
+	// full. sendQ's producer never parks (see pushOutbound).
 	joinWake    *ringq.Waiter
 	txWake      *ringq.Waiter
 	poolWake    *ringq.Waiter
 	procSpace   *ringq.Waiter
 	injectSpace *ringq.Waiter
-	sendSpace   *ringq.Waiter
-
-	// creditBuf batches receive-credit returns: the join loop defers each
-	// released buffer here and flushes them with one batched post — one
-	// doorbell per drain instead of one per frame. Join loop only; see
-	// releaseRecvDeferred and flushCredits. creditLen is the fill level.
-	creditBuf []*rdma.Buffer
-	creditLen int
 
 	// recvBufs is the registered receive pool. Each buffer is either
 	// posted on the inbound queue pair, pinned under a frame the pipeline
@@ -237,21 +229,17 @@ type node struct {
 	views map[*rdma.Buffer]*relation.View
 
 	// recvMu guards the receive-credit lifecycle: which buffers are
-	// pinned by in-flight frames and how a released buffer returns to the
-	// transport. The receiver start/stop path (node replacement) swaps
-	// repost out underneath running pipeline goroutines.
+	// pinned by in-flight frames and where a released buffer returns to.
+	// The receiver start/stop path (node replacement) swaps repostQP out
+	// underneath running pipeline goroutines.
 	recvMu sync.Mutex
 	// pinned marks receive buffers whose frames are still referenced by
 	// the pipeline; beginRecv must not post them.
 	pinned map[*rdma.Buffer]bool
-	// repost returns a released buffer's credit to the transport
-	// (PostRecv), repostBatch several with one batched post. postRecvPool
-	// installs both together; both are nil while the receiver is stopped,
-	// and released buffers are then parked (unpinned) for the next start.
-	repost      func(*rdma.Buffer) error
-	repostBatch func([]*rdma.Buffer) error
-	// repostQP is the endpoint repost targets, kept so a repost failure
-	// can be attributed to the right link instance for recovery.
+	// repostQP is the inbound endpoint a released buffer's credit returns
+	// to, and the link a repost failure is attributed to. postRecvPool
+	// installs it; it is nil while the receiver is stopped, and released
+	// buffers are then parked (unpinned) for the next start.
 	repostQP rdma.QueuePair
 
 	// inflightMu guards inflightSend: the staged frames handed to the
@@ -316,8 +304,6 @@ func newNode(ring string, id int, cfg Config, proc Processor, retired chan<- ret
 		poolWake:     ringq.NewWaiter(),
 		procSpace:    ringq.NewWaiter(),
 		injectSpace:  ringq.NewWaiter(),
-		sendSpace:    ringq.NewWaiter(),
-		creditBuf:    make([]*rdma.Buffer, slots),
 		views:        make(map[*rdma.Buffer]*relation.View, slots),
 		pinned:       make(map[*rdma.Buffer]bool, slots),
 		retired:      retired,
@@ -415,13 +401,12 @@ func (n *node) beginRecv(qp rdma.QueuePair) error {
 // postRecvPool offers the receive pool upstream: it posts every free
 // buffer on qp and installs the repost path for released ones.
 func (n *node) postRecvPool(qp rdma.QueuePair) error {
-	// Install the repost path and collect the postable buffers under one
-	// lock: buffers pinned by frames still in the pipeline (a replacement
-	// can restart the receiver while the join entity holds views) must
-	// not be posted — their release will repost them through the new qp.
+	// Install the repost target and collect the postable buffers under
+	// one lock: buffers pinned by frames still in the pipeline (a
+	// replacement can restart the receiver while the join entity holds
+	// views) must not be posted — their release will repost them through
+	// the new qp.
 	n.recvMu.Lock()
-	n.repost = qp.PostRecv
-	n.repostBatch = qp.PostRecvBatch
 	n.repostQP = qp
 	post := make([]*rdma.Buffer, 0, len(n.recvBufs))
 	for _, b := range n.recvBufs {
@@ -430,8 +415,10 @@ func (n *node) postRecvPool(qp rdma.QueuePair) error {
 		}
 	}
 	n.recvMu.Unlock()
-	if err := qp.PostRecvBatch(post); err != nil {
-		return fmt.Errorf("ring: node %d: post receive: %w", n.id, err)
+	for _, b := range post {
+		if err := qp.PostRecv(b); err != nil {
+			return fmt.Errorf("ring: node %d: post receive: %w", n.id, err)
+		}
 	}
 	return nil
 }
@@ -444,8 +431,7 @@ func (n *node) stopRecv() {
 		return
 	}
 	n.recvMu.Lock()
-	n.repost = nil
-	n.repostBatch = nil
+	n.repostQP = nil
 	n.recvMu.Unlock()
 	close(n.recvStop)
 	if n.in != nil {
@@ -456,9 +442,12 @@ func (n *node) stopRecv() {
 }
 
 // releaseRecv returns a receive buffer's credit to the transport once the
-// pipeline is done with the frame it holds. With the receiver stopped
-// (node replacement in progress) the buffer is parked unpinned; the next
-// beginRecv posts it.
+// pipeline is done with the frame it holds. It is the ring's one credit
+// return: the join loop calls it where a hop is done with its frame —
+// after staging the forward copy, after materializing, at retirement —
+// so no credit outlives its hop, whatever the loop blocks on next. With
+// the receiver stopped (node replacement in progress) the buffer is
+// parked unpinned; the next beginRecv posts it.
 //
 //cyclolint:hotpath
 func (n *node) releaseRecv(buf *rdma.Buffer) {
@@ -467,71 +456,18 @@ func (n *node) releaseRecv(buf *rdma.Buffer) {
 	}
 	n.recvMu.Lock()
 	delete(n.pinned, buf)
-	repost := n.repost
 	qp := n.repostQP
 	n.recvMu.Unlock()
-	if repost == nil {
+	if qp == nil {
 		return
 	}
-	if err := repost(buf); err != nil {
+	if err := qp.PostRecv(buf); err != nil {
 		// A receiver restart between the load above and this call closes
 		// the old endpoint; the buffer is already unpinned, so the new
 		// receiver posts it. Anything else is a real transport fault.
 		if errors.Is(err, rdma.ErrClosed) {
 			return
 		}
-		//cyclolint:coldpath transport fault: recovery or abort follows
-		n.failLink(nil, false, qp, fmt.Errorf("ring: node %d: repost receive: %w", n.id, err))
-	}
-}
-
-// releaseRecvDeferred queues buf's credit for the next batched flush
-// instead of reposting immediately — one doorbell per drain instead of
-// one per frame. Join loop only. The eager-release liveness rule still
-// holds: every point where the join loop can block calls flushCredits
-// first, so a deferred credit never waits on downstream progress.
-//
-//cyclolint:hotpath
-func (n *node) releaseRecvDeferred(buf *rdma.Buffer) {
-	if buf == nil {
-		return // locally injected fragment, no wire buffer
-	}
-	n.creditBuf[n.creditLen] = buf
-	n.creditLen++
-	if n.creditLen == len(n.creditBuf) {
-		n.flushCredits()
-	}
-}
-
-// flushCredits returns every deferred receive credit with one batched
-// post. It MUST run before the join loop blocks on anything — input, a
-// free send buffer, sendQ space, or the retired channel — so a parked
-// join entity never sits on credits its upstream neighbor is starving
-// for. With the receiver stopped the buffers are parked unpinned, exactly
-// like releaseRecv.
-//
-//cyclolint:hotpath
-func (n *node) flushCredits() {
-	if n.creditLen == 0 {
-		return
-	}
-	bufs := n.creditBuf[:n.creditLen]
-	n.recvMu.Lock()
-	for _, b := range bufs {
-		delete(n.pinned, b)
-	}
-	repostBatch := n.repostBatch
-	qp := n.repostQP
-	n.recvMu.Unlock()
-	var err error
-	if repostBatch != nil {
-		err = repostBatch(bufs)
-	}
-	for i := range bufs {
-		bufs[i] = nil
-	}
-	n.creditLen = 0
-	if err != nil && !errors.Is(err, rdma.ErrClosed) {
 		//cyclolint:coldpath transport fault: recovery or abort follows
 		n.failLink(nil, false, qp, fmt.Errorf("ring: node %d: repost receive: %w", n.id, err))
 	}
@@ -720,14 +656,11 @@ func (n *node) popInput() (inflight, bool) {
 	return inflight{}, false
 }
 
-// nextInput blocks for the join entity's next fragment. Deferred credits
-// are flushed before any spin or park: idle time must never withhold a
-// credit from the upstream neighbor.
+// nextInput blocks for the join entity's next fragment.
 func (n *node) nextInput() (inflight, bool) {
 	if inf, ok := n.popInput(); ok {
 		return inf, true
 	}
-	n.flushCredits()
 	for {
 		for i := 0; i < spinPops; i++ {
 			runtime.Gosched()
@@ -748,13 +681,15 @@ func (n *node) nextInput() (inflight, bool) {
 }
 
 func (n *node) procLoop() {
-	defer n.flushCredits()
+	// The wait/join/stage spans tile this loop back to back — each one
+	// begins at the clock read that ends the one before (Shard.Next) — so
+	// the join-entity track has no gap, however long the thread is
+	// descheduled: cyclotrace reconciles their sum against the track's
+	// wall clock. A hop's hand-off — of its frame to sendQ, of its
+	// retirement to Run — is its last act, so its stage span and stats
+	// close first, and the hand-off runs in the next wait span.
+	wpd, waitStart := n.fjoin.Begin(trace.PhaseWait), time.Now()
 	for {
-		// The wait/join/stage spans tile this loop back to back, so the
-		// join-entity track has no unaccounted gaps: cyclotrace reconciles
-		// their sum against the track's wall clock.
-		wpd := n.fjoin.Begin(trace.PhaseWait)
-		waitStart := time.Now()
 		inf, ok := n.nextInput()
 		if !ok {
 			// Close the wait span on shutdown: the terminal wait interval
@@ -769,14 +704,12 @@ func (n *node) procLoop() {
 
 		frag := inf.frag
 		wpd.Frag, wpd.Hop = int32(frag.Index), int32(frag.Hops)
-		n.fjoin.End(wpd)
-		jpd := n.fjoin.Begin(trace.PhaseJoin)
+		jpd := n.fjoin.Next(wpd, trace.PhaseJoin)
 		jpd.Frag, jpd.Hop, jpd.Arg = int32(frag.Index), int32(frag.Hops), int64(frag.Rel.Len())
 		err := n.proc.Process(frag)
 		procEnd := time.Now()
 		procTime := procEnd.Sub(procStart)
-		n.fjoin.End(jpd)
-		spd := n.fjoin.Begin(trace.PhaseStage)
+		spd := n.fjoin.Next(jpd, trace.PhaseStage)
 		spd.Frag, spd.Hop = int32(frag.Index), int32(frag.Hops)
 
 		// The wait before a fragment that did arrive is "sync" time in
@@ -801,17 +734,16 @@ func (n *node) procLoop() {
 			ret := retirement{index: frag.Index, hops: frag.Hops}
 			n.m.retired.Inc()
 			n.fjoin.Point(trace.PhaseRetire, int32(ret.index), int32(ret.hops), 0)
-			n.releaseRecvDeferred(inf.buf)
+			n.releaseRecv(inf.buf)
 			// Publishing the retirement is the hop's last act: Run returns
 			// once it has drained them all, and its caller may then read
-			// the spans, the stats and the credit pools. The flush also
-			// keeps a blocked send from sitting on a deferred credit.
-			n.fjoin.End(spd)
-			n.finishHop(procStart, procEnd)
-			n.flushCredits()
+			// the spans, the stats and the credit pools.
+			wpd = n.fjoin.Next(spd, trace.PhaseWait)
+			waitStart = n.finishHop(procStart, procEnd)
 			select {
 			case n.retired <- ret:
 			case <-n.quit:
+				n.fjoin.End(wpd)
 				return
 			}
 			continue
@@ -821,13 +753,14 @@ func (n *node) procLoop() {
 		// this loop blocks on anything send-side. Around the ring, "my
 		// credit returns when my send progresses, my send progresses when
 		// my neighbor credits me" is a circular wait; eager release after
-		// Process breaks it (deferred credits count as released: every
-		// blocking point below flushes them first). On the hot path a
-		// free send buffer is ready and the frame is staged by one copy
-		// plus a 4-byte hops patch — then released. Only when every send
-		// buffer is busy does the fragment get copied out of registered
-		// memory (releasing the credit) and pay a full encode once a
-		// buffer frees up.
+		// Process breaks it. On the hot path a free send buffer is ready
+		// and the frame is staged by one copy plus a 4-byte hops patch —
+		// then released. Only when every send buffer is busy does the
+		// fragment get copied out of registered memory (releasing the
+		// credit) and pay a full encode once a buffer frees up. Either way
+		// the credit is back before the frame reaches sendQ, so a
+		// downstream retirement — and with it Run's return — cannot
+		// overtake it.
 		var ob outbound
 		if inf.view != nil {
 			if buf, ok := n.freeSend.TryPop(); ok {
@@ -844,12 +777,12 @@ func (n *node) procLoop() {
 					n.fjoin.End(spd)
 					return
 				}
-				n.releaseRecvDeferred(inf.buf)
+				n.releaseRecv(inf.buf)
 				ob = outbound{index: index, hops: hops, staged: buf, sz: sz}
 			} else {
 				heap := inf.view.Materialize()
 				n.m.materializes.Inc()
-				n.releaseRecvDeferred(inf.buf)
+				n.releaseRecv(inf.buf)
 				var ok bool
 				if ob, ok = n.encodeOutbound(heap); !ok {
 					n.fjoin.End(spd)
@@ -864,12 +797,12 @@ func (n *node) procLoop() {
 			}
 		}
 		spd.Arg = int64(ob.sz)
+		wpd = n.fjoin.Next(spd, trace.PhaseWait)
+		waitStart = n.finishHop(procStart, procEnd)
 		if !n.pushOutbound(ob) {
-			n.fjoin.End(spd)
+			n.fjoin.End(wpd)
 			return
 		}
-		n.fjoin.End(spd)
-		n.finishHop(procStart, procEnd)
 	}
 }
 
@@ -877,23 +810,24 @@ func (n *node) procLoop() {
 // the interval since procEnd is staging time, the interval since procStart
 // is the fragment's full residence on the join entity (the live hop
 // histogram internal/health windows into p50/p99). Fragment-scoped — one
-// extra time.Now per hop, in line with the loop's other clock reads.
+// extra time.Now per hop, in line with the loop's other clock reads. The
+// read is returned: it also starts the join entity's next wait.
 //
 //cyclolint:hotpath
-func (n *node) finishHop(procStart, procEnd time.Time) {
+func (n *node) finishHop(procStart, procEnd time.Time) time.Time {
 	end := time.Now()
 	n.m.stageNs.Add(end.Sub(procEnd).Nanoseconds())
 	n.m.hopNs.Observe(end.Sub(procStart).Nanoseconds())
+	return end
 }
 
 // popFreeSend blocks for a free send buffer; quit aborts. The wait
-// depends on downstream progress, so deferred credits are flushed before
-// any spin or park.
+// depends on downstream progress, so the caller has already returned any
+// receive credit its fragment held.
 func (n *node) popFreeSend() (*rdma.Buffer, bool) {
 	if buf, ok := n.freeSend.TryPop(); ok {
 		return buf, true
 	}
-	n.flushCredits()
 	// Send-pool exhaustion is downstream backpressure: account the whole
 	// slow-path wait as stall time. The fast path above pays no clock read.
 	stallStart := time.Now()
@@ -918,42 +852,28 @@ func (n *node) popFreeSend() (*rdma.Buffer, bool) {
 	}
 }
 
-// pushOutbound hands a staged frame to the transmitter. sendQ is sized
-// for every buffer the pool can produce, so the fast path never fails;
-// the park path is a safety net and flushes credits before blocking.
+// pushOutbound hands a staged frame to the transmitter. It never waits:
+// every queued outbound holds one of the sendPool send buffers, and sendQ
+// holds at least sendPool entries, so a full sendQ means the send pool
+// is corrupt — a buffer staged twice. That is reported as an invariant
+// fault, and the staged buffer goes back to the pool.
 //
 //cyclolint:hotpath
 func (n *node) pushOutbound(ob outbound) bool {
-	if n.sendQ.TryPush(ob) {
-		n.txWake.Signal()
-		return true
+	if !n.sendQ.TryPush(ob) {
+		n.freeSend.TryPush(ob.staged)
+		//cyclolint:coldpath invariant fault: the node is about to stop
+		n.report(fmt.Errorf("ring: node %d: send queue full with fragment %d staged: it holds every send buffer, so the pool is corrupt", n.id, ob.index))
+		return false
 	}
-	n.flushCredits()
-	for {
-		for i := 0; i < spinPops; i++ {
-			runtime.Gosched()
-			if n.sendQ.TryPush(ob) {
-				n.txWake.Signal()
-				return true
-			}
-		}
-		n.sendSpace.Prepare()
-		if n.sendQ.TryPush(ob) {
-			n.txWake.Signal()
-			return true
-		}
-		select {
-		case <-n.sendSpace.C():
-		case <-n.quit:
-			return false
-		}
-	}
+	n.txWake.Signal()
+	return true
 }
 
 // encodeOutbound waits for a free send buffer and fully serializes a
 // heap-owned fragment (locally injected, or materialized under
 // congestion) into it. Called only after any receive credit the fragment
-// depended on has been released (or deferred — popFreeSend flushes).
+// depended on has been released.
 func (n *node) encodeOutbound(frag *relation.Fragment) (outbound, bool) {
 	buf, ok := n.popFreeSend()
 	if !ok {
@@ -1089,7 +1009,6 @@ func (n *node) popOutbound() (outbound, bool) {
 		return ob, true
 	}
 	if ob, ok := n.sendQ.TryPop(); ok {
-		n.sendSpace.Signal()
 		return ob, true
 	}
 	return outbound{}, false

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"cyclojoin/internal/rdma"
@@ -16,18 +17,13 @@ import (
 type cqOnly struct {
 	rdma.QueuePair // the verbs the receiver never calls
 	cq             chan rdma.Completion
-	posted         []*rdma.Buffer // PostRecv and PostRecvBatch, in order
+	posts          int // PostRecv calls
 }
 
 func (q *cqOnly) Completions() <-chan rdma.Completion { return q.cq }
 
 func (q *cqOnly) PostRecv(b *rdma.Buffer) error {
-	q.posted = append(q.posted, b)
-	return nil
-}
-
-func (q *cqOnly) PostRecvBatch(bufs []*rdma.Buffer) error {
-	q.posted = append(q.posted, bufs...)
+	q.posts++
 	return nil
 }
 
@@ -114,7 +110,7 @@ func TestFrameOfCompletion(t *testing.T) {
 				if err := n.postRecvPool(qp); err != nil {
 					t.Fatal(err)
 				}
-				offered := len(qp.posted)
+				offered := qp.posts
 				if offered != 1 {
 					t.Fatalf("%d buffers offered upstream at start, want the 1 free one", offered)
 				}
@@ -148,7 +144,7 @@ func TestFrameOfCompletion(t *testing.T) {
 				if got := pinnedCount(n); got != wantPinned {
 					t.Errorf("%d receive buffers pinned, want %d", got, wantPinned)
 				}
-				if got := len(qp.posted); got != offered {
+				if got := qp.posts; got != offered {
 					t.Errorf("%d buffers offered upstream in all, want %d", got, offered)
 				}
 				wantFailures := len(cons.lead)
@@ -165,6 +161,114 @@ func TestFrameOfCompletion(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestForwardReturnsCreditBeforeNextFragment pins where a forwarding hop
+// returns its receive credit: before its frame reaches sendQ, not at the
+// join loop's next block. Two frames sit in the node's two receive
+// buffers before the join loop starts, and the processor holds the
+// second; by then the first hop is over, so its buffer must be unpinned
+// and posted upstream again. A credit held past its hop is still pinned
+// when a downstream retirement lets Run return.
+func TestForwardReturnsCreditBeforeNextFragment(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	proc := ProcessorFunc(func(f *relation.Fragment) error {
+		if f.Index == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	errc := make(chan error, 4)
+	n := newNode("test", 1, Config{Nodes: 3, BufferSlots: 2}, proc, nil, errc)
+	recv, err := n.dev.RegisterPool(2, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := n.dev.RegisterPool(4, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.recvBufs = recv
+	for _, b := range recv {
+		n.views[b] = new(relation.View)
+	}
+	for _, b := range send {
+		n.freeSend.TryPush(b)
+	}
+	qp := &cqOnly{}
+	//cyclolint:viewsafe no frame is bound yet; postRecvPool posts the idle pool
+	if err := n.postRecvPool(qp); err != nil {
+		t.Fatal(err)
+	}
+	for i, frag := range buildFrags(t, 2, 64) {
+		sz, err := relation.Encode(frag, recv[i].Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recv[i].SetLen(sz); err != nil {
+			t.Fatal(err)
+		}
+		n.deliver(recv[i], recv[i].Bytes())
+	}
+	n.procWG.Add(1)
+	go func() {
+		defer n.procWG.Done()
+		//cyclolint:viewsafe pooled views travel the pipeline with their buffer credit
+		n.procLoop()
+	}()
+	defer func() {
+		n.quitOnce.Do(func() { close(n.quit) })
+		n.procWG.Wait()
+	}()
+	select {
+	case <-entered:
+	case err := <-errc:
+		close(release)
+		t.Fatal(err)
+	}
+	ob, ok := n.sendQ.TryPop()
+	if !ok || ob.index != 0 {
+		close(release)
+		t.Fatalf("sendQ holds (%+v, %v) while fragment 1 is processed, want fragment 0's outbound", ob, ok)
+	}
+	if got, posts := pinnedCount(n), qp.posts; got != 1 || posts != 3 {
+		t.Errorf("%d pinned, %d posts once fragment 0 is handed off, want 1 pinned, 3 posts", got, posts)
+	}
+	close(release)
+}
+
+// TestPushOutboundNeverWaits pins the invariant that lets the join loop
+// hand a staged frame to the transmitter without waiting: sendQ has room
+// for every buffer of the send pool, at every ring-buffer depth. A full
+// sendQ can only come from a corrupt pool; it is reported as a fault and
+// the staged buffer goes back to the pool.
+func TestPushOutboundNeverWaits(t *testing.T) {
+	for slots := 1; slots <= 9; slots++ {
+		errc := make(chan error, 1)
+		n := newNode("test", 0, Config{Nodes: 2, BufferSlots: slots}, nil, nil, errc)
+		// The send pool start registers.
+		pool, err := n.dev.RegisterPool(n.cfg.slots()+2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range pool {
+			if !n.pushOutbound(outbound{staged: b}) {
+				t.Fatalf("slots=%d: push %d of a %d-buffer pool refused: %v", slots, n.sendQ.Len(), len(pool), <-errc)
+			}
+		}
+		for n.sendQ.TryPush(outbound{}) {
+		}
+		if n.pushOutbound(outbound{index: 7, staged: pool[0]}) {
+			t.Fatalf("slots=%d: push into a full sendQ succeeded", slots)
+		}
+		if err := <-errc; !strings.Contains(err.Error(), "send queue full with fragment 7 staged") {
+			t.Errorf("slots=%d: reported %v, want the invariant fault", slots, err)
+		}
+		if got := n.freeSend.Len(); got != 1 {
+			t.Errorf("slots=%d: %d buffers back in the pool, want the refused one", slots, got)
 		}
 	}
 }

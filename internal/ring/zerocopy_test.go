@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"cyclojoin/internal/rdma"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
 )
@@ -230,8 +229,8 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	rbuf, sbuf := recv[0], send[0]
 	n.recvBufs = recv
 	n.views[rbuf] = new(relation.View)
-	reposted := 0
-	n.repost = func(b *rdma.Buffer) error { reposted++; return nil }
+	qp := &cqOnly{}
+	n.repostQP = qp
 
 	frags := buildFrags(t, 1, 4096)
 	sz, err := relation.Encode(frags[0], rbuf.Data())
@@ -264,7 +263,7 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	if failure != nil {
 		t.Fatal(failure)
 	}
-	if reposted == 0 {
+	if qp.posts == 0 {
 		t.Fatal("receive credit never returned")
 	}
 	if allocs != 0 {

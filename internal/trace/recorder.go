@@ -358,7 +358,29 @@ func (s *Shard) End(pd Pending) {
 	if pd.start == 0 {
 		return
 	}
-	dur := s.rec.now() - pd.start
+	s.endAt(pd, s.rec.now())
+}
+
+// Next ends pd and begins a span of phase p at the same clock read, so
+// the two tile their track with no gap between them, however long the
+// producer is descheduled around the call. An inert pd makes Next a
+// Begin.
+//
+//cyclolint:hotpath
+func (s *Shard) Next(pd Pending, p Phase) Pending {
+	if pd.start == 0 {
+		return s.Begin(p)
+	}
+	now := s.rec.now()
+	s.endAt(pd, now)
+	return Pending{start: now, phase: p, Frag: -1, Hop: -1}
+}
+
+// endAt records pd as ending at now.
+//
+//cyclolint:hotpath
+func (s *Shard) endAt(pd Pending, now int64) {
+	dur := now - pd.start
 	if dur <= 0 {
 		dur = 1
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRecorderSpanPairingConcurrent proves the sharded design never loses
@@ -136,6 +137,41 @@ func TestRecorderOverwriteOldest(t *testing.T) {
 	}
 	if d := rec.Dropped(); d != 0 {
 		t.Fatalf("reset left dropped=%d", d)
+	}
+}
+
+// TestNextTilesTrack: Next ends one span at the clock read that starts
+// the next, so a chain of them covers its track with no gap; on an inert
+// pending it is a plain Begin.
+func TestNextTilesTrack(t *testing.T) {
+	rec := NewRecorder(16)
+	s := rec.Shard(0, "join")
+	// The sleeps keep each span longer than the clock's resolution, so
+	// none is clamped to its 1 ns minimum.
+	pd := s.Begin(PhaseWait)
+	time.Sleep(time.Microsecond)
+	pd = s.Next(pd, PhaseJoin)
+	time.Sleep(time.Microsecond)
+	pd = s.Next(pd, PhaseStage)
+	time.Sleep(time.Microsecond)
+	s.End(pd)
+	spans := rec.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("retained %d spans, want 3", len(spans))
+	}
+	for i, want := range []Phase{PhaseWait, PhaseJoin, PhaseStage} {
+		if spans[i].Phase != want {
+			t.Fatalf("span %d is %v, want %v", i, spans[i].Phase, want)
+		}
+		if i > 0 && spans[i].Start != spans[i-1].End() {
+			t.Errorf("span %d starts at %d, its predecessor ends at %d", i, spans[i].Start, spans[i-1].End())
+		}
+	}
+	if pd := s.Next(Pending{}, PhaseJoin); !pd.Active() {
+		t.Error("Next on an inert pending of an enabled shard opened no span")
+	}
+	if pd := nopShard.Next(Pending{}, PhaseJoin); pd.Active() {
+		t.Error("Next on a disabled shard opened a span")
 	}
 }
 
