@@ -10,7 +10,7 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race flake chaos chaos-fuzz bench-check tree-clean bench-metrics bench-ring bench-kernels bench-pairs bench-smoke bench-trace smoke-trace smoke-health
+.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race flake chaos chaos-fuzz bench-check tree-clean bench-metrics bench-ring bench-kernels bench-pairs bench-trace smoke-trace smoke-health
 
 check: build vet lint race bench-check chaos
 
@@ -160,61 +160,24 @@ smoke-health:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	cat health_snapshot.json; exit $$st
 
-# Ring hot-path benchmarks → BENCH_ring.json, five samples each, recorded
-# as median with min/max spread. The file keeps its baseline (the parent of
-# the last change to the ring's loops; `benchring -rebaseline` on that
-# revision's output replaces it). benchring refuses to label a row from a
-# dirty tree: commit first, or name the run with LABEL=. The forward
-# staging benchmark fails outright if the little-endian fast path ever
-# allocates.
-bench-ring:
-	$(GO) test -run NONE -bench 'BenchmarkRingHop|BenchmarkForwardStage' -benchtime 2s -count 5 ./internal/ring/ > /tmp/bench_ring.$$$$.txt && \
-	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkViewBind' -benchtime 2s -count 5 ./internal/relation/ >> /tmp/bench_ring.$$$$.txt && \
-	$(GO) run ./cmd/benchring -o BENCH_ring.json $(if $(LABEL),-label '$(LABEL)') < /tmp/bench_ring.$$$$.txt; \
-	rm -f /tmp/bench_ring.$$$$.txt
-
-# Join-kernel, placement and end-to-end benchmarks → BENCH_kernels.json, five
-# samples each, recorded as median with min/max spread. The file keeps its
-# baseline (the parent of the last change to any of them); BASE=<rev>
-# measures that revision from a `git archive` first and records it as the
-# new baseline — benchmarks BASE does not have yet get no baseline row — so
-# a before/after row is one command: `make bench-kernels BASE=HEAD~1`.
-# The current row's label (LABEL, or `git describe --always --dirty`) is
-# taken before the baseline rewrites the tracked ledger, so a clean tree
-# stays clean to benchring; it refuses to label a row from a tree that was
-# dirty already.
+# Ring hot-path and join-kernel benchmarks in alternating pairs of BASE and
+# the working tree → BENCH_ring.json (per-hop forwarding and codec cost) and
+# BENCH_kernels.json (join-kernel, placement and end-to-end rows): per
+# (benchmark, unit), both medians, quartiles and the pairs the working tree
+# won. `make bench-kernels BASE=HEAD~1 [N=10]` records a claim's rows in one
+# command; commit first, as cmd/benchpairs refuses to label a dirty tree.
+RING_BENCH = 'Benchmark(RingHop|ForwardStage|Encode|Decode|ViewBind)$$'
 KERNEL_BENCH = 'Benchmark(SortMergeSetup|SortMergeJoinPhase|SortMergeHost|HashJoinSetup|HashJoinSetupRotating|HashJoinStationEmit|HashJoinProbe|HashJoinProbeOrdered|HashJoinProbeZipf|CycloJoinEndToEnd|PartitionByHash|Placement|SQL3Way|SQLAlternating)$$'
-KERNEL_PKGS = . ./internal/relation
-KERNEL_LEDGER = -o BENCH_kernels.json -cmd 'make bench-kernels' \
-	-desc 'Join-kernel budget: sort-merge and hash-join setup and join phases (1M tuples), the sort-merge merge as a ring host of sortmerge_band runs it (100 k of S in a 1.6 M key domain, band ±2, against a fragment ordered by SetupRotating, counted and emitted, counted under a band of ±1000, and the Station of that share), the hash probe as a ring host runs it (one host-share of S against a fragment ordered by SetupRotating, counted and emitted; the price of that order; what the emit path pays from nothing, that share stationed, the fragment ordered and one emitting Join that places the payloads; and the same probe against Zipf-skewed S), a whole 4-node cyclo-join, key placement (PartitionByHash per tuple; Placement: one two-way count stationed by position and by key, on either side of the placement rule of the SQL engine) a three-way SQL count in the three shapes that rule tells apart (even tables both cold, every table registered again before each op, and warm, on tables the engine keeps stationed), and that count alternating with a two-way count over two of its tables on one engine; stations/op is core setup calls per op. Medians of -count 5; baseline is the parent of the last change to any of them.'
+bench-ring:
+	$(GO) run ./cmd/benchpairs -base '$(BASE)' -bench $(RING_BENCH) $(if $(N),-n $(N)) -o BENCH_ring.json ./internal/ring ./internal/relation
 bench-kernels:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	label='$(LABEL)'; [ -n "$$label" ] || label=$$(git describe --always --dirty); \
-	if [ -n "$(BASE)" ]; then \
-		mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
-		(cd "$$tmp/base" && $(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS)) > "$$tmp/base.txt"; \
-		$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -rebaseline -label "$$(git rev-parse --short $(BASE))" < "$$tmp/base.txt"; \
-	fi; \
-	$(GO) test -run NONE -bench $(KERNEL_BENCH) -benchmem -count 5 $(KERNEL_PKGS) > "$$tmp/cur.txt"; \
-	$(GO) run ./cmd/benchring $(KERNEL_LEDGER) -label "$$label" < "$$tmp/cur.txt"
+	$(GO) run ./cmd/benchpairs -base '$(BASE)' -bench $(KERNEL_BENCH) $(if $(N),-n $(N)) -o BENCH_kernels.json . ./internal/relation
 
 # Paired end-to-end runs, the measurement a performance claim rests on:
 # `make bench-pairs W=rotate_wide_tcp BASE=HEAD~1 [N=10] [SEED=1] [TRACE=0]`
-# extracts BASE with `git archive` (as bench-kernels does) and runs
-# bench/run.sh on it and on the working tree N times each, alternating who
-# goes first; cmd/benchpairs prints every run and, per metric, both medians,
-# quartiles, the pairs the working tree won and the failed operations.
+# runs bench/run.sh on a `git archive` of BASE and on the working tree N
+# times each, alternating who goes first; cmd/benchpairs prints every run
+# and, per metric, both medians, quartiles, the pairs the working tree won
+# and the failed operations.
 bench-pairs:
-	@[ -n "$(W)" ] && [ -n "$(BASE)" ] || { echo "usage: make bench-pairs W=<workload> BASE=<rev> [N=10] [SEED=1] [TRACE=0]"; exit 2; }
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base"; \
-	$(GO) run ./cmd/benchpairs -base "$$tmp/base" -workload $(W) $(if $(N),-n $(N)) $(if $(SEED),-seed $(SEED)) $(if $(TRACE),-trace $(TRACE))
-
-# Short-form zero-alloc gate for CI: one quick pass over the guarded
-# hot-path benchmarks, failing on any allocs/op > 0. The full sweep that
-# rewrites BENCH_ring.json stays in bench-ring.
-bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkForwardStage' -benchtime 100x ./internal/ring/ > /tmp/bench_smoke.$$$$.txt && \
-	$(GO) test -run NONE -bench 'BenchmarkEncode$$|BenchmarkViewBind' -benchtime 1000x ./internal/relation/ >> /tmp/bench_smoke.$$$$.txt && \
-	$(GO) run ./cmd/benchring -guard BenchmarkForwardStage,BenchmarkEncode,BenchmarkViewBind < /tmp/bench_smoke.$$$$.txt; \
-	status=$$?; rm -f /tmp/bench_smoke.$$$$.txt; exit $$status
+	$(GO) run ./cmd/benchpairs -base '$(BASE)' -workload '$(W)' $(if $(N),-n $(N)) $(if $(SEED),-seed $(SEED)) $(if $(TRACE),-trace $(TRACE))

@@ -163,8 +163,45 @@ func ResourceIdent(g *Graph, params []*types.Var, e ast.Expr) (string, int) {
 			}
 		}
 		return "local " + v.Name() + "@" + g.PosString(v.Pos()), -1
+	case *ast.CallExpr:
+		// An accessor call names the field the accessor returns.
+		if fn := g.StaticCallee(x); fn != nil {
+			return g.accessor(fn), -1
+		}
 	}
 	return "", -1
+}
+
+// accessor names the channel field fn returns when fn is an accessor, a
+// method whose whole body is `return <receiver>.<field>` — declared in
+// this package, or in a dependency whose accessors the origin engine read
+// from the facts into accessors. Otherwise it returns "": a slice or
+// pointer handed out aliases what the field points to, not the field.
+func (g *Graph) accessor(fn *types.Func) string {
+	if orig := fn.Origin(); orig != nil {
+		fn = orig
+	}
+	f := g.Funcs[fn]
+	if f == nil {
+		return g.accessors[FuncKey(fn)]
+	}
+	recv, body := f.Decl.Recv, f.Decl.Body.List
+	if recv == nil || len(recv.List[0].Names) != 1 || len(body) != 1 {
+		return ""
+	}
+	ret, ok := body[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return ""
+	}
+	sel, ok := ast.Unparen(ret.Results[0]).(*ast.SelectorExpr)
+	if _, isChan := g.Info.TypeOf(ret.Results[0]).Underlying().(*types.Chan); !ok || !isChan {
+		return ""
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if self := g.Info.Defs[recv.List[0].Names[0]]; !ok || self == nil || g.Info.Uses[id] != self {
+		return ""
+	}
+	return FieldIdent(g, sel)
 }
 
 // FieldIdent names a field selection by its declaring type:

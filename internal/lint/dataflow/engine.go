@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -107,6 +108,9 @@ type originFacts[P any] struct {
 	// Safe lists the resources excused at their field declaration,
 	// merged over the dependency cone.
 	Safe []string `json:"safe,omitempty"`
+	// Accessors maps each accessor method (FuncKey) to the field it
+	// returns, merged over the dependency cone.
+	Accessors map[string]string `json:"accessors,omitempty"`
 }
 
 // Raw is one op in the package under analysis.
@@ -210,6 +214,7 @@ func RunTable[P any](pass *analysis.Pass, t *Table[P]) {
 		for _, loc := range f.Safe {
 			e.safe[loc] = true
 		}
+		maps.Copy(e.G.accessors, f.Accessors)
 	}
 	e.Origins = NewOrigins(e.G)
 	e.safeFields(files)
@@ -647,10 +652,15 @@ func (e *Engine[P]) solveEntryHeld() {
 
 // facts serializes the non-empty summaries and the safe resources.
 func (e *Engine[P]) facts() []byte {
-	f := originFacts[P]{Funcs: make(map[string]*FuncOps[P])}
+	f := originFacts[P]{Funcs: make(map[string]*FuncOps[P]), Accessors: maps.Clone(e.G.accessors)}
 	for k, s := range e.local {
 		if len(s.Params) > 0 || len(s.Pending) > 0 {
 			f.Funcs[k] = s
+		}
+	}
+	for _, fn := range e.G.All() {
+		if field := e.G.accessor(fn.Obj); field != "" {
+			f.Accessors[fn.Key()] = field
 		}
 	}
 	for loc := range e.safe {

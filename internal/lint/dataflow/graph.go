@@ -73,6 +73,9 @@ type Graph struct {
 	Info *types.Info
 	// Funcs maps each declared function object to its declaration.
 	Funcs map[*types.Func]*Func
+	// accessors maps a dependency's accessor methods (FuncKey) to the
+	// field each returns (see accessor).
+	accessors map[string]string
 
 	ordered []*Func
 	// callFuns lazily indexes identifiers in call-operand position
@@ -82,7 +85,7 @@ type Graph struct {
 
 // NewGraph indexes files (all from pkg) by walking their declarations.
 func NewGraph(fset *token.FileSet, pkg *types.Package, info *types.Info, files []*ast.File) *Graph {
-	g := &Graph{Fset: fset, Pkg: pkg, Info: info, Funcs: make(map[*types.Func]*Func)}
+	g := &Graph{Fset: fset, Pkg: pkg, Info: info, Funcs: make(map[*types.Func]*Func), accessors: make(map[string]string)}
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -192,19 +192,21 @@ func (e *engine) bind(lhs, rhs []ast.Expr, st state, at ast.Stmt) {
 		}
 		if obj := e.lhsObj(l); obj != nil {
 			if ok, home := e.acquire(r, slot); ok && !e.escaped[obj] {
+				// The acquire consumes the right-hand side; only its
+				// arguments remain to scan, before the target is held, so
+				// `pd = sh.Next(pd, p)` releases the old value and holds
+				// the new one.
+				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
+					for _, a := range call.Args {
+						e.scan(a, st, at)
+					}
+				}
 				e.objs[obj] = &tracked{acquire: r.Pos(), home: home}
 				st[obj] = fact{held, r.Pos()}
 				if len(lhs) != len(rhs) {
 					e.pairGuards(lhs, obj)
 				}
 				if len(rhs) == 1 {
-					// The acquire consumes the right-hand side; only its
-					// arguments remain to scan.
-					if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
-						for _, a := range call.Args {
-							e.scan(a, st, at)
-						}
-					}
 					return
 				}
 				continue

@@ -180,6 +180,28 @@ func nextCloses(sh *trace.Shard) {
 	sh.End(jd)
 }
 
+// Next as one of several right-hand sides still closes its argument.
+func nextInMultiAssign(sh *trace.Shard) int {
+	var jd trace.Pending
+	var n int
+	pd := sh.Begin(trace.PhaseWait)
+	jd, n = sh.Next(pd, trace.PhaseJoin), work()
+	sh.End(jd)
+	return n
+}
+
+// Next back into its own argument's variable closes the old span and
+// holds the new one.
+func nextReassignLeaks(sh *trace.Shard) bool {
+	pd := sh.Begin(trace.PhaseWait)
+	pd = sh.Next(pd, trace.PhaseJoin)
+	if cond() {
+		return false // want `trace span pd .* is still open on this return path`
+	}
+	sh.End(pd)
+	return true
+}
+
 func nextLeaks(sh *trace.Shard) bool {
 	pd := sh.Begin(trace.PhaseWait)
 	jd := sh.Next(pd, trace.PhaseJoin)

@@ -69,3 +69,20 @@ func (r *R) Drain() {
 func (r *R) Reap() int { return <-r.cq }
 
 func (r *R) complete(v int) { r.cq <- v }
+
+// S hands its channels out through accessors, as a work queue hands out
+// its receive queue and done channel: a wait on s.Out() is a wait on
+// s.out. Run takes from in before it sends on out and closes quit.
+type S struct {
+	in, out, quit chan int
+}
+
+func (s *S) Run() {
+	<-s.in
+	s.out <- 1
+	close(s.quit)
+}
+
+func (s *S) In() chan int   { return s.in }
+func (s *S) Out() chan int  { return s.out }
+func (s *S) Quit() chan int { return s.quit }

@@ -39,3 +39,19 @@ func LaunchQueueAcked(r *dep.R) {
 	go r.Deliver()
 	go r.Drain()
 }
+
+// LaunchAccessors waits, in a select, on S's out and quit, read through
+// its accessors, before it feeds in: every arm is released only past
+// Run's wait on in, and Run's wait only past the select.
+func LaunchAccessors(s *dep.S) {
+	go s.Run() // want `static wait cycle: go waitdep\.go:\d+ blocked at recv of \(cyclolinttest/waitdep/dep\.S\)\.in`
+	go waitAccessors(s)
+}
+
+func waitAccessors(s *dep.S) {
+	select {
+	case <-s.Out():
+	case <-s.Quit():
+	}
+	s.In() <- 1
+}

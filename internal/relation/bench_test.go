@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-func benchFragment(b *testing.B, tuples, width int) (*Fragment, []byte) {
+func benchFragment(b testing.TB, tuples, width int) (*Fragment, []byte) {
 	b.Helper()
 	rel := New(Schema{Name: "bench", PayloadWidth: width}, tuples)
 	pay := make([]byte, width)
@@ -68,6 +68,49 @@ func BenchmarkViewBind(b *testing.B) {
 
 // sinkKey defeats dead-code elimination.
 var sinkKey uint64
+
+// TestEncodeZeroAlloc: encoding the benchmarks' 8192-tuple, 8 B-payload
+// fragment into a buffer that fits it allocates nothing.
+func TestEncodeZeroAlloc(t *testing.T) {
+	frag, buf := benchFragment(t, 8192, 8)
+	var failure error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Encode(frag, buf); err != nil {
+			failure = err
+		}
+	})
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if allocs != 0 {
+		t.Errorf("Encode: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestViewBindZeroAlloc: binding a View to that fragment's frame, the
+// receive-side hot path, allocates nothing on the little-endian fast path.
+func TestViewBindZeroAlloc(t *testing.T) {
+	if !NativeLittleEndian() {
+		t.Skip("portable-endian build: key column binds through the scratch path")
+	}
+	_, buf := benchFragment(t, 8192, 8)
+	var v View
+	var failure error
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := v.Bind(buf, "bench"); err != nil {
+			failure = err
+		}
+	})
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if allocs != 0 {
+		t.Errorf("View.Bind: %v allocs/op, want 0", allocs)
+	}
+	if v.Frag().Rel.Len() != 8192 {
+		t.Errorf("bound %d tuples, want 8192", v.Frag().Rel.Len())
+	}
+}
 
 // BenchmarkPartitionByHash is key placement's cost per tuple: 200k narrow
 // tuples onto 4 hosts, as core.Cluster.StationByKey places each stationary
