@@ -106,7 +106,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	baseLabel, err := git("rev-parse", "--short", *base)
+	baseLabel, err := git("rev-parse", "--short", "--verify", *base+"^{commit}")
 	if err != nil {
 		return err
 	}
@@ -290,8 +290,11 @@ func parseBench(r io.Reader, into samples) error {
 // pairs the change won, and returns that table by name and unit. A row
 // that was not read once in every run is left out.
 func tabulate(rows []row, got [2]samples, pairs int) map[string]map[string]result {
-	table := make(map[string]map[string]result)
-	fmt.Printf("%-36s %-42s %-42s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "change wins")
+	table, width := make(map[string]map[string]result), 36
+	for _, rw := range rows {
+		width = max(width, len(rw.name)+1+len(rw.unit))
+	}
+	fmt.Printf("%-*s %-42s %-42s %s\n", width, "metric", "base median [q1, q3]", "change median [q1, q3]", "change wins")
 	for _, rw := range rows {
 		b, c := got[0][rw], got[1][rw]
 		if len(b) != pairs || len(c) != pairs {
@@ -303,7 +306,7 @@ func tabulate(rows []row, got [2]samples, pairs int) map[string]map[string]resul
 				res.Wins++
 			}
 		}
-		fmt.Printf("%-36s %-42s %-42s %d/%d\n", strings.TrimSpace(rw.name+" "+rw.unit),
+		fmt.Printf("%-*s %-42s %-42s %d/%d\n", width, strings.TrimSpace(rw.name+" "+rw.unit),
 			summary(res.Base), summary(res.Change), res.Wins, pairs)
 		if table[rw.name] == nil {
 			table[rw.name] = make(map[string]result)
