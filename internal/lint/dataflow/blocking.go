@@ -126,7 +126,8 @@ func GlobalVar(v *types.Var) bool {
 // location) an expression denotes, at the granularity origin
 // attribution is meaningful for: struct fields by declared type
 // ("(pkg.T).f"), package-level vars ("pkg.v"), locals by definition
-// site ("local v@file.go:12"). Parameters resolve to "" with their
+// site ("local v@file.go:12"), a channel accessor's call by the field
+// it returns (see accessor). Parameters resolve to "" with their
 // receiver-first index returned instead — param-indexed effects belong
 // in the caller's summary, and naming them here would double-count.
 // Untrackable expressions return ("", -1).

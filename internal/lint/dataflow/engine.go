@@ -650,7 +650,8 @@ func (e *Engine[P]) solveEntryHeld() {
 	}
 }
 
-// facts serializes the non-empty summaries and the safe resources.
+// facts serializes the non-empty summaries, the safe resources and the
+// accessors.
 func (e *Engine[P]) facts() []byte {
 	f := originFacts[P]{Funcs: make(map[string]*FuncOps[P]), Accessors: maps.Clone(e.G.accessors)}
 	for k, s := range e.local {
