@@ -215,31 +215,51 @@ func compareBenchmarks(dirs [2]string, bin, regex string, pkgs []string, pairs i
 		}
 	}
 	got, err := runPairs(pairs, func(side int, into samples) (string, error) {
+		run := make(samples)
 		for i, path := range bins[side] {
 			cmd := exec.Command(path, "-test.run", "^$", "-test.bench", regex, "-test.benchmem", "-test.count", "1")
 			cmd.Dir, cmd.Stderr = filepath.Join(dirs[side], pkgs[i]), os.Stderr
 			out, err := cmd.Output()
 			if err == nil {
-				err = parseBench(bytes.NewReader(out), into)
+				err = parseBench(bytes.NewReader(out), run)
 			}
 			if err != nil {
 				return "", fmt.Errorf("%s: %w", pkgs[i], err)
 			}
 		}
-		return "", nil
+		return readings(run, into), nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	fmt.Printf("\n%s, %d pairs\n", regex, pairs)
+	return tabulate(sortedRows(got[0]), got, pairs), nil
+}
+
+// sortedRows returns the rows of s by name, then unit.
+func sortedRows(s samples) []row {
 	var rows []row
-	for rw := range got[0] {
+	for rw := range s {
 		rows = append(rows, rw)
 	}
 	slices.SortFunc(rows, func(a, b row) int {
 		return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.unit, b.unit))
 	})
-	fmt.Printf("\n%s, %d pairs\n", regex, pairs)
-	return tabulate(rows, got, pairs), nil
+	return rows
+}
+
+// readings appends one run's readings to into and returns them as the run's
+// line, every row's value in row order, so that an outlier can be traced to
+// its pair and its order.
+func readings(run, into samples) string {
+	var line strings.Builder
+	for _, rw := range sortedRows(run) {
+		for _, v := range run[rw] {
+			into[rw] = append(into[rw], v)
+			fmt.Fprintf(&line, "  %s %s %.6g", rw.name, rw.unit, v)
+		}
+	}
+	return line.String()
 }
 
 // runPairs runs once for both sides in n alternating pairs, printing each

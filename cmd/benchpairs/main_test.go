@@ -60,6 +60,27 @@ func TestFoldRepeatedLines(t *testing.T) {
 	}
 }
 
+// TestRunReadings: a -bench run's line holds that run's reading of every
+// row, in row order, and the readings join the side's samples.
+func TestRunReadings(t *testing.T) {
+	into := samples{row{"BenchmarkEncode", "ns/op", false}: {40}}
+	run := make(samples)
+	if err := parseBench(strings.NewReader(countThree), run); err != nil {
+		t.Fatal(err)
+	}
+	line := readings(run, into)
+	want := "  BenchmarkEncode allocs/op 0  BenchmarkEncode ns/op 37" +
+		"  BenchmarkSortMergeSetup MB/s 40  BenchmarkSortMergeSetup MB/s 42  BenchmarkSortMergeSetup MB/s 41" +
+		"  BenchmarkSortMergeSetup allocs/op 6  BenchmarkSortMergeSetup allocs/op 6  BenchmarkSortMergeSetup allocs/op 7" +
+		"  BenchmarkSortMergeSetup ns/op 300  BenchmarkSortMergeSetup ns/op 100  BenchmarkSortMergeSetup ns/op 200"
+	if line != want {
+		t.Errorf("run line =\n%q\nwant\n%q", line, want)
+	}
+	if got := into[row{"BenchmarkEncode", "ns/op", false}]; !reflect.DeepEqual(got, []float64{40, 37}) {
+		t.Errorf("ns/op samples after the run = %v, want [40 37]", got)
+	}
+}
+
 // TestDirection: MB/s is better higher; ns/op, B/op and custom …/op units
 // are better lower. A tie is nobody's win, and a row some run did not
 // report is left out.

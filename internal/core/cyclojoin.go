@@ -22,11 +22,18 @@
 //     an ordered list of Sides. The hosts read the handles for that
 //     revolution only, so a cluster serves any number of stationed sides, a
 //     handle serves any number of revolutions — the setup-reuse trade at the
-//     heart of §V-E — and dropping a handle releases it.
+//     heart of §V-E — and dropping a handle leaves its memory to the garbage
+//     collector. Release hands it back for a later setup to order into
+//     instead; the caller then uses the handle no more.
 //
 // Station, Rotate and JoinRelations are the one-handle-set form of the same
 // calls for data placed by position: Station sets up the handles that Rotate
-// then revolves into Config.Collectors.
+// then revolves into Config.Collectors. The cluster owns those: it releases
+// them when a later Station or ReplaceHost replaces them, or Close ends the
+// cluster, once no Rotate still reads them, so a cluster that stations again
+// and again orders into the memory of the handles it replaced. Handles a
+// failed revolution read are left to the garbage collector: a stalled join
+// entity may still read them.
 //
 // Placement is a property of a handle. By position the data joins where it
 // lies, as in the paper (§II-C): every fragment probes every host. By key,
@@ -153,9 +160,73 @@ type Rotating struct {
 	orderErr  error
 }
 
-// staged names the rotating handle Station leaves for Rotate; Cluster
-// embeds it under this unexported name.
-type staged = Rotating
+// Release hands the memory of every host's access structure back for a
+// later setup to reuse. Call it once no revolution reads the side and none
+// will; a second call does nothing.
+func (s *Side) Release() {
+	for i, st := range s.hosts {
+		if st != nil {
+			st.Release()
+			s.hosts[i] = nil
+		}
+	}
+}
+
+// Release hands back the memory of the fragments the setup reorganized, key
+// columns and whole tuples, for a later setup to reuse; the caller's own
+// fragments are never touched. Call it once no revolution reads the handle
+// and none will.
+func (r *Rotating) Release() {
+	r.ordering.Do(func() {}) // a later revolution must not order whole tuples
+	for _, frags := range [][][]*relation.Fragment{r.rotatingKeys, r.rotating} {
+		for _, host := range frags {
+			for _, f := range host {
+				layout.ReleaseRotating(f.Rel)
+			}
+		}
+	}
+	r.rotatingKeys, r.rotating, r.fragments = nil, nil, nil
+}
+
+// stage is the handle set the last Station set up for Rotate.
+type stage struct {
+	rot   *Rotating
+	sides []*Side
+	// took is how long the setup took.
+	took time.Duration
+	// pins counts the Rotate calls reading the handles. retired marks a
+	// stage a later Station, ReplaceHost or Close replaced: the last Rotate
+	// to unpin it releases it. failed marks a stage a failed revolution
+	// read, which nothing releases.
+	pins            int
+	retired, failed bool
+}
+
+// unpin ends a Rotate's read of st, reporting whether the handles are now
+// due for release. The caller holds c.mu.
+func (st *stage) unpin(failed bool) bool {
+	st.pins--
+	st.failed = st.failed || failed
+	return st.retired && st.pins == 0 && !st.failed
+}
+
+// retire marks st replaced, reporting whether the handles are now due for
+// release. The caller holds c.mu.
+func (st *stage) retire() bool {
+	if st == nil || st.retired {
+		return false
+	}
+	st.retired = true
+	return st.pins == 0 && !st.failed
+}
+
+// release hands the stage's handles back.
+func (st *stage) release() {
+	st.rot.Release()
+	for _, s := range st.sides {
+		s.Release()
+	}
+}
 
 // hostState is one ring host's join entity. Between revolutions it holds
 // nothing: a revolution hands it its share of the sides and the collectors
@@ -257,13 +328,10 @@ type Cluster struct {
 	// replacements counts ReplaceHost calls: a handle set up under an
 	// earlier count is stale.
 	replacements uint64
-	// *staged and stagedSides are the handles the last Station set up, for
-	// Rotate: nil before the first and after ReplaceHost. setupDur is how
-	// long that setup took.
-	*staged
-	stagedSides []*Side
-	setupDur    time.Duration
-	closed      bool
+	// staged holds the handles the last Station set up, for Rotate: nil
+	// before the first and after ReplaceHost or Close.
+	staged *stage
+	closed bool
 }
 
 // Ring exposes the cluster's transport ring as a live-telemetry source:
@@ -429,8 +497,13 @@ func (c *Cluster) reorganize(i int, frags []*relation.Fragment, keysOnly bool, p
 			}
 		}
 		if p == ByKey {
-			// Stable, so the kernel's order survives inside each range.
-			rel = relation.OrderByOwner(rel, c.cfg.Nodes)
+			// Stable, so the kernel's order survives inside each range. The
+			// kernel's copy, if it made one, is spent once it is copied.
+			byOwner := relation.OrderByOwner(rel, c.cfg.Nodes)
+			if byOwner != rel {
+				layout.ReleaseRotating(rel)
+			}
+			rel = byOwner
 		}
 		out[j] = &relation.Fragment{Rel: rel, Index: f.Index, Of: f.Of}
 	}
@@ -478,11 +551,22 @@ func parallel(n int, f func(i int) error) error {
 	return nil
 }
 
-// stage makes rot and sides what Rotate revolves.
+// stage makes rot and sides what Rotate revolves, releasing the handles they
+// replace once no Rotate reads them.
 func (c *Cluster) stage(rot *Rotating, sides []*Side, took time.Duration) {
+	c.unstage(&stage{rot: rot, sides: sides, took: took})
+}
+
+// unstage makes next what Rotate revolves and retires what it replaces.
+func (c *Cluster) unstage(next *stage) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.staged, c.stagedSides, c.setupDur = rot, sides, took
+	prev := c.staged
+	c.staged = next
+	due := prev.retire()
+	c.mu.Unlock()
+	if due {
+		prev.release()
+	}
 }
 
 // Result reports one revolution's outcome.
@@ -527,12 +611,22 @@ func (r *Result) Matches() int64 {
 // repeatedly; each call reuses the setup-phase investment.
 func (c *Cluster) Rotate() (*Result, error) {
 	c.mu.Lock()
-	rot, sides, setup := c.staged, c.stagedSides, c.setupDur
+	st := c.staged
+	if st != nil {
+		st.pins++
+	}
 	c.mu.Unlock()
-	if rot == nil {
+	if st == nil {
 		return nil, errors.New("cyclojoin: Rotate before Station")
 	}
-	return c.revolve(rot, sides, c.cfg.Collectors, setup)
+	res, err := c.revolve(st.rot, st.sides, c.cfg.Collectors, st.took)
+	c.mu.Lock()
+	due := st.unpin(err != nil)
+	c.mu.Unlock()
+	if due {
+		st.release()
+	}
+	return res, err
 }
 
 // Revolve runs one full revolution of rot against sides, in chain order, and
@@ -713,19 +807,23 @@ func (c *Cluster) ReplaceHost(i int) error {
 		return fmt.Errorf("cyclojoin: replace host %d: %w", i, err)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.replacements++
-	c.staged, c.stagedSides = nil, nil
+	c.mu.Unlock()
+	c.unstage(nil)
 	return nil
 }
 
-// Close shuts the ring down.
+// Close shuts the ring down and releases the handles the last Station set
+// up.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	return c.ring.Close()
+	c.mu.Unlock()
+	err := c.ring.Close()
+	c.unstage(nil)
+	return err
 }

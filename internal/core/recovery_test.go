@@ -51,6 +51,8 @@ var (
 
 func (f *faultyStationary) Bytes() int { return f.inner.Bytes() }
 
+func (f *faultyStationary) Release() { f.inner.Release() }
+
 func (f *faultyStationary) Join(r *relation.Relation, c join.Collector) error {
 	if f.failures.Add(-1) >= 0 {
 		return errInjected

@@ -342,7 +342,7 @@ func TestOwnerOrderIsNotOptional(t *testing.T) {
 		if err := c.Station(sFrags, rFrags); err != nil {
 			t.Fatal(err)
 		}
-		staged, _, err := c.tuples(c.staged)
+		staged, _, err := c.tuples(c.staged.rot)
 		if err != nil {
 			t.Fatal(err)
 		}

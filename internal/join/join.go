@@ -172,4 +172,9 @@ type Stationary interface {
 	// account for the cost of shipping it over the ring in setup-reuse
 	// mode (§IV-D).
 	Bytes() int
+	// Release hands the access structure's memory back for a later setup
+	// to reuse. It is called at most once, after the last Join or
+	// CountEach has returned, and the structure is not used again; a
+	// structure nobody releases is left to the garbage collector.
+	Release()
 }

@@ -7,7 +7,8 @@ import "cyclojoin/internal/relation"
 // follows it, and the directory it writes.
 func Order(rel *relation.Relation, rule Rule, workers int) ([]uint64, []byte, []uint32) {
 	dir := make([]uint32, dirLen(rule.Buckets))
-	keys := order(new(scratch), rel.Keys(), rule, dir, workers)
+	keys := make([]uint64, rel.Len())
+	order(new(scratch), rel.Keys(), rule, keys, dir, workers)
 	pay := make([]byte, len(rel.PayloadColumn()))
 	place(pay, rel, append([]uint32(nil), dir...), rule)
 	return keys, pay, dir

@@ -17,6 +17,13 @@
 // collector that reads them probes it, so a fragment that is only ever
 // counted never moves a payload byte.
 //
+// Every column and directory setup orders into, and every payload column it
+// places, is pooled scratch, as the orderings' working sets are. A stationary
+// fragment's Release, and ReleaseRotating for a rotating one, hand them back,
+// so a host that sets up again and again allocates nothing once the pool
+// holds a released structure of the size it needs; a structure nobody
+// releases is left to the garbage collector.
+//
 // A probe asks for the stationary keys in a range [lo, hi]: [r, r] for an
 // equi-join, [r ⊖ w, r ⊕ w] for a band, saturating at both ends of the key
 // domain. Its candidates are the rows [dir[id(lo)], dir[id(hi)+1]), and a
@@ -93,6 +100,9 @@ type Stationary struct {
 	// Join's probe workers start.
 	dir  []uint32
 	keys []uint64
+	// mem holds dir, keys and, once placed, pay: what Release hands back.
+	// Nil after Release.
+	mem *scratch
 	// in is the input relation until its payloads are placed. placing
 	// places them into pay, once, before the first emitting probe worker
 	// starts; pay is read-only after.
@@ -113,6 +123,15 @@ type Stationary struct {
 // mPlacements answers "did a collector that reads payloads make a Station
 // move them": a fragment that is only ever counted never does.
 var mPlacements = metrics.Default().Counter("layout_payload_placements_total", "stationary fragments whose payloads were placed for a collector that reads them")
+
+// Reused against fresh answers "is setup reusing its memory": the bytes of
+// the key columns, directories and payload columns setup ordered into, by
+// whether a released structure had left them in the pool or they were
+// allocated.
+var (
+	mSetupReused = metrics.Default().Counter("layout_setup_bytes_total", "bytes of the columns and directories setup ordered into, by whether they came from a released structure", "source", "reused")
+	mSetupFresh  = metrics.Default().Counter("layout_setup_bytes_total", "bytes of the columns and directories setup ordered into, by whether they came from a released structure", "source", "fresh")
+)
 
 // CheckRows rejects relations whose row numbers do not fit the 32-bit
 // directory offsets and placement cursors.
@@ -153,13 +172,28 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 		return nil, err
 	}
 	ru := rule(r.Keys())
+	// The relation holds mem's key and payload columns; its directory is
+	// scratch, used up by the placement.
+	mem := heldPool.Get().(*scratch)
+	mem.keys = column(mem.keys, r.Len(), 8)
+	mem.pay = column(mem.pay, len(r.PayloadColumn()), 1)
 	sc := scratchPool.Get().(*scratch)
 	sc.dir = grown(sc.dir, dirLen(ru.Buckets))
-	keys := order(sc, r.Keys(), ru, sc.dir, Workers(opts, r.Len()))
-	pay := make([]byte, len(r.PayloadColumn()))
-	place(pay, r, sc.dir, ru)
+	order(sc, r.Keys(), ru, mem.keys, sc.dir, Workers(opts, r.Len()))
+	place(mem.pay, r, sc.dir, ru)
 	scratchPool.Put(sc)
-	return relation.Wrap(r.Schema(), keys, pay)
+	return relation.Lend(r.Schema(), mem.keys, mem.pay, mem)
+}
+
+// ReleaseRotating hands back the columns of a relation Rotating returned in
+// place of its input, for a later setup to order into; the relation must not
+// be read again. Any other relation — one Rotating returned as it was given,
+// or did not return — is left alone, so a caller's columns never enter the
+// pool.
+func ReleaseRotating(r *relation.Relation) {
+	if mem, ok := r.Reclaim().(*scratch); ok {
+		heldPool.Put(mem)
+	}
 }
 
 // Station orders the keys of s by rule into a Stationary for probe; it
@@ -169,16 +203,29 @@ func Station(s *relation.Relation, rule Rule, probe Probe, opts join.Options) (*
 	if err := CheckRows(s.Len()); err != nil {
 		return nil, err
 	}
-	dir := make([]uint32, dirLen(rule.Buckets))
-	st := &Stationary{Probe: probe, rule: rule, top: uint64(len(dir) - 2), dir: dir, in: s, payW: s.Schema().PayloadWidth}
+	mem := heldPool.Get().(*scratch)
+	mem.dir = column(mem.dir, dirLen(rule.Buckets), 4)
+	mem.keys = column(mem.keys, s.Len(), 8)
+	st := &Stationary{Probe: probe, rule: rule, top: uint64(len(mem.dir) - 2), dir: mem.dir, keys: mem.keys, mem: mem, in: s, payW: s.Schema().PayloadWidth}
 	sc := scratchPool.Get().(*scratch)
-	st.keys = order(sc, s.Keys(), rule, dir, Workers(opts, s.Len()))
+	order(sc, s.Keys(), rule, st.keys, st.dir, Workers(opts, s.Len()))
 	scratchPool.Put(sc)
 	st.shards = make([]*trace.Shard, opts.Workers())
 	for w := range st.shards {
 		st.shards[w] = opts.FlightRecorder().Shard(opts.TraceNode, "join/"+probe.Phase.String()+"/"+strconv.Itoa(w))
 	}
 	return st, nil
+}
+
+// Release implements join.Stationary: it hands the ordered key column, the
+// directory and the placed payload column back for a later setup to order
+// into. A second call does nothing.
+func (st *Stationary) Release() {
+	if st.mem == nil {
+		return
+	}
+	heldPool.Put(st.mem)
+	st.mem, st.keys, st.dir, st.pay, st.in = nil, nil, nil, nil, nil
 }
 
 // Bytes implements join.Stationary: the ordered copy, payloads placed or
@@ -203,7 +250,8 @@ func (st *Stationary) placed() []byte {
 		sc := scratchPool.Get().(*scratch)
 		sc.dir = grown(sc.dir, len(st.dir))
 		copy(sc.dir, st.dir)
-		st.pay = make([]byte, len(st.in.PayloadColumn()))
+		st.mem.pay = column(st.mem.pay, len(st.in.PayloadColumn()), 1)
+		st.pay = st.mem.pay
 		place(st.pay, st.in, sc.dir, st.rule)
 		scratchPool.Put(sc)
 		st.in = nil
@@ -233,9 +281,10 @@ func dirLen(buckets int) int {
 }
 
 // scratch is the working set of one ordering or placement besides its
-// output.
+// output, or the memory of one ordered structure: its key column, directory
+// and payload column.
 type scratch struct {
-	// keys receives the first pass.
+	// keys receives the first pass, or holds a structure's ordered keys.
 	keys []uint64
 	// hist is one histogram of the first-pass digit per worker, turned into
 	// scatter offsets in place; starts is where each first-pass block begins.
@@ -243,14 +292,23 @@ type scratch struct {
 	starts []uint32
 	// cursors is one block of second-pass scatter offsets per worker.
 	cursors []uint32
-	// dir is the directory of an ordering whose caller keeps none, or a copy
-	// of a kept one: either way place uses it up as its cursors.
+	// dir is a stationary fragment's directory, or the directory of an
+	// ordering whose caller keeps none, or a copy of a kept one: either of
+	// the last two place uses up as its cursors.
 	dir []uint32
+	// pay holds a structure's payload column in bucket order.
+	pay []byte
 }
 
-// scratchPool recycles scratch across orderings and placements, so either
-// allocates nothing but its output once the pool is warm.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchPool recycles the working sets of orderings and placements, and
+// heldPool the memory of released structures, so setup allocates nothing
+// once both are warm. A structure takes its memory from heldPool only: one
+// that is never released leaves the working sets where they were, and its
+// setup allocates what it would with no pool at all.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	heldPool    = sync.Pool{New: func() any { return new(scratch) }}
+)
 
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -259,18 +317,29 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// order returns keys in the bucket order of rule, the keys of one bucket in
-// input order, using sc and exactly `workers` chunks: one pass on the top
-// digit of the bucket id into scratch, then a counting sort of each of its
-// blocks by the rest of the id straight into the output. dir, of
-// dirLen(rule.Buckets) entries, receives the offset of every bucket.
-func order(sc *scratch, in []uint64, rule Rule, dir []uint32, workers int) []uint64 {
+// column is grown for a structure's column of n elements of size bytes
+// each, counting its bytes as reused or fresh.
+func column[T any](s []T, n, size int) []T {
+	if cap(s) < n {
+		mSetupFresh.Add(int64(n * size))
+		return make([]T, n)
+	}
+	mSetupReused.Add(int64(n * size))
+	return s[:n]
+}
+
+// order writes in to keys, as long as in, in the bucket order of rule, the
+// keys of one bucket in input order, using sc and exactly `workers` chunks:
+// one pass on the top digit of the bucket id into scratch, then a counting
+// sort of each of its blocks by the rest of the id straight into keys. dir,
+// of dirLen(rule.Buckets) entries, receives the offset of every bucket.
+// Every element of keys and dir is written, so either may hold old data.
+func order(sc *scratch, in []uint64, rule Rule, keys []uint64, dir []uint32, workers int) {
 	n := len(in)
 	fan, low := digits(rule.Buckets)
 	sub := 1 << low // buckets in each first-pass block
 	first := rule
 	first.Shift += uint(low)
-	keys := make([]uint64, n)
 
 	sc.keys = grown(sc.keys, n)
 	sc.hist = grown(sc.hist, workers*fan)
@@ -305,7 +374,6 @@ func order(sc *scratch, in []uint64, rule Rule, dir []uint32, workers int) []uin
 		}
 	})
 	dir[fan*sub] = uint32(n)
-	return keys
 }
 
 // count adds the first-pass block of every key to h.

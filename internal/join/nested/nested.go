@@ -50,6 +50,10 @@ var _ join.Stationary = (*stationary)(nil)
 // fragment itself.
 func (st *stationary) Bytes() int { return st.rel.Bytes() }
 
+// Release implements join.Stationary: the fragment is the caller's, so
+// there is nothing to hand back.
+func (st *stationary) Release() {}
+
 // Join implements join.Stationary.
 func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 	workers := st.opts.Workers()

@@ -681,7 +681,7 @@ func (e *Engine) onRing(p core.Placement, rotating operand, sides []operand, col
 		mRingBuilds.Inc()
 	}
 	mJoinSteps.Inc()
-	rot, set, err := e.station(p, rotating, sides)
+	rot, set, spent, err := e.station(p, rotating, sides)
 	var res *core.Result
 	if err == nil {
 		res, err = e.cluster.Revolve(rot, set, collect)
@@ -690,13 +690,22 @@ func (e *Engine) onRing(p core.Placement, rotating operand, sides []operand, col
 		_ = e.dropCluster() // the step's error is the one to report
 		return nil, err
 	}
+	for _, h := range spent {
+		h.Release()
+	}
 	return res, nil
 }
 
+// releaser is a stationed form, *core.Side or *core.Rotating.
+type releaser interface{ Release() }
+
 // station returns the stationed form of every operand: the store's where it
 // holds the operand at its version, set up now — concurrently — where it
-// does not. A stored operand set up now is filed. The caller holds e.mu.
-func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (*core.Rotating, []*core.Side, error) {
+// does not. A stored operand set up now is filed. spent is what the store
+// will not hold once the step's revolution ends: the forms set up for this
+// step only and the entries filing evicted, for the caller to release after
+// it. The caller holds e.mu.
+func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (rot *core.Rotating, set []*core.Side, spent []releaser, err error) {
 	ops := append([]operand{rotating}, sides...)
 	handles := make([]any, len(ops))
 	var fresh []int
@@ -719,19 +728,21 @@ func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (*
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, i := range fresh {
 		mStationed.Inc()
 		if ops[i].stored {
-			e.file(ops[i], handles[i])
+			spent = e.file(ops[i], handles[i], spent)
+		} else {
+			spent = append(spent, handles[i].(releaser))
 		}
 	}
-	set := make([]*core.Side, len(sides))
+	set = make([]*core.Side, len(sides))
 	for j, h := range handles[1:] {
 		set[j] = h.(*core.Side)
 	}
-	return handles[0].(*core.Rotating), set, nil
+	return handles[0].(*core.Rotating), set, spent, nil
 }
 
 // setup stations op on c, placed p: as the rotating fragments, or as a side
@@ -775,21 +786,28 @@ func (e *Engine) lookup(op operand) (any, bool) {
 	return ent.handle, true
 }
 
-// file stores op's freshly stationed form. A table's entries all come from
-// one registration: filing a newer version drops the older ones, and a step
-// that read a table since registered again files nothing. The caller holds
-// e.mu.
-func (e *Engine) file(op operand, handle any) {
+// file stores op's freshly stationed form and appends to spent what the
+// store no longer holds. A table's entries all come from one registration:
+// filing a newer version evicts the older ones, and a step that read a table
+// since registered again files nothing. The caller holds e.mu.
+func (e *Engine) file(op operand, handle any, spent []releaser) []releaser {
 	for s, ent := range e.stationed {
 		switch {
 		case s.table != op.slot.table:
 		case ent.version > op.version:
-			return
+			return append(spent, handle.(releaser))
 		case ent.version < op.version:
 			delete(e.stationed, s)
+			spent = append(spent, ent.handle.(releaser))
 		}
 	}
+	if ent, ok := e.stationed[op.slot]; ok {
+		// The step read the table twice the same way: the first form
+		// serves this step only.
+		spent = append(spent, ent.handle.(releaser))
+	}
 	e.stationed[op.slot] = entry{version: op.version, handle: handle}
+	return spent
 }
 
 // holds reports whether the store holds op at its version: what Explain

@@ -55,6 +55,11 @@ type Relation struct {
 	schema Schema
 	keys   []uint64
 	pay    []byte // len == len(keys)*schema.PayloadWidth
+	// lender is the token of the pool that lent keys and pay (Lend) until
+	// Reclaim takes it; nil for columns nobody lent.
+	//
+	//cyclolint:sharesafe only Reclaim writes it, called by the lent relation's one owner: the setup that ordered it, then the holder of the handle it was handed to
+	lender any
 }
 
 // New returns an empty relation with the given schema and capacity hint.
@@ -85,6 +90,29 @@ func Wrap(schema Schema, keys []uint64, pay []byte) (*Relation, error) {
 			schema.Name, len(pay), len(keys), schema.PayloadWidth)
 	}
 	return &Relation{schema: schema, keys: keys, pay: pay}, nil
+}
+
+// Lend is Wrap for columns a pool lent: the relation carries lender, the
+// token that gives them back, until Reclaim takes it.
+func Lend(schema Schema, keys []uint64, pay []byte, lender any) (*Relation, error) {
+	r, err := Wrap(schema, keys, pay)
+	if err != nil {
+		return nil, err
+	}
+	r.lender = lender
+	return r, nil
+}
+
+// Reclaim takes the token Lend gave r, once: it returns nil for a relation
+// Lend did not build, and on every call after the first. A caller that gets
+// the token gives r's columns back with it and must not read r again. A
+// slice, a copy or a key column of r carries no token.
+func (r *Relation) Reclaim() any {
+	l := r.lender
+	if l != nil {
+		r.lender = nil
+	}
+	return l
 }
 
 // Schema returns the relation's schema.

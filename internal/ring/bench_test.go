@@ -109,7 +109,7 @@ func BenchmarkForwardStage(b *testing.B) {
 		n.pinned[rbuf] = true
 		n.recvMu.Unlock()
 		frag.Hops++
-		if _, ok := n.stageForward(v, frag, sbuf); !ok {
+		if _, ok := n.stageForward(v.Frame(), frag.Index, frag.Hops, sbuf); !ok {
 			b.Fatal("stageForward failed")
 		}
 		//cyclolint:viewsafe the repost-failure error wraps no view bytes; the view is dead once the credit is released
@@ -127,7 +127,7 @@ func BenchmarkForwardStage(b *testing.B) {
 			n.pinned[rbuf] = true
 			n.recvMu.Unlock()
 			frag.Hops++
-			if _, ok := n.stageForward(v, frag, sbuf); !ok {
+			if _, ok := n.stageForward(v.Frame(), frag.Index, frag.Hops, sbuf); !ok {
 				panic("stageForward failed")
 			}
 			//cyclolint:viewsafe the repost-failure error wraps no view bytes; the view is dead once the credit is released

@@ -269,6 +269,9 @@ type node struct {
 	sendStop chan struct{}
 	sendWG   sync.WaitGroup
 
+	// spill holds a forwarded frame copied out of registered memory while
+	// every send buffer is busy (spillForward). Join loop only.
+	spill []byte
 	// bindTick/stageTick drive the timerSample decimation. Single-writer:
 	// bindTick belongs to the receiver goroutine, stageTick to the join
 	// loop.
@@ -444,10 +447,10 @@ func (n *node) stopRecv() {
 // releaseRecv returns a receive buffer's credit to the transport once the
 // pipeline is done with the frame it holds. It is the ring's one credit
 // return: the join loop calls it where a hop is done with its frame —
-// after staging the forward copy, after materializing, at retirement —
-// so no credit outlives its hop, whatever the loop blocks on next. With
-// the receiver stopped (node replacement in progress) the buffer is
-// parked unpinned; the next beginRecv posts it.
+// after staging the forward copy, after copying it to the spill buffer, at
+// retirement — so no credit outlives its hop, whatever the loop blocks on
+// next. With the receiver stopped (node replacement in progress) the
+// buffer is parked unpinned; the next beginRecv posts it.
 //
 //cyclolint:hotpath
 func (n *node) releaseRecv(buf *rdma.Buffer) {
@@ -755,11 +758,11 @@ func (n *node) procLoop() {
 		// my neighbor credits me" is a circular wait; eager release after
 		// Process breaks it. On the hot path a free send buffer is ready
 		// and the frame is staged by one copy plus a 4-byte hops patch —
-		// then released. Only when every send buffer is busy does the
-		// fragment get copied out of registered memory (releasing the
-		// credit) and pay a full encode once a buffer frees up. Either way
-		// the credit is back before the frame reaches sendQ, so a
-		// downstream retirement — and with it Run's return — cannot
+		// then released. Only when every send buffer is busy is the frame
+		// copied out of registered memory into the node's spill buffer
+		// (releasing the credit) and staged from there once a buffer frees
+		// up. Either way the credit is back before the frame reaches sendQ,
+		// so a downstream retirement — and with it Run's return — cannot
 		// overtake it.
 		var ob outbound
 		if inf.view != nil {
@@ -768,7 +771,7 @@ func (n *node) procLoop() {
 				// return lets upstream overwrite the receive buffer, and
 				// with it the view this fragment aliases.
 				index, hops := frag.Index, frag.Hops
-				sz, ok := n.stageForward(inf.view, frag, buf)
+				sz, ok := n.stageForward(inf.view.Frame(), index, hops, buf)
 				if !ok {
 					// The node is stopping, but the pool must stay whole:
 					// ReplaceNode restarts entities against these buffers,
@@ -780,11 +783,8 @@ func (n *node) procLoop() {
 				n.releaseRecv(inf.buf)
 				ob = outbound{index: index, hops: hops, staged: buf, sz: sz}
 			} else {
-				heap := inf.view.Materialize()
-				n.m.materializes.Inc()
-				n.releaseRecv(inf.buf)
 				var ok bool
-				if ob, ok = n.encodeOutbound(heap); !ok {
+				if ob, ok = n.spillForward(inf); !ok {
 					n.fjoin.End(spd)
 					return
 				}
@@ -871,8 +871,7 @@ func (n *node) pushOutbound(ob outbound) bool {
 }
 
 // encodeOutbound waits for a free send buffer and fully serializes a
-// heap-owned fragment (locally injected, or materialized under
-// congestion) into it. Called only after any receive credit the fragment
+// locally injected fragment into it. Called only after any receive credit the fragment
 // depended on has been released.
 func (n *node) encodeOutbound(frag *relation.Fragment) (outbound, bool) {
 	buf, ok := n.popFreeSend()
@@ -939,18 +938,42 @@ func (n *node) stopSend() {
 	n.sendStop = nil
 }
 
-// stageForward copies a bound frame into the registered send buffer and
-// patches the 4-byte hops field in place — the entire per-hop cost of
-// forwarding a fragment that arrived off the wire. No decode, no
-// re-encode, no allocation.
+// spillForward is a forwarding hop's congestion fallback, taken when no
+// send buffer is free: it copies the frame into the node's spill buffer,
+// returns the receive credit, waits for a send buffer and stages the copy
+// there. The spill buffer grows to the largest frame once and is free again
+// before the join loop takes its next fragment, so the fallback allocates
+// nothing after its first use.
+func (n *node) spillForward(inf inflight) (outbound, bool) {
+	// Snapshot the metadata before the release, as the fast path does.
+	index, hops := inf.frag.Index, inf.frag.Hops
+	n.spill = append(n.spill[:0], inf.view.Frame()...)
+	n.m.materializes.Inc()
+	n.releaseRecv(inf.buf)
+	buf, ok := n.popFreeSend()
+	if !ok {
+		return outbound{}, false
+	}
+	sz, ok := n.stageForward(n.spill, index, hops, buf)
+	if !ok {
+		// As on the fast path: the pool must stay whole.
+		n.freeSend.TryPush(buf)
+		return outbound{}, false
+	}
+	return outbound{index: index, hops: hops, staged: buf, sz: sz}, true
+}
+
+// stageForward copies fragment index's encoded frame into the registered
+// send buffer and patches the 4-byte hops field in place — the entire
+// per-hop cost of forwarding a fragment that arrived off the wire. No
+// decode, no re-encode, no allocation.
 //
 //cyclolint:hotpath
-func (n *node) stageForward(v *relation.View, frag *relation.Fragment, buf *rdma.Buffer) (int, bool) {
-	frame := v.Frame()
+func (n *node) stageForward(frame []byte, index, hops int, buf *rdma.Buffer) (int, bool) {
 	if len(frame) > buf.Cap() {
 		//cyclolint:coldpath misconfiguration fault: the node is about to stop
 		n.report(fmt.Errorf("ring: node %d: fragment %d frame is %d B, buffers are %d B; raise Config.BufferBytes",
-			n.id, frag.Index, len(frame), buf.Cap()))
+			n.id, index, len(frame), buf.Cap()))
 		return 0, false
 	}
 	n.stageTick++
@@ -960,7 +983,7 @@ func (n *node) stageForward(v *relation.View, frag *relation.Fragment, buf *rdma
 	}
 	dst := buf.Data()[:len(frame)]
 	copy(dst, frame)
-	if err := relation.SetFrameHops(dst, frag.Hops); err != nil {
+	if err := relation.SetFrameHops(dst, hops); err != nil {
 		//cyclolint:coldpath corrupt frame fault: the node is about to stop
 		n.report(fmt.Errorf("ring: node %d: patch forwarded frame: %w", n.id, err))
 		return 0, false
@@ -976,8 +999,8 @@ func (n *node) stageForward(v *relation.View, frag *relation.Fragment, buf *rdma
 	return len(frame), true
 }
 
-// stageEncode fully serializes a heap-owned fragment (locally injected, or
-// materialized under congestion) into the registered send buffer.
+// stageEncode fully serializes a locally injected fragment into the
+// registered send buffer.
 func (n *node) stageEncode(frag *relation.Fragment, buf *rdma.Buffer) (int, bool) {
 	need := relation.EncodedSize(frag)
 	if need > buf.Cap() {

@@ -253,7 +253,7 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 		n.pinned[rbuf] = true
 		n.recvMu.Unlock()
 		frag.Hops++
-		if _, ok := n.stageForward(v, frag, sbuf); !ok {
+		if _, ok := n.stageForward(v.Frame(), frag.Index, frag.Hops, sbuf); !ok {
 			failure = fmt.Errorf("stageForward failed")
 			return
 		}
@@ -275,5 +275,83 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	}
 	if !got.Rel.Equal(frags[0].Rel) {
 		t.Fatal("staged frame content differs from source fragment")
+	}
+}
+
+// TestSpillForwardZeroAlloc guards the forwarding hop's congestion fallback:
+// with no send buffer free, the frame is copied into the node's spill
+// buffer, the receive credit returns, and the copy is staged once a buffer
+// frees. After its first use, which sizes the spill buffer, the fallback
+// allocates nothing, and the staged frame is the arriving one with its hop
+// count patched.
+func TestSpillForwardZeroAlloc(t *testing.T) {
+	if !relation.NativeLittleEndian() {
+		t.Skip("portable-endian build: key column binds through the scratch path")
+	}
+	n := newNode("test", 0, Config{Nodes: 3}, nil, nil, make(chan error, 4))
+	recv, err := n.dev.RegisterPool(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := n.dev.RegisterPool(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbuf, sbuf := recv[0], send[0]
+	n.recvBufs = recv
+	n.views[rbuf] = new(relation.View)
+	qp := &cqOnly{}
+	n.repostQP = qp
+
+	frags := buildFrags(t, 1, 4096)
+	sz, err := relation.Encode(frags[0], rbuf.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rbuf.SetLen(sz); err != nil {
+		t.Fatal(err)
+	}
+
+	var failure error
+	hop := func() {
+		v := n.views[rbuf]
+		if err := v.Bind(rbuf.Bytes(), "rotating"); err != nil {
+			failure = err
+			return
+		}
+		frag := v.Frag()
+		n.recvMu.Lock()
+		n.pinned[rbuf] = true
+		n.recvMu.Unlock()
+		frag.Hops++
+		// The buffer the transmitter frees while the hop waits.
+		n.freeSend.TryPush(sbuf)
+		//cyclolint:viewsafe the view is copied to the spill buffer before its credit is released, and dead after
+		ob, ok := n.spillForward(inflight{frag: frag, view: v, buf: rbuf})
+		if !ok || ob.staged != sbuf || ob.hops != 1 {
+			failure = fmt.Errorf("spillForward = (%+v, %v), want fragment 0 staged in the free buffer with 1 hop", ob, ok)
+		}
+	}
+	hop()
+	before := n.m.materializes.Value()
+	allocs := testing.AllocsPerRun(200, hop)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if got := n.m.materializes.Value() - before; got < 200 {
+		t.Errorf("ring_materializes_total rose by %d over 200 fallbacks", got)
+	}
+	if pinnedCount(n) != 0 || qp.posts == 0 {
+		t.Fatalf("%d receive buffers pinned and %d credits returned after the fallback", pinnedCount(n), qp.posts)
+	}
+	if allocs != 0 {
+		t.Fatalf("the congestion fallback allocates %.1f times per fragment after its first use, want 0", allocs)
+	}
+	got, err := relation.Decode(sbuf.Bytes(), "rotating")
+	if err != nil {
+		t.Fatalf("staged frame does not decode: %v", err)
+	}
+	if !got.Rel.Equal(frags[0].Rel) || got.Hops != 1 {
+		t.Fatalf("staged frame differs from the source fragment, or carries %d hops, want 1", got.Hops)
 	}
 }
