@@ -635,12 +635,15 @@ type slot struct {
 	rotating  bool
 }
 
-// entry is one table in the store: its stationed form — a *core.Side or a
-// *core.Rotating — set up from the table's registration `version`.
+// entry is one table in the store: its stationed form set up from the
+// table's registration `version`.
 type entry struct {
 	version uint64
-	handle  any
+	handle  form
 }
+
+// form is a stationed form: a *core.Side or a *core.Rotating.
+type form interface{ Release() }
 
 // operand is one input of a revolution: a base table (rel), or the
 // distributed intermediate of the step before (parts), which rotates where
@@ -696,18 +699,15 @@ func (e *Engine) onRing(p core.Placement, rotating operand, sides []operand, col
 	return res, nil
 }
 
-// releaser is a stationed form, *core.Side or *core.Rotating.
-type releaser interface{ Release() }
-
 // station returns the stationed form of every operand: the store's where it
 // holds the operand at its version, set up now — concurrently — where it
 // does not. A stored operand set up now is filed. spent is what the store
 // will not hold once the step's revolution ends: the forms set up for this
 // step only and the entries filing evicted, for the caller to release after
 // it. The caller holds e.mu.
-func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (rot *core.Rotating, set []*core.Side, spent []releaser, err error) {
+func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (rot *core.Rotating, set []*core.Side, spent []form, err error) {
 	ops := append([]operand{rotating}, sides...)
-	handles := make([]any, len(ops))
+	handles := make([]form, len(ops))
 	var fresh []int
 	for i, op := range ops {
 		if h, ok := e.lookup(op); ok {
@@ -735,7 +735,7 @@ func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (r
 		if ops[i].stored {
 			spent = e.file(ops[i], handles[i], spent)
 		} else {
-			spent = append(spent, handles[i].(releaser))
+			spent = append(spent, handles[i])
 		}
 	}
 	set = make([]*core.Side, len(sides))
@@ -747,7 +747,7 @@ func (e *Engine) station(p core.Placement, rotating operand, sides []operand) (r
 
 // setup stations op on c, placed p: as the rotating fragments, or as a side
 // placed by key hash or where it lies.
-func (e *Engine) setup(c *core.Cluster, p core.Placement, op operand, rotating bool) (any, error) {
+func (e *Engine) setup(c *core.Cluster, p core.Placement, op operand, rotating bool) (form, error) {
 	switch {
 	case rotating:
 		parts := op.parts
@@ -775,7 +775,7 @@ func (e *Engine) setup(c *core.Cluster, p core.Placement, op operand, rotating b
 
 // lookup returns the store's stationed form of op, if it holds op at its
 // version. The caller holds e.mu.
-func (e *Engine) lookup(op operand) (any, bool) {
+func (e *Engine) lookup(op operand) (form, bool) {
 	if !op.stored {
 		return nil, false
 	}
@@ -790,21 +790,21 @@ func (e *Engine) lookup(op operand) (any, bool) {
 // store no longer holds. A table's entries all come from one registration:
 // filing a newer version evicts the older ones, and a step that read a table
 // since registered again files nothing. The caller holds e.mu.
-func (e *Engine) file(op operand, handle any, spent []releaser) []releaser {
+func (e *Engine) file(op operand, handle form, spent []form) []form {
 	for s, ent := range e.stationed {
 		switch {
 		case s.table != op.slot.table:
 		case ent.version > op.version:
-			return append(spent, handle.(releaser))
+			return append(spent, handle)
 		case ent.version < op.version:
 			delete(e.stationed, s)
-			spent = append(spent, ent.handle.(releaser))
+			spent = append(spent, ent.handle)
 		}
 	}
 	if ent, ok := e.stationed[op.slot]; ok {
 		// The step read the table twice the same way: the first form
 		// serves this step only.
-		spent = append(spent, ent.handle.(releaser))
+		spent = append(spent, ent.handle)
 	}
 	e.stationed[op.slot] = entry{version: op.version, handle: handle}
 	return spent
