@@ -172,13 +172,15 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 		return nil, err
 	}
 	ru := rule(r.Keys())
-	// The relation holds mem's key and payload columns; its directory is
-	// scratch, used up by the placement.
+	// The working set leaves the pool before the output is allocated, so a
+	// collection that allocation triggers cannot drop it. The relation holds
+	// mem's key and payload columns; its directory is scratch, used up by
+	// the placement.
+	sc := scratchPool.Get().(*scratch)
+	sc.dir = grown(sc.dir, dirLen(ru.Buckets))
 	mem := heldPool.Get().(*scratch)
 	mem.keys = column(mem.keys, r.Len(), 8)
 	mem.pay = column(mem.pay, len(r.PayloadColumn()), 1)
-	sc := scratchPool.Get().(*scratch)
-	sc.dir = grown(sc.dir, dirLen(ru.Buckets))
 	order(sc, r.Keys(), ru, mem.keys, sc.dir, Workers(opts, r.Len()))
 	place(mem.pay, r, sc.dir, ru)
 	scratchPool.Put(sc)
@@ -203,11 +205,12 @@ func Station(s *relation.Relation, rule Rule, probe Probe, opts join.Options) (*
 	if err := CheckRows(s.Len()); err != nil {
 		return nil, err
 	}
+	// As in Rotating, the working set leaves the pool first.
+	sc := scratchPool.Get().(*scratch)
 	mem := heldPool.Get().(*scratch)
 	mem.dir = column(mem.dir, dirLen(rule.Buckets), 4)
 	mem.keys = column(mem.keys, s.Len(), 8)
 	st := &Stationary{Probe: probe, rule: rule, top: uint64(len(mem.dir) - 2), dir: mem.dir, keys: mem.keys, mem: mem, in: s, payW: s.Schema().PayloadWidth}
-	sc := scratchPool.Get().(*scratch)
 	order(sc, s.Keys(), rule, st.keys, st.dir, Workers(opts, s.Len()))
 	scratchPool.Put(sc)
 	st.shards = make([]*trace.Shard, opts.Workers())
