@@ -184,7 +184,7 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 	order(sc, r.Keys(), ru, mem.keys, sc.dir, Workers(opts, r.Len()))
 	place(mem.pay, r, sc.dir, ru)
 	scratchPool.Put(sc)
-	return relation.Lend(r.Schema(), mem.keys, mem.pay, mem)
+	return relation.Lend(r.Schema(), mem.keys, mem.pay, &mem.loan)
 }
 
 // ReleaseRotating hands back the columns of a relation Rotating returned in
@@ -193,8 +193,10 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 // or did not return — is left alone, so a caller's columns never enter the
 // pool.
 func ReleaseRotating(r *relation.Relation) {
-	if mem, ok := r.Reclaim().(*scratch); ok {
-		heldPool.Put(mem)
+	if l := r.Reclaim(); l != nil {
+		if mem, ok := l.Token.(*scratch); ok {
+			heldPool.Put(mem)
+		}
 	}
 }
 
@@ -301,6 +303,9 @@ type scratch struct {
 	dir []uint32
 	// pay holds a structure's payload column in bucket order.
 	pay []byte
+	// loan marks a rotating relation's columns as this scratch's; its
+	// Token is the scratch (heldPool only).
+	loan relation.Loan
 }
 
 // scratchPool recycles the working sets of orderings and placements, and
@@ -310,7 +315,11 @@ type scratch struct {
 // setup allocates what it would with no pool at all.
 var (
 	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-	heldPool    = sync.Pool{New: func() any { return new(scratch) }}
+	heldPool    = sync.Pool{New: func() any {
+		mem := new(scratch)
+		mem.loan.Token = mem
+		return mem
+	}}
 )
 
 func grown[T any](s []T, n int) []T {

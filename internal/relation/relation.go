@@ -55,12 +55,18 @@ type Relation struct {
 	schema Schema
 	keys   []uint64
 	pay    []byte // len == len(keys)*schema.PayloadWidth
-	// lender is the token of the pool that lent keys and pay (Lend) until
-	// Reclaim takes it; nil for columns nobody lent.
+	// loan is the mark of the pool that lent keys and pay (Lend) until
+	// Reclaim takes it; nil for columns nobody lent. A pointer, not an
+	// interface, keeps a Relation in the allocator's 80-byte class.
 	//
 	//cyclolint:sharesafe only Reclaim writes it, called by the lent relation's one owner: the setup that ordered it, then the holder of the handle it was handed to
-	lender any
+	loan *Loan
 }
+
+// A Loan marks columns a pool lent to a relation (Lend); Token is what the
+// pool needs to take them back. The pool keeps the Loan with the columns,
+// so lending them allocates nothing.
+type Loan struct{ Token any }
 
 // New returns an empty relation with the given schema and capacity hint.
 func New(schema Schema, capacity int) *Relation {
@@ -92,25 +98,25 @@ func Wrap(schema Schema, keys []uint64, pay []byte) (*Relation, error) {
 	return &Relation{schema: schema, keys: keys, pay: pay}, nil
 }
 
-// Lend is Wrap for columns a pool lent: the relation carries lender, the
-// token that gives them back, until Reclaim takes it.
-func Lend(schema Schema, keys []uint64, pay []byte, lender any) (*Relation, error) {
+// Lend is Wrap for columns a pool lent: the relation carries the pool's
+// loan until Reclaim takes it.
+func Lend(schema Schema, keys []uint64, pay []byte, loan *Loan) (*Relation, error) {
 	r, err := Wrap(schema, keys, pay)
 	if err != nil {
 		return nil, err
 	}
-	r.lender = lender
+	r.loan = loan
 	return r, nil
 }
 
-// Reclaim takes the token Lend gave r, once: it returns nil for a relation
+// Reclaim takes the loan Lend gave r, once: it returns nil for a relation
 // Lend did not build, and on every call after the first. A caller that gets
-// the token gives r's columns back with it and must not read r again. A
-// slice, a copy or a key column of r carries no token.
-func (r *Relation) Reclaim() any {
-	l := r.lender
+// the loan gives r's columns back with it and must not read r again. A
+// slice, a copy or a key column of r carries no loan.
+func (r *Relation) Reclaim() *Loan {
+	l := r.loan
 	if l != nil {
-		r.lender = nil
+		r.loan = nil
 	}
 	return l
 }
