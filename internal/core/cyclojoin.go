@@ -474,10 +474,8 @@ func (c *Cluster) setup(sFrags []*relation.Fragment, rFrags [][]*relation.Fragme
 }
 
 // reorganize is host i's setup of its rotating fragments frags, whole or
-// their key columns alone: the kernel's order, unless the fragment's whole
-// tuples stay cached (the one order-or-leave decision, so a key column is
-// ordered exactly when its tuples would be) or the ablation skips it, then
-// under ByKey the order by owner.
+// their key columns alone: the kernel's order, unless the ablation skips it,
+// then under ByKey the order by owner.
 func (c *Cluster) reorganize(i int, frags []*relation.Fragment, keysOnly bool, p Placement) ([]*relation.Fragment, error) {
 	opts := c.joinOpts(i)
 	out := make([]*relation.Fragment, len(frags))
@@ -486,13 +484,9 @@ func (c *Cluster) reorganize(i int, frags []*relation.Fragment, keysOnly bool, p
 		if keysOnly {
 			rel = rel.KeysOnly()
 		}
-		if !c.cfg.SkipRotatingSetup && !layout.StaysCached(f.Rel.Bytes(), opts) {
-			// Decided: an L2 of one byte keeps the kernel from deciding again
-			// on the key column's smaller size.
-			ordered := opts
-			ordered.L2CacheBytes = 1
+		if !c.cfg.SkipRotatingSetup {
 			var err error
-			if rel, err = c.cfg.Algorithm.SetupRotating(rel, c.cfg.Predicate, ordered); err != nil {
+			if rel, err = c.cfg.Algorithm.SetupRotating(rel, c.cfg.Predicate, opts); err != nil {
 				return nil, fmt.Errorf("cyclojoin: host %d: setup rotating fragment %d: %w", i, f.Index, err)
 			}
 		}

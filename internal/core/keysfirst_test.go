@@ -57,8 +57,7 @@ func TestCountingOrdersNoTuples(t *testing.T) {
 	r := jointest.RandomRelation(rng, "R", 6000, 3000, 4)
 	s := jointest.RandomRelation(rng, "S", 5000, 3000, 4)
 	alg := &recordingAlgorithm{Algorithm: hashjoin.Join{}}
-	// 8 KiB of L2: every fragment here is ordered.
-	c := newCluster(t, Config{Nodes: nodes, Algorithm: alg, Predicate: join.Equi{}, Opts: join.Options{L2CacheBytes: 8 << 10}})
+	c := newCluster(t, Config{Nodes: nodes, Algorithm: alg, Predicate: join.Equi{}})
 	want := referenceFor(t, r, []*relation.Relation{s})
 	placements := metrics.Default().Counter("layout_payload_placements_total", "")
 	before := placements.Value()
@@ -127,7 +126,7 @@ func TestTupleRevolutionAfterCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := join.Options{L2CacheBytes: 16 << 10, Parallelism: 2}
+	opts := join.Options{Parallelism: 2}
 	materialize := func(int) join.Collector { return join.NewMaterializer("got", 5, 3) }
 	for _, p := range []Placement{ByPosition, ByKey} {
 		alg := &recordingAlgorithm{Algorithm: hashjoin.Join{}}
@@ -213,48 +212,92 @@ func TestTupleRevolutionAfterCounts(t *testing.T) {
 	}
 }
 
-// TestOrderOrLeave pins the one order-or-leave decision, taken on a
-// fragment's whole tuples: a fragment of rotate_wide_tcp's shape (12.5 k
-// tuples of 256 B) has its key column ordered although the column alone
-// would stay cached, and a fragment whose whole tuples stay cached is left
-// as it lies in both forms.
+// TestOrderOrLeave: a rotating fragment is ordered in both forms, its key
+// column at setup and its whole tuples on the first tuple revolution, at
+// every size — rotate_wide_tcp's 12.5 k tuples of 256 B and 2 000 tuples
+// that would fit any cache alike — and left as it lies in both forms only
+// under SkipRotatingSetup.
 func TestOrderOrLeave(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	wide := jointest.RandomRelation(rng, "wide", 12_500, 1<<20, 248)
-	small := jointest.RandomRelation(rng, "small", 2000, 1<<20, 8)
-	if !layout.StaysCached(wide.KeysOnly().Bytes(), join.Options{}) || layout.StaysCached(wide.Bytes(), join.Options{}) {
-		t.Fatal("fixture drifted: the wide fragment's key column must stay cached, its whole tuples not")
+	frags := [][]*relation.Fragment{{
+		{Rel: jointest.RandomRelation(rng, "wide", 12_500, 1<<20, 248), Index: 0, Of: 2},
+		{Rel: jointest.RandomRelation(rng, "small", 2000, 1<<20, 8), Index: 1, Of: 2},
+	}}
+	for _, skip := range []bool{false, true} {
+		c := newCluster(t, Config{Nodes: 1, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}, SkipRotatingSetup: skip})
+		rot, err := c.SetupRotating(frags, ByPosition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples, _, err := c.tuples(rot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, f := range frags[0] {
+			name := f.Rel.Schema().Name
+			ordered, err := hashjoin.Join{}.SetupRotating(f.Rel, join.Equi{}, join.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(ordered.Keys(), f.Rel.Keys()) {
+				t.Fatalf("fixture drifted: the %s fragment is in hash order already", name)
+			}
+			keys, whole := rot.rotatingKeys[0][j].Rel, tuples[0][j].Rel
+			if skip {
+				if got := keys.Keys(); len(got) == 0 || &got[0] != &f.Rel.Keys()[0] {
+					t.Errorf("skip: the %s fragment's key column was copied", name)
+				}
+				if whole != f.Rel {
+					t.Errorf("skip: the %s fragment's whole tuples were not left as they lie", name)
+				}
+				continue
+			}
+			if !slices.Equal(keys.Keys(), ordered.Keys()) {
+				t.Errorf("the %s fragment's key column is not in the kernel's order", name)
+			}
+			if !whole.Equal(ordered) {
+				t.Errorf("the %s fragment's whole tuples are not in the kernel's order", name)
+			}
+		}
 	}
-	if !layout.StaysCached(small.Bytes(), join.Options{}) {
-		t.Fatal("fixture drifted: the small fragment must stay cached")
-	}
-	c := newCluster(t, Config{Nodes: 1, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
-	frags := [][]*relation.Fragment{{{Rel: wide, Index: 0, Of: 2}, {Rel: small, Index: 1, Of: 2}}}
-	rot, err := c.SetupRotating(frags, ByPosition)
+}
+
+// TestCountedKeysAreOrdered: the key column a COUNT rotates in sql_3way's
+// per-host shape — 50 000 keys bound without their payloads, placed by key
+// over four hosts — is in the hash kernel's bucket order inside every owner
+// slice, so each owner's probes walk its directory front to back.
+func TestCountedKeysAreOrdered(t *testing.T) {
+	const nodes, perHost = 4, 50_000
+	r := generated(t, "a", nodes*perHost, 21).KeysOnly()
+	c := newCluster(t, Config{Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}})
+	rot, err := c.SetupRotating(homed(t, r, nodes, 1), ByKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := hashjoin.Join{}.SetupRotating(wide, join.Equi{}, join.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Equal(ordered.Keys(), wide.Keys()) {
-		t.Fatal("fixture drifted: the wide fragment is in hash order already")
-	}
-	if !slices.Equal(rot.rotatingKeys[0][0].Rel.Keys(), ordered.Keys()) {
-		t.Error("the wide fragment's key column was left as it lies: its whole tuples decide")
-	}
-	if got := rot.rotatingKeys[0][1].Rel.Keys(); len(got) == 0 || &got[0] != &small.Keys()[0] {
-		t.Error("the small fragment's key column was copied: it stays cached")
-	}
-	tuples, _, err := c.tuples(rot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuples[0][0].Rel.Equal(ordered) {
-		t.Error("the wide fragment's whole tuples are not in the kernel's order")
-	}
-	if tuples[0][1].Rel != small {
-		t.Error("the small fragment's whole tuples were not left as they lie")
+	defer rot.Release()
+	for host, frags := range rot.rotatingKeys {
+		rel := frags[0].Rel
+		if rel.Len() != perHost || rel.Schema().PayloadWidth != 0 {
+			t.Fatalf("host %d rotates %d tuples of %d payload bytes, want %d key-only tuples", host, rel.Len(), rel.Schema().PayloadWidth, perHost)
+		}
+		if !ownerOrdered(rel, nodes) {
+			t.Fatalf("host %d's key column is not ordered by owner", host)
+		}
+		// The rule the kernel stations a fragment of this size under.
+		st, err := hashjoin.Join{}.SetupStationary(rel, join.Equi{}, join.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule, _, _, _ := st.(*layout.Stationary).Layout()
+		st.Release()
+		keys, descents := rel.Keys(), 0
+		for i := 1; i < len(keys); i++ {
+			if relation.Owner(keys[i], nodes) == relation.Owner(keys[i-1], nodes) && rule.ID(keys[i]) < rule.ID(keys[i-1]) {
+				descents++
+			}
+		}
+		if descents > 0 {
+			t.Errorf("host %d: %d of %d adjacent keys of an owner slice descend in bucket id", host, descents, len(keys)-nodes)
+		}
 	}
 }

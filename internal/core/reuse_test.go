@@ -90,10 +90,10 @@ func TestJoinRelationsReusesSetupMemory(t *testing.T) {
 	}
 }
 
-// TestCallerColumnsNeverEnterThePool: every way a caller's columns reach a
-// rotating fragment unordered — a fragment small enough to stay cached, the
-// ablation that skips the rotating setup, the nested kernel that reorganizes
-// nothing — leaves them out of the pool. JoinRelations, Rotate, ReplaceHost
+// TestCallerColumnsNeverEnterThePool: both ways a caller's columns reach a
+// rotating fragment unordered — the ablation that skips the rotating setup
+// and the nested kernel that reorganizes nothing — leave them out of the
+// pool. JoinRelations, Rotate, ReplaceHost
 // and released handles interleave with joins of other data that order into
 // whatever the pool holds, and the inputs stay byte for byte as they were.
 func TestCallerColumnsNeverEnterThePool(t *testing.T) {
@@ -102,11 +102,9 @@ func TestCallerColumnsNeverEnterThePool(t *testing.T) {
 		name string
 		alg  join.Algorithm
 		skip bool
-		// tuples sizes the caller's relations: fragments of 4 000 stay
-		// cached.
+		// tuples sizes the caller's relations.
 		tuples int
 	}{
-		{"hash/cached", hashjoin.Join{}, false, 4_000},
 		{"hash/skip", hashjoin.Join{}, true, 6_000},
 		{"nested", nested.Join{}, false, 2_000},
 	} {

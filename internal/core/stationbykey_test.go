@@ -309,8 +309,6 @@ func TestOwnerOrderIsNotOptional(t *testing.T) {
 	for _, skip := range []bool{false, true} {
 		c := newCluster(t, Config{
 			Nodes: nodes, Algorithm: hashjoin.Join{}, Predicate: join.Equi{}, SkipRotatingSetup: skip,
-			// 8 KiB of L2: SetupRotating really clusters these fragments.
-			Opts: join.Options{L2CacheBytes: 8 << 10},
 		})
 		side, err := c.SetupSideByKey(s)
 		if err != nil {

@@ -46,27 +46,26 @@ func TestSetupRejectsUnsupportedPredicate(t *testing.T) {
 func TestMatchesOracleSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tests := []struct {
-		name       string
-		rN, sN     int
-		domain     int
-		pay        int
-		par        int
-		l2Override int
+		name   string
+		rN, sN int
+		domain int
+		pay    int
+		par    int
 	}{
-		{"tiny", 10, 10, 5, 4, 1, 0},
-		{"duplicates heavy", 200, 300, 10, 4, 1, 0},
-		{"wide domain", 500, 400, 100000, 4, 1, 0},
-		{"no payload", 100, 100, 50, 0, 1, 0},
-		{"parallel", 1000, 800, 64, 4, 4, 0},
-		{"forced multi-cluster", 2000, 2000, 256, 4, 2, 1 << 10}, // a cache target small enough that SetupRotating orders R
-		{"empty R", 0, 50, 10, 4, 1, 0},
-		{"empty S", 50, 0, 10, 4, 1, 0},
+		{"tiny", 10, 10, 5, 4, 1},
+		{"duplicates heavy", 200, 300, 10, 4, 1},
+		{"wide domain", 500, 400, 100000, 4, 1},
+		{"no payload", 100, 100, 50, 0, 1},
+		{"parallel", 1000, 800, 64, 4, 4},
+		{"forced multi-cluster", 2000, 2000, 256, 4, 2},
+		{"empty R", 0, 50, 10, 4, 1},
+		{"empty S", 50, 0, 10, 4, 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			r := jointest.RandomRelation(rng, "R", tt.rN, tt.domain, tt.pay)
 			s := jointest.RandomRelation(rng, "S", tt.sN, tt.domain, tt.pay)
-			opts := join.Options{Parallelism: tt.par, L2CacheBytes: tt.l2Override}
+			opts := join.Options{Parallelism: tt.par}
 			jointest.CheckAgainstOracle(t, Join{}, r, s, join.Equi{}, opts)
 		})
 	}
@@ -86,7 +85,7 @@ func TestMatchesOracleProperty(t *testing.T) {
 		s := relation.FromKeys(relation.Schema{Name: "S"}, sKeys)
 		want := join.NewPairSet()
 		jointest.Oracle(r, s, join.Equi{}, want)
-		st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{L2CacheBytes: 512})
+		st, err := Join{}.SetupStationary(s, join.Equi{}, join.Options{})
 		if err != nil {
 			return false
 		}
@@ -158,17 +157,17 @@ func bucketOrdered(r *relation.Relation, b uint) ([]uint64, []byte) {
 	return keys, pay
 }
 
-// TestSetupRotatingOrder: above the cache threshold the rotating side comes
-// back as the stable sort of its tuples by the top dirBits(n) bits of
-// relation.HashKey — every payload width still beside its key — the input is
-// left alone and the worker count does not show; below it, the very relation
-// comes back as it lies.
+// TestSetupRotatingOrder: the rotating side comes back as the stable sort of
+// its tuples by the top dirBits(n) bits of relation.HashKey — every payload
+// width still beside its key — the input is left alone and the worker count
+// does not show, at every size: a fragment small enough to stay in cache is
+// ordered too.
 func TestSetupRotatingOrder(t *testing.T) {
 	sweep(50_000, func(name string, r *relation.Relation) {
 		snapshot := r.Clone()
 		wantKeys, wantPay := bucketOrdered(r, dirBits(r.Len()))
 		for _, par := range []int{1, 3, 8} {
-			rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1, Parallelism: par})
+			rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,9 +183,16 @@ func TestSetupRotatingOrder(t *testing.T) {
 		}
 	})
 	rng := rand.New(rand.NewSource(4))
-	r := jointest.RandomRelation(rng, "R", 40_000, 1024, 3)
-	if rot, err := (Join{}).SetupRotating(r, join.Equi{}, join.Options{}); err != nil || rot != r {
-		t.Errorf("SetupRotating below the threshold = %p, %v; want its input %p as it lies", rot, err, r)
+	for _, n := range []int{1, 100, 40_000} {
+		r := jointest.RandomRelation(rng, "R", n, 1024, 3)
+		wantKeys, wantPay := bucketOrdered(r, dirBits(r.Len()))
+		rot, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rot == r || !slices.Equal(rot.Keys(), wantKeys) || !bytes.Equal(rot.PayloadColumn(), wantPay) {
+			t.Errorf("%d tuples: SetupRotating left the fragment out of the stable bucket order", n)
+		}
 	}
 }
 
@@ -217,33 +223,6 @@ func TestSetupAllocatesOnlyTheOutput(t *testing.T) {
 // 2³² rows rather than wrap the 32-bit row numbers.
 func TestCheckRows(t *testing.T) {
 	jointest.CheckRowLimit(t)
-}
-
-// TestStaysCached pins the rule for leaving a rotating fragment as it lies:
-// twice its bytes fit a quarter of the cache target.
-func TestStaysCached(t *testing.T) {
-	tests := []struct {
-		bytes, l2 int
-		want      bool
-	}{
-		{0, 1 << 20, true},
-		{100, 1 << 20, true},
-		{512 << 10, 0, true}, // the boundary at the default target
-		{512<<10 + 1, 0, false},
-		{512 << 10, join.DefaultL2Bytes, true},
-		{1 << 20, 1 << 20, false},
-		{128 << 10, 1 << 20, true}, // overrides are honoured
-		{128<<10 + 1, 1 << 20, false},
-		{64 << 20, join.DefaultL2Bytes, false},
-		{1, 1, false}, // a target too small to quarter holds nothing but the empty fragment
-		{0, 1, true},
-	}
-	for _, tt := range tests {
-		opts := join.Options{L2CacheBytes: tt.l2}
-		if got := layout.StaysCached(tt.bytes, opts); got != tt.want {
-			t.Errorf("StaysCached(%d, l2=%d) = %v, want %v", tt.bytes, tt.l2, got, tt.want)
-		}
-	}
 }
 
 // TestDirBits pins the bucket-id width rule, ⌈log₂ n⌉ − 1.
@@ -351,7 +330,7 @@ func TestWindowScan(t *testing.T) {
 			total += int64(c)
 		}
 
-		ordered, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{L2CacheBytes: 1})
+		ordered, err := Join{}.SetupRotating(r, join.Equi{}, join.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +338,7 @@ func TestWindowScan(t *testing.T) {
 			t.Fatalf("%s: test needs an ordered rotating fragment", name)
 		}
 		// Ordered as a fragment of 16 tuples would be: by three bits.
-		foreign, err := layout.Rotating(r, func([]uint64) layout.Rule { return rule(make([]uint64, 16)) }, join.Options{L2CacheBytes: 1})
+		foreign, err := layout.Rotating(r, func([]uint64) layout.Rule { return rule(make([]uint64, 16)) }, join.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +453,7 @@ func TestParallelSetupJoinCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	r := jointest.RandomRelation(rng, "R", 60_000, 2_000, 4)
 	s := jointest.RandomRelation(rng, "S", 60_000, 2_000, 4)
-	opts := join.Options{Parallelism: 4, L2CacheBytes: 64 << 10}
+	opts := join.Options{Parallelism: 4}
 	if layout.Workers(opts, s.Len()) < 2 {
 		t.Fatal("test needs a parallel setup")
 	}
@@ -517,18 +496,18 @@ func TestSelfJoinCount(t *testing.T) {
 // fuzzer make keys collide; the whole pipeline must then emit the pairs the
 // nested-loops join does.
 func FuzzHashJoinEqualsNested(f *testing.F) {
-	f.Add([]byte{}, uint64(0), uint8(0), uint8(0), uint16(0))
-	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"), uint64(math.MaxUint64), uint8(4), uint8(1), uint16(64))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog, and over it again, and again"), uint64(0x0101), uint8(13), uint8(3), uint16(1))
+	f.Add([]byte{}, uint64(0), uint8(0), uint8(0))
+	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"), uint64(math.MaxUint64), uint8(4), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, and over it again, and again"), uint64(0x0101), uint8(13), uint8(3))
 	// Twelve equal keys, six a side: a bucket longer than the probe's window.
-	f.Add(bytes.Repeat([]byte{7}, 8*12), uint64(math.MaxUint64), uint8(3), uint8(2), uint16(1))
-	f.Fuzz(func(t *testing.T, data []byte, mask uint64, payW, par uint8, l2 uint16) {
+	f.Add(bytes.Repeat([]byte{7}, 8*12), uint64(math.MaxUint64), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint64, payW, par uint8) {
 		var sides [2][]uint64
 		for i := 0; i+8 <= len(data); i += 8 {
 			sides[i/8%2] = append(sides[i/8%2], binary.LittleEndian.Uint64(data[i:])&mask)
 		}
 		r, s := jointest.Numbered(sides[0], int(payW)), jointest.Numbered(sides[1], int(payW))
-		opts := join.Options{Parallelism: int(par%8) + 1, L2CacheBytes: int(l2)}
+		opts := join.Options{Parallelism: int(par%8) + 1}
 
 		want := join.NewPairSet()
 		ref, err := nested.Join{}.SetupStationary(s, join.Equi{}, opts)

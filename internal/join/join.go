@@ -82,17 +82,14 @@ func (t Theta) String() string {
 	return "theta"
 }
 
-// Options tunes a local join algorithm.
+// Options tunes a local join algorithm: how many workers it runs and where
+// it reports. No option sizes against a cache: a kernel's SetupRotating
+// orders a rotating fragment of any size.
 type Options struct {
 	// Parallelism is the number of worker goroutines used in the join
 	// phase (the paper uses all four cores of its quad-core Xeons). Zero
 	// means 1.
 	Parallelism int
-	// L2CacheBytes is the cache the hash join sizes against (4 MB unified
-	// L2 on the paper's testbed): a rotating fragment that, with the piece
-	// of S it probes, fits in a quarter of it, as in [22], is left as it
-	// lies instead of being reordered. Zero means DefaultL2Bytes.
-	L2CacheBytes int
 	// Flight is the span recorder algorithm-internal phases (build, probe,
 	// sort, merge) report to. Nil means the process-wide trace.Flight()
 	// (which records nothing unless enabled).
@@ -101,23 +98,12 @@ type Options struct {
 	TraceNode int
 }
 
-// DefaultL2Bytes is the paper testbed's 4 MB unified L2 cache.
-const DefaultL2Bytes = 4 << 20
-
 // Workers returns the effective worker count.
 func (o Options) Workers() int {
 	if o.Parallelism <= 0 {
 		return 1
 	}
 	return o.Parallelism
-}
-
-// L2Bytes returns the effective cache-size target.
-func (o Options) L2Bytes() int {
-	if o.L2CacheBytes <= 0 {
-		return DefaultL2Bytes
-	}
-	return o.L2CacheBytes
 }
 
 // FlightRecorder returns the effective span recorder.

@@ -80,11 +80,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers() != 1 {
 		t.Errorf("Workers() = %d, want 1", o.Workers())
 	}
-	if o.L2Bytes() != DefaultL2Bytes {
-		t.Errorf("L2Bytes() = %d, want %d", o.L2Bytes(), DefaultL2Bytes)
-	}
-	o = Options{Parallelism: 4, L2CacheBytes: 1 << 10}
-	if o.Workers() != 4 || o.L2Bytes() != 1<<10 {
+	o = Options{Parallelism: 4}
+	if o.Workers() != 4 {
 		t.Error("explicit options not honored")
 	}
 }

@@ -107,7 +107,7 @@ func CheckLayout(t testing.TB, name string, alg join.Algorithm, s *relation.Rela
 			}
 		}
 	}
-	rot, err := alg.SetupRotating(s, join.Equi{}, join.Options{L2CacheBytes: 1, Parallelism: 3})
+	rot, err := alg.SetupRotating(s, join.Equi{}, join.Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

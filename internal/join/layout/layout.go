@@ -142,15 +142,6 @@ func CheckRows(n int) error {
 	return nil
 }
 
-// StaysCached reports whether a rotating fragment of dataBytes is left as it
-// lies: it and the equally large piece of a stationary fragment it probes,
-// with that piece's share of the directory (≈ 2× the data volume together),
-// fit in a quarter of the L2 cache, the sizing rule of [22], so ordering it
-// would only copy it.
-func StaysCached(dataBytes int, opts join.Options) bool {
-	return 2*dataBytes <= max(opts.L2Bytes()/4, 1)
-}
-
 // minPerWorker keeps an ordering worker's chunk large enough to pay for its
 // goroutine and its histogram.
 const minPerWorker = 8192
@@ -162,12 +153,8 @@ func Workers(opts join.Options, n int) int {
 
 // Rotating returns r in the bucket order rule gives it, for a fragment that
 // travels the ring: its probes then walk every stationary fragment's
-// directory and key column front to back. A fragment that StaysCached is
-// returned as it lies.
+// directory and key column front to back, whatever its size.
 func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Options) (*relation.Relation, error) {
-	if StaysCached(r.Bytes(), opts) {
-		return r, nil
-	}
 	if err := CheckRows(r.Len()); err != nil {
 		return nil, err
 	}
@@ -189,9 +176,8 @@ func Rotating(r *relation.Relation, rule func(keys []uint64) Rule, opts join.Opt
 
 // ReleaseRotating hands back the columns of a relation Rotating returned in
 // place of its input, for a later setup to order into; the relation must not
-// be read again. Any other relation — one Rotating returned as it was given,
-// or did not return — is left alone, so a caller's columns never enter the
-// pool.
+// be read again. Any other relation, one Rotating did not return, is left
+// alone, so a caller's columns never enter the pool.
 func ReleaseRotating(r *relation.Relation) {
 	if l := r.Reclaim(); l != nil {
 		if mem, ok := l.Token.(*scratch); ok {
@@ -312,7 +298,10 @@ type scratch struct {
 // heldPool the memory of released structures, so setup allocates nothing
 // once both are warm. A structure takes its memory from heldPool only: one
 // that is never released leaves the working sets where they were, and its
-// setup allocates what it would with no pool at all.
+// setup allocates what it would with no pool at all, plus two small objects
+// heldPool owns: the holder New makes when it is empty, and its per-P array,
+// which sync.Pool drops at every collection and makes again on the next Get
+// (a setup loop that never releases collects about once a call).
 var (
 	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 	heldPool    = sync.Pool{New: func() any {

@@ -137,7 +137,7 @@ func TestEdgeCases(t *testing.T) {
 				}
 				want := join.NewPairSet()
 				jointest.Oracle(unordered, s, p, want)
-				ordered, err := k.alg.SetupRotating(unordered, p, join.Options{L2CacheBytes: 1})
+				ordered, err := k.alg.SetupRotating(unordered, p, join.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

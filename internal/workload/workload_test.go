@@ -2,8 +2,11 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cyclojoin/internal/relation"
 )
 
 func TestPaperSchemaTupleWidth(t *testing.T) {
@@ -47,6 +50,42 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("same spec produced different relations")
+	}
+}
+
+// generateIntn is Generate as it drew payload bytes with rng.Intn(256): the
+// reference the cheaper draw must reproduce byte for byte.
+func generateIntn(spec Spec) *relation.Relation {
+	rng := rand.New(rand.NewSource(spec.Seed))
+	rel := relation.New(relation.Schema{Name: spec.Name, PayloadWidth: spec.PayloadWidth}, spec.Tuples)
+	draw := keyDrawer(spec, rng, spec.domain())
+	pay := make([]byte, spec.PayloadWidth)
+	for i := 0; i < spec.Tuples; i++ {
+		for j := range pay {
+			pay[j] = byte(rng.Intn(256))
+		}
+		if err := rel.Append(draw(), pay); err != nil {
+			panic(err)
+		}
+	}
+	return rel
+}
+
+// TestGenerateMatchesIntnBytes: Generate's payload bytes and keys are the
+// ones the rng.Intn(256) loop drew, for every payload width and both key
+// distributions.
+func TestGenerateMatchesIntnBytes(t *testing.T) {
+	for _, width := range []int{0, 4, 248} {
+		for _, zipf := range []float64{0, 0.8} {
+			spec := Spec{Name: "R", Tuples: 3000, PayloadWidth: width, KeyDomain: 1000, Zipf: zipf, Seed: 11}
+			got, err := Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(generateIntn(spec)) {
+				t.Errorf("width %d, zipf %g: Generate differs from the rng.Intn(256) draw", width, zipf)
+			}
+		}
 	}
 }
 
